@@ -480,6 +480,12 @@ let test_heuristics =
            (Bdrmap.Heuristics.infer run.Bdrmap.Pipeline.cfg run.Bdrmap.Pipeline.ip2as
               ~rels:inputs.rels run.Bdrmap.Pipeline.graph run.Bdrmap.Pipeline.collection)))
 
+let test_rgraph_build =
+  Test.make ~name:"rgraph-build"
+    (Staged.stage (fun () ->
+         let _, _, _, _, _, _, run = Lazy.force micro_env in
+         ignore (Bdrmap.Rgraph.build run.Bdrmap.Pipeline.collection)))
+
 let test_rel_infer =
   Test.make ~name:"rel-infer"
     (Staged.stage (fun () ->
@@ -527,8 +533,8 @@ let micro () =
   ignore (Lazy.force micro_env);
   let tests =
     [ test_ptrie_lpm; test_targets; test_bgp_route; test_forwarding_path;
-      test_traceroute; test_heuristics; test_rel_infer; test_ally;
-      test_aggregate_merge ]
+      test_traceroute; test_rgraph_build; test_heuristics; test_rel_infer;
+      test_ally; test_aggregate_merge ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]

@@ -63,22 +63,25 @@ let add_alias t a b =
 
 let same_router t a b = Ipv4.equal (find t a) (find t b)
 
-let groups t =
-  let tbl = Ipv4.Tbl.create 256 in
-  Ipv4.Set.iter
+type index = { graph : t; by_root : Ipv4.t list Ipv4.Tbl.t }
+
+(* One pass over [members], descending, so each root's bucket comes out
+   sorted ascending without a sort. *)
+let index t =
+  let by_root = Ipv4.Tbl.create 256 in
+  Seq.iter
     (fun a ->
       let root = find t a in
-      let cur = Option.value ~default:[] (Ipv4.Tbl.find_opt tbl root) in
-      Ipv4.Tbl.replace tbl root (a :: cur))
-    t.members;
-  Ipv4.Tbl.fold (fun _ g acc -> List.sort Ipv4.compare g :: acc) tbl []
-  |> List.sort compare
+      let cur = Option.value ~default:[] (Ipv4.Tbl.find_opt by_root root) in
+      Ipv4.Tbl.replace by_root root (a :: cur))
+    (Ipv4.Set.to_rev_seq t.members);
+  { graph = t; by_root }
 
-let group_of t a =
-  let root = find t a in
-  let g =
-    Ipv4.Set.fold
-      (fun x acc -> if Ipv4.equal (find t x) root then x :: acc else acc)
-      t.members []
-  in
-  if g = [] then [ a ] else List.sort Ipv4.compare g
+let group idx a =
+  match Ipv4.Tbl.find_opt idx.by_root (find idx.graph a) with
+  | Some g -> g
+  | None -> [ a ]
+
+let groups t =
+  Ipv4.Tbl.fold (fun _ g acc -> g :: acc) (index t).by_root []
+  |> List.sort compare

@@ -26,10 +26,17 @@ val same_router : t -> Ipv4.t -> Ipv4.t -> bool
     groups. *)
 val vetoed : t -> Ipv4.t -> Ipv4.t -> bool
 
+(** A snapshot of the current alias sets, bucketed once: each lookup
+    is a union-find [find] plus one table probe. Evidence added after
+    [index] is not reflected. *)
+type index
+
+val index : t -> index
+
+(** [group idx a] is the sorted alias set containing [a] (a singleton
+    when [a] was never mentioned). *)
+val group : index -> Ipv4.t -> Ipv4.t list
+
 (** [groups t] is the list of alias sets (routers), each sorted, only
     for addresses ever mentioned. *)
 val groups : t -> Ipv4.t list list
-
-(** [group_of t a] is the alias set containing [a] (a singleton when
-    never mentioned). *)
-val group_of : t -> Ipv4.t -> Ipv4.t list

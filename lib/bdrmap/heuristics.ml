@@ -105,7 +105,9 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
   let n_nodes = Rgraph.node_count g in
   let owners = Array.make n_nodes Unknown in
   let merged = Array.make n_nodes [] in
-  let merged_away = Array.make n_nodes false in
+  (* [rep.(id)] is the node [id] was merged into, or [id] itself. Each
+     node is merged at most once, so one slot suffices. *)
+  let rep = Array.init n_nodes Fun.id in
   let nextas_used = ref 0 in
   let vp_asns = cfg.Config.vp_asns in
   let cls n = classify_node ip2as n in
@@ -451,34 +453,23 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
             List.filter
               (fun (p : Rgraph.node) ->
                 owners.(p.Rgraph.id) = Host_router
-                && (not merged_away.(p.Rgraph.id))
+                && rep.(p.Rgraph.id) = p.Rgraph.id
                 && Ipv4.Set.cardinal p.Rgraph.addrs = 1
                 && Ipv4.Set.is_empty p.Rgraph.extra_addrs)
               (Rgraph.preds g f)
           in
           match host_preds with
-          | rep :: ((_ :: _) as others) ->
+          | r :: ((_ :: _) as others) ->
             List.iter
               (fun (o : Rgraph.node) ->
-                merged_away.(o.Rgraph.id) <- true;
-                merged.(rep.Rgraph.id) <- o.Rgraph.id :: merged.(rep.Rgraph.id))
+                rep.(o.Rgraph.id) <- r.Rgraph.id;
+                merged.(r.Rgraph.id) <- o.Rgraph.id :: merged.(r.Rgraph.id))
               others
           | _ -> ()
         end
       | Host_router | Unknown -> ())
     ordered;
   (* Border links from inferred neighbor routers. *)
-  let redirect id =
-    (* Follow a merged-away node to its representative. *)
-    if not merged_away.(id) then id
-    else
-      let rec find_rep i =
-        if i >= n_nodes then id
-        else if List.mem id merged.(i) then i
-        else find_rep (i + 1)
-      in
-      find_rep 0
-  in
   let links = ref [] in
   let seen_links = Hashtbl.create 256 in
   let add_link near far neighbor tag =
@@ -501,7 +492,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
            distant networks, outside this VP's inference scope (§1). *)
         List.iter
           (fun (p : Rgraph.node) ->
-            add_link (Some (redirect p.Rgraph.id)) (Some id) b tag)
+            add_link (Some rep.(p.Rgraph.id)) (Some id) b tag)
           host_preds
       | Host_router | Unknown -> ())
     owners;

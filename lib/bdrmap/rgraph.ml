@@ -42,13 +42,14 @@ let build (c : Collect.t) =
       Ipv4.Set.empty c.Collect.mates
   in
   let of_addr = Ipv4.Tbl.create 1024 in
+  let aliases = Ag.index c.Collect.aliases in
   let builders = ref [] in
   let n = ref 0 in
   let node_for addr =
     match Ipv4.Tbl.find_opt of_addr addr with
     | Some id -> id
     | None ->
-      (* Claim the whole alias group at once. *)
+      (* Claim the whole alias group at once; it always contains [addr]. *)
       let id = !n in
       incr n;
       let b =
@@ -61,11 +62,7 @@ let build (c : Collect.t) =
           Ipv4.Tbl.replace of_addr a id;
           if Ipv4.Set.mem a observed then b.b_addrs <- Ipv4.Set.add a b.b_addrs
           else b.b_extra <- Ipv4.Set.add a b.b_extra)
-        (Ag.group_of c.Collect.aliases addr);
-      if not (Ipv4.Tbl.mem of_addr addr) then begin
-        Ipv4.Tbl.replace of_addr addr id;
-        b.b_addrs <- Ipv4.Set.add addr b.b_addrs
-      end;
+        (Ag.group aliases addr);
       id
   in
   Ipv4.Set.iter (fun a -> ignore (node_for a)) observed;

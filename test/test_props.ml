@@ -68,6 +68,47 @@ let prop_groups_partition =
                grp)
            groups)
 
+(* Seed-driven op sequences: one seed int is the whole counterexample.
+   A third of the draws record a negative and then try the vetoed union. *)
+let seeded_ops seed =
+  let st = Random.State.make [| seed |] in
+  List.concat
+    (List.init (1 + Random.State.int st 60) (fun _ ->
+         let a = Random.State.int st 16 and b = Random.State.int st 16 in
+         match Random.State.int st 3 with
+         | 0 -> [ Alias (a, b) ]
+         | 1 -> [ Not_alias (a, b) ]
+         | _ -> [ Not_alias (a, b); Alias (b, a) ]))
+
+let prop_index_matches_reference =
+  QCheck.Test.make ~name:"alias index and groups = naive reference scan" ~count:300
+    QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let ops = seeded_ops seed in
+      let g = apply ops in
+      let mentioned =
+        List.sort_uniq Ipv4.compare
+          (List.concat_map
+             (function
+               | Alias (a, b) | Not_alias (a, b) -> [ addr_of_int a; addr_of_int b ])
+             ops)
+      in
+      let idx = Ag.index g in
+      let show l = String.concat "," (List.map Ipv4.to_string l) in
+      let never = addr_of_int 16 in
+      List.iter
+        (fun a ->
+          let got = Ag.group idx a and want = Alias_ref.group_of g ~mentioned a in
+          if got <> want then
+            QCheck.Test.fail_reportf "group %s: index [%s], reference [%s]"
+              (Ipv4.to_string a) (show got) (show want))
+        (never :: mentioned);
+      if Ag.group idx never <> [ never ] then
+        QCheck.Test.fail_reportf "unmentioned %s is not a singleton"
+          (Ipv4.to_string never);
+      Ag.groups g = Alias_ref.partition g ~mentioned
+      || QCheck.Test.fail_report "groups differ from the reference partition")
+
 let prop_same_router_symmetric =
   QCheck.Test.make ~name:"same_router is symmetric" ~count:300 arb_ops (fun ops ->
       let g = apply ops in
@@ -166,6 +207,7 @@ let prop_rib_lpm =
 let suite =
   [ Qc.to_alcotest prop_vetoes_never_merged;
     Qc.to_alcotest prop_groups_partition;
+    Qc.to_alcotest prop_index_matches_reference;
     Qc.to_alcotest prop_same_router_symmetric;
     Qc.to_alcotest prop_as_rel_roundtrip;
     Qc.to_alcotest prop_trace_pairs;
