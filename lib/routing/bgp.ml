@@ -63,6 +63,32 @@ let pack_word ~cls ~dist ~count ~off =
     invalid_arg (Printf.sprintf "Bgp.freeze: arena offset %d outside packable range" off);
   cls_code cls lor (dist lsl 2) lor (count lsl 12) lor (off lsl 32)
 
+(* One propagation state over interned ASN slots. The slot table is the
+   snapshot's sorted [s_asns] (every ASN of the net or the relationship
+   graph); provider, customer and peer adjacency are flat offset /
+   neighbour arrays in slot order, built once per state. Because the
+   slot order is the ASN order and each adjacency list is ascending, a
+   next-hop segment read off them comes out ascending with no set and
+   no sort. The remaining arrays are scratch, reused from prefix to
+   prefix: the up / peer / provider distances of the three stages,
+   their queues and the next-hop buffer handed to the emitter. *)
+type kernel = {
+  k_asns : Asn.t array;
+  k_prov_off : int array;  (* slot -> start in [k_prov]; length n + 1 *)
+  k_prov : int array;
+  k_cust_off : int array;
+  k_cust : int array;
+  k_peer_off : int array;
+  k_peer : int array;
+  k_up : int array;  (* customer-route distance; 0 exactly at the origins *)
+  k_pd : int array;  (* peer-route distance *)
+  k_vd : int array;  (* provider-route distance *)
+  k_queue : int array;  (* stage 1: up-routed slots, ascending distance *)
+  k_peerq : int array;  (* peer-only slots, ascending distance *)
+  k_provq : int array;  (* provider-routed slots, ascending distance *)
+  k_hops : int array;
+}
+
 type t = {
   net : Net.t;
   rels : B.As_rel.t;
@@ -71,6 +97,7 @@ type t = {
   selective : int list Prefix.Map.t Asn.Map.t;
   prefixes_memo : Prefix.t list;
   frozen : snapshot option;
+  mutable kern : kernel option;  (* built on first use, see [kernel] *)
   (* Two-generation route-table cache (young/old with promote-on-hit),
      same shape as [Engine]'s fpath cache: when the young generation
      fills, it becomes the old one and only the previous old generation
@@ -96,7 +123,7 @@ let create net rels ~originated ~selective =
   in
   { net; rels; origin_trie; originated; selective;
     prefixes_memo = List.sort_uniq Prefix.compare (List.map fst originated);
-    frozen = None;
+    frozen = None; kern = None;
     young = Hashtbl.create 256; old_gen = Hashtbl.create 16; cache_hits = 0 }
 
 let prefixes t = t.prefixes_memo
@@ -111,157 +138,273 @@ let allowed_links t ~origin ~p =
   | None -> None
   | Some per_prefix -> Prefix.Map.find_opt p per_prefix
 
-(* Propagation for one prefix. Three stages:
-   1. "up": customer routes climb c2p edges from the origins;
+(* ------------------------------------------------------------------ *)
+(* The propagation kernel.                                             *)
+
+let unset = max_int
+
+(* Binary searches into the sorted interning arrays; -1 on a miss. *)
+let slot_of_array cmp a x =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      match cmp x a.(mid) with
+      | 0 -> mid
+      | c when c < 0 -> go lo mid
+      | _ -> go (mid + 1) hi
+  in
+  go 0 (Array.length a)
+
+let kernel_create net rels =
+  let asns =
+    Array.of_list (Asn.Set.elements (Asn.Set.union (Net.asns net) (B.As_rel.asns rels)))
+  in
+  let n = Array.length asns in
+  let adjacency neighbours =
+    let off = Array.make (n + 1) 0 in
+    Array.iteri
+      (fun i a -> off.(i + 1) <- off.(i) + Asn.Set.cardinal (neighbours a))
+      asns;
+    let adj = Array.make off.(n) 0 in
+    Array.iteri
+      (fun i a ->
+        let e = ref off.(i) in
+        Asn.Set.iter
+          (fun b ->
+            (* Every endpoint of a relationship is in [B.As_rel.asns]. *)
+            adj.(!e) <- slot_of_array Asn.compare asns b;
+            incr e)
+          (neighbours a))
+      asns;
+    (off, adj)
+  in
+  let k_prov_off, k_prov = adjacency (B.As_rel.providers rels) in
+  let k_cust_off, k_cust = adjacency (B.As_rel.customers rels) in
+  let k_peer_off, k_peer = adjacency (B.As_rel.peers rels) in
+  { k_asns = asns; k_prov_off; k_prov; k_cust_off; k_cust; k_peer_off; k_peer;
+    k_up = Array.make n unset; k_pd = Array.make n unset; k_vd = Array.make n unset;
+    k_queue = Array.make n 0; k_peerq = Array.make n 0; k_provq = Array.make n 0;
+    k_hops = Array.make n 0 }
+
+(* Gao-Rexford propagation of one prefix with origin set [os]. Three
+   stages:
+   1. "up": customer routes climb c2p edges from the origins (BFS);
    2. "peer": one peer edge on top of an up route;
    3. "down": best routes descend p2c edges (Dijkstra over hop counts,
-      since a provider route can feed another provider route). *)
-let compute t p =
-  let os = origins t p in
-  let up : int Asn.Tbl.t = Asn.Tbl.create 256 in
-  (* Stage 1: BFS in hop order. *)
-  let q = Queue.create () in
+      since a provider route can feed another provider route).
+   Then, for every slot holding a route, [emit slot cls dist len] runs
+   with the route's next-hop slots, ascending, in [k_hops.(0 .. len-1)].
+   An origin has up distance 0 and no route of its own; at dist 1 the
+   origin is a neighbour's next hop like any other up-0 AS. *)
+let propagate k os emit =
+  let n = Array.length k.k_asns in
+  let up = k.k_up and pd = k.k_pd and vd = k.k_vd and q = k.k_queue in
+  Array.fill up 0 n unset;
+  Array.fill pd 0 n unset;
+  Array.fill vd 0 n unset;
+  let tail = ref 0 in
   Asn.Set.iter
     (fun o ->
-      Asn.Tbl.replace up o 0;
-      Queue.add o q)
+      let i = slot_of_array Asn.compare k.k_asns o in
+      if i >= 0 && up.(i) <> 0 then begin
+        up.(i) <- 0;
+        q.(!tail) <- i;
+        incr tail
+      end)
     os;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    let d = Asn.Tbl.find up x in
-    Asn.Set.iter
-      (fun prov ->
-        if not (Asn.Tbl.mem up prov) then begin
-          Asn.Tbl.replace up prov (d + 1);
-          Queue.add prov q
-        end)
-      (B.As_rel.providers t.rels x)
+  (* Stage 1: the queue ends up holding exactly the up-routed slots. *)
+  let head = ref 0 in
+  while !head < !tail do
+    let x = q.(!head) in
+    incr head;
+    let d = up.(x) + 1 in
+    for e = k.k_prov_off.(x) to k.k_prov_off.(x + 1) - 1 do
+      let y = k.k_prov.(e) in
+      if up.(y) = unset then begin
+        up.(y) <- d;
+        q.(!tail) <- y;
+        incr tail
+      end
+    done
   done;
-  (* Stage 2: peer routes. *)
-  let peer : int Asn.Tbl.t = Asn.Tbl.create 256 in
-  Asn.Tbl.iter
-    (fun x d ->
-      Asn.Set.iter
-        (fun y ->
-          if not (Asn.Set.mem y os) then
-            match Asn.Tbl.find_opt peer y with
-            | Some d' when d' <= d + 1 -> ()
-            | _ -> Asn.Tbl.replace peer y (d + 1))
-        (B.As_rel.peers t.rels x))
-    up;
-  (* Stage 3: provider routes via Dijkstra. Lazy deletion on a binary
-     heap: a relaxation pushes a fresh (dist, asn) entry and stale ones
-     are skipped on pop, so the final [prov] table is identical to the
-     old set-as-priority-queue version whatever the tie order. *)
-  let best_non_prov x =
-    match (Asn.Tbl.find_opt up x, Asn.Tbl.find_opt peer x) with
-    | Some d, _ -> Some (Cust, d)
-    | None, Some d -> Some (Peer, d)
-    | None, None -> None
+  (* Stage 2: peer routes. [q] is in ascending up distance, so a slot's
+     first peer distance is its least; the slots whose only
+     non-provider route is a peer route are appended to [pq] in
+     ascending peer distance. An origin may get a peer distance too;
+     its up distance 0 outranks it everywhere. *)
+  let pq = k.k_peerq and np = ref 0 in
+  for i = 0 to !tail - 1 do
+    let x = q.(i) in
+    let d = up.(x) + 1 in
+    for e = k.k_peer_off.(x) to k.k_peer_off.(x + 1) - 1 do
+      let y = k.k_peer.(e) in
+      if up.(y) = unset && pd.(y) = unset then begin
+        pq.(!np) <- y;
+        incr np
+      end;
+      if pd.(y) > d then pd.(y) <- d
+    done
+  done;
+  (* Stage 3: a customer without a customer or peer route (origins have
+     one) takes a provider route one hop past its provider's best. Every
+     edge costs one hop, so Dijkstra needs no heap: exporters are taken
+     in ascending distance by merging [q] (up routes), [pq] (peer
+     routes) and the FIFO [vq] of provider routes, which are appended in
+     ascending distance too. The first distance a customer gets is
+     therefore its least. *)
+  let vq = k.k_provq and nv = ref 0 in
+  let relax x d =
+    for e = k.k_cust_off.(x) to k.k_cust_off.(x + 1) - 1 do
+      let c = k.k_cust.(e) in
+      if up.(c) = unset && pd.(c) = unset && vd.(c) = unset then begin
+        vd.(c) <- d + 1;
+        vq.(!nv) <- c;
+        incr nv
+      end
+    done
   in
-  let prov : int Asn.Tbl.t = Asn.Tbl.create 256 in
-  let pq =
-    Heap.create (fun (d1, x1) (d2, x2) ->
-        match Int.compare d1 d2 with 0 -> Asn.compare x1 x2 | c -> c)
+  let iq = ref 0 and ip = ref 0 and iv = ref 0 in
+  while !iq < !tail || !ip < !np || !iv < !nv do
+    let dq = if !iq < !tail then up.(q.(!iq)) else unset
+    and dp = if !ip < !np then pd.(pq.(!ip)) else unset
+    and dv = if !iv < !nv then vd.(vq.(!iv)) else unset in
+    if dq <= dp && dq <= dv then begin
+      relax q.(!iq) dq;
+      incr iq
+    end
+    else if dp <= dv then begin
+      relax pq.(!ip) dp;
+      incr ip
+    end
+    else begin
+      relax vq.(!iv) dv;
+      incr iv
+    end
+  done;
+  (* Assembly: each routed slot's best (class, dist) and the neighbours
+     offering it. *)
+  let hops = k.k_hops in
+  let collect off adj x want best_of =
+    let m = ref 0 in
+    for e = off.(x) to off.(x + 1) - 1 do
+      let y = adj.(e) in
+      if best_of y = want then begin
+        hops.(!m) <- y;
+        incr m
+      end
+    done;
+    !m
   in
-  (* Seed: every AS holding a cust/peer route exports it to customers. *)
-  let seed x d =
-    Asn.Set.iter
-      (fun c ->
-        if best_non_prov c = None && not (Asn.Set.mem c os) then
-          match Asn.Tbl.find_opt prov c with
-          | Some d' when d' <= d + 1 -> ()
-          | _ ->
-            Asn.Tbl.replace prov c (d + 1);
-            Heap.push pq (d + 1, c))
-      (B.As_rel.customers t.rels x)
+  let up_of y = up.(y) in
+  let best_of y =
+    if up.(y) <> unset then up.(y) else if pd.(y) <> unset then pd.(y) else vd.(y)
   in
-  Asn.Tbl.iter seed up;
-  Asn.Tbl.iter (fun x d -> if Asn.Tbl.find_opt up x = None then seed x d) peer;
-  let rec drain () =
-    match Heap.pop_opt pq with
-    | None -> ()
-    | Some (d, x) ->
-      if Asn.Tbl.find_opt prov x = Some d then
-        Asn.Set.iter
-          (fun c ->
-            if best_non_prov c = None && not (Asn.Set.mem c os) then
-              match Asn.Tbl.find_opt prov c with
-              | Some d' when d' <= d + 1 -> ()
-              | _ ->
-                Asn.Tbl.replace prov c (d + 1);
-                Heap.push pq (d + 1, c))
-          (B.As_rel.customers t.rels x);
-      drain ()
-  in
-  drain ();
-  (* Assemble per-AS best routes with the full next-hop set. *)
+  for x = 0 to n - 1 do
+    let u = up.(x) in
+    if u <> 0 then
+      if u <> unset then begin
+        let m = collect k.k_cust_off k.k_cust x (u - 1) up_of in
+        if m > 0 then emit x Cust u m
+      end
+      else if pd.(x) <> unset then begin
+        let d = pd.(x) in
+        let m = collect k.k_peer_off k.k_peer x (d - 1) up_of in
+        if m > 0 then emit x Peer d m
+      end
+      else if vd.(x) <> unset then begin
+        let d = vd.(x) in
+        let m = collect k.k_prov_off k.k_prov x (d - 1) best_of in
+        if m > 0 then emit x Prov d m
+      end
+  done
+
+(* The lazy path's per-prefix table: the kernel's output decoded into
+   boxed routes keyed by ASN. *)
+let decode_table k os =
   let table : route Asn.Tbl.t = Asn.Tbl.create 256 in
-  let consider x =
-    if Asn.Set.mem x os then ()
-    else
-      let best =
-        match (Asn.Tbl.find_opt up x, Asn.Tbl.find_opt peer x, Asn.Tbl.find_opt prov x) with
-        | Some d, _, _ -> Some (Cust, d)
-        | None, Some d, _ -> Some (Peer, d)
-        | None, None, Some d -> Some (Prov, d)
-        | None, None, None -> None
-      in
-      match best with
-      | None -> ()
-      | Some (cls, d) ->
-        let nexthops =
-          match cls with
-          | Cust ->
-            Asn.Set.filter
-              (fun c -> Asn.Tbl.find_opt up c = Some (d - 1))
-              (B.As_rel.customers t.rels x)
-          | Peer ->
-            Asn.Set.filter
-              (fun y -> Asn.Tbl.find_opt up y = Some (d - 1))
-              (B.As_rel.peers t.rels x)
-          | Prov ->
-            Asn.Set.filter
-              (fun pr ->
-                let bd =
-                  match
-                    ( Asn.Tbl.find_opt up pr,
-                      Asn.Tbl.find_opt peer pr,
-                      Asn.Tbl.find_opt prov pr )
-                  with
-                  | Some d', _, _ -> Some d'
-                  | None, Some d', _ -> Some d'
-                  | None, None, Some d' -> Some d'
-                  | None, None, None -> None
-                in
-                bd = Some (d - 1) || (d = 1 && Asn.Set.mem pr os))
-              (B.As_rel.providers t.rels x)
-        in
-        (* Direct neighbors of an origin also see the origin itself as a
-           next hop at dist 1. *)
-        let nexthops =
-          if d = 1 then
-            Asn.Set.union nexthops
-              (Asn.Set.filter
-                 (fun o ->
-                   B.As_rel.known t.rels x o
-                   &&
-                   match B.As_rel.rel t.rels ~of_:x ~with_:o with
-                   | Some B.As_rel.Customer -> cls = Cust
-                   | Some B.As_rel.Peer -> cls = Peer
-                   | Some B.As_rel.Provider -> cls = Prov
-                   | None -> false)
-                 os)
-          else nexthops
-        in
-        if not (Asn.Set.is_empty nexthops) then
-          Asn.Tbl.replace table x
-            { cls; dist = d; nexthops; parent = Asn.Set.min_elt_opt nexthops }
-  in
-  Asn.Set.iter consider (Net.asns t.net);
-  (* Relationship-only ASes (e.g. router-less siblings) still need rows. *)
-  Asn.Set.iter consider (B.As_rel.asns t.rels);
+  propagate k os (fun x cls dist m ->
+      let nexthops = ref Asn.Set.empty in
+      for i = 0 to m - 1 do
+        nexthops := Asn.Set.add k.k_asns.(k.k_hops.(i)) !nexthops
+      done;
+      Asn.Tbl.replace table k.k_asns.(x)
+        { cls; dist; nexthops = !nexthops; parent = Some k.k_asns.(k.k_hops.(0)) });
   table
+
+(* Built once per propagation state, on first use by the unfrozen query
+   path, [freeze] or [refreeze]; a [t] attached to a snapshot never
+   builds one. *)
+let kernel t =
+  match t.kern with
+  | Some k -> k
+  | None ->
+    let k = kernel_create t.net t.rels in
+    t.kern <- Some k;
+    k
+
+(* Growable next-hop arena with segment interning: identical next-hop
+   sets share one segment. A one-slot segment is found through
+   [ar_single] (slot -> offset) without allocating; longer ones, the
+   rarer ECMP sets, through a table keyed on their contents. *)
+type arena = {
+  mutable ar_buf : int array;
+  mutable ar_len : int;
+  ar_single : int array;
+  ar_multi : (int array, int) Hashtbl.t;
+}
+
+(* [arena_create ~slots prefix] starts an arena holding [prefix]
+   verbatim; interning dedupes among the segments appended after it. *)
+let arena_create ~slots (prefix : int_ba) =
+  let plen = Bigarray.Array1.dim prefix in
+  let buf = Array.make (max 1024 (2 * plen)) 0 in
+  for i = 0 to plen - 1 do
+    buf.(i) <- Bigarray.Array1.get prefix i
+  done;
+  { ar_buf = buf; ar_len = plen; ar_single = Array.make slots (-1);
+    ar_multi = Hashtbl.create 256 }
+
+let arena_append ar src m =
+  if ar.ar_len + m > Array.length ar.ar_buf then begin
+    let bigger = Array.make (2 * (ar.ar_len + m)) 0 in
+    Array.blit ar.ar_buf 0 bigger 0 ar.ar_len;
+    ar.ar_buf <- bigger
+  end;
+  let off = ar.ar_len in
+  Array.blit src 0 ar.ar_buf off m;
+  ar.ar_len <- off + m;
+  off
+
+(* [arena_intern ar src m] is the offset of the segment [src.(0 .. m-1)]. *)
+let arena_intern ar src m =
+  if m = 1 then begin
+    let s = src.(0) in
+    if ar.ar_single.(s) < 0 then ar.ar_single.(s) <- arena_append ar src 1;
+    ar.ar_single.(s)
+  end
+  else
+    let key = Array.sub src 0 m in
+    match Hashtbl.find_opt ar.ar_multi key with
+    | Some off -> off
+    | None ->
+      let off = arena_append ar src m in
+      Hashtbl.replace ar.ar_multi key off;
+      off
+
+let arena_freeze ar =
+  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout ar.ar_len in
+  for i = 0 to ar.ar_len - 1 do
+    Bigarray.Array1.set a i ar.ar_buf.(i)
+  done;
+  a
+
+(* Runs the kernel for one prefix and writes its packed words into the
+   row at [base], interning each next-hop segment. *)
+let propagate_row k ar (words : int_ba) ~base os =
+  propagate k os (fun x cls dist m ->
+      let off = arena_intern ar k.k_hops m in
+      Bigarray.Array1.set words (base + x) (pack_word ~cls ~dist ~count:m ~off))
 
 let store_young t p tbl =
   if Hashtbl.length t.young >= cache_limit then begin
@@ -282,25 +425,9 @@ let table_for t p =
       store_young t p tbl;
       tbl
     | None ->
-      let tbl = compute t p in
+      let tbl = decode_table (kernel t) (origins t p) in
       store_young t p tbl;
       tbl)
-
-(* Binary searches into the snapshot's interning arrays. A miss is a
-   correct [None]: a prefix outside [s_pfx] was never originated, so
-   the lazy [compute] would build an empty table for it, and [consider]
-   only ever adds rows for ASNs inside [s_asns]. *)
-let slot_of_array cmp a x =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      match cmp x a.(mid) with
-      | 0 -> mid
-      | c when c < 0 -> go lo mid
-      | _ -> go (mid + 1) hi
-  in
-  go 0 (Array.length a)
 
 (* Packed-word access: 0 means "no route". Decoding rebuilds the boxed
    [route] record on demand; the zero-allocation accessors below read
@@ -388,77 +515,39 @@ let collector_view t collectors =
         rib collectors)
     B.Rib.empty (prefixes t)
 
+let snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena ~s_lpm =
+  { s_net = t.net;
+    s_rels = t.rels;
+    s_origin_trie = t.origin_trie;
+    s_originated = t.originated;
+    s_selective = t.selective;
+    s_prefixes = t.prefixes_memo;
+    s_asns;
+    s_pfx;
+    s_words;
+    s_arena;
+    s_lpm }
+
+let zeros len =
+  let w = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
+  Bigarray.Array1.fill w 0;
+  w
+
 let freeze ?(counter = "routing.snapshot.builds") t =
   match t.frozen with
   | Some s -> s
   | None ->
     Obs.Metrics.incr counter;
+    let k = kernel t in
     let s_pfx = Array.of_list t.prefixes_memo in
-    let asn_set = Asn.Set.union (Net.asns t.net) (B.As_rel.asns t.rels) in
-    let s_asns = Array.of_list (Asn.Set.elements asn_set) in
-    let n = Array.length s_asns in
-    let np = Array.length s_pfx in
-    let aslot_tbl = Asn.Tbl.create ((2 * n) + 1) in
-    Array.iteri (fun i a -> Asn.Tbl.replace aslot_tbl a i) s_asns;
-    let aslot_of a =
-      match Asn.Tbl.find_opt aslot_tbl a with
-      | Some i -> i
-      | None -> invalid_arg (Printf.sprintf "Bgp.freeze: next hop AS%d unknown" a)
-    in
-    let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (np * n) in
-    Bigarray.Array1.fill s_words 0;
-    (* Growable arena with segment interning: identical next-hop sets
-       (as ascending slot lists) share one segment. *)
-    let arena = ref (Array.make 1024 0) in
-    let alen = ref 0 in
-    let segments : (int list, int) Hashtbl.t = Hashtbl.create 4096 in
-    let intern_segment slots =
-      match Hashtbl.find_opt segments slots with
-      | Some off -> off
-      | None ->
-        let off = !alen in
-        List.iter
-          (fun s ->
-            if !alen >= Array.length !arena then begin
-              let bigger = Array.make (2 * Array.length !arena) 0 in
-              Array.blit !arena 0 bigger 0 !alen;
-              arena := bigger
-            end;
-            !arena.(!alen) <- s;
-            incr alen)
-          slots;
-        Hashtbl.replace segments slots off;
-        off
-    in
+    let n = Array.length k.k_asns in
+    let s_words = zeros (Array.length s_pfx * n) in
+    let ar = arena_create ~slots:n (zeros 0) in
     Array.iteri
-      (fun pi p ->
-        let tbl = compute t p in
-        let base = pi * n in
-        Asn.Tbl.iter
-          (fun asn (r : route) ->
-            (* [Asn.Set.elements] is ascending, and slots follow ASN
-               order, so the slot list is ascending too. *)
-            let slots = List.map aslot_of (Asn.Set.elements r.nexthops) in
-            let off = intern_segment slots in
-            Bigarray.Array1.set s_words (base + aslot_of asn)
-              (pack_word ~cls:r.cls ~dist:r.dist ~count:(List.length slots) ~off))
-          tbl)
+      (fun pi p -> propagate_row k ar s_words ~base:(pi * n) (origins t p))
       s_pfx;
-    let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !alen in
-    for i = 0 to !alen - 1 do
-      Bigarray.Array1.set s_arena i !arena.(i)
-    done;
-    { s_net = t.net;
-      s_rels = t.rels;
-      s_origin_trie = t.origin_trie;
-      s_originated = t.originated;
-      s_selective = t.selective;
-      s_prefixes = t.prefixes_memo;
-      s_asns;
-      s_pfx;
-      s_words;
-      s_arena;
-      s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) t.prefixes_memo) }
+    snapshot_make t ~s_asns:k.k_asns ~s_pfx ~s_words ~s_arena:(arena_freeze ar)
+      ~s_lpm:(Lpm.build (List.mapi (fun i p -> (p, i)) t.prefixes_memo))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-freeze: dirty-prefix deltas over a frozen snapshot.  *)
@@ -531,15 +620,15 @@ type refreeze_stats = {
    new arena's prefix and old ASN slots are stable. New-AS columns on
    clean rows are filled by the stub rule: a pure stub's only possible
    route is a provider route one hop past its providers' best — the
-   same answer [compute] derives, since a stub feeds nothing back into
+   same answer the kernel derives, since a stub feeds nothing back into
    anyone else's table. If the append-only ASN contract is violated,
    the patch degrades to a full recompute (counted under
    [routing.snapshot.patch_fallbacks]) rather than guessing. *)
 let refreeze t ~old churn =
   Obs.Metrics.incr "routing.snapshot.patches";
+  let k = kernel t in
+  let s_asns = k.k_asns in
   let s_pfx = Array.of_list t.prefixes_memo in
-  let asn_set = Asn.Set.union (Net.asns t.net) (B.As_rel.asns t.rels) in
-  let s_asns = Array.of_list (Asn.Set.elements asn_set) in
   let n = Array.length s_asns in
   let np = Array.length s_pfx in
   let n_old = Array.length old.s_asns in
@@ -583,6 +672,15 @@ let refreeze t ~old churn =
     | c when c < 0 -> incr i
     | _ -> incr j
   done;
+  let prefixes_unchanged =
+    np = np_old
+    &&
+    let ok = ref true in
+    for k = 0 to np - 1 do
+      if not (Prefix.equal s_pfx.(k) old.s_pfx.(k)) then ok := false
+    done;
+    !ok
+  in
   let dirty = Array.make (max 1 np) fallback in
   List.iter
     (fun p ->
@@ -619,121 +717,76 @@ let refreeze t ~old churn =
           done)
       churn.ch_removed_edges
   end;
-  let aslot_tbl = Asn.Tbl.create ((2 * n) + 1) in
-  Array.iteri (fun i a -> Asn.Tbl.replace aslot_tbl a i) s_asns;
-  let aslot_of a =
-    match Asn.Tbl.find_opt aslot_tbl a with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Bgp.refreeze: next hop AS%d unknown" a)
-  in
-  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (np * n) in
-  Bigarray.Array1.fill words 0;
-  (* The new arena starts as a verbatim copy of the old one, so clean
-     rows' packed offsets remain valid; fresh segments append past it.
-     (Appended segments dedupe among themselves only — a duplicate of
-     an old segment wastes a few words, never correctness.) *)
-  let old_alen = if fallback then 0 else Bigarray.Array1.dim old.s_arena in
-  let arena = ref (Array.make (max 1024 (2 * max 1 old_alen)) 0) in
-  let alen = ref old_alen in
-  for k = 0 to old_alen - 1 do
-    !arena.(k) <- Bigarray.Array1.get old.s_arena k
-  done;
-  let segments : (int list, int) Hashtbl.t = Hashtbl.create 256 in
-  let intern_segment slots =
-    match Hashtbl.find_opt segments slots with
-    | Some off -> off
-    | None ->
-      let off = !alen in
-      List.iter
-        (fun s ->
-          if !alen >= Array.length !arena then begin
-            let bigger = Array.make (2 * Array.length !arena) 0 in
-            Array.blit !arena 0 bigger 0 !alen;
-            arena := bigger
-          end;
-          !arena.(!alen) <- s;
-          incr alen)
-        slots;
-      Hashtbl.replace segments slots off;
-      off
-  in
-  let stub_cols =
-    if fallback then [||]
-    else
-      Array.init (n - n_old) (fun k ->
-          let provs = Asn.Tbl.find stub_providers s_asns.(n_old + k) in
-          List.map (fun pr -> (aslot_of pr, pr)) (Asn.Set.elements provs))
-  in
+  (* With unchanged axes and nothing dirty (the single-link case) every
+     row would be a verbatim copy, so the words and arena are shared. *)
+  let share = n = n_old && prefixes_unchanged && not (Array.mem true dirty) in
   let n_dirty = ref 0 in
-  for pn = 0 to np - 1 do
-    let p = s_pfx.(pn) in
-    let base = pn * n in
-    if dirty.(pn) then begin
-      incr n_dirty;
-      let tbl = compute t p in
-      Asn.Tbl.iter
-        (fun asn (r : route) ->
-          let slots = List.map aslot_of (Asn.Set.elements r.nexthops) in
-          let off = intern_segment slots in
-          Bigarray.Array1.set words (base + aslot_of asn)
-            (pack_word ~cls:r.cls ~dist:r.dist ~count:(List.length slots) ~off))
-        tbl
-    end
+  let s_words, s_arena =
+    if share then (old.s_words, old.s_arena)
     else begin
-      let po = new2old.(pn) in
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub old.s_words (po * n_old) n_old)
-        (Bigarray.Array1.sub words base n_old);
-      if n > n_old then begin
-        let os = origins t p in
-        Array.iteri
-          (fun k provs ->
-            if not (Asn.Set.mem s_asns.(n_old + k) os) then begin
-              let dist_of pr pa =
-                if Asn.Set.mem pr os then 0
-                else
-                  match word_at old ~pslot:po ~aslot:pa with
-                  | 0 -> max_int
-                  | w -> w_dist w
-              in
-              let best = ref max_int in
-              List.iter
-                (fun (pa, pr) ->
-                  let d = dist_of pr pa in
-                  if d < !best then best := d)
-                provs;
-              if !best < max_int then begin
-                let hop_slots =
-                  List.filter_map
-                    (fun (pa, pr) -> if dist_of pr pa = !best then Some pa else None)
-                    provs
+      let words = zeros (np * n) in
+      (* The new arena starts as a verbatim copy of the old one, so
+         clean rows' packed offsets remain valid; fresh segments append
+         past it. (Appended segments dedupe among themselves only — a
+         duplicate of an old segment wastes a few words, never
+         correctness.) *)
+      let ar = arena_create ~slots:n (if fallback then zeros 0 else old.s_arena) in
+      (* Each new stub's provider slots, ascending. *)
+      let stub_cols =
+        if fallback then [||]
+        else
+          Array.init (n - n_old) (fun c ->
+              Asn.Tbl.find stub_providers s_asns.(n_old + c)
+              |> Asn.Set.elements
+              |> List.map (slot_of_array Asn.compare s_asns)
+              |> Array.of_list)
+      in
+      for pn = 0 to np - 1 do
+        let base = pn * n in
+        let os = origins t s_pfx.(pn) in
+        if dirty.(pn) then begin
+          incr n_dirty;
+          propagate_row k ar words ~base os
+        end
+        else begin
+          let po = new2old.(pn) in
+          Bigarray.Array1.blit
+            (Bigarray.Array1.sub old.s_words (po * n_old) n_old)
+            (Bigarray.Array1.sub words base n_old);
+          Array.iteri
+            (fun c provs ->
+              if not (Asn.Set.mem s_asns.(n_old + c) os) then begin
+                let dist_of pa =
+                  if Asn.Set.mem s_asns.(pa) os then 0
+                  else
+                    match word_at old ~pslot:po ~aslot:pa with
+                    | 0 -> unset
+                    | w -> w_dist w
                 in
-                let off = intern_segment hop_slots in
-                Bigarray.Array1.set words (base + n_old + k)
-                  (pack_word ~cls:Prov ~dist:(!best + 1)
-                     ~count:(List.length hop_slots) ~off)
-              end
-            end)
-          stub_cols
-      end
+                let best = Array.fold_left (fun b pa -> min b (dist_of pa)) unset provs in
+                if best < unset then begin
+                  let m = ref 0 in
+                  Array.iter
+                    (fun pa ->
+                      if dist_of pa = best then begin
+                        k.k_hops.(!m) <- pa;
+                        incr m
+                      end)
+                    provs;
+                  let off = arena_intern ar k.k_hops !m in
+                  Bigarray.Array1.set words (base + n_old + c)
+                    (pack_word ~cls:Prov ~dist:(best + 1) ~count:!m ~off)
+                end
+              end)
+            stub_cols
+        end
+      done;
+      (words, arena_freeze ar)
     end
-  done;
-  let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !alen in
-  for k = 0 to !alen - 1 do
-    Bigarray.Array1.set s_arena k !arena.(k)
-  done;
+  in
   (* LPM: share when the prefix set is untouched (the single-link fast
      path does zero LPM work); otherwise patch only the slots a removed
      or added prefix covers. *)
-  let prefixes_unchanged =
-    np = np_old
-    &&
-    let ok = ref true in
-    for k = 0 to np - 1 do
-      if not (Prefix.equal s_pfx.(k) old.s_pfx.(k)) then ok := false
-    done;
-    !ok
-  in
   let s_lpm =
     if prefixes_unchanged then old.s_lpm
     else begin
@@ -753,17 +806,7 @@ let refreeze t ~old churn =
   for pn = np - 1 downto 0 do
     if dirty.(pn) then dirty_prefixes := s_pfx.(pn) :: !dirty_prefixes
   done;
-  ( { s_net = t.net;
-      s_rels = t.rels;
-      s_origin_trie = t.origin_trie;
-      s_originated = t.originated;
-      s_selective = t.selective;
-      s_prefixes = t.prefixes_memo;
-      s_asns;
-      s_pfx;
-      s_words = words;
-      s_arena;
-      s_lpm },
+  ( snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena ~s_lpm,
     { rf_total = np;
       rf_dirty = !n_dirty;
       rf_dirty_prefixes = !dirty_prefixes;
@@ -778,6 +821,7 @@ let of_snapshot s =
     selective = s.s_selective;
     prefixes_memo = s.s_prefixes;
     frozen = Some s;
+    kern = None;
     young = Hashtbl.create 16;
     old_gen = Hashtbl.create 16;
     cache_hits = 0 }

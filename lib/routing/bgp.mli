@@ -7,16 +7,24 @@
     Per-link selective announcement (the Akamai-style policy of §6) is
     honoured at the edge between the origin and its direct neighbors.
 
-    Two evaluation modes share one propagation core:
-    - the lazy [t] computes per-prefix tables on demand behind a
-      two-generation cache — right for tiny one-shot runs;
-    - a frozen {!snapshot} computes every originated prefix once and
-      packs the results into flat int arenas ([Bigarray]s the GC never
-      traces): one packed word per (prefix, ASN) route plus a shared
-      next-hop arena. Pure data — safe to share by reference across
-      [Netcore.Pool] domains with zero per-worker rebuild, and
-      serializable to raw bytes ({!Snapshot.to_bytes}) for other
-      processes. *)
+    One propagation kernel serves every evaluation mode. It runs over
+    interned ASN slots (the sorted table a snapshot keeps as its ASN
+    axis), with provider, customer and peer adjacency held as flat
+    offset/neighbour int arrays in slot order and the per-stage
+    distances in int arrays reused from prefix to prefix. Each AS's
+    best route and its next-hop slots are read straight off those
+    arrays, ascending, with no set and no sort. Its output goes one of
+    two ways:
+    - {!freeze} and the dirty prefixes of {!refreeze} write it as
+      packed words into flat int arenas ([Bigarray]s the GC never
+      traces): one word per (prefix, ASN) route plus a shared arena of
+      interned next-hop segments. Pure data — safe to share by
+      reference across [Netcore.Pool] domains with zero per-worker
+      rebuild, and serializable to raw bytes ({!Snapshot.to_bytes})
+      for other processes;
+    - the lazy [t] decodes it into boxed {!route} tables, one prefix at
+      a time on demand, behind a two-generation cache — right for tiny
+      one-shot runs. *)
 
 open Netcore
 module Net = Topogen.Net
@@ -87,8 +95,11 @@ val collector_view : t -> Asn.t list -> Bgpdata.Rib.t
     arrays, plus a flattened LPM over the origin set. *)
 type snapshot
 
-(** [freeze t] computes every originated prefix's table once and
-    freezes the results. Answers are identical to the lazy path:
+(** [freeze t] runs the kernel once per originated prefix and writes
+    each route straight into the packed arenas: a route word per
+    (prefix, ASN slot), and the next-hop slots interned as a shared
+    arena segment (a one-slot segment without allocating). Answers are
+    identical to the lazy path, which decodes the same kernel output:
     [Snapshot.route (freeze t) asn p = route t asn p] for all inputs.
     Idempotent on an already-frozen [t]. Counted under the
     [routing.snapshot.builds] metric by default; [?counter] redirects
@@ -140,9 +151,11 @@ type refreeze_stats = {
     is the fresh propagation state of the post-churn world, [old] the
     pre-churn snapshot. Only dirty prefixes (changed origins, new
     prefixes, and prefixes where a removed edge appeared in a next-hop
-    segment) re-propagate; clean rows are blitted, new-stub columns are
-    derived from their providers' packed words, and the LPM is shared
-    (prefix set unchanged) or slot-patched. The result is semantically
+    segment) re-propagate through the kernel; clean rows are blitted,
+    new-stub columns are derived from their providers' packed words,
+    and the LPM is shared (prefix set unchanged) or slot-patched. With
+    no dirty prefix and both axes unchanged (single-link churn) the
+    words and arena are shared with [old]. The result is semantically
     identical to [freeze] of [t] from scratch ({!Snapshot.equal}).
     Counted under [routing.snapshot.patches], with the dirty count
     under [routing.snapshot.dirty_prefixes]. *)

@@ -3,10 +3,15 @@ module Net = Topogen.Net
 
 (* A frozen forwarding plan: IGP distance tables, egress choices and
    the interdomain-link index precomputed once and never written again.
-   The bulk — distance rows, egress lids — is packed into flat Bigarray
-   rows the GC never traces, indexed by small per-router row tables;
-   each worker keeps its own private tables for the (cold) keys the
-   plan does not cover.
+   The bulk — distance rows, egress lids — is packed into Bigarrays the
+   GC never traces, indexed by small per-router row tables; each worker
+   keeps its own private tables for the (cold) keys the plan does not
+   cover.
+
+   Each IGP row is its own Bigarray, sized to the router count when it
+   was computed; routers past its end read as infinity. Evolution never
+   changes an existing AS's internal topology, so a patched plan shares
+   every old row by reference and runs Dijkstra only for new targets.
 
    [p_egress] encodes one int per (planned router, prefix slot):
    [-2] unplanned (fall back to the private memo), [-1] planned with no
@@ -15,9 +20,9 @@ type float_ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type plan = {
-  p_routers : int;  (* row stride of [p_igp] *)
+  p_routers : int;  (* router count of the planned world *)
   p_igp_row : int array;  (* target rid -> row index into [p_igp], or -1 *)
-  p_igp : float_ba;  (* rows x p_routers IGP distances *)
+  p_igp : float_ba array;  (* per target row: IGP distance from each rid *)
   p_egr_row : int array;  (* rid -> row index into [p_egress], or -1 *)
   p_pfx : Prefix.t array;  (* sorted prefix slots; = Bgp snapshot slots *)
   p_egress : int_ba;  (* rows x |p_pfx| egress lids (-2 unplanned, -1 none) *)
@@ -99,14 +104,18 @@ let compute_dist net target =
   drain ();
   dist
 
+(* A planned IGP row is as long as the router count it was computed
+   at; routers added since lie past its end, internally unreachable. *)
+let igp_get (row : float_ba) rid =
+  if rid < Bigarray.Array1.dim row then Bigarray.Array1.get row rid else infinity
+
 (* Distance from [rid] to [target] (same AS assumed). Planned targets
    read one float out of the packed row — no allocation, no hashing;
    unplanned targets fall back to the private per-instance memo. *)
 let dist_at t ~target ~rid =
   match t.plan with
   | Some plan when plan.p_igp_row.(target) >= 0 ->
-    Bigarray.Array1.get plan.p_igp
-      ((plan.p_igp_row.(target) * plan.p_routers) + rid)
+    igp_get plan.p_igp.(plan.p_igp_row.(target)) rid
   | _ -> (
     let dist =
       match Hashtbl.find_opt t.igp target with
@@ -184,33 +193,31 @@ let egress_candidates t asn p (route : Bgp.route) =
       List.rev_append ls acc)
     route.Bgp.nexthops []
 
-(* The single scoring path behind both the lazy memo and [freeze]:
-   hot-potato (IGP-nearest near-side router), ties broken on lowest
-   link id, encoded as the chosen lid or -1 for none. *)
+(* The single scoring path behind the lazy memo, [freeze] and [patch]:
+   hot-potato (IGP-nearest near-side router) among the [candidates] of
+   [rid]'s AS [asn], ties broken on lowest link id, encoded as the
+   chosen lid or -1 for none. Candidates depend only on the AS and the
+   prefix, so the plan builders compute them once for all of an AS's
+   routers. *)
+let egress_among t rid asn candidates =
+  let best_d = ref infinity and best = ref (-1) in
+  List.iter
+    (fun (l : Net.link) ->
+      let ra = fst l.Net.a in
+      let near =
+        if Asn.equal (Net.router t.net ra).Net.owner asn then ra else fst l.Net.b
+      in
+      let d = igp_distance t ~from_rid:rid ~to_rid:near in
+      if d < !best_d || (d = !best_d && d < infinity && l.Net.lid < !best) then begin
+        best_d := d;
+        best := l.Net.lid
+      end)
+    candidates;
+  !best
+
 let egress_lid t rid p route =
   let asn = (Net.router t.net rid).Net.owner in
-  let candidates = egress_candidates t asn p route in
-  let score (l : Net.link) =
-    let near =
-      let ra = fst l.Net.a in
-      if Asn.equal (Net.router t.net ra).Net.owner asn then ra else fst l.Net.b
-    in
-    (igp_distance t ~from_rid:rid ~to_rid:near, l.Net.lid)
-  in
-  let best =
-    List.fold_left
-      (fun acc l ->
-        let s = score l in
-        if fst s = infinity then acc
-        else
-          match acc with
-          | Some (s', _) when s' <= s -> acc
-          | _ -> Some (s, l))
-      None candidates
-  in
-  match best with
-  | Some (_, l) -> l.Net.lid
-  | None -> -1
+  egress_among t rid asn (egress_candidates t asn p route)
 
 let pfx_slot pfx p =
   let rec go lo hi =
@@ -250,64 +257,67 @@ let choose_egress ?(pslot = -1) t rid p (route : Bgp.route) =
   in
   if lid < 0 then None else Some (Net.link t.net lid)
 
-let freeze ?(egress_for = Asn.Set.empty) t =
-  Obs.Metrics.incr "routing.plan.builds";
-  let p_between = build_between t.net in
-  let p_routers = Net.router_count t.net in
-  (* IGP rows for every interdomain-link endpoint: these routers are
-     the targets of all egress scoring and of the internal walks toward
-     an egress, and they are identical for every VP. Home-router targets
-     stay lazy in each worker's private table. *)
-  let p_igp_row = Array.make p_routers (-1) in
-  let igp_targets = ref [] in
-  let igp_rows = ref 0 in
+(* IGP rows for every interdomain-link endpoint: these routers are the
+   targets of all egress scoring and of the internal walks toward an
+   egress, and they are identical for every VP. Home-router targets stay
+   lazy in each worker's private table. Returns the rid -> row table and
+   the row -> rid targets. *)
+let igp_targets net =
+  let p_igp_row = Array.make (Net.router_count net) (-1) in
+  let targets = ref [] and rows = ref 0 in
   List.iter
     (fun (l : Net.link) ->
       List.iter
         (fun rid ->
           if p_igp_row.(rid) < 0 then begin
-            p_igp_row.(rid) <- !igp_rows;
-            incr igp_rows;
-            igp_targets := rid :: !igp_targets
+            p_igp_row.(rid) <- !rows;
+            incr rows;
+            targets := rid :: !targets
           end)
         [ fst l.Net.a; fst l.Net.b ])
-    (Net.interdomain_links t.net);
-  let p_igp =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-      (!igp_rows * p_routers)
+    (Net.interdomain_links net);
+  (p_igp_row, Array.of_list (List.rev !targets))
+
+let igp_row net rid =
+  let dist = compute_dist net rid in
+  let row =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Array.length dist)
   in
-  List.iter
-    (fun rid ->
-      let dist = compute_dist t.net rid in
-      let base = p_igp_row.(rid) * p_routers in
-      for i = 0 to p_routers - 1 do
-        Bigarray.Array1.set p_igp (base + i) dist.(i)
-      done)
-    !igp_targets;
-  (* Egress choices for the hot ASes (the VP-owning ones): every probe
-     starts there, so these (rid, prefix slot) pairs recur in every
-     worker. Prefix columns follow [Bgp.prefixes] order, which is the
-     snapshot's slot order, so [Bgp.lookup_slot] slots index directly. *)
-  let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
-  let np = Array.length p_pfx in
-  let p_egr_row = Array.make p_routers (-1) in
-  let egr_rows = ref 0 in
+  Array.iteri (Bigarray.Array1.set row) dist;
+  row
+
+(* Egress rows for the hot ASes (the VP-owning ones): every probe starts
+   there, so these (rid, prefix slot) pairs recur in every worker.
+   Prefix columns follow [Bgp.prefixes] order, which is the snapshot's
+   slot order, so [Bgp.lookup_slot] slots index directly. The table is
+   filled with [-2] so unwritten cells stay on the lazy path. *)
+let egress_table t egress_for ~np =
+  let p_egr_row = Array.make (Net.router_count t.net) (-1) in
+  let rows = ref 0 in
   Asn.Set.iter
     (fun asn ->
       List.iter
         (fun (r : Net.router) ->
           if p_egr_row.(r.Net.rid) < 0 then begin
-            p_egr_row.(r.Net.rid) <- !egr_rows;
-            incr egr_rows
+            p_egr_row.(r.Net.rid) <- !rows;
+            incr rows
           end)
         (Net.routers_of t.net asn))
     egress_for;
-  let p_egress =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!egr_rows * np)
-  in
+  let p_egress = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!rows * np) in
   Bigarray.Array1.fill p_egress (-2);
+  (p_egr_row, p_egress)
+
+let freeze ?(egress_for = Asn.Set.empty) t =
+  Obs.Metrics.incr "routing.plan.builds";
+  let p_igp_row, targets = igp_targets t.net in
+  let p_igp = Array.map (igp_row t.net) targets in
+  let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
+  let np = Array.length p_pfx in
+  let p_egr_row, p_egress = egress_table t egress_for ~np in
   let plan =
-    { p_routers; p_igp_row; p_igp; p_egr_row; p_pfx; p_egress; p_between }
+    { p_routers = Net.router_count t.net; p_igp_row; p_igp; p_egr_row; p_pfx;
+      p_egress; p_between = build_between t.net }
   in
   (* Scoring runs against the plan itself: the IGP rows above are
      exactly the distances egress selection needs, and the [-2] fill
@@ -316,29 +326,31 @@ let freeze ?(egress_for = Asn.Set.empty) t =
   let snap = Bgp.snapshot_of t.bgp in
   Asn.Set.iter
     (fun asn ->
-      (* Slot hoisting: intern the ASN once per AS and walk prefix
-         slots directly instead of binary-searching per (router,
-         prefix) query. *)
+      (* Slot hoisting: intern the ASN once per AS, and decode each
+         prefix's route and gather its candidate links once for all of
+         the AS's routers. *)
       let aslot =
         match snap with Some s -> Bgp.Snapshot.asn_slot s asn | None -> -1
       in
-      List.iter
-        (fun (r : Net.router) ->
-          let base = p_egr_row.(r.Net.rid) * np in
-          Array.iteri
-            (fun pi p ->
-              let route =
-                match snap with
-                | Some s -> Bgp.Snapshot.route_at s ~pslot:pi ~aslot
-                | None -> Bgp.route t.bgp asn p
-              in
-              match route with
-              | None -> ()
-              | Some route ->
-                Bigarray.Array1.set p_egress (base + pi)
-                  (egress_lid scored r.Net.rid p route))
-            p_pfx)
-        (Net.routers_of t.net asn))
+      let routers = Net.routers_of t.net asn in
+      Array.iteri
+        (fun pi p ->
+          let route =
+            match snap with
+            | Some s -> Bgp.Snapshot.route_at s ~pslot:pi ~aslot
+            | None -> Bgp.route t.bgp asn p
+          in
+          Option.iter
+            (fun route ->
+              let candidates = egress_candidates scored asn p route in
+              List.iter
+                (fun (r : Net.router) ->
+                  Bigarray.Array1.set p_egress
+                    ((p_egr_row.(r.Net.rid) * np) + pi)
+                    (egress_among scored r.Net.rid asn candidates))
+                routers)
+            route)
+        p_pfx)
     egress_for;
   plan
 
@@ -354,59 +366,34 @@ let freeze ?(egress_for = Asn.Set.empty) t =
    What can be reused, and why:
    - IGP distance rows: evolution never touches the *internal* topology
      of a pre-churn AS (new routers belong to new ASes, link events are
-     interdomain), so an old target's distance row is still exact;
-     routers added since are internally unreachable from it (infinity).
-     Only endpoints that gained a row (new interconnects) run Dijkstra.
+     interdomain), so an old target's distance row is still exact and
+     is shared by reference; routers added since lie past its end and
+     read as infinity. Only endpoints that gained a row (new
+     interconnects) run Dijkstra.
    - Egress cells: a cell (router of AS a, prefix p) is recomputed when
      p is BGP-dirty (its route may differ), when p left/entered the
      prefix set, or when some next hop z of a's route has (a, z) in the
      changed-interconnect set (candidate links differ with the route
-     intact). Everything else scores identically, so the old lid is
-     copied. *)
+     intact). The test reads the packed route word and its next-hop
+     segment; only recomputed cells decode the route. Everything else
+     scores identically, so the old lid is copied. *)
 let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   Obs.Metrics.incr "routing.plan.patches";
-  let p_between = build_between t.net in
-  let p_routers = Net.router_count t.net in
-  let old_routers = old.p_routers in
-  let p_igp_row = Array.make p_routers (-1) in
-  let igp_targets = ref [] in
-  let igp_rows = ref 0 in
-  List.iter
-    (fun (l : Net.link) ->
-      List.iter
-        (fun rid ->
-          if p_igp_row.(rid) < 0 then begin
-            p_igp_row.(rid) <- !igp_rows;
-            incr igp_rows;
-            igp_targets := rid :: !igp_targets
-          end)
-        [ fst l.Net.a; fst l.Net.b ])
-    (Net.interdomain_links t.net);
-  let p_igp =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-      (!igp_rows * p_routers)
+  let snap =
+    match Bgp.snapshot_of t.bgp with
+    | Some s -> s
+    | None -> invalid_arg "Forwarding.patch: the Bgp.t is not attached to a snapshot"
   in
-  List.iter
-    (fun rid ->
-      let base = p_igp_row.(rid) * p_routers in
-      let orow = if rid < old_routers then old.p_igp_row.(rid) else -1 in
-      if orow >= 0 then begin
-        let obase = orow * old_routers in
-        for i = 0 to old_routers - 1 do
-          Bigarray.Array1.set p_igp (base + i)
-            (Bigarray.Array1.get old.p_igp (obase + i))
-        done;
-        for i = old_routers to p_routers - 1 do
-          Bigarray.Array1.set p_igp (base + i) infinity
-        done
-      end
-      else begin
-        let dist = compute_dist t.net rid in
-        for i = 0 to p_routers - 1 do
-          Bigarray.Array1.set p_igp (base + i) dist.(i)
-        done
-      end)
-    !igp_targets;
+  let module S = Bgp.Snapshot in
+  let old_routers = old.p_routers in
+  let p_igp_row, targets = igp_targets t.net in
+  let p_igp =
+    Array.map
+      (fun rid ->
+        let orow = if rid < old_routers then old.p_igp_row.(rid) else -1 in
+        if orow >= 0 then old.p_igp.(orow) else igp_row t.net rid)
+      targets
+  in
   let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
   let np = Array.length p_pfx in
   let np_old = Array.length old.p_pfx in
@@ -431,13 +418,15 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
     if new2old.(c) < 0 then dirty_col.(c) <- true
   done;
   (* ASes whose physical interconnects changed with routing intact
-     (parallel-link add/remove, plus new-stub attachments for safety). *)
+     (parallel-link add/remove, plus new-stub attachments for safety),
+     as next-hop slots per AS. *)
   let changed_with = Asn.Tbl.create 8 in
   let note (x, y) =
     let add a b =
-      Asn.Tbl.replace changed_with a
-        (Asn.Set.add b
-           (Option.value ~default:Asn.Set.empty (Asn.Tbl.find_opt changed_with a)))
+      let sb = S.asn_slot snap b in
+      if sb >= 0 then
+        Asn.Tbl.replace changed_with a
+          (sb :: Option.value ~default:[] (Asn.Tbl.find_opt changed_with a))
     in
     add x y;
     add y x
@@ -446,74 +435,58 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   List.iter
     (fun (c, provs) -> Asn.Set.iter (fun pr -> note (c, pr)) provs)
     churn.Bgp.ch_new_stubs;
-  let p_egr_row = Array.make p_routers (-1) in
-  let egr_rows = ref 0 in
-  Asn.Set.iter
-    (fun asn ->
-      List.iter
-        (fun (r : Net.router) ->
-          if p_egr_row.(r.Net.rid) < 0 then begin
-            p_egr_row.(r.Net.rid) <- !egr_rows;
-            incr egr_rows
-          end)
-        (Net.routers_of t.net asn))
-    egress_for;
-  let p_egress =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!egr_rows * np)
-  in
-  Bigarray.Array1.fill p_egress (-2);
+  let p_egr_row, p_egress = egress_table t egress_for ~np in
   let plan =
-    { p_routers; p_igp_row; p_igp; p_egr_row; p_pfx; p_egress; p_between }
+    { p_routers = Net.router_count t.net; p_igp_row; p_igp; p_egr_row; p_pfx;
+      p_egress; p_between = build_between t.net }
   in
   let scored = { t with plan = Some plan } in
-  let snap = Bgp.snapshot_of t.bgp in
   let patched_cells = ref 0 in
   Asn.Set.iter
     (fun asn ->
-      let aslot =
-        match snap with Some s -> Bgp.Snapshot.asn_slot s asn | None -> -1
+      let aslot = S.asn_slot snap asn in
+      let affected = Option.value ~default:[] (Asn.Tbl.find_opt changed_with asn) in
+      let rec hits w k =
+        k < S.word_nexthop_count w
+        && (List.mem (S.nexthop_slot snap w k) affected || hits w (k + 1))
       in
-      let affected =
-        Option.value ~default:Asn.Set.empty (Asn.Tbl.find_opt changed_with asn)
+      let rids =
+        Array.of_list
+          (List.map (fun (r : Net.router) -> r.Net.rid) (Net.routers_of t.net asn))
       in
-      List.iter
-        (fun (r : Net.router) ->
-          let base = p_egr_row.(r.Net.rid) * np in
-          let obase =
-            if r.Net.rid < old_routers && old.p_egr_row.(r.Net.rid) >= 0 then
-              old.p_egr_row.(r.Net.rid) * np_old
-            else -1
-          in
-          Array.iteri
-            (fun pi p ->
-              let route =
-                match snap with
-                | Some s -> Bgp.Snapshot.route_at s ~pslot:pi ~aslot
-                | None -> Bgp.route t.bgp asn p
-              in
-              match route with
-              | None -> ()
-              | Some route ->
-                let reuse =
-                  obase >= 0
-                  && (not dirty_col.(pi))
-                  && (Asn.Set.is_empty affected
-                     || not
-                          (Asn.Set.exists
-                             (fun z -> Asn.Set.mem z route.Bgp.nexthops)
-                             affected))
+      let orows =
+        Array.map (fun rid -> if rid < old_routers then old.p_egr_row.(rid) else -1) rids
+      in
+      (* Loops, not closures, so a copied cell allocates nothing. *)
+      for pi = 0 to np - 1 do
+        let w = S.word snap ~pslot:pi ~aslot in
+        if w <> 0 then begin
+          let clean = (not dirty_col.(pi)) && not (hits w 0) in
+          let candidates = ref None in
+          for i = 0 to Array.length rids - 1 do
+            let v =
+              if clean && orows.(i) >= 0 then
+                Bigarray.Array1.get old.p_egress ((orows.(i) * np_old) + new2old.(pi))
+              else begin
+                incr patched_cells;
+                let c =
+                  match !candidates with
+                  | Some c -> c
+                  | None ->
+                    let c =
+                      egress_candidates scored asn p_pfx.(pi)
+                        (Option.get (S.route_at snap ~pslot:pi ~aslot))
+                    in
+                    candidates := Some c;
+                    c
                 in
-                let v =
-                  if reuse then
-                    Bigarray.Array1.get old.p_egress (obase + new2old.(pi))
-                  else begin
-                    incr patched_cells;
-                    egress_lid scored r.Net.rid p route
-                  end
-                in
-                Bigarray.Array1.set p_egress (base + pi) v)
-            p_pfx)
-        (Net.routers_of t.net asn))
+                egress_among scored rids.(i) asn c
+              end
+            in
+            Bigarray.Array1.set p_egress ((p_egr_row.(rids.(i)) * np) + pi) v
+          done
+        end
+      done)
     egress_for;
   Obs.Metrics.add "routing.plan.patched_cells" !patched_cells;
   plan
@@ -548,11 +521,9 @@ let plan_equal ~scratch ~patched =
           failm "igp row presence differs for router %d" rid
         | false, false -> ()
         | true, true ->
-          let sb = s.p_igp_row.(rid) * s.p_routers
-          and qb = q.p_igp_row.(rid) * q.p_routers in
+          let sr = s.p_igp.(s.p_igp_row.(rid)) and qr = q.p_igp.(q.p_igp_row.(rid)) in
           for i = 0 to s.p_routers - 1 do
-            let a = Bigarray.Array1.get s.p_igp (sb + i)
-            and b = Bigarray.Array1.get q.p_igp (qb + i) in
+            let a = igp_get sr i and b = igp_get qr i in
             if not (Float.equal a b) then
               failm "igp distance to %d from %d differs: %g vs %g" rid i a b
           done);

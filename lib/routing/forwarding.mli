@@ -18,8 +18,9 @@ type t
     ASes, and the interdomain-link index — precomputed once and never
     written again, so a plan is safe to share by reference across
     [Netcore.Pool] domains. The distance and egress tables are packed
-    into flat [Bigarray] rows (GC-invisible plain words) indexed by
-    small per-router row tables; keys outside the plan fall back to
+    into [Bigarray] rows (GC-invisible plain words) indexed by small
+    per-router row tables, one Bigarray per IGP target row so a patched
+    plan can share unchanged rows; keys outside the plan fall back to
     each worker's private lazy tables. *)
 type plan
 
@@ -40,14 +41,17 @@ val freeze : ?egress_for:Asn.Set.t -> t -> plan
 
 (** [patch ?egress_for t ~old ~churn ~dirty] is the incremental form of
     {!freeze}: [t] must be a fresh instance over the post-churn net and
-    a [Bgp.t] attached to the patched snapshot, [old] the pre-churn
-    plan, [dirty] the BGP-dirty prefixes
+    a [Bgp.t] attached to the patched snapshot ([Invalid_argument]
+    when it is not attached), [old] the pre-churn plan, [dirty] the BGP-dirty prefixes
     ([Bgp.refreeze_stats.rf_dirty_prefixes]). IGP distance rows of
-    pre-churn routers are copied (evolution never alters the internal
-    topology of an existing AS); only new interconnect endpoints run
+    pre-churn routers are shared with [old] by reference (evolution
+    never alters the internal topology of an existing AS, and routers
+    added since read as infinity); only new interconnect endpoints run
     Dijkstra. Egress cells are re-scored only for BGP-dirty prefix
     columns, new prefixes, and routes whose next-hop set intersects an
-    AS pair with changed physical links; every other cell is copied.
+    AS pair with changed physical links, decided on the packed route
+    word and its next-hop segment; every other cell is copied without
+    decoding its route.
     The result satisfies {!plan_equal} against a scratch [freeze] of
     [t]. Counted under [routing.plan.patches], with recomputed cells
     under [routing.plan.patched_cells]. *)

@@ -157,70 +157,79 @@ let test_moas_origins () =
         (Asn.Set.mem extra_origin (Bgp.origins bgp p)))
     w.moas
 
-(* Route records hold Asn.Set.t values; compare through a projection so
-   the checks do not depend on balanced-tree internals. *)
-let proj = function
-  | None -> None
-  | Some (r : Bgp.route) ->
-    Some (r.cls, r.dist, Asn.Set.elements r.nexthops, r.parent)
+let proj = Bgp_ref.proj
 
+(* The snapshot, a Bgp.t attached to it, and the lazy (unfrozen) path
+   all answer every (AS, prefix) route exactly like the boxed reference
+   model in bgp_ref.ml. *)
 let test_snapshot_route_equivalence () =
   let w = Lazy.force world in
   let snap = Bgp.freeze (bgp_of w) in
   let lazy_bgp = bgp_of w in
   let attached = Bgp.of_snapshot snap in
-  let asns = Asn.Set.elements (Net.asns w.net) in
-  Alcotest.(check int) "prefix_count" (List.length (Bgp.prefixes lazy_bgp))
+  let reference = Bgp_ref.of_world w in
+  let asns = Bgp_ref.asns reference in
+  Alcotest.(check int) "prefix_count" (List.length reference.Bgp_ref.prefixes)
     (Bgp.Snapshot.prefix_count snap);
-  Alcotest.(check bool) "asn_count covers the net" true
-    (Bgp.Snapshot.asn_count snap >= List.length asns);
+  Alcotest.(check int) "asn_count is the reference's AS set" (List.length asns)
+    (Bgp.Snapshot.asn_count snap);
   Alcotest.(check bool) "prefixes agree" true
-    (Bgp.Snapshot.prefixes snap = Bgp.prefixes lazy_bgp);
+    (Bgp.Snapshot.prefixes snap = reference.Bgp_ref.prefixes);
   List.iter
     (fun p ->
       List.iter
         (fun asn ->
-          let reference = proj (Bgp.route lazy_bgp asn p) in
-          Alcotest.(check bool)
-            (Printf.sprintf "Snapshot.route AS%d %s" asn (Prefix.to_string p))
-            true
-            (proj (Bgp.Snapshot.route snap asn p) = reference);
-          Alcotest.(check bool)
-            (Printf.sprintf "of_snapshot route AS%d %s" asn (Prefix.to_string p))
-            true
-            (proj (Bgp.route attached asn p) = reference))
+          let expect = proj (Bgp_ref.route reference asn p) in
+          let check what got =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s AS%d %s" what asn (Prefix.to_string p))
+              true (proj got = expect)
+          in
+          check "Snapshot.route" (Bgp.Snapshot.route snap asn p);
+          check "of_snapshot route" (Bgp.route attached asn p);
+          check "lazy route" (Bgp.route lazy_bgp asn p))
         asns)
-    (Bgp.prefixes lazy_bgp)
+    reference.Bgp_ref.prefixes
 
 let test_snapshot_lookup_and_paths () =
   let w = Lazy.force world in
   let snap = Bgp.freeze (bgp_of w) in
   let lazy_bgp = bgp_of w in
+  let reference = Bgp_ref.of_world w in
   let probes =
     Ipv4.of_string_exn "203.0.113.9"
     :: List.concat_map
          (fun p -> [ Prefix.first p; Ipv4.add (Prefix.first p) 1; Prefix.last p ])
-         (Bgp.prefixes lazy_bgp)
+         reference.Bgp_ref.prefixes
   in
   let lproj = Option.map (fun (p, r) -> (p, proj r)) in
   List.iter
     (fun addr ->
+      let expect = lproj (Bgp_ref.lookup reference w.host_asn addr) in
       Alcotest.(check bool)
         (Printf.sprintf "Snapshot.lookup %s" (Ipv4.to_string addr))
         true
-        (lproj (Bgp.Snapshot.lookup snap w.host_asn addr)
-        = lproj (Bgp.lookup lazy_bgp w.host_asn addr)))
+        (lproj (Bgp.Snapshot.lookup snap w.host_asn addr) = expect);
+      Alcotest.(check bool)
+        (Printf.sprintf "lazy lookup %s" (Ipv4.to_string addr))
+        true
+        (lproj (Bgp.lookup lazy_bgp w.host_asn addr) = expect))
     probes;
   List.iter
     (fun p ->
       List.iter
         (fun asn ->
+          let expect = Bgp_ref.as_path reference asn p in
           Alcotest.(check bool)
             (Printf.sprintf "Snapshot.as_path AS%d %s" asn (Prefix.to_string p))
             true
-            (Bgp.Snapshot.as_path snap asn p = Bgp.as_path lazy_bgp asn p))
+            (Bgp.Snapshot.as_path snap asn p = expect);
+          Alcotest.(check bool)
+            (Printf.sprintf "lazy as_path AS%d %s" asn (Prefix.to_string p))
+            true
+            (Bgp.as_path lazy_bgp asn p = expect))
         (w.host_asn :: w.collectors))
-    (Bgp.prefixes lazy_bgp)
+    reference.Bgp_ref.prefixes
 
 let suite =
   [ Alcotest.test_case "all prefixes reachable from host" `Quick

@@ -207,6 +207,49 @@ let prop_random_churn =
       done;
       true)
 
+(* Depeering and new-customer events against the boxed reference model
+   (bgp_ref.ml) rather than against another kernel run: after each
+   forced event, both the incremental refreeze and a scratch freeze of
+   the evolved world must answer every (AS, prefix) route, as_path and
+   lookup like the reference. The events chain on one world, so the
+   new customer lands on an already patched snapshot. *)
+let prop_churn_matches_reference =
+  QCheck.Test.make
+    ~name:"depeer, new customer: refreeze and scratch freeze = reference model"
+    ~count:4 fuzz_arb
+    (fun fseed ->
+      let w =
+        Gen.generate
+          (Topogen.Scenario.small_access ~scale:0.15 ~seed:(fseed mod 100_000) ())
+      in
+      let check what w' snap =
+        match Bgp_ref.check_snapshot (Bgp_ref.of_world w') snap with
+        | Ok () -> ()
+        | Error m -> QCheck.Test.fail_reportf "%s: %s" what m
+      in
+      let rec force kind w seed =
+        if seed > fseed + 50 then None
+        else
+          match Evolve.force ~seed kind w with
+          | Some r -> Some r
+          | None -> force kind w (seed + 1)
+      in
+      ignore
+        (List.fold_left
+           (fun (w, old) kind ->
+             let label = Evolve.kind_label kind in
+             match force kind w fseed with
+             | None -> QCheck.Test.fail_reportf "%s: no eligible site" label
+             | Some (w', te) ->
+               let s, _ = Bgp.refreeze (fresh_bgp w') ~old (Bgp.churn_of_events [ te ]) in
+               check (label ^ " refreeze") w' s;
+               check (label ^ " scratch freeze") w'
+                 (Bgp.freeze ~counter:"routing.snapshot.scratch_builds" (fresh_bgp w'));
+               (w', s))
+           (w, Bgp.freeze (fresh_bgp w))
+           [ Evolve.Depeer; Evolve.New_customer ]);
+      true)
+
 let suite =
   [ Alcotest.test_case "zero churn is a strict no-op" `Quick test_zero_churn;
     Alcotest.test_case "schedule validation" `Quick test_schedule_validation;
@@ -221,4 +264,5 @@ let suite =
       (test_class ~expect_dirty:1 Evolve.Aggregate);
     Alcotest.test_case "deaggregate" `Quick
       (test_class ~expect_dirty:2 Evolve.Deaggregate);
-    Qc.to_alcotest prop_random_churn ]
+    Qc.to_alcotest prop_random_churn;
+    Qc.to_alcotest prop_churn_matches_reference ]

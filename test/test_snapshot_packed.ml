@@ -1,8 +1,9 @@
 (* The packed snapshot (flat route words + next-hop arena in
-   GC-invisible Bigarrays) pinned against the lazy boxed evaluator over
-   random worlds, plus the raw-byte codec: round-trip identity, and
-   typed rejection of corrupted, truncated, and mislabeled entries in
-   the lib/store miss style. *)
+   GC-invisible Bigarrays) and the lazy path pinned against the boxed
+   reference model (bgp_ref.ml) over random worlds and random
+   relationship graphs, plus the raw-byte codec: round-trip identity,
+   and typed rejection of corrupted, truncated, and mislabeled entries
+   in the lib/store miss style. *)
 
 open Netcore
 module Net = Topogen.Net
@@ -14,12 +15,7 @@ let bgp_of (w : Gen.world) =
   Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
     ~selective:w.Gen.selective
 
-(* Route records hold Asn.Set.t values; compare through a projection so
-   the checks do not depend on balanced-tree internals. *)
-let proj = function
-  | None -> None
-  | Some (r : Bgp.route) ->
-    Some (r.cls, r.dist, Asn.Set.elements r.nexthops, r.parent)
+let proj = Bgp_ref.proj
 
 (* Random worlds: the r_and_e preset (the smallest parameterized
    scenario) across random seeds and scales. Worlds are deterministic
@@ -30,43 +26,91 @@ let arb_world =
     QCheck.Gen.(pair (map (fun n -> 0.3 +. (0.1 *. float_of_int n)) (int_bound 7))
                   (int_bound 10_000))
 
+(* The packed snapshot and the lazy path both answer like the boxed
+   reference model (bgp_ref.ml): every (AS, prefix) route and as_path,
+   and LPM lookups on hits, misses and prefix boundaries. *)
 let prop_packed_equals_boxed =
   QCheck.Test.make ~name:"packed snapshot = boxed evaluator on random worlds"
     ~count:10 arb_world (fun (scale, seed) ->
       let w = Gen.generate (Topogen.Scenario.r_and_e ~scale ~seed ()) in
       let snap = Bgp.freeze (bgp_of w) in
-      let boxed = bgp_of w in
-      let asns = Asn.Set.elements (Net.asns w.Gen.net) in
-      let prefixes = Bgp.prefixes boxed in
-      (* route: every (ASN, prefix) cell of the packed matrix decodes to
-         the boxed record. *)
+      let lazy_bgp = bgp_of w in
+      let reference = Bgp_ref.of_world w in
+      (match Bgp_ref.check_snapshot reference snap with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m);
+      let asns = Bgp_ref.asns reference in
+      let prefixes = reference.Bgp_ref.prefixes in
       List.for_all
         (fun p ->
           List.for_all
-            (fun asn -> proj (S.route snap asn p) = proj (Bgp.route boxed asn p))
+            (fun asn ->
+              proj (Bgp.route lazy_bgp asn p) = proj (Bgp_ref.route reference asn p)
+              && Bgp.as_path lazy_bgp asn p = Bgp_ref.as_path reference asn p)
             asns)
         prefixes
-      (* lookup: LPM resolution agrees on hits, misses and boundaries. *)
       && (let lproj = Option.map (fun (p, r) -> (p, proj r)) in
-          let probes =
-            Ipv4.of_string_exn "203.0.113.9"
-            :: List.concat_map
-                 (fun p -> [ Prefix.first p; Prefix.last p ])
-                 prefixes
-          in
           List.for_all
             (fun addr ->
-              lproj (S.lookup snap w.Gen.host_asn addr)
-              = lproj (Bgp.lookup boxed w.Gen.host_asn addr))
-            probes)
-      (* as_path: the packed parent-slot walk reproduces the boxed
-         parent chain for every AS in the world. *)
-      && List.for_all
-           (fun p ->
-             List.for_all
-               (fun asn -> S.as_path snap asn p = Bgp.as_path boxed asn p)
-               asns)
-           prefixes)
+              lproj (Bgp.lookup lazy_bgp w.Gen.host_asn addr)
+              = lproj (Bgp_ref.lookup reference w.Gen.host_asn addr))
+            (Ipv4.of_string_exn "203.0.113.9"
+            :: List.concat_map (fun p -> [ Prefix.first p; Prefix.last p ]) prefixes)))
+
+(* Random relationship graphs, far from the generator's shapes: any
+   mix of c2p (in either or both directions), p2p and missing edges
+   between 4-14 ASes, provider cycles included, and a few prefixes with
+   one to three origins (sometimes an ASN outside the graph). The
+   snapshot and the lazy path must answer every cell like the reference
+   model. This is where the kernel's stage order matters: a customer
+   reachable both from a near peer-routed provider and a far up-routed
+   one takes the near one's route. Each case is one seed, so a failure
+   shrinks to one seed. *)
+let prop_kernel_random_graphs =
+  QCheck.Test.make ~name:"kernel = reference model on random relationship graphs"
+    ~count:300
+    QCheck.(make ~print:Print.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 4 + Random.State.int st 11 in
+      let rels = ref Bgpdata.As_rel.empty in
+      for a = 1 to n do
+        for b = a + 1 to n do
+          match Random.State.int st 8 with
+          | 0 | 1 -> rels := Bgpdata.As_rel.add_c2p !rels ~provider:a ~customer:b
+          | 2 | 3 -> rels := Bgpdata.As_rel.add_c2p !rels ~provider:b ~customer:a
+          | 4 -> rels := Bgpdata.As_rel.add_p2p !rels a b
+          | 5 ->
+            rels := Bgpdata.As_rel.add_c2p !rels ~provider:a ~customer:b;
+            rels := Bgpdata.As_rel.add_p2p !rels a b
+          | _ -> ()
+        done
+      done;
+      let originated =
+        List.init
+          (1 + Random.State.int st 3)
+          (fun i ->
+            let origin () =
+              if Random.State.int st 10 = 0 then 999 else 1 + Random.State.int st n
+            in
+            ( Prefix.make (Ipv4.of_int (0x0A000000 + (i lsl 8))) 24,
+              Asn.Set.of_list (List.init (1 + Random.State.int st 3) (fun _ -> origin ()))
+            ))
+      in
+      let net = Net.create () in
+      let bgp () = Bgp.create net !rels ~originated ~selective:Asn.Map.empty in
+      let reference = Bgp_ref.create net !rels ~originated in
+      (match Bgp_ref.check_snapshot reference (Bgp.freeze (bgp ())) with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m);
+      let lazy_bgp = bgp () in
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun a ->
+              proj (Bgp.route lazy_bgp a p) = proj (Bgp_ref.route reference a p))
+            (Bgp_ref.asns reference))
+        reference.Bgp_ref.prefixes)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization. *)
@@ -149,6 +193,7 @@ let test_bad_magic_and_version () =
 
 let suite =
   [ Qc.to_alcotest prop_packed_equals_boxed;
+    Qc.to_alcotest prop_kernel_random_graphs;
     Alcotest.test_case "to_bytes/of_bytes round-trip" `Quick test_roundtrip;
     Alcotest.test_case "corrupted byte rejected" `Quick test_corrupted_byte_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
