@@ -442,7 +442,8 @@ open Netcore
 let micro_env =
   lazy
     (let world = Gen.generate Topogen.Scenario.tiny in
-     let bgp, fwd, engine, inputs = Bdrmap.Pipeline.setup world in
+     let shared, fwd, engine, inputs = Bdrmap.Pipeline.setup world in
+     let bgp = shared.Bdrmap.Pipeline.snapshot in
      let vp = List.hd world.vps in
      let run = Bdrmap.Pipeline.execute engine inputs ~vp in
      (world, bgp, fwd, engine, inputs, vp, run))
@@ -469,8 +470,8 @@ let test_bgp_route =
 
 (* A scratch freeze of the micro world's routing: the slot kernel over
    every originated prefix plus packing into the arenas. Each run starts
-   from a fresh unfrozen state, since [freeze] of a frozen one returns
-   at once. *)
+   from a fresh propagation input, so the kernel's adjacency build is
+   timed too. *)
 let test_bgp_freeze =
   Test.make ~name:"bgp-freeze"
     (Staged.stage (fun () ->

@@ -275,12 +275,10 @@ let write_file path lines =
   Sys.rename tmp path;
   Printf.printf "wrote %s (%d lines)\n%!" path (List.length lines)
 
-let setup_env params =
+let setup_env ?store params =
   let world = Gen.generate params in
-  let bgp, fwd, engine, inputs = Bdrmap.Pipeline.setup world in
-  ignore fwd;
-  ignore bgp;
-  (world, engine, inputs)
+  let shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup ?store world in
+  (world, shared, inputs)
 
 (* generate: emit the public input artifacts of §5.2. *)
 let generate (scenario_name, scenario) scale seed out obs =
@@ -320,14 +318,14 @@ let pick_vp (world : Gen.world) i =
 (* run --all-vps: the deployed-system mode — every VP's pipeline on the
    domain pool, merged into one network-wide border map. Returns the
    merged map so `serve` can index it. *)
-let run_all_vps ?shared world inputs store pool =
+let run_all_vps ~shared world inputs store pool =
   let vps = world.Gen.vps in
   let domains = match pool with Some p -> Netcore.Pool.size p | None -> 1 in
   Printf.printf "running bdrmap from %d VPs on %d domain%s...\n%!" (List.length vps)
     domains
     (if domains = 1 then "" else "s");
   let t0 = Unix.gettimeofday () in
-  let runs = Bdrmap.Pipeline.execute_all ?pool ?store ?shared world inputs ~vps in
+  let runs = Bdrmap.Pipeline.execute_all ?pool ?store ~shared world inputs ~vps in
   let merged =
     Bdrmap.Aggregate.merge_runs ?pool
       (List.map2
@@ -368,10 +366,11 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
   with_obs obs ~command:"run" ~scale ~jobs ?seed ~config ?out_dir:out ~extra
     (fun () ->
       let params = params_of scenario scale seed in
-      let world, _engine, inputs = setup_env params in
       let store = open_store store_dir in
+      let world, shared, inputs = setup_env ?store params in
       if all_vps then
-        with_jobs jobs (fun pool -> ignore (run_all_vps world inputs store pool))
+        with_jobs jobs (fun pool ->
+            ignore (run_all_vps ~shared world inputs store pool))
       else begin
         let vp = pick_vp world vp_idx in
         Printf.printf "running bdrmap from %s...\n%!" vp.Gen.vp_name;
@@ -379,7 +378,9 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
            engine (same bytes as the historical shared one, which was
            fresh here too) and can be checkpointed/warm-started. *)
         let r =
-          match Bdrmap.Pipeline.execute_all ?store world inputs ~vps:[ vp ] with
+          match
+            Bdrmap.Pipeline.execute_all ?store ~shared world inputs ~vps:[ vp ]
+          with
           | [ r ] -> r
           | runs ->
             prerr_endline
@@ -547,7 +548,7 @@ let load_mapfile ~verb path =
   | Error e ->
     Error (Printf.sprintf "%s: %s" path (Bdrmap.Mapfile.error_label e))
 
-(* Build the query map a server answers from: frozen routing snapshot
+(* Build the query map a server answers from: the routing snapshot
    plus the all-VP merged border map (computed, or loaded from a saved
    artifact). Returns the snapshot too, so a SIGHUP reload can recompile
    a fresh map against it without re-freezing. *)
@@ -604,7 +605,7 @@ let serve (scenario_name, scenario) scale seed jobs store_dir socket map_in save
           | Error _ -> "# EOF\n")
       in
       (* SIGHUP hot-reload: with --map, re-read the (possibly replaced)
-         artifact and recompile a Qmap against the frozen snapshot; a
+         artifact and recompile a Qmap against the same snapshot; a
          map that fails to parse keeps the current one serving. Without
          --map, re-run the (store-warm, deterministic) pipeline. Either
          way the swap happens in the event loop without dropping

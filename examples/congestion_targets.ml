@@ -22,7 +22,7 @@ type assignment = {
 
 let () =
   let world = Gen.generate (Topogen.Scenario.r_and_e ~scale:0.5 ()) in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup world in
+  let shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup world in
   let vp = List.hd world.vps in
   let run = Bdrmap.Pipeline.execute engine inputs ~vp in
 
@@ -78,11 +78,10 @@ let () =
      time-series latency probes. Plant evening congestion on two true
      interdomain links and see whether monitoring the INFERRED address
      pairs finds them. *)
-  let bgp2 =
-    Routing.Bgp.create world.net world.rels_truth
-      ~originated:(Gen.originated world) ~selective:world.selective
+  let fwd2 =
+    Routing.Forwarding.create world.net
+      (Routing.Bgp.of_snapshot shared.Bdrmap.Pipeline.snapshot)
   in
-  let fwd2 = Routing.Forwarding.create world.net bgp2 in
   let engine2 = Probesim.Engine.create world fwd2 in
   let tslp = Probesim.Tslp.create engine2 fwd2 in
   let monitorable =

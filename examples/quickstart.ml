@@ -17,7 +17,7 @@ let () =
 
   (* 2. Build the probing stack and the public input artifacts (BGP
      collector view, inferred AS relationships, IXP list, delegations). *)
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup world in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup world in
   Printf.printf "public view: %d prefixes, %d relationship edges\n"
     (Bgpdata.Rib.cardinal inputs.rib)
     (Bgpdata.As_rel.edge_count inputs.rels);

@@ -59,7 +59,7 @@ let () =
   let by_neighbor = Hashtbl.create 32 in
   List.iter
     (fun p ->
-      let origins = Routing.Bgp.origins env.bgp p in
+      let origins = Routing.Bgp.origins env.shared.snapshot p in
       if not (Asn.Set.is_empty origins) then begin
         let o = Asn.Set.min_elt origins in
         Hashtbl.replace by_neighbor o

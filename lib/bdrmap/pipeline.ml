@@ -75,16 +75,6 @@ let execute ?cfg engine inputs ~vp =
     cache = Engine.stats engine;
   }
 
-let setup ?(pps = 100.0) (w : Gen.world) =
-  let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
-  in
-  let fwd = Routing.Forwarding.create w.Gen.net bgp in
-  let engine = Engine.create ~pps w fwd in
-  let inputs = inputs_of_world w bgp in
-  (bgp, fwd, engine, inputs)
-
 (* Force the lazily built indices of the structures that parallel
    vantage-point runs share read-only (the topology's adjacency arrays,
    the delegation index, the RIB's flattened LPM), so no worker domain
@@ -95,14 +85,18 @@ let freeze_shared (w : Gen.world) inputs =
   ignore (B.Delegation.find inputs.delegations Ipv4.zero);
   B.Rib.freeze inputs.rib
 
-(* The shared routing state for a multi-VP sweep: one frozen BGP
-   snapshot plus one frozen forwarding plan, both pure immutable data.
-   Built once before fan-out; every worker attaches by reference and
-   keeps only its private cold-path caches. *)
+(* The shared routing state of a world: one BGP snapshot plus one
+   forwarding plan, both pure immutable data. Built once before
+   fan-out; every worker attaches by reference and keeps only its
+   private cold-path caches. *)
 type shared = {
   snapshot : Routing.Bgp.snapshot;
   plan : Routing.Forwarding.plan;
 }
+
+let routing_input (w : Gen.world) =
+  Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+    ~selective:w.Gen.selective
 
 let freeze_routing ?store ?epoch (w : Gen.world) =
   Obs.Span.with_span ~stage:"freeze" ~vp:"shared" (fun () ->
@@ -119,11 +113,7 @@ let freeze_routing ?store ?epoch (w : Gen.world) =
         match cached with
         | Some s -> s
         | None ->
-          let bgp =
-            Routing.Bgp.create w.Gen.net w.Gen.rels_truth
-              ~originated:(Gen.originated w) ~selective:w.Gen.selective
-          in
-          let s = Routing.Bgp.freeze bgp in
+          let s = Routing.Bgp.freeze (routing_input w) in
           Option.iter
             (fun st -> Run_store.save_bgp_snapshot ?epoch st ~world:w s)
             store;
@@ -135,6 +125,13 @@ let freeze_routing ?store ?epoch (w : Gen.world) =
       let plan = Routing.Forwarding.freeze ~egress_for:w.Gen.siblings fwd in
       { snapshot; plan })
 
+let setup ?store ?(pps = 100.0) (w : Gen.world) =
+  let shared = freeze_routing ?store w in
+  let bgp = Routing.Bgp.of_snapshot shared.snapshot in
+  let fwd = Routing.Forwarding.create ~plan:shared.plan w.Gen.net bgp in
+  let engine = Engine.create ~pps w fwd in
+  (shared, fwd, engine, inputs_of_world w bgp)
+
 let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
     inputs ~vps =
   Obs.Metrics.incr "pipeline.sweeps";
@@ -145,10 +142,10 @@ let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
     match cfg with Some c -> c | None -> Config.default ~vp_asns:inputs.vp_asns
   in
   (* Routing state is a pure function of the world, never of the
-     vantage point, so every VP shares one frozen snapshot + plan and
+     vantage point, so every VP shares one snapshot + plan and
      the per-VP stack shrinks to what is genuinely per-VP mutable: the
      engine's clock, probe counter, path cache, RNG and IP-ID state,
-     plus thin private caches over the frozen data. The laziness keeps
+     plus thin private caches over the shared data. The laziness keeps
      fully store-warm sweeps from paying a freeze they will never use;
      under a pool it is forced before fan-out ([Lazy.force] is not
      domain-safe). *)
@@ -229,10 +226,6 @@ type epoch = {
 let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
     ~vps (w : Gen.world) =
   Topogen.Evolve.validate_schedule schedule;
-  let fresh_bgp (w : Gen.world) =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth
-      ~originated:(Gen.originated w) ~selective:w.Gen.selective
-  in
   let world = ref w in
   let digest = ref "" in
   let prev : shared option ref = ref None in
@@ -249,7 +242,7 @@ let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
           let churn = Routing.Bgp.churn_of_events events in
           let snapshot, stats =
             Obs.Span.with_span ~stage:"freeze" ~vp:"shared" (fun () ->
-                Routing.Bgp.refreeze (fresh_bgp w') ~old:old.snapshot churn)
+                Routing.Bgp.refreeze (routing_input w') ~old:old.snapshot churn)
           in
           let fwd =
             Routing.Forwarding.create w'.Gen.net
@@ -269,7 +262,7 @@ let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
                build-accounting gates stay meaningful. *)
             let scratch =
               Routing.Bgp.freeze ~counter:"routing.snapshot.scratch_builds"
-                (fresh_bgp w')
+                (routing_input w')
             in
             (match Routing.Bgp.Snapshot.equal scratch snapshot with
             | Ok () -> ()

@@ -36,21 +36,16 @@ type run = {
 (** [execute ?cfg engine inputs ~vp] runs the full pipeline from [vp]. *)
 val execute : ?cfg:Config.t -> Engine.t -> inputs -> vp:Gen.vp -> run
 
-(** [setup world] builds the routing/probing stack for a world:
-    (bgp, forwarding, engine, inputs). *)
-val setup :
-  ?pps:float -> Gen.world -> Routing.Bgp.t * Routing.Forwarding.t * Engine.t * inputs
-
-(** The shared routing state of a multi-VP sweep: one frozen BGP
-    snapshot plus one frozen forwarding plan. Pure immutable data —
-    built once, attached by reference from every worker domain. *)
+(** The shared routing state of a world: one BGP snapshot plus one
+    forwarding plan. Pure immutable data — built once, attached by
+    reference from every worker domain. *)
 type shared = {
   snapshot : Routing.Bgp.snapshot;
   plan : Routing.Forwarding.plan;
 }
 
 (** [freeze_routing ?store w] builds the shared routing state for [w]:
-    the frozen per-prefix BGP tables and the forwarding plan (egress
+    the packed per-prefix BGP tables and the forwarding plan (egress
     precomputed for the VP-owning ASes). With [store], the packed
     snapshot round-trips through {!Run_store.load_bgp_snapshot} /
     {!Run_store.save_bgp_snapshot}, so warm sweeps skip the propagation
@@ -61,10 +56,22 @@ type shared = {
     unevolved world. *)
 val freeze_routing : ?store:Store.t -> ?epoch:string -> Gen.world -> shared
 
+(** [setup ?store ?pps world] builds the routing/probing stack for a
+    world: [(shared, forwarding, engine, inputs)]. The snapshot is built
+    once, through {!freeze_routing} (so [store] can serve the
+    snapshot); the forwarding stack and the collector view both answer
+    from that snapshot and plan. Pass [shared] on to {!execute_all} so
+    later sweeps reuse it instead of freezing again. *)
+val setup :
+  ?store:Store.t ->
+  ?pps:float ->
+  Gen.world ->
+  shared * Routing.Forwarding.t * Engine.t * inputs
+
 (** [execute_all ?pool w inputs ~vps] runs the full pipeline from every
     vantage point in [vps], on [pool]'s worker domains when one is
     given, and returns the runs in [vps] order.  Routing state is a
-    pure function of the world, so all VPs answer from one frozen
+    pure function of the world, so all VPs answer from one shared
     snapshot + plan ([shared], built lazily by {!freeze_routing} when
     not supplied — pass one to amortize it across sweeps); what stays
     per-VP is the genuinely mutable probing stack (engine clock, probe

@@ -70,13 +70,13 @@ val save :
   snapshot ->
   unit
 
-(** [bgp_snapshot_key ~world ()] is the store key of [world]'s frozen
+(** [bgp_snapshot_key ~world ()] is the store key of [world]'s packed
     routing snapshot: world parameters, snapshot codec version and the
     topology epoch digest ([?epoch], default [""] = unevolved). *)
 val bgp_snapshot_key :
   ?epoch:string -> world:Topogen.Gen.world -> unit -> string
 
-(** [load_bgp_snapshot st ~world] returns the persisted frozen routing
+(** [load_bgp_snapshot st ~world] returns the persisted packed routing
     snapshot for [world], or [None]. Snapshots are stored under a key
     covering the world parameters and the snapshot codec version, and
     round-trip through {!Routing.Bgp.Snapshot.to_bytes} rather than

@@ -35,7 +35,7 @@ val lpm : t -> Ipv4.t -> (Prefix.t * Asn.Set.t) option
 (** [freeze t] forces the flattened LPM index behind [lpm]/
     [origin_asns] so later lookups — from any domain — are read-only.
     Idempotent; a no-op on tables too small to benefit. Any
-    [add_route] after a freeze returns a fresh unfrozen table. *)
+    [add_route] after a freeze returns a fresh table with no flattened index. *)
 val freeze : t -> unit
 
 (** [origin_asns t addr] is the origin set of the longest match, or the

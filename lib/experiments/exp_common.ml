@@ -4,7 +4,7 @@ module Net = Topogen.Net
 
 type env = {
   world : Gen.world;
-  bgp : Routing.Bgp.t;
+  shared : Bdrmap.Pipeline.shared;
   fwd : Routing.Forwarding.t;
   engine : Probesim.Engine.t;
   inputs : Bdrmap.Pipeline.inputs;
@@ -15,20 +15,21 @@ type env = {
    deltas), so environments are shared between experiments. *)
 let cache : (Gen.params * float, env) Hashtbl.t = Hashtbl.create 8
 
-let make ?(pps = 100.0) params =
+let make ?(pps = 100.0) ?store params =
   match Hashtbl.find_opt cache (params, pps) with
   | Some env -> env
   | None ->
     let world = Gen.generate params in
-    let bgp, fwd, engine, inputs = Bdrmap.Pipeline.setup ~pps world in
-    let env = { world; bgp; fwd; engine; inputs } in
+    let shared, fwd, engine, inputs = Bdrmap.Pipeline.setup ?store ~pps world in
+    let env = { world; shared; fwd; engine; inputs } in
     Hashtbl.add cache (params, pps) env;
     env
 
 let run_vp env vp = Bdrmap.Pipeline.execute env.engine env.inputs ~vp
 
 let run_vps ?pool ?store env vps =
-  Bdrmap.Pipeline.execute_all ?pool ?store env.world env.inputs ~vps
+  Bdrmap.Pipeline.execute_all ?pool ?store ~shared:env.shared env.world env.inputs
+    ~vps
 
 let org_of env asn =
   match Bgpdata.As2org.org_of env.world.Gen.as2org asn with
@@ -81,33 +82,25 @@ let crossing_links_by_vp ?pool ?store env prefixes =
         ~key:(crossing_key w prefixes vp)
         ~vp:vp.Gen.vp_name ~what:"crossing-links" f
   in
+  (* Every sweep attaches to the environment's snapshot and plan and
+     walks its VPs' paths: in the calling domain without a pool, with
+     one private forwarding stack per worker domain with one. Path
+     computation is a pure function of the world, so the result does
+     not depend on which domain served which VP. *)
+  let attach () =
+    Routing.Forwarding.create ~plan:env.shared.Bdrmap.Pipeline.plan w.Gen.net
+      (Routing.Bgp.of_snapshot env.shared.Bdrmap.Pipeline.snapshot)
+  in
+  let walk fwd vp =
+    memo vp (fun () ->
+        List.map (fun (_, dst) -> crossing_link_via env fwd ~vp ~dst) prefixes)
+  in
   match pool with
-  | None ->
-    (* Serial path: share the environment's forwarding memos across
-       VPs, exactly as the experiments always have. *)
-    List.map
-      (fun vp ->
-        memo vp (fun () ->
-            List.map (fun (_, dst) -> crossing_link env ~vp ~dst) prefixes))
-      w.Gen.vps
+  | None -> List.map (walk (attach ())) w.Gen.vps
   | Some pool ->
     Bdrmap.Pipeline.freeze_shared w env.inputs;
     Obs.Metrics.incr "pipeline.crossing_sweeps";
-    (* One frozen snapshot + plan serves every worker; the per-domain
-       init shrinks to attaching the shared state behind thin private
-       caches. Path computation is a pure function of the world, so the
-       result does not depend on which domain served which VP. *)
-    let shared = Bdrmap.Pipeline.freeze_routing ?store w in
-    Netcore.Pool.map_init pool
-      ~init:(fun () ->
-        let bgp = Routing.Bgp.of_snapshot shared.Bdrmap.Pipeline.snapshot in
-        Routing.Forwarding.create ~plan:shared.Bdrmap.Pipeline.plan w.Gen.net bgp)
-      (fun fwd vp ->
-        memo vp (fun () ->
-            List.map
-              (fun (_, dst) -> crossing_link_via env fwd ~vp ~dst)
-              prefixes))
-      w.Gen.vps
+    Netcore.Pool.map_init pool ~init:attach walk w.Gen.vps
 
 let external_prefixes env =
   let vp_asns = env.world.Gen.siblings in

@@ -25,12 +25,14 @@ let cdf_of counts =
   List.iteri (fun i v -> Hashtbl.replace tbl v (float_of_int (i + 1) /. float_of_int n)) sorted;
   Hashtbl.fold (fun v f acc -> (v, f) :: acc) tbl [] |> List.sort compare
 
+(* Destination composition matters for path diversity: the measured
+   Internet is dominated by remote prefixes, not direct customers. *)
+let params ~scale =
+  let p = Topogen.Scenario.large_access ~scale () in
+  { p with Topogen.Gen.n_remote = p.Topogen.Gen.n_remote * 3 }
+
 let run ?(scale = 1.0) ?pool ?store () =
-  let params = Topogen.Scenario.large_access ~scale () in
-  (* Destination composition matters for path diversity: the measured
-     Internet is dominated by remote prefixes, not direct customers. *)
-  let params = { params with Topogen.Gen.n_remote = params.Topogen.Gen.n_remote * 3 } in
-  let env = Exp_common.make params in
+  let env = Exp_common.make ?store (params ~scale) in
   let w = env.Exp_common.world in
   let host_org = Exp_common.org_of env w.Gen.host_asn in
   let prefixes = Exp_common.external_prefixes env in
@@ -58,7 +60,9 @@ let run ?(scale = 1.0) ?pool ?store () =
               routers := near.Net.rid :: !routers;
               nexthops := Asn.Set.add far.Net.owner !nexthops)
           per_vp;
-        let origins = Routing.Bgp.origins env.Exp_common.bgp p in
+        let origins =
+          Routing.Bgp.origins env.Exp_common.shared.Bdrmap.Pipeline.snapshot p
+        in
         let direct =
           Asn.Set.exists (fun o -> Asn.Map.mem o truth) origins
         in

@@ -20,5 +20,9 @@ type t = {
           composition closest to the paper's 500k-prefix denominator *)
 }
 
+(** [params ~scale] is the world the experiment runs on: the large
+    access network with three times its remote networks. *)
+val params : scale:float -> Topogen.Gen.params
+
 val run : ?scale:float -> ?pool:Netcore.Pool.t -> ?store:Store.t -> unit -> t
 val print : Format.formatter -> t -> unit

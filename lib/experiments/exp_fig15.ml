@@ -16,7 +16,7 @@ let run ?(scale = 1.0) ?pool ?store () =
   (* Destination composition matters for path diversity: the measured
      Internet is dominated by remote prefixes, not direct customers. *)
   let params = { params with Topogen.Gen.n_remote = params.Topogen.Gen.n_remote * 3 } in
-  let env = Exp_common.make params in
+  let env = Exp_common.make ?store params in
   let w = env.Exp_common.world in
   let prefixes = Exp_common.external_prefixes env in
   (* Links out of the host crossed from each VP, per neighbor org. *)

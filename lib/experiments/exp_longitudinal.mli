@@ -2,7 +2,7 @@
     small-access world evolves through {!Topogen.Evolve.advance} epochs
     (interdomain link add/remove, new customers, depeerings, prefix
     aggregation/deaggregation); each epoch the routing state is
-    incrementally re-frozen ({!Routing.Bgp.refreeze} +
+    incrementally patched ({!Routing.Bgp.refreeze} +
     {!Routing.Forwarding.patch}, validated against a from-scratch
     freeze) and inference re-runs from the first vantage point. Each
     row reports the applied event mix, how many prefixes the

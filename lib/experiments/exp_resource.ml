@@ -13,7 +13,7 @@ let error_to_string e = Printf.sprintf "resource experiment failed at %s: %s" e.
 let ( let* ) = Result.bind
 
 let run ?(scale = 1.0) ?pool ?store () =
-  let env = Exp_common.make (Topogen.Scenario.large_access ~scale ()) in
+  let env = Exp_common.make ?store (Topogen.Scenario.large_access ~scale ()) in
   let* vp =
     match env.Exp_common.world.Topogen.Gen.vps with
     | vp :: _ -> Ok vp

@@ -1,5 +1,5 @@
 (* Flattened longest-prefix-match table: a 16-bit-stride root array over
-   a frozen prefix set. [Ptrie] walks one bit per node — ~32 pointer
+   a fixed prefix set. [Ptrie] walks one bit per node — ~32 pointer
    chases per lookup on the hot classify path; here a lookup is one
    array index plus a scan of the (almost always tiny) per-slot bucket
    of >/16 prefixes. Built once at freeze time, immutable after.

@@ -1,4 +1,4 @@
-(** Flattened longest-prefix-match table over a frozen prefix set.
+(** Flattened longest-prefix-match table over a fixed prefix set.
 
     A 16-bit-stride root array: prefixes of length <= 16 are expanded
     into the slots they cover (longest cover wins per slot); longer
@@ -51,7 +51,7 @@ val remap_values : ('a -> 'a) -> 'a t -> 'a t
 val patch :
   'a t -> remove:Prefix.t list -> add:(Prefix.t * 'a) list -> remap:('a -> 'a) -> 'a t
 
-(** Number of (deduplicated) prefixes frozen into the table. *)
+(** Number of (deduplicated) prefixes built into the table. *)
 val length : 'a t -> int
 
 (** [fold f t acc] folds over bindings in [Prefix.compare] order. *)

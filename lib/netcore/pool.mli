@@ -11,7 +11,7 @@
     Work items must not share mutable state unless that state is
     properly synchronized; the intended discipline is that each item (or
     each worker, via {!map_init}) owns its mutable working set and only
-    reads shared frozen structures. *)
+    reads shared immutable structures. *)
 
 type t
 

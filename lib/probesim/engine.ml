@@ -11,10 +11,10 @@ type terminal = Delivered | Sunk | Dropped
 
 type fpath = { steps : Fwd.step array; term : terminal }
 
-(* The forward-path cache uses two generations (a "young" and an "old"
+(* The forward-path cache uses two generations (a "new" and an "old"
    table) instead of a wholesale [Hashtbl.reset] at capacity: inserts go
-   to young; when young fills, old is discarded and young is demoted.
-   Hot keys get promoted back into young on an old-generation hit, so a
+   to new; when new fills, old is discarded and new is demoted. Hot
+   keys get promoted back into new on an old-generation hit, so a
    working set up to [cache_cap] entries is never thrown away, and the
    total footprint stays bounded by two generations. *)
 let default_cache_cap = 30_000
@@ -30,37 +30,21 @@ type t = {
   cache_cap : int;
   mutable clock : float;
   mutable probes : int;
-  mutable paths_young : (int * Ipv4.t * int, fpath) Hashtbl.t;
+  mutable paths_new : (int * Ipv4.t * int, fpath) Hashtbl.t;
   mutable paths_old : (int * Ipv4.t * int, fpath) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
 }
 
-(* The payload is just the probability; the opaque type exists so the
-   only way to build one — the deprecated [rate_limit_p] constructor —
-   raises a compile-time alert at every remaining call site. *)
-type legacy_rate_limit = float
-
-let rate_limit_p p = p
-
-let create ?(pps = 100.0) ?rate_limit_p ?fault
-    ?(cache_cap = default_cache_cap) w fwd =
+let create ?(pps = 100.0) ?fault ?(cache_cap = default_cache_cap) w fwd =
   let cfg =
     match fault with Some c -> c | None -> Fault.of_profile w
-  in
-  (* [rate_limit_p] predates the fault layer; route it through the
-     fault state's dedicated legacy stream so its draw sequence stays
-     isolated from every other impairment. *)
-  let cfg =
-    match rate_limit_p with
-    | Some p when p > 0.0 -> { cfg with Fault.legacy_rl_p = p }
-    | _ -> cfg
   in
   { w; fwd; ipid = Ipid.create ~seed:w.Gen.params.Gen.seed; pps;
     fault = Fault.create ~seed:w.Gen.params.Gen.seed cfg;
     cache_cap = max 1 cache_cap; clock = 0.0; probes = 0;
-    paths_young = Hashtbl.create 4096; paths_old = Hashtbl.create 16;
+    paths_new = Hashtbl.create 4096; paths_old = Hashtbl.create 16;
     cache_hits = 0; cache_misses = 0; cache_evictions = 0 }
 
 let fault_config t = Fault.config t.fault
@@ -68,15 +52,15 @@ let fault_stats t = Fault.stats t.fault
 
 let stats t =
   { hits = t.cache_hits; misses = t.cache_misses; evictions = t.cache_evictions;
-    entries = Hashtbl.length t.paths_young + Hashtbl.length t.paths_old }
+    entries = Hashtbl.length t.paths_new + Hashtbl.length t.paths_old }
 
 let cache_insert t key p =
-  if Hashtbl.length t.paths_young >= t.cache_cap then begin
+  if Hashtbl.length t.paths_new >= t.cache_cap then begin
     t.cache_evictions <- t.cache_evictions + Hashtbl.length t.paths_old;
-    t.paths_old <- t.paths_young;
-    t.paths_young <- Hashtbl.create 4096
+    t.paths_old <- t.paths_new;
+    t.paths_new <- Hashtbl.create 4096
   end;
-  Hashtbl.add t.paths_young key p
+  Hashtbl.add t.paths_new key p
 
 let world t = t.w
 let now t = t.clock
@@ -114,7 +98,7 @@ let truncate_at_filters t src_rid steps =
 
 let fpath t ~src_rid ~dst ~flow =
   let key = (src_rid, dst, flow) in
-  match Hashtbl.find_opt t.paths_young key with
+  match Hashtbl.find_opt t.paths_new key with
   | Some p ->
     t.cache_hits <- t.cache_hits + 1;
     p
@@ -226,7 +210,6 @@ let trace_probe ?(flow = 0) t ~vp ~dst ~ttl =
           reply_gate r (fun () -> Some (make_reply t r ~src:dst ~kind:Echo_reply))
         else None
       else if not r.Net.behavior.ttl_expired then None
-      else if Fault.legacy_rate_limited t.fault then None
       else
         reply_gate r (fun () ->
             match select_src t r step.Fwd.in_link ~dst ~reply_to:vp.Gen.vp_addr with

@@ -24,34 +24,16 @@ module Gen = Topogen.Gen
 
 type t
 
-(** Deprecated legacy knob, kept only so old drivers keep their exact
-    fixed-seed byte stream. The type is opaque and its sole constructor
-    carries a deprecation alert: every remaining caller gets a
-    compile-time warning pointing at the {!Fault} replacement. *)
-type legacy_rate_limit
+(** [create ?pps ?fault ?cache_cap w fwd] builds the probing surface
+    over [w].
 
-val rate_limit_p : float -> legacy_rate_limit
-[@@ocaml.deprecated
-  "uniform reply rate-limiting predates the fault layer; pass \
-   ~fault:{(Fault.of_profile w) with Fault.legacy_rl_p = p} (or model \
-   real per-router limiting with rl_share/rl_rate token buckets). The \
-   RNG stream is identical either way."]
-
-(** [create ?pps ?rate_limit_p ?fault ?cache_cap w fwd] builds the
-    probing surface over [w].
-
-    [fault] is the impairment overlay (default:
-    [Fault.of_profile w], i.e. whatever [w.params.fault] asks for —
-    nothing, for {!Gen.zero_fault}). [rate_limit_p] is {b deprecated}
-    (see {!rate_limit_p}): a uniform per-reply drop probability kept
-    for compatibility, routed through the fault layer's dedicated
-    legacy RNG stream so fixed-seed outputs are byte-identical to the
-    historical behaviour. [cache_cap] bounds each generation of the
+    [fault] is the impairment overlay (default: [Fault.of_profile w],
+    i.e. whatever [w.params.fault] asks for — nothing, for
+    {!Gen.zero_fault}). [cache_cap] bounds each generation of the
     forward-path cache (default 30_000; lower it only to exercise
     eviction in tests). *)
 val create :
   ?pps:float ->
-  ?rate_limit_p:legacy_rate_limit ->
   ?fault:Fault.config ->
   ?cache_cap:int ->
   Gen.world ->
@@ -76,8 +58,8 @@ type cache_stats = {
     set survives collection-long runs. *)
 val stats : t -> cache_stats
 
-(** The impairment config this engine runs under (after legacy
-    [rate_limit_p] folding) and the drop counters it has accumulated. *)
+(** The impairment config this engine runs under and the drop
+    counters it has accumulated. *)
 val fault_config : t -> Fault.config
 
 val fault_stats : t -> Fault.stats

@@ -7,7 +7,6 @@ type failure = { lid : int; fail_at : float; recover_at : float }
 type config = {
   probe_loss_p : float;
   reply_loss_p : float;
-  legacy_rl_p : float;
   rl_share : float;
   rl_rate : float;
   rl_burst : float;
@@ -19,7 +18,6 @@ type config = {
 let zero =
   { probe_loss_p = 0.0;
     reply_loss_p = 0.0;
-    legacy_rl_p = 0.0;
     rl_share = 0.0;
     rl_rate = 0.0;
     rl_burst = 0.0;
@@ -28,7 +26,7 @@ let zero =
     failures = [] }
 
 let is_zero c =
-  c.probe_loss_p <= 0.0 && c.reply_loss_p <= 0.0 && c.legacy_rl_p <= 0.0
+  c.probe_loss_p <= 0.0 && c.reply_loss_p <= 0.0
   && (c.rl_share <= 0.0 || c.rl_rate <= 0.0)
   && (c.dark_share <= 0.0 || c.dark_after <= 0)
   && c.failures = []
@@ -66,7 +64,6 @@ let of_profile ?profile (w : Gen.world) =
   in
   { probe_loss_p = p.Gen.f_probe_loss;
     reply_loss_p = p.Gen.f_reply_loss;
-    legacy_rl_p = 0.0;
     rl_share = p.Gen.f_rl_share;
     rl_rate = p.Gen.f_rl_rate;
     rl_burst = p.Gen.f_rl_burst;
@@ -88,7 +85,6 @@ type state = {
   cfg : config;
   seed : int;
   loss_rng : Rng.t;  (** probe/reply Bernoulli draws *)
-  legacy_rng : Rng.t;  (** deprecated rate_limit_p coin, its own stream *)
   buckets : (int, bucket option) Hashtbl.t;  (** rid -> bucket if limited *)
   dark : (int, int ref option) Hashtbl.t;  (** rid -> remaining quota *)
   failed : (int, failure) Hashtbl.t;  (** lid -> schedule *)
@@ -105,7 +101,6 @@ let create ~seed cfg =
   { cfg;
     seed;
     loss_rng = Rng.create (seed lxor 0xfa57);
-    legacy_rng = Rng.create (seed lxor 0x7e57);
     buckets = Hashtbl.create 64;
     dark = Hashtbl.create 64;
     failed;
@@ -230,14 +225,6 @@ let reply_allowed t ~rid ~now =
       false
     end
     else true
-
-let legacy_rate_limited t =
-  t.cfg.legacy_rl_p > 0.0
-  && Rng.bool t.legacy_rng ~p:t.cfg.legacy_rl_p
-  && begin
-       t.rate_limited <- t.rate_limited + 1;
-       true
-     end
 
 let stats t =
   { probes_lost = t.probes_lost;

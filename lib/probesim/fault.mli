@@ -36,9 +36,6 @@ type failure = { lid : int; fail_at : float; recover_at : float }
 type config = {
   probe_loss_p : float;
   reply_loss_p : float;
-  legacy_rl_p : float;
-      (** deprecated [Engine.create ?rate_limit_p]: per-TTL-expired
-          Bernoulli drop, kept for compatibility on its own stream *)
   rl_share : float;
   rl_rate : float;
   rl_burst : float;
@@ -86,14 +83,10 @@ val first_failed_step :
     true without drawing or mutating anything. *)
 val reply_allowed : state -> rid:int -> now:float -> bool
 
-(** [legacy_rate_limited st] — the deprecated [rate_limit_p] coin,
-    drawn from its own dedicated stream. *)
-val legacy_rate_limited : state -> bool
-
 type stats = {
   probes_lost : int;  (** forward-path losses *)
   replies_lost : int;  (** replies lost in transit *)
-  rate_limited : int;  (** replies refused by token buckets (incl. legacy) *)
+  rate_limited : int;  (** replies refused by token buckets *)
   dark_dropped : int;  (** replies refused by exhausted dark quotas *)
   failure_hits : int;  (** probes whose path crossed a failed link *)
 }

@@ -11,7 +11,7 @@ type route = {
   parent : Asn.t option;
 }
 
-(* A frozen snapshot is pure immutable data: every originated prefix's
+(* A snapshot is pure immutable data: every originated prefix's
    route table computed once and packed into flat GC-invisible arenas.
    A route is a single int word in [s_words] (see the layout below);
    its next-hop set is a contiguous ascending segment of [s_arena].
@@ -89,26 +89,21 @@ type kernel = {
   k_hops : int array;
 }
 
-type t = {
+(* The propagation input: the world's routing facts, plus the kernel
+   built on first use by [freeze] or [refreeze] (see [kernel]). Only
+   those two read it; every routing query answers from a snapshot. *)
+type input = {
   net : Net.t;
   rels : B.As_rel.t;
   origin_trie : Asn.Set.t Ptrie.t;
   originated : (Prefix.t * Asn.Set.t) list;
   selective : int list Prefix.Map.t Asn.Map.t;
   prefixes_memo : Prefix.t list;
-  frozen : snapshot option;
-  mutable kern : kernel option;  (* built on first use, see [kernel] *)
-  (* Two-generation route-table cache (young/old with promote-on-hit),
-     same shape as [Engine]'s fpath cache: when the young generation
-     fills, it becomes the old one and only the previous old generation
-     is dropped — a sweep over >192 prefixes keeps its working set
-     instead of restarting from an empty table every 192 misses. *)
-  mutable young : (Prefix.t, route Asn.Tbl.t) Hashtbl.t;
-  mutable old_gen : (Prefix.t, route Asn.Tbl.t) Hashtbl.t;
-  mutable cache_hits : int;
+  mutable kern : kernel option;
 }
 
-let cache_limit = 192
+(* A query handle is the snapshot itself. *)
+type t = snapshot
 
 let create net rels ~originated ~selective =
   let origin_trie =
@@ -123,18 +118,15 @@ let create net rels ~originated ~selective =
   in
   { net; rels; origin_trie; originated; selective;
     prefixes_memo = List.sort_uniq Prefix.compare (List.map fst originated);
-    frozen = None; kern = None;
-    young = Hashtbl.create 256; old_gen = Hashtbl.create 16; cache_hits = 0 }
+    kern = None }
 
-let prefixes t = t.prefixes_memo
+let origins_in trie p = Option.value ~default:Asn.Set.empty (Ptrie.find_exact p trie)
+let prefixes s = s.s_prefixes
+let origins s p = origins_in s.s_origin_trie p
+let is_origin s asn p = Asn.Set.mem asn (origins s p)
 
-let origins t p =
-  Option.value ~default:Asn.Set.empty (Ptrie.find_exact p t.origin_trie)
-
-let is_origin t asn p = Asn.Set.mem asn (origins t p)
-
-let allowed_links t ~origin ~p =
-  match Asn.Map.find_opt origin t.selective with
+let allowed_links s ~origin ~p =
+  match Asn.Map.find_opt origin s.s_selective with
   | None -> None
   | Some per_prefix -> Prefix.Map.find_opt p per_prefix
 
@@ -319,22 +311,8 @@ let propagate k os emit =
       end
   done
 
-(* The lazy path's per-prefix table: the kernel's output decoded into
-   boxed routes keyed by ASN. *)
-let decode_table k os =
-  let table : route Asn.Tbl.t = Asn.Tbl.create 256 in
-  propagate k os (fun x cls dist m ->
-      let nexthops = ref Asn.Set.empty in
-      for i = 0 to m - 1 do
-        nexthops := Asn.Set.add k.k_asns.(k.k_hops.(i)) !nexthops
-      done;
-      Asn.Tbl.replace table k.k_asns.(x)
-        { cls; dist; nexthops = !nexthops; parent = Some k.k_asns.(k.k_hops.(0)) });
-  table
-
-(* Built once per propagation state, on first use by the unfrozen query
-   path, [freeze] or [refreeze]; a [t] attached to a snapshot never
-   builds one. *)
+(* Built once per propagation input, on first use by [freeze] or
+   [refreeze]. *)
 let kernel t =
   match t.kern with
   | Some k -> k
@@ -406,29 +384,6 @@ let propagate_row k ar (words : int_ba) ~base os =
       let off = arena_intern ar k.k_hops m in
       Bigarray.Array1.set words (base + x) (pack_word ~cls ~dist ~count:m ~off))
 
-let store_young t p tbl =
-  if Hashtbl.length t.young >= cache_limit then begin
-    t.old_gen <- t.young;
-    t.young <- Hashtbl.create 256
-  end;
-  Hashtbl.add t.young p tbl
-
-let table_for t p =
-  match Hashtbl.find_opt t.young p with
-  | Some tbl ->
-    t.cache_hits <- t.cache_hits + 1;
-    tbl
-  | None -> (
-    match Hashtbl.find_opt t.old_gen p with
-    | Some tbl ->
-      t.cache_hits <- t.cache_hits + 1;
-      store_young t p tbl;
-      tbl
-    | None ->
-      let tbl = decode_table (kernel t) (origins t p) in
-      store_young t p tbl;
-      tbl)
-
 (* Packed-word access: 0 means "no route". Decoding rebuilds the boxed
    [route] record on demand; the zero-allocation accessors below read
    straight out of the word for hot loops that never need the record. *)
@@ -453,67 +408,60 @@ let route_at s ~pslot ~aslot =
   if pslot < 0 || aslot < 0 then None
   else match word_at s ~pslot ~aslot with 0 -> None | w -> Some (decode_route s w)
 
-let snap_route s asn p =
+let route s asn p =
   let pi = slot_of_array Prefix.compare s.s_pfx p in
   if pi < 0 then None
+  else route_at s ~pslot:pi ~aslot:(slot_of_array Asn.compare s.s_asns asn)
+
+(* Like [lookup], but also exposes the matched prefix's interned slot:
+   callers that loop over lookups — the forwarding plan's egress table,
+   the crossing-link sweeps — reuse the slot directly instead of
+   re-binary-searching the prefix per query. *)
+let lookup_slot s asn addr =
+  let i = Lpm.lookup_idx s.s_lpm addr in
+  if i < 0 then None
   else
+    let pslot = Lpm.value_at s.s_lpm i in
     let ai = slot_of_array Asn.compare s.s_asns asn in
-    route_at s ~pslot:pi ~aslot:ai
+    Some (s.s_pfx.(pslot), pslot, route_at s ~pslot ~aslot:ai)
 
-let route t asn p =
-  match t.frozen with
-  | Some s -> snap_route s asn p
-  | None -> Asn.Tbl.find_opt (table_for t p) asn
-
-(* Like [lookup], but also exposes the matched prefix's interned slot
-   (-1 on the lazy path): frozen callers that loop over lookups — the
-   forwarding plan's egress table, the crossing-link sweeps — reuse the
-   slot directly instead of re-binary-searching the prefix per query. *)
-let lookup_slot t asn addr =
-  match t.frozen with
-  | Some s ->
-    let i = Lpm.lookup_idx s.s_lpm addr in
-    if i < 0 then None
-    else
-      let pslot = Lpm.value_at s.s_lpm i in
-      let ai = slot_of_array Asn.compare s.s_asns asn in
-      Some (s.s_pfx.(pslot), pslot, route_at s ~pslot ~aslot:ai)
-  | None -> (
-    match Ptrie.lpm addr t.origin_trie with
-    | None -> None
-    | Some (p, _) -> Some (p, -1, route t asn p))
-
-let lookup t asn addr =
-  match lookup_slot t asn addr with
+let lookup s asn addr =
+  match lookup_slot s asn addr with
   | None -> None
   | Some (p, _, r) -> Some (p, r)
 
-let as_path t asn p =
-  if is_origin t asn p then Some [ asn ]
+(* Parent chains walk packed words directly: each hop is one word fetch
+   plus one arena fetch (the segment head is the canonical parent),
+   with the origin set resolved once up front. *)
+let as_path s asn p =
+  let os = origins s p in
+  if Asn.Set.mem asn os then Some [ asn ]
   else
-    let rec follow x acc guard =
+    let pslot = slot_of_array Prefix.compare s.s_pfx p in
+    let rec follow aslot acc guard =
+      let x = s.s_asns.(aslot) in
       if guard > 64 then None
-      else if is_origin t x p then Some (List.rev (x :: acc))
+      else if Asn.Set.mem x os then Some (List.rev (x :: acc))
       else
-        match route t x p with
-        | None -> None
-        | Some r -> (
-          match r.parent with
-          | None -> Some (List.rev (x :: acc))
-          | Some y -> follow y (x :: acc) (guard + 1))
+        match word_at s ~pslot ~aslot with
+        | 0 -> None
+        | w -> follow (Bigarray.Array1.get s.s_arena (w_off w)) (x :: acc) (guard + 1)
     in
-    follow asn [] 0
+    if pslot < 0 then None
+    else
+      let a0 = slot_of_array Asn.compare s.s_asns asn in
+      if a0 < 0 then None else follow a0 [] 0
 
-let collector_view t collectors =
+let collector_view s collectors =
   List.fold_left
     (fun rib p ->
       List.fold_left
         (fun rib c ->
-          match as_path t c p with
+          match as_path s c p with
           | Some path -> B.Rib.add_route rib p path
           | None -> rib)
         rib collectors)
-    B.Rib.empty (prefixes t)
+    B.Rib.empty s.s_prefixes
 
 let snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena ~s_lpm =
   { s_net = t.net;
@@ -534,23 +482,20 @@ let zeros len =
   w
 
 let freeze ?(counter = "routing.snapshot.builds") t =
-  match t.frozen with
-  | Some s -> s
-  | None ->
-    Obs.Metrics.incr counter;
-    let k = kernel t in
-    let s_pfx = Array.of_list t.prefixes_memo in
-    let n = Array.length k.k_asns in
-    let s_words = zeros (Array.length s_pfx * n) in
-    let ar = arena_create ~slots:n (zeros 0) in
-    Array.iteri
-      (fun pi p -> propagate_row k ar s_words ~base:(pi * n) (origins t p))
-      s_pfx;
-    snapshot_make t ~s_asns:k.k_asns ~s_pfx ~s_words ~s_arena:(arena_freeze ar)
-      ~s_lpm:(Lpm.build (List.mapi (fun i p -> (p, i)) t.prefixes_memo))
+  Obs.Metrics.incr counter;
+  let k = kernel t in
+  let s_pfx = Array.of_list t.prefixes_memo in
+  let n = Array.length k.k_asns in
+  let s_words = zeros (Array.length s_pfx * n) in
+  let ar = arena_create ~slots:n (zeros 0) in
+  Array.iteri
+    (fun pi p -> propagate_row k ar s_words ~base:(pi * n) (origins_in t.origin_trie p))
+    s_pfx;
+  snapshot_make t ~s_asns:k.k_asns ~s_pfx ~s_words ~s_arena:(arena_freeze ar)
+    ~s_lpm:(Lpm.build (List.mapi (fun i p -> (p, i)) t.prefixes_memo))
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-freeze: dirty-prefix deltas over a frozen snapshot.  *)
+(* Incremental re-freeze: dirty-prefix deltas over a packed snapshot.  *)
 
 (* A batch of topology changes in the vocabulary the delta path needs
    (produced by [Topogen.Evolve]). The contract that keeps the patch
@@ -613,8 +558,8 @@ type refreeze_stats = {
   rf_fallback : bool;
 }
 
-(* [refreeze t ~old churn]: [t] is the fresh (unfrozen) propagation
-   state of the post-churn world, [old] the pre-churn snapshot. Only
+(* [refreeze t ~old churn]: [t] is the propagation input of the
+   post-churn world, [old] the pre-churn snapshot. Only
    dirty prefixes re-propagate; every clean row is a Bigarray blit
    whose packed words stay valid verbatim because the old arena is the
    new arena's prefix and old ASN slots are stable. New-AS columns on
@@ -743,7 +688,7 @@ let refreeze t ~old churn =
       in
       for pn = 0 to np - 1 do
         let base = pn * n in
-        let os = origins t s_pfx.(pn) in
+        let os = origins_in t.origin_trie s_pfx.(pn) in
         if dirty.(pn) then begin
           incr n_dirty;
           propagate_row k ar words ~base os
@@ -814,61 +759,11 @@ let refreeze t ~old churn =
 
 let of_snapshot s =
   Obs.Metrics.incr "routing.snapshot.attaches";
-  { net = s.s_net;
-    rels = s.s_rels;
-    origin_trie = s.s_origin_trie;
-    originated = s.s_originated;
-    selective = s.s_selective;
-    prefixes_memo = s.s_prefixes;
-    frozen = Some s;
-    kern = None;
-    young = Hashtbl.create 16;
-    old_gen = Hashtbl.create 16;
-    cache_hits = 0 }
-
-let snapshot_of t = t.frozen
+  s
 
 module Snapshot = struct
   type t = snapshot
 
-  let route = snap_route
-
-  let lookup s asn addr =
-    let i = Lpm.lookup_idx s.s_lpm addr in
-    if i < 0 then None
-    else
-      let pslot = Lpm.value_at s.s_lpm i in
-      let ai = slot_of_array Asn.compare s.s_asns asn in
-      Some (s.s_pfx.(pslot), route_at s ~pslot ~aslot:ai)
-
-  (* Parent chains walk packed words directly: each hop is one word
-     fetch plus one arena fetch (the segment head is the canonical
-     parent), with the origin set resolved once up front. *)
-  let as_path s asn p =
-    let os =
-      Option.value ~default:Asn.Set.empty (Ptrie.find_exact p s.s_origin_trie)
-    in
-    if Asn.Set.mem asn os then Some [ asn ]
-    else
-      let pslot = slot_of_array Prefix.compare s.s_pfx p in
-      let rec follow aslot acc guard =
-        let x = s.s_asns.(aslot) in
-        if guard > 64 then None
-        else if Asn.Set.mem x os then Some (List.rev (x :: acc))
-        else
-          match word_at s ~pslot ~aslot with
-          | 0 -> None
-          | w ->
-            follow
-              (Bigarray.Array1.get s.s_arena (w_off w))
-              (x :: acc) (guard + 1)
-      in
-      if pslot < 0 then None
-      else
-        let a0 = slot_of_array Asn.compare s.s_asns asn in
-        if a0 < 0 then None else follow a0 [] 0
-
-  let prefixes s = s.s_prefixes
   let prefix_count s = Array.length s.s_pfx
   let asn_count s = Array.length s.s_asns
   let arena_length s = Bigarray.Array1.dim s.s_arena

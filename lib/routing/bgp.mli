@@ -13,18 +13,16 @@
     offset/neighbour int arrays in slot order and the per-stage
     distances in int arrays reused from prefix to prefix. Each AS's
     best route and its next-hop slots are read straight off those
-    arrays, ascending, with no set and no sort. Its output goes one of
-    two ways:
-    - {!freeze} and the dirty prefixes of {!refreeze} write it as
-      packed words into flat int arenas ([Bigarray]s the GC never
-      traces): one word per (prefix, ASN) route plus a shared arena of
-      interned next-hop segments. Pure data — safe to share by
-      reference across [Netcore.Pool] domains with zero per-worker
-      rebuild, and serializable to raw bytes ({!Snapshot.to_bytes})
-      for other processes;
-    - the lazy [t] decodes it into boxed {!route} tables, one prefix at
-      a time on demand, behind a two-generation cache — right for tiny
-      one-shot runs. *)
+    arrays, ascending, with no set and no sort.
+
+    {!freeze} and the dirty prefixes of {!refreeze} write that output
+    as packed words into flat int arenas ([Bigarray]s the GC never
+    traces): one word per (prefix, ASN) route plus a shared arena of
+    interned next-hop segments. The result, a {!snapshot}, is the only
+    representation routing queries answer from. It is pure data — safe
+    to share by reference across [Netcore.Pool] domains with zero
+    per-worker rebuild, and serializable to raw bytes
+    ({!Snapshot.to_bytes}) for other processes. *)
 
 open Netcore
 module Net = Topogen.Net
@@ -38,19 +36,47 @@ type route = {
   parent : Asn.t option;  (** canonical next hop; [None] at the origin *)
 }
 
-type t
+(** The propagation input of one world: its topology, relationships,
+    origins and selective announcements. Only {!freeze} and
+    {!refreeze} accept it; queries need a snapshot. *)
+type input
+
+(** Immutable routing snapshot: per-prefix route tables for all
+    originated prefixes in dense (prefix slot x interned-ASN slot)
+    arrays, plus a flattened LPM over the origin set. *)
+type snapshot
+
+(** A routing query handle is the snapshot itself. Workers take one
+    through {!of_snapshot}, which counts the attach. *)
+type t = snapshot
 
 (** [create net rels ~originated ~selective] prepares the propagation
-    state. [rels] must be the ground-truth relationship graph (real
+    input. [rels] must be the ground-truth relationship graph (real
     routing does not run on inferred data). *)
 val create :
   Net.t ->
   Bgpdata.As_rel.t ->
   originated:(Prefix.t * Asn.Set.t) list ->
   selective:int list Prefix.Map.t Asn.Map.t ->
-  t
+  input
 
-(** [prefixes t] is every originated prefix, sorted (memoized). *)
+(** [freeze t] runs the kernel once per originated prefix and writes
+    each route straight into the packed arenas: a route word per
+    (prefix, ASN slot), and the next-hop slots interned as a shared
+    arena segment (a one-slot segment without allocating). Every call
+    runs the full propagation. Counted under the
+    [routing.snapshot.builds] metric by default; [?counter] redirects
+    the count (validation and bench scratch freezes use
+    ["routing.snapshot.scratch_builds"] so build accounting gates stay
+    meaningful). *)
+val freeze : ?counter:string -> input -> snapshot
+
+(** [of_snapshot s] attaches a query handle to [s]: no copy and no
+    private state, so any number of domains can attach to one shared
+    snapshot. Counted under [routing.snapshot.attaches]. *)
+val of_snapshot : snapshot -> t
+
+(** [prefixes t] is every originated prefix, sorted. *)
 val prefixes : t -> Prefix.t list
 
 (** [origins t p] is the origin set of [p]. *)
@@ -68,14 +94,16 @@ val is_origin : t -> Asn.t -> Prefix.t -> bool
 val lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * route option) option
 
 (** [lookup_slot t asn addr] is {!lookup} plus the matched prefix's
-    interned snapshot slot, or [-1] on the lazy (unfrozen) path. Callers
-    that loop over lookups — the forwarding plan, the crossing-link
-    sweeps — thread the slot to {!Snapshot.route_at}-style accessors
-    instead of re-binary-searching the prefix per query. *)
+    interned snapshot slot. Callers that loop over lookups — the
+    forwarding plan, the crossing-link sweeps — thread the slot to
+    {!Snapshot.route_at}-style accessors instead of re-binary-searching
+    the prefix per query. *)
 val lookup_slot : t -> Asn.t -> Ipv4.t -> (Prefix.t * int * route option) option
 
 (** [as_path t asn p] is the AS path [asn] would report toward [p]
-    (leftmost = [asn], rightmost = origin), or [None] if unreachable. *)
+    (leftmost = [asn], rightmost = origin), or [None] if unreachable.
+    It walks the packed words: each hop reads one route word and the
+    head of its next-hop segment. *)
 val as_path : t -> Asn.t -> Prefix.t -> Asn.t list option
 
 (** [allowed_links t ~origin ~p] is the per-link pin set for [p] at its
@@ -87,26 +115,6 @@ val allowed_links : t -> origin:Asn.t -> p:Prefix.t -> int list option
 (** [collector_view t collectors] builds the public RIB: one route line
     per (collector AS, prefix) with the collector's AS path. *)
 val collector_view : t -> Asn.t list -> Bgpdata.Rib.t
-
-(** {1 Frozen snapshots} *)
-
-(** Immutable routing snapshot: per-prefix route tables for all
-    originated prefixes in dense (prefix slot x interned-ASN slot)
-    arrays, plus a flattened LPM over the origin set. *)
-type snapshot
-
-(** [freeze t] runs the kernel once per originated prefix and writes
-    each route straight into the packed arenas: a route word per
-    (prefix, ASN slot), and the next-hop slots interned as a shared
-    arena segment (a one-slot segment without allocating). Answers are
-    identical to the lazy path, which decodes the same kernel output:
-    [Snapshot.route (freeze t) asn p = route t asn p] for all inputs.
-    Idempotent on an already-frozen [t]. Counted under the
-    [routing.snapshot.builds] metric by default; [?counter] redirects
-    the count (validation and bench scratch freezes use
-    ["routing.snapshot.scratch_builds"] so build accounting gates stay
-    meaningful). *)
-val freeze : ?counter:string -> t -> snapshot
 
 (** {1 Incremental re-freeze}
 
@@ -148,7 +156,7 @@ type refreeze_stats = {
 }
 
 (** [refreeze t ~old churn] is the incremental form of {!freeze}: [t]
-    is the fresh propagation state of the post-churn world, [old] the
+    is the propagation input of the post-churn world, [old] the
     pre-churn snapshot. Only dirty prefixes (changed origins, new
     prefixes, and prefixes where a removed edge appeared in a next-hop
     segment) re-propagate through the kernel; clean rows are blitted,
@@ -159,23 +167,11 @@ type refreeze_stats = {
     identical to [freeze] of [t] from scratch ({!Snapshot.equal}).
     Counted under [routing.snapshot.patches], with the dirty count
     under [routing.snapshot.dirty_prefixes]. *)
-val refreeze : t -> old:snapshot -> churn -> snapshot * refreeze_stats
-
-(** [of_snapshot s] is a [t] answering from the frozen tables (with
-    private, empty caches — never mutated on the frozen read path).
-    Counted under [routing.snapshot.attaches]. *)
-val of_snapshot : snapshot -> t
-
-(** [snapshot_of t] is the snapshot [t] answers from, if frozen. *)
-val snapshot_of : t -> snapshot option
+val refreeze : input -> old:snapshot -> churn -> snapshot * refreeze_stats
 
 module Snapshot : sig
   type t = snapshot
 
-  val route : t -> Asn.t -> Prefix.t -> route option
-  val lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * route option) option
-  val as_path : t -> Asn.t -> Prefix.t -> Asn.t list option
-  val prefixes : t -> Prefix.t list
   val prefix_count : t -> int
   val asn_count : t -> int
 

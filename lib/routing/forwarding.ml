@@ -1,7 +1,7 @@
 open Netcore
 module Net = Topogen.Net
 
-(* A frozen forwarding plan: IGP distance tables, egress choices and
+(* A forwarding plan: IGP distance tables, egress choices and
    the interdomain-link index precomputed once and never written again.
    The bulk — distance rows, egress lids — is packed into Bigarrays the
    GC never traces, indexed by small per-router row tables; each worker
@@ -219,30 +219,15 @@ let egress_lid t rid p route =
   let asn = (Net.router t.net rid).Net.owner in
   egress_among t rid asn (egress_candidates t asn p route)
 
-let pfx_slot pfx p =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      match Prefix.compare p pfx.(mid) with
-      | 0 -> mid
-      | c when c < 0 -> go lo mid
-      | _ -> go (mid + 1) hi
-  in
-  go 0 (Array.length pfx)
-
-(* [pslot], when >= 0, is [p]'s interned slot (as handed out by
-   [Bgp.lookup_slot]); passing it skips the per-query binary search into
-   the plan's prefix table. *)
-let choose_egress ?(pslot = -1) t rid p (route : Bgp.route) =
+(* [pslot] is [p]'s interned snapshot slot, as handed out by
+   [Bgp.lookup_slot]; the plan's prefix columns are the snapshot's
+   slots, so it indexes the egress row directly. *)
+let choose_egress t rid p ~pslot (route : Bgp.route) =
   let planned =
     match t.plan with
     | Some plan when plan.p_egr_row.(rid) >= 0 ->
-      let col = if pslot >= 0 then pslot else pfx_slot plan.p_pfx p in
-      if col < 0 then -2
-      else
-        Bigarray.Array1.get plan.p_egress
-          ((plan.p_egr_row.(rid) * Array.length plan.p_pfx) + col)
+      Bigarray.Array1.get plan.p_egress
+        ((plan.p_egr_row.(rid) * Array.length plan.p_pfx) + pslot)
     | _ -> -2
   in
   let lid =
@@ -323,23 +308,15 @@ let freeze ?(egress_for = Asn.Set.empty) t =
      exactly the distances egress selection needs, and the [-2] fill
      keeps unwritten egress cells on the lazy path during the fill. *)
   let scored = { t with plan = Some plan } in
-  let snap = Bgp.snapshot_of t.bgp in
   Asn.Set.iter
     (fun asn ->
       (* Slot hoisting: intern the ASN once per AS, and decode each
          prefix's route and gather its candidate links once for all of
          the AS's routers. *)
-      let aslot =
-        match snap with Some s -> Bgp.Snapshot.asn_slot s asn | None -> -1
-      in
+      let aslot = Bgp.Snapshot.asn_slot t.bgp asn in
       let routers = Net.routers_of t.net asn in
       Array.iteri
         (fun pi p ->
-          let route =
-            match snap with
-            | Some s -> Bgp.Snapshot.route_at s ~pslot:pi ~aslot
-            | None -> Bgp.route t.bgp asn p
-          in
           Option.iter
             (fun route ->
               let candidates = egress_candidates scored asn p route in
@@ -349,7 +326,7 @@ let freeze ?(egress_for = Asn.Set.empty) t =
                     ((p_egr_row.(r.Net.rid) * np) + pi)
                     (egress_among scored r.Net.rid asn candidates))
                 routers)
-            route)
+            (Bgp.Snapshot.route_at t.bgp ~pslot:pi ~aslot))
         p_pfx)
     egress_for;
   plan
@@ -359,8 +336,8 @@ let freeze ?(egress_for = Asn.Set.empty) t =
 
 (* [patch ?egress_for t ~old ~churn ~dirty] rebuilds only the plan
    state reachable from dirty inputs. [t] must be a fresh instance over
-   the post-churn net and a [Bgp.t] attached to the patched snapshot;
-   [old] is the pre-churn plan; [dirty] the BGP-dirty prefixes
+   the post-churn net and the patched snapshot; [old] is the pre-churn
+   plan; [dirty] the BGP-dirty prefixes
    ([Bgp.refreeze_stats.rf_dirty_prefixes]).
 
    What can be reused, and why:
@@ -379,11 +356,7 @@ let freeze ?(egress_for = Asn.Set.empty) t =
      scores identically, so the old lid is copied. *)
 let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   Obs.Metrics.incr "routing.plan.patches";
-  let snap =
-    match Bgp.snapshot_of t.bgp with
-    | Some s -> s
-    | None -> invalid_arg "Forwarding.patch: the Bgp.t is not attached to a snapshot"
-  in
+  let snap = t.bgp in
   let module S = Bgp.Snapshot in
   let old_routers = old.p_routers in
   let p_igp_row, targets = igp_targets t.net in
@@ -411,7 +384,7 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   let dirty_col = Array.make (max 1 np) false in
   List.iter
     (fun p ->
-      let s = pfx_slot p_pfx p in
+      let s = S.prefix_slot snap p in
       if s >= 0 then dirty_col.(s) <- true)
     dirty;
   for c = 0 to np - 1 do
@@ -598,7 +571,7 @@ let next_hop ?(flow = 0) t ~rid ~dst =
       match Bgp.lookup_slot t.bgp r.Net.owner dst with
       | None | Some (_, _, None) -> Unreachable
       | Some (p, pslot, Some route) -> (
-        match choose_egress ~pslot t rid p route with
+        match choose_egress t rid p ~pslot route with
         | None -> Unreachable
         | Some l ->
           let near =
@@ -619,7 +592,7 @@ let egress_link t ~rid ~dst =
   | _ -> (
     match Bgp.lookup_slot t.bgp r.Net.owner dst with
     | None | Some (_, _, None) -> None
-    | Some (p, pslot, Some route) -> choose_egress ~pslot t rid p route)
+    | Some (p, pslot, Some route) -> choose_egress t rid p ~pslot route)
 
 type step = { rid : int; in_link : Net.link option }
 

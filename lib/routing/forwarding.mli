@@ -13,7 +13,7 @@ module Net = Topogen.Net
 
 type t
 
-(** A frozen forwarding plan: IGP distance tables for every
+(** A forwarding plan: IGP distance tables for every
     interdomain-link endpoint, egress choices for the hot (VP-owning)
     ASes, and the interdomain-link index — precomputed once and never
     written again, so a plan is safe to share by reference across
@@ -25,10 +25,10 @@ type t
 type plan
 
 (** [create ?plan net bgp] builds forwarding state over [bgp]. With
-    [plan], hot lookups answer from the shared frozen tables; without
+    [plan], hot lookups answer from the plan's shared tables; without
     it, everything is computed lazily per instance (the pre-snapshot
     behaviour). A plan must only be paired with a [bgp] answering
-    identically to the one it was frozen from. *)
+    identically to the one it was built from. *)
 val create : ?plan:plan -> Net.t -> Bgp.t -> t
 
 (** [freeze ?egress_for t] precomputes the shared read-only plan:
@@ -41,9 +41,8 @@ val freeze : ?egress_for:Asn.Set.t -> t -> plan
 
 (** [patch ?egress_for t ~old ~churn ~dirty] is the incremental form of
     {!freeze}: [t] must be a fresh instance over the post-churn net and
-    a [Bgp.t] attached to the patched snapshot ([Invalid_argument]
-    when it is not attached), [old] the pre-churn plan, [dirty] the BGP-dirty prefixes
-    ([Bgp.refreeze_stats.rf_dirty_prefixes]). IGP distance rows of
+    the patched snapshot, [old] the pre-churn plan, [dirty] the
+    BGP-dirty prefixes ([Bgp.refreeze_stats.rf_dirty_prefixes]). IGP distance rows of
     pre-churn routers are shared with [old] by reference (evolution
     never alters the internal topology of an existing AS, and routers
     added since read as infinity); only new interconnect endpoints run

@@ -141,6 +141,6 @@ let sample_addrs t =
   in
   Lpm.fold (fun p _ () -> push (Prefix.first p)) t.border ();
   (match t.snap with
-  | Some s -> List.iter (fun p -> push (Prefix.first p)) (Snapshot.prefixes s)
+  | Some s -> List.iter (fun p -> push (Prefix.first p)) (Routing.Bgp.prefixes s)
   | None -> Lpm.fold (fun p _ () -> push (Prefix.first p)) t.origin_lpm ());
   Array.of_list (List.rev !acc)

@@ -1,6 +1,6 @@
-(** The in-memory query index the server answers from: a frozen
+(** The in-memory query index the server answers from: an immutable
     {!Bdrmap.Mapfile.t} (all-VP merged border map + origin view)
-    compiled into flat lookup structures, optionally backed by a frozen
+    compiled into flat lookup structures, optionally backed by a packed
     routing snapshot.
 
     The owner path is allocation-free after construction: border

@@ -6,10 +6,10 @@
     Every event preserves the two invariants the delta path depends on:
     new ASNs sort strictly above every existing ASN (the packed
     snapshot's interned axis only appends), and the internal topology
-    of a pre-existing AS never changes (frozen IGP rows stay exact —
+    of a pre-existing AS never changes (planned IGP rows stay exact —
     link events are interdomain and new routers belong to new ASes).
 
-    The [Net.t] is mutated in place; previously frozen routing
+    The [Net.t] is mutated in place; previously built routing
     snapshots stay valid because they only read their own packed
     arrays. Functional world-record fields (relationships, delegations,
     as2org, primary exits) are rebuilt into the returned world. *)

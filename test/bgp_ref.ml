@@ -241,19 +241,18 @@ let proj = function
    each prefix's first and last address and at one address outside the
    simulated space. [Error] names the first mismatch. *)
 let check_snapshot t snap =
-  let module S = Bgp.Snapshot in
   let exception Mismatch of string in
   let fail fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt in
   try
-    if S.prefixes snap <> t.prefixes then fail "prefix sets differ from the reference";
+    if Bgp.prefixes snap <> t.prefixes then fail "prefix sets differ from the reference";
     let asns = asns t in
     List.iter
       (fun p ->
         List.iter
           (fun a ->
-            if proj (S.route snap a p) <> proj (route t a p) then
+            if proj (Bgp.route snap a p) <> proj (route t a p) then
               fail "route AS%d %s differs from the reference" a (Prefix.to_string p);
-            if S.as_path snap a p <> as_path t a p then
+            if Bgp.as_path snap a p <> as_path t a p then
               fail "as_path AS%d %s differs from the reference" a
                 (Prefix.to_string p))
           asns)
@@ -263,7 +262,7 @@ let check_snapshot t snap =
       (fun addr ->
         List.iter
           (fun a ->
-            if lproj (S.lookup snap a addr) <> lproj (lookup t a addr) then
+            if lproj (Bgp.lookup snap a addr) <> lproj (lookup t a addr) then
               fail "lookup AS%d %s differs from the reference" a (Ipv4.to_string addr))
           asns)
       (Ipv4.of_string_exn "203.0.113.9"

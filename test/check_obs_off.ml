@@ -8,7 +8,7 @@ let () =
   Obs.Metrics.reset ();
   Obs.Span.reset_emitted ();
   let w = Topogen.Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let vp = List.hd w.Topogen.Gen.vps in
   ignore (Bdrmap.Pipeline.execute engine inputs ~vp);
   let records = Obs.Span.records_emitted () in

@@ -9,7 +9,7 @@ module Gen = Topogen.Gen
 
 let () =
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let vp = List.hd w.Gen.vps in
   let r = Bdrmap.Pipeline.execute engine inputs ~vp in
   print_endline "# border map, scenario=tiny seed=7 vp=0";

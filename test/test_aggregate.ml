@@ -74,7 +74,7 @@ let test_marginal_utility () =
 (* End-to-end: merge real runs from two VPs of the tiny world. *)
 let test_merge_real_runs () =
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let runs =
     List.filteri (fun i _ -> i < 2) w.vps
     |> List.map (fun vp ->

@@ -6,8 +6,9 @@ module Bgp = Routing.Bgp
 let world = lazy (Gen.generate Topogen.Scenario.tiny)
 
 let bgp_of w =
-  Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-    ~selective:w.Gen.selective
+  Bgp.freeze
+    (Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+       ~selective:w.Gen.selective)
 
 let test_all_prefixes_reachable_from_host () =
   let w = Lazy.force world in
@@ -159,13 +160,11 @@ let test_moas_origins () =
 
 let proj = Bgp_ref.proj
 
-(* The snapshot, a Bgp.t attached to it, and the lazy (unfrozen) path
-   all answer every (AS, prefix) route exactly like the boxed reference
-   model in bgp_ref.ml. *)
+(* The snapshot and a Bgp.t attached to it answer every (AS, prefix)
+   route exactly like the boxed reference model in bgp_ref.ml. *)
 let test_snapshot_route_equivalence () =
   let w = Lazy.force world in
-  let snap = Bgp.freeze (bgp_of w) in
-  let lazy_bgp = bgp_of w in
+  let snap = bgp_of w in
   let attached = Bgp.of_snapshot snap in
   let reference = Bgp_ref.of_world w in
   let asns = Bgp_ref.asns reference in
@@ -174,7 +173,7 @@ let test_snapshot_route_equivalence () =
   Alcotest.(check int) "asn_count is the reference's AS set" (List.length asns)
     (Bgp.Snapshot.asn_count snap);
   Alcotest.(check bool) "prefixes agree" true
-    (Bgp.Snapshot.prefixes snap = reference.Bgp_ref.prefixes);
+    (Bgp.prefixes snap = reference.Bgp_ref.prefixes);
   List.iter
     (fun p ->
       List.iter
@@ -185,16 +184,14 @@ let test_snapshot_route_equivalence () =
               (Printf.sprintf "%s AS%d %s" what asn (Prefix.to_string p))
               true (proj got = expect)
           in
-          check "Snapshot.route" (Bgp.Snapshot.route snap asn p);
-          check "of_snapshot route" (Bgp.route attached asn p);
-          check "lazy route" (Bgp.route lazy_bgp asn p))
+          check "snapshot route" (Bgp.route snap asn p);
+          check "of_snapshot route" (Bgp.route attached asn p))
         asns)
     reference.Bgp_ref.prefixes
 
 let test_snapshot_lookup_and_paths () =
   let w = Lazy.force world in
-  let snap = Bgp.freeze (bgp_of w) in
-  let lazy_bgp = bgp_of w in
+  let snap = bgp_of w in
   let reference = Bgp_ref.of_world w in
   let probes =
     Ipv4.of_string_exn "203.0.113.9"
@@ -207,13 +204,9 @@ let test_snapshot_lookup_and_paths () =
     (fun addr ->
       let expect = lproj (Bgp_ref.lookup reference w.host_asn addr) in
       Alcotest.(check bool)
-        (Printf.sprintf "Snapshot.lookup %s" (Ipv4.to_string addr))
+        (Printf.sprintf "snapshot lookup %s" (Ipv4.to_string addr))
         true
-        (lproj (Bgp.Snapshot.lookup snap w.host_asn addr) = expect);
-      Alcotest.(check bool)
-        (Printf.sprintf "lazy lookup %s" (Ipv4.to_string addr))
-        true
-        (lproj (Bgp.lookup lazy_bgp w.host_asn addr) = expect))
+        (lproj (Bgp.lookup snap w.host_asn addr) = expect))
     probes;
   List.iter
     (fun p ->
@@ -221,13 +214,9 @@ let test_snapshot_lookup_and_paths () =
         (fun asn ->
           let expect = Bgp_ref.as_path reference asn p in
           Alcotest.(check bool)
-            (Printf.sprintf "Snapshot.as_path AS%d %s" asn (Prefix.to_string p))
+            (Printf.sprintf "snapshot as_path AS%d %s" asn (Prefix.to_string p))
             true
-            (Bgp.Snapshot.as_path snap asn p = expect);
-          Alcotest.(check bool)
-            (Printf.sprintf "lazy as_path AS%d %s" asn (Prefix.to_string p))
-            true
-            (Bgp.as_path lazy_bgp asn p = expect))
+            (Bgp.as_path snap asn p = expect))
         (w.host_asn :: w.collectors))
     reference.Bgp_ref.prefixes
 

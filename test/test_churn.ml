@@ -137,19 +137,19 @@ let check_api_equiv inc scr =
   let asns =
     List.init (Bgp.Snapshot.asn_count inc) (Bgp.Snapshot.asn_of_slot inc)
   in
-  let pfx = Bgp.Snapshot.prefixes inc in
+  let pfx = Bgp.prefixes inc in
   List.iter
     (fun a ->
       List.iter
         (fun p ->
-          if Bgp.Snapshot.route inc a p <> Bgp.Snapshot.route scr a p then
+          if Bgp.route inc a p <> Bgp.route scr a p then
             QCheck.Test.fail_reportf "route AS%d %s differs" a
               (Prefix.to_string p);
-          if Bgp.Snapshot.as_path inc a p <> Bgp.Snapshot.as_path scr a p then
+          if Bgp.as_path inc a p <> Bgp.as_path scr a p then
             QCheck.Test.fail_reportf "as_path AS%d %s differs" a
               (Prefix.to_string p);
           let addr = Prefix.first p in
-          if Bgp.Snapshot.lookup inc a addr <> Bgp.Snapshot.lookup scr a addr
+          if Bgp.lookup inc a addr <> Bgp.lookup scr a addr
           then
             QCheck.Test.fail_reportf "lookup AS%d %s differs" a
               (Ipv4.to_string addr))

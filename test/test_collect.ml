@@ -6,7 +6,7 @@ open Netcore
 
 let setup = lazy (
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let cfg = Bdrmap.Config.default ~vp_asns:inputs.vp_asns in
   let ip2as =
     Bdrmap.Ip2as.create ~rib:inputs.rib ~ixp:inputs.ixp

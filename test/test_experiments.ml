@@ -166,8 +166,34 @@ let test_ablation () =
       >= votes_only.Experiments.Exp_ablation.agree - 3)
   | _ -> Alcotest.fail "expected two rel rows"
 
+(* Setup freezes once; the sweeps that follow reuse its snapshot and
+   plan, with or without a pool. *)
+let test_sweeps_reuse_setup_freeze () =
+  let module C = Experiments.Exp_common in
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  let builds () =
+    Obs.Metrics.find_counter (Obs.Metrics.collect ()) "routing.snapshot.builds"
+  in
+  Fun.protect
+    ~finally:(fun () -> if not was_enabled then Obs.Metrics.disable ())
+    (fun () ->
+      let env = C.make Topogen.Scenario.tiny in
+      let vps = List.filteri (fun i _ -> i < 2) env.C.world.Topogen.Gen.vps in
+      let prefixes = List.filteri (fun i _ -> i < 10) (C.external_prefixes env) in
+      let sweep label ?pool () =
+        let b0 = builds () in
+        ignore (C.run_vps ?pool env vps);
+        ignore (C.crossing_links_by_vp ?pool env prefixes);
+        Alcotest.(check int) (label ^ ": sweeps add no snapshot build") b0 (builds ())
+      in
+      sweep "no pool" ();
+      Netcore.Pool.with_pool ~domains:2 (fun pool -> sweep "pool of 2" ~pool ()))
+
 let suite =
-  [ Alcotest.test_case "table1" `Slow test_table1;
+  [ Alcotest.test_case "sweeps reuse setup's freeze" `Quick
+      test_sweeps_reuse_setup_freeze;
+    Alcotest.test_case "table1" `Slow test_table1;
     Alcotest.test_case "validation" `Slow test_validation;
     Alcotest.test_case "fig14" `Slow test_fig14;
     Alcotest.test_case "fig15" `Slow test_fig15;

@@ -78,7 +78,6 @@ let replay seed evs =
   let cfg =
     { Fault.probe_loss_p = 0.1;
       reply_loss_p = 0.1;
-      legacy_rl_p = 0.05;
       rl_share = 0.5;
       rl_rate = 2.0;
       rl_burst = 3.0;
@@ -90,7 +89,7 @@ let replay seed evs =
   let now = ref 0.0 in
   List.map
     (function
-      | Probe -> Fault.probe_lost st && Fault.legacy_rate_limited st
+      | Probe -> Fault.probe_lost st
       | Reply (rid, dt) ->
         now := !now +. dt;
         Fault.reply_allowed st ~rid ~now:!now)
@@ -111,8 +110,9 @@ let pipeline_lines inputs engine =
 let test_zero_config_noop () =
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let inputs = Bdrmap.Pipeline.inputs_of_world w bgp in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
@@ -195,7 +195,7 @@ let test_nonzero_fault_pool_identity () =
       f_fail_for = 60.0 }
   in
   let w = Gen.generate { p with Gen.fault } in
-  let _bgp, fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
   Alcotest.(check bool) "engines see a nonzero fault config" false
     (Fault.is_zero (Engine.fault_config (Engine.create w fwd)));
   let lines rs =
@@ -223,7 +223,7 @@ let test_nonzero_fault_pool_identity () =
      profile probes differently (quota routers go dark mid-collection,
      failed links eat probes into the retry ladder). *)
   let w0 = Gen.generate p in
-  let _bgp, _fwd, _engine, inputs0 = Bdrmap.Pipeline.setup w0 in
+  let _shared, _fwd, _engine, inputs0 = Bdrmap.Pipeline.setup w0 in
   let clean = Bdrmap.Pipeline.execute_all w0 inputs0 ~vps:w0.Gen.vps in
   Alcotest.(check bool) "fault layer changed the collection" true
     (probes clean <> probes serial || lines clean <> lines serial)

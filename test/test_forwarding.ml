@@ -6,8 +6,9 @@ module Fwd = Routing.Forwarding
 let setup = lazy (
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   (w, bgp, Fwd.create w.Gen.net bgp))
 
@@ -201,13 +202,10 @@ let test_selective_prefix_pinned () =
 let test_frozen_plan_equivalence () =
   let w, bgp, fwd = Lazy.force setup in
   (* Freeze the shared plan exactly as the pipeline does, then check
-     that a plan-backed instance forwards identically to the lazy one. *)
-  let snap = Routing.Bgp.freeze bgp in
-  let plan =
-    Fwd.freeze ~egress_for:w.Gen.siblings
-      (Fwd.create w.Gen.net (Routing.Bgp.of_snapshot snap))
-  in
-  let fwd' = Fwd.create ~plan w.Gen.net (Routing.Bgp.of_snapshot snap) in
+     that a plan-backed instance forwards identically to an unplanned
+     one over the same snapshot. *)
+  let plan = Fwd.freeze ~egress_for:w.Gen.siblings (Fwd.create w.Gen.net bgp) in
+  let fwd' = Fwd.create ~plan w.Gen.net bgp in
   let rids ss = List.map (fun (s : Fwd.step) -> s.Fwd.rid) ss in
   List.iter
     (fun (vp : Gen.vp) ->

@@ -40,7 +40,7 @@ let test_minimal_world () =
   Alcotest.(check int) "no VPs" 0 (List.length w.Gen.vps);
   Alcotest.(check bool) "host present" true
     (Topogen.Net.router_count w.Gen.net > 0);
-  let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
   let runs = Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps in
   Alcotest.(check int) "zero-VP sweep is empty" 0 (List.length runs)
 
@@ -98,7 +98,7 @@ let test_all_pathologies_maxed () =
   let w = Gen.generate p in
   Alcotest.(check bool) "host never hidden" true
     (Netcore.Asn.Set.mem w.Gen.host_asn w.Gen.published_siblings);
-  let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
   let runs = Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps in
   Alcotest.(check int) "one run" 1 (List.length runs)
 

@@ -125,7 +125,7 @@ let test_shard_merge_determinism () =
 
 let tiny_lines () =
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let vp = List.hd w.Gen.vps in
   let r = Bdrmap.Pipeline.execute engine inputs ~vp in
   (Bdrmap.Output.links_to_lines r.Bdrmap.Pipeline.graph r.Bdrmap.Pipeline.inference, r)
@@ -193,7 +193,7 @@ let test_fire_counts_sum () =
 
 let all_vp_lines pool =
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
   let runs = Bdrmap.Pipeline.execute_all ?pool w inputs ~vps:w.Gen.vps in
   List.concat_map
     (fun (r : Bdrmap.Pipeline.run) ->

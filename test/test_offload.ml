@@ -50,8 +50,9 @@ let test_offloaded_collection_equivalent () =
   let vp = List.hd w.vps in
   let mk () =
     let bgp =
-      Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-        ~selective:w.Gen.selective
+      Routing.Bgp.freeze
+        (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+           ~selective:w.Gen.selective)
     in
     let fwd = Routing.Forwarding.create w.Gen.net bgp in
     let engine = Probesim.Engine.create w fwd in
@@ -208,8 +209,9 @@ let prop_response_roundtrip =
 let test_serve_error_path () =
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
   let engine = Probesim.Engine.create w fwd in

@@ -5,7 +5,7 @@ open Netcore
 
 let run = lazy (
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let vp = List.hd w.vps in
   (w, inputs, Bdrmap.Pipeline.execute engine inputs ~vp))
 

@@ -6,7 +6,7 @@ open Netcore
 
 let run_once params =
   let w = Gen.generate params in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let vp = List.hd w.vps in
   let run = Bdrmap.Pipeline.execute engine inputs ~vp in
   (w, inputs, run)
@@ -98,7 +98,7 @@ let test_router_accuracy_metric () =
 
 let test_shared_snapshot_sweep () =
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
   let vps = List.filteri (fun i _ -> i < 2) w.vps in
   let was_enabled = Obs.Metrics.enabled () in
   Obs.Metrics.enable ();
@@ -114,8 +114,8 @@ let test_shared_snapshot_sweep () =
   Alcotest.(check bool) "every VP attaches to the snapshot" true
     (count "routing.snapshot.attaches" - attaches0 >= List.length vps);
   if not was_enabled then Obs.Metrics.disable ();
-  (* The sweep result must not depend on whether routing was served from
-     the frozen snapshot or recomputed lazily per VP. *)
+  (* The sweep result must not depend on whether the snapshot was
+     supplied or frozen by the sweep itself. *)
   let runs_lazy = Bdrmap.Pipeline.execute_all w inputs ~vps in
   let sig_of (run : Bdrmap.Pipeline.run) =
     List.map
@@ -123,7 +123,7 @@ let test_shared_snapshot_sweep () =
         (l.near_node, l.far_node, l.neighbor, Bdrmap.Heuristics.tag_label l.tag))
       run.inference.links
   in
-  Alcotest.(check bool) "shared sweep = lazy sweep" true
+  Alcotest.(check bool) "supplied-snapshot sweep = self-frozen sweep" true
     (List.map sig_of runs_shared = List.map sig_of runs_lazy)
 
 let suite =

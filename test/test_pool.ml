@@ -104,7 +104,7 @@ let test_shutdown_rejects_use () =
    link output with no pool, a 1-domain pool and a multi-domain pool. *)
 let test_execute_all_determinism () =
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
   let lines (r : Bdrmap.Pipeline.run) =
     Bdrmap.Output.links_to_lines r.Bdrmap.Pipeline.graph r.Bdrmap.Pipeline.inference
   in

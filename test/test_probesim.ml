@@ -6,8 +6,9 @@ module Engine = Probesim.Engine
 let setup = lazy (
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
   (w, Engine.create w fwd))
@@ -223,8 +224,9 @@ let test_paris_vs_classic () =
     dsts;
   (* At least one destination must show a flow-dependent internal path. *)
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
   let rids flow dst =
@@ -240,8 +242,9 @@ let test_paris_vs_classic () =
 
 let fresh_engine ?cache_cap (w : Gen.world) =
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
   Engine.create ?cache_cap w fwd

@@ -54,7 +54,7 @@ let test_against_engine () =
   (* Cross-check against the simulated IP-ID behaviour: sample one
      shared-counter router twice; RadarGun must call it one counter. *)
   let w = Topogen.Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, _ = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, _ = Bdrmap.Pipeline.setup w in
   let module Net = Topogen.Net in
   let r =
     List.find

@@ -8,7 +8,7 @@ open Netcore
 let run_of params =
   lazy
     (let w = Gen.generate params in
-     let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+     let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
      Bdrmap.Pipeline.execute engine inputs ~vp:(List.hd w.Gen.vps))
 
 let tiny = run_of Topogen.Scenario.tiny

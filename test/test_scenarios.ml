@@ -55,16 +55,21 @@ let test_rate_limiting () =
   (* A rate-limited engine still completes traces, with gaps. *)
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
-  (* Migrated off the deprecated [rate_limit_p] argument: the fault
-     config's [legacy_rl_p] feeds the same dedicated RNG stream, so the
-     drop sequence (and this test's counts) are unchanged. *)
+  (* Half the routers answer from a token bucket holding two replies
+     and refilling one every two simulated seconds: at 100 pps a trace
+     drains it quickly. *)
   let engine =
     Probesim.Engine.create
-      ~fault:{ (Probesim.Fault.of_profile w) with Probesim.Fault.legacy_rl_p = 0.3 }
+      ~fault:
+        { (Probesim.Fault.of_profile w) with
+          Probesim.Fault.rl_share = 0.5;
+          rl_rate = 0.5;
+          rl_burst = 2.0 }
       w fwd
   in
   let vp = List.hd w.vps in

@@ -1,6 +1,5 @@
 (* The packed snapshot (flat route words + next-hop arena in
-   GC-invisible Bigarrays) and the lazy path pinned against the boxed
-   reference model (bgp_ref.ml) over random worlds and random
+   GC-invisible Bigarrays) pinned against the boxed reference model (bgp_ref.ml) over random worlds and random
    relationship graphs, plus the raw-byte codec: round-trip identity,
    and typed rejection of corrupted, truncated, and mislabeled entries
    in the lib/store miss style. *)
@@ -26,43 +25,24 @@ let arb_world =
     QCheck.Gen.(pair (map (fun n -> 0.3 +. (0.1 *. float_of_int n)) (int_bound 7))
                   (int_bound 10_000))
 
-(* The packed snapshot and the lazy path both answer like the boxed
-   reference model (bgp_ref.ml): every (AS, prefix) route and as_path,
-   and LPM lookups on hits, misses and prefix boundaries. *)
+(* The packed snapshot answers like the boxed reference model
+   (bgp_ref.ml): every (AS, prefix) route and as_path, and LPM lookups
+   on hits, misses and prefix boundaries. *)
 let prop_packed_equals_boxed =
   QCheck.Test.make ~name:"packed snapshot = boxed evaluator on random worlds"
     ~count:10 arb_world (fun (scale, seed) ->
       let w = Gen.generate (Topogen.Scenario.r_and_e ~scale ~seed ()) in
-      let snap = Bgp.freeze (bgp_of w) in
-      let lazy_bgp = bgp_of w in
       let reference = Bgp_ref.of_world w in
-      (match Bgp_ref.check_snapshot reference snap with
-      | Ok () -> ()
-      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m);
-      let asns = Bgp_ref.asns reference in
-      let prefixes = reference.Bgp_ref.prefixes in
-      List.for_all
-        (fun p ->
-          List.for_all
-            (fun asn ->
-              proj (Bgp.route lazy_bgp asn p) = proj (Bgp_ref.route reference asn p)
-              && Bgp.as_path lazy_bgp asn p = Bgp_ref.as_path reference asn p)
-            asns)
-        prefixes
-      && (let lproj = Option.map (fun (p, r) -> (p, proj r)) in
-          List.for_all
-            (fun addr ->
-              lproj (Bgp.lookup lazy_bgp w.Gen.host_asn addr)
-              = lproj (Bgp_ref.lookup reference w.Gen.host_asn addr))
-            (Ipv4.of_string_exn "203.0.113.9"
-            :: List.concat_map (fun p -> [ Prefix.first p; Prefix.last p ]) prefixes)))
+      match Bgp_ref.check_snapshot reference (Bgp.freeze (bgp_of w)) with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m)
 
 (* Random relationship graphs, far from the generator's shapes: any
    mix of c2p (in either or both directions), p2p and missing edges
    between 4-14 ASes, provider cycles included, and a few prefixes with
    one to three origins (sometimes an ASN outside the graph). The
-   snapshot and the lazy path must answer every cell like the reference
-   model. This is where the kernel's stage order matters: a customer
+   snapshot must answer every cell like the reference model. This is
+   where the kernel's stage order matters: a customer
    reachable both from a near peer-routed provider and a far up-routed
    one takes the near one's route. Each case is one seed, so a failure
    shrinks to one seed. *)
@@ -98,19 +78,21 @@ let prop_kernel_random_graphs =
             ))
       in
       let net = Net.create () in
-      let bgp () = Bgp.create net !rels ~originated ~selective:Asn.Map.empty in
+      let bgp = Bgp.create net !rels ~originated ~selective:Asn.Map.empty in
       let reference = Bgp_ref.create net !rels ~originated in
-      (match Bgp_ref.check_snapshot reference (Bgp.freeze (bgp ())) with
-      | Ok () -> ()
-      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m);
-      let lazy_bgp = bgp () in
-      List.for_all
-        (fun p ->
-          List.for_all
-            (fun a ->
-              proj (Bgp.route lazy_bgp a p) = proj (Bgp_ref.route reference a p))
-            (Bgp_ref.asns reference))
-        reference.Bgp_ref.prefixes)
+      match Bgp_ref.check_snapshot reference (Bgp.freeze bgp) with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m)
+
+(* The world `experiments fig14` sweeps, at scale 0.1: every route,
+   AS path and boundary lookup of its snapshot against the reference
+   model. The -j1 and -jN sweeps both answer from this one snapshot, so
+   this is the pipeline-sized packed-vs-boxed check. *)
+let test_fig14_world_matches_reference () =
+  let w = Gen.generate (Experiments.Exp_fig14.params ~scale:0.1) in
+  match Bgp_ref.check_snapshot (Bgp_ref.of_world w) (Bgp.freeze (bgp_of w)) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "fig14 world: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* Serialization. *)
@@ -131,7 +113,7 @@ let test_roundtrip () =
     Alcotest.(check int) "prefix_count" (S.prefix_count snap) (S.prefix_count snap');
     Alcotest.(check int) "asn_count" (S.asn_count snap) (S.asn_count snap');
     Alcotest.(check int) "arena_length" (S.arena_length snap) (S.arena_length snap');
-    Alcotest.(check bool) "prefixes" true (S.prefixes snap' = S.prefixes snap);
+    Alcotest.(check bool) "prefixes" true (Bgp.prefixes snap' = Bgp.prefixes snap);
     (* Every packed word survives: decode both sides cell by cell. *)
     let np = S.prefix_count snap and na = S.asn_count snap in
     for pslot = 0 to np - 1 do
@@ -148,9 +130,9 @@ let test_roundtrip () =
             Alcotest.(check bool)
               (Printf.sprintf "route AS%d %s" asn (Prefix.to_string p))
               true
-              (proj (S.route snap' asn p) = proj (S.route snap asn p)))
+              (proj (Bgp.route snap' asn p) = proj (Bgp.route snap asn p)))
           [ 64500; 64501; 65000 ])
-      (S.prefixes snap);
+      (Bgp.prefixes snap);
     (* Re-encoding is byte-identical: the codec is canonical. *)
     Alcotest.(check bool) "re-encode is byte-identical" true
       (Bytes.equal (S.to_bytes snap') b)
@@ -194,6 +176,8 @@ let test_bad_magic_and_version () =
 let suite =
   [ Qc.to_alcotest prop_packed_equals_boxed;
     Qc.to_alcotest prop_kernel_random_graphs;
+    Alcotest.test_case "fig14 world = reference model" `Quick
+      test_fig14_world_matches_reference;
     Alcotest.test_case "to_bytes/of_bytes round-trip" `Quick test_roundtrip;
     Alcotest.test_case "corrupted byte rejected" `Quick test_corrupted_byte_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;

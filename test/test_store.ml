@@ -118,7 +118,7 @@ let test_corrupt_entries () =
 let tiny_env =
   lazy
     (let w = Gen.generate Topogen.Scenario.tiny in
-     let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+     let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
      (w, inputs))
 
 let fingerprint (r : Bdrmap.Pipeline.run) =

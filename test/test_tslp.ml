@@ -6,8 +6,9 @@ open Netcore
 let setup = lazy (
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
   let engine = Probesim.Engine.create w fwd in
@@ -74,8 +75,9 @@ let test_clean_link_not_flagged () =
   let w, fwd, _, _ = Lazy.force setup in
   (* Fresh stack to avoid the congestion installed above. *)
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd2 = Routing.Forwarding.create w.Gen.net bgp in
   let engine2 = Probesim.Engine.create w fwd2 in
@@ -90,8 +92,9 @@ let test_clean_link_not_flagged () =
 let test_episode_respects_schedule () =
   let w, fwd, _, _ = Lazy.force setup in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.freeze
+      (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+         ~selective:w.Gen.selective)
   in
   let fwd2 = Routing.Forwarding.create w.Gen.net bgp in
   let engine2 = Probesim.Engine.create w fwd2 in

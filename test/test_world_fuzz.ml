@@ -96,7 +96,7 @@ let prop_world_invariants =
         QCheck.Test.fail_report "published siblings not a subset of truth";
       if not (Asn.Set.mem w.Gen.host_asn w.Gen.published_siblings) then
         QCheck.Test.fail_report "host AS hidden from published siblings";
-      let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+      let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
       let runs =
         with_metrics (fun () ->
             let runs = Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps in
@@ -175,7 +175,7 @@ let prop_pool_identity =
     (fun fseed ->
       let p = params_of_fuzz fseed in
       let w = Gen.generate p in
-      let _bgp, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
+      let _shared, _fwd, _engine, inputs = Bdrmap.Pipeline.setup w in
       let serial = Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps in
       let pooled =
         Pool.with_pool ~domains:3 (fun pool ->

@@ -13,7 +13,7 @@ let () =
   let sink, drain = Obs.Span.memory_sink () in
   Obs.Span.set_sink (Some sink);
   let w = Gen.generate Topogen.Scenario.tiny in
-  let _bgp, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+  let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
   let vp = List.hd w.Gen.vps in
   ignore (Bdrmap.Pipeline.execute engine inputs ~vp);
   Obs.Span.set_sink None;
