@@ -399,12 +399,9 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
         in
         Format.printf "ground truth: %a@." Bdrmap.Validate.pp_summary s;
         let cs = r.Bdrmap.Pipeline.cache in
-        Printf.printf
-          "engine: %d probes; path cache: %d hits, %d misses, %d evictions, %d \
-           entries\n"
+        Printf.printf "engine: %d probes; path cache: %d hits, %d misses\n"
           r.Bdrmap.Pipeline.probes cs.Probesim.Engine.hits
-          cs.Probesim.Engine.misses cs.Probesim.Engine.evictions
-          cs.Probesim.Engine.entries;
+          cs.Probesim.Engine.misses;
         match out with
         | None -> ()
         | Some dir ->

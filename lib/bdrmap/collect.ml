@@ -302,9 +302,6 @@ let flush_engine_stats eng before =
     Obs.Metrics.add "engine.probes" (Engine.probe_count eng - p0);
     Obs.Metrics.add "engine.cache.hits" (s1.Engine.hits - s0.Engine.hits);
     Obs.Metrics.add "engine.cache.misses" (s1.Engine.misses - s0.Engine.misses);
-    Obs.Metrics.add "engine.cache.evictions"
-      (s1.Engine.evictions - s0.Engine.evictions);
-    Obs.Metrics.gauge_max "engine.cache.entries" (float_of_int s1.Engine.entries);
     Obs.Metrics.add "fault.probes_lost"
       (f1.Probesim.Fault.probes_lost - f0.Probesim.Fault.probes_lost);
     Obs.Metrics.add "fault.replies_lost"

@@ -144,7 +144,7 @@ let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
   (* Routing state is a pure function of the world, never of the
      vantage point, so every VP shares one snapshot + plan and
      the per-VP stack shrinks to what is genuinely per-VP mutable: the
-     engine's clock, probe counter, path cache, RNG and IP-ID state,
+     engine's clock, probe counter, path memo, RNG and IP-ID state,
      plus thin private caches over the shared data. The laziness keeps
      fully store-warm sweeps from paying a freeze they will never use;
      under a pool it is forced before fan-out ([Lazy.force] is not

@@ -30,7 +30,7 @@ type run = {
   probes : int;
       (** the engine's probe counter when the run finished (cumulative
           if the engine was shared across runs) *)
-  cache : Engine.cache_stats;  (** forward-path cache counters, same caveat *)
+  cache : Engine.cache_stats;  (** path-memo counters, same caveat *)
 }
 
 (** [execute ?cfg engine inputs ~vp] runs the full pipeline from [vp]. *)
@@ -75,7 +75,7 @@ val setup :
     snapshot + plan ([shared], built lazily by {!freeze_routing} when
     not supplied — pass one to amortize it across sweeps); what stays
     per-VP is the genuinely mutable probing stack (engine clock, probe
-    counter, path cache, RNG, IP-ID state) plus thin private caches, so
+    counter, path memo, RNG, IP-ID state) plus thin private caches, so
     the result is byte-identical whatever the pool size — parallelism
     only changes wall-clock.
 

@@ -1,6 +1,6 @@
 module Gen = Topogen.Gen
 
-let snapshot_version = 2
+let snapshot_version = 3
 
 type snapshot = {
   collection : Collect.t;

@@ -16,7 +16,21 @@
     - per-router IP-ID behaviour for alias resolution.
 
     A simulated clock advances by [1/pps] per probe; drivers can also
-    advance it explicitly (Ally repeats its trials at 5-minute spacing). *)
+    advance it explicitly (Ally repeats its trials at 5-minute spacing).
+
+    Answering a probe is a few table reads. A traceroute's forward path
+    is walked once per trace ({!Routing.Forwarding.trace}) and kept in
+    the engine until a probe asks for another (source, destination,
+    flow); the walk is pure, so a re-trace recomputes an equal path.
+    Per-router facts — whether direct probes reach the router, and the
+    source of a reply leaving by its AS's primary exit — are computed at
+    most once per engine, and IP-ID counters are keyed by int. An engine
+    assumes its world's topology does not change under it.
+
+    What does carry state from probe to probe is the simulated clock,
+    the IP-ID counters and the fault state (loss streams, token buckets,
+    dark quotas), which is why a run on a shared engine depends on what
+    that engine answered before. *)
 
 open Netcore
 module Net = Topogen.Net
@@ -24,21 +38,12 @@ module Gen = Topogen.Gen
 
 type t
 
-(** [create ?pps ?fault ?cache_cap w fwd] builds the probing surface
-    over [w].
+(** [create ?pps ?fault w fwd] builds the probing surface over [w].
 
     [fault] is the impairment overlay (default: [Fault.of_profile w],
     i.e. whatever [w.params.fault] asks for — nothing, for
-    {!Gen.zero_fault}). [cache_cap] bounds each generation of the
-    forward-path cache (default 30_000; lower it only to exercise
-    eviction in tests). *)
-val create :
-  ?pps:float ->
-  ?fault:Fault.config ->
-  ?cache_cap:int ->
-  Gen.world ->
-  Routing.Forwarding.t ->
-  t
+    {!Gen.zero_fault}). *)
+val create : ?pps:float -> ?fault:Fault.config -> Gen.world -> Routing.Forwarding.t -> t
 
 val world : t -> Gen.world
 val now : t -> float
@@ -47,15 +52,12 @@ val probe_count : t -> int
 val pps : t -> float
 
 type cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;  (** entries discarded by generation rotation *)
-  entries : int;  (** currently cached forward paths (both generations) *)
+  hits : int;  (** trace probes answered from the current trace's path *)
+  misses : int;  (** forward-path walks *)
 }
 
-(** Forward-path cache counters. The cache keeps two bounded
-    generations and rotates instead of resetting, so the hot working
-    set survives collection-long runs. *)
+(** Path-memo counters: a Paris traceroute of [n] TTLs is one miss and
+    [n - 1] hits. *)
 val stats : t -> cache_stats
 
 (** The impairment config this engine runs under and the drop

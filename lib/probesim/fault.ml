@@ -132,18 +132,16 @@ let link_down t ~now lid =
   | None -> false
   | Some f -> now >= f.fail_at && now < f.recover_at
 
-let first_failed_step t ~now (steps : Routing.Forwarding.step array) =
+let first_failed_step t ~now ~lids ~hops =
   if Hashtbl.length t.failed = 0 then None
   else begin
-    let n = Array.length steps in
     let rec scan i =
-      if i >= n then None
-      else
-        match steps.(i).Routing.Forwarding.in_link with
-        | Some l when link_down t ~now l.Net.lid ->
-            t.failure_hits <- t.failure_hits + 1;
-            Some i
-        | _ -> scan (i + 1)
+      if i >= hops then None
+      else if link_down t ~now lids.(i) then begin
+        t.failure_hits <- t.failure_hits + 1;
+        Some i
+      end
+      else scan (i + 1)
     in
     scan 0
   end

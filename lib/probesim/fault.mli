@@ -70,11 +70,11 @@ val config : state -> config
     when [probe_loss_p > 0]. *)
 val probe_lost : state -> bool
 
-(** [first_failed_step st ~now steps] is the index of the first step
-    whose entry link is down at [now], if any: the probe is dropped
-    there and hops at or beyond the index never answer. *)
-val first_failed_step :
-  state -> now:float -> Routing.Forwarding.step array -> int option
+(** [first_failed_step st ~now ~lids ~hops] is the index of the first
+    of the [hops] path steps whose entry link (its id in [lids]) is
+    down at [now], if any: the probe is dropped there and hops at or
+    beyond the index never answer. *)
+val first_failed_step : state -> now:float -> lids:int array -> hops:int -> int option
 
 (** [reply_allowed st ~rid ~now] gates a reply router [rid] is about to
     send: token bucket first (a limited router refuses to generate the

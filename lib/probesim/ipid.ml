@@ -3,15 +3,17 @@ module Net = Topogen.Net
 
 type counter = { base : int; rate : float; mutable sent : int }
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   seed : int;
-  shared : (int, counter) Hashtbl.t;  (* router id *)
-  per_iface : (int * Ipv4.t, counter) Hashtbl.t;
+  shared : counter Itbl.t;  (* router id *)
+  per_iface : counter Itbl.t;  (* rid lsl 32 lor interface address *)
   rng : Rng.t;
 }
 
 let create ~seed =
-  { seed; shared = Hashtbl.create 256; per_iface = Hashtbl.create 256;
+  { seed; shared = Itbl.create 256; per_iface = Itbl.create 256;
     rng = Rng.create (seed lxor 0x1b9d) }
 
 (* Deterministic per-key parameters so repeated runs agree. A sizeable
@@ -26,32 +28,27 @@ let fresh_counter seed key =
     { base = Rng.int r 1500; rate = 0.3 +. Rng.float r *. 2.0; sent = 0 }
   else { base = Rng.int r 65536; rate = 2.0 +. Rng.float r *. 300.0; sent = 0 }
 
-let counter_for t router ~addr =
-  match router.Net.behavior.ipid with
-  | Net.Shared_counter -> (
-    match Hashtbl.find_opt t.shared router.Net.rid with
-    | Some c -> Some c
-    | None ->
-      let c = fresh_counter t.seed router.Net.rid in
-      Hashtbl.add t.shared router.Net.rid c;
-      Some c)
-  | Net.Per_iface -> (
-    let key = (router.Net.rid, addr) in
-    match Hashtbl.find_opt t.per_iface key with
-    | Some c -> Some c
-    | None ->
-      let c = fresh_counter t.seed (router.Net.rid lxor (Ipv4.to_int addr * 31)) in
-      Hashtbl.add t.per_iface key c;
-      Some c)
-  | Net.Random_id | Net.Zero_id -> None
+(* The counter stored under [key], created from [seed_key] on first use. *)
+let counter_in t tbl key ~seed_key =
+  match Itbl.find tbl key with
+  | c -> c
+  | exception Not_found ->
+    let c = fresh_counter t.seed seed_key in
+    Itbl.add tbl key c;
+    c
+
+let advance c ~now =
+  c.sent <- c.sent + 1;
+  (c.base + c.sent + int_of_float (c.rate *. now)) land 0xFFFF
 
 let sample t router ~addr ~now =
+  let rid = router.Net.rid in
   match router.Net.behavior.ipid with
   | Net.Random_id -> Rng.int t.rng 65536
   | Net.Zero_id -> 0
-  | Net.Shared_counter | Net.Per_iface -> (
-    match counter_for t router ~addr with
-    | None -> 0
-    | Some c ->
-      c.sent <- c.sent + 1;
-      (c.base + c.sent + int_of_float (c.rate *. now)) land 0xFFFF)
+  | Net.Shared_counter -> advance (counter_in t t.shared rid ~seed_key:rid) ~now
+  | Net.Per_iface ->
+    let a = Ipv4.to_int addr in
+    advance
+      (counter_in t t.per_iface ((rid lsl 32) lor a) ~seed_key:(rid lxor (a * 31)))
+      ~now

@@ -897,8 +897,9 @@ module Snapshot = struct
     | Corrupt -> "corrupt"
 
   (* v2: Net.link gained the [live] retirement flag (marshaled inside
-     the metadata tuple), so v1 entries no longer decode. *)
-  let codec_version = 2
+     the metadata tuple), so v1 entries no longer decode. v3: Net.t
+     gained its internal-adjacency index. *)
+  let codec_version = 3
   let magic = "BDSN"
   let header_len = 32
 

@@ -109,6 +109,15 @@ let compute_dist net target =
 let igp_get (row : float_ba) rid =
   if rid < Bigarray.Array1.dim row then Bigarray.Array1.get row rid else infinity
 
+(* The private per-instance distance row toward an unplanned target. *)
+let memo_row t target =
+  match Hashtbl.find t.igp target with
+  | dist -> dist
+  | exception Not_found ->
+    let dist = compute_dist t.net target in
+    Hashtbl.replace t.igp target dist;
+    dist
+
 (* Distance from [rid] to [target] (same AS assumed). Planned targets
    read one float out of the packed row — no allocation, no hashing;
    unplanned targets fall back to the private per-instance memo. *)
@@ -116,61 +125,85 @@ let dist_at t ~target ~rid =
   match t.plan with
   | Some plan when plan.p_igp_row.(target) >= 0 ->
     igp_get plan.p_igp.(plan.p_igp_row.(target)) rid
-  | _ -> (
-    let dist =
-      match Hashtbl.find_opt t.igp target with
-      | Some d -> d
-      | None ->
-        let dist = compute_dist t.net target in
-        Hashtbl.replace t.igp target dist;
-        dist
-    in
-    dist.(rid))
+  | _ -> (memo_row t target).(rid)
 
 let igp_distance t ~from_rid ~to_rid =
   let ra = Net.router t.net from_rid and rb = Net.router t.net to_rid in
   if not (Asn.equal ra.Net.owner rb.Net.owner) then infinity
   else dist_at t ~target:to_rid ~rid:from_rid
 
-(* Next internal hop from [rid] toward [target]: among the neighbors
-   whose (link weight + distance) lies within the ECMP tolerance of the
-   minimum, hash the flow identifier the way routers hash five-tuples.
-   Flow 0 deterministically takes the canonical (lowest link id) path,
-   which is what Paris traceroute's fixed flow identifier guarantees;
-   classic traceroute varies the flow per probe and wobbles across
-   equal-cost paths. *)
+(* Next internal hop from [rid] toward [target], as a link id or -1:
+   among the neighbors whose (link weight + distance) lies within the
+   ECMP tolerance of the minimum, hash the flow identifier the way
+   routers hash five-tuples. Flow 0 deterministically takes the
+   canonical path, the least (distance, lid) neighbour, which is what
+   Paris traceroute's fixed flow identifier guarantees; classic
+   traceroute varies the flow per probe and wobbles across equal-cost
+   paths. The distance row toward [target] is resolved once per call,
+   and the flow-0 argmin allocates nothing. *)
 let ecmp_tolerance = 1.02
 
-let internal_next_hop ?(flow = 0) t rid target =
-  if rid = target then None
+let no_row : float_ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+
+let internal_next_lid ~flow t rid target =
+  if rid = target then -1
   else begin
-    let candidates = ref [] in
-    let best = ref infinity in
-    List.iter
-      (fun ((l : Net.link), y) ->
-        let dy = dist_at t ~target ~rid:y in
-        if dy < infinity then begin
-          let d = l.Net.weight +. dy in
-          if d < !best then best := d;
-          candidates := (d, l) :: !candidates
-        end)
-      (Net.internal_neighbors t.net rid);
-    let eligible =
-      List.filter (fun (d, _) -> d <= !best *. ecmp_tolerance) !candidates
-      |> List.sort (fun (d1, (l1 : Net.link)) (d2, l2) ->
-             match Float.compare d1 d2 with
-             | 0 -> Int.compare l1.Net.lid l2.Net.lid
-             | c -> c)
-      |> List.map snd
-    in
-    match eligible with
-    | [] -> None
-    | [ l ] -> Some l
-    | ls ->
-      if flow = 0 then Some (List.hd ls)
-      else
+    let prow = match t.plan with Some plan -> plan.p_igp_row.(target) | None -> -1 in
+    let row = match t.plan with Some plan when prow >= 0 -> plan.p_igp.(prow) | _ -> no_row in
+    let memo = if prow >= 0 then [||] else memo_row t target in
+    let ns = ref (Net.internal_neighbors t.net rid) in
+    if flow = 0 then begin
+      let best_d = ref infinity and best = ref (-1) in
+      while
+        match !ns with
+        | [] -> false
+        | ((l : Net.link), y) :: rest ->
+          ns := rest;
+          let dy =
+            if prow < 0 then memo.(y)
+            else if y < Bigarray.Array1.dim row then Bigarray.Array1.unsafe_get row y
+            else infinity
+          in
+          if dy < infinity then begin
+            let d = l.Net.weight +. dy in
+            if d < !best_d || (d = !best_d && l.Net.lid < !best) then begin
+              best_d := d;
+              best := l.Net.lid
+            end
+          end;
+          true
+      do
+        ()
+      done;
+      !best
+    end
+    else begin
+      let candidates = ref [] in
+      let best = ref infinity in
+      List.iter
+        (fun ((l : Net.link), y) ->
+          let dy = if prow < 0 then memo.(y) else igp_get row y in
+          if dy < infinity then begin
+            let d = l.Net.weight +. dy in
+            if d < !best then best := d;
+            candidates := (d, l) :: !candidates
+          end)
+        !ns;
+      let eligible =
+        List.filter (fun (d, _) -> d <= !best *. ecmp_tolerance) !candidates
+        |> List.sort (fun (d1, (l1 : Net.link)) (d2, l2) ->
+               match Float.compare d1 d2 with
+               | 0 -> Int.compare l1.Net.lid l2.Net.lid
+               | c -> c)
+        |> List.map snd
+      in
+      match eligible with
+      | [] -> -1
+      | [ l ] -> l.Net.lid
+      | ls ->
         let h = Hashtbl.hash (flow, rid, target) in
-        Some (List.nth ls (h mod List.length ls))
+        (List.nth ls (h mod List.length ls)).Net.lid
+    end
   end
 
 (* Candidate egress links for [rid]'s AS toward prefix [p]: links to any
@@ -219,10 +252,12 @@ let egress_lid t rid p route =
   let asn = (Net.router t.net rid).Net.owner in
   egress_among t rid asn (egress_candidates t asn p route)
 
-(* [pslot] is [p]'s interned snapshot slot, as handed out by
-   [Bgp.lookup_slot]; the plan's prefix columns are the snapshot's
-   slots, so it indexes the egress row directly. *)
-let choose_egress t rid p ~pslot (route : Bgp.route) =
+(* The egress lid router [rid] (of the AS at [aslot]) chooses toward
+   prefix slot [pslot], or -1 for none. The plan's prefix columns are
+   the snapshot's slots, so [pslot] indexes the egress row directly;
+   the route is decoded only when an unplanned router misses its
+   private memo. *)
+let egress_at t rid ~pslot ~aslot =
   let planned =
     match t.plan with
     | Some plan when plan.p_egr_row.(rid) >= 0 ->
@@ -230,17 +265,19 @@ let choose_egress t rid p ~pslot (route : Bgp.route) =
         ((plan.p_egr_row.(rid) * Array.length plan.p_pfx) + pslot)
     | _ -> -2
   in
-  let lid =
-    if planned > -2 then planned
-    else
-      match Hashtbl.find_opt t.egress_memo (rid, p) with
-      | Some lid -> lid
-      | None ->
-        let lid = egress_lid t rid p route in
-        Hashtbl.replace t.egress_memo (rid, p) lid;
-        lid
-  in
-  if lid < 0 then None else Some (Net.link t.net lid)
+  if planned > -2 then planned
+  else
+    let p = Bgp.Snapshot.prefix_of_slot t.bgp pslot in
+    match Hashtbl.find_opt t.egress_memo (rid, p) with
+    | Some lid -> lid
+    | None ->
+      let lid =
+        match Bgp.Snapshot.route_at t.bgp ~pslot ~aslot with
+        | Some route -> egress_lid t rid p route
+        | None -> -1
+      in
+      Hashtbl.replace t.egress_memo (rid, p) lid;
+      lid
 
 (* IGP rows for every interdomain-link endpoint: these routers are the
    targets of all egress scoring and of the internal walks toward an
@@ -536,83 +573,183 @@ let plan_equal ~scratch ~patched =
     with Mismatch m -> Error m
   end
 
+(* ------------------------------------------------------------------ *)
+(* The forwarding walk.                                                *)
+
 type hop = Deliver | Sink | Forward of Net.link | Unreachable
 
-let local_iface r addr =
-  List.exists (fun (i : Net.iface) -> Ipv4.equal i.Net.addr addr) r.Net.ifaces
+(* What one walk resolves about its destination once: the home router
+   ([-1] when no origin claims [addr]) and the LPM prefix slot ([-1]
+   when unrouted). [word] is the route word of AS [w_owner] toward
+   that slot, re-read only when the walk enters another AS ([-1] until
+   the first read). *)
+type dest = {
+  addr : Ipv4.t;
+  home : int;
+  home_owner : Asn.t;
+  pslot : int;
+  mutable w_owner : Asn.t;
+  mutable aslot : int;
+  mutable word : int;
+}
+
+let dest t addr =
+  let home, home_owner =
+    match Net.home_of t.net addr with
+    | Some h -> (h.Net.rid, h.Net.owner)
+    | None -> (-1, 0)
+  in
+  { addr; home; home_owner; pslot = Bgp.Snapshot.lookup_pslot t.bgp addr;
+    w_owner = 0; aslot = -1; word = -1 }
+
+let rec has_iface addr = function
+  | [] -> false
+  | (i : Net.iface) :: rest -> Ipv4.equal i.Net.addr addr || has_iface addr rest
+
+let local_iface (r : Net.router) addr =
+  has_iface addr r.Net.ifaces
   ||
   match r.Net.canonical with
   | Some c -> Ipv4.equal c addr
   | None -> false
 
-let next_hop ?(flow = 0) t ~rid ~dst =
+(* One forwarding decision, as a code: a link id (>= 0) forwards across
+   that link, otherwise one of the three codes below. *)
+let code_deliver = -1
+let code_sink = -2
+let code_unreachable = -3
+
+(* Connected-subnet delivery at the home router: the address may live
+   on the far side of one of its links. *)
+let rec connected rid addr = function
+  | [] -> code_sink
+  | ((l : Net.link), _) :: rest ->
+    let far = if fst l.Net.a = rid then l.Net.b else l.Net.a in
+    if Ipv4.equal (snd far) addr then l.Net.lid else connected rid addr rest
+
+let internal_code ~flow t rid target =
+  let lid = internal_next_lid ~flow t rid target in
+  if lid < 0 then code_unreachable else lid
+
+let near_end t (l : Net.link) owner =
+  let ra = fst l.Net.a in
+  if Asn.equal (Net.router t.net ra).Net.owner owner then ra else fst l.Net.b
+
+(* The route word of [owner] toward [d]'s slot, read once per AS. *)
+let route_word t d owner =
+  if d.word < 0 || not (Asn.equal d.w_owner owner) then begin
+    d.w_owner <- owner;
+    d.aslot <- Bgp.Snapshot.asn_slot t.bgp owner;
+    d.word <- Bgp.Snapshot.word t.bgp ~pslot:d.pslot ~aslot:d.aslot
+  end;
+  d.word
+
+(* The step function behind [next_hop] and every walk: deliver on a
+   local interface; toward the home router inside its AS; else across
+   the hot-potato egress of the AS's route (internally first when the
+   egress lies on another router). *)
+let step ~flow t d rid =
   let r = Net.router t.net rid in
-  if local_iface r dst then Deliver
+  if local_iface r d.addr then code_deliver
+  else if d.home >= 0 && Asn.equal d.home_owner r.Net.owner then
+    if d.home = rid then connected rid d.addr (Net.neighbors t.net rid)
+    else internal_code ~flow t rid d.home
+  else if route_word t d r.Net.owner = 0 then code_unreachable
   else
-    match Net.home_of t.net dst with
-    | Some home when Asn.equal home.Net.owner r.Net.owner ->
-      if home.Net.rid = rid then
-        (* Connected-subnet delivery: the address may live on the far
-           side of one of this router's links. *)
-        match
-          List.find_opt
-            (fun ((l : Net.link), _) ->
-              let far = if fst l.Net.a = rid then l.Net.b else l.Net.a in
-              Ipv4.equal (snd far) dst)
-            (Net.neighbors t.net rid)
-        with
-        | Some (l, _) -> Forward l
-        | None -> Sink
-      else (
-        match internal_next_hop ~flow t rid home.Net.rid with
-        | Some l -> Forward l
-        | None -> Unreachable)
-    | _ -> (
-      match Bgp.lookup_slot t.bgp r.Net.owner dst with
-      | None | Some (_, _, None) -> Unreachable
-      | Some (p, pslot, Some route) -> (
-        match choose_egress t rid p ~pslot route with
-        | None -> Unreachable
-        | Some l ->
-          let near =
-            let ra = fst l.Net.a in
-            if Asn.equal (Net.router t.net ra).Net.owner r.Net.owner then ra
-            else fst l.Net.b
-          in
-          if near = rid then Forward l
-          else (
-            match internal_next_hop ~flow t rid near with
-            | Some il -> Forward il
-            | None -> Unreachable)))
+    let lid = egress_at t rid ~pslot:d.pslot ~aslot:d.aslot in
+    if lid < 0 then code_unreachable
+    else
+      let near = near_end t (Net.link t.net lid) r.Net.owner in
+      if near = rid then lid else internal_code ~flow t rid near
+
+let next_hop ?(flow = 0) t ~rid ~dst =
+  match step ~flow t (dest t dst) rid with
+  | c when c >= 0 -> Forward (Net.link t.net c)
+  | c when c = code_deliver -> Deliver
+  | c when c = code_sink -> Sink
+  | _ -> Unreachable
 
 let egress_link t ~rid ~dst =
-  let r = Net.router t.net rid in
-  match Net.home_of t.net dst with
-  | Some home when Asn.equal home.Net.owner r.Net.owner -> None
-  | _ -> (
-    match Bgp.lookup_slot t.bgp r.Net.owner dst with
-    | None | Some (_, _, None) -> None
-    | Some (p, pslot, Some route) -> choose_egress t rid p ~pslot route)
+  let d = dest t dst in
+  let owner = (Net.router t.net rid).Net.owner in
+  if d.home >= 0 && Asn.equal d.home_owner owner then None
+  else if route_word t d owner = 0 then None
+  else
+    let lid = egress_at t rid ~pslot:d.pslot ~aslot:d.aslot in
+    if lid < 0 then None else Some (Net.link t.net lid)
 
 type step = { rid : int; in_link : Net.link option }
+type terminal = Delivered | Sunk | Dropped
+
+let edge_filtered t asn =
+  match (Net.as_node t.net asn).Net.filter with
+  | Net.Open -> false
+  | Net.Firewall | Net.Echo_only | Net.Silent -> true
+
+(* The one walk behind [path] and [trace]: the destination is resolved
+   once, each step reports (router, in-link id) to [emit], and the
+   terminal is the code of the step that ended the walk. With
+   [filters], the walk ends at the first border of an AS that filters
+   probes at its edge: the border is the last step, and the probe is
+   delivered only when the border itself holds [dst]. *)
+let walk ~flow ~max_hops ~filters t ~src_rid ~dst emit =
+  let d = dest t dst in
+  let rec go rid owner hops =
+    let c = step ~flow t d rid in
+    if c = code_deliver then Delivered
+    else if c = code_sink then Sunk
+    else if c < 0 || hops >= max_hops then Dropped
+    else begin
+      let l = Net.link t.net c in
+      let next, _ = Net.peer_of t.net l rid in
+      emit next c;
+      let r = Net.router t.net next in
+      let crossing =
+        (not (Asn.equal r.Net.owner owner))
+        &&
+        match l.Net.kind with
+        | Net.Internal -> false
+        | Net.Private_interconnect _ | Net.Ixp_lan _ -> true
+      in
+      if filters && crossing && edge_filtered t r.Net.owner then
+        if has_iface dst r.Net.ifaces then Delivered else Dropped
+      else go next r.Net.owner (hops + 1)
+    end
+  in
+  go src_rid (Net.router t.net src_rid).Net.owner 0
 
 let path ?(flow = 0) t ~src_rid ~dst ?(max_hops = 64) () =
-  let rec walk rid hops acc =
-    if hops >= max_hops then List.rev acc
-    else
-      match next_hop ~flow t ~rid ~dst with
-      | Deliver | Sink | Unreachable -> List.rev acc
-      | Forward l ->
-        let next, _ = Net.peer_of t.net l rid in
-        walk next (hops + 1) ({ rid = next; in_link = Some l } :: acc)
-  in
-  walk src_rid 0 []
+  let acc = ref [] in
+  ignore
+    (walk ~flow ~max_hops ~filters:false t ~src_rid ~dst (fun rid lid ->
+         acc := { rid; in_link = Some (Net.link t.net lid) } :: !acc));
+  List.rev !acc
+
+type trace = {
+  mutable hops : int;
+  rids : int array;
+  lids : int array;
+  mutable term : terminal;
+}
+
+let trace_max_hops = 64
+
+let trace_buffer () =
+  { hops = 0; rids = Array.make trace_max_hops 0;
+    lids = Array.make trace_max_hops 0; term = Dropped }
+
+let trace ?(flow = 0) t tr ~src_rid ~dst =
+  tr.hops <- 0;
+  tr.term <-
+    walk ~flow ~max_hops:trace_max_hops ~filters:true t ~src_rid ~dst
+      (fun rid lid ->
+        tr.rids.(tr.hops) <- rid;
+        tr.lids.(tr.hops) <- lid;
+        tr.hops <- tr.hops + 1)
 
 let first_link_iface t ~rid ~dst =
   match next_hop t ~rid ~dst with
-  | Forward l ->
-    let addr = if fst l.Net.a = rid then snd l.Net.a else snd l.Net.b in
-    Some addr
+  | Forward l -> Some (if fst l.Net.a = rid then snd l.Net.a else snd l.Net.b)
   | Deliver | Sink | Unreachable -> None
 
 let reply_iface t ~rid ~reply_to = first_link_iface t ~rid ~dst:reply_to

@@ -76,10 +76,12 @@ type hop =
   | Forward of Net.link  (** next hop across this link *)
   | Unreachable
 
-(** [next_hop ?flow t ~rid ~dst] is one forwarding decision. Equal-cost
-    internal paths are resolved by hashing [flow] (a five-tuple stand-in);
-    flow 0 always takes the canonical path, which models Paris
-    traceroute's fixed flow identifier. *)
+(** [next_hop ?flow t ~rid ~dst] is one forwarding decision: the
+    one-step case of the walk behind {!path} and {!trace}. Equal-cost
+    internal paths are resolved by hashing [flow] (a five-tuple
+    stand-in); flow 0 always takes the canonical path (the least
+    (distance, link id) neighbour), which models Paris traceroute's
+    fixed flow identifier. *)
 val next_hop : ?flow:int -> t -> rid:int -> dst:Ipv4.t -> hop
 
 (** [egress_link t ~rid ~dst] is the interdomain link this AS would use
@@ -99,9 +101,35 @@ type step = { rid : int; in_link : Net.link option }
     starting with the first router after the source. The walk stops at
     delivery, at the prefix's home router, at an unreachable point, or
     after [max_hops] (default 64). [flow] selects among equal-cost
-    internal paths. *)
+    internal paths. The destination's home router and prefix slot are
+    resolved once per walk, and the route word once per AS crossed. *)
 val path :
   ?flow:int -> t -> src_rid:int -> dst:Ipv4.t -> ?max_hops:int -> unit -> step list
+
+(** How a probe's forward walk ends: delivered to the address,
+    sunk at the prefix's home router (no such host), or dropped
+    (unreachable, filtered, or out of hops). *)
+type terminal = Delivered | Sunk | Dropped
+
+(** A probe's forward path, written in place: the first [hops] entries
+    of [rids] are the routers after the source and [lids] the link
+    each was entered on; [term] is how the walk ended. *)
+type trace = {
+  mutable hops : int;
+  rids : int array;
+  lids : int array;
+  mutable term : terminal;
+}
+
+(** [trace_buffer ()] is an empty trace with room for 64 hops. *)
+val trace_buffer : unit -> trace
+
+(** [trace ?flow t tr ~src_rid ~dst] is the walk of {!path} (at most 64
+    hops) as a probe sees it, written into [tr]: it also stops at the
+    first border router of an AS whose edge filters probes, which is
+    the last hop a traceroute can elicit there; such a probe is
+    delivered only when that border holds [dst] itself. *)
+val trace : ?flow:int -> t -> trace -> src_rid:int -> dst:Ipv4.t -> unit
 
 (** [reply_iface t ~rid ~reply_to] is the interface address router [rid]
     would use as source when transmitting a packet toward [reply_to]

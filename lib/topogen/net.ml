@@ -62,6 +62,7 @@ type t = {
   addr_index : router Ipv4.Tbl.t;
   mutable homes : int Ptrie.t;
   mutable adjacency : (link * int) list array;  (* by router id, rebuilt lazily *)
+  mutable internal_adj : (link * int) list array;  (* its [Internal] links *)
   mutable adjacency_valid : bool;
 }
 
@@ -88,6 +89,7 @@ let create () =
     addr_index = Ipv4.Tbl.create 1024;
     homes = Ptrie.empty;
     adjacency = [||];
+    internal_adj = [||];
     adjacency_valid = false }
 
 let add_as t node = t.as_map <- Asn.Map.add node.asn node t.as_map
@@ -195,6 +197,8 @@ let rebuild_adjacency t =
     end
   done;
   t.adjacency <- adj;
+  t.internal_adj <-
+    Array.map (List.filter (fun (l, _) -> l.kind = Internal)) adj;
   t.adjacency_valid <- true
 
 let neighbors t rid =
@@ -202,7 +206,8 @@ let neighbors t rid =
   t.adjacency.(rid)
 
 let internal_neighbors t rid =
-  List.filter (fun (l, _) -> l.kind = Internal) (neighbors t rid)
+  if not t.adjacency_valid then rebuild_adjacency t;
+  t.internal_adj.(rid)
 
 let owner_of_addr t addr = Ipv4.Tbl.find_opt t.addr_index addr
 let set_home t p rid = t.homes <- Ptrie.add p rid t.homes

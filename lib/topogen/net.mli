@@ -127,7 +127,8 @@ val peer_of : t -> link -> int -> int * Ipv4.t
 (** [neighbors t rid] is each (link, far router id) adjacent to [rid]. *)
 val neighbors : t -> int -> (link * int) list
 
-(** [internal_neighbors t rid] restricts to intra-AS links. *)
+(** [internal_neighbors t rid] restricts to intra-AS links; the lists
+    are built with the adjacency, so a call only reads an array. *)
 val internal_neighbors : t -> int -> (link * int) list
 
 (** [owner_of_addr t addr] is the router owning interface [addr]. *)

@@ -163,19 +163,16 @@ let test_failure_window () =
       Fault.failures = [ { Fault.lid = 5; fail_at = 10.0; recover_at = 20.0 } ] }
   in
   let st = Fault.create ~seed:1 cfg in
-  (* Build a fake two-step path whose second step enters link 5. *)
-  let w = Gen.generate Topogen.Scenario.tiny in
-  let l5 = Topogen.Net.link w.Gen.net 5 in
-  let steps =
-    [| { Routing.Forwarding.rid = 0; in_link = None };
-       { Routing.Forwarding.rid = 1; in_link = Some l5 } |]
-  in
+  (* A fake two-step path whose second step enters link 5. *)
+  let lids = [| 3; 5 |] in
   Alcotest.(check (option int)) "up before onset" None
-    (Fault.first_failed_step st ~now:5.0 steps);
+    (Fault.first_failed_step st ~now:5.0 ~lids ~hops:2);
   Alcotest.(check (option int)) "down inside window" (Some 1)
-    (Fault.first_failed_step st ~now:15.0 steps);
+    (Fault.first_failed_step st ~now:15.0 ~lids ~hops:2);
+  Alcotest.(check (option int)) "beyond the path's hops" None
+    (Fault.first_failed_step st ~now:15.0 ~lids ~hops:1);
   Alcotest.(check (option int)) "up after recovery" None
-    (Fault.first_failed_step st ~now:25.0 steps)
+    (Fault.first_failed_step st ~now:25.0 ~lids ~hops:2)
 
 (* --- nonzero configs under the pool: extends the zero-config identity
    test to a corpus world with dark-router quotas AND transient link

@@ -238,16 +238,16 @@ let test_paris_vs_classic () =
   Alcotest.(check bool) "equal-cost diamonds exist" true flow_sensitive
 
 (* ------------------------------------------------------------------ *)
-(* Forward-path cache counters and response-pathology edge cases.      *)
+(* Path-memo counters and response-pathology edge cases.               *)
 
-let fresh_engine ?cache_cap (w : Gen.world) =
+let fresh_engine (w : Gen.world) =
   let bgp =
     Routing.Bgp.freeze
       (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
          ~selective:w.Gen.selective)
   in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in
-  Engine.create ?cache_cap w fwd
+  Engine.create w fwd
 
 (* A tiny-sized world where the rare edge filters are common, so the
    echo-only / firewalled / silent direct-probe cases all exist. *)
@@ -273,7 +273,6 @@ let test_cache_stats_counting () =
   let s0 = Engine.stats eng in
   Alcotest.(check int) "fresh: no hits" 0 s0.Engine.hits;
   Alcotest.(check int) "fresh: no misses" 0 s0.Engine.misses;
-  Alcotest.(check int) "fresh: empty" 0 s0.Engine.entries;
   let hops = Engine.traceroute eng ~vp:(vp w) ~dst () in
   let s1 = Engine.stats eng in
   (* Paris traceroute: one flow, one dst => a single forward-path
@@ -281,43 +280,127 @@ let test_cache_stats_counting () =
   Alcotest.(check int) "one path computed" 1 s1.Engine.misses;
   Alcotest.(check int) "every later ttl hits" (List.length hops - 1)
     s1.Engine.hits;
-  Alcotest.(check int) "one entry" 1 s1.Engine.entries;
-  Alcotest.(check int) "no evictions" 0 s1.Engine.evictions;
   ignore (Engine.traceroute eng ~vp:(vp w) ~dst ());
   let s2 = Engine.stats eng in
   Alcotest.(check int) "retrace misses nothing" 1 s2.Engine.misses
 
-let test_cache_eviction_rotation () =
-  let w, _ = Lazy.force setup in
-  (* cache_cap=2 with classic (per-TTL flow) traces: every TTL is a new
-     key, so the young generation rotates repeatedly and the second and
-     later rotations discard the old generation. *)
-  let eng = fresh_engine ~cache_cap:2 w in
-  ignore (Engine.traceroute ~paris:false eng ~vp:(vp w) ~dst:(open_dst w) ());
-  let s = Engine.stats eng in
-  Alcotest.(check bool) "many distinct keys" true (s.Engine.misses > 4);
-  Alcotest.(check bool) "rotation discarded entries" true
-    (s.Engine.evictions > 0);
-  Alcotest.(check bool) "footprint bounded by two generations" true
-    (s.Engine.entries <= 4);
-  (* Conservation: every key computed is either still resident or was
-     discarded by a rotation. *)
-  Alcotest.(check bool) "miss = entries + evicted + promoted" true
-    (s.Engine.misses >= s.Engine.entries)
+let hop_view hops =
+  List.map
+    (fun (h : Engine.hop) ->
+      ( h.Engine.ttl,
+        Option.map
+          (fun (r : Engine.reply) -> (r.Engine.src, r.Engine.kind, r.Engine.responder))
+          h.Engine.reply ))
+    hops
 
-let test_old_generation_promotion () =
+let test_per_trace_memo () =
   let w, _ = Lazy.force setup in
-  let eng = fresh_engine ~cache_cap:1 w in
-  let dst = open_dst w in
-  (* flow 0 fills young; flow 1 rotates it into old; re-probing flow 0
-     must hit (old-generation lookup), not recompute. *)
-  ignore (Engine.trace_probe ~flow:0 eng ~vp:(vp w) ~dst ~ttl:1);
-  ignore (Engine.trace_probe ~flow:1 eng ~vp:(vp w) ~dst ~ttl:1);
-  let before = (Engine.stats eng).Engine.misses in
-  ignore (Engine.trace_probe ~flow:0 eng ~vp:(vp w) ~dst ~ttl:1);
+  let eng = fresh_engine w in
+  let a = open_dst w in
+  let b =
+    let other =
+      List.find
+        (fun (n : Net.as_node) ->
+          n.Net.prefixes <> [] && n.Net.asn <> w.Gen.host_asn
+          && not (Prefix.mem a (List.hd n.Net.prefixes)))
+        (Net.ases w.Gen.net)
+    in
+    Ipv4.add (Prefix.first (List.hd other.Net.prefixes)) 1
+  in
+  let trace dst = Engine.traceroute eng ~vp:(vp w) ~dst () in
+  let first = trace a in
+  let mid = trace b in
+  let again = trace a in
   let s = Engine.stats eng in
-  Alcotest.(check int) "promoted, not recomputed" before s.Engine.misses;
-  Alcotest.(check bool) "hit recorded" true (s.Engine.hits > 0)
+  (* The memo holds the current trace only: the interleaved re-trace of
+     [a] walks again, and the walk is pure, so the path is equal. *)
+  Alcotest.(check int) "one miss per trace, re-trace included" 3 s.Engine.misses;
+  Alcotest.(check int) "ttls - 1 hits per trace"
+    (List.length first + List.length mid + List.length again - 3)
+    s.Engine.hits;
+  Alcotest.(check bool) "re-traced path equal" true (hop_view first = hop_view again);
+  (* A probe of another flow in the middle of a trace switches paths
+     and back, answering exactly as an untouched engine does. *)
+  let probe e flow ttl = Engine.trace_probe ~flow e ~vp:(vp w) ~dst:a ~ttl in
+  let fresh = fresh_engine w in
+  let view = Option.map (fun (r : Engine.reply) -> (r.Engine.src, r.Engine.responder)) in
+  List.iter
+    (fun (flow, ttl) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "flow %d ttl %d" flow ttl)
+        true
+        (view (probe eng flow ttl) = view (probe fresh flow ttl)))
+    [ (0, 1); (0, 2); (3, 2); (0, 3); (1, 1); (0, 4) ]
+
+(* Classic traceroute gives each TTL its own flow, so the one-path memo
+   is re-walked at every TTL and never holds more than that path; the
+   Paris trace that follows switches back to flow 0 once. *)
+let test_per_trace_memo_classic () =
+  let w, _ = Lazy.force setup in
+  let eng = fresh_engine w in
+  let dst = open_dst w in
+  let classic = Engine.traceroute ~paris:false eng ~vp:(vp w) ~dst () in
+  let s1 = Engine.stats eng in
+  Alcotest.(check bool) "several ttls probed" true (List.length classic > 1);
+  Alcotest.(check int) "one miss per ttl" (List.length classic) s1.Engine.misses;
+  Alcotest.(check int) "no hits across flows" 0 s1.Engine.hits;
+  let paris = Engine.traceroute eng ~vp:(vp w) ~dst () in
+  let s2 = Engine.stats eng in
+  Alcotest.(check int) "paris trace: one more miss" (s1.Engine.misses + 1)
+    s2.Engine.misses;
+  Alcotest.(check int) "paris trace: ttls - 1 hits" (List.length paris - 1)
+    s2.Engine.hits
+
+(* Minor words a call allocates, averaged over [n] calls. *)
+let words_per_call n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* Allocation budget of the compiled prober, on the tiny world with no
+   faults. A probe answered from the current path allocates its reply
+   (record and option, 7 words) and the clock tick's boxed float (2);
+   a direct probe also the address lookup's option (2). Some routers
+   cost more per reply: a random IP-ID draws from a boxed-Int64 RNG, a
+   virtual router resolves its forwarding interface. The Paris-trace
+   bound is the mean over every TTL of one trace (14.8 words when
+   measured), the ping and UDP bounds are for a shared-counter router
+   (11 words); a re-boxed key or a per-hop list breaks them. *)
+let test_allocation_budget () =
+  let w, _ = Lazy.force setup in
+  let eng = fresh_engine w in
+  let dst = open_dst w in
+  let ttls = List.length (Engine.traceroute eng ~vp:(vp w) ~dst ()) in
+  let hit =
+    words_per_call 100 (fun () ->
+        for ttl = 1 to ttls do
+          ignore (Engine.trace_probe eng ~vp:(vp w) ~dst ~ttl)
+        done)
+    /. float_of_int ttls
+  in
+  let probed (r : Net.router) =
+    r.Net.behavior.ipid = Net.Shared_counter
+    && r.Net.ifaces <> []
+    && (Net.as_node w.Gen.net r.Net.owner).Net.filter = Net.Open
+  in
+  let routers = List.init (Net.router_count w.Gen.net) (Net.router w.Gen.net) in
+  let addr_of (r : Net.router) = (List.hd r.Net.ifaces).Net.addr in
+  let echo = addr_of (List.find (fun r -> probed r && r.Net.behavior.echo) routers) in
+  let udp =
+    addr_of (List.find (fun r -> probed r && r.Net.behavior.udp <> Net.No_udp) routers)
+  in
+  let ping = words_per_call 1000 (fun () -> assert (Engine.ping eng ~dst:echo <> None)) in
+  let udp = words_per_call 1000 (fun () -> assert (Engine.udp_probe eng ~dst:udp <> None)) in
+  let check name budget v =
+    if v > budget then
+      Alcotest.failf "%s allocates %.1f minor words per probe (budget %.0f)" name v budget
+  in
+  check "paris-trace hit" 16.0 hit;
+  check "ping" 12.0 ping;
+  check "udp" 12.0 udp
 
 let test_gap_limit_truncates () =
   let w, eng = Lazy.force edge_setup in
@@ -413,6 +496,118 @@ let test_firewalled_direct_probes () =
       Alcotest.(check bool) "border still answers" true
         (Engine.ping eng ~dst:addr <> None))
 
+(* ------------------------------------------------------------------ *)
+(* The compiled engine against the reference model (engine_ref.ml).    *)
+
+type op =
+  | Trace of { vp : int; dst : int; flow : int; ttls : int }
+  | Probe of { vp : int; dst : int; flow : int; ttl : int }
+  | Ping of int
+  | Udp of int
+  | Advance of float
+
+(* Every corpus world at scale 0.1 under its own fault profile, plus an
+   impaired small_access world (loss, rate limits, dark quotas and link
+   failures all live). Each comes with a pool of probe destinations:
+   interface and canonical addresses of sampled routers, addresses
+   inside originated prefixes, and unassigned space. *)
+let ref_worlds =
+  lazy
+    (let impaired =
+       { (Topogen.Scenario.small_access ~scale:0.1 ()) with
+         Gen.fault = Topogen.Scenario.impairment ~intensity:0.7 }
+     in
+     List.map
+       (fun params ->
+         let w = Gen.generate params in
+         let shared = Bdrmap.Pipeline.freeze_routing w in
+         let net = w.Gen.net in
+         let st = Random.State.make [| w.Gen.params.Gen.seed |] in
+         let addrs = ref [ Ipv4.of_string_exn "203.0.113.9" ] in
+         for _ = 1 to 60 do
+           let r = Net.router net (Random.State.int st (Net.router_count net)) in
+           List.iter (fun (i : Net.iface) -> addrs := i.Net.addr :: !addrs) r.Net.ifaces;
+           Option.iter (fun c -> addrs := c :: !addrs) r.Net.canonical
+         done;
+         let pfx = Array.of_list (Routing.Bgp.prefixes (Routing.Bgp.of_snapshot shared.Bdrmap.Pipeline.snapshot)) in
+         for _ = 1 to 60 do
+           let p = pfx.(Random.State.int st (Array.length pfx)) in
+           addrs := Ipv4.add (Prefix.first p) (Random.State.int st (min 8 (Prefix.size p))) :: !addrs
+         done;
+         (w, shared, Array.of_list !addrs))
+       (impaired :: List.map (fun s -> s.Topogen.Corpus.sc_params ~scale:0.1) Topogen.Corpus.all))
+
+let seeded_probe_ops st ~vps ~dsts =
+  List.init 150 (fun _ ->
+      let vp = Random.State.int st vps and dst = Random.State.int st dsts in
+      let flow = Random.State.int st 4 in
+      match Random.State.int st 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> Trace { vp; dst; flow; ttls = 1 + Random.State.int st 20 }
+      | 8 | 9 | 10 -> Probe { vp; dst; flow; ttl = 1 + Random.State.int st 35 }
+      | 11 | 12 | 13 -> Ping dst
+      | 14 | 15 | 16 -> Udp dst
+      | _ -> Advance [| 0.01; 0.5; 7.0; 60.0; 300.0 |].(Random.State.int st 5))
+
+let show_reply = function
+  | None -> "none"
+  | Some (r : Engine.reply) ->
+    Printf.sprintf "%s %s ipid=%d rid=%d" (Ipv4.to_string r.Engine.src)
+      (match r.Engine.kind with
+      | Engine.Ttl_expired -> "ttl-expired"
+      | Engine.Echo_reply -> "echo"
+      | Engine.Dest_unreach -> "unreach")
+      r.Engine.ipid r.Engine.responder
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"compiled engine = reference model on corpus worlds" ~count:6
+    QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      List.iter
+        (fun ((w : Gen.world), (shared : Bdrmap.Pipeline.shared), dsts) ->
+          let fwd () =
+            Routing.Forwarding.create ~plan:shared.Bdrmap.Pipeline.plan w.Gen.net
+              (Routing.Bgp.of_snapshot shared.Bdrmap.Pipeline.snapshot)
+          in
+          let eng = Engine.create w (fwd ()) and reference = Engine_ref.create w (fwd ()) in
+          let vps = Array.of_list w.Gen.vps in
+          let st = Random.State.make [| seed; w.Gen.params.Gen.seed |] in
+          let ops = seeded_probe_ops st ~vps:(Array.length vps) ~dsts:(Array.length dsts) in
+          let same what got want =
+            if got <> want then
+              QCheck.Test.fail_reportf "%s, world %s: engine %s, reference %s" what
+                w.Gen.params.Gen.name (show_reply got) (show_reply want)
+          in
+          let trace_at vp dst flow ttl =
+            let vp = vps.(vp) and dst = dsts.(dst) in
+            same
+              (Printf.sprintf "trace to %s flow %d ttl %d" (Ipv4.to_string dst) flow ttl)
+              (Engine.trace_probe ~flow eng ~vp ~dst ~ttl)
+              (Engine_ref.trace_probe ~flow reference ~vp ~dst ~ttl)
+          in
+          List.iter
+            (function
+              | Trace { vp; dst; flow; ttls } ->
+                for ttl = 1 to ttls do
+                  trace_at vp dst flow ttl
+                done
+              | Probe { vp; dst; flow; ttl } -> trace_at vp dst flow ttl
+              | Ping d ->
+                same ("ping " ^ Ipv4.to_string dsts.(d))
+                  (Engine.ping eng ~dst:dsts.(d))
+                  (Engine_ref.ping reference ~dst:dsts.(d))
+              | Udp d ->
+                same ("udp " ^ Ipv4.to_string dsts.(d))
+                  (Engine.udp_probe eng ~dst:dsts.(d))
+                  (Engine_ref.udp_probe reference ~dst:dsts.(d))
+              | Advance dt ->
+                Engine.advance eng dt;
+                Engine_ref.advance reference dt)
+            ops;
+          if Engine.now eng <> Engine_ref.now reference then
+            QCheck.Test.fail_reportf "clocks differ on %s" w.Gen.params.Gen.name)
+        (Lazy.force ref_worlds);
+      true)
+
 let suite =
   [ Alcotest.test_case "traceroute hops are real" `Quick test_traceroute_hops_are_real;
     Alcotest.test_case "paris vs classic" `Quick test_paris_vs_classic;
@@ -426,8 +621,10 @@ let suite =
     Alcotest.test_case "clock advances" `Quick test_clock_advances;
     Alcotest.test_case "echo reply on delivery" `Quick test_echo_reply_on_delivery;
     Alcotest.test_case "cache stats counting" `Quick test_cache_stats_counting;
-    Alcotest.test_case "cache eviction rotation" `Quick test_cache_eviction_rotation;
-    Alcotest.test_case "old generation promotion" `Quick test_old_generation_promotion;
+    Alcotest.test_case "per-trace path memo" `Quick test_per_trace_memo;
+    Alcotest.test_case "per-trace memo classic traces" `Quick test_per_trace_memo_classic;
+    Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+    Qc.to_alcotest prop_engine_matches_reference;
     Alcotest.test_case "gap limit truncates" `Quick test_gap_limit_truncates;
     Alcotest.test_case "echo-only edge" `Quick test_echo_only_edge;
     Alcotest.test_case "firewalled direct probes" `Quick test_firewalled_direct_probes ]

@@ -297,6 +297,38 @@ let test_key_sensitivity () =
     (Bdrmap.Run_store.bgp_snapshot_key ~world:w ()
     <> Bdrmap.Run_store.bgp_snapshot_key ~epoch:"deadbeef" ~world:w ())
 
+(* A run payload written under an older [snapshot_version] holds an
+   older layout (version 2's [cache_stats] had four fields). It must
+   miss by key instead of being handed to [Marshal] as today's shape.
+   The key formula is pinned first (today's version reproduces
+   [Run_store.key]), so the version-2 key below is what an older tree
+   wrote. *)
+let test_old_version_key_misses () =
+  let w, inputs = Lazy.force tiny_env in
+  let cfg = Bdrmap.Config.default ~vp_asns:inputs.Bdrmap.Pipeline.vp_asns in
+  let vp = List.hd w.Gen.vps in
+  let key_at version =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            ( "bdrmap-run", version, w.Gen.params, "", 100.0, vp.Gen.vp_rid,
+              vp.Gen.vp_name, cfg )
+            []))
+  in
+  let key = Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg ~vp () in
+  Alcotest.(check int) "snapshot version" 3 Bdrmap.Run_store.snapshot_version;
+  Alcotest.(check string) "key formula" key (key_at Bdrmap.Run_store.snapshot_version);
+  let old = key_at 2 in
+  Alcotest.(check bool) "version-2 key differs" true (old <> key);
+  with_store (fun st ->
+      ignore
+        (Store.write st ~key:old
+           (Marshal.to_string (1, 2, 3, 4, "a version-2 run payload") [])
+          : int);
+      Alcotest.(check bool) "version-2 entry stored" true (Store.mem st ~key:old);
+      Alcotest.(check bool) "version-2 entry does not hit" true
+        (Bdrmap.Run_store.load st ~world:w ~pps:100.0 ~cfg ~vp = None))
+
 let suite =
   [ Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
     Alcotest.test_case "corrupt entries" `Quick test_corrupt_entries;
@@ -305,4 +337,5 @@ let suite =
     Alcotest.test_case "corruption falls back to recompute" `Slow
       test_corruption_falls_back_to_recompute;
     Alcotest.test_case "crossing-links memo" `Slow test_crossing_links_memo;
-    Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity ]
+    Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+    Alcotest.test_case "old-version key misses" `Quick test_old_version_key_misses ]
