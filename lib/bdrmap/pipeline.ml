@@ -257,7 +257,7 @@ let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
           if validate then begin
             (* Prove the incremental path byte-identical to a scratch
                freeze of the evolved world: packed words, arena (modulo
-               interning order), every LPM answer, every IGP row and
+               interning order), every LPM answer, every IGP distance and
                egress cell. Counted apart from the patched builds so
                build-accounting gates stay meaningful. *)
             let scratch =

@@ -1,23 +1,34 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh state on every draw. With [next] and [mix] inlined,
+   [int] and [float] keep every intermediate in registers and allocate
+   nothing. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = mix (bits64 t) }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 s;
+  mix s
+
+let bits64 t = next t
+let split t = of_state (mix (next t))
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod n
 
 let int_in t lo hi =
@@ -25,7 +36,7 @@ let int_in t lo hi =
   lo + int t (hi - lo + 1)
 
 let float t =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0
 
 let bool t ~p = float t < p

@@ -32,6 +32,11 @@ type t = {
   mutable misses : int;
   exposure : Bytes.t;  (* per rid: '\000' unknown, '\001' shielded, '\002' exposed *)
   exit_src : int array;  (* per rid: -2 unknown, -1 none, else the address *)
+  (* Per hop of [path]: the reply source of a [Toward_reply] or
+     [Toward_dst] router, -1 until resolved; valid for [path]'s key and
+     the reply address [hop_reply_to]. *)
+  hop_src : int array;
+  mutable hop_reply_to : int;
 }
 
 let create ?(pps = 100.0) ?fault w fwd =
@@ -39,11 +44,13 @@ let create ?(pps = 100.0) ?fault w fwd =
     match fault with Some c -> c | None -> Fault.of_profile w
   in
   let n = Net.router_count w.Gen.net in
+  let path = Fwd.trace_buffer () in
   { w; net = w.Gen.net; fwd; ipid = Ipid.create ~seed:w.Gen.params.Gen.seed; pps;
     fault = Fault.create ~seed:w.Gen.params.Gen.seed cfg;
-    clock = 0.0; probes = 0; path = Fwd.trace_buffer (); path_src = -1;
+    clock = 0.0; probes = 0; path; path_src = -1;
     path_dst = 0; path_flow = 0; hits = 0; misses = 0;
-    exposure = Bytes.make n '\000'; exit_src = Array.make n (-2) }
+    exposure = Bytes.make n '\000'; exit_src = Array.make n (-2);
+    hop_src = Array.make (Array.length path.Fwd.rids) (-1); hop_reply_to = -1 }
 
 let fault_config t = Fault.config t.fault
 let fault_stats t = Fault.stats t.fault
@@ -67,6 +74,7 @@ let load_path t ~src_rid ~dst ~flow =
   else begin
     t.misses <- t.misses + 1;
     t.path_src <- -1;
+    Array.fill t.hop_src 0 (Array.length t.hop_src) (-1);
     Fwd.trace ~flow t.fwd t.path ~src_rid ~dst;
     t.path_src <- src_rid;
     t.path_dst <- d;
@@ -120,7 +128,7 @@ let inbound t (r : Net.router) lid =
 
 (* Source-address selection for TTL-expired and unreachable messages
    from [r], which the probe entered over link [in_lid]. *)
-let select_src t (r : Net.router) ~in_lid ~dst ~reply_to =
+let resolve_src t (r : Net.router) ~in_lid ~dst ~reply_to =
   match r.Net.behavior.ttl_src with
   | Net.Inbound -> inbound t r in_lid
   | Net.Toward_reply -> (
@@ -137,6 +145,22 @@ let select_src t (r : Net.router) ~in_lid ~dst ~reply_to =
     match Fwd.forward_iface t.fwd ~rid:r.Net.rid ~dst with
     | Some a -> a
     | None -> inbound t r in_lid)
+
+(* [resolve_src] for the router at [hop] of the current path. A router
+   that answers from its route toward the destination or the prober is
+   resolved once per hop of a trace: within one path the answer
+   depends only on (router, destination) or (router, reply address). *)
+let select_src t (r : Net.router) ~hop ~in_lid ~dst ~reply_to =
+  match r.Net.behavior.ttl_src with
+  | Net.Inbound -> inbound t r in_lid
+  | Net.Toward_reply | Net.Toward_dst ->
+    if t.hop_reply_to <> Ipv4.to_int reply_to then begin
+      Array.fill t.hop_src 0 (Array.length t.hop_src) (-1);
+      t.hop_reply_to <- Ipv4.to_int reply_to
+    end;
+    if t.hop_src.(hop) < 0 then
+      t.hop_src.(hop) <- Ipv4.to_int (resolve_src t r ~in_lid ~dst ~reply_to);
+    Ipv4.of_int t.hop_src.(hop)
 
 (* Fault gates run before [make_reply] so suppressed replies consume no
    IP-ID state: a dropped reply must leave the responder's counter
@@ -172,7 +196,8 @@ let trace_probe ?(flow = 0) t ~vp ~dst ~ttl =
         else None
       else if r.Net.behavior.ttl_expired && gate t r then
         let src =
-          select_src t r ~in_lid:p.Fwd.lids.(ttl - 1) ~dst ~reply_to:vp.Gen.vp_addr
+          select_src t r ~hop:(ttl - 1) ~in_lid:p.Fwd.lids.(ttl - 1) ~dst
+            ~reply_to:vp.Gen.vp_addr
         in
         Some (make_reply t r ~src ~kind:Ttl_expired)
       else None
@@ -189,7 +214,8 @@ let trace_probe ?(flow = 0) t ~vp ~dst ~ttl =
       | Fwd.Sunk ->
         if r.Net.behavior.unreach && gate t r then
           let src =
-            select_src t r ~in_lid:p.Fwd.lids.(n - 1) ~dst ~reply_to:vp.Gen.vp_addr
+            select_src t r ~hop:(n - 1) ~in_lid:p.Fwd.lids.(n - 1) ~dst
+              ~reply_to:vp.Gen.vp_addr
           in
           Some (make_reply t r ~src ~kind:Dest_unreach)
         else None

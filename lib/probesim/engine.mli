@@ -22,7 +22,9 @@
     is walked once per trace ({!Routing.Forwarding.trace}) and kept in
     the engine until a probe asks for another (source, destination,
     flow); the walk is pure, so a re-trace recomputes an equal path.
-    Per-router facts — whether direct probes reach the router, and the
+    The reply source of a router that answers from its route (toward
+    the destination or the prober) is resolved once per hop of that
+    path. Per-router facts — whether direct probes reach the router, and the
     source of a reply leaving by its AS's primary exit — are computed at
     most once per engine, and IP-ID counters are keyed by int. An engine
     assumes its world's topology does not change under it.

@@ -1,50 +1,46 @@
 open Netcore
 module Net = Topogen.Net
 
-(* A forwarding plan: IGP distance tables, egress choices and
-   the interdomain-link index precomputed once and never written again.
-   The bulk — distance rows, egress lids — is packed into Bigarrays the
-   GC never traces, indexed by small per-router row tables; each worker
-   keeps its own private tables for the (cold) keys the plan does not
-   cover.
+(* A forwarding plan: IGP distance tables, egress choices and the
+   interdomain-link index, precomputed once and never written again.
 
-   Each IGP row is its own Bigarray, sized to the router count when it
-   was computed; routers past its end read as infinity. Evolution never
-   changes an existing AS's internal topology, so a patched plan shares
-   every old row by reference and runs Dijkstra only for new targets.
+   IGP: every AS gets one dense all-pairs matrix over its own routers,
+   indexed by each router's local index (its rank among the AS's
+   routers, in rid order). Cell [to * n + from] is the distance from
+   [from] to [to], by Dijkstra from [to] over the AS's internal links;
+   routers of different ASes are at infinite IGP distance. Evolution never changes an existing AS's routers or internal links,
+   so a patched plan shares every old AS's matrix by reference and runs
+   Dijkstra only for new ASes.
 
-   [p_egress] encodes one int per (planned router, prefix slot):
-   [-2] unplanned (fall back to the private memo), [-1] planned with no
-   egress, otherwise the chosen link id. *)
-type float_ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+   Egress: [p_egress] holds one lid per (planned router, prefix slot),
+   or -1 for no egress (no route, or no reachable candidate), packed in
+   a Bigarray the GC never traces. Routers outside the plan's egress
+   rows answer from each instance's private memo, scored the same way. *)
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type plan = {
   p_routers : int;  (* router count of the planned world *)
-  p_igp_row : int array;  (* target rid -> row index into [p_igp], or -1 *)
-  p_igp : float_ba array;  (* per target row: IGP distance from each rid *)
+  p_as : int array;  (* rid -> AS index *)
+  p_loc : int array;  (* rid -> local index within its AS *)
+  p_members : int array array;  (* AS index -> its rids, ascending *)
+  p_igp : float array array;  (* AS index -> n x n distances, [to * n + from] *)
   p_egr_row : int array;  (* rid -> row index into [p_egress], or -1 *)
   p_pfx : Prefix.t array;  (* sorted prefix slots; = Bgp snapshot slots *)
-  p_egress : int_ba;  (* rows x |p_pfx| egress lids (-2 unplanned, -1 none) *)
+  p_egress : int_ba;  (* rows x |p_pfx| egress lids (-1 none) *)
   p_between : (Asn.t * Asn.t, Net.link list) Hashtbl.t;
 }
+
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   net : Net.t;
   bgp : Bgp.t;
-  plan : plan option;
-  (* Distances to a target router from every router of the same AS,
-     computed by Dijkstra from the target over internal links. *)
-  igp : (int, float array) Hashtbl.t;
-  (* (rid, prefix) -> chosen egress link id, or -1 for none. *)
-  egress_memo : (int * Prefix.t, int) Hashtbl.t;
-  (* (asn1, asn2) -> interdomain links between them. *)
-  mutable between : (Asn.t * Asn.t, Net.link list) Hashtbl.t option;
+  plan : plan Lazy.t;
+  np : int;  (* prefix slots of [bgp] *)
+  (* rid * np + pslot -> chosen egress lid, or -1 for none, for routers
+     without an egress row in the plan. *)
+  egress_memo : int Itbl.t;
 }
-
-let create ?plan net bgp =
-  { net; bgp; plan; igp = Hashtbl.create 512; egress_memo = Hashtbl.create 4096;
-    between = None }
 
 let build_between net =
   let tbl = Hashtbl.create 1024 in
@@ -58,99 +54,165 @@ let build_between net =
     (Net.interdomain_links net);
   tbl
 
-let links_between t x y =
-  let tbl =
-    match t.plan with
-    | Some plan -> plan.p_between
-    | None -> (
-      match t.between with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = build_between t.net in
-        t.between <- Some tbl;
-        tbl)
-  in
+let links_between plan x y =
   let key = if x < y then (x, y) else (y, x) in
-  Option.value ~default:[] (Hashtbl.find_opt tbl key)
+  Option.value ~default:[] (Hashtbl.find_opt plan.p_between key)
 
-(* Dijkstra from [target] over internal links of its AS, on a binary
-   heap with lazy deletion: relaxations push duplicates and stale pops
-   are skipped by the [d <= dist.(x)] guard, so the final distance
-   array is identical to the old set-as-priority-queue version. *)
-let compute_dist net target =
+(* ------------------------------------------------------------------ *)
+(* IGP: AS-local all-pairs tables.                                     *)
+
+(* One pass over the routers: each AS's index (in order of its first
+   router), each router's local index, the members of every AS, and
+   the ASN -> AS index table. *)
+let index_ases net =
   let n = Net.router_count net in
-  let dist = Array.make n infinity in
-  let pq =
-    Heap.create (fun (d1, x1) (d2, x2) ->
-        match Float.compare d1 d2 with 0 -> Int.compare x1 x2 | c -> c)
-  in
-  Heap.push pq (0.0, target);
-  dist.(target) <- 0.0;
-  let rec drain () =
-    match Heap.pop_opt pq with
-    | None -> ()
-    | Some (d, x) ->
-      if d <= dist.(x) then
-        List.iter
-          (fun ((l : Net.link), y) ->
-            let nd = d +. l.Net.weight in
-            if nd < dist.(y) then begin
-              dist.(y) <- nd;
-              Heap.push pq (nd, y)
-            end)
-          (Net.internal_neighbors net x);
-      drain ()
-  in
-  drain ();
-  dist
+  let p_as = Array.make n 0 and p_loc = Array.make n 0 in
+  let counts = Array.make (max 1 n) 0 in
+  let of_asn = Asn.Tbl.create 256 in
+  for rid = 0 to n - 1 do
+    let owner = (Net.router net rid).Net.owner in
+    let a =
+      match Asn.Tbl.find_opt of_asn owner with
+      | Some a -> a
+      | None ->
+        let a = Asn.Tbl.length of_asn in
+        Asn.Tbl.add of_asn owner a;
+        a
+    in
+    p_as.(rid) <- a;
+    p_loc.(rid) <- counts.(a);
+    counts.(a) <- counts.(a) + 1
+  done;
+  let p_members = Array.init (Asn.Tbl.length of_asn) (fun a -> Array.make counts.(a) 0) in
+  for rid = 0 to n - 1 do
+    p_members.(p_as.(rid)).(p_loc.(rid)) <- rid
+  done;
+  (p_as, p_loc, p_members, of_asn)
 
-(* A planned IGP row is as long as the router count it was computed
-   at; routers added since lie past its end, internally unreachable. *)
-let igp_get (row : float_ba) rid =
-  if rid < Bigarray.Array1.dim row then Bigarray.Array1.get row rid else infinity
+(* A binary min-heap of (distance, local index) entries over parallel
+   arrays, ordered on the pair: it pops in (distance, rid) order,
+   because local indices rank like rids. *)
+type heap = { mutable len : int; hd : float array; hv : int array }
 
-(* The private per-instance distance row toward an unplanned target. *)
-let memo_row t target =
-  match Hashtbl.find t.igp target with
-  | dist -> dist
-  | exception Not_found ->
-    let dist = compute_dist t.net target in
-    Hashtbl.replace t.igp target dist;
-    dist
+let heap_push h d v =
+  let i = ref h.len in
+  h.len <- h.len + 1;
+  let up = ref true in
+  while !up && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pd = h.hd.(p) in
+    if d < pd || (d = pd && v < h.hv.(p)) then begin
+      h.hd.(!i) <- pd;
+      h.hv.(!i) <- h.hv.(p);
+      i := p
+    end
+    else up := false
+  done;
+  h.hd.(!i) <- d;
+  h.hv.(!i) <- v
 
-(* Distance from [rid] to [target] (same AS assumed). Planned targets
-   read one float out of the packed row — no allocation, no hashing;
-   unplanned targets fall back to the private per-instance memo. *)
-let dist_at t ~target ~rid =
-  match t.plan with
-  | Some plan when plan.p_igp_row.(target) >= 0 ->
-    igp_get plan.p_igp.(plan.p_igp_row.(target)) rid
-  | _ -> (memo_row t target).(rid)
+(* Drop the top entry; the caller reads [hd.(0)], [hv.(0)] first. *)
+let heap_pop h =
+  let n = h.len - 1 in
+  h.len <- n;
+  if n > 0 then begin
+    let d = h.hd.(n) and v = h.hv.(n) in
+    let i = ref 0 and down = ref true in
+    while !down do
+      let l = (2 * !i) + 1 in
+      if l >= n then down := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (h.hd.(r) < h.hd.(l) || (h.hd.(r) = h.hd.(l) && h.hv.(r) < h.hv.(l)))
+          then r
+          else l
+        in
+        let cd = h.hd.(c) in
+        if cd < d || (cd = d && h.hv.(c) < v) then begin
+          h.hd.(!i) <- cd;
+          h.hv.(!i) <- h.hv.(c);
+          i := c
+        end
+        else down := false
+      end
+    done;
+    h.hd.(!i) <- d;
+    h.hv.(!i) <- v
+  end
+
+(* The all-pairs matrix of AS [a]: its internal links as flat
+   local-index adjacency (in [Net.internal_neighbors] order), then one
+   Dijkstra per target with lazy deletion — relaxations push
+   duplicates, stale pops fail the [d <= dist] guard — writing the
+   target's row in place. It pops and relaxes exactly as a Dijkstra
+   over rids does, so every distance is bit-identical to the reference
+   model's full-width rows (test/fwd_ref.ml). *)
+let as_matrix net p_as p_loc a members =
+  let n = Array.length members in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i rid -> off.(i + 1) <- off.(i) + List.length (Net.internal_neighbors net rid))
+    members;
+  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0.0 in
+  Array.iteri
+    (fun i rid ->
+      List.iteri
+        (fun k ((l : Net.link), y) ->
+          if p_as.(y) <> a then
+            invalid_arg (Printf.sprintf "Forwarding: internal link %d joins two ASes" l.Net.lid);
+          nbr.(off.(i) + k) <- p_loc.(y);
+          wt.(off.(i) + k) <- l.Net.weight)
+        (Net.internal_neighbors net rid))
+    members;
+  let m = Array.make (n * n) infinity in
+  let h = { len = 0; hd = Array.make (off.(n) + 1) 0.0; hv = Array.make (off.(n) + 1) 0 } in
+  for s = 0 to n - 1 do
+    let base = s * n in
+    m.(base + s) <- 0.0;
+    heap_push h 0.0 s;
+    while h.len > 0 do
+      let d = h.hd.(0) and x = h.hv.(0) in
+      heap_pop h;
+      if d <= m.(base + x) then
+        for k = off.(x) to off.(x + 1) - 1 do
+          let y = nbr.(k) in
+          let nd = d +. wt.(k) in
+          if nd < m.(base + y) then begin
+            m.(base + y) <- nd;
+            heap_push h nd y
+          end
+        done
+    done
+  done;
+  m
 
 let igp_distance t ~from_rid ~to_rid =
-  let ra = Net.router t.net from_rid and rb = Net.router t.net to_rid in
-  if not (Asn.equal ra.Net.owner rb.Net.owner) then infinity
-  else dist_at t ~target:to_rid ~rid:from_rid
+  let plan = Lazy.force t.plan in
+  let a = plan.p_as.(to_rid) in
+  if plan.p_as.(from_rid) <> a then infinity
+  else
+    plan.p_igp.(a).((plan.p_loc.(to_rid) * Array.length plan.p_members.(a))
+                    + plan.p_loc.(from_rid))
 
-(* Next internal hop from [rid] toward [target], as a link id or -1:
-   among the neighbors whose (link weight + distance) lies within the
-   ECMP tolerance of the minimum, hash the flow identifier the way
-   routers hash five-tuples. Flow 0 deterministically takes the
+(* Next internal hop from [rid] toward [target] (same AS), as a link id
+   or -1: among the neighbors whose (link weight + distance) lies
+   within the ECMP tolerance of the minimum, hash the flow identifier
+   the way routers hash five-tuples. Flow 0 deterministically takes the
    canonical path, the least (distance, lid) neighbour, which is what
    Paris traceroute's fixed flow identifier guarantees; classic
    traceroute varies the flow per probe and wobbles across equal-cost
-   paths. The distance row toward [target] is resolved once per call,
-   and the flow-0 argmin allocates nothing. *)
+   paths. The target's row is resolved once per call, and the flow-0
+   argmin allocates nothing. *)
 let ecmp_tolerance = 1.02
-
-let no_row : float_ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
 
 let internal_next_lid ~flow t rid target =
   if rid = target then -1
   else begin
-    let prow = match t.plan with Some plan -> plan.p_igp_row.(target) | None -> -1 in
-    let row = match t.plan with Some plan when prow >= 0 -> plan.p_igp.(prow) | _ -> no_row in
-    let memo = if prow >= 0 then [||] else memo_row t target in
+    let plan = Lazy.force t.plan in
+    let a = plan.p_as.(target) in
+    let m = plan.p_igp.(a) and loc = plan.p_loc in
+    let base = loc.(target) * Array.length plan.p_members.(a) in
     let ns = ref (Net.internal_neighbors t.net rid) in
     if flow = 0 then begin
       let best_d = ref infinity and best = ref (-1) in
@@ -159,11 +221,7 @@ let internal_next_lid ~flow t rid target =
         | [] -> false
         | ((l : Net.link), y) :: rest ->
           ns := rest;
-          let dy =
-            if prow < 0 then memo.(y)
-            else if y < Bigarray.Array1.dim row then Bigarray.Array1.unsafe_get row y
-            else infinity
-          in
+          let dy = m.(base + loc.(y)) in
           if dy < infinity then begin
             let d = l.Net.weight +. dy in
             if d < !best_d || (d = !best_d && l.Net.lid < !best) then begin
@@ -182,7 +240,7 @@ let internal_next_lid ~flow t rid target =
       let best = ref infinity in
       List.iter
         (fun ((l : Net.link), y) ->
-          let dy = if prow < 0 then memo.(y) else igp_get row y in
+          let dy = m.(base + loc.(y)) in
           if dy < infinity then begin
             let d = l.Net.weight +. dy in
             if d < !best then best := d;
@@ -206,167 +264,175 @@ let internal_next_lid ~flow t rid target =
     end
   end
 
-(* Candidate egress links for [rid]'s AS toward prefix [p]: links to any
-   best next-hop AS, honouring per-link selective announcement when the
-   neighbor is the origin. *)
-let egress_candidates t asn p (route : Bgp.route) =
-  Asn.Set.fold
-    (fun n acc ->
-      let ls = links_between t asn n in
-      let ls =
-        if Bgp.is_origin t.bgp n p then
-          match Bgp.allowed_links t.bgp ~origin:n ~p with
-          | None -> ls
-          | Some lids -> (
-            match List.filter (fun (l : Net.link) -> List.mem l.Net.lid lids) ls with
-            | [] -> ls  (* no pinned link toward this neighbor: unrestricted *)
-            | pinned -> pinned)
-        else ls
-      in
-      List.rev_append ls acc)
-    route.Bgp.nexthops []
+(* ------------------------------------------------------------------ *)
+(* Egress: hot-potato choice, scored once per candidate set.           *)
 
-(* The single scoring path behind the lazy memo, [freeze] and [patch]:
-   hot-potato (IGP-nearest near-side router) among the [candidates] of
-   [rid]'s AS [asn], ties broken on lowest link id, encoded as the
-   chosen lid or -1 for none. Candidates depend only on the AS and the
-   prefix, so the plan builders compute them once for all of an AS's
-   routers. *)
-let egress_among t rid asn candidates =
-  let best_d = ref infinity and best = ref (-1) in
+(* The lids of the links between [asn] and [n], ascending. *)
+let lids_between plan asn n =
+  List.sort Int.compare (List.map (fun (l : Net.link) -> l.Net.lid) (links_between plan asn n))
+
+(* The candidate egress links toward prefix slot [pslot], whose route
+   word is [w], as ascending lids: links to any best next hop
+   ([toward] maps a next-hop ASN slot to the ascending lids leading
+   there), honouring per-link selective announcement when the neighbor
+   is the origin. *)
+let candidate_lids bgp ~toward pslot w =
+  let module S = Bgp.Snapshot in
+  let p = S.prefix_of_slot bgp pslot in
+  let via k =
+    let ns = S.nexthop_slot bgp w k in
+    let lids = toward ns and n = S.asn_of_slot bgp ns in
+    match Bgp.allowed_links bgp ~origin:n ~p with
+    | Some allowed when Bgp.is_origin bgp n p -> (
+      match List.filter (fun lid -> List.mem lid allowed) lids with
+      | [] -> lids  (* no pinned link toward this neighbor: unrestricted *)
+      | pinned -> pinned)
+    | Some _ | None -> lids
+  in
+  match S.word_nexthop_count w with
+  | 1 -> via 0
+  | cnt -> List.sort_uniq Int.compare (List.concat (List.init cnt via))
+
+(* The hot-potato rule for routers [lo..hi] (local indices) of AS [a]:
+   the candidate whose near-side router is IGP-nearest, the lowest lid
+   among equal distances, and -1 when no candidate is reachable. [lids]
+   ascend, so a strict [<] keeps the lowest lid on ties and never picks
+   an infinite distance; the result does not depend on candidate
+   order. *)
+let score net plan a lids ~lo ~hi =
+  let n = Array.length plan.p_members.(a) and m = plan.p_igp.(a) in
+  let best_d = Array.make (hi - lo + 1) infinity in
+  let col = Array.make (hi - lo + 1) (-1) in
   List.iter
-    (fun (l : Net.link) ->
-      let ra = fst l.Net.a in
-      let near =
-        if Asn.equal (Net.router t.net ra).Net.owner asn then ra else fst l.Net.b
-      in
-      let d = igp_distance t ~from_rid:rid ~to_rid:near in
-      if d < !best_d || (d = !best_d && d < infinity && l.Net.lid < !best) then begin
-        best_d := d;
-        best := l.Net.lid
-      end)
-    candidates;
-  !best
+    (fun lid ->
+      let l = Net.link net lid in
+      let near = if plan.p_as.(fst l.Net.a) = a then fst l.Net.a else fst l.Net.b in
+      let base = plan.p_loc.(near) * n in
+      for i = lo to hi do
+        let d = m.(base + i) in
+        if d < best_d.(i - lo) then begin
+          best_d.(i - lo) <- d;
+          col.(i - lo) <- lid
+        end
+      done)
+    lids;
+  col
 
-let egress_lid t rid p route =
-  let asn = (Net.router t.net rid).Net.owner in
-  egress_among t rid asn (egress_candidates t asn p route)
+(* The egress column of every router of [asn] (AS index [a]) toward a
+   slot, given its route word: distinct candidate sets are keyed by
+   their lids and scored once for the whole AS. *)
+let column_scorer net bgp plan asn a =
+  let hi = Array.length plan.p_members.(a) - 1 in
+  let links = Itbl.create 16 and memo = Hashtbl.create 64 in
+  let toward ns =
+    match Itbl.find_opt links ns with
+    | Some lids -> lids
+    | None ->
+      let lids = lids_between plan asn (Bgp.Snapshot.asn_of_slot bgp ns) in
+      Itbl.add links ns lids;
+      lids
+  in
+  fun pslot w ->
+    let key = candidate_lids bgp ~toward pslot w in
+    match Hashtbl.find_opt memo key with
+    | Some col -> col
+    | None ->
+      let col = score net plan a key ~lo:0 ~hi in
+      Hashtbl.add memo key col;
+      col
 
 (* The egress lid router [rid] (of the AS at [aslot]) chooses toward
    prefix slot [pslot], or -1 for none. The plan's prefix columns are
    the snapshot's slots, so [pslot] indexes the egress row directly;
-   the route is decoded only when an unplanned router misses its
-   private memo. *)
+   a router without a row is scored once into the private memo. *)
 let egress_at t rid ~pslot ~aslot =
-  let planned =
-    match t.plan with
-    | Some plan when plan.p_egr_row.(rid) >= 0 ->
-      Bigarray.Array1.get plan.p_egress
-        ((plan.p_egr_row.(rid) * Array.length plan.p_pfx) + pslot)
-    | _ -> -2
-  in
-  if planned > -2 then planned
+  let plan = Lazy.force t.plan in
+  let row = plan.p_egr_row.(rid) in
+  if row >= 0 then Bigarray.Array1.get plan.p_egress ((row * t.np) + pslot)
   else
-    let p = Bgp.Snapshot.prefix_of_slot t.bgp pslot in
-    match Hashtbl.find_opt t.egress_memo (rid, p) with
-    | Some lid -> lid
-    | None ->
+    let key = (rid * t.np) + pslot in
+    match Itbl.find t.egress_memo key with
+    | lid -> lid
+    | exception Not_found ->
+      let w = Bgp.Snapshot.word t.bgp ~pslot ~aslot in
       let lid =
-        match Bgp.Snapshot.route_at t.bgp ~pslot ~aslot with
-        | Some route -> egress_lid t rid p route
-        | None -> -1
+        if w = 0 then -1
+        else
+          let asn = (Net.router t.net rid).Net.owner and i = plan.p_loc.(rid) in
+          let toward ns = lids_between plan asn (Bgp.Snapshot.asn_of_slot t.bgp ns) in
+          (score t.net plan plan.p_as.(rid) (candidate_lids t.bgp ~toward pslot w) ~lo:i ~hi:i).(0)
       in
-      Hashtbl.replace t.egress_memo (rid, p) lid;
+      Itbl.replace t.egress_memo key lid;
       lid
-
-(* IGP rows for every interdomain-link endpoint: these routers are the
-   targets of all egress scoring and of the internal walks toward an
-   egress, and they are identical for every VP. Home-router targets stay
-   lazy in each worker's private table. Returns the rid -> row table and
-   the row -> rid targets. *)
-let igp_targets net =
-  let p_igp_row = Array.make (Net.router_count net) (-1) in
-  let targets = ref [] and rows = ref 0 in
-  List.iter
-    (fun (l : Net.link) ->
-      List.iter
-        (fun rid ->
-          if p_igp_row.(rid) < 0 then begin
-            p_igp_row.(rid) <- !rows;
-            incr rows;
-            targets := rid :: !targets
-          end)
-        [ fst l.Net.a; fst l.Net.b ])
-    (Net.interdomain_links net);
-  (p_igp_row, Array.of_list (List.rev !targets))
-
-let igp_row net rid =
-  let dist = compute_dist net rid in
-  let row =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Array.length dist)
-  in
-  Array.iteri (Bigarray.Array1.set row) dist;
-  row
 
 (* Egress rows for the hot ASes (the VP-owning ones): every probe starts
    there, so these (rid, prefix slot) pairs recur in every worker.
    Prefix columns follow [Bgp.prefixes] order, which is the snapshot's
-   slot order, so [Bgp.lookup_slot] slots index directly. The table is
-   filled with [-2] so unwritten cells stay on the lazy path. *)
-let egress_table t egress_for ~np =
-  let p_egr_row = Array.make (Net.router_count t.net) (-1) in
+   slot order, so lookup slots index directly. Cells start at -1. *)
+let egress_table of_asn p_members egress_for ~routers ~np =
+  let p_egr_row = Array.make routers (-1) in
   let rows = ref 0 in
   Asn.Set.iter
     (fun asn ->
-      List.iter
-        (fun (r : Net.router) ->
-          if p_egr_row.(r.Net.rid) < 0 then begin
-            p_egr_row.(r.Net.rid) <- !rows;
-            incr rows
-          end)
-        (Net.routers_of t.net asn))
+      Option.iter
+        (fun a ->
+          Array.iter
+            (fun rid ->
+              p_egr_row.(rid) <- !rows;
+              incr rows)
+            p_members.(a))
+        (Asn.Tbl.find_opt of_asn asn))
     egress_for;
   let p_egress = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!rows * np) in
-  Bigarray.Array1.fill p_egress (-2);
+  Bigarray.Array1.fill p_egress (-1);
   (p_egr_row, p_egress)
+
+let write_column plan ~np a pslot (col : int array) =
+  let members = plan.p_members.(a) in
+  for i = 0 to Array.length members - 1 do
+    Bigarray.Array1.set plan.p_egress ((plan.p_egr_row.(members.(i)) * np) + pslot) col.(i)
+  done
+
+let build ~egress_for net bgp =
+  let p_as, p_loc, p_members, of_asn = index_ases net in
+  let p_igp = Array.mapi (as_matrix net p_as p_loc) p_members in
+  let p_pfx = Array.of_list (Bgp.prefixes bgp) in
+  let np = Array.length p_pfx in
+  let routers = Net.router_count net in
+  let p_egr_row, p_egress = egress_table of_asn p_members egress_for ~routers ~np in
+  let plan =
+    { p_routers = routers; p_as; p_loc; p_members; p_igp; p_egr_row; p_pfx; p_egress;
+      p_between = build_between net }
+  in
+  Asn.Set.iter
+    (fun asn ->
+      Option.iter
+        (fun a ->
+          let aslot = Bgp.Snapshot.asn_slot bgp asn in
+          let column = column_scorer net bgp plan asn a in
+          for pi = 0 to np - 1 do
+            let w = Bgp.Snapshot.word bgp ~pslot:pi ~aslot in
+            if w <> 0 then write_column plan ~np a pi (column pi w)
+          done)
+        (Asn.Tbl.find_opt of_asn asn))
+    egress_for;
+  plan
+
+(* Without a plan, an instance builds its own on first use: all-pairs
+   IGP and the interconnect index, with every egress answered by the
+   private memo. *)
+let create ?plan net bgp =
+  { net; bgp;
+    plan =
+      (match plan with
+      | Some p -> Lazy.from_val p
+      | None -> lazy (build ~egress_for:Asn.Set.empty net bgp));
+    np = Bgp.Snapshot.prefix_count bgp;
+    egress_memo = Itbl.create 4096 }
 
 let freeze ?(egress_for = Asn.Set.empty) t =
   Obs.Metrics.incr "routing.plan.builds";
-  let p_igp_row, targets = igp_targets t.net in
-  let p_igp = Array.map (igp_row t.net) targets in
-  let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
-  let np = Array.length p_pfx in
-  let p_egr_row, p_egress = egress_table t egress_for ~np in
-  let plan =
-    { p_routers = Net.router_count t.net; p_igp_row; p_igp; p_egr_row; p_pfx;
-      p_egress; p_between = build_between t.net }
-  in
-  (* Scoring runs against the plan itself: the IGP rows above are
-     exactly the distances egress selection needs, and the [-2] fill
-     keeps unwritten egress cells on the lazy path during the fill. *)
-  let scored = { t with plan = Some plan } in
-  Asn.Set.iter
-    (fun asn ->
-      (* Slot hoisting: intern the ASN once per AS, and decode each
-         prefix's route and gather its candidate links once for all of
-         the AS's routers. *)
-      let aslot = Bgp.Snapshot.asn_slot t.bgp asn in
-      let routers = Net.routers_of t.net asn in
-      Array.iteri
-        (fun pi p ->
-          Option.iter
-            (fun route ->
-              let candidates = egress_candidates scored asn p route in
-              List.iter
-                (fun (r : Net.router) ->
-                  Bigarray.Array1.set p_egress
-                    ((p_egr_row.(r.Net.rid) * np) + pi)
-                    (egress_among scored r.Net.rid asn candidates))
-                routers)
-            (Bgp.Snapshot.route_at t.bgp ~pslot:pi ~aslot))
-        p_pfx)
-    egress_for;
-  plan
+  build ~egress_for t.net t.bgp
 
 (* ------------------------------------------------------------------ *)
 (* Incremental plan patch, the forwarding side of [Bgp.refreeze].      *)
@@ -378,41 +444,55 @@ let freeze ?(egress_for = Asn.Set.empty) t =
    ([Bgp.refreeze_stats.rf_dirty_prefixes]).
 
    What can be reused, and why:
-   - IGP distance rows: evolution never touches the *internal* topology
-     of a pre-churn AS (new routers belong to new ASes, link events are
-     interdomain), so an old target's distance row is still exact and
-     is shared by reference; routers added since lie past its end and
-     read as infinity. Only endpoints that gained a row (new
-     interconnects) run Dijkstra.
+   - IGP matrices: evolution never touches the routers or internal
+     links of a pre-churn AS (new routers belong to new ASes, link
+     events are interdomain), so an AS whose member list is unchanged
+     shares its old matrix by reference. Only new ASes run Dijkstra.
    - Egress cells: a cell (router of AS a, prefix p) is recomputed when
      p is BGP-dirty (its route may differ), when p left/entered the
      prefix set, or when some next hop z of a's route has (a, z) in the
      changed-interconnect set (candidate links differ with the route
-     intact). The test reads the packed route word and its next-hop
-     segment; only recomputed cells decode the route. Everything else
-     scores identically, so the old lid is copied. *)
+     intact), decided on the packed route word and its next-hop
+     segment. Every other cell scores identically: with the prefix
+     axis unchanged the old table is copied by row (or whole), else
+     cell by cell through the old-slot map. Recomputed columns go
+     through the same candidate-set scorer as [freeze]. *)
 let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   Obs.Metrics.incr "routing.plan.patches";
-  let snap = t.bgp in
+  let snap = t.bgp and net = t.net in
   let module S = Bgp.Snapshot in
   let old_routers = old.p_routers in
-  let p_igp_row, targets = igp_targets t.net in
+  let p_as, p_loc, p_members, of_asn = index_ases net in
+  (* [fresh.(a)]: AS [a]'s matrix was recomputed, so none of its old
+     egress cells carry over. *)
+  let fresh = Array.make (Array.length p_members) false in
   let p_igp =
-    Array.map
-      (fun rid ->
-        let orow = if rid < old_routers then old.p_igp_row.(rid) else -1 in
-        if orow >= 0 then old.p_igp.(orow) else igp_row t.net rid)
-      targets
+    Array.mapi
+      (fun a members ->
+        let r0 = members.(0) in
+        let oa = if r0 < old_routers then old.p_as.(r0) else -1 in
+        if oa >= 0 && old.p_members.(oa) = members then old.p_igp.(oa)
+        else begin
+          fresh.(a) <- true;
+          as_matrix net p_as p_loc a members
+        end)
+      p_members
   in
-  let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
+  let p_pfx = Array.of_list (Bgp.prefixes snap) in
   let np = Array.length p_pfx in
   let np_old = Array.length old.p_pfx in
-  let new2old = Array.make (max 1 np) (-1) in
+  (* Surviving prefix slots, as runs that kept their neighbours:
+     (new start, old start, length). *)
+  let new2old = Array.make (max 1 np) (-1) and runs = ref [] in
   let i = ref 0 and j = ref 0 in
   while !i < np_old && !j < np do
     match Prefix.compare old.p_pfx.(!i) p_pfx.(!j) with
     | 0 ->
       new2old.(!j) <- !i;
+      (runs :=
+         match !runs with
+         | (j0, i0, len) :: rest when j0 + len = !j && i0 + len = !i -> (j0, i0, len + 1) :: rest
+         | rs -> (!j, !i, 1) :: rs);
       incr i;
       incr j
     | c when c < 0 -> incr i
@@ -445,68 +525,63 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   List.iter
     (fun (c, provs) -> Asn.Set.iter (fun pr -> note (c, pr)) provs)
     churn.Bgp.ch_new_stubs;
-  let p_egr_row, p_egress = egress_table t egress_for ~np in
+  let routers = Net.router_count net in
+  let p_egr_row, p_egress = egress_table of_asn p_members egress_for ~routers ~np in
   let plan =
-    { p_routers = Net.router_count t.net; p_igp_row; p_igp; p_egr_row; p_pfx;
-      p_egress; p_between = build_between t.net }
+    { p_routers = routers; p_as; p_loc; p_members; p_igp; p_egr_row; p_pfx; p_egress;
+      p_between = build_between net }
   in
-  let scored = { t with plan = Some plan } in
+  (* Clean cells: each planned router's old row, run by run, or the
+     whole table at once when nothing moved. Cells recomputed below are
+     overwritten. *)
+  let old_row rid = if rid < old_routers then old.p_egr_row.(rid) else -1 in
+  if np = np_old && !runs = [ (0, 0, np) ] && p_egr_row = old.p_egr_row then
+    Bigarray.Array1.blit old.p_egress p_egress
+  else
+    Array.iteri
+      (fun rid row ->
+        let orow = old_row rid in
+        if row >= 0 && orow >= 0 then
+          List.iter
+            (fun (j, i, len) ->
+              Bigarray.Array1.blit
+                (Bigarray.Array1.sub old.p_egress ((orow * np_old) + i) len)
+                (Bigarray.Array1.sub p_egress ((row * np) + j) len))
+            !runs)
+      p_egr_row;
+  let none = Array.make routers (-1) in
   let patched_cells = ref 0 in
   Asn.Set.iter
     (fun asn ->
-      let aslot = S.asn_slot snap asn in
-      let affected = Option.value ~default:[] (Asn.Tbl.find_opt changed_with asn) in
-      let rec hits w k =
-        k < S.word_nexthop_count w
-        && (List.mem (S.nexthop_slot snap w k) affected || hits w (k + 1))
-      in
-      let rids =
-        Array.of_list
-          (List.map (fun (r : Net.router) -> r.Net.rid) (Net.routers_of t.net asn))
-      in
-      let orows =
-        Array.map (fun rid -> if rid < old_routers then old.p_egr_row.(rid) else -1) rids
-      in
-      (* Loops, not closures, so a copied cell allocates nothing. *)
-      for pi = 0 to np - 1 do
-        let w = S.word snap ~pslot:pi ~aslot in
-        if w <> 0 then begin
-          let clean = (not dirty_col.(pi)) && not (hits w 0) in
-          let candidates = ref None in
-          for i = 0 to Array.length rids - 1 do
-            let v =
-              if clean && orows.(i) >= 0 then
-                Bigarray.Array1.get old.p_egress ((orows.(i) * np_old) + new2old.(pi))
-              else begin
-                incr patched_cells;
-                let c =
-                  match !candidates with
-                  | Some c -> c
-                  | None ->
-                    let c =
-                      egress_candidates scored asn p_pfx.(pi)
-                        (Option.get (S.route_at snap ~pslot:pi ~aslot))
-                    in
-                    candidates := Some c;
-                    c
-                in
-                egress_among scored rids.(i) asn c
-              end
-            in
-            Bigarray.Array1.set p_egress ((p_egr_row.(rids.(i)) * np) + pi) v
-          done
-        end
-      done)
+      match Asn.Tbl.find_opt of_asn asn with
+      | None -> ()
+      | Some a ->
+        let aslot = S.asn_slot snap asn in
+        let members = p_members.(a) in
+        let unseen = fresh.(a) || Array.exists (fun rid -> old_row rid < 0) members in
+        let affected = Option.value ~default:[] (Asn.Tbl.find_opt changed_with asn) in
+        let rec hits w k =
+          k < S.word_nexthop_count w
+          && (List.mem (S.nexthop_slot snap w k) affected || hits w (k + 1))
+        in
+        let column = column_scorer net snap plan asn a in
+        for pi = 0 to np - 1 do
+          let w = S.word snap ~pslot:pi ~aslot in
+          if unseen || dirty_col.(pi) || (w <> 0 && hits w 0) then begin
+            patched_cells := !patched_cells + Array.length members;
+            write_column plan ~np a pi (if w = 0 then none else column pi w)
+          end
+        done)
     egress_for;
   Obs.Metrics.add "routing.plan.patched_cells" !patched_cells;
   plan
 
 (* Semantic plan equality, the forwarding-side oracle of the churn
    tests: a scratch freeze of the post-churn world must agree with the
-   patched plan on every distance row, every egress cell, and the
-   interconnect index. Row *assignment* is compared semantically (same
-   routers planned), contents exactly (both sides derive from the same
-   deterministic Dijkstra). *)
+   patched plan on the AS partition, every IGP matrix cell, every
+   egress cell, and the interconnect index. Egress row *assignment* is
+   compared semantically (same routers planned), contents exactly
+   (both sides derive from the same deterministic Dijkstra). *)
 let plan_equal ~scratch ~patched =
   let fail fmt = Printf.ksprintf Result.error fmt in
   let s = scratch and q = patched in
@@ -515,6 +590,7 @@ let plan_equal ~scratch ~patched =
   else if Array.length s.p_pfx <> Array.length q.p_pfx then
     fail "prefix counts differ: %d vs %d" (Array.length s.p_pfx)
       (Array.length q.p_pfx)
+  else if s.p_members <> q.p_members then fail "AS partitions differ"
   else begin
     let exception Mismatch of string in
     let failm fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt in
@@ -525,18 +601,17 @@ let plan_equal ~scratch ~patched =
             failm "prefix slot %d differs: %s vs %s" i (Prefix.to_string p)
               (Prefix.to_string q.p_pfx.(i)))
         s.p_pfx;
+      Array.iteri
+        (fun a members ->
+          let n = Array.length members in
+          Array.iteri
+            (fun k x ->
+              if not (Float.equal x q.p_igp.(a).(k)) then
+                failm "igp distance to %d from %d differs: %g vs %g"
+                  members.(k / n) members.(k mod n) x q.p_igp.(a).(k))
+            s.p_igp.(a))
+        s.p_members;
       for rid = 0 to s.p_routers - 1 do
-        (match (s.p_igp_row.(rid) >= 0, q.p_igp_row.(rid) >= 0) with
-        | true, false | false, true ->
-          failm "igp row presence differs for router %d" rid
-        | false, false -> ()
-        | true, true ->
-          let sr = s.p_igp.(s.p_igp_row.(rid)) and qr = q.p_igp.(q.p_igp_row.(rid)) in
-          for i = 0 to s.p_routers - 1 do
-            let a = igp_get sr i and b = igp_get qr i in
-            if not (Float.equal a b) then
-              failm "igp distance to %d from %d differs: %g vs %g" rid i a b
-          done);
         match (s.p_egr_row.(rid) >= 0, q.p_egr_row.(rid) >= 0) with
         | true, false | false, true ->
           failm "egress row presence differs for router %d" rid

@@ -13,44 +13,45 @@ module Net = Topogen.Net
 
 type t
 
-(** A forwarding plan: IGP distance tables for every
-    interdomain-link endpoint, egress choices for the hot (VP-owning)
-    ASes, and the interdomain-link index — precomputed once and never
-    written again, so a plan is safe to share by reference across
-    [Netcore.Pool] domains. The distance and egress tables are packed
-    into [Bigarray] rows (GC-invisible plain words) indexed by small
-    per-router row tables, one Bigarray per IGP target row so a patched
-    plan can share unchanged rows; keys outside the plan fall back to
-    each worker's private lazy tables. *)
+(** A forwarding plan: one all-pairs IGP distance matrix per AS over
+    all of its routers, egress choices for the hot (VP-owning) ASes,
+    and the interdomain-link index — precomputed once and never written
+    again, so a plan is safe to share by reference across
+    [Netcore.Pool] domains. The egress table is packed into a
+    [Bigarray] (GC-invisible plain words) indexed by a small per-router
+    row table; the per-AS matrices are separate arrays so a patched plan
+    can share unchanged ones. Egress cells of routers outside the hot
+    ASes are scored on first use into each instance's private memo. *)
 type plan
 
 (** [create ?plan net bgp] builds forwarding state over [bgp]. With
-    [plan], hot lookups answer from the plan's shared tables; without
-    it, everything is computed lazily per instance (the pre-snapshot
-    behaviour). A plan must only be paired with a [bgp] answering
-    identically to the one it was built from. *)
+    [plan], every lookup answers from the plan's shared tables; without
+    it, the instance builds its own plan (IGP matrices and link index,
+    no egress rows) on first use. A plan must only be paired with a
+    [bgp] answering identically to the one it was built from. *)
 val create : ?plan:plan -> Net.t -> Bgp.t -> t
 
 (** [freeze ?egress_for t] precomputes the shared read-only plan:
-    the interdomain-link index, IGP distances to every interdomain-link
-    endpoint, and — for each AS in [egress_for] — the egress choice of
-    each of its routers for every originated prefix, via exactly the
-    same scoring path the lazy memo uses. Counted under the
+    the interdomain-link index, every AS's all-pairs IGP distances, and
+    — for each AS in [egress_for] — the egress choice of each of its
+    routers for every routed prefix. Each distinct candidate-link set
+    of an AS is scored once for all its routers, by the same rule the
+    private memo applies to one router. Counted under the
     [routing.plan.builds] metric. *)
 val freeze : ?egress_for:Asn.Set.t -> t -> plan
 
 (** [patch ?egress_for t ~old ~churn ~dirty] is the incremental form of
     {!freeze}: [t] must be a fresh instance over the post-churn net and
     the patched snapshot, [old] the pre-churn plan, [dirty] the
-    BGP-dirty prefixes ([Bgp.refreeze_stats.rf_dirty_prefixes]). IGP distance rows of
-    pre-churn routers are shared with [old] by reference (evolution
-    never alters the internal topology of an existing AS, and routers
-    added since read as infinity); only new interconnect endpoints run
-    Dijkstra. Egress cells are re-scored only for BGP-dirty prefix
-    columns, new prefixes, and routes whose next-hop set intersects an
-    AS pair with changed physical links, decided on the packed route
-    word and its next-hop segment; every other cell is copied without
-    decoding its route.
+    BGP-dirty prefixes ([Bgp.refreeze_stats.rf_dirty_prefixes]). The
+    IGP matrix of every AS whose routers are unchanged is shared with
+    [old] by reference (evolution never alters the routers or internal
+    links of an existing AS); only new ASes run Dijkstra. Clean egress
+    cells are copied from [old] a row (or the whole table) at a time;
+    cells are re-scored only for BGP-dirty prefix columns, new
+    prefixes, and routes whose next-hop set intersects an AS pair with
+    changed physical links, decided on the packed route word and its
+    next-hop segment.
     The result satisfies {!plan_equal} against a scratch [freeze] of
     [t]. Counted under [routing.plan.patches], with recomputed cells
     under [routing.plan.patched_cells]. *)
@@ -63,11 +64,10 @@ val patch :
   plan
 
 (** [plan_equal ~scratch ~patched] is semantic equality between two
-    plans of the same world: identical router/prefix axes, the same set
-    of planned distance rows with exactly equal contents, the same
-    egress rows cell for cell, and the same interdomain-link index. The
-    forwarding-side oracle of the churn tests. [Error] carries the
-    first mismatch. *)
+    plans of the same world: identical router/prefix axes and AS
+    partition, bit-equal IGP matrices, the same egress rows cell for
+    cell, and the same interdomain-link index. The forwarding-side
+    oracle of the churn tests. [Error] carries the first mismatch. *)
 val plan_equal : scratch:plan -> patched:plan -> (unit, string) result
 
 type hop =

@@ -11,7 +11,7 @@
      packed snapshot's interned ASN axis only ever appends;
    - the internal topology of a pre-existing AS never changes — new
      routers belong to new ASes and link events are interdomain — so
-     planned IGP distance rows stay exact. *)
+     its planned IGP distance matrix stays exact. *)
 
 open Netcore
 module B = Bgpdata

@@ -6,7 +6,7 @@
     Every event preserves the two invariants the delta path depends on:
     new ASNs sort strictly above every existing ASN (the packed
     snapshot's interned axis only appends), and the internal topology
-    of a pre-existing AS never changes (planned IGP rows stay exact —
+    of a pre-existing AS never changes (its planned IGP matrix stays exact —
     link events are interdomain and new routers belong to new ASes).
 
     The [Net.t] is mutated in place; previously built routing

@@ -2,7 +2,7 @@
    world, with the incremental re-freeze (Bgp.refreeze + Lpm patching +
    Forwarding.patch) pinned byte-identical to a from-scratch freeze of
    the evolved world — packed words, arena, every LPM answer, every
-   IGP row and egress cell. Plus a QCheck property chaining random
+   IGP distance and egress cell. Plus a QCheck property chaining random
    multi-class event batches across epochs, shrinking to one seed. *)
 
 open Netcore

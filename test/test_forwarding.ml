@@ -233,6 +233,115 @@ let test_frozen_plan_equivalence () =
         (d = d' || abs_float (d -. d') < 1e-9))
     w.vps
 
+(* -- Property: the plan answers like the reference model -- *)
+
+module Bgp = Routing.Bgp
+module Evolve = Topogen.Evolve
+
+let fresh_bgp (w : Gen.world) =
+  Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+    ~selective:w.Gen.selective
+
+(* Every same-AS router pair's IGP distance, bit for bit, and for every
+   sibling-AS router (through the plan's egress rows) plus [others]
+   (through the private memo) the egress link toward the first and last
+   address of each prefix slot, against [Fwd_ref] on the same snapshot. *)
+let check_against_ref ~what (w : Gen.world) snap plan ~others =
+  let net = w.Gen.net and bgp = Bgp.of_snapshot snap in
+  let fwd = Fwd.create ~plan net bgp and reference = Fwd_ref.create net bgp in
+  let members asn = List.map (fun (r : Net.router) -> r.Net.rid) (Net.routers_of net asn) in
+  Asn.Set.iter
+    (fun asn ->
+      let rids = members asn in
+      List.iter
+        (fun from_rid ->
+          List.iter
+            (fun to_rid ->
+              let got = Fwd.igp_distance fwd ~from_rid ~to_rid
+              and want = Fwd_ref.igp_distance reference ~from_rid ~to_rid in
+              if not (Float.equal got want) then
+                QCheck.Test.fail_reportf "%s: igp distance %d -> %d: plan %h, reference %h" what
+                  from_rid to_rid got want)
+            rids)
+        rids)
+    (Net.asns net);
+  let lid = function None -> -1 | Some (l : Net.link) -> l.Net.lid in
+  let dsts = List.concat_map (fun p -> [ Prefix.first p; Prefix.last p ]) (Bgp.prefixes bgp) in
+  let check_egress rids =
+    List.iter
+      (fun rid ->
+        List.iter
+          (fun dst ->
+            let got = lid (Fwd.egress_link fwd ~rid ~dst)
+            and want = lid (Fwd_ref.egress_link reference ~rid ~dst) in
+            if got <> want then
+              QCheck.Test.fail_reportf "%s: egress of router %d toward %s: plan %d, reference %d"
+                what rid (Ipv4.to_string dst) got want)
+          dsts)
+      rids
+  in
+  check_egress (List.concat_map members (Asn.Set.elements w.Gen.siblings) @ others)
+
+(* A corpus world at scale 0.1 with its snapshot and scratch plan.
+   Evolve mutates a world's net in place, so every evolution starts
+   from a freshly generated copy. With [cut], the first VP's router
+   loses its internal links, partitioning its AS: every egress
+   candidate lies at infinite IGP distance from it. *)
+let corpus_world ?(cut = false) (s : Topogen.Corpus.scenario) =
+  let w = Gen.generate (s.Topogen.Corpus.sc_params ~scale:0.1) in
+  if cut then
+    List.iter
+      (fun ((l : Net.link), _) -> Net.remove_link w.Gen.net l.Net.lid)
+      (Net.internal_neighbors w.Gen.net (List.hd w.Gen.vps).Gen.vp_rid);
+  let snap = Bgp.freeze (fresh_bgp w) in
+  (w, snap, Fwd.freeze ~egress_for:w.Gen.siblings (Fwd.create w.Gen.net (Bgp.of_snapshot snap)))
+
+(* On every corpus world at scale 0.1, on each of them with its first
+   VP cut off inside its AS, and on each after one forced event of
+   every Evolve class (site drawn from the seed), the plan answers like
+   the reference model: for an evolved world both the patch of the
+   pre-event plan and a scratch freeze. The seed also picks the routers
+   whose egress is checked through the private memo. *)
+let prop_plan_matches_reference =
+  QCheck.Test.make ~name:"plan = reference model on corpus worlds and their evolutions" ~count:2
+    QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      List.iter
+        (fun scenario ->
+          let name = scenario.Topogen.Corpus.sc_name in
+          let st = Random.State.make [| seed |] in
+          let sample (w : Gen.world) =
+            List.init 8 (fun _ -> Random.State.int st (Net.router_count w.Gen.net))
+          in
+          let w, snap, plan = corpus_world scenario in
+          check_against_ref ~what:name w snap plan ~others:(sample w);
+          let w, snap, plan = corpus_world ~cut:true scenario in
+          check_against_ref ~what:(name ^ " cut") w snap plan ~others:(sample w);
+          List.iter
+            (fun kind ->
+              let w, snap, plan = corpus_world scenario in
+              let rec force s =
+                if s > seed + 50 then None
+                else match Evolve.force ~seed:s kind w with Some r -> Some r | None -> force (s + 1)
+              in
+              match force seed with
+              | None -> ()
+              | Some (w', te) ->
+                let what = name ^ " + " ^ Evolve.kind_label kind in
+                let churn = Bgp.churn_of_events [ te ] in
+                let snap', stats = Bgp.refreeze (fresh_bgp w') ~old:snap churn in
+                let fwd' = Fwd.create w'.Gen.net (Bgp.of_snapshot snap') in
+                let patched =
+                  Fwd.patch ~egress_for:w'.Gen.siblings fwd' ~old:plan ~churn
+                    ~dirty:stats.Bgp.rf_dirty_prefixes
+                in
+                let scratch = Fwd.freeze ~egress_for:w'.Gen.siblings fwd' in
+                check_against_ref ~what:(what ^ " (patch)") w' snap' patched ~others:(sample w');
+                check_against_ref ~what:(what ^ " (freeze)") w' snap' scratch ~others:[])
+            Evolve.all_kinds)
+        Topogen.Corpus.all;
+      true)
+
 let suite =
   [ Alcotest.test_case "paths are connected" `Quick test_paths_connected;
     Alcotest.test_case "paths reach origin AS" `Quick test_paths_reach_origin_as;
@@ -242,4 +351,5 @@ let suite =
     Alcotest.test_case "igp distance" `Quick test_igp_distance_properties;
     Alcotest.test_case "reply iface on router" `Quick test_reply_iface_on_router;
     Alcotest.test_case "selective prefixes pinned" `Quick test_selective_prefix_pinned;
-    Alcotest.test_case "frozen plan equivalence" `Quick test_frozen_plan_equivalence ]
+    Alcotest.test_case "frozen plan equivalence" `Quick test_frozen_plan_equivalence;
+    Qc.to_alcotest prop_plan_matches_reference ]

@@ -1,8 +1,6 @@
-(* Netcore.Heap: unit coverage plus properties pinning it against the
-   obvious reference (List.sort), including the lazy-deletion pattern
-   the Dijkstra loops rely on. *)
-
-open Netcore
+(* Heap (the reference models' priority queue): unit coverage plus
+   properties pinning it against the obvious reference (List.sort),
+   including the lazy-deletion pattern the Dijkstra loops rely on. *)
 
 let test_empty () =
   let h = Heap.create Int.compare in

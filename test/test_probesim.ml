@@ -363,12 +363,13 @@ let words_per_call n f =
 (* Allocation budget of the compiled prober, on the tiny world with no
    faults. A probe answered from the current path allocates its reply
    (record and option, 7 words) and the clock tick's boxed float (2);
-   a direct probe also the address lookup's option (2). Some routers
-   cost more per reply: a random IP-ID draws from a boxed-Int64 RNG, a
-   virtual router resolves its forwarding interface. The Paris-trace
-   bound is the mean over every TTL of one trace (14.8 words when
-   measured), the ping and UDP bounds are for a shared-counter router
-   (11 words); a re-boxed key or a per-hop list breaks them. *)
+   a direct probe also the address lookup's option (2). A random IP-ID
+   draw allocates nothing (the RNG state is unboxed), and a virtual or
+   default-exit router resolves its reply interface once per hop of a
+   trace. The Paris-trace bound is the mean over every TTL of one trace
+   (9 words when measured), the ping and UDP bounds are for a
+   shared-counter router (11 words); a re-boxed key, a boxed RNG draw
+   or a per-reply route lookup breaks them. *)
 let test_allocation_budget () =
   let w, _ = Lazy.force setup in
   let eng = fresh_engine w in
@@ -398,9 +399,9 @@ let test_allocation_budget () =
     if v > budget then
       Alcotest.failf "%s allocates %.1f minor words per probe (budget %.0f)" name v budget
   in
-  check "paris-trace hit" 16.0 hit;
-  check "ping" 12.0 ping;
-  check "udp" 12.0 udp
+  check "paris-trace hit" 9.0 hit;
+  check "ping" 11.0 ping;
+  check "udp" 11.0 udp
 
 let test_gap_limit_truncates () =
   let w, eng = Lazy.force edge_setup in

@@ -78,6 +78,61 @@ let test_bool_p () =
   done;
   Alcotest.(check bool) "p=0.25" true (!hits > 2200 && !hits < 2800)
 
+(* The first 64 draws of [int], [float] and [split] (each split child's
+   first [int]) for three seeds, pinned as digests of their printed
+   values plus the first three in the clear. Every simulated world is a
+   function of these streams. *)
+let pinned =
+  [ (0, "int", "219926de9b50d508874530371a410842", "164651883;548588925;867886419");
+    ( 0,
+      "float",
+      "d8d2169f371f1664a05b5b059565cb0f",
+      "0x1.c4415072f63b9p-1;0x1.b9e279aa86e58p-2;0x1.b1174620025p-6" );
+    (0, "split", "ffcdc7a75a55c23cf2e0e63e9af3a440", "508477819;393746326;556329607");
+    (42, "int", "b1afeb5b9bac301a0d5f56bbc9006e10", "540076570;828047797;118319285");
+    ( 42,
+      "float",
+      "b5b081d5b95ec0293faae3d1055c52f7",
+      "0x1.31367e26140c7p-1;0x1.486da5f92b86cp-3;0x1.54c85f31d00d8p-3" );
+    (42, "split", "dd1ca7020d5615071725b384620b12a1", "328210195;638062903;668741067");
+    (20161114, "int", "bbe272b27cad4349ea73bf52a9dc2328", "974276392;11097503;546305503");
+    ( 20161114,
+      "float",
+      "a9c33050ad2ed493f4067461ad915862",
+      "0x1.03b990ca99d8p-4;0x1.25cb0db6ce10ap-2;0x1.c59b8c6c12c01p-1" );
+    (20161114, "split", "f480367589cb31ceac074ef89497984f", "150287017;146970483;496178196") ]
+
+let test_pinned_streams () =
+  List.iter
+    (fun (seed, kind, digest, first3) ->
+      let r = Rng.create seed in
+      let draws =
+        List.init 64 (fun _ ->
+            match kind with
+            | "int" -> string_of_int (Rng.int r 1_000_000_000)
+            | "float" -> Printf.sprintf "%h" (Rng.float r)
+            | _ -> string_of_int (Rng.int (Rng.split r) 1_000_000_000))
+      in
+      let what = Printf.sprintf "seed %d %s" seed kind in
+      Alcotest.(check string) (what ^ ", first three") first3
+        (String.concat ";" (List.filteri (fun i _ -> i < 3) draws));
+      Alcotest.(check string) (what ^ ", 64 draws") digest
+        (Digest.to_hex (Digest.string (String.concat "," draws))))
+    pinned
+
+(* A draw keeps the state unboxed: [n] draws allocate exactly what an
+   empty loop does. *)
+let test_int_allocates_nothing () =
+  let r = Rng.create 17 in
+  let words n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Rng.int r 1000))
+    done;
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0)) "minor words for 100k draws" (words 0) (words 100_000)
+
 let suite =
   [ Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
@@ -87,4 +142,6 @@ let suite =
     Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "sample" `Quick test_sample;
     Alcotest.test_case "weighted pick" `Quick test_weighted;
-    Alcotest.test_case "bool with probability" `Quick test_bool_p ]
+    Alcotest.test_case "bool with probability" `Quick test_bool_p;
+    Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+    Alcotest.test_case "int allocates nothing" `Quick test_int_allocates_nothing ]
