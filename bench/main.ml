@@ -32,10 +32,9 @@ let banner title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
 (* Wall-clock + GC accounting per timed region, collected for
-   BENCH.json. GC deltas come from [Gc.quick_stat] (no heap walk), so
-   the measurement itself stays cheap; allocation volume is what the
-   snapshot/plan sharing is supposed to cut, so it is tracked next to
-   wall time. *)
+   BENCH.json. None of the reads walks the heap, so the measurement
+   itself stays cheap; allocation volume is what the snapshot/plan
+   sharing is supposed to cut, so it is tracked next to wall time. *)
 type row = {
   r_name : string;
   r_wall_s : float;
@@ -47,17 +46,30 @@ type row = {
 
 let wall_times : row list ref = ref []
 
+(* Words allocated so far, (minor, major). On OCaml 5.1 [Gc.quick_stat]
+   leaves out the current minor heap (a 1000-cons loop reads 0 minor
+   words) and the major words since the last slice, and
+   [Gc.counters]'s minor count takes the current minor heap at an
+   eighth (the same loop reads 376); [Gc.minor_words] and
+   [Gc.counters]'s major count are exact. [Gc.quick_stat] still
+   supplies heap size and compactions. *)
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 let timed name f =
   let g0 = Gc.quick_stat () in
+  let minor0, major0 = alloc_words () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
+  let minor1, major1 = alloc_words () in
   let g1 = Gc.quick_stat () in
   wall_times :=
     { r_name = name;
       r_wall_s = dt;
-      r_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      r_major_words = g1.Gc.major_words -. g0.Gc.major_words;
+      r_minor_words = minor1 -. minor0;
+      r_major_words = major1 -. major0;
       r_heap_words = float_of_int g1.Gc.heap_words;
       r_compactions = g1.Gc.compactions - g0.Gc.compactions }
     :: !wall_times;
@@ -174,14 +186,11 @@ let churn_bench () =
       let r = f () in
       (r, Unix.gettimeofday () -. t0)
     in
-    let g0 = Gc.quick_stat () in
+    let minor0, major0 = alloc_words () in
     let r, dt = wall f in
-    let g1 = Gc.quick_stat () in
+    let minor1, major1 = alloc_words () in
     let walls = dt :: List.init 4 (fun _ -> snd (wall f)) in
-    ( r,
-      List.nth (List.sort Float.compare walls) 2,
-      g1.Gc.minor_words -. g0.Gc.minor_words,
-      g1.Gc.major_words -. g0.Gc.major_words )
+    (r, List.nth (List.sort Float.compare walls) 2, minor1 -. minor0, major1 -. major0)
   in
   let w0 =
     Topogen.Gen.generate (Topogen.Scenario.small_access ~scale:1.0 ())

@@ -10,11 +10,7 @@ type merged = {
   seen_by : string list;
 }
 
-let of_run vp_name graph result =
-  let lines = Output.links_to_lines graph result in
-  match Output.links_of_lines lines with
-  | Ok links -> { vp_name; links }
-  | Error e -> invalid_arg ("Aggregate.of_run: " ^ e)
+let of_run vp_name graph result = { vp_name; links = Output.link_records graph result }
 
 let same_link (m : merged) (r : Output.link_record) =
   Asn.equal m.neighbor r.Output.neighbor
@@ -75,9 +71,8 @@ let merge runs =
     runs;
   List.init !n (fun i -> Hashtbl.find items i)
 
-(* Extracting per-VP link sets round-trips each run through the output
-   text format — independent work, so it parallelizes per VP.  Order is
-   preserved either way. *)
+(* Extracting per-VP link sets is independent work, so it parallelizes
+   per VP.  Order is preserved either way. *)
 let of_runs ?pool runs =
   let extract (vp_name, graph, result) = of_run vp_name graph result in
   match pool with

@@ -159,25 +159,32 @@ let addrs_str = function
   | [] -> "-"
   | addrs -> String.concat "," (List.map Ipv4.to_string addrs)
 
-let links_to_lines g (r : Heuristics.result) =
-  List.map
-    (fun (l : Heuristics.border_link) ->
-      let addrs_of = function
-        | None -> []
-        | Some id -> Rgraph.all_addrs (Rgraph.node g id)
-      in
-      Printf.sprintf "link|%s|%s|%d|%s"
-        (addrs_str (addrs_of l.Heuristics.near_node))
-        (addrs_str (addrs_of l.Heuristics.far_node))
-        l.Heuristics.neighbor (tag_slug l.Heuristics.tag))
-    r.Heuristics.links
-
 type link_record = {
   near_addrs : Ipv4.t list;
   far_addrs : Ipv4.t list;
   neighbor : Asn.t;
   tag : Heuristics.tag;
 }
+
+let link_records g (r : Heuristics.result) =
+  let addrs_of = function
+    | None -> []
+    | Some id -> Rgraph.all_addrs (Rgraph.node g id)
+  in
+  List.map
+    (fun (l : Heuristics.border_link) ->
+      { near_addrs = addrs_of l.Heuristics.near_node;
+        far_addrs = addrs_of l.Heuristics.far_node;
+        neighbor = l.Heuristics.neighbor;
+        tag = l.Heuristics.tag })
+    r.Heuristics.links
+
+let links_to_lines g r =
+  List.map
+    (fun l ->
+      Printf.sprintf "link|%s|%s|%d|%s" (addrs_str l.near_addrs) (addrs_str l.far_addrs)
+        l.neighbor (tag_slug l.tag))
+    (link_records g r)
 
 let links_of_lines lines =
   let parse_addrs s =

@@ -24,8 +24,6 @@ val collection_to_lines : Collect.t -> string list
     zero. *)
 val collection_of_lines : string list -> (Collect.t, string) result
 
-val links_to_lines : Rgraph.t -> Heuristics.result -> string list
-
 type link_record = {
   near_addrs : Netcore.Ipv4.t list;
   far_addrs : Netcore.Ipv4.t list;
@@ -33,4 +31,14 @@ type link_record = {
   tag : Heuristics.tag;
 }
 
+(** [link_records g r] is one record per inferred border link, with
+    each side's router addresses read off [g] ([[]] for an unobserved
+    far router). *)
+val link_records : Rgraph.t -> Heuristics.result -> link_record list
+
+(** [links_to_lines g r] renders {!link_records} in the link format. *)
+val links_to_lines : Rgraph.t -> Heuristics.result -> string list
+
+(** [links_of_lines lines] parses the link format back; it inverts
+    {!links_to_lines}. *)
 val links_of_lines : string list -> (link_record list, string) result

@@ -89,36 +89,26 @@ type kernel = {
   k_hops : int array;
 }
 
-(* The propagation input: the world's routing facts, plus the kernel
-   built on first use by [freeze] or [refreeze] (see [kernel]). Only
-   those two read it; every routing query answers from a snapshot. *)
+(* The propagation input: the world's routing facts, their slot table,
+   and the kernel, which [freeze] or [refreeze] builds on first use (a
+   re-freeze with nothing to propagate needs the slot table alone).
+   The origin trie and the sorted prefix list are lazy too: a re-freeze
+   whose originated list equals the old snapshot's takes both from it.
+   Only those two read the input, on one domain; every routing query
+   answers from a snapshot. *)
 type input = {
   net : Net.t;
   rels : B.As_rel.t;
-  origin_trie : Asn.Set.t Ptrie.t;
+  origin_trie : Asn.Set.t Ptrie.t Lazy.t;
   originated : (Prefix.t * Asn.Set.t) list;
   selective : int list Prefix.Map.t Asn.Map.t;
-  prefixes_memo : Prefix.t list;
-  mutable kern : kernel option;
+  prefixes_memo : Prefix.t list Lazy.t;
+  slots : Asn.t array;  (* sorted interning table = the kernel's [k_asns] *)
+  kern : kernel Lazy.t;
 }
 
 (* A query handle is the snapshot itself. *)
 type t = snapshot
-
-let create net rels ~originated ~selective =
-  let origin_trie =
-    List.fold_left
-      (fun trie (p, asns) ->
-        Ptrie.update p
-          (function
-            | None -> Some asns
-            | Some prev -> Some (Asn.Set.union prev asns))
-          trie)
-      Ptrie.empty originated
-  in
-  { net; rels; origin_trie; originated; selective;
-    prefixes_memo = List.sort_uniq Prefix.compare (List.map fst originated);
-    kern = None }
 
 let origins_in trie p = Option.value ~default:Asn.Set.empty (Ptrie.find_exact p trie)
 let prefixes s = s.s_prefixes
@@ -148,10 +138,10 @@ let slot_of_array cmp a x =
   in
   go 0 (Array.length a)
 
-let kernel_create net rels =
-  let asns =
-    Array.of_list (Asn.Set.elements (Asn.Set.union (Net.asns net) (B.As_rel.asns rels)))
-  in
+let slot_table net rels =
+  Array.of_list (Asn.Set.elements (Asn.Set.union (Net.asns net) (B.As_rel.asns rels)))
+
+let kernel_create asns rels =
   let n = Array.length asns in
   let adjacency neighbours =
     let off = Array.make (n + 1) 0 in
@@ -179,8 +169,38 @@ let kernel_create net rels =
     k_queue = Array.make n 0; k_peerq = Array.make n 0; k_provq = Array.make n 0;
     k_hops = Array.make n 0 }
 
-(* Gao-Rexford propagation of one prefix with origin set [os]. Three
-   stages:
+let create net rels ~originated ~selective =
+  let origin_trie =
+    lazy
+      (List.fold_left
+         (fun trie (p, asns) ->
+           Ptrie.update p
+             (function
+               | None -> Some asns
+               | Some prev -> Some (Asn.Set.union prev asns))
+             trie)
+         Ptrie.empty originated)
+  in
+  let slots = slot_table net rels in
+  { net; rels; origin_trie; originated; selective;
+    prefixes_memo = lazy (List.sort_uniq Prefix.compare (List.map fst originated));
+    slots; kern = lazy (kernel_create slots rels) }
+
+(* [origin_slots asns os] is the origin set [os] as its ascending slot
+   list, with ASNs outside the slot table dropped: exactly what the
+   kernel reads of [os]. Being a plain list of ints, it is canonical
+   where the [Asn.Set.t] tree is not (equal sets can differ in shape),
+   so it is the key of the row memo (see [fill_row]). *)
+let origin_slots asns os =
+  List.rev
+    (Asn.Set.fold
+       (fun o acc ->
+         let i = slot_of_array Asn.compare asns o in
+         if i < 0 then acc else i :: acc)
+       os [])
+
+(* Gao-Rexford propagation of one prefix whose origins hold the slots
+   [origins] (see [origin_slots]). Three stages:
    1. "up": customer routes climb c2p edges from the origins (BFS);
    2. "peer": one peer edge on top of an up route;
    3. "down": best routes descend p2c edges (Dijkstra over hop counts,
@@ -189,22 +209,19 @@ let kernel_create net rels =
    with the route's next-hop slots, ascending, in [k_hops.(0 .. len-1)].
    An origin has up distance 0 and no route of its own; at dist 1 the
    origin is a neighbour's next hop like any other up-0 AS. *)
-let propagate k os emit =
+let propagate k origins emit =
   let n = Array.length k.k_asns in
   let up = k.k_up and pd = k.k_pd and vd = k.k_vd and q = k.k_queue in
   Array.fill up 0 n unset;
   Array.fill pd 0 n unset;
   Array.fill vd 0 n unset;
   let tail = ref 0 in
-  Asn.Set.iter
-    (fun o ->
-      let i = slot_of_array Asn.compare k.k_asns o in
-      if i >= 0 && up.(i) <> 0 then begin
-        up.(i) <- 0;
-        q.(!tail) <- i;
-        incr tail
-      end)
-    os;
+  List.iter
+    (fun i ->
+      up.(i) <- 0;
+      q.(!tail) <- i;
+      incr tail)
+    origins;
   (* Stage 1: the queue ends up holding exactly the up-routed slots. *)
   let head = ref 0 in
   while !head < !tail do
@@ -311,16 +328,6 @@ let propagate k os emit =
       end
   done
 
-(* Built once per propagation input, on first use by [freeze] or
-   [refreeze]. *)
-let kernel t =
-  match t.kern with
-  | Some k -> k
-  | None ->
-    let k = kernel_create t.net t.rels in
-    t.kern <- Some k;
-    k
-
 (* Growable next-hop arena with segment interning: identical next-hop
    sets share one segment. A one-slot segment is found through
    [ar_single] (slot -> offset) without allocating; longer ones, the
@@ -379,10 +386,29 @@ let arena_freeze ar =
 
 (* Runs the kernel for one prefix and writes its packed words into the
    row at [base], interning each next-hop segment. *)
-let propagate_row k ar (words : int_ba) ~base os =
-  propagate k os (fun x cls dist m ->
+let propagate_row k ar (words : int_ba) ~base origins =
+  propagate k origins (fun x cls dist m ->
       let off = arena_intern ar k.k_hops m in
       Bigarray.Array1.set words (base + x) (pack_word ~cls ~dist ~count:m ~off))
+
+(* The row memo. A route row is a function of the origin slots alone,
+   and the benchmark world's 907 prefixes have only 355 distinct origin
+   sets, so each distinct set propagates once and every later prefix
+   with the same set copies the finished row. [memo] maps an
+   [origin_slots] list to the prefix slot of a final row in [words].
+   The copy is byte for byte what propagation would write into the same
+   arena: a second run on the same origins emits the same routes, and
+   every segment it would intern is already interned, so it appends
+   nothing. The kernel is forced on the first miss only. *)
+let fill_row t ar (words : int_ba) memo ~n ~pslot origins =
+  match Hashtbl.find_opt memo origins with
+  | Some src ->
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub words (src * n) n)
+      (Bigarray.Array1.sub words (pslot * n) n)
+  | None ->
+    Hashtbl.replace memo origins pslot;
+    propagate_row (Lazy.force t.kern) ar words ~base:(pslot * n) origins
 
 (* Packed-word access: 0 means "no route". Decoding rebuilds the boxed
    [route] record on demand; the zero-allocation accessors below read
@@ -466,10 +492,10 @@ let collector_view s collectors =
 let snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena ~s_lpm =
   { s_net = t.net;
     s_rels = t.rels;
-    s_origin_trie = t.origin_trie;
+    s_origin_trie = Lazy.force t.origin_trie;
     s_originated = t.originated;
     s_selective = t.selective;
-    s_prefixes = t.prefixes_memo;
+    s_prefixes = Lazy.force t.prefixes_memo;
     s_asns;
     s_pfx;
     s_words;
@@ -483,16 +509,20 @@ let zeros len =
 
 let freeze ?(counter = "routing.snapshot.builds") t =
   Obs.Metrics.incr counter;
-  let k = kernel t in
-  let s_pfx = Array.of_list t.prefixes_memo in
-  let n = Array.length k.k_asns in
+  let s_asns = t.slots in
+  let prefixes = Lazy.force t.prefixes_memo in
+  let trie = Lazy.force t.origin_trie in
+  let s_pfx = Array.of_list prefixes in
+  let n = Array.length s_asns in
   let s_words = zeros (Array.length s_pfx * n) in
   let ar = arena_create ~slots:n (zeros 0) in
+  let memo = Hashtbl.create 256 in
   Array.iteri
-    (fun pi p -> propagate_row k ar s_words ~base:(pi * n) (origins_in t.origin_trie p))
+    (fun pslot p ->
+      fill_row t ar s_words memo ~n ~pslot (origin_slots s_asns (origins_in trie p)))
     s_pfx;
-  snapshot_make t ~s_asns:k.k_asns ~s_pfx ~s_words ~s_arena:(arena_freeze ar)
-    ~s_lpm:(Lpm.build (List.mapi (fun i p -> (p, i)) t.prefixes_memo))
+  snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena:(arena_freeze ar)
+    ~s_lpm:(Lpm.build (List.mapi (fun i p -> (p, i)) prefixes))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-freeze: dirty-prefix deltas over a packed snapshot.  *)
@@ -559,10 +589,14 @@ type refreeze_stats = {
 }
 
 (* [refreeze t ~old churn]: [t] is the propagation input of the
-   post-churn world, [old] the pre-churn snapshot. Only
-   dirty prefixes re-propagate; every clean row is a Bigarray blit
-   whose packed words stay valid verbatim because the old arena is the
-   new arena's prefix and old ASN slots are stable. New-AS columns on
+   post-churn world, [old] the pre-churn snapshot. Every clean row is a
+   Bigarray blit whose packed words stay valid verbatim because the old
+   arena is the new arena's prefix and old ASN slots are stable. Only
+   dirty rows need new words: each copies an earlier dirty row with the
+   same origin set through the row memo, or propagates. The kernel's
+   adjacency is built on the first propagation, and an unchanged
+   originated list takes the origin trie and prefix axis from [old], so
+   a link add or remove builds neither. New-AS columns on
    clean rows are filled by the stub rule: a pure stub's only possible
    route is a provider route one hop past its providers' best — the
    same answer the kernel derives, since a stub feeds nothing back into
@@ -571,9 +605,23 @@ type refreeze_stats = {
    [routing.snapshot.patch_fallbacks]) rather than guessing. *)
 let refreeze t ~old churn =
   Obs.Metrics.incr "routing.snapshot.patches";
-  let k = kernel t in
-  let s_asns = k.k_asns in
-  let s_pfx = Array.of_list t.prefixes_memo in
+  let same_originated =
+    List.equal
+      (fun (p, a) (q, b) -> Prefix.equal p q && Asn.Set.equal a b)
+      t.originated old.s_originated
+  in
+  let t =
+    if same_originated then
+      { t with
+        origin_trie = Lazy.from_val old.s_origin_trie;
+        prefixes_memo = Lazy.from_val old.s_prefixes }
+    else t
+  in
+  let trie = Lazy.force t.origin_trie in
+  let s_asns = t.slots in
+  let s_pfx =
+    if same_originated then old.s_pfx else Array.of_list (Lazy.force t.prefixes_memo)
+  in
   let n = Array.length s_asns in
   let np = Array.length s_pfx in
   let n_old = Array.length old.s_asns in
@@ -686,12 +734,16 @@ let refreeze t ~old churn =
               |> List.map (slot_of_array Asn.compare s_asns)
               |> Array.of_list)
       in
+      let hops =
+        Array.make (Array.fold_left (fun m p -> max m (Array.length p)) 1 stub_cols) 0
+      in
+      let memo = Hashtbl.create 64 in
       for pn = 0 to np - 1 do
         let base = pn * n in
-        let os = origins_in t.origin_trie s_pfx.(pn) in
+        let os = origins_in trie s_pfx.(pn) in
         if dirty.(pn) then begin
           incr n_dirty;
-          propagate_row k ar words ~base os
+          fill_row t ar words memo ~n ~pslot:pn (origin_slots s_asns os)
         end
         else begin
           let po = new2old.(pn) in
@@ -714,11 +766,11 @@ let refreeze t ~old churn =
                   Array.iter
                     (fun pa ->
                       if dist_of pa = best then begin
-                        k.k_hops.(!m) <- pa;
+                        hops.(!m) <- pa;
                         incr m
                       end)
                     provs;
-                  let off = arena_intern ar k.k_hops !m in
+                  let off = arena_intern ar hops !m in
                   Bigarray.Array1.set words (base + n_old + c)
                     (pack_word ~cls:Prov ~dist:(best + 1) ~count:!m ~off)
                 end

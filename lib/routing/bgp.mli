@@ -60,11 +60,14 @@ val create :
   selective:int list Prefix.Map.t Asn.Map.t ->
   input
 
-(** [freeze t] runs the kernel once per originated prefix and writes
+(** [freeze t] runs the kernel once per distinct origin set and writes
     each route straight into the packed arenas: a route word per
     (prefix, ASN slot), and the next-hop slots interned as a shared
-    arena segment (a one-slot segment without allocating). Every call
-    runs the full propagation. Counted under the
+    arena segment (a one-slot segment without allocating). A prefix
+    whose origin set (keyed by its sorted ASN slots, ASNs outside the
+    graph ignored) has already propagated copies that row; the result
+    is byte-identical to propagating every prefix. The memo lives for
+    one call: no row is reused across calls. Counted under the
     [routing.snapshot.builds] metric by default; [?counter] redirects
     the count (validation and bench scratch freezes use
     ["routing.snapshot.scratch_builds"] so build accounting gates stay
@@ -146,10 +149,10 @@ val churn_of_events : Topogen.Evolve.timed list -> churn
 
 type refreeze_stats = {
   rf_total : int;  (** prefixes in the new snapshot *)
-  rf_dirty : int;  (** prefixes re-propagated *)
+  rf_dirty : int;  (** dirty prefixes: re-propagated or copied *)
   rf_dirty_prefixes : Prefix.t list;
-      (** the re-propagated prefixes, sorted — the forwarding plan
-          patches exactly these columns *)
+      (** the dirty prefixes, sorted — the forwarding plan patches
+          exactly these columns *)
   rf_fallback : bool;
       (** the append-only ASN contract was violated and the patch
           degraded to a full recompute *)
@@ -157,14 +160,19 @@ type refreeze_stats = {
 
 (** [refreeze t ~old churn] is the incremental form of {!freeze}: [t]
     is the propagation input of the post-churn world, [old] the
-    pre-churn snapshot. Only dirty prefixes (changed origins, new
-    prefixes, and prefixes where a removed edge appeared in a next-hop
-    segment) re-propagate through the kernel; clean rows are blitted,
-    new-stub columns are derived from their providers' packed words,
-    and the LPM is shared (prefix set unchanged) or slot-patched. With
-    no dirty prefix and both axes unchanged (single-link churn) the
-    words and arena are shared with [old]. The result is semantically
-    identical to [freeze] of [t] from scratch ({!Snapshot.equal}).
+    pre-churn snapshot. Clean rows are blitted, new-stub columns are
+    derived from their providers' packed words, and the LPM is shared
+    (prefix set unchanged) or slot-patched. Only dirty prefixes (changed
+    origins, new prefixes, and prefixes where a removed edge appeared in
+    a next-hop segment) get new rows: each copies an earlier dirty row
+    with the same origin set, or else propagates through the kernel,
+    whose adjacency is built on the first such propagation. When the
+    originated list equals [old]'s, the origin trie and prefix axis are
+    taken from [old] rather than rebuilt. With no dirty prefix and both
+    axes unchanged (single-link churn) the words and arena are shared
+    with [old]. The
+    result is semantically identical to [freeze] of [t] from scratch
+    ({!Snapshot.equal}); its arena layout may differ.
     Counted under [routing.snapshot.patches], with the dirty count
     under [routing.snapshot.dirty_prefixes]. *)
 val refreeze : input -> old:snapshot -> churn -> snapshot * refreeze_stats

@@ -94,10 +94,36 @@ let test_merge_real_runs () =
      in
      List.sort compare mu = mu)
 
+(* [of_run] builds link records straight from the graph and the
+   inference; the text format must carry exactly the same records, so
+   rendering and re-parsing a run is the identity on every corpus
+   world. *)
+let test_of_run_matches_text_roundtrip () =
+  let total = ref 0 in
+  List.iter
+    (fun (sc : Topogen.Corpus.scenario) ->
+      let w = Gen.generate (sc.Topogen.Corpus.sc_params ~scale:0.1) in
+      let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+      let vp = List.hd w.Gen.vps in
+      let r = Bdrmap.Pipeline.execute engine inputs ~vp in
+      let g = r.Bdrmap.Pipeline.graph and inf = r.Bdrmap.Pipeline.inference in
+      let direct = (Ag.of_run vp.Gen.vp_name g inf).Ag.links in
+      total := !total + List.length direct;
+      match Bdrmap.Output.links_of_lines (Bdrmap.Output.links_to_lines g inf) with
+      | Error e -> Alcotest.failf "%s: %s" sc.Topogen.Corpus.sc_name e
+      | Ok parsed ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d records" sc.Topogen.Corpus.sc_name (List.length direct))
+          true (direct = parsed))
+    Topogen.Corpus.all;
+  Alcotest.(check bool) "some links compared" true (!total > 0)
+
 let suite =
   [ Alcotest.test_case "merge same link" `Quick test_merge_same_link;
     Alcotest.test_case "distinct links stay apart" `Quick test_distinct_links_stay_apart;
     Alcotest.test_case "silent links match on near" `Quick test_silent_links_match_on_near;
     Alcotest.test_case "per neighbor" `Quick test_per_neighbor;
     Alcotest.test_case "marginal utility" `Quick test_marginal_utility;
-    Alcotest.test_case "merge real runs" `Quick test_merge_real_runs ]
+    Alcotest.test_case "merge real runs" `Quick test_merge_real_runs;
+    Alcotest.test_case "of_run = text round trip on corpus worlds" `Quick
+      test_of_run_matches_text_roundtrip ]

@@ -250,8 +250,42 @@ let prop_churn_matches_reference =
            [ Evolve.Depeer; Evolve.New_customer ]);
       true)
 
+(* A surviving prefix gains an origin while the prefix list stays the
+   same: the re-freeze must read the new origin set, not the old
+   snapshot's, for the dirty row and for [Bgp.origins]. No Evolve class
+   makes this change, so the input is edited by hand. *)
+let test_origin_change () =
+  let w = base_world () in
+  let old_snap, _ = freeze_world w in
+  let originated = Gen.originated w in
+  let p, os = List.hd originated in
+  let extra =
+    Asn.Set.find_first
+      (fun a -> not (Asn.Set.mem a os))
+      (Bgpdata.As_rel.asns w.Gen.rels_truth)
+  in
+  let originated' =
+    (p, Asn.Set.add extra os) :: List.tl originated
+  in
+  let input () =
+    Bgp.create w.Gen.net w.Gen.rels_truth ~originated:originated'
+      ~selective:w.Gen.selective
+  in
+  let snap, stats =
+    Bgp.refreeze (input ()) ~old:old_snap
+      { Bgp.no_churn with Bgp.ch_dirty_prefixes = [ p ] }
+  in
+  Alcotest.(check int) "one dirty prefix" 1 stats.Bgp.rf_dirty;
+  Alcotest.(check bool) "new origin visible" true
+    (Asn.Set.mem extra (Bgp.origins snap p));
+  check_equal_snapshots ~what:"origin change"
+    (Bgp.freeze ~counter:"routing.snapshot.scratch_builds" (input ()))
+    snap
+
 let suite =
   [ Alcotest.test_case "zero churn is a strict no-op" `Quick test_zero_churn;
+    Alcotest.test_case "origin change on a surviving prefix" `Quick
+      test_origin_change;
     Alcotest.test_case "schedule validation" `Quick test_schedule_validation;
     Alcotest.test_case "link add" `Quick
       (test_class ~expect_dirty:0 Evolve.Link_add);

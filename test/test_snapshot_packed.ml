@@ -45,7 +45,14 @@ let prop_packed_equals_boxed =
    where the kernel's stage order matters: a customer
    reachable both from a near peer-routed provider and a far up-routed
    one takes the near one's route. Each case is one seed, so a failure
-   shrinks to one seed. *)
+   shrinks to one seed.
+
+   Origin sets repeat, so [freeze]'s row memo is exercised: each set
+   comes back on a later prefix rebuilt in descending insertion order
+   (a different tree shape) and once more with the out-of-graph ASN
+   999 added, which the kernel ignores. Every prefix must still match
+   the reference, and prefixes whose origin sets differ only by ASNs
+   outside the graph must hold identical rows. *)
 let prop_kernel_random_graphs =
   QCheck.Test.make ~name:"kernel = reference model on random relationship graphs"
     ~count:300
@@ -66,23 +73,41 @@ let prop_kernel_random_graphs =
           | _ -> ()
         done
       done;
-      let originated =
+      let sets =
         List.init
           (1 + Random.State.int st 3)
-          (fun i ->
+          (fun _ ->
             let origin () =
               if Random.State.int st 10 = 0 then 999 else 1 + Random.State.int st n
             in
-            ( Prefix.make (Ipv4.of_int (0x0A000000 + (i lsl 8))) 24,
-              Asn.Set.of_list (List.init (1 + Random.State.int st 3) (fun _ -> origin ()))
-            ))
+            Asn.Set.of_list (List.init (1 + Random.State.int st 3) (fun _ -> origin ())))
+      in
+      let reordered s =
+        List.fold_left (fun acc a -> Asn.Set.add a acc) Asn.Set.empty
+          (List.rev (Asn.Set.elements s))
+      in
+      let sets = sets @ List.map reordered sets @ List.map (Asn.Set.add 999) sets in
+      let originated =
+        List.mapi (fun i s -> (Prefix.make (Ipv4.of_int (0x0A000000 + (i lsl 8))) 24, s)) sets
       in
       let net = Net.create () in
       let bgp = Bgp.create net !rels ~originated ~selective:Asn.Map.empty in
       let reference = Bgp_ref.create net !rels ~originated in
-      match Bgp_ref.check_snapshot reference (Bgp.freeze bgp) with
-      | Ok () -> true
-      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m)
+      let snap = Bgp.freeze bgp in
+      let in_graph s = Asn.Set.filter (fun a -> S.asn_slot snap a >= 0) s in
+      let same_row (p1, s1) (p2, s2) =
+        (not (Asn.Set.equal (in_graph s1) (in_graph s2)))
+        ||
+        let ps1 = S.prefix_slot snap p1 and ps2 = S.prefix_slot snap p2 in
+        List.for_all
+          (fun aslot -> S.word snap ~pslot:ps1 ~aslot = S.word snap ~pslot:ps2 ~aslot)
+          (List.init (S.asn_count snap) Fun.id)
+      in
+      match Bgp_ref.check_snapshot reference snap with
+      | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m
+      | Ok () ->
+        List.for_all (fun a -> List.for_all (same_row a) originated) originated
+        || QCheck.Test.fail_report "equal origin sets hold different rows")
 
 (* The world `experiments fig14` sweeps, at scale 0.1: every route,
    AS path and boundary lookup of its snapshot against the reference
@@ -93,6 +118,24 @@ let test_fig14_world_matches_reference () =
   match Bgp_ref.check_snapshot (Bgp_ref.of_world w) (Bgp.freeze (bgp_of w)) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "fig14 world: %s" m
+
+(* [freeze] propagates each distinct origin set once and copies the
+   row into every other prefix with that set. The copy must be byte for
+   byte what one propagation per prefix writes, words and arena alike:
+   these digests of [Snapshot.to_bytes] were taken when [freeze] still
+   propagated every prefix. *)
+let test_freeze_bytes_pinned () =
+  let moas = Option.get (Topogen.Corpus.by_name "moas_storm") in
+  List.iter
+    (fun (name, params, digest) ->
+      let snap = Bgp.freeze (bgp_of (Gen.generate params)) in
+      Alcotest.(check string) name digest (Digest.to_hex (Digest.bytes (S.to_bytes snap))))
+    [ ( "large_access scale 0.3 seed 22",
+        Topogen.Scenario.large_access ~scale:0.3 ~seed:22 (),
+        "f2cbfd7e535bc27b28efa3795c1b2b99" );
+      ( "moas_storm scale 0.1",
+        moas.Topogen.Corpus.sc_params ~scale:0.1,
+        "23e1612588bb3130f16aefdd430c63eb" ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serialization. *)
@@ -178,6 +221,8 @@ let suite =
     Qc.to_alcotest prop_kernel_random_graphs;
     Alcotest.test_case "fig14 world = reference model" `Quick
       test_fig14_world_matches_reference;
+    Alcotest.test_case "freeze bytes pinned (large_access, moas_storm)" `Quick
+      test_freeze_bytes_pinned;
     Alcotest.test_case "to_bytes/of_bytes round-trip" `Quick test_roundtrip;
     Alcotest.test_case "corrupted byte rejected" `Quick test_corrupted_byte_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
