@@ -252,27 +252,16 @@ let config_string ~command ~scenario ~scale ~seed ~jobs kvs =
   String.concat " "
     (List.map (fun (k, v) -> k ^ "=" ^ v) (base @ kvs))
 
-(* Output artifacts are published atomically: content goes to a temp
-   file in the target directory and lands under its real name with a
-   rename, and the channel is closed (and the temp removed) even when a
-   write raises — a failed command leaves either the complete file or
-   nothing, never a torn artifact or a leaked fd. *)
+(* Output artifacts are published atomically (Store.Envelope.publish):
+   a failed command leaves either the complete file or nothing, never a
+   torn artifact or a leaked fd. *)
 let write_file path lines =
-  let tmp = path ^ ".tmp" in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         List.iter
-           (fun l ->
-             output_string oc l;
-             output_char oc '\n')
-           lines)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
+  Store.Envelope.publish path (fun oc ->
+      List.iter
+        (fun l ->
+          output_string oc l;
+          output_char oc '\n')
+        lines);
   Printf.printf "wrote %s (%d lines)\n%!" path (List.length lines)
 
 let setup_env ?store params =

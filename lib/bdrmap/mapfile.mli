@@ -2,22 +2,13 @@
     link set plus the origin view a query server needs to answer
     [owner]/[crossings]/[provenance] without re-running the pipeline.
 
-    Entries follow the [lib/store] header discipline:
-
-    {v
-      offset  size  field
-      0       4     magic "BDMF"
-      4       4     codec version (big-endian)
-      8       16    MD5 digest of the payload
-      24      8     payload length (big-endian)
-      32      n     payload
-    v}
-
-    The payload is the marshalled {!t} — boxed metadata only, no packed
-    arenas (the routing snapshot travels separately through
-    {!Routing.Bgp.Snapshot.to_bytes}). Decoding validates magic,
-    version, declared length and digest before unmarshalling, so a
-    flipped byte is a typed {!decode_error}, never a [Marshal] crash. *)
+    The artifact is a {!Store.Envelope} image with magic ["BDMF"] and
+    version {!codec_version}; its payload is the marshalled {!t} —
+    boxed metadata only, no packed arenas (the routing snapshot
+    travels separately through {!Routing.Bgp.Snapshot.to_bytes}). The
+    envelope is checked before unmarshalling, so a flipped byte, a
+    false length or trailing bytes are a typed {!decode_error}, never
+    a [Marshal] crash. *)
 
 open Netcore
 
@@ -33,7 +24,9 @@ type t = {
     [origins] from [bgp]'s originated prefixes. *)
 val make : host_asns:Asn.Set.t -> bgp:Routing.Bgp.t -> Aggregate.merged list -> t
 
-type decode_error = Truncated | Bad_magic | Bad_version of int | Corrupt
+(** The envelope's error; {!load} of a missing file is [Absent]. *)
+type decode_error = Store.Envelope.error =
+  | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
 
 val error_label : decode_error -> string
 
@@ -43,8 +36,8 @@ val codec_version : int
 val to_bytes : t -> bytes
 val of_bytes : bytes -> (t, decode_error) result
 
-(** [save path t] writes atomically (temp file + rename, store-style):
-    a killed writer leaves the previous file or nothing, never a torn
+(** [save path t] writes atomically ({!Store.Envelope.publish}): a
+    killed writer leaves the previous file or nothing, never a torn
     artifact. *)
 val save : string -> t -> unit
 

@@ -31,45 +31,46 @@ let key ?(epoch = "") ~(world : Gen.world) ~pps ~(cfg : Config.t)
       vp.Gen.vp_name,
       cfg )
 
-(* Fetch and decode one entry. The store validates magic/version/key/
-   digest; [Marshal.from_string] can still raise on an entry whose key
-   namespace lied about the layout, so that too degrades to a miss. *)
-let fetch (type a) st ~key ~what : a option =
-  match Store.read st ~key with
-  | Ok payload -> (
-    match (Marshal.from_string payload 0 : a) with
-    | v ->
-      Obs.Metrics.incr "store.hits";
-      Obs.Metrics.add "store.bytes_read" (String.length payload);
-      Some v
-    | exception _ ->
-      Obs.Log.warn "store: undecodable %s entry %s; recomputing" what key;
-      Obs.Metrics.incr "store.misses";
-      None)
-  | Error Store.Absent ->
-    Obs.Metrics.incr "store.misses";
-    None
+(* Fetch and decode one entry, counting it under [counter ^ ".hits"]
+   or [".misses"]. The store validates the envelope and key; [decode]
+   may still reject the payload, and that too degrades to a miss. *)
+let fetch st ~key ~counter ~what decode =
+  let decoded payload =
+    Result.map (fun v -> (v, String.length payload)) (decode payload)
+  in
+  match Result.bind (Store.read st ~key) decoded with
+  | Ok (v, bytes) ->
+    Obs.Metrics.incr (counter ^ ".hits");
+    Obs.Metrics.add "store.bytes_read" bytes;
+    Some v
   | Error m ->
-    Obs.Log.warn "store: %s %s entry %s; recomputing" (Store.miss_label m)
-      what key;
-    Obs.Metrics.incr "store.misses";
+    if m <> Store.Absent then
+      Obs.Log.warn "store: %s %s entry %s; recomputing" (Store.miss_label m)
+        what key;
+    Obs.Metrics.incr (counter ^ ".misses");
     None
 
-let put st ~key v =
-  let payload = Marshal.to_string v [] in
+(* [Marshal.from_string] can raise on an entry whose key namespace lied
+   about the layout. *)
+let unmarshal payload =
+  match Marshal.from_string payload 0 with
+  | v -> Ok v
+  | exception _ -> Error Store.Corrupt
+
+let put st ~key ~counter payload =
   let bytes = Store.write st ~key payload in
-  Obs.Metrics.incr "store.writes";
+  Obs.Metrics.incr (counter ^ ".writes");
   Obs.Metrics.add "store.bytes_written" bytes
 
 let load ?epoch st ~world ~pps ~cfg ~vp =
   let key = key ?epoch ~world ~pps ~cfg ~vp () in
   Obs.Span.with_span ~stage:"store" ~vp:vp.Gen.vp_name (fun () ->
-      (fetch st ~key ~what:"run" : snapshot option))
+      (fetch st ~key ~counter:"store" ~what:"run" unmarshal : snapshot option))
 
 let save ?epoch st ~world ~pps ~cfg ~vp (s : snapshot) =
   let key = key ?epoch ~world ~pps ~cfg ~vp () in
   Obs.Span.with_span ~stage:"store" ~vp:vp.Gen.vp_name (fun () ->
-      put st ~key s)
+      put st ~key ~counter:"store" (Marshal.to_string s []))
 
 (* Frozen BGP snapshots persist as their own raw-byte codec
    ([Bgp.Snapshot.to_bytes]) rather than [Marshal]: the packed arenas
@@ -84,50 +85,31 @@ let bgp_snapshot_key ?(epoch = "") ~(world : Gen.world) () =
       world.Gen.params,
       epoch )
 
+(* Counted apart from the per-VP checkpoint traffic
+   ([store.hits]/[store.misses]): one snapshot serves a whole sweep, so
+   folding it into the per-VP counters would break their
+   one-entry-per-VP accounting. *)
 let load_bgp_snapshot ?epoch st ~world =
   let key = bgp_snapshot_key ?epoch ~world () in
   Obs.Span.with_span ~stage:"store" ~vp:"shared" (fun () ->
-      match Store.read st ~key with
-      | Ok payload -> (
-        match Routing.Bgp.Snapshot.of_bytes (Bytes.of_string payload) with
-        | Ok s ->
-          (* Counted apart from the per-VP checkpoint traffic
-             ([store.hits]/[store.misses]): one snapshot serves a whole
-             sweep, so folding it into the per-VP counters would break
-             their one-entry-per-VP accounting. *)
-          Obs.Metrics.incr "store.snapshot.hits";
-          Obs.Metrics.add "store.bytes_read" (String.length payload);
-          Some s
-        | Error e ->
-          Obs.Log.warn "store: %s bgp-snapshot entry %s; recomputing"
-            (Routing.Bgp.Snapshot.error_label e)
-            key;
-          Obs.Metrics.incr "store.snapshot.misses";
-          None)
-      | Error Store.Absent ->
-        Obs.Metrics.incr "store.snapshot.misses";
-        None
-      | Error m ->
-        Obs.Log.warn "store: %s bgp-snapshot entry %s; recomputing"
-          (Store.miss_label m) key;
-        Obs.Metrics.incr "store.snapshot.misses";
-        None)
+      fetch st ~key ~counter:"store.snapshot" ~what:"bgp-snapshot"
+        (fun payload ->
+          Routing.Bgp.Snapshot.of_bytes (Bytes.unsafe_of_string payload)))
 
 let save_bgp_snapshot ?epoch st ~world s =
   let key = bgp_snapshot_key ?epoch ~world () in
   Obs.Span.with_span ~stage:"store" ~vp:"shared" (fun () ->
-      let payload =
-        Bytes.unsafe_to_string (Routing.Bgp.Snapshot.to_bytes s)
-      in
-      let bytes = Store.write st ~key payload in
-      Obs.Metrics.incr "store.snapshot.writes";
-      Obs.Metrics.add "store.bytes_written" bytes)
+      put st ~key ~counter:"store.snapshot"
+        (Bytes.unsafe_to_string (Routing.Bgp.Snapshot.to_bytes s)))
 
 let memo st ~key ?vp ~what f =
-  match Obs.Span.with_span ~stage:"store" ?vp (fun () -> fetch st ~key ~what)
+  match
+    Obs.Span.with_span ~stage:"store" ?vp (fun () ->
+        fetch st ~key ~counter:"store" ~what unmarshal)
   with
   | Some v -> v
   | None ->
     let v = f () in
-    Obs.Span.with_span ~stage:"store" ?vp (fun () -> put st ~key v);
+    Obs.Span.with_span ~stage:"store" ?vp (fun () ->
+        put st ~key ~counter:"store" (Marshal.to_string v []));
     v

@@ -119,18 +119,21 @@ let with_span ~stage ?vp ?sim f =
   else begin
     let simf = match sim with Some g -> g | None -> fun () -> 0.0 in
     let sim_start = simf () in
-    (* Gc.counters is the allocation read that stays accurate on the
-       running domain (quick_stat only merges domain counters at GC
-       slices, so its deltas read as zero across a short span);
+    (* Minor words come from Gc.minor_words, the one read that counts
+       the running domain's current minor heap in full (on OCaml 5.1
+       Gc.counters reads it at about an eighth, and quick_stat only
+       merges at GC slices). Major words come from Gc.counters;
        quick_stat is still consulted for the compaction count, which is
-       only bumped at stop-the-world events anyway. Both are cheap
-       reads, and both happen only on the obs-enabled path. *)
-    let minor0, _, major0 = Gc.counters () in
+       only bumped at stop-the-world events anyway. All are cheap
+       reads, and all happen only on the obs-enabled path. *)
+    let minor0 = Gc.minor_words () in
+    let _, _, major0 = Gc.counters () in
     let compactions0 = (Gc.quick_stat ()).Gc.compactions in
     let wall0 = Unix.gettimeofday () in
     let record () =
       let wall_ns = int_of_float ((Unix.gettimeofday () -. wall0) *. 1e9) in
-      let minor1, _, major1 = Gc.counters () in
+      let minor1 = Gc.minor_words () in
+      let _, _, major1 = Gc.counters () in
       finish_span sink_opt ~stage ~vp ~sim_start ~sim_end:(simf ()) ~wall_ns
         ~gc_minor:(int_of_float (minor1 -. minor0))
         ~gc_major:(int_of_float (major1 -. major0))

@@ -919,16 +919,9 @@ module Snapshot = struct
 
   (* {2 Serialization}
 
-     A snapshot entry is raw packed arenas plus marshaled boxed
-     metadata, guarded by the same header/digest discipline as
-     [lib/store] entries:
-
-       offset  size  field
-       0       4     magic "BDSN"
-       4       4     codec version (big-endian)
-       8       16    MD5 digest of the payload
-       24      8     payload length (big-endian)
-       32      n     payload
+     A snapshot image is a [Store.Envelope] with magic "BDSN" (the
+     header layout lives in envelope.mli) around raw packed arenas plus
+     marshaled boxed metadata:
 
      payload := u64 n_pfx | u64 n_asn | u64 |words| | u64 |arena|
               | words (8 bytes each, big-endian)
@@ -937,23 +930,22 @@ module Snapshot = struct
                            selective, prefixes, asns, pfx)
 
      The LPM is rebuilt on load (a pure function of the prefix list)
-     rather than shipped. Any flipped byte fails the digest check; a
-     wrong declared length fails before any allocation is sized from
-     attacker-controlled counts. *)
-  type decode_error = Truncated | Bad_magic | Bad_version of int | Corrupt
+     rather than shipped. Any flipped byte fails the digest check; the
+     four counts are bounded by the payload length before any
+     allocation is sized from them. *)
+  module Envelope = Store.Envelope
 
-  let error_label = function
-    | Truncated -> "truncated"
-    | Bad_magic -> "bad magic"
-    | Bad_version v -> Printf.sprintf "unsupported version %d" v
-    | Corrupt -> "corrupt"
+  type decode_error = Envelope.error =
+    | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
+
+  let error_label = Envelope.error_label
 
   (* v2: Net.link gained the [live] retirement flag (marshaled inside
      the metadata tuple), so v1 entries no longer decode. v3: Net.t
      gained its internal-adjacency index. *)
   let codec_version = 3
-  let magic = "BDSN"
-  let header_len = 32
+  let fmt = { Envelope.magic = "BDSN"; version = codec_version }
+  let counts_len = 32
 
   let to_bytes s =
     let np = Array.length s.s_pfx in
@@ -966,98 +958,83 @@ module Snapshot = struct
           s.s_prefixes, s.s_asns, s.s_pfx )
         []
     in
-    let payload_len = 32 + (8 * nw) + (8 * na) + String.length meta in
-    let b = Bytes.create (header_len + payload_len) in
-    let pos = ref header_len in
-    let put_u64 v =
+    let b =
+      Envelope.create (counts_len + (8 * nw) + (8 * na) + String.length meta)
+    in
+    let pos = ref Envelope.header_len in
+    let put_word v =
       Bytes.set_int64_be b !pos (Int64.of_int v);
       pos := !pos + 8
     in
-    put_u64 np;
-    put_u64 n;
-    put_u64 nw;
-    put_u64 na;
+    put_word np;
+    put_word n;
+    put_word nw;
+    put_word na;
     for i = 0 to nw - 1 do
-      put_u64 (Bigarray.Array1.get s.s_words i)
+      put_word (Bigarray.Array1.get s.s_words i)
     done;
     for i = 0 to na - 1 do
-      put_u64 (Bigarray.Array1.get s.s_arena i)
+      put_word (Bigarray.Array1.get s.s_arena i)
     done;
     Bytes.blit_string meta 0 b !pos (String.length meta);
-    Bytes.blit_string magic 0 b 0 4;
-    Bytes.set_int32_be b 4 (Int32.of_int codec_version);
-    let digest = Digest.subbytes b header_len payload_len in
-    Bytes.blit_string digest 0 b 8 16;
-    Bytes.set_int64_be b 24 (Int64.of_int payload_len);
+    Envelope.seal fmt b;
     b
 
+  let decode s (pos, len) =
+    let word_at off = Int64.to_int (String.get_int64_be s off) in
+    let count i = if len < counts_len then -1 else word_at (pos + (8 * i)) in
+    let np = count 0 and n = count 1 and nw = count 2 and na = count 3 in
+    (* Counts come from the payload, so bound them by its length with
+       no multiplication that could wrap: [room] words fit after the
+       counts, and [nw = np * n] is checked by division. *)
+    let room = (len - counts_len) / 8 in
+    if
+      np < 0 || n < 0 || nw < 0 || na < 0 || nw > room || na > room - nw
+      || (if n = 0 then nw <> 0 else nw mod n <> 0 || nw / n <> np)
+    then Error Corrupt
+    else begin
+      let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
+      let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
+      let off = pos + counts_len in
+      for i = 0 to nw - 1 do
+        Bigarray.Array1.set s_words i (word_at (off + (8 * i)))
+      done;
+      let off = off + (8 * nw) in
+      for i = 0 to na - 1 do
+        Bigarray.Array1.set s_arena i (word_at (off + (8 * i)))
+      done;
+      match
+        (Marshal.from_string s (off + (8 * na))
+          : Net.t
+            * B.As_rel.t
+            * Asn.Set.t Ptrie.t
+            * (Prefix.t * Asn.Set.t) list
+            * int list Prefix.Map.t Asn.Map.t
+            * Prefix.t list
+            * Asn.t array
+            * Prefix.t array)
+      with
+      | net, rels, trie, originated, selective, prefixes, asns, pfx ->
+        if Array.length pfx <> np || Array.length asns <> n then Error Corrupt
+        else
+          Ok
+            { s_net = net;
+              s_rels = rels;
+              s_origin_trie = trie;
+              s_originated = originated;
+              s_selective = selective;
+              s_prefixes = prefixes;
+              s_asns = asns;
+              s_pfx = pfx;
+              s_words;
+              s_arena;
+              s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) prefixes) }
+      | exception _ -> Error Corrupt
+    end
+
+  (* [decode] keeps nothing of the string it reads, so the bytes need
+     no copy. *)
   let of_bytes b =
-    let len = Bytes.length b in
-    if len < header_len then Error Truncated
-    else if not (String.equal (Bytes.sub_string b 0 4) magic) then Error Bad_magic
-    else
-      let version = Int32.to_int (Bytes.get_int32_be b 4) in
-      if version <> codec_version then Error (Bad_version version)
-      else
-        let payload_len = Int64.to_int (Bytes.get_int64_be b 24) in
-        if payload_len < 32 || len <> header_len + payload_len then Error Truncated
-        else if
-          not
-            (String.equal
-               (Bytes.sub_string b 8 16)
-               (Digest.subbytes b header_len payload_len))
-        then Error Corrupt
-        else begin
-          let u64_at off = Int64.to_int (Bytes.get_int64_be b off) in
-          let np = u64_at header_len in
-          let n = u64_at (header_len + 8) in
-          let nw = u64_at (header_len + 16) in
-          let na = u64_at (header_len + 24) in
-          let arrays_len = 8 * (nw + na) in
-          if
-            np < 0 || n < 0 || nw <> np * n || na < 0
-            || payload_len < 32 + arrays_len
-          then Error Corrupt
-          else begin
-            let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
-            let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
-            let pos = ref (header_len + 32) in
-            for i = 0 to nw - 1 do
-              Bigarray.Array1.set s_words i (u64_at !pos);
-              pos := !pos + 8
-            done;
-            for i = 0 to na - 1 do
-              Bigarray.Array1.set s_arena i (u64_at !pos);
-              pos := !pos + 8
-            done;
-            match
-              (Marshal.from_string (Bytes.unsafe_to_string b) !pos
-                : Net.t
-                  * B.As_rel.t
-                  * Asn.Set.t Ptrie.t
-                  * (Prefix.t * Asn.Set.t) list
-                  * int list Prefix.Map.t Asn.Map.t
-                  * Prefix.t list
-                  * Asn.t array
-                  * Prefix.t array)
-            with
-            | net, rels, trie, originated, selective, prefixes, asns, pfx ->
-              if Array.length pfx <> np || Array.length asns <> n then
-                Error Corrupt
-              else
-                Ok
-                  { s_net = net;
-                    s_rels = rels;
-                    s_origin_trie = trie;
-                    s_originated = originated;
-                    s_selective = selective;
-                    s_prefixes = prefixes;
-                    s_asns = asns;
-                    s_pfx = pfx;
-                    s_words;
-                    s_arena;
-                    s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) prefixes) }
-            | exception _ -> Error Corrupt
-          end
-        end
+    let s = Bytes.unsafe_to_string b in
+    Result.bind (Envelope.unseal fmt s) (decode s)
 end

@@ -235,14 +235,14 @@ module Snapshot : sig
 
   (** {2 Serialization}
 
-      A snapshot round-trips through raw bytes under the same
-      header/digest discipline as [lib/store] entries: magic ["BDSN"],
-      codec version, MD5 digest over the payload, declared payload
-      length. Packed arenas are written as raw words; only the boxed
-      metadata (net, relationships, origin trie) goes through
-      [Marshal]. The LPM is rebuilt on load. *)
+      A snapshot round-trips through a {!Store.Envelope} image with
+      magic ["BDSN"] and version {!codec_version}. Packed arenas are
+      written as raw words; only the boxed metadata (net,
+      relationships, origin trie) goes through [Marshal]. The LPM is
+      rebuilt on load. *)
 
-  type decode_error = Truncated | Bad_magic | Bad_version of int | Corrupt
+  type decode_error = Store.Envelope.error =
+    | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
 
   val error_label : decode_error -> string
 
@@ -251,8 +251,9 @@ module Snapshot : sig
 
   val to_bytes : t -> bytes
 
-  (** [of_bytes b] validates header, version, digest, and declared
-      counts before reconstructing; any flipped byte is [Corrupt], any
-      short read [Truncated]. *)
+  (** [of_bytes b] checks the envelope, then bounds the declared
+      counts by the payload length, before reconstructing; any flipped
+      byte or inconsistent count is [Corrupt], any short read
+      [Truncated]. *)
   val of_bytes : bytes -> (t, decode_error) result
 end

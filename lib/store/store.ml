@@ -1,8 +1,11 @@
+module Envelope = Envelope
+
 type t = { dir : string }
 
-let format_version = 1
-let magic = "BDRS"
-let header_len = 64
+(* v2: entries moved onto the shared envelope (the key leads the
+   payload, under the digest). *)
+let format_version = 2
+let fmt = { Envelope.magic = "BDRS"; version = format_version }
 let key_len = 32
 let entry_ext = ".run"
 
@@ -13,87 +16,22 @@ let open_dir dir =
 
 let dir t = t.dir
 
-type miss =
-  | Absent
-  | Truncated
-  | Bad_magic
-  | Bad_version of int
-  | Stale
-  | Corrupt
+type miss = Envelope.error =
+  | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
 
-let miss_label = function
-  | Absent -> "absent"
-  | Truncated -> "truncated"
-  | Bad_magic -> "bad-magic"
-  | Bad_version v -> Printf.sprintf "bad-version-%d" v
-  | Stale -> "stale"
-  | Corrupt -> "corrupt"
+let miss_label = Envelope.error_label
 
 let path t key = Filename.concat t.dir (key ^ entry_ext)
 
-(* Big-endian fixed-width ints, so entries are portable across hosts. *)
-let put_u32 b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  done
-
-let put_u64 b v =
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * (7 - i))) land 0xff))
-  done
-
-let get_u32 s off =
-  let v = ref 0 in
-  for i = 0 to 3 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
-
-let get_u64 s off =
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
-
-let encode ~key payload =
-  let b = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string b magic;
-  put_u32 b format_version;
-  Buffer.add_string b key;
-  Buffer.add_string b (Digest.string payload);
-  put_u64 b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-(* Decode an entry image, validating every field before trusting the
-   payload.  [key] is the key the caller asked for; the embedded key
-   catches entries copied or renamed under the wrong name. *)
+(* [key] is the key the caller asked for; the embedded key catches
+   entries copied or renamed under the wrong name. *)
 let decode ~key s =
-  let n = String.length s in
-  if n < header_len then Error Truncated
-  else if String.sub s 0 4 <> magic then Error Bad_magic
-  else
-    let v = get_u32 s 4 in
-    if v <> format_version then Error (Bad_version v)
-    else if String.sub s 8 key_len <> key then Error Stale
-    else
-      let len = get_u64 s 56 in
-      if n - header_len <> len then Error Truncated
-      else
-        let payload = String.sub s header_len len in
-        if Digest.string payload <> String.sub s 40 16 then Error Corrupt
-        else Ok payload
+  Result.bind (Envelope.unseal fmt s) (fun (pos, len) ->
+      if len < key_len then Error Corrupt
+      else if String.sub s pos key_len <> key then Error Stale
+      else Ok (String.sub s (pos + key_len) (len - key_len)))
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        Some (really_input_string ic n))
+let read_entry file ~key = Result.bind (Envelope.read_file file) (decode ~key)
 
 let valid_key key =
   String.length key = key_len
@@ -103,50 +41,18 @@ let valid_key key =
 
 let read t ~key =
   if not (valid_key key) then invalid_arg "Store.read: malformed key";
-  match read_file (path t key) with
-  | None -> Error Absent
-  | Some s -> decode ~key s
-
-(* Unique within the process (counter + domain) and across processes
-   (pid); collisions would let two writers interleave into one temp
-   file, which the rename would then publish torn. *)
-let tmp_counter = Atomic.make 0
-
-let tmp_name t key =
-  Filename.concat t.dir
-    (Printf.sprintf "%s%s.tmp-%d-%d-%d" key entry_ext (Unix.getpid ())
-       (Domain.self () :> int)
-       (Atomic.fetch_and_add tmp_counter 1))
+  read_entry (path t key) ~key
 
 let write t ~key payload =
   if not (valid_key key) then invalid_arg "Store.write: malformed key";
-  let image = encode ~key payload in
-  let tmp = tmp_name t key in
-  let oc = open_out_bin tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc image)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (path t key);
-  String.length image
+  let image = Envelope.seal_string fmt (key ^ payload) in
+  Envelope.publish (path t key) (fun oc -> output_bytes oc image);
+  Bytes.length image
 
 let mem t ~key = match read t ~key with Ok _ -> true | Error _ -> false
 
 let remove t ~key =
   try Sys.remove (path t key) with Sys_error _ -> ()
-
-let is_tmp name =
-  (* "<key>.run.tmp-<pid>-<dom>-<n>" *)
-  match String.index_opt name '-' with
-  | None -> false
-  | Some _ ->
-    (match String.rindex_opt name '.' with
-     | None -> false
-     | Some i ->
-       String.length name > i + 4 && String.sub name (i + 1) 4 = "tmp-")
 
 let entries t =
   let names =
@@ -167,13 +73,8 @@ let entries t =
            in
            let status =
              if not (valid_key key) then Some Bad_magic
-             else
-               match read_file file with
-               | None -> Some Absent
-               | Some s -> (
-                 match decode ~key s with
-                 | Ok _ -> None
-                 | Error m -> Some m)
+             else Result.fold ~ok:(fun _ -> None) ~error:Option.some
+                    (read_entry file ~key)
            in
            Some (key, bytes, status))
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
@@ -196,7 +97,7 @@ let gc ?(all = false) t =
    | names ->
      Array.iter
        (fun name ->
-         if is_tmp name then rm (Filename.concat t.dir name))
+         if Envelope.is_tmp name then rm (Filename.concat t.dir name))
        names);
   List.iter
     (fun (key, _, status) ->

@@ -6,24 +6,24 @@
     config, VP identity...); the store itself is generic and holds
     opaque byte payloads.
 
-    Every entry is a versioned, length-prefixed record:
+    Every entry is a {!Envelope} image with magic ["BDRS"] whose
+    payload starts with the entry's 32-char key, so the digest covers
+    the key too:
 
     {v
-      offset  size  field
-      0       4     magic "BDRS"
-      4       4     format version (big-endian)
-      8       32    key (hex MD5, must match the file's key)
-      40      16    MD5 digest of the payload
-      56      8     payload length (big-endian)
-      64      n     payload
+      payload := key (32 bytes, hex MD5, must match the file's key)
+               | entry bytes
     v}
 
-    Writes go to a uniquely named temp file in the same directory and
-    are published with [Sys.rename], so a reader can never observe a
-    torn entry and a killed writer leaves only a [*.tmp-*] orphan that
-    [gc] sweeps.  Reads validate magic, version, embedded key, length
-    and digest; any mismatch is reported as a typed miss so callers can
-    fall back to recomputation. *)
+    Writes go through {!Envelope.publish} (a uniquely named temp file
+    renamed into place), so a reader can never observe a torn entry
+    and a killed writer leaves only a [*.tmp-*] orphan that [gc]
+    sweeps. Reads validate the envelope and then the embedded key; any
+    mismatch is reported as a typed miss so callers can fall back to
+    recomputation. *)
+
+(** The shared on-disk header codec, error type and atomic writer. *)
+module Envelope = Envelope
 
 type t
 
@@ -35,14 +35,10 @@ val open_dir : string -> t
 
 val dir : t -> string
 
-(** Why a read did not produce a payload. *)
-type miss =
-  | Absent  (** no entry file for this key *)
-  | Truncated  (** file shorter than its header or declared length *)
-  | Bad_magic  (** not a store entry *)
-  | Bad_version of int  (** entry written by an incompatible format *)
-  | Stale  (** embedded key does not match the requested key *)
-  | Corrupt  (** payload digest mismatch *)
+(** Why a read did not produce a payload: the envelope's error.
+    [Stale] is an entry whose embedded key is not the requested key. *)
+type miss = Envelope.error =
+  | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
 
 val miss_label : miss -> string
 
@@ -51,7 +47,7 @@ val miss_label : miss -> string
 val read : t -> key:string -> (string, miss) result
 
 (** [write t ~key payload] atomically persists [payload] under [key]
-    (temp file + rename) and returns the entry size in bytes,
+    ({!Envelope.publish}) and returns the entry size in bytes,
     header included. *)
 val write : t -> key:string -> string -> int
 

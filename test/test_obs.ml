@@ -260,6 +260,23 @@ let test_span_record_shape () =
     Alcotest.(check bool) "wall_ns is the last field" true has_tail
   | lines -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length lines))
 
+(* A span's minor words count the whole current minor heap: 1000
+   conses are 3000 words, whatever else the heap holds. *)
+let test_span_minor_words () =
+  with_metrics (fun () ->
+      Obs.Span.with_span ~stage:"cons" (fun () ->
+          let l = ref [] in
+          for i = 1 to 1000 do
+            l := Sys.opaque_identity (i :: !l)
+          done;
+          ignore (Sys.opaque_identity !l));
+      let words =
+        Obs.Metrics.find_counter (Obs.Metrics.collect ()) "stage.cons.gc_minor_words"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "1000 conses read %d >= 3000 minor words" words)
+        true (words >= 3000))
+
 let test_manifest_render () =
   let json =
     with_metrics (fun () ->
@@ -291,4 +308,5 @@ let suite =
     Alcotest.test_case "fire counts sum" `Slow test_fire_counts_sum;
     Alcotest.test_case "multi-VP -j1 vs -j4" `Slow test_multi_vp_j1_vs_j4;
     Alcotest.test_case "span record shape" `Quick test_span_record_shape;
+    Alcotest.test_case "span counts every minor word" `Quick test_span_minor_words;
     Alcotest.test_case "manifest render" `Quick test_manifest_render ]

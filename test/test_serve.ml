@@ -223,6 +223,35 @@ let test_mapfile_roundtrip () =
   Alcotest.(check bool) "wrong magic is typed" true
     (Bdrmap.Mapfile.of_bytes wrong = Error Bdrmap.Mapfile.Bad_magic)
 
+(* The envelope keeps the artifact's bytes: this digest of
+   [Mapfile.to_bytes] on the fixture was taken before the border map
+   moved onto [Store.Envelope]. *)
+let test_mapfile_bytes_pinned () =
+  let _, _, mapfile, _ = Lazy.force fixture in
+  Alcotest.(check string) "tiny-world map bytes" "c80f4cd200a672d86aec6d86dcbb3538"
+    (Digest.to_hex (Digest.bytes (Bdrmap.Mapfile.to_bytes mapfile)))
+
+(* Three shapes the border map's own header code once let through: a
+   declared length with bit 62 set (raised from [Bytes.sub], killing
+   [serve --map]), trailing bytes after the payload (accepted), and a
+   missing file (reported as Truncated). *)
+let test_mapfile_defects () =
+  let _, _, mapfile, _ = Lazy.force fixture in
+  let b = Bdrmap.Mapfile.to_bytes mapfile in
+  let huge = Bytes.copy b in
+  Bytes.set huge 24 '\x40';
+  Alcotest.(check bool) "bit-62 length is Truncated" true
+    (Bdrmap.Mapfile.of_bytes huge = Error Bdrmap.Mapfile.Truncated);
+  let trailing = Bytes.cat b (Bytes.of_string "tail") in
+  Alcotest.(check bool) "trailing bytes are Truncated" true
+    (Bdrmap.Mapfile.of_bytes trailing = Error Bdrmap.Mapfile.Truncated);
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bdrmap-test-no-such-map-%d" (Unix.getpid ()))
+  in
+  Alcotest.(check bool) "missing file is Absent" true
+    (Bdrmap.Mapfile.load missing = Error Bdrmap.Mapfile.Absent)
+
 (* -- Server.handle: the zero-alloc pin -- *)
 
 let test_handle_zero_alloc () =
@@ -575,6 +604,8 @@ let suite =
     Alcotest.test_case "qmap crossings and provenance" `Quick
       test_qmap_crossings_and_provenance;
     Alcotest.test_case "mapfile roundtrip" `Quick test_mapfile_roundtrip;
+    Alcotest.test_case "mapfile bytes pinned" `Quick test_mapfile_bytes_pinned;
+    Alcotest.test_case "mapfile header defects" `Quick test_mapfile_defects;
     Alcotest.test_case "handle is zero-alloc" `Quick test_handle_zero_alloc;
     Alcotest.test_case "client greeting errors" `Quick test_client_greeting_errors;
     Alcotest.test_case "server error frames" `Quick test_server_error_frames;

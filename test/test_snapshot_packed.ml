@@ -211,10 +211,26 @@ let test_bad_magic_and_version () =
   let b = S.to_bytes snap in
   let wrong_magic = Bytes.copy b in
   Bytes.set wrong_magic 0 'X';
-  expect_error "wrong magic" wrong_magic "bad magic";
+  Alcotest.(check bool) "wrong magic" true (S.of_bytes wrong_magic = Error S.Bad_magic);
   let wrong_version = Bytes.copy b in
   Bytes.set_int32_be wrong_version 4 99l;
-  expect_error "future version" wrong_version "unsupported version 99"
+  Alcotest.(check bool) "future version" true
+    (S.of_bytes wrong_version = Error (S.Bad_version 99))
+
+(* A digest-valid image whose counts claim 2^30 x 2^30 words: [8 * (nw +
+   na)] wraps to 0 in 63-bit ints, so a length check that multiplies
+   passes and the decoder then asks for 2^60 words. The counts must be
+   bounded by the payload length instead. *)
+let test_crafted_counts_rejected () =
+  let b = Store.Envelope.create 32 in
+  let count i v = Bytes.set_int64_be b (Store.Envelope.header_len + (8 * i)) v in
+  count 0 (Int64.shift_left 1L 30);
+  count 1 (Int64.shift_left 1L 30);
+  count 2 (Int64.shift_left 1L 60);
+  count 3 0L;
+  Store.Envelope.seal { Store.Envelope.magic = "BDSN"; version = S.codec_version } b;
+  Alcotest.(check int) "64-byte image" 64 (Bytes.length b);
+  Alcotest.(check bool) "crafted counts are Corrupt" true (S.of_bytes b = Error S.Corrupt)
 
 let suite =
   [ Qc.to_alcotest prop_packed_equals_boxed;
@@ -226,5 +242,6 @@ let suite =
     Alcotest.test_case "to_bytes/of_bytes round-trip" `Quick test_roundtrip;
     Alcotest.test_case "corrupted byte rejected" `Quick test_corrupted_byte_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
+    Alcotest.test_case "crafted counts rejected" `Quick test_crafted_counts_rejected;
     Alcotest.test_case "bad magic / bad version rejected" `Quick
       test_bad_magic_and_version ]

@@ -113,6 +113,26 @@ let test_corrupt_entries () =
       Alcotest.(check int) "gc --all removed" 1 stats.Store.gc_removed;
       Alcotest.(check int) "gc --all kept" 0 stats.Store.gc_kept)
 
+(* An entry in format 1 (the key in the header, outside the digest)
+   misses as [Bad_version 1], and [gc] sweeps it. *)
+let test_format_1_entry_swept () =
+  with_store (fun st ->
+      let key = k "format-1" and payload = "an entry from format 1" in
+      let b = Buffer.create 64 in
+      Buffer.add_string b "BDRS";
+      Buffer.add_int32_be b 1l;
+      Buffer.add_string b key;
+      Buffer.add_string b (Digest.string payload);
+      Buffer.add_int64_be b (Int64.of_int (String.length payload));
+      Buffer.add_string b payload;
+      write_bytes (entry_path st key) (Buffer.contents b);
+      Alcotest.(check int) "format version" 2 Store.format_version;
+      Alcotest.(check bool) "format-1 entry misses" true
+        (Store.read st ~key = Error (Store.Bad_version 1));
+      let stats = Store.gc st in
+      Alcotest.(check int) "gc sweeps it" 1 stats.Store.gc_removed;
+      Alcotest.(check bool) "entry gone" true (Store.read st ~key = Error Store.Absent))
+
 (* -- pipeline-level tests, on the tiny world -- *)
 
 let tiny_env =
@@ -332,6 +352,7 @@ let test_old_version_key_misses () =
 let suite =
   [ Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
     Alcotest.test_case "corrupt entries" `Quick test_corrupt_entries;
+    Alcotest.test_case "format-1 entry swept" `Quick test_format_1_entry_swept;
     Alcotest.test_case "warm byte identity" `Slow test_warm_byte_identity;
     Alcotest.test_case "checkpoint resume" `Slow test_checkpoint_resume;
     Alcotest.test_case "corruption falls back to recompute" `Slow
