@@ -5,9 +5,10 @@
 
    Scale with BDRMAP_BENCH_SCALE (default 1.0 = paper-sized scenarios;
    0.1-0.3 for a quick pass). Worker domains with BDRMAP_JOBS (default:
-   Domain.recommended_domain_count). Every number also lands in a
-   machine-readable BENCH.json (path override: BDRMAP_BENCH_OUT) so the
-   perf trajectory can be tracked across changes. *)
+   Domain.recommended_domain_count). Every number also lands as one
+   typed row in a machine-readable BENCH.json (path override:
+   BDRMAP_BENCH_OUT) so the perf trajectory can be tracked across
+   changes. *)
 
 open Bechamel
 open Toolkit
@@ -31,20 +32,21 @@ let jobs =
 let banner title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
-(* Wall-clock + GC accounting per timed region, collected for
-   BENCH.json. None of the reads walks the heap, so the measurement
-   itself stays cheap; allocation volume is what the snapshot/plan
-   sharing is supposed to cut, so it is tracked next to wall time. *)
-type row = {
-  r_name : string;
-  r_wall_s : float;
-  r_minor_words : float;
-  r_major_words : float;
-  r_heap_words : float;  (* resident major-heap words when the region ends *)
-  r_compactions : int;
-}
+module R = Obs.Run_diff
 
-let wall_times : row list ref = ref []
+(* Every number in BENCH.json is one row, appended here in emission
+   order. A non-finite value has no JSON form; it is dropped loudly, and
+   a gate on that row then fails for want of it. *)
+let rows : R.row list ref = ref []
+
+let add row = rows := row :: !rows
+
+let emit ?(spread = 0.0) workload layer metric unit_ better value =
+  if Float.is_finite value then
+    add { R.workload; layer; metric; unit_; better; value; spread }
+  else
+    Printf.printf "WARNING: %s.%s.%s = %g has no JSON form; row dropped\n%!"
+      workload layer metric value
 
 (* Words allocated so far, (minor, major). On OCaml 5.1 [Gc.quick_stat]
    leaves out the current minor heap (a 1000-cons loop reads 0 minor
@@ -57,24 +59,30 @@ let alloc_words () =
   let _, _, major = Gc.counters () in
   (Gc.minor_words (), major)
 
-let timed name f =
+(* Wall-clock + GC accounting per timed region. None of the reads walks
+   the heap, so the measurement itself stays cheap; allocation volume is
+   what the snapshot/plan sharing is supposed to cut, so it is tracked
+   next to wall time. Returns the region's result and its wall time. *)
+let timed_s name f =
   let g0 = Gc.quick_stat () in
   let minor0, major0 = alloc_words () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Obs.Clock.seconds_since t0 in
   let minor1, major1 = alloc_words () in
   let g1 = Gc.quick_stat () in
-  wall_times :=
-    { r_name = name;
-      r_wall_s = dt;
-      r_minor_words = minor1 -. minor0;
-      r_major_words = major1 -. major0;
-      r_heap_words = float_of_int g1.Gc.heap_words;
-      r_compactions = g1.Gc.compactions - g0.Gc.compactions }
-    :: !wall_times;
+  let e = emit "experiment" name in
+  e "wall_s" "s" R.Lower dt;
+  e "gc_minor_words" "words" R.Lower (minor1 -. minor0);
+  e "gc_major_words" "words" R.Lower (major1 -. major0);
+  (* resident major-heap words when the region ends *)
+  e "gc_heap_words" "words" R.Lower (float_of_int g1.Gc.heap_words);
+  e "gc_compactions" "count" R.Lower
+    (float_of_int (g1.Gc.compactions - g0.Gc.compactions));
   Printf.printf "[%s: %.2fs]\n%!" name dt;
-  r
+  (r, dt)
+
+let timed name f = fst (timed_s name f)
 
 let experiments pool =
   banner
@@ -118,30 +126,49 @@ let experiments pool =
       Experiments.Exp_ablation.print Format.std_formatter
         (Experiments.Exp_ablation.run ~scale ()))
 
-(* Robustness sweep: accuracy under injected measurement faults, one row
-   per impairment level. Rows are kept for BENCH.json so accuracy-vs-
-   impairment is tracked across changes like wall-clock is. *)
-let robustness_rows : Experiments.Exp_robustness.row list ref = ref []
-
+(* Robustness sweep: accuracy under injected measurement faults, one
+   layer per impairment level, so accuracy-vs-impairment is tracked
+   across changes like wall-clock is. *)
 let robustness () =
   banner "Robustness: accuracy under injected measurement faults";
-  timed "robustness" (fun () ->
-      let rows = Experiments.Exp_robustness.run ~scale () in
-      robustness_rows := rows;
-      Experiments.Exp_robustness.print Format.std_formatter rows)
+  let rows =
+    timed "robustness" (fun () ->
+        let rows = Experiments.Exp_robustness.run ~scale () in
+        Experiments.Exp_robustness.print Format.std_formatter rows;
+        rows)
+  in
+  List.iter
+    (fun (r : Experiments.Exp_robustness.row) ->
+      let e = emit "robustness" (Printf.sprintf "%g" r.intensity) in
+      e "links_pct" "%" R.Exact r.links.Bdrmap.Validate.pct_correct;
+      e "routers_pct" "%" R.Exact r.routers.Bdrmap.Validate.pct_correct;
+      e "coverage_pct" "%" R.Exact r.coverage_pct;
+      e "probes" "count" R.Exact (float_of_int r.probes);
+      e "overhead_pct" "%" R.Exact r.overhead_pct)
+    rows
 
-(* Adversarial corpus: accuracy on the named hostile worlds, one row
-   per scenario with its recorded floor. check_bench fails the build if
+(* Adversarial corpus: accuracy on the named hostile worlds, one layer
+   per scenario with its recorded floors. check_bench fails the build if
    any scenario drops below its floor — inference quality is gated the
    same way wall-clock regressions are. *)
-let corpus_rows : Experiments.Exp_corpus.row list ref = ref []
-
 let corpus () =
   banner "Adversarial corpus: accuracy floors on hostile worlds";
-  timed "corpus" (fun () ->
-      let rows = Experiments.Exp_corpus.run ~scale () in
-      corpus_rows := rows;
-      Experiments.Exp_corpus.print Format.std_formatter rows)
+  let rows =
+    timed "corpus" (fun () ->
+        let rows = Experiments.Exp_corpus.run ~scale () in
+        Experiments.Exp_corpus.print Format.std_formatter rows;
+        rows)
+  in
+  List.iter
+    (fun (r : Experiments.Exp_corpus.row) ->
+      let e = emit "corpus" r.name in
+      e "links_pct" "%" R.Exact r.links.Bdrmap.Validate.pct_correct;
+      e "links_floor" "%" R.Exact r.link_floor;
+      e "routers_pct" "%" R.Exact r.routers.Bdrmap.Validate.pct_correct;
+      e "routers_floor" "%" R.Exact r.router_floor;
+      e "coverage_pct" "%" R.Exact r.coverage_pct;
+      e "probes" "count" R.Exact (float_of_int r.probes))
+    rows
 
 (* Temporal churn: each event class forced onto a fixed scale-1 world
    (independent of BDRMAP_BENCH_SCALE so the rows are comparable across
@@ -152,20 +179,6 @@ let corpus () =
    under a scratch counter so the builds-per-sweep accounting gate
    stays meaningful. check_bench holds the single-link classes to a
    >= 5x speedup — the headline contract of the incremental path. *)
-type churn_row = {
-  c_name : string;
-  c_full_wall_s : float;
-  c_incr_wall_s : float;
-  c_dirty : int;
-  c_total : int;
-  c_full_minor : float;
-  c_full_major : float;
-  c_incr_minor : float;
-  c_incr_major : float;
-}
-
-let churn_rows : churn_row list ref = ref []
-
 let churn_bench () =
   banner "Temporal churn: full re-freeze vs incremental (scale 1)";
   let module Evolve = Topogen.Evolve in
@@ -175,22 +188,24 @@ let churn_bench () =
     Bgp.create w.Topogen.Gen.net w.Topogen.Gen.rels_truth
       ~originated:(Topogen.Gen.originated w) ~selective:w.Topogen.Gen.selective
   in
-  (* Each side runs five times and reports its median wall time (GC
-     columns from the first run). A single-link re-freeze takes about a
-     millisecond and a scratch freeze of this world tens of them, so
-     with one sample a single scheduler preemption, e.g. while
-     `dune runtest` runs other actions, decided the ratio. *)
+  (* Each side runs five times and reports its median wall time with
+     the quartile distance as spread (GC columns from the first run). A
+     single-link re-freeze takes about a millisecond and a scratch
+     freeze of this world tens of them, so with one sample a single
+     scheduler preemption, e.g. while `dune runtest` runs other
+     actions, decided the ratio. *)
   let timed_gc f =
     let wall f =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       let r = f () in
-      (r, Unix.gettimeofday () -. t0)
+      (r, Obs.Clock.seconds_since t0)
     in
     let minor0, major0 = alloc_words () in
     let r, dt = wall f in
     let minor1, major1 = alloc_words () in
-    let walls = dt :: List.init 4 (fun _ -> snd (wall f)) in
-    (r, List.nth (List.sort Float.compare walls) 2, minor1 -. minor0, major1 -. major0)
+    let walls = Array.of_list (dt :: List.init 4 (fun _ -> snd (wall f))) in
+    Array.sort Float.compare walls;
+    (r, (walls.(2), walls.(3) -. walls.(1)), minor1 -. minor0, major1 -. major0)
   in
   let w0 =
     Topogen.Gen.generate (Topogen.Scenario.small_access ~scale:1.0 ())
@@ -222,7 +237,7 @@ let churn_bench () =
       | Some (w', te) ->
         world := w';
         let churn = Bgp.churn_of_events [ te ] in
-        let scratch_plan, fw, fmin, fmaj =
+        let scratch_plan, (fw, fspread), fmin, fmaj =
           timed_gc (fun () ->
               let s =
                 Bgp.freeze ~counter:"routing.snapshot.scratch_builds"
@@ -234,7 +249,7 @@ let churn_bench () =
               in
               (s, p))
         in
-        let (patched, stats, pplan), iw, imin, imaj =
+        let (patched, stats, pplan), (iw, ispread), imin, imaj =
           timed_gc (fun () ->
               let s, stats = Bgp.refreeze (fresh_bgp w') ~old:!snap churn in
               let p =
@@ -257,38 +272,48 @@ let churn_bench () =
              m);
         snap := patched;
         plan := pplan;
+        let speedup = fw /. Float.max 1e-9 iw in
         Printf.printf
           "%-14s full %.4fs  incremental %.4fs  (%.1fx, %d/%d dirty)\n%!"
-          label fw iw
-          (fw /. Float.max 1e-9 iw)
-          stats.Bgp.rf_dirty stats.Bgp.rf_total;
-        churn_rows :=
-          { c_name = label;
-            c_full_wall_s = fw;
-            c_incr_wall_s = iw;
-            c_dirty = stats.Bgp.rf_dirty;
-            c_total = stats.Bgp.rf_total;
-            c_full_minor = fmin;
-            c_full_major = fmaj;
-            c_incr_minor = imin;
-            c_incr_major = imaj
-          }
-          :: !churn_rows)
+          label fw iw speedup stats.Bgp.rf_dirty stats.Bgp.rf_total;
+        let e ?spread = emit ?spread "churn" label in
+        e ~spread:fspread "full_wall_s" "s" R.Lower fw;
+        e ~spread:ispread "incr_wall_s" "s" R.Lower iw;
+        (* First-order propagation of the two walls' relative spreads. *)
+        e
+          ~spread:(speedup *. ((fspread /. fw) +. (ispread /. Float.max 1e-9 iw)))
+          "speedup" "x" R.Higher speedup;
+        e "dirty" "count" R.Exact (float_of_int stats.Bgp.rf_dirty);
+        e "total_pfx" "count" R.Exact (float_of_int stats.Bgp.rf_total);
+        e "full_minor_words" "words" R.Lower fmin;
+        e "full_major_words" "words" R.Lower fmaj;
+        e "incr_minor_words" "words" R.Lower imin;
+        e "incr_major_words" "words" R.Lower imaj)
     Evolve.all_kinds
 
-(* Longitudinal drift: the epoch loop at a fixed scale 0.3, one row per
-   epoch with inferred-map accuracy against the evolved ground truth.
-   check_bench holds every epoch's link accuracy above the recorded
-   floor — churn must not quietly erode inference quality. *)
-let longitudinal_links_floor = 60.0
-let longitudinal_rows : Experiments.Exp_longitudinal.row list ref = ref []
-
+(* Longitudinal drift: the epoch loop at a fixed scale 0.3, one layer
+   per epoch with inferred-map accuracy against the evolved ground
+   truth. check_bench holds every epoch's link accuracy above its floor
+   — churn must not quietly erode inference quality. *)
 let longitudinal () =
   banner "Longitudinal: border-map drift under temporal churn (scale 0.3)";
-  timed "longitudinal" (fun () ->
-      let rows = Experiments.Exp_longitudinal.run ~scale:0.3 () in
-      longitudinal_rows := rows;
-      Experiments.Exp_longitudinal.print Format.std_formatter rows)
+  let rows =
+    timed "longitudinal" (fun () ->
+        let rows = Experiments.Exp_longitudinal.run ~scale:0.3 () in
+        Experiments.Exp_longitudinal.print Format.std_formatter rows;
+        rows)
+  in
+  List.iter
+    (fun (r : Experiments.Exp_longitudinal.row) ->
+      let e = emit "longitudinal" (string_of_int r.epoch) in
+      e "time_s" "s" R.Exact r.time;
+      e "dirty" "count" R.Exact (float_of_int r.dirty);
+      e "total_pfx" "count" R.Exact (float_of_int r.total_pfx);
+      e "borders" "count" R.Exact (float_of_int r.borders);
+      e "links_pct" "%" R.Exact r.links.Bdrmap.Validate.pct_correct;
+      e "routers_pct" "%" R.Exact r.routers.Bdrmap.Validate.pct_correct;
+      e "drift_pct" "%" R.Exact r.drift_pct)
+    rows
 
 (* The multi-VP experiments again, serial vs pooled, on a warm
    environment (the world/engine cache makes the comparison about the
@@ -348,16 +373,17 @@ let snapshot_comparison () =
   let shared =
     timed "snapshot-freeze" (fun () -> Bdrmap.Pipeline.freeze_routing w)
   in
-  timed "sweep-cold-snapshot" (fun () ->
-      ignore (Bdrmap.Pipeline.execute_all w inputs ~vps));
-  timed "sweep-warm-snapshot" (fun () ->
-      ignore (Bdrmap.Pipeline.execute_all ~shared w inputs ~vps));
-  match !wall_times with
-  | warm :: cold :: _ ->
-    Printf.printf "per-VP (%d VPs): cold %.3fs, warm %.3fs\n%!" n_vps
-      (cold.r_wall_s /. float_of_int n_vps)
-      (warm.r_wall_s /. float_of_int n_vps)
-  | _ -> ()
+  let (), cold =
+    timed_s "sweep-cold-snapshot" (fun () ->
+        ignore (Bdrmap.Pipeline.execute_all w inputs ~vps))
+  in
+  let (), warm =
+    timed_s "sweep-warm-snapshot" (fun () ->
+        ignore (Bdrmap.Pipeline.execute_all ~shared w inputs ~vps))
+  in
+  Printf.printf "per-VP (%d VPs): cold %.3fs, warm %.3fs\n%!" n_vps
+    (cold /. float_of_int n_vps)
+    (warm /. float_of_int n_vps)
 
 (* Packed snapshot at a fixed scale-3 world (10x-class), independent of
    BDRMAP_BENCH_SCALE so the rows are comparable across runs: freeze
@@ -404,10 +430,8 @@ let scale3_snapshot () =
    socket against a server on its own domain. The batch-512 row is the
    throughput headline; the batch-1 row is per-frame round-trip
    latency. check_bench gates sustained qps, p50 <= p99 ordering, and
-   the steady-state minor-GC words per query staying near zero — the
+   the steady-state minor-GC words per frame staying near zero — the
    regression gate for the query hot loop staying allocation-free. *)
-let serve_rows : Serve.Bench_load.result list ref = ref []
-
 let serve_bench () =
   banner "Query server: batched owner lookups over the merged border map";
   let qmap =
@@ -439,7 +463,14 @@ let serve_bench () =
     (fun batch ->
       let r = Serve.Bench_load.run ~batch ~seconds:0.5 qmap in
       Serve.Bench_load.print Format.std_formatter r;
-      serve_rows := r :: !serve_rows)
+      let e = emit "serve" (Printf.sprintf "owner-batch%d" batch) in
+      e "batch" "count" R.Exact (float_of_int batch);
+      e "queries" "count" R.Higher (float_of_int r.queries);
+      e "qps" "1/s" R.Higher r.qps;
+      Option.iter (e "rtt_p50_us" "us" R.Lower) r.rtt_p50_us;
+      Option.iter (e "rtt_p99_us" "us" R.Lower) r.rtt_p99_us;
+      e "frame_minor_words" "words" R.Lower
+        (r.minor_words_per_query *. float_of_int batch))
     [ 512; 1 ]
 
 (* ------------------------------------------------------------------ *)
@@ -546,18 +577,17 @@ let test_aggregate_merge =
          in
          ignore (Bdrmap.Aggregate.merge [ vl; { vl with vp_name = "vp2" } ])))
 
-(* Micro-benchmark estimates collected for BENCH.json: (name, ns/run). *)
-let micro_times : (string * float) list ref = ref []
-
 (* Metrics snapshot for BENCH.json, taken after the experiment sweeps
    and before the micro-benchmarks — the micro loops would both inflate
    the pipeline counters and pay the recording cost inside the timed
-   region. *)
-let obs_snapshot : (string * Obs.Metrics.value) list ref = ref []
-
+   region. The stage.* counters land as stage rows only. *)
 let snapshot_obs () =
-  obs_snapshot := Obs.Metrics.collect ();
-  Obs.Metrics.disable ()
+  let metrics = Obs.Metrics.collect () in
+  Obs.Metrics.disable ();
+  List.iter
+    (fun st -> List.iter add (R.stage_rows st))
+    (Obs.Manifest.stages metrics);
+  List.iter (fun (name, v) -> List.iter add (R.metric_rows name v)) metrics
 
 let micro () =
   banner "Micro-benchmarks (bechamel)";
@@ -583,168 +613,15 @@ let micro () =
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
           | Some (est :: _) ->
-            micro_times := (name, est) :: !micro_times;
+            emit "micro" name "ns_per_run" "ns" R.Lower est;
             Printf.printf "%-24s %12.1f ns/run\n%!" name est
           | _ -> Printf.printf "%-24s (no estimate)\n%!" name)
         analyzed)
     tests
 
-(* ------------------------------------------------------------------ *)
-(* BENCH.json: the machine-readable record of this run.                *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_bench_json path =
   let oc = open_out path in
-  let item fmt (name, v) = Printf.sprintf fmt (json_escape name) v in
-  let block key fmt entries =
-    Printf.sprintf "  %S: [\n%s\n  ]" key
-      (String.concat ",\n" (List.map (fun e -> "    " ^ item fmt e) entries))
-  in
-  let experiments_block =
-    let row r =
-      Printf.sprintf
-        "    {\"name\": \"%s\", \"wall_s\": %.6f, \"gc_minor_words\": %.0f, \
-         \"gc_major_words\": %.0f, \"gc_heap_words\": %.0f, \
-         \"gc_compactions\": %d}"
-        (json_escape r.r_name) r.r_wall_s r.r_minor_words r.r_major_words
-        r.r_heap_words r.r_compactions
-    in
-    Printf.sprintf "  \"experiments\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row (List.rev !wall_times)))
-  in
-  let robustness_block =
-    let row (r : Experiments.Exp_robustness.row) =
-      Printf.sprintf
-        "    {\"intensity\": %g, \"links_pct\": %.2f, \"routers_pct\": %.2f, \
-         \"coverage_pct\": %.2f, \"probes\": %d, \"overhead_pct\": %.2f}"
-        r.Experiments.Exp_robustness.intensity
-        r.Experiments.Exp_robustness.links.Bdrmap.Validate.pct_correct
-        r.Experiments.Exp_robustness.routers.Bdrmap.Validate.pct_correct
-        r.Experiments.Exp_robustness.coverage_pct
-        r.Experiments.Exp_robustness.probes
-        r.Experiments.Exp_robustness.overhead_pct
-    in
-    Printf.sprintf "  \"robustness\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row !robustness_rows))
-  in
-  let corpus_block =
-    let row (r : Experiments.Exp_corpus.row) =
-      Printf.sprintf
-        "    {\"scenario\": \"%s\", \"links_pct\": %.2f, \"links_floor\": %.2f, \
-         \"routers_pct\": %.2f, \"routers_floor\": %.2f, \"coverage_pct\": %.2f, \
-         \"probes\": %d}"
-        (json_escape r.Experiments.Exp_corpus.name)
-        r.Experiments.Exp_corpus.links.Bdrmap.Validate.pct_correct
-        r.Experiments.Exp_corpus.link_floor
-        r.Experiments.Exp_corpus.routers.Bdrmap.Validate.pct_correct
-        r.Experiments.Exp_corpus.router_floor
-        r.Experiments.Exp_corpus.coverage_pct
-        r.Experiments.Exp_corpus.probes
-    in
-    Printf.sprintf "  \"corpus\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row !corpus_rows))
-  in
-  let stages_block =
-    let row (st : Obs.Manifest.stage) =
-      Printf.sprintf
-        "    {\"stage\": \"%s\", \"count\": %d, \"wall_s\": %.6f, \"sim_s\": %.6f, \
-         \"gc_minor_words\": %d, \"gc_major_words\": %d, \"gc_compactions\": %d}"
-        (json_escape st.Obs.Manifest.st_name) st.Obs.Manifest.st_count
-        st.Obs.Manifest.st_wall_s st.Obs.Manifest.st_sim_s
-        st.Obs.Manifest.st_minor_words st.Obs.Manifest.st_major_words
-        st.Obs.Manifest.st_compactions
-    in
-    Printf.sprintf "  \"stages\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row (Obs.Manifest.stages !obs_snapshot)))
-  in
-  let serve_block =
-    let row (r : Serve.Bench_load.result) =
-      Printf.sprintf
-        "    {\"name\": \"owner-batch%d\", \"batch\": %d, \"queries\": %d, \
-         \"qps\": %.0f, \"rtt_p50_us\": %.2f, \"rtt_p99_us\": %.2f, \
-         \"minor_words_per_query\": %.4f, \"wall_s\": %.6f}"
-        r.Serve.Bench_load.batch r.Serve.Bench_load.batch
-        r.Serve.Bench_load.queries r.Serve.Bench_load.qps
-        r.Serve.Bench_load.rtt_p50_us r.Serve.Bench_load.rtt_p99_us
-        r.Serve.Bench_load.minor_words_per_query r.Serve.Bench_load.wall_s
-    in
-    Printf.sprintf "  \"serve\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row (List.rev !serve_rows)))
-  in
-  let metrics_block =
-    let row (name, v) =
-      match v with
-      | Obs.Metrics.Counter n ->
-        Printf.sprintf "    {\"name\": \"%s\", \"total\": %d}" (json_escape name) n
-      | Obs.Metrics.Gauge g ->
-        Printf.sprintf "    {\"name\": \"%s\", \"max\": %g}" (json_escape name) g
-      | Obs.Metrics.Histogram h ->
-        (* Derived percentiles ride along so run-diff tooling can gate
-           on tail latency without re-deriving bucket math. *)
-        let q =
-          match Obs.Summary.of_hist h with
-          | None -> ""
-          | Some q ->
-            Printf.sprintf ", \"p50\": %g, \"p90\": %g, \"p99\": %g"
-              q.Obs.Summary.p50 q.Obs.Summary.p90 q.Obs.Summary.p99
-        in
-        Printf.sprintf "    {\"name\": \"%s\", \"count\": %d, \"sum\": %g%s}"
-          (json_escape name) h.Obs.Metrics.h_count h.Obs.Metrics.h_sum q
-    in
-    Printf.sprintf "  \"metrics\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row !obs_snapshot))
-  in
-  let churn_block =
-    let row r =
-      Printf.sprintf
-        "    {\"name\": \"%s\", \"full_wall_s\": %.6f, \"incr_wall_s\": %.6f, \
-         \"speedup\": %.2f, \"dirty\": %d, \"total_pfx\": %d, \
-         \"full_minor_words\": %.0f, \"full_major_words\": %.0f, \
-         \"incr_minor_words\": %.0f, \"incr_major_words\": %.0f}"
-        (json_escape r.c_name) r.c_full_wall_s r.c_incr_wall_s
-        (r.c_full_wall_s /. Float.max 1e-9 r.c_incr_wall_s)
-        r.c_dirty r.c_total r.c_full_minor r.c_full_major r.c_incr_minor
-        r.c_incr_major
-    in
-    Printf.sprintf "  \"churn\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row (List.rev !churn_rows)))
-  in
-  let longitudinal_block =
-    let row (r : Experiments.Exp_longitudinal.row) =
-      Printf.sprintf
-        "    {\"epoch\": %d, \"time_s\": %g, \"dirty\": %d, \"total_pfx\": %d, \
-         \"borders\": %d, \"links_pct\": %.2f, \"links_floor\": %.2f, \
-         \"routers_pct\": %.2f, \"drift_pct\": %.2f}"
-        r.Experiments.Exp_longitudinal.epoch
-        r.Experiments.Exp_longitudinal.time
-        r.Experiments.Exp_longitudinal.dirty
-        r.Experiments.Exp_longitudinal.total_pfx
-        r.Experiments.Exp_longitudinal.borders
-        r.Experiments.Exp_longitudinal.links.Bdrmap.Validate.pct_correct
-        longitudinal_links_floor
-        r.Experiments.Exp_longitudinal.routers.Bdrmap.Validate.pct_correct
-        r.Experiments.Exp_longitudinal.drift_pct
-    in
-    Printf.sprintf "  \"longitudinal\": [\n%s\n  ]"
-      (String.concat ",\n" (List.map row !longitudinal_rows))
-  in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"bdrmap-bench/10\",\n  \"scale\": %g,\n  \"domains\": %d,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s\n}\n"
-    scale jobs experiments_block robustness_block corpus_block churn_block
-    longitudinal_block serve_block stages_block metrics_block
-    (block "micro" "{\"name\": \"%s\", \"ns_per_run\": %.1f}" (List.rev !micro_times));
+  output_string oc (R.render_bench ~scale ~domains:jobs (List.rev !rows));
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 

@@ -313,7 +313,7 @@ let run_all_vps ~shared world inputs store pool =
   Printf.printf "running bdrmap from %d VPs on %d domain%s...\n%!" (List.length vps)
     domains
     (if domains = 1 then "" else "s");
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let runs = Bdrmap.Pipeline.execute_all ?pool ?store ~shared world inputs ~vps in
   let merged =
     Bdrmap.Aggregate.merge_runs ?pool
@@ -322,7 +322,7 @@ let run_all_vps ~shared world inputs store pool =
            (vp.Gen.vp_name, r.Bdrmap.Pipeline.graph, r.Bdrmap.Pipeline.inference))
          vps runs)
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Obs.Clock.seconds_since t0 in
   Printf.printf "%d merged links across %d VPs in %.1fs\n" (List.length merged)
     (List.length vps) dt;
   let by_neighbor = Bdrmap.Aggregate.per_neighbor merged in
@@ -868,7 +868,7 @@ let obs_diff wall_ratio rel a b =
     match Obs.Run_diff.of_file path with
     | Ok run -> run
     | Error msg ->
-      Printf.eprintf "obs diff: %s: %s\n" path msg;
+      Printf.eprintf "obs diff: %s: %s\n" path (Obs.Run_diff.error_to_string msg);
       exit 1
   in
   let ra = load a and rb = load b in
@@ -885,14 +885,14 @@ let obs_diff wall_ratio rel a b =
     findings;
   let failing = List.filter Obs.Run_diff.failing findings in
   if failing <> [] then begin
-    Printf.printf "FAIL: %d of %d compared series regressed\n"
+    Printf.printf "FAIL: %d of %d compared rows regressed\n"
       (List.length failing)
-      (List.length ra.Obs.Run_diff.series);
+      (List.length ra.Obs.Run_diff.rows);
     exit 1
   end
   else
-    Printf.printf "ok: %d series compared, no regressions\n"
-      (List.length ra.Obs.Run_diff.series)
+    Printf.printf "ok: %d rows compared, no regressions\n"
+      (List.length ra.Obs.Run_diff.rows)
 
 let obs_export path =
   match Obs.Openmetrics.of_file path with
@@ -944,8 +944,9 @@ let obs_cmd =
         & opt float 1.5
         & info [ "wall-ratio" ] ~docv:"R"
             ~doc:
-              "Fail a wall-clock / GC series only when the candidate \
-               exceeds the baseline by this multiplier (plus a noise floor).")
+              "Fail a lower-is-better row only when the candidate exceeds \
+               the baseline by this multiplier (plus its unit's slack and \
+               spread); higher-is-better rows the other way round.")
     in
     let rel =
       Arg.(
@@ -953,14 +954,14 @@ let obs_cmd =
         & opt float 0.0
         & info [ "rel" ] ~docv:"R"
             ~doc:
-              "Relative tolerance for deterministic series (default 0: \
-               exact match required).")
+              "Relative tolerance for exact rows (default 0: exact match \
+               required).")
     in
     Cmd.v
       (Cmd.info "diff"
          ~doc:
            "Compare two manifests or two BENCH.json files; exit nonzero \
-            and name the offending series on any regression.")
+            and name the offending row on any regression.")
       Term.(const obs_diff $ wall_ratio $ rel $ file_a $ file_b)
   in
   let export =

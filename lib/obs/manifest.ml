@@ -62,14 +62,19 @@ let render_value = function
   | Metrics.Gauge g -> Printf.sprintf "%g" g
   | Metrics.Histogram h ->
     (* Percentiles are derived, not recorded: Summary reads them out of
-       the same fixed log buckets, so every histogram in the manifest
-       carries its p50/p90/p99 with no recording-side state. *)
+       the same fixed log buckets, so a histogram in the manifest carries
+       each p50/p90/p99 that its samples support, with no recording-side
+       state. *)
     let quantiles =
       match Summary.of_hist h with
       | None -> ""
       | Some q ->
-        Printf.sprintf ", \"p50\": %g, \"p90\": %g, \"p99\": %g, \"max\": %g"
-          q.Summary.p50 q.Summary.p90 q.Summary.p99 q.Summary.max_est
+        let col k = function
+          | Some v -> Printf.sprintf ", \"%s\": %g" k v
+          | None -> ""
+        in
+        col "p50" q.Summary.p50 ^ col "p90" q.Summary.p90 ^ col "p99" q.Summary.p99
+        ^ Printf.sprintf ", \"max\": %g" q.Summary.max_est
     in
     Printf.sprintf "{\"sum\": %g, \"count\": %d%s, \"buckets\": [%s]}"
       h.Metrics.h_sum h.Metrics.h_count quantiles

@@ -1,171 +1,231 @@
 (* Run-to-run comparison over the two machine-readable artifacts the
    system emits: manifest.json (per-run) and BENCH.json (per-bench).
-   Both flatten into named numeric series; the diff then only has to
-   know two things per series — whether it is volatile (wall clock, GC,
-   ns/run: compared by ratio against a noise floor) or deterministic
-   (counts, sim time, accuracy: compared exactly, modulo an optional
-   relative tolerance). A regression is a scriptable build failure:
-   `bdrmap obs diff A B` exits nonzero and names the offending series. *)
+   Both read into one row shape that carries its own unit and its own
+   direction, so the diff never has to guess what a number is from its
+   name. A regression is a scriptable build failure: `bdrmap obs diff A
+   B` exits nonzero and names the offending row. *)
+
+type better = Lower | Higher | Exact
+
+let better_label = function Lower -> "lower" | Higher -> "higher" | Exact -> "exact"
+
+let better_of_label = function
+  | "lower" -> Some Lower
+  | "higher" -> Some Higher
+  | "exact" -> Some Exact
+  | _ -> None
+
+type row = {
+  workload : string;
+  layer : string;
+  metric : string;
+  unit_ : string;
+  better : better;
+  value : float;
+  spread : float;
+}
+
+let row_name r =
+  String.concat "." (List.filter (( <> ) "") [ r.workload; r.layer; r.metric ])
+
+let make workload layer metric unit_ better value =
+  { workload; layer; metric; unit_; better; value; spread = 0.0 }
+
+let stage_row ~stage ~field value =
+  let row unit_ better = Some (make "stage" stage field unit_ better value) in
+  match field with
+  | "count" -> row "count" Exact
+  | "wall_s" -> row "s" Lower
+  | "sim_s" -> row "s" Exact
+  | "gc_minor_words" | "gc_major_words" -> row "words" Lower
+  | "gc_compactions" -> row "count" Lower
+  | _ -> None
+
+let stage_rows (st : Manifest.stage) =
+  List.filter_map
+    (fun (field, v) -> stage_row ~stage:st.Manifest.st_name ~field v)
+    [ ("count", float_of_int st.Manifest.st_count);
+      ("wall_s", st.Manifest.st_wall_s);
+      ("sim_s", st.Manifest.st_sim_s);
+      ("gc_minor_words", float_of_int st.Manifest.st_minor_words);
+      ("gc_major_words", float_of_int st.Manifest.st_major_words);
+      ("gc_compactions", float_of_int st.Manifest.st_compactions) ]
+
+(* The query server's request counters and latency histogram count what
+   a timed load window admitted; every other registry metric is a pure
+   function of the configuration. *)
+let metric_row ~name ~field value =
+  if String.starts_with ~prefix:"stage." name then None
+  else
+    let unit_, better =
+      match (name, field) with
+      | ("serve.requests_total" | "serve.queries_total"), _
+      | "serve.request_seconds", "count" ->
+        ("count", Higher)
+      | "serve.request_seconds", _ -> ("s", Lower)
+      | _, ("value" | "count") -> ("count", Exact)
+      | _ -> ("sample", Exact)
+    in
+    Some (make "metric" name field unit_ better value)
+
+let metric_rows name v =
+  let cols =
+    match v with
+    | Metrics.Counter n -> [ ("value", float_of_int n) ]
+    | Metrics.Gauge g -> [ ("value", g) ]
+    | Metrics.Histogram h -> (
+      let base =
+        [ ("count", float_of_int h.Metrics.h_count); ("sum", h.Metrics.h_sum) ]
+      in
+      match Summary.of_hist h with
+      | None -> base
+      | Some q ->
+        base
+        @ List.filter_map
+            (fun (k, v) -> Option.map (fun v -> (k, v)) v)
+            [ ("p50", q.Summary.p50); ("p90", q.Summary.p90); ("p99", q.Summary.p99);
+              ("max", Some q.Summary.max_est) ])
+  in
+  List.filter_map (fun (field, v) -> metric_row ~name ~field v) cols
+
+(* ------------------------------------------------------------------ *)
+(* BENCH.json.                                                        *)
+
+let bench_schema = "bdrmap-bench/11"
+
+(* Integral values print as integers, so counts keep every digit. *)
+let num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Json.Int (int_of_float v)
+  else Json.Float v
+
+let render_bench ~scale ~domains rows =
+  let row r =
+    Json.to_string
+      (Json.Obj
+         [ ("workload", Json.String r.workload); ("layer", Json.String r.layer);
+           ("metric", Json.String r.metric); ("unit", Json.String r.unit_);
+           ("better", Json.String (better_label r.better)); ("value", num r.value);
+           ("spread", num r.spread) ])
+  in
+  Printf.sprintf "{\"schema\": %s, \"scale\": %g, \"domains\": %d, \"rows\": [\n%s\n]}\n"
+    (Json.to_string (Json.String bench_schema))
+    scale domains
+    (String.concat ",\n" (List.map (fun r -> "  " ^ row r) rows))
+
+(* ------------------------------------------------------------------ *)
+(* Reading.                                                           *)
 
 type kind = Manifest | Bench
 
 let kind_label = function Manifest -> "manifest" | Bench -> "bench"
 
-type run = { kind : kind; schema : string; series : (string * float) list }
+type run = { kind : kind; schema : string; rows : row list }
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+type error =
+  | Io of string
+  | Malformed of string
+  | No_schema
+  | Unsupported_schema of string
 
-(* Wall-clock, GC deltas, micro-benchmark estimates and the query-server
-   load rows (throughput, round-trip latency, per-query allocation,
-   query counts — all functions of a timed window) move run to run on an
-   otherwise identical workload; everything else is a pure function of
-   the configuration. *)
-let volatile_series name =
-  contains ~sub:"wall" name || contains ~sub:"gc_" name
-  || contains ~sub:"ns_per_run" name || contains ~sub:"created_unix" name
-  || contains ~sub:"qps" name || contains ~sub:"rtt_" name
-  || contains ~sub:"per_query" name || contains ~sub:".queries" name
+let error_to_string = function
+  | Io m -> m
+  | Malformed m -> "malformed: " ^ m
+  | No_schema -> "no \"schema\" field: not a manifest or BENCH.json"
+  | Unsupported_schema s ->
+    Printf.sprintf "unsupported schema %S (reads bdrmap-manifest/2 and %s)" s
+      bench_schema
 
-(* Throughput runs the other way from every other volatile series:
-   higher is better, so the ratio test compares the inverted pair. *)
-let inverted_series name = contains ~sub:"qps" name
+exception Bad of string
 
-(* Absolute noise floors under which a volatile ratio blow-up is not a
-   regression (a 1us stage doubling to 2us is scheduler noise, not a
-   perf bug). Keyed on the unit implied by the series name. *)
-let noise_floor name =
-  if contains ~sub:"wall_s" name then 0.005
-  else if contains ~sub:"wall_ns" name then 5e6
-  else if contains ~sub:"ns_per_run" name then 100.0
-  else if contains ~sub:"gc_" name then 10_000.0
-  else if contains ~sub:"rtt_" name then 25.0 (* us; sub-25us RTTs are all noise *)
-  else if contains ~sub:"per_query" name then 2.0 (* amortized metrics words *)
-  else if contains ~sub:"qps" name then 50_000.0
-  else 0.0
+let field json k conv =
+  match Option.bind (Json.member k json) conv with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "field %S missing or mistyped" k))
 
-(* ------------------------------------------------------------------ *)
-(* Flattening parsed JSON into series.                                *)
+(* Top-level run parameters: exact rows under the "run" workload. *)
+let top_rows json keys =
+  List.filter_map
+    (fun k ->
+      Option.map
+        (fun v -> make "run" "" k "count" Exact v)
+        (Option.bind (Json.member k json) Json.to_float))
+    keys
 
-let num_fields prefix fields acc =
-  List.fold_left
-    (fun acc (k, v) ->
-      match Json.to_float v with
-      | Some f when k <> "created_unix" -> (prefix ^ "." ^ k, f) :: acc
-      | _ -> acc)
-    acc fields
+let bench_rows json =
+  List.mapi
+    (fun i r ->
+      try
+        { workload = field r "workload" Json.to_str;
+          layer = field r "layer" Json.to_str;
+          metric = field r "metric" Json.to_str;
+          unit_ = field r "unit" Json.to_str;
+          better =
+            field r "better" (fun j -> Option.bind (Json.to_str j) better_of_label);
+          value = field r "value" Json.to_float;
+          spread = field r "spread" Json.to_float }
+      with Bad m -> raise (Bad (Printf.sprintf "row %d: %s" i m)))
+    (field json "rows" Json.to_list)
 
-let manifest_series json =
-  let acc = ref [] in
-  let top k =
-    match Option.bind (Json.member k json) Json.to_float with
-    | Some f -> acc := (k, f) :: !acc
-    | None -> ()
+let manifest_rows json =
+  let obj k = Option.value ~default:[] (Option.bind (Json.member k json) Json.to_obj) in
+  let nums =
+    List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
   in
-  List.iter top [ "scale"; "jobs"; "trace_records" ];
-  (match Option.bind (Json.member "stages" json) Json.to_obj with
-  | Some stages ->
-    List.iter
+  let stages =
+    List.concat_map
       (fun (stage, v) ->
-        match Json.to_obj v with
-        | Some fields -> acc := num_fields ("stage." ^ stage) fields !acc
-        | None -> ())
-      stages
-  | None -> ());
-  (match Option.bind (Json.member "metrics" json) Json.to_obj with
-  | Some metrics ->
-    List.iter
+        List.filter_map
+          (fun (field, f) -> stage_row ~stage ~field f)
+          (nums (Option.value ~default:[] (Json.to_obj v))))
+      (obj "stages")
+  in
+  let metrics =
+    List.concat_map
       (fun (name, v) ->
         match v with
-        | Json.Int _ | Json.Float _ ->
-          acc := ("metric." ^ name, Option.get (Json.to_float v)) :: !acc
-        | Json.Obj fields ->
-          (* histogram: count/sum/percentiles, buckets skipped *)
-          acc :=
-            num_fields ("metric." ^ name)
-              (List.filter (fun (k, _) -> k <> "buckets") fields)
-              !acc
-        | _ -> ())
-      metrics
-  | None -> ());
-  List.rev !acc
+        | Json.Obj cols ->
+          List.filter_map (fun (field, f) -> metric_row ~name ~field f) (nums cols)
+        | v ->
+          Option.to_list
+            (Option.bind (Json.to_float v) (fun f -> metric_row ~name ~field:"value" f)))
+      (obj "metrics")
+  in
+  top_rows json [ "scale"; "jobs"; "trace_records" ] @ stages @ metrics
 
-let bench_series json =
-  let acc = ref [] in
-  let top k =
-    match Option.bind (Json.member k json) Json.to_float with
-    | Some f -> acc := (k, f) :: !acc
-    | None -> ()
-  in
-  List.iter top [ "scale"; "domains" ];
-  let rows key ~name_of ~prefix =
-    match Option.bind (Json.member key json) Json.to_list with
-    | Some rows ->
-      List.iter
-        (fun row ->
-          match Json.to_obj row with
-          | Some fields -> (
-            match name_of fields with
-            | Some n ->
-              acc :=
-                num_fields (prefix ^ "." ^ n)
-                  (List.filter
-                     (fun (k, v) ->
-                       Json.to_float v <> None && k <> "intensity"
-                       && k <> "epoch")
-                     fields)
-                  !acc
-            | None -> ())
-          | None -> ())
-        rows
-    | None -> ()
-  in
-  let str_field k fields = Option.bind (List.assoc_opt k fields) Json.to_str in
-  rows "experiments" ~name_of:(str_field "name") ~prefix:"experiment";
-  rows "stages" ~name_of:(str_field "stage") ~prefix:"stage";
-  rows "corpus" ~name_of:(str_field "scenario") ~prefix:"corpus";
-  rows "churn" ~name_of:(str_field "name") ~prefix:"churn";
-  rows "longitudinal"
-    ~name_of:(fun fields ->
-      Option.map (Printf.sprintf "%g")
-        (Option.bind (List.assoc_opt "epoch" fields) Json.to_float))
-    ~prefix:"longitudinal";
-  rows "serve" ~name_of:(str_field "name") ~prefix:"serve";
-  rows "micro" ~name_of:(str_field "name") ~prefix:"micro";
-  rows "metrics" ~name_of:(str_field "name") ~prefix:"metric";
-  rows "robustness"
-    ~name_of:(fun fields ->
-      Option.map (Printf.sprintf "%g")
-        (Option.bind (List.assoc_opt "intensity" fields) Json.to_float))
-    ~prefix:"robustness";
-  List.rev !acc
+let check_unique rows =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      let n = row_name r in
+      if Hashtbl.mem seen n then raise (Bad (Printf.sprintf "duplicate row %S" n));
+      Hashtbl.add seen n ())
+    rows;
+  rows
 
 let of_json json =
   match Option.bind (Json.member "schema" json) Json.to_str with
-  | Some schema when contains ~sub:"bdrmap-manifest/" schema ->
-    Ok { kind = Manifest; schema; series = manifest_series json }
-  | Some schema when contains ~sub:"bdrmap-bench/" schema ->
-    Ok { kind = Bench; schema; series = bench_series json }
-  | Some schema -> Error (Printf.sprintf "unrecognized schema %S" schema)
-  | None -> Error "no \"schema\" field: not a manifest or BENCH.json"
+  | None -> Error No_schema
+  | Some schema -> (
+    let read kind rows = Ok { kind; schema; rows = check_unique (rows json) } in
+    try
+      if schema = "bdrmap-manifest/2" then read Manifest manifest_rows
+      else if schema = bench_schema then
+        read Bench (fun j -> top_rows j [ "scale"; "domains" ] @ bench_rows j)
+      else Error (Unsupported_schema schema)
+    with Bad m -> Error (Malformed m))
 
 let of_string s =
   match Json.parse s with
-  | Error e -> Error (Json.error_to_string e)
+  | Error e -> Error (Malformed (Json.error_to_string e))
   | Ok json -> of_json json
 
 let of_file path =
   match open_in_bin path with
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg -> Error (Io msg)
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match of_string (really_input_string ic (in_channel_length ic)) with
-        | Ok r -> Ok r
-        | Error e -> Error (path ^ ": " ^ e))
+      (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 (* ------------------------------------------------------------------ *)
 (* The diff.                                                          *)
@@ -184,29 +244,42 @@ let failing f = match f.f_verdict with
   | Regression | Changed | Missing -> true
   | Improvement -> false
 
+(* Absolute slack, per unit, under which a ratio blow-up is timer or
+   scheduler noise rather than a perf bug (a 1us stage doubling to 2us,
+   a GC delta of a few thousand words). *)
+let unit_slack = function
+  | "s" -> 0.005
+  | "ns" -> 100.0
+  | "us" -> 25.0
+  | "words" -> 10_000.0
+  | "words/query" -> 2.0
+  | "1/s" -> 50_000.0
+  | _ -> 0.0
+
 let diff ?(wall_ratio = 1.5) ?(rel = 0.0) a b =
-  let findings = ref [] in
-  let push f_name f_a f_b f_verdict =
-    findings := { f_name; f_a; f_b; f_verdict } :: !findings
-  in
-  List.iter
-    (fun (name, av) ->
-      match List.assoc_opt name b.series with
-      | None -> push name av nan Missing
-      | Some bv ->
-        if volatile_series name then begin
-          (* [x] is the "worse if bigger" side: run B for cost series,
-             run A for inverted (throughput) series. *)
-          let x, y = if inverted_series name then (av, bv) else (bv, av) in
-          if x > (y *. wall_ratio) +. noise_floor name then push name av bv Regression
-          else if y > (x *. wall_ratio) +. noise_floor name then
-            push name av bv Improvement
-        end
-        else if
-          Float.abs (bv -. av) > rel *. Float.max (Float.abs av) (Float.abs bv)
-        then push name av bv Changed)
-    a.series;
-  List.rev !findings
+  let index = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.replace index (row_name r) r) b.rows;
+  List.filter_map
+    (fun ra ->
+      let f_name = row_name ra and av = ra.value in
+      let finding f_b f_verdict = Some { f_name; f_a = av; f_b; f_verdict } in
+      match Hashtbl.find_opt index f_name with
+      | None -> finding nan Missing
+      | Some rb -> (
+        let bv = rb.value in
+        match ra.better with
+        | Exact ->
+          if Float.abs (bv -. av) > rel *. Float.max (Float.abs av) (Float.abs bv)
+          then finding bv Changed
+          else None
+        | Lower | Higher ->
+          (* [worse] is the side that is bad when it is bigger. *)
+          let worse, base = if ra.better = Lower then (bv, av) else (av, bv) in
+          let slack = unit_slack ra.unit_ +. Float.max ra.spread rb.spread in
+          if worse > (base *. wall_ratio) +. slack then finding bv Regression
+          else if base > (worse *. wall_ratio) +. slack then finding bv Improvement
+          else None))
+    a.rows
 
 let regressions findings = List.filter failing findings
 

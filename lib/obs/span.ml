@@ -129,9 +129,9 @@ let with_span ~stage ?vp ?sim f =
     let minor0 = Gc.minor_words () in
     let _, _, major0 = Gc.counters () in
     let compactions0 = (Gc.quick_stat ()).Gc.compactions in
-    let wall0 = Unix.gettimeofday () in
+    let wall0 = Clock.now_ns () in
     let record () =
-      let wall_ns = int_of_float ((Unix.gettimeofday () -. wall0) *. 1e9) in
+      let wall_ns = Clock.now_ns () - wall0 in
       let minor1 = Gc.minor_words () in
       let _, _, major1 = Gc.counters () in
       finish_span sink_opt ~stage ~vp ~sim_start ~sim_end:(simf ()) ~wall_ns

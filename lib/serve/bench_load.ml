@@ -3,8 +3,8 @@ type result = {
   queries : int;
   wall_s : float;
   qps : float;
-  rtt_p50_us : float;
-  rtt_p99_us : float;
+  rtt_p50_us : float option;
+  rtt_p99_us : float option;
   minor_words_per_query : float;
 }
 
@@ -17,15 +17,14 @@ let fresh_socket_path () =
        (Atomic.fetch_and_add socket_counter 1))
 
 (* Quantile in seconds from a local bucket population using the shared
-   Metrics layout; [None] never happens here (count > 0 by contract). *)
+   Metrics layout, under Summary's refusals: [None] when the window
+   holds too few frames to support it or it is below resolution. *)
 let quantile buckets count q =
   let pairs = ref [] in
   Array.iteri
     (fun i n -> if n > 0 then pairs := (Obs.Metrics.bucket_lower i, n) :: !pairs)
     buckets;
-  match Obs.Summary.percentile_of_buckets ~count (List.rev !pairs) q with
-  | Some v -> v
-  | None -> 0.0
+  Obs.Summary.percentile_of_buckets ~count (List.rev !pairs) q
 
 let run ?(batch = 512) ?(seconds = 0.5) ?(warmup_frames = 64) qmap =
   let path = fresh_socket_path () in
@@ -74,15 +73,15 @@ let run ?(batch = 512) ?(seconds = 0.5) ?(warmup_frames = 64) qmap =
           in
           let rtt_buckets = Array.make 64 0 in
           let frames = ref 0 in
-          let t_start = Unix.gettimeofday () in
-          let deadline = t_start +. seconds in
+          let t_start = Obs.Clock.now_ns () in
+          let deadline = t_start + int_of_float (seconds *. 1e9) in
           let t_end = ref t_start in
           while !t_end < deadline do
             fill ();
-            let t0 = Unix.gettimeofday () in
+            let t0 = Obs.Clock.now_ns () in
             shoot ();
-            let t1 = Unix.gettimeofday () in
-            let b = Obs.Metrics.bucket_of (t1 -. t0) in
+            let t1 = Obs.Clock.now_ns () in
+            let b = Obs.Metrics.bucket_of (float_of_int (t1 - t0) *. 1e-9) in
             rtt_buckets.(b) <- rtt_buckets.(b) + 1;
             incr frames;
             t_end := t1
@@ -92,7 +91,7 @@ let run ?(batch = 512) ?(seconds = 0.5) ?(warmup_frames = 64) qmap =
             | Ok g -> g
             | Error e -> failwith ("serve-bench: gcstat: " ^ Protocol.error_label e)
           in
-          let wall_s = !t_end -. t_start in
+          let wall_s = float_of_int (!t_end - t_start) *. 1e-9 in
           let queries = !frames * batch in
           let dq = gc1.Client.queries_total - gc0.Client.queries_total in
           let dw = gc1.Client.minor_words - gc0.Client.minor_words in
@@ -100,14 +99,15 @@ let run ?(batch = 512) ?(seconds = 0.5) ?(warmup_frames = 64) qmap =
             queries;
             wall_s;
             qps = (if wall_s > 0.0 then float_of_int queries /. wall_s else 0.0);
-            rtt_p50_us = 1e6 *. quantile rtt_buckets !frames 0.50;
-            rtt_p99_us = 1e6 *. quantile rtt_buckets !frames 0.99;
+            rtt_p50_us = Option.map (( *. ) 1e6) (quantile rtt_buckets !frames 0.50);
+            rtt_p99_us = Option.map (( *. ) 1e6) (quantile rtt_buckets !frames 0.99);
             minor_words_per_query =
               (if dq > 0 then float_of_int dw /. float_of_int dq else 0.0) }))
 
 let print ppf r =
+  let us = function Some v -> Printf.sprintf "%.1fus" v | None -> "n/a" in
   Format.fprintf ppf
-    "batch %4d: %9.0f qps (%d queries in %.3fs), rtt p50 %.1fus p99 %.1fus, \
+    "batch %4d: %9.0f qps (%d queries in %.3fs), rtt p50 %s p99 %s, \
      %.3f minor words/query@."
-    r.batch r.qps r.queries r.wall_s r.rtt_p50_us r.rtt_p99_us
+    r.batch r.qps r.queries r.wall_s (us r.rtt_p50_us) (us r.rtt_p99_us)
     r.minor_words_per_query

@@ -11,8 +11,10 @@ type result = {
   queries : int;  (** total queries in the timed window *)
   wall_s : float;
   qps : float;
-  rtt_p50_us : float;  (** per-frame round-trip, microseconds *)
-  rtt_p99_us : float;
+  rtt_p50_us : float option;
+      (** per-frame round-trip, microseconds; [None] when the window's
+          frames do not support the quantile ({!Obs.Summary}) *)
+  rtt_p99_us : float option;
   minor_words_per_query : float;
       (** serving-domain minor words allocated per query in steady
           state — the zero-alloc claim, measured not asserted *)

@@ -282,11 +282,11 @@ let drain_frames t c =
            pays one histogram observation, keeping the hot loop free of
            timing syscalls and allocation. *)
         let instrumented = Obs.Metrics.enabled () in
-        let t0 = if instrumented then Unix.gettimeofday () else 0.0 in
+        let t0 = if instrumented then Obs.Clock.now_ns () else 0 in
         let q0 = t.ctx.stats.queries and e0 = t.ctx.stats.errors in
         handle t.ctx c.rbuf ~off:4 ~len:flen c.wb;
         if instrumented then begin
-          Obs.Metrics.observe "serve.request_seconds" (Unix.gettimeofday () -. t0);
+          Obs.Metrics.observe "serve.request_seconds" (Obs.Clock.seconds_since t0);
           Obs.Metrics.incr "serve.requests_total";
           Obs.Metrics.add "serve.queries_total" (t.ctx.stats.queries - q0);
           Obs.Metrics.add "serve.errors_total" (t.ctx.stats.errors - e0)

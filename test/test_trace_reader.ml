@@ -246,36 +246,41 @@ let prop_span_tree_roundtrip =
 
 (* -- Summary: percentile estimation from the fixed log buckets -- *)
 
+let get name = function
+  | Some v -> v
+  | None -> Alcotest.fail (name ^ " refused")
+
 let test_summary_quantiles () =
   Alcotest.(check bool) "empty histogram has no quantiles" true
     (Obs.Summary.quantiles_of_buckets ~count:0 [] = None);
-  (* 100 observations of exactly 1.0 all land in one bucket: every
-     percentile must stay inside that bucket's edges. *)
-  let one_bucket = [ (1.0, 100) ] in
-  (match Obs.Summary.quantiles_of_buckets ~count:100 one_bucket with
+  (* 1000 observations of exactly 1.0 all land in one bucket (enough
+     to support a p99): every percentile must stay inside that bucket's
+     edges. *)
+  let one_bucket = [ (1.0, 1000) ] in
+  (match Obs.Summary.quantiles_of_buckets ~count:1000 one_bucket with
   | None -> Alcotest.fail "expected quantiles"
   | Some q ->
+    let p50 = get "p50" q.Obs.Summary.p50
+    and p90 = get "p90" q.Obs.Summary.p90
+    and p99 = get "p99" q.Obs.Summary.p99 in
     List.iter
       (fun (name, v) ->
         Alcotest.(check bool) (name ^ " within bucket") true
           (v >= 1.0 && v <= Obs.Summary.bucket_upper 1.0))
-      [ ("p50", q.Obs.Summary.p50); ("p90", q.Obs.Summary.p90);
-        ("p99", q.Obs.Summary.p99); ("max", q.Obs.Summary.max_est) ];
+      [ ("p50", p50); ("p90", p90); ("p99", p99); ("max", q.Obs.Summary.max_est) ];
     Alcotest.(check bool) "monotone" true
-      (q.Obs.Summary.p50 <= q.Obs.Summary.p90
-      && q.Obs.Summary.p90 <= q.Obs.Summary.p99
-      && q.Obs.Summary.p99 <= q.Obs.Summary.max_est));
-  (* 90 fast observations and 10 slow ones: p50 reads from the fast
+      (p50 <= p90 && p90 <= p99 && p99 <= q.Obs.Summary.max_est));
+  (* 900 fast observations and 100 slow ones: p50 reads from the fast
      bucket, p99 from the slow one. *)
-  let skewed = [ (0.001, 90); (100.0, 10) ] in
-  match Obs.Summary.quantiles_of_buckets ~count:100 skewed with
+  let skewed = [ (0.001, 900); (100.0, 100) ] in
+  match Obs.Summary.quantiles_of_buckets ~count:1000 skewed with
   | None -> Alcotest.fail "expected quantiles"
   | Some q ->
     Alcotest.(check bool) "p50 in fast bucket" true
-      (q.Obs.Summary.p50 <= Obs.Summary.bucket_upper 0.001);
-    Alcotest.(check bool) "p99 in slow bucket" true (q.Obs.Summary.p99 >= 100.0)
+      (get "p50" q.Obs.Summary.p50 <= Obs.Summary.bucket_upper 0.001);
+    Alcotest.(check bool) "p99 in slow bucket" true (get "p99" q.Obs.Summary.p99 >= 100.0)
 
-let test_summary_of_hist () =
+let with_hist values k =
   Obs.Metrics.enable ();
   Obs.Metrics.reset ();
   Fun.protect
@@ -283,71 +288,93 @@ let test_summary_of_hist () =
       Obs.Metrics.reset ();
       Obs.Metrics.disable ())
     (fun () ->
-      for i = 1 to 100 do
-        Obs.Metrics.observe "lat" (float_of_int i /. 100.0)
-      done;
+      List.iter (Obs.Metrics.observe "lat") values;
       match List.assoc "lat" (Obs.Metrics.collect ()) with
-      | Obs.Metrics.Histogram h -> (
-        match Obs.Summary.of_hist h with
-        | None -> Alcotest.fail "expected quantiles"
-        | Some q ->
-          (* True p50 is 0.50; quarter-decade buckets bound the estimate
-             within one bucket either side. *)
-          Alcotest.(check bool) "p50 near 0.5" true
-            (q.Obs.Summary.p50 > 0.2 && q.Obs.Summary.p50 < 1.0);
-          Alcotest.(check bool) "max within top bucket edge" true
-            (q.Obs.Summary.max_est >= 1.0))
+      | Obs.Metrics.Histogram h -> k h
       | _ -> Alcotest.fail "expected a histogram")
+
+let test_summary_of_hist () =
+  with_hist (List.init 100 (fun i -> float_of_int (i + 1) /. 100.0)) (fun h ->
+      match Obs.Summary.of_hist h with
+      | None -> Alcotest.fail "expected quantiles"
+      | Some q ->
+        (* True p50 is 0.50; quarter-decade buckets bound the estimate
+           within one bucket either side. *)
+        let p50 = get "p50" q.Obs.Summary.p50 in
+        Alcotest.(check bool) "p50 near 0.5" true (p50 > 0.2 && p50 < 1.0);
+        Alcotest.(check bool) "100 samples support no p99" true
+          (q.Obs.Summary.p99 = None);
+        Alcotest.(check bool) "max within top bucket edge" true
+          (q.Obs.Summary.max_est >= 1.0))
+
+let test_summary_honest () =
+  (* 1000 zero-length durations all sit in the underflow bucket: the
+     median is below resolution, not an interpolated 5e-10. *)
+  with_hist (List.init 1000 (fun _ -> 0.0)) (fun h ->
+      match Obs.Summary.of_hist h with
+      | None -> Alcotest.fail "a populated histogram has a summary"
+      | Some q ->
+        Alcotest.(check bool) "no p50 below resolution" true (q.Obs.Summary.p50 = None);
+        Alcotest.(check bool) "no p99 below resolution" true (q.Obs.Summary.p99 = None));
+  (* 15 samples leave fewer than ten beyond the p99 (and the p50). *)
+  with_hist (List.init 15 (fun i -> float_of_int (i + 1))) (fun h ->
+      match Obs.Summary.of_hist h with
+      | None -> Alcotest.fail "a populated histogram has a summary"
+      | Some q ->
+        Alcotest.(check bool) "15 samples give no p99" true (q.Obs.Summary.p99 = None);
+        Alcotest.(check bool) "15 samples give no p50" true (q.Obs.Summary.p50 = None));
+  Alcotest.(check (list int)) "support per quantile" [ 20; 100; 1000 ]
+    (List.map Obs.Summary.support [ 0.5; 0.9; 0.99 ])
 
 let prop_percentile_bounds =
   QCheck.Test.make ~name:"percentiles stay within observed bucket range" ~count:100
-    QCheck.(make Gen.(list_size (int_range 1 50) (float_bound_exclusive 1000.0)))
+    QCheck.(make Gen.(list_size (int_range 1 300) (float_bound_exclusive 1000.0)))
     (fun vs ->
       QCheck.assume (vs <> []);
-      Obs.Metrics.enable ();
-      Obs.Metrics.reset ();
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Metrics.reset ();
-          Obs.Metrics.disable ())
-        (fun () ->
-          List.iter (Obs.Metrics.observe "p") vs;
-          match List.assoc "p" (Obs.Metrics.collect ()) with
-          | Obs.Metrics.Histogram h -> (
-            match Obs.Summary.of_hist h with
-            | None -> false
-            | Some q ->
-              let lo_edge =
-                match h.Obs.Metrics.h_buckets with
-                | (lo, _) :: _ -> lo
-                | [] -> 0.0
-              in
-              let hi_edge =
-                Obs.Summary.bucket_upper
-                  (List.fold_left (fun _ (lo, _) -> lo) 0.0 h.Obs.Metrics.h_buckets)
-              in
-              q.Obs.Summary.p50 <= q.Obs.Summary.p90
-              && q.Obs.Summary.p90 <= q.Obs.Summary.p99
-              && q.Obs.Summary.p99 <= q.Obs.Summary.max_est
-              && q.Obs.Summary.p50 >= lo_edge
-              && q.Obs.Summary.max_est <= hi_edge +. 1e-9)
-          | _ -> false))
+      with_hist vs (fun h ->
+          match Obs.Summary.of_hist h with
+          | None -> false
+          | Some q ->
+            let lo_edge =
+              match h.Obs.Metrics.h_buckets with
+              | (lo, _) :: _ -> lo
+              | [] -> 0.0
+            in
+            let hi_edge =
+              Obs.Summary.bucket_upper
+                (List.fold_left (fun _ (lo, _) -> lo) 0.0 h.Obs.Metrics.h_buckets)
+            in
+            (* Every percentile the samples support is ordered and
+               inside the populated range. *)
+            let present =
+              List.filter_map Fun.id
+                [ q.Obs.Summary.p50; q.Obs.Summary.p90; q.Obs.Summary.p99 ]
+            in
+            let rec ordered = function
+              | a :: (b :: _ as rest) -> a <= b && ordered rest
+              | _ -> true
+            in
+            ordered (present @ [ q.Obs.Summary.max_est ])
+            && List.for_all (fun p -> p >= lo_edge) present
+            && q.Obs.Summary.max_est <= hi_edge +. 1e-9
+            && (List.length vs < 20 || q.Obs.Summary.p50 <> None
+               || List.exists (fun v -> v <= 1e-9) vs)))
 
 let test_summary_degenerate () =
   (* An inconsistent histogram — a positive observation count but no
      populated buckets (or vice versa) — yields None, never a division
      by zero or a fabricated quantile. *)
   Alcotest.(check bool) "count with no buckets" true
-    (Obs.Summary.percentile_of_buckets ~count:10 [] 0.5 = None);
+    (Obs.Summary.percentile_of_buckets ~count:20 [] 0.5 = None);
   Alcotest.(check bool) "count with all-zero buckets" true
-    (Obs.Summary.percentile_of_buckets ~count:10 [ (1.0, 0); (10.0, 0) ] 0.5
+    (Obs.Summary.percentile_of_buckets ~count:20 [ (1.0, 0); (10.0, 0) ] 0.5
     = None);
   Alcotest.(check bool) "zero count with populated buckets" true
-    (Obs.Summary.percentile_of_buckets ~count:0 [ (1.0, 5) ] 0.5 = None);
+    (Obs.Summary.percentile_of_buckets ~count:0 [ (1.0, 20) ] 0.5 = None);
   Alcotest.(check bool) "consistent histogram still answers" true
-    (Obs.Summary.percentile_of_buckets ~count:5 [ (1.0, 5) ] 0.5 <> None)
+    (Obs.Summary.percentile_of_buckets ~count:20 [ (1.0, 20) ] 0.5 <> None)
 
-(* -- Run_diff: verdict semantics over flattened series -- *)
+(* -- Run_diff: verdict semantics over typed rows -- *)
 
 let manifest ~wall ~sim =
   Printf.sprintf
@@ -360,17 +387,20 @@ let manifest ~wall ~sim =
 let load s =
   match Obs.Run_diff.of_string s with
   | Ok r -> r
-  | Error e -> Alcotest.fail ("run_diff parse: " ^ e)
+  | Error e -> Alcotest.fail ("run_diff parse: " ^ Obs.Run_diff.error_to_string e)
+
+let names (r : Obs.Run_diff.run) = List.map Obs.Run_diff.row_name r.rows
 
 let test_diff_identical () =
   let a = load (manifest ~wall:0.1 ~sim:12.5) in
   Alcotest.(check bool) "manifest kind" true (a.Obs.Run_diff.kind = Obs.Run_diff.Manifest);
-  Alcotest.(check bool) "series flattened" true
-    (List.mem_assoc "stage.collect.wall_s" a.Obs.Run_diff.series
-    && List.mem_assoc "metric.probes.sent" a.Obs.Run_diff.series
-    && List.mem_assoc "metric.probe.rtt_s.p50" a.Obs.Run_diff.series);
+  Alcotest.(check bool) "stage and metric rows read" true
+    (List.for_all
+       (fun n -> List.mem n (names a))
+       [ "stage.collect.wall_s"; "metric.probes.sent.value"; "metric.probe.rtt_s.p50";
+         "run.trace_records" ]);
   Alcotest.(check bool) "created_unix not compared" true
-    (not (List.mem_assoc "created_unix" a.Obs.Run_diff.series));
+    (not (List.exists (fun n -> contains "created_unix" n) (names a)));
   let findings = Obs.Run_diff.diff a a in
   Alcotest.(check bool) "identical runs produce no findings" true (findings = [])
 
@@ -380,7 +410,7 @@ let test_diff_wall_regression () =
   let failing = Obs.Run_diff.regressions (Obs.Run_diff.diff a b) in
   (match failing with
   | [ f ] ->
-    Alcotest.(check string) "names the stage series" "stage.collect.wall_s"
+    Alcotest.(check string) "names the stage row" "stage.collect.wall_s"
       f.Obs.Run_diff.f_name;
     Alcotest.(check bool) "verdict" true (f.Obs.Run_diff.f_verdict = Obs.Run_diff.Regression)
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 failing finding, got %d" (List.length fs)));
@@ -392,21 +422,21 @@ let test_diff_wall_regression () =
          (fun f -> f.Obs.Run_diff.f_verdict = Obs.Run_diff.Improvement)
          back)
 
-let test_diff_noise_floor () =
-  (* A 4x blow-up under the absolute noise floor is scheduler jitter,
+let test_diff_unit_slack () =
+  (* A 4x blow-up under the unit's absolute slack is scheduler jitter,
      not a regression. *)
   let a = load (manifest ~wall:0.001 ~sim:12.5) in
   let b = load (manifest ~wall:0.004 ~sim:12.5) in
-  Alcotest.(check bool) "sub-floor jitter ignored" true
+  Alcotest.(check bool) "sub-slack jitter ignored" true
     (Obs.Run_diff.regressions (Obs.Run_diff.diff a b) = [])
 
 let test_diff_deterministic_changed () =
-  (* Deterministic series must match exactly by default; --rel loosens. *)
+  (* Exact rows must match exactly by default; --rel loosens. *)
   let a = load (manifest ~wall:0.1 ~sim:12.5) in
   let b = load (manifest ~wall:0.1 ~sim:13.0) in
   (match Obs.Run_diff.regressions (Obs.Run_diff.diff a b) with
   | [ f ] ->
-    Alcotest.(check string) "names sim series" "stage.collect.sim_s" f.Obs.Run_diff.f_name;
+    Alcotest.(check string) "names sim row" "stage.collect.sim_s" f.Obs.Run_diff.f_name;
     Alcotest.(check bool) "verdict changed" true
       (f.Obs.Run_diff.f_verdict = Obs.Run_diff.Changed)
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
@@ -428,56 +458,88 @@ let test_diff_missing () =
   Alcotest.(check bool) "shrunk coverage is Missing (and failing)" true
     (missing <> [] && List.for_all Obs.Run_diff.failing missing)
 
+(* A BENCH.json written by the bench's own renderer. *)
+let bench rows =
+  load
+    (Obs.Run_diff.render_bench ~scale:0.1 ~domains:1
+       (List.map
+          (fun (workload, layer, metric, unit_, better, value) ->
+            { Obs.Run_diff.workload; layer; metric; unit_; better; value; spread = 0.0 })
+          rows))
+
 let test_diff_bench_kind () =
-  let bench =
-    {|{"schema": "bdrmap-bench/8", "scale": 0.3, "domains": 4,
-  "experiments": [{"name": "warm", "wall_s": 1.5, "gc_major_words": 100}],
-  "corpus": [{"scenario": "moas_storm", "links_pct": 92.5}]}|}
+  let r =
+    bench
+      [ ("experiment", "warm", "wall_s", "s", Obs.Run_diff.Lower, 1.5);
+        ("corpus", "moas_storm", "links_pct", "%", Obs.Run_diff.Exact, 92.5) ]
   in
-  let r = load bench in
   Alcotest.(check bool) "bench kind" true (r.Obs.Run_diff.kind = Obs.Run_diff.Bench);
-  Alcotest.(check bool) "experiment + corpus series" true
-    (List.mem_assoc "experiment.warm.wall_s" r.Obs.Run_diff.series
-    && List.mem_assoc "corpus.moas_storm.links_pct" r.Obs.Run_diff.series);
-  match Obs.Run_diff.of_string {|{"schema": "something-else/1"}|} with
-  | Ok _ -> Alcotest.fail "unknown schema accepted"
-  | Error _ -> ()
+  Alcotest.(check (list string)) "rows read verbatim, after the run parameters"
+    [ "run.scale"; "run.domains"; "experiment.warm.wall_s"; "corpus.moas_storm.links_pct" ]
+    (names r);
+  (match Obs.Run_diff.of_string {|{"schema": "bdrmap-bench/10", "scale": 0.1, "domains": 1,
+  "experiments": [{"name": "warm", "wall_s": 1.5}]}|} with
+  | Error (Obs.Run_diff.Unsupported_schema "bdrmap-bench/10") -> ()
+  | Ok _ -> Alcotest.fail "a bdrmap-bench/10 file was accepted"
+  | Error e -> Alcotest.fail ("wrong error: " ^ Obs.Run_diff.error_to_string e));
+  (match Obs.Run_diff.of_string {|{"schema": "something-else/1"}|} with
+  | Error (Obs.Run_diff.Unsupported_schema _) -> ()
+  | _ -> Alcotest.fail "unknown schema accepted");
+  match
+    Obs.Run_diff.of_string
+      {|{"schema": "bdrmap-bench/11", "scale": 0.1, "domains": 1,
+  "rows": [{"workload": "a", "layer": "b", "metric": "c", "unit": "s", "better": "sideways", "value": 1, "spread": 0}]}|}
+  with
+  | Error (Obs.Run_diff.Malformed _) -> ()
+  | _ -> Alcotest.fail "a row with an unknown direction was accepted"
 
 let test_diff_serve_rows () =
-  (* Serve rows flatten under serve.<name>.<field>, and the load-derived
-     fields (throughput, latency, allocation rate, query counts) are
-     volatile: a jittery re-run must diff clean, only an over-ratio
-     slowdown regresses. *)
-  let bench qps =
-    load
-      (Printf.sprintf
-         {|{"schema": "bdrmap-bench/9", "scale": 0.1, "domains": 1,
-  "serve": [{"name": "owner-batch512", "batch": 512, "queries": 1000000,
-             "qps": %g, "rtt_p50_us": 80.0, "rtt_p99_us": 300.0,
-             "minor_words_per_query": 0.07, "wall_s": 0.5}]}|}
-         qps)
+  (* Throughput is higher-is-better and latency lower-is-better: a
+     jittery re-run diffs clean, a throughput drop past the ratio is a
+     Regression, and an exact row that differs is CHANGED. *)
+  let serve ?(batch = 512.0) qps p99 =
+    bench
+      [ ("serve", "owner-batch512", "batch", "count", Obs.Run_diff.Exact, batch);
+        ("serve", "owner-batch512", "qps", "1/s", Obs.Run_diff.Higher, qps);
+        ("serve", "owner-batch512", "rtt_p99_us", "us", Obs.Run_diff.Lower, p99) ]
   in
-  let a = bench 5e6 in
-  List.iter
-    (fun f ->
-      let name = "serve.owner-batch512." ^ f in
-      Alcotest.(check bool) (name ^ " present") true
-        (List.mem_assoc name a.Obs.Run_diff.series);
-      if f <> "batch" then
-        Alcotest.(check bool) (name ^ " volatile") true
-          (Obs.Run_diff.volatile_series name))
-    [ "qps"; "rtt_p50_us"; "rtt_p99_us"; "minor_words_per_query"; "queries";
-      "batch" ];
-  Alcotest.(check bool) "batch is deterministic" false
-    (Obs.Run_diff.volatile_series "serve.owner-batch512.batch");
+  let a = serve 5e6 300.0 in
   Alcotest.(check bool) "jitter diffs clean" true
-    (Obs.Run_diff.regressions (Obs.Run_diff.diff a (bench 4.5e6)) = []);
-  match Obs.Run_diff.regressions (Obs.Run_diff.diff a (bench 1e6)) with
+    (Obs.Run_diff.regressions (Obs.Run_diff.diff a (serve 4.5e6 340.0)) = []);
+  (match Obs.Run_diff.regressions (Obs.Run_diff.diff a (serve 1e6 300.0)) with
   | [ f ] ->
-    Alcotest.(check string) "names the qps series" "serve.owner-batch512.qps"
-      f.Obs.Run_diff.f_name
+    Alcotest.(check string) "names the qps row" "serve.owner-batch512.qps"
+      f.Obs.Run_diff.f_name;
+    Alcotest.(check bool) "a higher row that drops regresses" true
+      (f.Obs.Run_diff.f_verdict = Obs.Run_diff.Regression)
   | fs ->
-    Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length fs))
+    Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length fs)));
+  (match Obs.Run_diff.regressions (Obs.Run_diff.diff a (serve 5e6 900.0)) with
+  | [ f ] ->
+    Alcotest.(check string) "a lower row that grows regresses"
+      "serve.owner-batch512.rtt_p99_us" f.Obs.Run_diff.f_name
+  | fs ->
+    Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length fs)));
+  match Obs.Run_diff.regressions (Obs.Run_diff.diff a (serve ~batch:256.0 5e6 300.0)) with
+  | [ f ] ->
+    Alcotest.(check bool) "an exact row that differs is CHANGED" true
+      (f.Obs.Run_diff.f_name = "serve.owner-batch512.batch"
+      && f.Obs.Run_diff.f_verdict = Obs.Run_diff.Changed)
+  | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs))
+
+let test_diff_spread () =
+  (* A row's measured spread widens its slack: a move inside the
+     quartile distance of its samples is not a regression. *)
+  let churn wall spread =
+    load
+      (Obs.Run_diff.render_bench ~scale:0.1 ~domains:1
+         [ { Obs.Run_diff.workload = "churn"; layer = "link_add"; metric = "incr_wall_s";
+             unit_ = "s"; better = Obs.Run_diff.Lower; value = wall; spread } ])
+  in
+  Alcotest.(check bool) "inside the spread" true
+    (Obs.Run_diff.regressions (Obs.Run_diff.diff (churn 0.01 0.02) (churn 0.03 0.02)) = []);
+  Alcotest.(check bool) "beyond it" true
+    (Obs.Run_diff.regressions (Obs.Run_diff.diff (churn 0.01 0.0) (churn 0.03 0.0)) <> [])
 
 (* -- Openmetrics: exposition shape -- *)
 
@@ -518,12 +580,14 @@ let suite =
     Alcotest.test_case "summary of_hist" `Quick test_summary_of_hist;
     Alcotest.test_case "summary degenerate histograms" `Quick
       test_summary_degenerate;
+    Alcotest.test_case "summary honest percentiles" `Quick test_summary_honest;
     Qc.to_alcotest prop_percentile_bounds;
     Alcotest.test_case "diff identical" `Quick test_diff_identical;
     Alcotest.test_case "diff wall regression" `Quick test_diff_wall_regression;
-    Alcotest.test_case "diff noise floor" `Quick test_diff_noise_floor;
+    Alcotest.test_case "diff noise floor" `Quick test_diff_unit_slack;
     Alcotest.test_case "diff deterministic changed" `Quick test_diff_deterministic_changed;
     Alcotest.test_case "diff missing" `Quick test_diff_missing;
     Alcotest.test_case "diff bench kind" `Quick test_diff_bench_kind;
     Alcotest.test_case "diff serve rows" `Quick test_diff_serve_rows;
+    Alcotest.test_case "diff spread" `Quick test_diff_spread;
     Alcotest.test_case "openmetrics exposition" `Quick test_openmetrics ]
