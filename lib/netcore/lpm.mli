@@ -6,7 +6,10 @@
     is one array index plus a short bucket scan — the fast-path
     replacement for a bit-per-node {!Ptrie} walk once the prefix set
     stops changing. The structure is immutable after {!build} and safe
-    to share across domains. *)
+    to share across domains. A changed prefix set is a new {!build}:
+    binding indices are ranks in the sorted prefix array, so one added
+    or removed prefix moves them all, and a patch that translated every
+    root slot measured slower than building afresh (DESIGN.md §23). *)
 
 type 'a t
 
@@ -36,20 +39,6 @@ val value_at : 'a t -> int -> 'a
 
 (** [find_exact t p] is the value bound to exactly [p], if any. *)
 val find_exact : 'a t -> Prefix.t -> 'a option
-
-(** [remap_values f t] rewrites every bound value through [f], keeping
-    the prefix set and all index structure intact. *)
-val remap_values : ('a -> 'a) -> 'a t -> 'a t
-
-(** [patch t ~remove ~add ~remap] is the incremental form of rebuild:
-    structurally identical to [build] over [t]'s bindings with [remove]
-    dropped, surviving values rewritten through [remap], and [add]
-    appended (an added prefix overwrites an existing binding; among
-    duplicate adds the later wins, mirroring {!build}). Only root slots
-    and buckets covered by a removed or added prefix are recomputed;
-    everything else is index-translated. [t] is unchanged. *)
-val patch :
-  'a t -> remove:Prefix.t list -> add:(Prefix.t * 'a) list -> remap:('a -> 'a) -> 'a t
 
 (** Number of (deduplicated) prefixes built into the table. *)
 val length : 'a t -> int

@@ -35,14 +35,11 @@ type route = {
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type snapshot = {
-  s_net : Net.t;
-  s_rels : B.As_rel.t;
-  s_origin_trie : Asn.Set.t Ptrie.t;
-  s_originated : (Prefix.t * Asn.Set.t) list;
+  s_originated : (Prefix.t * Asn.Set.t) list;  (* the recorded input, as given *)
   s_selective : int list Prefix.Map.t Asn.Map.t;
-  s_prefixes : Prefix.t list;  (* sorted, deduplicated *)
   s_asns : Asn.t array;  (* sorted interning table: ASN -> slot by binary search *)
-  s_pfx : Prefix.t array;  (* = s_prefixes, for binary search *)
+  s_pfx : Prefix.t array;  (* sorted, deduplicated originated prefixes *)
+  s_origins : Asn.Set.t array;  (* origin set by prefix slot *)
   s_words : int_ba;  (* packed route word at (prefix slot * |s_asns| + asn slot) *)
   s_arena : int_ba;  (* interned next-hop segments (ASN slots, ascending) *)
   s_lpm : int Lpm.t;  (* origin LPM; value = prefix slot into s_pfx *)
@@ -92,17 +89,14 @@ type kernel = {
 (* The propagation input: the world's routing facts, their slot table,
    and the kernel, which [freeze] or [refreeze] builds on first use (a
    re-freeze with nothing to propagate needs the slot table alone).
-   The origin trie and the sorted prefix list are lazy too: a re-freeze
-   whose originated list equals the old snapshot's takes both from it.
-   Only those two read the input, on one domain; every routing query
-   answers from a snapshot. *)
+   The prefix index is lazy too: a re-freeze whose originated list
+   equals the old snapshot's takes it from the old snapshot. Only those
+   two read the input, on one domain; every routing query answers from
+   a snapshot. *)
 type input = {
-  net : Net.t;
-  rels : B.As_rel.t;
-  origin_trie : Asn.Set.t Ptrie.t Lazy.t;
   originated : (Prefix.t * Asn.Set.t) list;
   selective : int list Prefix.Map.t Asn.Map.t;
-  prefixes_memo : Prefix.t list Lazy.t;
+  index : (Prefix.t array * Asn.Set.t array) Lazy.t;  (* [prefix_index originated] *)
   slots : Asn.t array;  (* sorted interning table = the kernel's [k_asns] *)
   kern : kernel Lazy.t;
 }
@@ -110,10 +104,7 @@ type input = {
 (* A query handle is the snapshot itself. *)
 type t = snapshot
 
-let origins_in trie p = Option.value ~default:Asn.Set.empty (Ptrie.find_exact p trie)
-let prefixes s = s.s_prefixes
-let origins s p = origins_in s.s_origin_trie p
-let is_origin s asn p = Asn.Set.mem asn (origins s p)
+let prefixes s = Array.to_list s.s_pfx
 
 let allowed_links s ~origin ~p =
   match Asn.Map.find_opt origin s.s_selective with
@@ -137,6 +128,27 @@ let slot_of_array cmp a x =
       | _ -> go (mid + 1) hi
   in
   go 0 (Array.length a)
+
+let origins s p =
+  let i = slot_of_array Prefix.compare s.s_pfx p in
+  if i < 0 then Asn.Set.empty else s.s_origins.(i)
+
+let is_origin s asn p = Asn.Set.mem asn (origins s p)
+
+(* The prefix axis of an originated list: its distinct prefixes, sorted,
+   and each one's origin set, the union of every entry that names it. *)
+let prefix_index originated =
+  let sorted = List.stable_sort (fun (p, _) (q, _) -> Prefix.compare p q) originated in
+  let groups =
+    List.fold_left
+      (fun acc (p, os) ->
+        match acc with
+        | (q, prev) :: rest when Prefix.equal p q -> (q, Asn.Set.union prev os) :: rest
+        | _ -> (p, os) :: acc)
+      [] sorted
+  in
+  let groups = Array.of_list (List.rev groups) in
+  (Array.map fst groups, Array.map snd groups)
 
 let slot_table net rels =
   Array.of_list (Asn.Set.elements (Asn.Set.union (Net.asns net) (B.As_rel.asns rels)))
@@ -170,21 +182,9 @@ let kernel_create asns rels =
     k_hops = Array.make n 0 }
 
 let create net rels ~originated ~selective =
-  let origin_trie =
-    lazy
-      (List.fold_left
-         (fun trie (p, asns) ->
-           Ptrie.update p
-             (function
-               | None -> Some asns
-               | Some prev -> Some (Asn.Set.union prev asns))
-             trie)
-         Ptrie.empty originated)
-  in
   let slots = slot_table net rels in
-  { net; rels; origin_trie; originated; selective;
-    prefixes_memo = lazy (List.sort_uniq Prefix.compare (List.map fst originated));
-    slots; kern = lazy (kernel_create slots rels) }
+  { originated; selective; index = lazy (prefix_index originated); slots;
+    kern = lazy (kernel_create slots rels) }
 
 (* [origin_slots asns os] is the origin set [os] as its ascending slot
    list, with ASNs outside the slot table dropped: exactly what the
@@ -487,20 +487,10 @@ let collector_view s collectors =
           | Some path -> B.Rib.add_route rib p path
           | None -> rib)
         rib collectors)
-    B.Rib.empty s.s_prefixes
+    B.Rib.empty (prefixes s)
 
-let snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena ~s_lpm =
-  { s_net = t.net;
-    s_rels = t.rels;
-    s_origin_trie = Lazy.force t.origin_trie;
-    s_originated = t.originated;
-    s_selective = t.selective;
-    s_prefixes = Lazy.force t.prefixes_memo;
-    s_asns;
-    s_pfx;
-    s_words;
-    s_arena;
-    s_lpm }
+(* The origin LPM: each prefix bound to its slot. *)
+let lpm_of pfx = Lpm.build (List.mapi (fun i p -> (p, i)) (Array.to_list pfx))
 
 let zeros len =
   let w = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
@@ -510,19 +500,16 @@ let zeros len =
 let freeze ?(counter = "routing.snapshot.builds") t =
   Obs.Metrics.incr counter;
   let s_asns = t.slots in
-  let prefixes = Lazy.force t.prefixes_memo in
-  let trie = Lazy.force t.origin_trie in
-  let s_pfx = Array.of_list prefixes in
+  let s_pfx, s_origins = Lazy.force t.index in
   let n = Array.length s_asns in
   let s_words = zeros (Array.length s_pfx * n) in
   let ar = arena_create ~slots:n (zeros 0) in
   let memo = Hashtbl.create 256 in
   Array.iteri
-    (fun pslot p ->
-      fill_row t ar s_words memo ~n ~pslot (origin_slots s_asns (origins_in trie p)))
-    s_pfx;
-  snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena:(arena_freeze ar)
-    ~s_lpm:(Lpm.build (List.mapi (fun i p -> (p, i)) prefixes))
+    (fun pslot os -> fill_row t ar s_words memo ~n ~pslot (origin_slots s_asns os))
+    s_origins;
+  { s_originated = t.originated; s_selective = t.selective; s_asns; s_pfx; s_origins;
+    s_words; s_arena = arena_freeze ar; s_lpm = lpm_of s_pfx }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-freeze: dirty-prefix deltas over a packed snapshot.  *)
@@ -595,8 +582,9 @@ type refreeze_stats = {
    dirty rows need new words: each copies an earlier dirty row with the
    same origin set through the row memo, or propagates. The kernel's
    adjacency is built on the first propagation, and an unchanged
-   originated list takes the origin trie and prefix axis from [old], so
-   a link add or remove builds neither. New-AS columns on
+   originated list takes the prefix axis and origin sets from [old], so
+   a link add or remove builds neither (comparing the lists costs less
+   than the sort that rebuilding them takes). New-AS columns on
    clean rows are filled by the stub rule: a pure stub's only possible
    route is a provider route one hop past its providers' best — the
    same answer the kernel derives, since a stub feeds nothing back into
@@ -610,18 +598,10 @@ let refreeze t ~old churn =
       (fun (p, a) (q, b) -> Prefix.equal p q && Asn.Set.equal a b)
       t.originated old.s_originated
   in
-  let t =
-    if same_originated then
-      { t with
-        origin_trie = Lazy.from_val old.s_origin_trie;
-        prefixes_memo = Lazy.from_val old.s_prefixes }
-    else t
+  let s_pfx, s_origins =
+    if same_originated then (old.s_pfx, old.s_origins) else Lazy.force t.index
   in
-  let trie = Lazy.force t.origin_trie in
   let s_asns = t.slots in
-  let s_pfx =
-    if same_originated then old.s_pfx else Array.of_list (Lazy.force t.prefixes_memo)
-  in
   let n = Array.length s_asns in
   let np = Array.length s_pfx in
   let n_old = Array.length old.s_asns in
@@ -740,7 +720,7 @@ let refreeze t ~old churn =
       let memo = Hashtbl.create 64 in
       for pn = 0 to np - 1 do
         let base = pn * n in
-        let os = origins_in trie s_pfx.(pn) in
+        let os = s_origins.(pn) in
         if dirty.(pn) then begin
           incr n_dirty;
           fill_row t ar words memo ~n ~pslot:pn (origin_slots s_asns os)
@@ -781,29 +761,16 @@ let refreeze t ~old churn =
       (words, arena_freeze ar)
     end
   in
-  (* LPM: share when the prefix set is untouched (the single-link fast
-     path does zero LPM work); otherwise patch only the slots a removed
-     or added prefix covers. *)
-  let s_lpm =
-    if prefixes_unchanged then old.s_lpm
-    else begin
-      let removed = ref [] and added = ref [] in
-      for po = np_old - 1 downto 0 do
-        if old2new.(po) < 0 then removed := old.s_pfx.(po) :: !removed
-      done;
-      for pn = np - 1 downto 0 do
-        if new2old.(pn) < 0 then added := (s_pfx.(pn), pn) :: !added
-      done;
-      Lpm.patch old.s_lpm ~remove:!removed ~add:!added
-        ~remap:(fun po -> old2new.(po))
-    end
-  in
+  (* LPM: shared when the prefix set is untouched (the single-link fast
+     path does no LPM work), rebuilt otherwise. *)
+  let s_lpm = if prefixes_unchanged then old.s_lpm else lpm_of s_pfx in
   Obs.Metrics.add "routing.snapshot.dirty_prefixes" !n_dirty;
   let dirty_prefixes = ref [] in
   for pn = np - 1 downto 0 do
     if dirty.(pn) then dirty_prefixes := s_pfx.(pn) :: !dirty_prefixes
   done;
-  ( snapshot_make t ~s_asns ~s_pfx ~s_words ~s_arena ~s_lpm,
+  ( { s_originated = t.originated; s_selective = t.selective; s_asns; s_pfx; s_origins;
+      s_words; s_arena; s_lpm },
     { rf_total = np;
       rf_dirty = !n_dirty;
       rf_dirty_prefixes = !dirty_prefixes;
@@ -843,11 +810,11 @@ module Snapshot = struct
     if i < 0 then -1 else Lpm.value_at s.s_lpm i
 
   (* Semantic equality between two snapshots of the same world:
-     identical interning axes, then every packed word decode-equal
-     (class, dist, and next-hop slot segment compared element-wise, so
-     two arenas laid out in different interning order still compare
-     equal), then LPM agreement probed at every prefix boundary (first,
-     last, and the addresses just outside). This is the oracle the
+     identical interning axes and origin sets, then every packed word
+     decode-equal (class, dist, and next-hop slot segment compared
+     element-wise, so two arenas laid out in different interning order
+     still compare equal), then LPM agreement probed at every prefix
+     boundary (first, last, and the addresses just outside). This is the oracle the
      churn tests run after every event batch: patched == from-scratch. *)
   exception Mismatch of string
 
@@ -869,6 +836,14 @@ module Snapshot = struct
             (Prefix.to_string a.s_pfx.(i))
             (Prefix.to_string b.s_pfx.(i))
       done;
+      if Array.length b.s_origins <> Array.length a.s_origins then
+        fail "origin set counts differ: %d vs %d" (Array.length a.s_origins)
+          (Array.length b.s_origins);
+      Array.iteri
+        (fun i os ->
+          if not (Asn.Set.equal os b.s_origins.(i)) then
+            fail "origin sets differ at %s" (Prefix.to_string a.s_pfx.(i)))
+        a.s_origins;
       for pslot = 0 to np - 1 do
         for aslot = 0 to n - 1 do
           let wa = word_at a ~pslot ~aslot and wb = word_at b ~pslot ~aslot in
@@ -920,19 +895,27 @@ module Snapshot = struct
   (* {2 Serialization}
 
      A snapshot image is a [Store.Envelope] with magic "BDSN" (the
-     header layout lives in envelope.mli) around raw packed arenas plus
-     marshaled boxed metadata:
+     header layout lives in envelope.mli). Every field of its payload
+     is a big-endian 8-byte word:
 
-     payload := u64 n_pfx | u64 n_asn | u64 |words| | u64 |arena|
-              | words (8 bytes each, big-endian)
-              | arena (8 bytes each, big-endian)
-              | marshaled (net, rels, origin_trie, originated,
-                           selective, prefixes, asns, pfx)
+     payload  := n_pfx | n_asn | |words| | |arena|
+               | words | arena | asns (n_asn of them, ascending)
+               | originated | selective
+     originated := count, then per entry: prefix | k | k origin ASNs
+     selective  := count, then per origin (ascending): asn | m,
+                   then per prefix (ascending): prefix | l | l link ids
 
-     The LPM is rebuilt on load (a pure function of the prefix list)
-     rather than shipped. Any flipped byte fails the digest check; the
-     four counts are bounded by the payload length before any
-     allocation is sized from them. *)
+     A prefix word is its network shifted left 8 bits, or'd with its
+     length. The prefix axis, the origin sets and the LPM are not
+     shipped: [decode] derives them from [originated] exactly as
+     [create] and [freeze] do. Any flipped byte fails the digest check.
+     Behind a valid digest every field is still checked: each count is
+     bounded by the bytes left before anything is sized from it, the
+     header counts agree with each other and with the prefix axis, the
+     slot table, sets and map keys ascend strictly, prefixes are
+     canonical, every route word points inside the arena and every
+     arena entry is an ASN slot, and the payload ends where the
+     trailer does. A violation is [Corrupt]; decoding never raises. *)
   module Envelope = Store.Envelope
 
   type decode_error = Envelope.error =
@@ -940,27 +923,42 @@ module Snapshot = struct
 
   let error_label = Envelope.error_label
 
-  (* v2: Net.link gained the [live] retirement flag (marshaled inside
-     the metadata tuple), so v1 entries no longer decode. v3: Net.t
-     gained its internal-adjacency index. *)
-  let codec_version = 3
+  (* v2: Net.link gained the [live] retirement flag. v3: Net.t gained
+     its internal-adjacency index. v4: the trailer is an explicit codec
+     of the slot table, originated list and selective announcements in
+     place of a marshaled tuple that included the whole Net.t. *)
+  let codec_version = 4
   let fmt = { Envelope.magic = "BDSN"; version = codec_version }
   let counts_len = 32
+  let prefix_word p = (Ipv4.to_int (Prefix.network p) lsl 8) lor Prefix.len p
+
+  let trailer s =
+    let b = Buffer.create 4096 in
+    let put v = Buffer.add_int64_be b (Int64.of_int v) in
+    let put_list f l =
+      put (List.length l);
+      List.iter f l
+    in
+    let put_prefix f (p, v) =
+      put (prefix_word p);
+      f v
+    in
+    Array.iter put s.s_asns;
+    put_list (put_prefix (fun os -> put_list put (Asn.Set.elements os))) s.s_originated;
+    put_list
+      (fun (o, per) ->
+        put o;
+        put_list (put_prefix (put_list put)) (Prefix.Map.bindings per))
+      (Asn.Map.bindings s.s_selective);
+    Buffer.contents b
 
   let to_bytes s =
     let np = Array.length s.s_pfx in
     let n = Array.length s.s_asns in
     let nw = Bigarray.Array1.dim s.s_words in
     let na = Bigarray.Array1.dim s.s_arena in
-    let meta =
-      Marshal.to_string
-        ( s.s_net, s.s_rels, s.s_origin_trie, s.s_originated, s.s_selective,
-          s.s_prefixes, s.s_asns, s.s_pfx )
-        []
-    in
-    let b =
-      Envelope.create (counts_len + (8 * nw) + (8 * na) + String.length meta)
-    in
+    let tail = trailer s in
+    let b = Envelope.create (counts_len + (8 * nw) + (8 * na) + String.length tail) in
     let pos = ref Envelope.header_len in
     let put_word v =
       Bytes.set_int64_be b !pos (Int64.of_int v);
@@ -976,61 +974,96 @@ module Snapshot = struct
     for i = 0 to na - 1 do
       put_word (Bigarray.Array1.get s.s_arena i)
     done;
-    Bytes.blit_string meta 0 b !pos (String.length meta);
+    Bytes.blit_string tail 0 b !pos (String.length tail);
     Envelope.seal fmt b;
     b
 
+  exception Bad
+
+  let rec ascending cmp = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && ascending cmp rest
+    | _ -> true
+
   let decode s (pos, len) =
-    let word_at off = Int64.to_int (String.get_int64_be s off) in
-    let count i = if len < counts_len then -1 else word_at (pos + (8 * i)) in
-    let np = count 0 and n = count 1 and nw = count 2 and na = count 3 in
-    (* Counts come from the payload, so bound them by its length with
-       no multiplication that could wrap: [room] words fit after the
-       counts, and [nw = np * n] is checked by division. *)
-    let room = (len - counts_len) / 8 in
-    if
-      np < 0 || n < 0 || nw < 0 || na < 0 || nw > room || na > room - nw
-      || (if n = 0 then nw <> 0 else nw mod n <> 0 || nw / n <> np)
-    then Error Corrupt
-    else begin
+    let stop = pos + len and cur = ref pos in
+    let word () =
+      if stop - !cur < 8 then raise Bad;
+      let v = Int64.to_int (String.get_int64_be s !cur) in
+      cur := !cur + 8;
+      v
+    in
+    (* A count of items at least [min_words] long, bounded by the words
+       left; items are read in order. *)
+    let list ~min_words item =
+      let c = word () in
+      if c < 0 || c > (stop - !cur) / (8 * min_words) then raise Bad;
+      List.init c (fun _ -> item ())
+    in
+    let asns () =
+      let l = list ~min_words:1 word in
+      if ascending Asn.compare l then Asn.Set.of_list l else raise Bad
+    in
+    let prefix () =
+      let w = word () in
+      let net = w lsr 8 and l = w land 0xFF in
+      if l > 32 || net > 0xFFFF_FFFF then raise Bad;
+      let p = Prefix.make (Ipv4.of_int net) l in
+      if Ipv4.to_int (Prefix.network p) <> net then raise Bad;
+      p
+    in
+    let keyed cmp key value =
+      let l =
+        list ~min_words:2 (fun () ->
+            let k = key () in
+            (k, value ()))
+      in
+      if ascending cmp (List.map fst l) then l else raise Bad
+    in
+    try
+      let np = word () in
+      let n = word () in
+      let nw = word () in
+      let na = word () in
+      (* Bounded by the words left with no multiplication that could
+         wrap; [nw = np * n] is checked by division. *)
+      let room = (stop - !cur) / 8 in
+      if
+        np < 0 || n < 0 || nw < 0 || na < 0 || nw > room || na > room - nw
+        || n > room - nw - na
+        || if n = 0 then nw <> 0 else nw mod n <> 0 || nw / n <> np
+      then raise Bad;
       let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
-      let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
-      let off = pos + counts_len in
       for i = 0 to nw - 1 do
-        Bigarray.Array1.set s_words i (word_at (off + (8 * i)))
+        let w = word () in
+        if w <> 0 && (w_count w < 1 || w_off w + w_count w > na) then raise Bad;
+        Bigarray.Array1.set s_words i w
       done;
-      let off = off + (8 * nw) in
+      let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
       for i = 0 to na - 1 do
-        Bigarray.Array1.set s_arena i (word_at (off + (8 * i)))
+        let a = word () in
+        if a < 0 || a >= n then raise Bad;
+        Bigarray.Array1.set s_arena i a
       done;
-      match
-        (Marshal.from_string s (off + (8 * na))
-          : Net.t
-            * B.As_rel.t
-            * Asn.Set.t Ptrie.t
-            * (Prefix.t * Asn.Set.t) list
-            * int list Prefix.Map.t Asn.Map.t
-            * Prefix.t list
-            * Asn.t array
-            * Prefix.t array)
-      with
-      | net, rels, trie, originated, selective, prefixes, asns, pfx ->
-        if Array.length pfx <> np || Array.length asns <> n then Error Corrupt
-        else
-          Ok
-            { s_net = net;
-              s_rels = rels;
-              s_origin_trie = trie;
-              s_originated = originated;
-              s_selective = selective;
-              s_prefixes = prefixes;
-              s_asns = asns;
-              s_pfx = pfx;
-              s_words;
-              s_arena;
-              s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) prefixes) }
-      | exception _ -> Error Corrupt
-    end
+      let s_asns = Array.init n (fun _ -> word ()) in
+      for i = 1 to n - 1 do
+        if Asn.compare s_asns.(i - 1) s_asns.(i) >= 0 then raise Bad
+      done;
+      let s_originated =
+        list ~min_words:2 (fun () ->
+            let p = prefix () in
+            (p, asns ()))
+      in
+      let s_selective =
+        Asn.Map.of_list
+          (keyed Asn.compare word (fun () ->
+               Prefix.Map.of_list (keyed Prefix.compare prefix (fun () -> list ~min_words:1 word))))
+      in
+      let s_pfx, s_origins = prefix_index s_originated in
+      if Array.length s_pfx <> np || !cur <> stop then raise Bad;
+      Ok
+        { s_originated; s_selective; s_asns; s_pfx; s_origins; s_words; s_arena;
+          s_lpm = lpm_of s_pfx }
+    with Bad -> Error Corrupt
 
   (* [decode] keeps nothing of the string it reads, so the bytes need
      no copy. *)

@@ -41,9 +41,10 @@ type route = {
     {!refreeze} accept it; queries need a snapshot. *)
 type input
 
-(** Immutable routing snapshot: per-prefix route tables for all
-    originated prefixes in dense (prefix slot x interned-ASN slot)
-    arrays, plus a flattened LPM over the origin set. *)
+(** Immutable routing snapshot: the sorted prefix axis with each
+    prefix's origin set, per-prefix route tables in dense (prefix slot
+    x interned-ASN slot) arrays, and a flattened LPM over the prefix
+    axis. *)
 type snapshot
 
 (** A routing query handle is the snapshot itself. Workers take one
@@ -162,12 +163,12 @@ type refreeze_stats = {
     is the propagation input of the post-churn world, [old] the
     pre-churn snapshot. Clean rows are blitted, new-stub columns are
     derived from their providers' packed words, and the LPM is shared
-    (prefix set unchanged) or slot-patched. Only dirty prefixes (changed
+    (prefix set unchanged) or rebuilt with [Lpm.build]. Only dirty prefixes (changed
     origins, new prefixes, and prefixes where a removed edge appeared in
     a next-hop segment) get new rows: each copies an earlier dirty row
     with the same origin set, or else propagates through the kernel,
     whose adjacency is built on the first such propagation. When the
-    originated list equals [old]'s, the origin trie and prefix axis are
+    originated list equals [old]'s, the prefix axis and origin sets are
     taken from [old] rather than rebuilt. With no dirty prefix and both
     axes unchanged (single-link churn) the words and arena are shared
     with [old]. The
@@ -225,7 +226,8 @@ module Snapshot : sig
   val arena_length : t -> int
 
   (** [equal a b] is semantic equality between two snapshots of the
-      same world: identical interning axes, every packed word
+      same world: identical interning axes and per-prefix origin sets,
+      every packed word
       decode-equal (next-hop segments compared element-wise, so arenas
       in different interning order still compare equal), and LPM
       agreement probed at every prefix boundary. The oracle the churn
@@ -236,10 +238,11 @@ module Snapshot : sig
   (** {2 Serialization}
 
       A snapshot round-trips through a {!Store.Envelope} image with
-      magic ["BDSN"] and version {!codec_version}. Packed arenas are
-      written as raw words; only the boxed metadata (net,
-      relationships, origin trie) goes through [Marshal]. The LPM is
-      rebuilt on load. *)
+      magic ["BDSN"] and version {!codec_version}. Every field is a
+      big-endian 8-byte word: the packed arenas as raw words, then the
+      ASN slot table, the originated list and the selective
+      announcements. The prefix axis, origin sets and LPM are derived
+      from the originated list on load. *)
 
   type decode_error = Store.Envelope.error =
     | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
@@ -251,9 +254,10 @@ module Snapshot : sig
 
   val to_bytes : t -> bytes
 
-  (** [of_bytes b] checks the envelope, then bounds the declared
-      counts by the payload length, before reconstructing; any flipped
-      byte or inconsistent count is [Corrupt], any short read
-      [Truncated]. *)
+  (** [of_bytes b] checks the envelope, then decodes the payload
+      field by field, bounding every count by the bytes left before
+      anything is sized from it; any flipped byte, inconsistent count
+      or malformed field is [Corrupt], any short read [Truncated].
+      Never raises. *)
   val of_bytes : bytes -> (t, decode_error) result
 end

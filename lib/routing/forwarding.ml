@@ -367,8 +367,8 @@ let egress_at t rid ~pslot ~aslot =
 
 (* Egress rows for the hot ASes (the VP-owning ones): every probe starts
    there, so these (rid, prefix slot) pairs recur in every worker.
-   Prefix columns follow [Bgp.prefixes] order, which is the snapshot's
-   slot order, so lookup slots index directly. Cells start at -1. *)
+   Prefix columns follow the snapshot's slot order, so lookup slots
+   index directly. Cells start at -1. *)
 let egress_table of_asn p_members egress_for ~routers ~np =
   let p_egr_row = Array.make routers (-1) in
   let rows = ref 0 in
@@ -396,8 +396,8 @@ let write_column plan ~np a pslot (col : int array) =
 let build ~egress_for net bgp =
   let p_as, p_loc, p_members, of_asn = index_ases net in
   let p_igp = Array.mapi (as_matrix net p_as p_loc) p_members in
-  let p_pfx = Array.of_list (Bgp.prefixes bgp) in
-  let np = Array.length p_pfx in
+  let np = Bgp.Snapshot.prefix_count bgp in
+  let p_pfx = Array.init np (Bgp.Snapshot.prefix_of_slot bgp) in
   let routers = Net.router_count net in
   let p_egr_row, p_egress = egress_table of_asn p_members egress_for ~routers ~np in
   let plan =
@@ -478,8 +478,8 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
         end)
       p_members
   in
-  let p_pfx = Array.of_list (Bgp.prefixes snap) in
-  let np = Array.length p_pfx in
+  let np = S.prefix_count snap in
+  let p_pfx = Array.init np (S.prefix_of_slot snap) in
   let np_old = Array.length old.p_pfx in
   (* Surviving prefix slots, as runs that kept their neighbours:
      (new start, old start, length). *)

@@ -5,9 +5,8 @@ type t = {
   host_asns : Asn.Set.t;
   host_asn : Asn.t;
   border : int Lpm.t;  (* /32 border address -> operator ASN *)
-  snap : Routing.Bgp.snapshot option;
+  snap : Routing.Bgp.snapshot;
   origin_of_pslot : int array;  (* by snapshot prefix slot; 0 = unknown *)
-  origin_lpm : int Lpm.t;  (* fallback origin LPM when [snap] is None *)
   prov : string Ipv4.Tbl.t;
   crossings_by_neighbor : (Asn.t, string list) Hashtbl.t;
   border_count : int;
@@ -28,7 +27,7 @@ let prov_line addr side asn (m : Bdrmap.Aggregate.merged) =
   Printf.sprintf "provenance|%s|%s|AS%d|%s|%s" (Ipv4.to_string addr) side asn
     (tag_csv m.tags) (vp_csv m.seen_by)
 
-let build ?snapshot (mf : Bdrmap.Mapfile.t) =
+let build ~snapshot (mf : Bdrmap.Mapfile.t) =
   if Asn.Set.is_empty mf.host_asns then
     invalid_arg "Qmap.build: mapfile has no hosting ASes";
   let host_asn = Asn.Set.min_elt mf.host_asns in
@@ -58,27 +57,17 @@ let build ?snapshot (mf : Bdrmap.Mapfile.t) =
   Hashtbl.iter
     (fun k lines -> Hashtbl.replace crossings_by_neighbor k (List.rev lines))
     (Hashtbl.copy crossings_by_neighbor);
-  let origin_of_pslot =
-    match snapshot with
-    | None -> [||]
-    | Some s ->
-      let arr = Array.make (max 1 (Snapshot.prefix_count s)) 0 in
-      List.iter
-        (fun (p, asn) ->
-          let slot = Snapshot.prefix_slot s p in
-          if slot >= 0 then arr.(slot) <- asn)
-        mf.origins;
-      arr
-  in
-  let origin_lpm =
-    match snapshot with Some _ -> Lpm.build [] | None -> Lpm.build mf.origins
-  in
+  let origin_of_pslot = Array.make (max 1 (Snapshot.prefix_count snapshot)) 0 in
+  List.iter
+    (fun (p, asn) ->
+      let slot = Snapshot.prefix_slot snapshot p in
+      if slot >= 0 then origin_of_pslot.(slot) <- asn)
+    mf.origins;
   { host_asns = mf.host_asns;
     host_asn;
     border;
     snap = snapshot;
     origin_of_pslot;
-    origin_lpm;
     prov;
     crossings_by_neighbor;
     border_count = Lpm.length border }
@@ -91,13 +80,8 @@ let owner t a =
   let idx = Lpm.lookup_idx t.border a in
   if idx >= 0 then Lpm.value_at t.border idx
   else
-    match t.snap with
-    | Some s ->
-      let pslot = Snapshot.lookup_pslot s a in
-      if pslot >= 0 then Array.unsafe_get t.origin_of_pslot pslot else 0
-    | None ->
-      let i = Lpm.lookup_idx t.origin_lpm a in
-      if i >= 0 then Lpm.value_at t.origin_lpm i else 0
+    let pslot = Snapshot.lookup_pslot t.snap a in
+    if pslot >= 0 then Array.unsafe_get t.origin_of_pslot pslot else 0
 
 let crossings t a b =
   let lines_of neighbor =
@@ -110,25 +94,16 @@ let crossings t a b =
 let provenance t a =
   match Ipv4.Tbl.find_opt t.prov a with
   | Some line -> Some line
-  | None -> (
+  | None ->
     (* Not a border interface: report the covering origin instead, so
        "why did owner say AS X" is answerable for any routed address. *)
-    let origin_line p asn =
+    let pslot = Snapshot.lookup_pslot t.snap a in
+    let asn = if pslot < 0 then 0 else t.origin_of_pslot.(pslot) in
+    if asn = 0 then None
+    else
       Some
         (Printf.sprintf "provenance|%s|origin|AS%d|%s|-" (Ipv4.to_string a) asn
-           (Prefix.to_string p))
-    in
-    match t.snap with
-    | Some s ->
-      let pslot = Snapshot.lookup_pslot s a in
-      if pslot < 0 then None
-      else
-        let asn = t.origin_of_pslot.(pslot) in
-        if asn = 0 then None else origin_line (Snapshot.prefix_of_slot s pslot) asn
-    | None -> (
-      match Lpm.lookup t.origin_lpm a with
-      | Some (p, asn) -> origin_line p asn
-      | None -> None))
+           (Prefix.to_string (Snapshot.prefix_of_slot t.snap pslot)))
 
 let sample_addrs t =
   let seen = Ipv4.Tbl.create 1024 in
@@ -140,7 +115,7 @@ let sample_addrs t =
     end
   in
   Lpm.fold (fun p _ () -> push (Prefix.first p)) t.border ();
-  (match t.snap with
-  | Some s -> List.iter (fun p -> push (Prefix.first p)) (Routing.Bgp.prefixes s)
-  | None -> Lpm.fold (fun p _ () -> push (Prefix.first p)) t.origin_lpm ());
+  for i = 0 to Snapshot.prefix_count t.snap - 1 do
+    push (Prefix.first (Snapshot.prefix_of_slot t.snap i))
+  done;
   Array.of_list (List.rev !acc)

@@ -1,7 +1,7 @@
 (** The in-memory query index the server answers from: an immutable
     {!Bdrmap.Mapfile.t} (all-VP merged border map + origin view)
-    compiled into flat lookup structures, optionally backed by a packed
-    routing snapshot.
+    compiled into flat lookup structures over the packed routing
+    snapshot it was made from.
 
     The owner path is allocation-free after construction: border
     addresses live as /32s in a {!Netcore.Lpm} table queried through
@@ -16,12 +16,12 @@ open Netcore
 
 type t
 
-(** [build ?snapshot mapfile] compiles the artifact. With [snapshot],
-    non-border owner lookups go through the packed slot layer; without
-    it they fall back to a private origin LPM built from
-    [mapfile.origins] (same answers, slightly more root-array work).
-    Raises [Invalid_argument] if [mapfile.host_asns] is empty. *)
-val build : ?snapshot:Routing.Bgp.snapshot -> Bdrmap.Mapfile.t -> t
+(** [build ~snapshot mapfile] compiles the artifact. Non-border owner
+    lookups go through [snapshot]'s slot layer into [mapfile.origins],
+    indexed by prefix slot; an origin whose prefix the snapshot does
+    not hold is never answered. Raises [Invalid_argument] if
+    [mapfile.host_asns] is empty. *)
+val build : snapshot:Routing.Bgp.snapshot -> Bdrmap.Mapfile.t -> t
 
 (** Representative hosting AS (minimum of [host_asns]) — the operator
     reported for near-side border addresses. *)

@@ -1,8 +1,8 @@
 (* Temporal churn: every evolution event class applied to a small
-   world, with the incremental re-freeze (Bgp.refreeze + Lpm patching +
-   Forwarding.patch) pinned byte-identical to a from-scratch freeze of
-   the evolved world — packed words, arena, every LPM answer, every
-   IGP distance and egress cell. Plus a QCheck property chaining random
+   world, with the incremental re-freeze (Bgp.refreeze +
+   Forwarding.patch) pinned to a from-scratch freeze of the evolved
+   world — origin sets, packed words, arena segments, every LPM answer,
+   every IGP distance and egress cell. Plus a QCheck property chaining random
    multi-class event batches across epochs, shrinking to one seed. *)
 
 open Netcore

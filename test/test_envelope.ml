@@ -1,8 +1,9 @@
 (* The one on-disk envelope: its header layout, its atomic publisher,
    and a fuzz property over the three formats behind it (run-store
-   entries, routing snapshots, border maps). Every mutated image must
-   decode to Ok or a typed Error, never raise, and finish in bounded
-   time. *)
+   entries, routing snapshots, border maps), with the snapshot's count
+   words and trailer also mutated under a re-sealed digest. Every
+   mutated image must decode to Ok or a typed Error, never raise, and
+   finish in bounded time. *)
 
 module E = Store.Envelope
 module S = Routing.Bgp.Snapshot
@@ -98,6 +99,38 @@ let false_word rng truth =
   | 5 -> 0L
   | _ -> Int64.add truth (Int64.of_int (Random.State.int rng 17 - 8))
 
+(* The snapshot image's trailer: where it starts (past the four count
+   words, the route words and the arena), and the offsets of its count
+   words — the originated and selective counts and every inner origin
+   set, prefix map and link list count — found by walking the layout
+   documented in bgp.ml. *)
+let trailer =
+  lazy
+    (let _, snapshot, _, _ = Lazy.force Test_serve.fixture in
+     let b = (Lazy.force images).(1).bytes in
+     let nw = S.prefix_count snapshot * S.asn_count snapshot in
+     let start = E.header_len + 32 + (8 * (nw + S.arena_length snapshot)) in
+     let off = ref (start + (8 * S.asn_count snapshot)) and counts = ref [] in
+     let skip k = off := !off + (8 * k) in
+     let count () =
+       counts := !off :: !counts;
+       skip 1;
+       Int64.to_int (String.get_int64_be b (!off - 8))
+     in
+     for _ = 1 to count () do
+       skip 1;
+       skip (count ())
+     done;
+     for _ = 1 to count () do
+       skip 1;
+       for _ = 1 to count () do
+         skip 1;
+         skip (count ())
+       done
+     done;
+     assert (!off = String.length b);
+     (start, Array.of_list !counts))
+
 (* One seed picks a format and a mutation of its valid image. *)
 let mutate seed =
   let rng = Random.State.make [| seed |] in
@@ -106,7 +139,7 @@ let mutate seed =
   let img = pick () in
   let b = Bytes.of_string img.bytes in
   let n = Bytes.length b in
-  match Random.State.int rng 5 with
+  match Random.State.int rng 6 with
   | 0 ->
     for _ = 0 to Random.State.int rng 8 do
       let i = Random.State.int rng n in
@@ -125,9 +158,9 @@ let mutate seed =
   | 3 ->
     Bytes.set_int64_be b 24 (false_word rng (Bytes.get_int64_be b 24));
     (img, "false length", Bytes.to_string b)
-  | _ ->
-    (* The snapshot's four count words, re-sealed: the only bytes a
-       digest-valid image reaches before [Marshal]. *)
+  | 4 ->
+    (* The snapshot's four count words, re-sealed, so the decoder
+       rather than the digest must reject them. *)
     let img = imgs.(1) in
     let b = Bytes.of_string img.bytes in
     for _ = 0 to Random.State.int rng 2 do
@@ -136,6 +169,30 @@ let mutate seed =
     done;
     E.seal snapshot_fmt b;
     (img, "count words", Bytes.to_string b)
+  | _ ->
+    (* The snapshot's trailer cut short, bit-flipped, or given a false
+       inner count, re-sealed likewise. *)
+    let img = imgs.(1) in
+    let start, counts = Lazy.force trailer in
+    let b = Bytes.of_string img.bytes in
+    let n = Bytes.length b in
+    let how, b =
+      match Random.State.int rng 3 with
+      | 0 -> ("trailer truncation", Bytes.sub b 0 (start + Random.State.int rng (n - start)))
+      | 1 ->
+        for _ = 0 to Random.State.int rng 8 do
+          let i = start + Random.State.int rng (n - start) in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8)))
+        done;
+        ("trailer bit flips", b)
+      | _ ->
+        let off = counts.(Random.State.int rng (Array.length counts)) in
+        Bytes.set_int64_be b off (false_word rng (Bytes.get_int64_be b off));
+        ("trailer count", b)
+    in
+    E.seal snapshot_fmt b;
+    (img, how, Bytes.to_string b)
 
 let time_bound_s = 2.0
 

@@ -144,34 +144,6 @@ let test_lookup_idx_zero_alloc () =
     true (delta < 256.0);
   Alcotest.(check bool) "lookups actually ran" true (!acc <> 0)
 
-(* patch must be indistinguishable from a rebuild over the edited
-   binding set: same bindings in the same order, same answer for every
-   probe — the contract the incremental snapshot re-freeze leans on. *)
-let prop_patch_vs_rebuild =
-  QCheck.Test.make ~name:"Lpm.patch = Lpm.build over edited bindings"
-    ~count:200
-    (QCheck.pair arb_prefixes arb_prefixes)
-    (fun (base, adds) ->
-      let t = Lpm.build (bindings_of base) in
-      let remove = List.filteri (fun i _ -> i mod 3 = 0) base in
-      let add = List.mapi (fun i p -> (p, 1000 + i)) adds in
-      let remap v = (v * 7) + 1 in
-      let patched = Lpm.patch t ~remove ~add ~remap in
-      let survivors =
-        List.rev
-          (Lpm.fold
-             (fun p v acc ->
-               if List.mem p remove then acc else (p, remap v) :: acc)
-             t [])
-      in
-      let reference = Lpm.build (survivors @ add) in
-      let bindings u = List.rev (Lpm.fold (fun p v acc -> (p, v) :: acc) u []) in
-      if bindings patched <> bindings reference then
-        QCheck.Test.fail_report "patched bindings differ from rebuild";
-      List.for_all
-        (fun a -> Lpm.lookup patched a = Lpm.lookup reference a)
-        (probe_addrs (base @ adds)))
-
 let suite =
   [ Alcotest.test_case "empty table" `Quick test_empty;
     Alcotest.test_case "slot boundary cases" `Quick test_slot_boundaries;
@@ -180,5 +152,4 @@ let suite =
     Qc.to_alcotest prop_vs_naive;
     Qc.to_alcotest prop_vs_ptrie;
     Qc.to_alcotest prop_find_exact;
-    Qc.to_alcotest prop_lookup_idx;
-    Qc.to_alcotest prop_patch_vs_rebuild ]
+    Qc.to_alcotest prop_lookup_idx ]

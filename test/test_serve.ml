@@ -530,21 +530,34 @@ let test_metrics_opcode () =
 (* -- SIGHUP-style hot reload: swap the map under live connections -- *)
 
 let test_hot_reload () =
-  let _, _, mapfile, qmap = Lazy.force fixture in
+  let _, snapshot, mapfile, qmap = Lazy.force fixture in
   let path = fresh_path () in
   let reloads = Atomic.make 0 in
   let fail_next = Atomic.make false in
   (* A replacement map whose answers are distinguishable through the
-     wire: it routes 8.8.8.0/24 (unrouted in the fixture, so the old
-     map answers 0 for it) to a private ASN. *)
+     wire: it hands one routed prefix, whose last address the old map
+     answers from that prefix's origin, to a private ASN. *)
+  let origin_line p asn =
+    Printf.sprintf "provenance|%s|origin|AS%d|%s|-"
+      (Ipv4.to_string (Prefix.last p)) asn (Prefix.to_string p)
+  in
+  let p, before =
+    List.find
+      (fun (p, asn) ->
+        Serve.Qmap.provenance qmap (Prefix.last p) = Some (origin_line p asn))
+      mapfile.Bdrmap.Mapfile.origins
+  in
   let mf2 =
     { mapfile with
-      Bdrmap.Mapfile.origins = [ (Prefix.of_string_exn "8.8.8.0/24", 65001) ]
+      Bdrmap.Mapfile.origins =
+        List.map
+          (fun (q, asn) -> if Prefix.equal q p then (q, 65001) else (q, asn))
+          mapfile.Bdrmap.Mapfile.origins
     }
   in
   let reload () =
     Atomic.incr reloads;
-    if Atomic.get fail_next then None else Some (Serve.Qmap.build mf2)
+    if Atomic.get fail_next then None else Some (Serve.Qmap.build ~snapshot mf2)
   in
   let server = Serve.Server.create ~reload ~path qmap in
   let d = Domain.spawn (fun () -> Serve.Server.run server) in
@@ -559,13 +572,14 @@ let test_hot_reload () =
         Fun.protect
           ~finally:(fun () -> Serve.Client.close c)
           (fun () ->
-            let addr = Ipv4.of_string_exn "8.8.8.8" in
+            let addr = Prefix.last p in
             let owner () =
               match Serve.Client.owner c addr with
               | Ok o -> o
               | Error e -> Alcotest.fail (Serve.Protocol.error_label e)
             in
-            Alcotest.(check int) "before reload: unrouted" 0 (owner ());
+            Alcotest.(check int) "before reload: the prefix's origin" before
+              (owner ());
             Serve.Server.request_reload server;
             (* The swap is asynchronous (event loop); the connection
                opened before the reload must observe it without

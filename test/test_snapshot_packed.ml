@@ -121,21 +121,47 @@ let test_fig14_world_matches_reference () =
 
 (* [freeze] propagates each distinct origin set once and copies the
    row into every other prefix with that set. The copy must be byte for
-   byte what one propagation per prefix writes, words and arena alike:
-   these digests of [Snapshot.to_bytes] were taken when [freeze] still
-   propagated every prefix. *)
-let test_freeze_bytes_pinned () =
+   byte what one propagation per prefix writes, words and arena alike.
+   Two pins per world: the MD5 of the route words and arena as
+   [Snapshot.to_bytes] writes them (taken when [freeze] still
+   propagated every prefix, unchanged by codec version 4), and of the
+   whole image (re-taken for codec version 4's trailer). *)
+let pinned_worlds =
   let moas = Option.get (Topogen.Corpus.by_name "moas_storm") in
+  [ ( "large_access scale 0.3 seed 22",
+      Topogen.Scenario.large_access ~scale:0.3 ~seed:22 (),
+      "c9f975b9d34191da531030073fd5d577",
+      "465bb1e1d331e0c12ff85a956f5a4873" );
+    ( "moas_storm scale 0.1",
+      moas.Topogen.Corpus.sc_params ~scale:0.1,
+      "c168f46dd477f4ab40102e772b0d12a0",
+      "e26a3d051929e26338dd58d8f937f6e7" ) ]
+
+let pinned_images =
+  lazy
+    (List.map
+       (fun (name, params, arenas, image) ->
+         let snap = Bgp.freeze (bgp_of (Gen.generate params)) in
+         (name, snap, S.to_bytes snap, arenas, image))
+       pinned_worlds)
+
+(* The words and arena follow the header's four count words. *)
+let arena_section snap b =
+  let nw = S.prefix_count snap * S.asn_count snap in
+  Bytes.sub b (Store.Envelope.header_len + 32) (8 * (nw + S.arena_length snap))
+
+let test_freeze_arenas_pinned () =
   List.iter
-    (fun (name, params, digest) ->
-      let snap = Bgp.freeze (bgp_of (Gen.generate params)) in
-      Alcotest.(check string) name digest (Digest.to_hex (Digest.bytes (S.to_bytes snap))))
-    [ ( "large_access scale 0.3 seed 22",
-        Topogen.Scenario.large_access ~scale:0.3 ~seed:22 (),
-        "f2cbfd7e535bc27b28efa3795c1b2b99" );
-      ( "moas_storm scale 0.1",
-        moas.Topogen.Corpus.sc_params ~scale:0.1,
-        "23e1612588bb3130f16aefdd430c63eb" ) ]
+    (fun (name, snap, b, arenas, _) ->
+      Alcotest.(check string) name arenas
+        (Digest.to_hex (Digest.bytes (arena_section snap b))))
+    (Lazy.force pinned_images)
+
+let test_freeze_bytes_pinned () =
+  List.iter
+    (fun (name, _, b, _, image) ->
+      Alcotest.(check string) name image (Digest.to_hex (Digest.bytes b)))
+    (Lazy.force pinned_images)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization. *)
@@ -157,6 +183,7 @@ let test_roundtrip () =
     Alcotest.(check int) "asn_count" (S.asn_count snap) (S.asn_count snap');
     Alcotest.(check int) "arena_length" (S.arena_length snap) (S.arena_length snap');
     Alcotest.(check bool) "prefixes" true (Bgp.prefixes snap' = Bgp.prefixes snap);
+    Alcotest.(check (result unit string)) "Snapshot.equal" (Ok ()) (S.equal snap snap');
     (* Every packed word survives: decode both sides cell by cell. *)
     let np = S.prefix_count snap and na = S.asn_count snap in
     for pslot = 0 to np - 1 do
@@ -188,8 +215,8 @@ let test_corrupted_byte_rejected () =
   let snap = Lazy.force tiny_snapshot in
   let b = S.to_bytes snap in
   (* Flip one payload byte at several depths: the packed words, the
-     arena, and the marshaled metadata tail. Every flip must fail the
-     digest, never decode to a different snapshot. *)
+     arena, and the trailer. Every flip must fail the digest, never
+     decode to a different snapshot. *)
   List.iter
     (fun frac ->
       let b' = Bytes.copy b in
@@ -232,16 +259,38 @@ let test_crafted_counts_rejected () =
   Alcotest.(check int) "64-byte image" 64 (Bytes.length b);
   Alcotest.(check bool) "crafted counts are Corrupt" true (S.of_bytes b = Error S.Corrupt)
 
+(* A digest-valid image whose trailer claims 2^40 originated entries:
+   the count is bounded by the bytes left before the decoder reads or
+   allocates an entry. *)
+let test_crafted_trailer_count_rejected () =
+  let snap = Lazy.force tiny_snapshot in
+  let b = S.to_bytes snap in
+  let nw = S.prefix_count snap * S.asn_count snap in
+  (* Past the counts, words, arena and slot table. *)
+  let off =
+    Store.Envelope.header_len + 32 + (8 * (nw + S.arena_length snap + S.asn_count snap))
+  in
+  Alcotest.(check int64) "originated count found"
+    (Int64.of_int (List.length (Topogen.Gen.originated (Gen.generate Topogen.Scenario.tiny))))
+    (Bytes.get_int64_be b off);
+  Bytes.set_int64_be b off (Int64.shift_left 1L 40);
+  Store.Envelope.seal { Store.Envelope.magic = "BDSN"; version = S.codec_version } b;
+  Alcotest.(check bool) "2^40 entries are Corrupt" true (S.of_bytes b = Error S.Corrupt)
+
 let suite =
   [ Qc.to_alcotest prop_packed_equals_boxed;
     Qc.to_alcotest prop_kernel_random_graphs;
     Alcotest.test_case "fig14 world = reference model" `Quick
       test_fig14_world_matches_reference;
+    Alcotest.test_case "freeze words+arena pinned (large_access, moas_storm)" `Quick
+      test_freeze_arenas_pinned;
     Alcotest.test_case "freeze bytes pinned (large_access, moas_storm)" `Quick
       test_freeze_bytes_pinned;
     Alcotest.test_case "to_bytes/of_bytes round-trip" `Quick test_roundtrip;
     Alcotest.test_case "corrupted byte rejected" `Quick test_corrupted_byte_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "crafted counts rejected" `Quick test_crafted_counts_rejected;
+    Alcotest.test_case "crafted trailer count rejected" `Quick
+      test_crafted_trailer_count_rejected;
     Alcotest.test_case "bad magic / bad version rejected" `Quick
       test_bad_magic_and_version ]
