@@ -37,6 +37,8 @@ let create ~rib ~ixp ~delegations ~vp_asns =
   in
   { rib; ixp; dels = delegations; vp_asns; host_orgs; memo = Ipv4.Tbl.create 4096 }
 
+let fresh t = { t with memo = Ipv4.Tbl.create 4096 }
+
 let classify_uncached t a =
   if Ipv4.reserved a || Ipv4.private_use a then Reserved
   else

@@ -26,6 +26,11 @@ val create :
   vp_asns:Asn.Set.t ->
   t
 
+(** [fresh t] classifies like [t], over the same inputs and the host
+    organizations [t] derived, with its own empty memo: the cheap way
+    to give each vantage point a private classifier. *)
+val fresh : t -> t
+
 val classify : t -> Ipv4.t -> cls
 
 (** [origins t a] is the BGP origin set ([Asn.Set.empty] if unrouted). *)

@@ -163,22 +163,24 @@ let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
     execute ~cfg engine inputs ~vp
   in
   (* With a store, each VP is a checkpoint: a hit rebuilds the run from
-     its snapshot (ip2as is cheap and deterministic, so it is re-derived
-     rather than stored); a miss computes and persists before moving on,
-     so a run killed mid-sweep resumes from the last completed VP. *)
+     its snapshot (ip2as is deterministic, so it is re-derived rather
+     than stored: the host organizations once per sweep, a fresh memo
+     per VP); a miss computes and persists before moving on, so a run
+     killed mid-sweep resumes from the last completed VP. *)
+  let hit_ip2as =
+    lazy
+      (Ip2as.create ~rib:inputs.rib ~ixp:inputs.ixp ~delegations:inputs.delegations
+         ~vp_asns:inputs.vp_asns)
+  in
   let run_vp vp =
     match store with
     | None -> compute vp
     | Some st -> (
       match Run_store.load ?epoch st ~world:w ~pps ~cfg ~vp with
       | Some (s : Run_store.snapshot) ->
-        let ip2as =
-          Ip2as.create ~rib:inputs.rib ~ixp:inputs.ixp
-            ~delegations:inputs.delegations ~vp_asns:inputs.vp_asns
-        in
         {
           cfg;
-          ip2as;
+          ip2as = Ip2as.fresh (Lazy.force hit_ip2as);
           inputs;
           collection = s.Run_store.collection;
           graph = s.Run_store.graph;
@@ -203,6 +205,7 @@ let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
   | Some pool ->
     freeze_shared w inputs;
     ignore (Lazy.force shared);
+    if store <> None then ignore (Lazy.force hit_ip2as);
     Pool.map pool run_vp vps
 
 (* ------------------------------------------------------------------ *)

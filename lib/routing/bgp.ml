@@ -13,6 +13,10 @@ type route = {
 
 (* A snapshot is pure immutable data: every originated prefix's
    route table computed once and packed into flat GC-invisible arenas.
+   A route table is a function of the prefix's origin set alone, so the
+   words are stored once per distinct set: [s_rows] maps each prefix
+   slot to its row, and rows are numbered in order of each set's first
+   prefix slot, which makes the layout a pure function of the input.
    A route is a single int word in [s_words] (see the layout below);
    its next-hop set is a contiguous ascending segment of [s_arena].
    Both live in int Bigarrays — out-of-heap plain words the GC never
@@ -40,7 +44,8 @@ type snapshot = {
   s_asns : Asn.t array;  (* sorted interning table: ASN -> slot by binary search *)
   s_pfx : Prefix.t array;  (* sorted, deduplicated originated prefixes *)
   s_origins : Asn.Set.t array;  (* origin set by prefix slot *)
-  s_words : int_ba;  (* packed route word at (prefix slot * |s_asns| + asn slot) *)
+  s_rows : int array;  (* prefix slot -> row of [s_words] (see [row_index]) *)
+  s_words : int_ba;  (* packed route word at (row * |s_asns| + asn slot) *)
   s_arena : int_ba;  (* interned next-hop segments (ASN slots, ascending) *)
   s_lpm : int Lpm.t;  (* origin LPM; value = prefix slot into s_pfx *)
 }
@@ -190,7 +195,7 @@ let create net rels ~originated ~selective =
    list, with ASNs outside the slot table dropped: exactly what the
    kernel reads of [os]. Being a plain list of ints, it is canonical
    where the [Asn.Set.t] tree is not (equal sets can differ in shape),
-   so it is the key of the row memo (see [fill_row]). *)
+   so it is the key of a word row. *)
 let origin_slots asns os =
   List.rev
     (Asn.Set.fold
@@ -198,6 +203,36 @@ let origin_slots asns os =
          let i = slot_of_array Asn.compare asns o in
          if i < 0 then acc else i :: acc)
        os [])
+
+(* [row_index asns origins] is the row layout of a prefix axis whose
+   origin sets are [origins]: each prefix slot's row, each row's
+   [origin_slots] key, and the key -> row lookup ([-1] for no row).
+   Rows are numbered in order of first prefix slot, so equal inputs
+   give equal layouts whichever path (freeze, refreeze, decode) derives
+   them. Single-origin keys, nearly all of them, are found by slot
+   without hashing. *)
+let row_index asns origins =
+  let single = Array.make (Array.length asns) (-1) and multi = Hashtbl.create 64 in
+  let find = function
+    | [ x ] -> single.(x)
+    | key -> Option.value ~default:(-1) (Hashtbl.find_opt multi key)
+  in
+  let keys = ref [] and nrows = ref 0 in
+  let rows =
+    Array.map
+      (fun os ->
+        let key = origin_slots asns os in
+        match find key with
+        | -1 ->
+          let r = !nrows in
+          (match key with [ x ] -> single.(x) <- r | _ -> Hashtbl.add multi key r);
+          keys := key :: !keys;
+          incr nrows;
+          r
+        | r -> r)
+      origins
+  in
+  (rows, Array.of_list (List.rev !keys), find)
 
 (* Gao-Rexford propagation of one prefix whose origins hold the slots
    [origins] (see [origin_slots]). Three stages:
@@ -384,37 +419,25 @@ let arena_freeze ar =
   done;
   a
 
-(* Runs the kernel for one prefix and writes its packed words into the
-   row at [base], interning each next-hop segment. *)
-let propagate_row k ar (words : int_ba) ~base origins =
-  propagate k origins (fun x cls dist m ->
+(* Runs the kernel for one origin key and writes its packed words into
+   the [n]-word row at [base], zeroing the slots without a route and
+   interning each next-hop segment. *)
+let propagate_row t ar (words : int_ba) ~base ~n key =
+  Bigarray.Array1.fill (Bigarray.Array1.sub words base n) 0;
+  let k = Lazy.force t.kern in
+  propagate k key (fun x cls dist m ->
       let off = arena_intern ar k.k_hops m in
       Bigarray.Array1.set words (base + x) (pack_word ~cls ~dist ~count:m ~off))
 
-(* The row memo. A route row is a function of the origin slots alone,
-   and the benchmark world's 907 prefixes have only 355 distinct origin
-   sets, so each distinct set propagates once and every later prefix
-   with the same set copies the finished row. [memo] maps an
-   [origin_slots] list to the prefix slot of a final row in [words].
-   The copy is byte for byte what propagation would write into the same
-   arena: a second run on the same origins emits the same routes, and
-   every segment it would intern is already interned, so it appends
-   nothing. The kernel is forced on the first miss only. *)
-let fill_row t ar (words : int_ba) memo ~n ~pslot origins =
-  match Hashtbl.find_opt memo origins with
-  | Some src ->
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub words (src * n) n)
-      (Bigarray.Array1.sub words (pslot * n) n)
-  | None ->
-    Hashtbl.replace memo origins pslot;
-    propagate_row (Lazy.force t.kern) ar words ~base:(pslot * n) origins
+(* Rows are numbered in first-slot order, so the last new row id seen
+   is the count. *)
+let row_count s = Array.fold_left max (-1) s.s_rows + 1
 
 (* Packed-word access: 0 means "no route". Decoding rebuilds the boxed
    [route] record on demand; the zero-allocation accessors below read
    straight out of the word for hot loops that never need the record. *)
 let word_at s ~pslot ~aslot =
-  Bigarray.Array1.get s.s_words ((pslot * Array.length s.s_asns) + aslot)
+  Bigarray.Array1.get s.s_words ((s.s_rows.(pslot) * Array.length s.s_asns) + aslot)
 
 let decode_route s w =
   let off = w_off w in
@@ -492,27 +515,27 @@ let collector_view s collectors =
 (* The origin LPM: each prefix bound to its slot. *)
 let lpm_of pfx = Lpm.build (List.mapi (fun i p -> (p, i)) (Array.to_list pfx))
 
-let zeros len =
-  let w = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  Bigarray.Array1.fill w 0;
-  w
+let words_create len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 
+(* Each distinct origin key propagates once, into its own row. Rows go
+   in first-prefix-slot order, the order in which one propagation per
+   prefix would first meet each set, so the arena interns the same
+   segments at the same offsets, and expanding the rows through
+   [s_rows] gives exactly the words of one propagation per prefix. *)
 let freeze ?(counter = "routing.snapshot.builds") t =
   Obs.Metrics.incr counter;
   let s_asns = t.slots in
   let s_pfx, s_origins = Lazy.force t.index in
   let n = Array.length s_asns in
-  let s_words = zeros (Array.length s_pfx * n) in
-  let ar = arena_create ~slots:n (zeros 0) in
-  let memo = Hashtbl.create 256 in
-  Array.iteri
-    (fun pslot os -> fill_row t ar s_words memo ~n ~pslot (origin_slots s_asns os))
-    s_origins;
+  let s_rows, keys, _ = row_index s_asns s_origins in
+  let s_words = words_create (Array.length keys * n) in
+  let ar = arena_create ~slots:n (words_create 0) in
+  Array.iteri (fun r key -> propagate_row t ar s_words ~base:(r * n) ~n key) keys;
   { s_originated = t.originated; s_selective = t.selective; s_asns; s_pfx; s_origins;
-    s_words; s_arena = arena_freeze ar; s_lpm = lpm_of s_pfx }
+    s_rows; s_words; s_arena = arena_freeze ar; s_lpm = lpm_of s_pfx }
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-freeze: dirty-prefix deltas over a packed snapshot.  *)
+(* Incremental re-freeze: dirty-set deltas over a packed snapshot.     *)
 
 (* A batch of topology changes in the vocabulary the delta path needs
    (produced by [Topogen.Evolve]). The contract that keeps the patch
@@ -522,35 +545,28 @@ let freeze ?(counter = "routing.snapshot.builds") t =
      ASN the old snapshot interned, so they append to the end of the
      sorted slot table and every old slot survives verbatim;
    - [ch_removed_edges] lists every AS pair whose relationship was
-     dropped. Such a drop dirties exactly the prefixes where either
+     dropped. Such a drop dirties exactly the origin sets where either
      endpoint held the other in its next-hop segment: an edge outside
      every next-hop set carries no best route and feeds no distance
-     table, so removing it cannot change any AS's table for that
-     prefix (transitive effects always pass through a next hop);
-   - [ch_dirty_prefixes] lists every surviving prefix whose origin set
-     changed;
-   - [ch_removed_prefixes] / new prefixes are detected from the prefix
-     sets themselves;
+     table, so removing it cannot change any AS's table for that set
+     (transitive effects always pass through a next hop);
+   - new, removed and re-originated prefixes need no list: each
+     prefix's row follows from its origin set, compared in [refreeze];
    - [ch_links_changed] lists AS pairs whose physical interconnects
      changed without a relationship change — invisible to BGP, dirt
      for the forwarding plan only. *)
 type churn = {
   ch_removed_edges : (Asn.t * Asn.t) list;
   ch_new_stubs : (Asn.t * Asn.Set.t) list;
-  ch_dirty_prefixes : Prefix.t list;
-  ch_removed_prefixes : Prefix.t list;
   ch_links_changed : (Asn.t * Asn.t) list;
 }
 
-let no_churn =
-  { ch_removed_edges = []; ch_new_stubs = []; ch_dirty_prefixes = [];
-    ch_removed_prefixes = []; ch_links_changed = [] }
+let no_churn = { ch_removed_edges = []; ch_new_stubs = []; ch_links_changed = [] }
 
 (* Fold a [Topogen.Evolve] event batch into the delta vocabulary. The
    mapping relies on the evolution invariants: aggregate/deaggregate
-   replace prefixes (the replacements are detected as new, the old ones
-   land in [ch_removed_prefixes]), link add/remove keep relationships
-   intact (forwarding dirt only), and a new customer is a pure stub. *)
+   only replace prefixes, link add/remove keep relationships intact
+   (forwarding dirt only), and a new customer is a pure stub. *)
 let churn_of_events evs =
   let module E = Topogen.Evolve in
   List.fold_left
@@ -562,10 +578,7 @@ let churn_of_events evs =
         { c with ch_new_stubs = (asn, providers) :: c.ch_new_stubs }
       | E.Depeered { x; y } ->
         { c with ch_removed_edges = (x, y) :: c.ch_removed_edges }
-      | E.Aggregated { halves = h1, h2; _ } ->
-        { c with ch_removed_prefixes = h1 :: h2 :: c.ch_removed_prefixes }
-      | E.Deaggregated { parent; _ } ->
-        { c with ch_removed_prefixes = parent :: c.ch_removed_prefixes })
+      | E.Aggregated _ | E.Deaggregated _ -> c)
     no_churn evs
 
 type refreeze_stats = {
@@ -576,20 +589,23 @@ type refreeze_stats = {
 }
 
 (* [refreeze t ~old churn]: [t] is the propagation input of the
-   post-churn world, [old] the pre-churn snapshot. Every clean row is a
-   Bigarray blit whose packed words stay valid verbatim because the old
-   arena is the new arena's prefix and old ASN slots are stable. Only
-   dirty rows need new words: each copies an earlier dirty row with the
-   same origin set through the row memo, or propagates. The kernel's
-   adjacency is built on the first propagation, and an unchanged
-   originated list takes the prefix axis and origin sets from [old], so
-   a link add or remove builds neither (comparing the lists costs less
-   than the sort that rebuilding them takes). New-AS columns on
+   post-churn world, [old] the pre-churn snapshot. The new rows are
+   laid out as [freeze] lays them out; each takes as its source the old
+   row with the same origin key, if any. Old ASN slots are stable and
+   the old arena is the new arena's prefix, so a source row's packed
+   words stay valid verbatim: a clean row is one Bigarray blit plus
+   its new-stub columns. A row is dirty when no old row has its key or
+   a removed edge lies in its source's next-hop segments; it
+   propagates, its kernel adjacency built on the first such row. So a
+   new or re-originated prefix whose origin set already has a clean
+   row costs one index write. An unchanged originated list takes the
+   prefix axis and origin sets from [old] (comparing the lists costs
+   less than the sort that rebuilding them takes). New-AS columns on
    clean rows are filled by the stub rule: a pure stub's only possible
    route is a provider route one hop past its providers' best — the
    same answer the kernel derives, since a stub feeds nothing back into
    anyone else's table. If the append-only ASN contract is violated,
-   the patch degrades to a full recompute (counted under
+   every row propagates (counted under
    [routing.snapshot.patch_fallbacks]) rather than guessing. *)
 let refreeze t ~old churn =
   Obs.Metrics.incr "routing.snapshot.patches";
@@ -631,79 +647,78 @@ let refreeze t ~old churn =
   done;
   let fallback = not (asns_ok && !stubs_ok) in
   if fallback then Obs.Metrics.incr "routing.snapshot.patch_fallbacks";
-  (* Old pslot <-> new pslot translation by merge walk (both sorted). *)
-  let old2new = Array.make (max 1 np_old) (-1) in
-  let new2old = Array.make (max 1 np) (-1) in
-  let i = ref 0 and j = ref 0 in
-  while !i < np_old && !j < np do
-    match Prefix.compare old.s_pfx.(!i) s_pfx.(!j) with
-    | 0 ->
-      old2new.(!i) <- !j;
-      new2old.(!j) <- !i;
-      incr i;
-      incr j
-    | c when c < 0 -> incr i
-    | _ -> incr j
-  done;
-  let prefixes_unchanged =
-    np = np_old
-    &&
-    let ok = ref true in
-    for k = 0 to np - 1 do
-      if not (Prefix.equal s_pfx.(k) old.s_pfx.(k)) then ok := false
-    done;
-    !ok
-  in
-  let dirty = Array.make (max 1 np) fallback in
-  List.iter
-    (fun p ->
-      let s = slot_of_array Prefix.compare s_pfx p in
-      if s >= 0 then dirty.(s) <- true)
-    churn.ch_dirty_prefixes;
-  for pn = 0 to np - 1 do
-    if new2old.(pn) < 0 then dirty.(pn) <- true
-  done;
-  if not fallback then begin
-    let seg_mem w target =
-      let off = w_off w in
-      let hi = off + w_count w in
-      let found = ref false in
-      for k = off to hi - 1 do
-        if Bigarray.Array1.get old.s_arena k = target then found := true
-      done;
-      !found
-    in
-    List.iter
-      (fun (x, y) ->
-        let ax = slot_of_array Asn.compare old.s_asns x
-        and ay = slot_of_array Asn.compare old.s_asns y in
-        if ax >= 0 && ay >= 0 then
-          for po = 0 to np_old - 1 do
-            let pn = old2new.(po) in
-            if pn >= 0 && not dirty.(pn) then begin
-              let wx = word_at old ~pslot:po ~aslot:ax in
-              if wx <> 0 && seg_mem wx ay then dirty.(pn) <- true
-              else
-                let wy = word_at old ~pslot:po ~aslot:ay in
-                if wy <> 0 && seg_mem wy ax then dirty.(pn) <- true
-            end
-          done)
-      churn.ch_removed_edges
-  end;
-  (* With unchanged axes and nothing dirty (the single-link case) every
-     row would be a verbatim copy, so the words and arena are shared. *)
-  let share = n = n_old && prefixes_unchanged && not (Array.mem true dirty) in
-  let n_dirty = ref 0 in
-  let s_words, s_arena =
-    if share then (old.s_words, old.s_arena)
+  (* Each new row's key, and its source: the old row with the same key.
+     Old slots keep their ASNs, so equal slot lists name equal origin
+     sets. With the old axes and origin sets (every link-only batch)
+     the old layout holds row for row, and a key is derived only for a
+     row that propagates. *)
+  let old_nrows = row_count old in
+  let s_rows, key_of, src =
+    if same_originated && n = n_old && not fallback then begin
+      let firsts = Array.make old_nrows 0 and next = ref 0 in
+      Array.iteri
+        (fun p r ->
+          if r = !next then begin
+            firsts.(r) <- p;
+            incr next
+          end)
+        old.s_rows;
+      (old.s_rows, (fun r -> origin_slots s_asns s_origins.(firsts.(r))), Array.init old_nrows Fun.id)
+    end
     else begin
-      let words = zeros (np * n) in
+      let s_rows, keys, row_of_key = row_index s_asns s_origins in
+      let src = Array.make (Array.length keys) (-1) and next = ref 0 in
+      if not fallback then
+        Array.iteri
+          (fun po ro ->
+            if ro = !next then begin
+              incr next;
+              let r = row_of_key (origin_slots old.s_asns old.s_origins.(po)) in
+              if r >= 0 then src.(r) <- ro
+            end)
+          old.s_rows;
+      (s_rows, Array.get keys, src)
+    end
+  in
+  let nrows = Array.length src in
+  let dirty = Array.map (fun ro -> ro < 0) src in
+  let seg_mem w target =
+    let off = w_off w in
+    let found = ref false in
+    for k = off to off + w_count w - 1 do
+      if Bigarray.Array1.get old.s_arena k = target then found := true
+    done;
+    !found
+  in
+  List.iter
+    (fun (x, y) ->
+      let ax = slot_of_array Asn.compare old.s_asns x
+      and ay = slot_of_array Asn.compare old.s_asns y in
+      if ax >= 0 && ay >= 0 then
+        Array.iteri
+          (fun r ro ->
+            if not dirty.(r) then begin
+              let wx = Bigarray.Array1.get old.s_words ((ro * n_old) + ax)
+              and wy = Bigarray.Array1.get old.s_words ((ro * n_old) + ay) in
+              if (wx <> 0 && seg_mem wx ay) || (wy <> 0 && seg_mem wy ax) then
+                dirty.(r) <- true
+            end)
+          src)
+    churn.ch_removed_edges;
+  let same_rows = ref (n = n_old && nrows = old_nrows) in
+  Array.iteri (fun r ro -> if ro <> r || dirty.(r) then same_rows := false) src;
+  (* With the same rows, none dirty (the single-link case), the words
+     and arena are shared. *)
+  let s_words, s_arena =
+    if !same_rows then (old.s_words, old.s_arena)
+    else begin
+      let words = words_create (nrows * n) in
       (* The new arena starts as a verbatim copy of the old one, so
          clean rows' packed offsets remain valid; fresh segments append
          past it. (Appended segments dedupe among themselves only — a
          duplicate of an old segment wastes a few words, never
          correctness.) *)
-      let ar = arena_create ~slots:n (if fallback then zeros 0 else old.s_arena) in
+      let ar = arena_create ~slots:n (if fallback then words_create 0 else old.s_arena) in
       (* Each new stub's provider slots, ascending. *)
       let stub_cols =
         if fallback then [||]
@@ -717,31 +732,30 @@ let refreeze t ~old churn =
       let hops =
         Array.make (Array.fold_left (fun m p -> max m (Array.length p)) 1 stub_cols) 0
       in
-      let memo = Hashtbl.create 64 in
-      for pn = 0 to np - 1 do
-        let base = pn * n in
-        let os = s_origins.(pn) in
-        if dirty.(pn) then begin
-          incr n_dirty;
-          fill_row t ar words memo ~n ~pslot:pn (origin_slots s_asns os)
-        end
+      for r = 0 to nrows - 1 do
+        let base = r * n in
+        if dirty.(r) then propagate_row t ar words ~base ~n (key_of r)
         else begin
-          let po = new2old.(pn) in
+          (* A stub in the key would make the key new, so a clean
+             row's stubs are never its origins. *)
+          let ro = src.(r) in
+          let key = if n > n_old then key_of r else [] in
           Bigarray.Array1.blit
-            (Bigarray.Array1.sub old.s_words (po * n_old) n_old)
+            (Bigarray.Array1.sub old.s_words (ro * n_old) n_old)
             (Bigarray.Array1.sub words base n_old);
           Array.iteri
             (fun c provs ->
-              if not (Asn.Set.mem s_asns.(n_old + c) os) then begin
-                let dist_of pa =
-                  if Asn.Set.mem s_asns.(pa) os then 0
-                  else
-                    match word_at old ~pslot:po ~aslot:pa with
-                    | 0 -> unset
-                    | w -> w_dist w
-                in
-                let best = Array.fold_left (fun b pa -> min b (dist_of pa)) unset provs in
-                if best < unset then begin
+              let dist_of pa =
+                if List.mem pa key then 0
+                else
+                  match Bigarray.Array1.get old.s_words ((ro * n_old) + pa) with
+                  | 0 -> unset
+                  | w -> w_dist w
+              in
+              let best = Array.fold_left (fun b pa -> min b (dist_of pa)) unset provs in
+              let w =
+                if best = unset then 0
+                else begin
                   let m = ref 0 in
                   Array.iter
                     (fun pa ->
@@ -750,27 +764,51 @@ let refreeze t ~old churn =
                         incr m
                       end)
                     provs;
-                  let off = arena_intern ar hops !m in
-                  Bigarray.Array1.set words (base + n_old + c)
-                    (pack_word ~cls:Prov ~dist:(best + 1) ~count:!m ~off)
+                  pack_word ~cls:Prov ~dist:(best + 1) ~count:!m ~off:(arena_intern ar hops !m)
                 end
-              end)
+              in
+              Bigarray.Array1.set words (base + n_old + c) w)
             stub_cols
         end
       done;
       (words, arena_freeze ar)
     end
   in
+  let prefixes_unchanged =
+    np = np_old
+    &&
+    let ok = ref true in
+    for k = 0 to np - 1 do
+      if not (Prefix.equal s_pfx.(k) old.s_pfx.(k)) then ok := false
+    done;
+    !ok
+  in
   (* LPM: shared when the prefix set is untouched (the single-link fast
      path does no LPM work), rebuilt otherwise. *)
   let s_lpm = if prefixes_unchanged then old.s_lpm else lpm_of s_pfx in
-  Obs.Metrics.add "routing.snapshot.dirty_prefixes" !n_dirty;
-  let dirty_prefixes = ref [] in
+  (* A prefix is dirty unless it keeps its own old row, and that row is
+     clean: new prefixes, prefixes that moved to another row, and every
+     prefix of a propagated row. Old and new slots pair up by a merge
+     walk (both axes are sorted). *)
+  let dirty_prefixes = ref [] and n_dirty = ref 0 in
+  let i = ref (np_old - 1) in
   for pn = np - 1 downto 0 do
-    if dirty.(pn) then dirty_prefixes := s_pfx.(pn) :: !dirty_prefixes
+    while !i >= 0 && Prefix.compare old.s_pfx.(!i) s_pfx.(pn) > 0 do
+      decr i
+    done;
+    let r = s_rows.(pn) in
+    let kept =
+      !i >= 0 && Prefix.equal old.s_pfx.(!i) s_pfx.(pn) && (not dirty.(r))
+      && src.(r) = old.s_rows.(!i)
+    in
+    if not kept then begin
+      incr n_dirty;
+      dirty_prefixes := s_pfx.(pn) :: !dirty_prefixes
+    end
   done;
+  Obs.Metrics.add "routing.snapshot.dirty_prefixes" !n_dirty;
   ( { s_originated = t.originated; s_selective = t.selective; s_asns; s_pfx; s_origins;
-      s_words; s_arena; s_lpm },
+      s_rows; s_words; s_arena; s_lpm },
     { rf_total = np;
       rf_dirty = !n_dirty;
       rf_dirty_prefixes = !dirty_prefixes;
@@ -785,6 +823,24 @@ module Snapshot = struct
 
   let prefix_count s = Array.length s.s_pfx
   let asn_count s = Array.length s.s_asns
+
+  let row_count = row_count
+  let row_of_pslot s pslot = s.s_rows.(pslot)
+
+  (* Pins are read off the selective map, which is far smaller than the
+     prefix axis. Origins are visited in descending order, so each
+     slot's list comes out ascending. *)
+  let pins s =
+    let a = Array.make (Array.length s.s_pfx) [] in
+    List.iter
+      (fun (o, per) ->
+        Prefix.Map.iter
+          (fun p lids ->
+            let i = slot_of_array Prefix.compare s.s_pfx p in
+            if i >= 0 && Asn.Set.mem o s.s_origins.(i) then a.(i) <- (o, lids) :: a.(i))
+          per)
+      (List.rev (Asn.Map.bindings s.s_selective));
+    a
   let arena_length s = Bigarray.Array1.dim s.s_arena
 
   (* Zero-allocation slot layer: interned indices in, plain ints out.
@@ -810,8 +866,8 @@ module Snapshot = struct
     if i < 0 then -1 else Lpm.value_at s.s_lpm i
 
   (* Semantic equality between two snapshots of the same world:
-     identical interning axes and origin sets, then every packed word
-     decode-equal (class, dist, and next-hop slot segment compared
+     identical interning axes, origin sets and row layout, then every
+     row's packed words decode-equal (class, dist, and next-hop slot segment compared
      element-wise, so two arenas laid out in different interning order
      still compare equal), then LPM agreement probed at every prefix
      boundary (first, last, and the addresses just outside). This is the oracle the
@@ -845,31 +901,42 @@ module Snapshot = struct
             fail "origin sets differ at %s" (Prefix.to_string a.s_pfx.(i)))
         a.s_origins;
       for pslot = 0 to np - 1 do
-        for aslot = 0 to n - 1 do
-          let wa = word_at a ~pslot ~aslot and wb = word_at b ~pslot ~aslot in
-          let ctx () =
-            Printf.sprintf "(%s, AS%d)"
-              (Prefix.to_string a.s_pfx.(pslot))
-              a.s_asns.(aslot)
-          in
-          if (wa = 0) <> (wb = 0) then
-            fail "route presence differs at %s" (ctx ());
-          if wa <> 0 then begin
-            if wa land 3 <> wb land 3 then fail "route class differs at %s" (ctx ());
-            if w_dist wa <> w_dist wb then
-              fail "route dist differs at %s: %d vs %d" (ctx ()) (w_dist wa)
-                (w_dist wb);
-            if w_count wa <> w_count wb then
-              fail "next-hop count differs at %s: %d vs %d" (ctx ()) (w_count wa)
-                (w_count wb);
-            for k = 0 to w_count wa - 1 do
-              if
-                Bigarray.Array1.get a.s_arena (w_off wa + k)
-                <> Bigarray.Array1.get b.s_arena (w_off wb + k)
-              then fail "next-hop %d differs at %s" k (ctx ())
-            done
-          end
-        done
+        if a.s_rows.(pslot) <> b.s_rows.(pslot) then
+          fail "rows differ at %s: %d vs %d" (Prefix.to_string a.s_pfx.(pslot))
+            a.s_rows.(pslot) b.s_rows.(pslot)
+      done;
+      (* Each row once, at its first prefix slot: row ids ascend in
+         first-slot order. *)
+      let next = ref 0 in
+      for pslot = 0 to np - 1 do
+        if a.s_rows.(pslot) = !next then begin
+          incr next;
+          for aslot = 0 to n - 1 do
+            let wa = word_at a ~pslot ~aslot and wb = word_at b ~pslot ~aslot in
+            let ctx () =
+              Printf.sprintf "(%s, AS%d)"
+                (Prefix.to_string a.s_pfx.(pslot))
+                a.s_asns.(aslot)
+            in
+            if (wa = 0) <> (wb = 0) then
+              fail "route presence differs at %s" (ctx ());
+            if wa <> 0 then begin
+              if wa land 3 <> wb land 3 then fail "route class differs at %s" (ctx ());
+              if w_dist wa <> w_dist wb then
+                fail "route dist differs at %s: %d vs %d" (ctx ()) (w_dist wa)
+                  (w_dist wb);
+              if w_count wa <> w_count wb then
+                fail "next-hop count differs at %s: %d vs %d" (ctx ()) (w_count wa)
+                  (w_count wb);
+              for k = 0 to w_count wa - 1 do
+                if
+                  Bigarray.Array1.get a.s_arena (w_off wa + k)
+                  <> Bigarray.Array1.get b.s_arena (w_off wb + k)
+                then fail "next-hop %d differs at %s" k (ctx ())
+              done
+            end
+          done
+        end
       done;
       if Lpm.length a.s_lpm <> Lpm.length b.s_lpm then
         fail "LPM sizes differ: %d vs %d" (Lpm.length a.s_lpm)
@@ -898,24 +965,27 @@ module Snapshot = struct
      header layout lives in envelope.mli). Every field of its payload
      is a big-endian 8-byte word:
 
-     payload  := n_pfx | n_asn | |words| | |arena|
-               | words | arena | asns (n_asn of them, ascending)
+     payload  := n_pfx | n_asn | n_row | |arena|
+               | words (n_row x n_asn) | arena
+               | asns (n_asn of them, ascending) | rows (n_pfx of them)
                | originated | selective
      originated := count, then per entry: prefix | k | k origin ASNs
      selective  := count, then per origin (ascending): asn | m,
                    then per prefix (ascending): prefix | l | l link ids
 
      A prefix word is its network shifted left 8 bits, or'd with its
-     length. The prefix axis, the origin sets and the LPM are not
-     shipped: [decode] derives them from [originated] exactly as
-     [create] and [freeze] do. Any flipped byte fails the digest check.
-     Behind a valid digest every field is still checked: each count is
-     bounded by the bytes left before anything is sized from it, the
-     header counts agree with each other and with the prefix axis, the
-     slot table, sets and map keys ascend strictly, prefixes are
-     canonical, every route word points inside the arena and every
-     arena entry is an ASN slot, and the payload ends where the
-     trailer does. A violation is [Corrupt]; decoding never raises. *)
+     length. [rows] is each prefix slot's word row. The prefix axis,
+     the origin sets and the LPM are not shipped: [decode] derives them
+     from [originated] exactly as [create] and [freeze] do. Any flipped
+     byte fails the digest check. Behind a valid digest every field is
+     still checked: each count is bounded by the bytes left before
+     anything is sized from it, the header counts agree with each other
+     and with the prefix axis, the slot table, sets and map keys ascend
+     strictly, prefixes are canonical, every route word points inside
+     the arena and every arena entry is an ASN slot, [rows] and [n_row]
+     are the layout [row_index] derives from the origin sets, and the
+     payload ends where the trailer does. A violation is [Corrupt];
+     decoding never raises. *)
   module Envelope = Store.Envelope
 
   type decode_error = Envelope.error =
@@ -926,8 +996,10 @@ module Snapshot = struct
   (* v2: Net.link gained the [live] retirement flag. v3: Net.t gained
      its internal-adjacency index. v4: the trailer is an explicit codec
      of the slot table, originated list and selective announcements in
-     place of a marshaled tuple that included the whole Net.t. *)
-  let codec_version = 4
+     place of a marshaled tuple that included the whole Net.t. v5: one
+     word row per distinct origin set, and the prefix slot -> row map
+     in the trailer. *)
+  let codec_version = 5
   let fmt = { Envelope.magic = "BDSN"; version = codec_version }
   let counts_len = 32
   let prefix_word p = (Ipv4.to_int (Prefix.network p) lsl 8) lor Prefix.len p
@@ -944,6 +1016,7 @@ module Snapshot = struct
       f v
     in
     Array.iter put s.s_asns;
+    Array.iter put s.s_rows;
     put_list (put_prefix (fun os -> put_list put (Asn.Set.elements os))) s.s_originated;
     put_list
       (fun (o, per) ->
@@ -966,7 +1039,7 @@ module Snapshot = struct
     in
     put_word np;
     put_word n;
-    put_word nw;
+    put_word (row_count s);
     put_word na;
     for i = 0 to nw - 1 do
       put_word (Bigarray.Array1.get s.s_words i)
@@ -1022,16 +1095,17 @@ module Snapshot = struct
     try
       let np = word () in
       let n = word () in
-      let nw = word () in
+      let nr = word () in
       let na = word () in
       (* Bounded by the words left with no multiplication that could
-         wrap; [nw = np * n] is checked by division. *)
+         wrap: [nr * n] is bounded by division first. *)
       let room = (stop - !cur) / 8 in
       if
-        np < 0 || n < 0 || nw < 0 || na < 0 || nw > room || na > room - nw
-        || n > room - nw - na
-        || if n = 0 then nw <> 0 else nw mod n <> 0 || nw / n <> np
+        np < 0 || n < 0 || nr < 0 || na < 0 || na > room || n > room - na
+        || np > room - na - n
+        || (n > 0 && nr > (room - na - n - np) / n)
       then raise Bad;
+      let nw = nr * n in
       let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
       for i = 0 to nw - 1 do
         let w = word () in
@@ -1048,6 +1122,7 @@ module Snapshot = struct
       for i = 1 to n - 1 do
         if Asn.compare s_asns.(i - 1) s_asns.(i) >= 0 then raise Bad
       done;
+      let s_rows = Array.init np (fun _ -> word ()) in
       let s_originated =
         list ~min_words:2 (fun () ->
             let p = prefix () in
@@ -1060,8 +1135,10 @@ module Snapshot = struct
       in
       let s_pfx, s_origins = prefix_index s_originated in
       if Array.length s_pfx <> np || !cur <> stop then raise Bad;
+      let rows, keys, _ = row_index s_asns s_origins in
+      if rows <> s_rows || Array.length keys <> nr then raise Bad;
       Ok
-        { s_originated; s_selective; s_asns; s_pfx; s_origins; s_words; s_arena;
+        { s_originated; s_selective; s_asns; s_pfx; s_origins; s_rows; s_words; s_arena;
           s_lpm = lpm_of s_pfx }
     with Bad -> Error Corrupt
 

@@ -15,10 +15,12 @@
     best route and its next-hop slots are read straight off those
     arrays, ascending, with no set and no sort.
 
-    {!freeze} and the dirty prefixes of {!refreeze} write that output
-    as packed words into flat int arenas ([Bigarray]s the GC never
-    traces): one word per (prefix, ASN) route plus a shared arena of
-    interned next-hop segments. The result, a {!snapshot}, is the only
+    {!freeze} and the dirty rows of {!refreeze} write that output as
+    packed words into flat int arenas ([Bigarray]s the GC never
+    traces): a prefix's routes depend only on its origin set, so there
+    is one word row per distinct origin set (one word per ASN), a map
+    from prefix slot to row, and a shared arena of interned next-hop
+    segments. The result, a {!snapshot}, is the only
     representation routing queries answer from. It is pure data — safe
     to share by reference across [Netcore.Pool] domains with zero
     per-worker rebuild, and serializable to raw bytes
@@ -42,9 +44,9 @@ type route = {
 type input
 
 (** Immutable routing snapshot: the sorted prefix axis with each
-    prefix's origin set, per-prefix route tables in dense (prefix slot
-    x interned-ASN slot) arrays, and a flattened LPM over the prefix
-    axis. *)
+    prefix's origin set, route tables in dense (row x interned-ASN
+    slot) arrays with one row per distinct origin set, and a flattened
+    LPM over the prefix axis. *)
 type snapshot
 
 (** A routing query handle is the snapshot itself. Workers take one
@@ -63,12 +65,13 @@ val create :
 
 (** [freeze t] runs the kernel once per distinct origin set and writes
     each route straight into the packed arenas: a route word per
-    (prefix, ASN slot), and the next-hop slots interned as a shared
-    arena segment (a one-slot segment without allocating). A prefix
-    whose origin set (keyed by its sorted ASN slots, ASNs outside the
-    graph ignored) has already propagated copies that row; the result
-    is byte-identical to propagating every prefix. The memo lives for
-    one call: no row is reused across calls. Counted under the
+    (row, ASN slot), and the next-hop slots interned as a shared arena
+    segment (a one-slot segment without allocating). An origin set is
+    keyed by its sorted ASN slots (ASNs outside the graph ignored);
+    each key gets one row, numbered in order of its first prefix slot,
+    so the layout is a function of the input alone. Expanded through
+    the prefix-to-row map, the words and arena are byte-identical to
+    propagating every prefix. Counted under the
     [routing.snapshot.builds] metric by default; [?counter] redirects
     the count (validation and bench scratch freezes use
     ["routing.snapshot.scratch_builds"] so build accounting gates stay
@@ -124,16 +127,15 @@ val collector_view : t -> Asn.t list -> Bgpdata.Rib.t
 
     A batch of topology changes expressed in the vocabulary the delta
     path needs; produced by [Topogen.Evolve.advance]. The soundness
-    contract is documented on {!refreeze}. *)
+    contract is documented on {!refreeze}. New, withdrawn and
+    re-originated prefixes need no entry: {!refreeze} reads them off
+    the originated lists. *)
 type churn = {
   ch_removed_edges : (Asn.t * Asn.t) list;
       (** AS pairs whose relationship was dropped (depeering) *)
   ch_new_stubs : (Asn.t * Asn.Set.t) list;
       (** new stub ASes with their provider sets; ASNs must sort above
           every existing ASN and providers must already exist *)
-  ch_dirty_prefixes : Prefix.t list;
-      (** surviving prefixes whose origin set changed *)
-  ch_removed_prefixes : Prefix.t list;  (** prefixes withdrawn entirely *)
   ch_links_changed : (Asn.t * Asn.t) list;
       (** AS pairs whose physical links changed with the relationship
           intact — BGP-invisible, forwarding-plan dirt only *)
@@ -145,15 +147,17 @@ val no_churn : churn
 (** [churn_of_events evs] folds a [Topogen.Evolve] event batch into the
     delta vocabulary, relying on the evolution invariants (new
     customers are pure stubs, link add/remove keep relationships
-    intact, aggregate/deaggregate replace prefixes). *)
+    intact, aggregate/deaggregate only replace prefixes). *)
 val churn_of_events : Topogen.Evolve.timed list -> churn
 
 type refreeze_stats = {
   rf_total : int;  (** prefixes in the new snapshot *)
-  rf_dirty : int;  (** dirty prefixes: re-propagated or copied *)
+  rf_dirty : int;
+      (** dirty prefixes: those that do not keep their own old row
+          unchanged (new, moved to another row, or in a propagated row) *)
   rf_dirty_prefixes : Prefix.t list;
-      (** the dirty prefixes, sorted — the forwarding plan patches
-          exactly these columns *)
+      (** the dirty prefixes, sorted — the forwarding plan re-scores
+          only columns without a clean prefix *)
   rf_fallback : bool;
       (** the append-only ASN contract was violated and the patch
           degraded to a full recompute *)
@@ -161,19 +165,21 @@ type refreeze_stats = {
 
 (** [refreeze t ~old churn] is the incremental form of {!freeze}: [t]
     is the propagation input of the post-churn world, [old] the
-    pre-churn snapshot. Clean rows are blitted, new-stub columns are
-    derived from their providers' packed words, and the LPM is shared
-    (prefix set unchanged) or rebuilt with [Lpm.build]. Only dirty prefixes (changed
-    origins, new prefixes, and prefixes where a removed edge appeared in
-    a next-hop segment) get new rows: each copies an earlier dirty row
-    with the same origin set, or else propagates through the kernel,
-    whose adjacency is built on the first such propagation. When the
-    originated list equals [old]'s, the prefix axis and origin sets are
-    taken from [old] rather than rebuilt. With no dirty prefix and both
-    axes unchanged (single-link churn) the words and arena are shared
-    with [old]. The
-    result is semantically identical to [freeze] of [t] from scratch
-    ({!Snapshot.equal}); its arena layout may differ.
+    pre-churn snapshot. Rows are laid out as {!freeze} lays them out,
+    and each row whose origin set had a row in [old] is clean unless a
+    removed edge appears in one of its next-hop segments: it is
+    blitted, with its new-stub columns derived from the providers'
+    packed words. So a new or re-originated prefix whose origin set
+    already has a clean row costs one index write. Dirty rows (new
+    origin sets, and those a removed edge touched) propagate through
+    the kernel, whose adjacency is built on the first such row. The
+    LPM is shared (prefix set unchanged) or rebuilt with [Lpm.build].
+    When the originated list equals [old]'s, the prefix axis and
+    origin sets are taken from [old] rather than rebuilt. With the same
+    rows and none dirty (single-link churn) the words and arena are
+    shared with [old]. The result is semantically identical to
+    [freeze] of [t] from scratch ({!Snapshot.equal}), with the same row
+    layout; its arena layout may differ.
     Counted under [routing.snapshot.patches], with the dirty count
     under [routing.snapshot.dirty_prefixes]. *)
 val refreeze : input -> old:snapshot -> churn -> snapshot * refreeze_stats
@@ -183,6 +189,23 @@ module Snapshot : sig
 
   val prefix_count : t -> int
   val asn_count : t -> int
+
+  (** [row_count s] is the number of word rows: one per distinct origin
+      set (keyed by its ASN slots). *)
+  val row_count : t -> int
+
+  (** [row_of_pslot s pslot] is the word row of prefix slot [pslot].
+      Rows are numbered in order of each set's first prefix slot, so
+      two prefixes share a row exactly when their origin sets agree on
+      the slot table. *)
+  val row_of_pslot : t -> int -> int
+
+  (** [pins s] holds, for each prefix slot, the origins that announce
+      the prefix selectively with their pinned links
+      ({!allowed_links}), by ascending ASN; [[]] for most slots. A
+      slot's row and pins are all the forwarding plan's egress choice
+      reads of the prefix. *)
+  val pins : t -> (Asn.t * int list) list array
 
   (** {2 Slot layer}
 
@@ -226,8 +249,8 @@ module Snapshot : sig
   val arena_length : t -> int
 
   (** [equal a b] is semantic equality between two snapshots of the
-      same world: identical interning axes and per-prefix origin sets,
-      every packed word
+      same world: identical interning axes, per-prefix origin sets and
+      row layout, every row's packed word
       decode-equal (next-hop segments compared element-wise, so arenas
       in different interning order still compare equal), and LPM
       agreement probed at every prefix boundary. The oracle the churn
@@ -240,8 +263,8 @@ module Snapshot : sig
       A snapshot round-trips through a {!Store.Envelope} image with
       magic ["BDSN"] and version {!codec_version}. Every field is a
       big-endian 8-byte word: the packed arenas as raw words, then the
-      ASN slot table, the originated list and the selective
-      announcements. The prefix axis, origin sets and LPM are derived
+      ASN slot table, the prefix-slot-to-row map, the originated list
+      and the selective announcements. The prefix axis, origin sets and LPM are derived
       from the originated list on load. *)
 
   type decode_error = Store.Envelope.error =

@@ -12,10 +12,14 @@ module Net = Topogen.Net
    so a patched plan shares every old AS's matrix by reference and runs
    Dijkstra only for new ASes.
 
-   Egress: [p_egress] holds one lid per (planned router, prefix slot),
-   or -1 for no egress (no route, or no reachable candidate), packed in
-   a Bigarray the GC never traces. Routers outside the plan's egress
-   rows answer from each instance's private memo, scored the same way. *)
+   Egress: a router's egress toward a prefix is a function of the
+   prefix's snapshot row (its route words) and the link pins of the
+   origins that announce it selectively, which is all [candidate_lids]
+   reads. Prefix slots with equal (row, pins) share one egress column
+   ([p_col]); [p_egress] holds one lid per (column, planned router), or
+   -1 for no egress (no route, or no reachable candidate), packed in a
+   Bigarray the GC never traces. Routers outside the plan's egress rows
+   answer from each instance's private memo, scored the same way. *)
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type plan = {
@@ -25,8 +29,12 @@ type plan = {
   p_members : int array array;  (* AS index -> its rids, ascending *)
   p_igp : float array array;  (* AS index -> n x n distances, [to * n + from] *)
   p_egr_row : int array;  (* rid -> row index into [p_egress], or -1 *)
+  p_planned : int;  (* routers with an egress row *)
   p_pfx : Prefix.t array;  (* sorted prefix slots; = Bgp snapshot slots *)
-  p_egress : int_ba;  (* rows x |p_pfx| egress lids (-1 none) *)
+  p_col : int array;  (* prefix slot -> egress column *)
+  p_col_pslot : int array;  (* column -> its first prefix slot *)
+  p_pins : (Asn.t * int list) list array;  (* column -> its selective pins *)
+  p_egress : int_ba;  (* egress lid (-1 none) at [column * p_planned + row] *)
   p_between : (Asn.t * Asn.t, Net.link list) Hashtbl.t;
 }
 
@@ -36,9 +44,8 @@ type t = {
   net : Net.t;
   bgp : Bgp.t;
   plan : plan Lazy.t;
-  np : int;  (* prefix slots of [bgp] *)
-  (* rid * np + pslot -> chosen egress lid, or -1 for none, for routers
-     without an egress row in the plan. *)
+  (* rid * columns + column -> chosen egress lid, or -1 for none, for
+     routers without an egress row in the plan. *)
   egress_memo : int Itbl.t;
 }
 
@@ -342,15 +349,16 @@ let column_scorer net bgp plan asn a =
       col
 
 (* The egress lid router [rid] (of the AS at [aslot]) chooses toward
-   prefix slot [pslot], or -1 for none. The plan's prefix columns are
-   the snapshot's slots, so [pslot] indexes the egress row directly;
-   a router without a row is scored once into the private memo. *)
+   prefix slot [pslot], or -1 for none: the cell of the slot's column
+   in the router's row, or for a router without a row, scored once per
+   column into the private memo. *)
 let egress_at t rid ~pslot ~aslot =
   let plan = Lazy.force t.plan in
+  let col = plan.p_col.(pslot) in
   let row = plan.p_egr_row.(rid) in
-  if row >= 0 then Bigarray.Array1.get plan.p_egress ((row * t.np) + pslot)
+  if row >= 0 then Bigarray.Array1.get plan.p_egress ((col * plan.p_planned) + row)
   else
-    let key = (rid * t.np) + pslot in
+    let key = (rid * Array.length plan.p_col_pslot) + col in
     match Itbl.find t.egress_memo key with
     | lid -> lid
     | exception Not_found ->
@@ -365,11 +373,42 @@ let egress_at t rid ~pslot ~aslot =
       Itbl.replace t.egress_memo key lid;
       lid
 
+(* The egress columns of a snapshot: each prefix slot's column, and
+   each column's first slot and pins. A column is a (row, pins) pair:
+   with the route row, the pins are all [candidate_lids] reads of a
+   prefix. Columns are numbered in order of first slot, so equal
+   snapshots give equal layouts. Unpinned slots, nearly all of them,
+   find their column through their row alone. *)
+let column_index bgp =
+  let module S = Bgp.Snapshot in
+  let of_row = Array.make (S.row_count bgp) (-1) and of_pinned = Hashtbl.create 16 in
+  let slot_pins = S.pins bgp in
+  let firsts = ref [] and pins = ref [] and n = ref 0 in
+  let p_col =
+    Array.init (S.prefix_count bgp) (fun pslot ->
+        let row = S.row_of_pslot bgp pslot and pn = slot_pins.(pslot) in
+        let known =
+          if pn = [] then of_row.(row)
+          else Option.value ~default:(-1) (Hashtbl.find_opt of_pinned (row, pn))
+        in
+        if known >= 0 then known
+        else begin
+          let c = !n in
+          if pn = [] then of_row.(row) <- c else Hashtbl.add of_pinned (row, pn) c;
+          firsts := pslot :: !firsts;
+          pins := pn :: !pins;
+          incr n;
+          c
+        end)
+  in
+  (p_col, Array.of_list (List.rev !firsts), Array.of_list (List.rev !pins))
+
 (* Egress rows for the hot ASes (the VP-owning ones): every probe starts
-   there, so these (rid, prefix slot) pairs recur in every worker.
-   Prefix columns follow the snapshot's slot order, so lookup slots
-   index directly. Cells start at -1. *)
-let egress_table of_asn p_members egress_for ~routers ~np =
+   there, so these (rid, column) pairs recur in every worker. An AS's
+   members take consecutive rows in member order, so its share of a
+   column is one contiguous run. Cells are left unset: [build] and
+   [patch] write every column of every planned AS. *)
+let egress_table of_asn p_members egress_for ~routers ~cols =
   let p_egr_row = Array.make routers (-1) in
   let rows = ref 0 in
   Asn.Set.iter
@@ -383,37 +422,51 @@ let egress_table of_asn p_members egress_for ~routers ~np =
             p_members.(a))
         (Asn.Tbl.find_opt of_asn asn))
     egress_for;
-  let p_egress = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!rows * np) in
-  Bigarray.Array1.fill p_egress (-1);
-  (p_egr_row, p_egress)
+  (p_egr_row, !rows, Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!rows * cols))
 
-let write_column plan ~np a pslot (col : int array) =
+let write_column plan a c (col : int array) =
   let members = plan.p_members.(a) in
+  let base = (c * plan.p_planned) + plan.p_egr_row.(members.(0)) in
   for i = 0 to Array.length members - 1 do
-    Bigarray.Array1.set plan.p_egress ((plan.p_egr_row.(members.(i)) * np) + pslot) col.(i)
+    Bigarray.Array1.set plan.p_egress (base + i) col.(i)
   done
 
-let build ~egress_for net bgp =
-  let p_as, p_loc, p_members, of_asn = index_ases net in
-  let p_igp = Array.mapi (as_matrix net p_as p_loc) p_members in
+(* A plan over [bgp] with its IGP matrices, and the egress table
+   allocated for [egress_for] but not yet written. *)
+let plan_of ~egress_for net bgp (p_as, p_loc, p_members, of_asn) p_igp =
   let np = Bgp.Snapshot.prefix_count bgp in
-  let p_pfx = Array.init np (Bgp.Snapshot.prefix_of_slot bgp) in
+  let p_col, p_col_pslot, p_pins = column_index bgp in
   let routers = Net.router_count net in
-  let p_egr_row, p_egress = egress_table of_asn p_members egress_for ~routers ~np in
-  let plan =
-    { p_routers = routers; p_as; p_loc; p_members; p_igp; p_egr_row; p_pfx; p_egress;
-      p_between = build_between net }
+  let p_egr_row, p_planned, p_egress =
+    egress_table of_asn p_members egress_for ~routers ~cols:(Array.length p_col_pslot)
   in
+  { p_routers = routers; p_as; p_loc; p_members; p_igp; p_egr_row; p_planned;
+    p_pfx = Array.init np (Bgp.Snapshot.prefix_of_slot bgp); p_col; p_col_pslot; p_pins;
+    p_egress; p_between = build_between net }
+
+(* Writes, through the candidate-set scorer, every egress column of the
+   planned AS [asn] (AS index [a]) for which [recompute c w] holds,
+   given the column's route word [w]; [recompute] may copy the other
+   columns itself. *)
+let write_columns net bgp plan ~none asn a recompute =
+  let aslot = Bgp.Snapshot.asn_slot bgp asn in
+  let column = column_scorer net bgp plan asn a in
+  Array.iteri
+    (fun c pslot ->
+      let w = Bgp.Snapshot.word bgp ~pslot ~aslot in
+      if recompute c w then write_column plan a c (if w = 0 then none else column pslot w))
+    plan.p_col_pslot
+
+let build ~egress_for net bgp =
+  let (p_as, p_loc, p_members, of_asn) as idx = index_ases net in
+  let plan =
+    plan_of ~egress_for net bgp idx (Array.mapi (as_matrix net p_as p_loc) p_members)
+  in
+  let none = Array.make plan.p_routers (-1) in
   Asn.Set.iter
     (fun asn ->
       Option.iter
-        (fun a ->
-          let aslot = Bgp.Snapshot.asn_slot bgp asn in
-          let column = column_scorer net bgp plan asn a in
-          for pi = 0 to np - 1 do
-            let w = Bgp.Snapshot.word bgp ~pslot:pi ~aslot in
-            if w <> 0 then write_column plan ~np a pi (column pi w)
-          done)
+        (fun a -> write_columns net bgp plan ~none asn a (fun _ _ -> true))
         (Asn.Tbl.find_opt of_asn asn))
     egress_for;
   plan
@@ -427,7 +480,6 @@ let create ?plan net bgp =
       (match plan with
       | Some p -> Lazy.from_val p
       | None -> lazy (build ~egress_for:Asn.Set.empty net bgp));
-    np = Bgp.Snapshot.prefix_count bgp;
     egress_memo = Itbl.create 4096 }
 
 let freeze ?(egress_for = Asn.Set.empty) t =
@@ -440,29 +492,29 @@ let freeze ?(egress_for = Asn.Set.empty) t =
 (* [patch ?egress_for t ~old ~churn ~dirty] rebuilds only the plan
    state reachable from dirty inputs. [t] must be a fresh instance over
    the post-churn net and the patched snapshot; [old] is the pre-churn
-   plan; [dirty] the BGP-dirty prefixes
-   ([Bgp.refreeze_stats.rf_dirty_prefixes]).
+   plan; [dirty] the prefixes whose route row may differ from their
+   old one ([Bgp.refreeze_stats.rf_dirty_prefixes]).
 
    What can be reused, and why:
    - IGP matrices: evolution never touches the routers or internal
      links of a pre-churn AS (new routers belong to new ASes, link
      events are interdomain), so an AS whose member list is unchanged
      shares its old matrix by reference. Only new ASes run Dijkstra.
-   - Egress cells: a cell (router of AS a, prefix p) is recomputed when
-     p is BGP-dirty (its route may differ), when p left/entered the
-     prefix set, or when some next hop z of a's route has (a, z) in the
-     changed-interconnect set (candidate links differ with the route
-     intact), decided on the packed route word and its next-hop
-     segment. Every other cell scores identically: with the prefix
-     axis unchanged the old table is copied by row (or whole), else
-     cell by cell through the old-slot map. Recomputed columns go
+   - Egress columns: a column's cells are a function of its route row
+     and pins, so a column holding a clean prefix (one that kept its
+     slot's route row and pins) can take that prefix's old column.
+     For each planned AS, such a column is copied unless the AS is new
+     to the plan or its matrix was recomputed, or some next hop z of
+     its route has (AS, z) in the changed-interconnect set (candidate
+     links differ with the route intact), decided on the packed route
+     word and its next-hop segment. Every other column is re-scored
      through the same candidate-set scorer as [freeze]. *)
 let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   Obs.Metrics.incr "routing.plan.patches";
   let snap = t.bgp and net = t.net in
   let module S = Bgp.Snapshot in
   let old_routers = old.p_routers in
-  let p_as, p_loc, p_members, of_asn = index_ases net in
+  let (p_as, p_loc, p_members, of_asn) as idx = index_ases net in
   (* [fresh.(a)]: AS [a]'s matrix was recomputed, so none of its old
      egress cells carry over. *)
   let fresh = Array.make (Array.length p_members) false in
@@ -478,34 +530,27 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
         end)
       p_members
   in
-  let np = S.prefix_count snap in
-  let p_pfx = Array.init np (S.prefix_of_slot snap) in
-  let np_old = Array.length old.p_pfx in
-  (* Surviving prefix slots, as runs that kept their neighbours:
-     (new start, old start, length). *)
-  let new2old = Array.make (max 1 np) (-1) and runs = ref [] in
+  let plan = plan_of ~egress_for net snap idx p_igp in
+  let np = Array.length plan.p_pfx and np_old = Array.length old.p_pfx in
+  let clean = Array.make np true in
+  List.iter
+    (fun p ->
+      let s = S.prefix_slot snap p in
+      if s >= 0 then clean.(s) <- false)
+    dirty;
+  (* Each column's source: the old column of a clean prefix in it, old
+     and new slots paired by a merge walk (both sorted). *)
+  let src = Array.make (Array.length plan.p_col_pslot) (-1) in
   let i = ref 0 and j = ref 0 in
   while !i < np_old && !j < np do
-    match Prefix.compare old.p_pfx.(!i) p_pfx.(!j) with
+    match Prefix.compare old.p_pfx.(!i) plan.p_pfx.(!j) with
     | 0 ->
-      new2old.(!j) <- !i;
-      (runs :=
-         match !runs with
-         | (j0, i0, len) :: rest when j0 + len = !j && i0 + len = !i -> (j0, i0, len + 1) :: rest
-         | rs -> (!j, !i, 1) :: rs);
+      let c = plan.p_col.(!j) and oc = old.p_col.(!i) in
+      if clean.(!j) && src.(c) < 0 && old.p_pins.(oc) = plan.p_pins.(c) then src.(c) <- oc;
       incr i;
       incr j
     | c when c < 0 -> incr i
     | _ -> incr j
-  done;
-  let dirty_col = Array.make (max 1 np) false in
-  List.iter
-    (fun p ->
-      let s = S.prefix_slot snap p in
-      if s >= 0 then dirty_col.(s) <- true)
-    dirty;
-  for c = 0 to np - 1 do
-    if new2old.(c) < 0 then dirty_col.(c) <- true
   done;
   (* ASes whose physical interconnects changed with routing intact
      (parallel-link add/remove, plus new-stub attachments for safety),
@@ -525,53 +570,35 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   List.iter
     (fun (c, provs) -> Asn.Set.iter (fun pr -> note (c, pr)) provs)
     churn.Bgp.ch_new_stubs;
-  let routers = Net.router_count net in
-  let p_egr_row, p_egress = egress_table of_asn p_members egress_for ~routers ~np in
-  let plan =
-    { p_routers = routers; p_as; p_loc; p_members; p_igp; p_egr_row; p_pfx; p_egress;
-      p_between = build_between net }
-  in
-  (* Clean cells: each planned router's old row, run by run, or the
-     whole table at once when nothing moved. Cells recomputed below are
-     overwritten. *)
   let old_row rid = if rid < old_routers then old.p_egr_row.(rid) else -1 in
-  if np = np_old && !runs = [ (0, 0, np) ] && p_egr_row = old.p_egr_row then
-    Bigarray.Array1.blit old.p_egress p_egress
-  else
-    Array.iteri
-      (fun rid row ->
-        let orow = old_row rid in
-        if row >= 0 && orow >= 0 then
-          List.iter
-            (fun (j, i, len) ->
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub old.p_egress ((orow * np_old) + i) len)
-                (Bigarray.Array1.sub p_egress ((row * np) + j) len))
-            !runs)
-      p_egr_row;
-  let none = Array.make routers (-1) in
+  let none = Array.make plan.p_routers (-1) in
   let patched_cells = ref 0 in
   Asn.Set.iter
     (fun asn ->
       match Asn.Tbl.find_opt of_asn asn with
       | None -> ()
       | Some a ->
-        let aslot = S.asn_slot snap asn in
         let members = p_members.(a) in
+        let len = Array.length members in
         let unseen = fresh.(a) || Array.exists (fun rid -> old_row rid < 0) members in
+        (* An AS seen before kept its members, and so its run of
+           consecutive old rows. *)
+        let orow = old_row members.(0) and row = plan.p_egr_row.(members.(0)) in
         let affected = Option.value ~default:[] (Asn.Tbl.find_opt changed_with asn) in
         let rec hits w k =
           k < S.word_nexthop_count w
           && (List.mem (S.nexthop_slot snap w k) affected || hits w (k + 1))
         in
-        let column = column_scorer net snap plan asn a in
-        for pi = 0 to np - 1 do
-          let w = S.word snap ~pslot:pi ~aslot in
-          if unseen || dirty_col.(pi) || (w <> 0 && hits w 0) then begin
-            patched_cells := !patched_cells + Array.length members;
-            write_column plan ~np a pi (if w = 0 then none else column pi w)
-          end
-        done)
+        let copy c =
+          let from = (src.(c) * old.p_planned) + orow and into = (c * plan.p_planned) + row in
+          for k = 0 to len - 1 do
+            Bigarray.Array1.set plan.p_egress (into + k) (Bigarray.Array1.get old.p_egress (from + k))
+          done
+        in
+        write_columns net snap plan ~none asn a (fun c w ->
+            let rescore = unseen || src.(c) < 0 || (w <> 0 && hits w 0) in
+            if rescore then patched_cells := !patched_cells + len else copy c;
+            rescore))
     egress_for;
   Obs.Metrics.add "routing.plan.patched_cells" !patched_cells;
   plan
@@ -617,14 +644,14 @@ let plan_equal ~scratch ~patched =
           failm "egress row presence differs for router %d" rid
         | false, false -> ()
         | true, true ->
-          let np = Array.length s.p_pfx in
-          let sb = s.p_egr_row.(rid) * np and qb = q.p_egr_row.(rid) * np in
-          for c = 0 to np - 1 do
-            let a = Bigarray.Array1.get s.p_egress (sb + c)
-            and b = Bigarray.Array1.get q.p_egress (qb + c) in
+          let cell p pslot =
+            Bigarray.Array1.get p.p_egress ((p.p_col.(pslot) * p.p_planned) + p.p_egr_row.(rid))
+          in
+          for pslot = 0 to Array.length s.p_pfx - 1 do
+            let a = cell s pslot and b = cell q pslot in
             if a <> b then
               failm "egress for router %d prefix %s differs: %d vs %d" rid
-                (Prefix.to_string s.p_pfx.(c))
+                (Prefix.to_string s.p_pfx.(pslot))
                 a b
           done
       done;

@@ -19,7 +19,10 @@ type t
     again, so a plan is safe to share by reference across
     [Netcore.Pool] domains. The egress table is packed into a
     [Bigarray] (GC-invisible plain words) indexed by a small per-router
-    row table; the per-AS matrices are separate arrays so a patched plan
+    row table and a per-prefix-slot column map: prefixes with the same
+    snapshot route row and the same selective pins share one column,
+    since that is all the egress choice reads of them. The per-AS
+    matrices are separate arrays so a patched plan
     can share unchanged ones. Egress cells of routers outside the hot
     ASes are scored on first use into each instance's private memo. *)
 type plan
@@ -43,15 +46,17 @@ val freeze : ?egress_for:Asn.Set.t -> t -> plan
 (** [patch ?egress_for t ~old ~churn ~dirty] is the incremental form of
     {!freeze}: [t] must be a fresh instance over the post-churn net and
     the patched snapshot, [old] the pre-churn plan, [dirty] the
-    BGP-dirty prefixes ([Bgp.refreeze_stats.rf_dirty_prefixes]). The
-    IGP matrix of every AS whose routers are unchanged is shared with
-    [old] by reference (evolution never alters the routers or internal
-    links of an existing AS); only new ASes run Dijkstra. Clean egress
-    cells are copied from [old] a row (or the whole table) at a time;
-    cells are re-scored only for BGP-dirty prefix columns, new
-    prefixes, and routes whose next-hop set intersects an AS pair with
-    changed physical links, decided on the packed route word and its
-    next-hop segment.
+    prefixes whose route row may differ from their old one
+    ([Bgp.refreeze_stats.rf_dirty_prefixes]). The IGP matrix of every
+    AS whose routers are unchanged is shared with [old] by reference
+    (evolution never alters the routers or internal links of an
+    existing AS); only new ASes run Dijkstra. An egress column holding
+    a clean prefix (not dirty, same pins) is copied from that prefix's
+    old column, one contiguous run per AS; columns are re-scored only
+    when they hold no clean prefix, for ASes new to the plan, and for
+    routes whose next-hop set intersects an AS pair with changed
+    physical links, decided on the packed route word and its next-hop
+    segment.
     The result satisfies {!plan_equal} against a scratch [freeze] of
     [t]. Counted under [routing.plan.patches], with recomputed cells
     under [routing.plan.patched_cells]. *)
@@ -65,8 +70,9 @@ val patch :
 
 (** [plan_equal ~scratch ~patched] is semantic equality between two
     plans of the same world: identical router/prefix axes and AS
-    partition, bit-equal IGP matrices, the same egress rows cell for
-    cell, and the same interdomain-link index. The forwarding-side
+    partition, bit-equal IGP matrices, the same egress choice for every
+    planned router and prefix slot, and the same interdomain-link
+    index. The forwarding-side
     oracle of the churn tests. [Error] carries the first mismatch. *)
 val plan_equal : scratch:plan -> patched:plan -> (unit, string) result
 

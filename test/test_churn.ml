@@ -252,8 +252,8 @@ let prop_churn_matches_reference =
 
 (* A surviving prefix gains an origin while the prefix list stays the
    same: the re-freeze must read the new origin set, not the old
-   snapshot's, for the dirty row and for [Bgp.origins]. No Evolve class
-   makes this change, so the input is edited by hand. *)
+   snapshot's, for the moved prefix's row and for [Bgp.origins]. No
+   Evolve class makes this change, so the input is edited by hand. *)
 let test_origin_change () =
   let w = base_world () in
   let old_snap, _ = freeze_world w in
@@ -271,10 +271,7 @@ let test_origin_change () =
     Bgp.create w.Gen.net w.Gen.rels_truth ~originated:originated'
       ~selective:w.Gen.selective
   in
-  let snap, stats =
-    Bgp.refreeze (input ()) ~old:old_snap
-      { Bgp.no_churn with Bgp.ch_dirty_prefixes = [ p ] }
-  in
+  let snap, stats = Bgp.refreeze (input ()) ~old:old_snap Bgp.no_churn in
   Alcotest.(check int) "one dirty prefix" 1 stats.Bgp.rf_dirty;
   Alcotest.(check bool) "new origin visible" true
     (Asn.Set.mem extra (Bgp.origins snap p));
@@ -282,10 +279,47 @@ let test_origin_change () =
     (Bgp.freeze ~counter:"routing.snapshot.scratch_builds" (input ()))
     snap
 
+(* A prefix re-originated by another prefix's origin set moves into
+   that set's row: it is the one dirty prefix, nothing propagates (the
+   arena gains no segment), and the forwarding patch re-scores no
+   column the moved prefix can take from its new row's clean prefixes.
+   The old row keeps any other prefix of the old set. *)
+let test_prefix_moves_row () =
+  let w = base_world () in
+  let old_snap, old_plan = freeze_world w in
+  let module S = Bgp.Snapshot in
+  let row snap p = S.row_of_pslot snap (S.prefix_slot snap p) in
+  let originated = Gen.originated w in
+  let p, _ = List.hd originated in
+  let q, os' = List.find (fun (q, _) -> row old_snap q <> row old_snap p) originated in
+  let originated' = (p, os') :: List.filter (fun (q, _) -> not (Prefix.equal q p)) originated in
+  let input () =
+    Bgp.create w.Gen.net w.Gen.rels_truth ~originated:originated' ~selective:w.Gen.selective
+  in
+  let snap, stats = Bgp.refreeze (input ()) ~old:old_snap Bgp.no_churn in
+  Alcotest.(check (list string)) "the moved prefix is the one dirty prefix"
+    [ Prefix.to_string p ]
+    (List.map Prefix.to_string stats.Bgp.rf_dirty_prefixes);
+  Alcotest.(check int) "no segment appended" (S.arena_length old_snap) (S.arena_length snap);
+  Alcotest.(check int) "shares the set's row" (row snap q) (row snap p);
+  let scratch = Bgp.freeze ~counter:"routing.snapshot.scratch_builds" (input ()) in
+  check_equal_snapshots ~what:"moved prefix" scratch snap;
+  let plan =
+    Fwd.patch ~egress_for:w.Gen.siblings
+      (Fwd.create w.Gen.net (Bgp.of_snapshot snap))
+      ~old:old_plan ~churn:Bgp.no_churn ~dirty:stats.Bgp.rf_dirty_prefixes
+  in
+  let splan =
+    Fwd.freeze ~egress_for:w.Gen.siblings (Fwd.create w.Gen.net (Bgp.of_snapshot scratch))
+  in
+  check_equal_plans ~what:"moved prefix" splan plan
+
 let suite =
   [ Alcotest.test_case "zero churn is a strict no-op" `Quick test_zero_churn;
     Alcotest.test_case "origin change on a surviving prefix" `Quick
       test_origin_change;
+    Alcotest.test_case "re-originated prefix moves to an existing row" `Quick
+      test_prefix_moves_row;
     Alcotest.test_case "schedule validation" `Quick test_schedule_validation;
     Alcotest.test_case "link add" `Quick
       (test_class ~expect_dirty:0 Evolve.Link_add);

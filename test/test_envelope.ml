@@ -100,7 +100,8 @@ let false_word rng truth =
   | _ -> Int64.add truth (Int64.of_int (Random.State.int rng 17 - 8))
 
 (* The snapshot image's trailer: where it starts (past the four count
-   words, the route words and the arena), and the offsets of its count
+   words, the route words and the arena), where its prefix-slot-to-row
+   map starts (past the slot table), and the offsets of its count
    words — the originated and selective counts and every inner origin
    set, prefix map and link list count — found by walking the layout
    documented in bgp.ml. *)
@@ -108,9 +109,10 @@ let trailer =
   lazy
     (let _, snapshot, _, _ = Lazy.force Test_serve.fixture in
      let b = (Lazy.force images).(1).bytes in
-     let nw = S.prefix_count snapshot * S.asn_count snapshot in
+     let nw = S.row_count snapshot * S.asn_count snapshot in
      let start = E.header_len + 32 + (8 * (nw + S.arena_length snapshot)) in
-     let off = ref (start + (8 * S.asn_count snapshot)) and counts = ref [] in
+     let rows = start + (8 * S.asn_count snapshot) in
+     let off = ref (rows + (8 * S.prefix_count snapshot)) and counts = ref [] in
      let skip k = off := !off + (8 * k) in
      let count () =
        counts := !off :: !counts;
@@ -129,7 +131,7 @@ let trailer =
        done
      done;
      assert (!off = String.length b);
-     (start, Array.of_list !counts))
+     (start, rows, Array.of_list !counts))
 
 (* One seed picks a format and a mutation of its valid image. *)
 let mutate seed =
@@ -139,7 +141,7 @@ let mutate seed =
   let img = pick () in
   let b = Bytes.of_string img.bytes in
   let n = Bytes.length b in
-  match Random.State.int rng 6 with
+  match Random.State.int rng 7 with
   | 0 ->
     for _ = 0 to Random.State.int rng 8 do
       let i = Random.State.int rng n in
@@ -169,11 +171,32 @@ let mutate seed =
     done;
     E.seal snapshot_fmt b;
     (img, "count words", Bytes.to_string b)
+  | 5 ->
+    (* The snapshot's row map given a row past the row count, or the
+       row count word inflated, re-sealed likewise. *)
+    let img = imgs.(1) in
+    let _, snapshot, _, _ = Lazy.force Test_serve.fixture in
+    let _, rows, _ = Lazy.force trailer in
+    let b = Bytes.of_string img.bytes in
+    let nrows = S.row_count snapshot in
+    let how =
+      if Random.State.bool rng then begin
+        let off = rows + (8 * Random.State.int rng (S.prefix_count snapshot)) in
+        Bytes.set_int64_be b off (Int64.of_int (nrows + Random.State.int rng 3));
+        "row past the count"
+      end
+      else begin
+        Bytes.set_int64_be b (E.header_len + 16) (Int64.of_int (nrows + 1 + Random.State.int rng 3));
+        "inflated row count"
+      end
+    in
+    E.seal snapshot_fmt b;
+    (img, how, Bytes.to_string b)
   | _ ->
     (* The snapshot's trailer cut short, bit-flipped, or given a false
        inner count, re-sealed likewise. *)
     let img = imgs.(1) in
-    let start, counts = Lazy.force trailer in
+    let start, _, counts = Lazy.force trailer in
     let b = Bytes.of_string img.bytes in
     let n = Bytes.length b in
     let how, b =
@@ -196,6 +219,10 @@ let mutate seed =
 
 let time_bound_s = 2.0
 
+(* A mutated row map sits behind a valid digest, so only the decoder's
+   own layout check can reject it, and it must. *)
+let row_mutation how = how = "row past the count" || how = "inflated row count"
+
 let prop_envelope_fuzz =
   QCheck.Test.make ~count:300 ~name:"envelope formats decode mutated images totally"
     QCheck.(make ~print:(Printf.sprintf "seed %d") Gen.(int_bound 1_000_000_000))
@@ -205,10 +232,12 @@ let prop_envelope_fuzz =
       match img.decode s with
       | exception e ->
         QCheck.Test.fail_reportf "%s, %s: raised %s" img.name how (Printexc.to_string e)
-      | Ok () | Error _ ->
+      | r ->
         let dt = Obs.Clock.seconds_since t0 in
-        dt < time_bound_s
-        || QCheck.Test.fail_reportf "%s, %s: took %.3f s" img.name how dt)
+        ((not (row_mutation how)) || r = Error E.Corrupt
+        || QCheck.Test.fail_reportf "%s, %s: not Corrupt" img.name how)
+        && (dt < time_bound_s
+           || QCheck.Test.fail_reportf "%s, %s: took %.3f s" img.name how dt))
 
 let test_fuzz () =
   Fun.protect

@@ -342,6 +342,26 @@ let prop_plan_matches_reference =
         Topogen.Corpus.all;
       true)
 
+(* Selective announcements split egress columns: prefixes sharing a
+   route row score apart when their origins pin different links. The
+   property above holds every corpus world's plan to [Fwd_ref]; this
+   test makes sure some of those worlds carry pins, and holds each of
+   their snapshots to the BGP reference model. *)
+let test_selective_worlds () =
+  let pinned = ref 0 in
+  List.iter
+    (fun scenario ->
+      let w = Gen.generate (scenario.Topogen.Corpus.sc_params ~scale:0.1) in
+      if not (Asn.Map.is_empty w.Gen.selective) then begin
+        let snap = Bgp.freeze (fresh_bgp w) in
+        Array.iter (fun pins -> if pins <> [] then incr pinned) (Bgp.Snapshot.pins snap);
+        match Bgp_ref.check_snapshot (Bgp_ref.of_world w) snap with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "%s: %s" scenario.Topogen.Corpus.sc_name m
+      end)
+    Topogen.Corpus.all;
+  Alcotest.(check bool) "some corpus prefix is pinned" true (!pinned > 0)
+
 let suite =
   [ Alcotest.test_case "paths are connected" `Quick test_paths_connected;
     Alcotest.test_case "paths reach origin AS" `Quick test_paths_reach_origin_as;
@@ -352,4 +372,6 @@ let suite =
     Alcotest.test_case "reply iface on router" `Quick test_reply_iface_on_router;
     Alcotest.test_case "selective prefixes pinned" `Quick test_selective_prefix_pinned;
     Alcotest.test_case "frozen plan equivalence" `Quick test_frozen_plan_equivalence;
-    Qc.to_alcotest prop_plan_matches_reference ]
+    Qc.to_alcotest prop_plan_matches_reference;
+    Alcotest.test_case "selective corpus worlds = BGP reference" `Quick
+      test_selective_worlds ]

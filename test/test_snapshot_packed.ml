@@ -37,6 +37,18 @@ let prop_packed_equals_boxed =
       | Ok () -> true
       | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m)
 
+(* Row ids are numbered by first prefix slot: each slot's row is at
+   most one past every row before it, and the last new id is the row
+   count. *)
+let canonical_rows snap =
+  let next = ref 0 in
+  for pslot = 0 to S.prefix_count snap - 1 do
+    let r = S.row_of_pslot snap pslot in
+    if r > !next then QCheck.Test.fail_reportf "slot %d takes row %d before row %d" pslot r !next;
+    if r = !next then incr next
+  done;
+  !next = S.row_count snap || QCheck.Test.fail_reportf "%d rows counted, %d used" (S.row_count snap) !next
+
 (* Random relationship graphs, far from the generator's shapes: any
    mix of c2p (in either or both directions), p2p and missing edges
    between 4-14 ASes, provider cycles included, and a few prefixes with
@@ -47,12 +59,12 @@ let prop_packed_equals_boxed =
    one takes the near one's route. Each case is one seed, so a failure
    shrinks to one seed.
 
-   Origin sets repeat, so [freeze]'s row memo is exercised: each set
-   comes back on a later prefix rebuilt in descending insertion order
-   (a different tree shape) and once more with the out-of-graph ASN
-   999 added, which the kernel ignores. Every prefix must still match
-   the reference, and prefixes whose origin sets differ only by ASNs
-   outside the graph must hold identical rows. *)
+   Origin sets repeat, so rows are shared: each set comes back on a
+   later prefix rebuilt in descending insertion order (a different tree
+   shape) and once more with the out-of-graph ASN 999 added, which the
+   kernel ignores. Every prefix must still match the reference; two
+   prefixes share a row exactly when their origin sets agree inside
+   the graph, and row ids are canonical. *)
 let prop_kernel_random_graphs =
   QCheck.Test.make ~name:"kernel = reference model on random relationship graphs"
     ~count:300
@@ -95,19 +107,16 @@ let prop_kernel_random_graphs =
       let reference = Bgp_ref.create net !rels ~originated in
       let snap = Bgp.freeze bgp in
       let in_graph s = Asn.Set.filter (fun a -> S.asn_slot snap a >= 0) s in
+      let row p = S.row_of_pslot snap (S.prefix_slot snap p) in
       let same_row (p1, s1) (p2, s2) =
-        (not (Asn.Set.equal (in_graph s1) (in_graph s2)))
-        ||
-        let ps1 = S.prefix_slot snap p1 and ps2 = S.prefix_slot snap p2 in
-        List.for_all
-          (fun aslot -> S.word snap ~pslot:ps1 ~aslot = S.word snap ~pslot:ps2 ~aslot)
-          (List.init (S.asn_count snap) Fun.id)
+        Asn.Set.equal (in_graph s1) (in_graph s2) = (row p1 = row p2)
       in
       match Bgp_ref.check_snapshot reference snap with
       | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m
       | Ok () ->
-        List.for_all (fun a -> List.for_all (same_row a) originated) originated
-        || QCheck.Test.fail_report "equal origin sets hold different rows")
+        (List.for_all (fun a -> List.for_all (same_row a) originated) originated
+        || QCheck.Test.fail_report "rows do not follow the in-graph origin sets")
+        && canonical_rows snap)
 
 (* The world `experiments fig14` sweeps, at scale 0.1: every route,
    AS path and boundary lookup of its snapshot against the reference
@@ -119,23 +128,23 @@ let test_fig14_world_matches_reference () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "fig14 world: %s" m
 
-(* [freeze] propagates each distinct origin set once and copies the
-   row into every other prefix with that set. The copy must be byte for
-   byte what one propagation per prefix writes, words and arena alike.
-   Two pins per world: the MD5 of the route words and arena as
-   [Snapshot.to_bytes] writes them (taken when [freeze] still
-   propagated every prefix, unchanged by codec version 4), and of the
-   whole image (re-taken for codec version 4's trailer). *)
+(* [freeze] propagates each distinct origin set once, into one row per
+   set. Expanded through [row_of_pslot], the rows must be byte for byte
+   the words one propagation per prefix writes, and the arena the same.
+   Two pins per world: the MD5 of the expanded route words and the
+   arena, each word big-endian as codec versions up to 4 wrote them
+   (taken when [freeze] still propagated every prefix), and the MD5 of
+   the whole image (re-taken for codec version 5's row layout). *)
 let pinned_worlds =
   let moas = Option.get (Topogen.Corpus.by_name "moas_storm") in
   [ ( "large_access scale 0.3 seed 22",
       Topogen.Scenario.large_access ~scale:0.3 ~seed:22 (),
       "c9f975b9d34191da531030073fd5d577",
-      "465bb1e1d331e0c12ff85a956f5a4873" );
+      "8a6ca214aabbef4932d21a4b5d258444" );
     ( "moas_storm scale 0.1",
       moas.Topogen.Corpus.sc_params ~scale:0.1,
       "c168f46dd477f4ab40102e772b0d12a0",
-      "e26a3d051929e26338dd58d8f937f6e7" ) ]
+      "a70c05c12e37195a961aeba1580ca591" ) ]
 
 let pinned_images =
   lazy
@@ -145,16 +154,35 @@ let pinned_images =
          (name, snap, S.to_bytes snap, arenas, image))
        pinned_worlds)
 
-(* The words and arena follow the header's four count words. *)
-let arena_section snap b =
-  let nw = S.prefix_count snap * S.asn_count snap in
-  Bytes.sub b (Store.Envelope.header_len + 32) (8 * (nw + S.arena_length snap))
+(* One word row per prefix slot, then the arena, as 8-byte big-endian
+   words. *)
+let expanded_words snap =
+  let np = S.prefix_count snap and n = S.asn_count snap and na = S.arena_length snap in
+  let b = Buffer.create (8 * ((np * n) + na)) in
+  let put w = Buffer.add_int64_be b (Int64.of_int w) in
+  for pslot = 0 to np - 1 do
+    for aslot = 0 to n - 1 do
+      put (S.word snap ~pslot ~aslot)
+    done
+  done;
+  (* An arena entry is the next-hop slot at its offset; a word's
+     offset is bits 32-61. *)
+  let arena = Array.make na (-1) in
+  for pslot = 0 to np - 1 do
+    for aslot = 0 to n - 1 do
+      let w = S.word snap ~pslot ~aslot in
+      for k = 0 to S.word_nexthop_count w - 1 do
+        arena.((w lsr 32) + k) <- S.nexthop_slot snap w k
+      done
+    done
+  done;
+  Array.iter put arena;
+  Buffer.contents b
 
 let test_freeze_arenas_pinned () =
   List.iter
-    (fun (name, snap, b, arenas, _) ->
-      Alcotest.(check string) name arenas
-        (Digest.to_hex (Digest.bytes (arena_section snap b))))
+    (fun (name, snap, _, arenas, _) ->
+      Alcotest.(check string) name arenas (Digest.to_hex (Digest.string (expanded_words snap))))
     (Lazy.force pinned_images)
 
 let test_freeze_bytes_pinned () =
@@ -265,10 +293,11 @@ let test_crafted_counts_rejected () =
 let test_crafted_trailer_count_rejected () =
   let snap = Lazy.force tiny_snapshot in
   let b = S.to_bytes snap in
-  let nw = S.prefix_count snap * S.asn_count snap in
-  (* Past the counts, words, arena and slot table. *)
+  let nw = S.row_count snap * S.asn_count snap in
+  (* Past the counts, words, arena, slot table and row map. *)
   let off =
-    Store.Envelope.header_len + 32 + (8 * (nw + S.arena_length snap + S.asn_count snap))
+    Store.Envelope.header_len + 32
+    + (8 * (nw + S.arena_length snap + S.asn_count snap + S.prefix_count snap))
   in
   Alcotest.(check int64) "originated count found"
     (Int64.of_int (List.length (Topogen.Gen.originated (Gen.generate Topogen.Scenario.tiny))))
