@@ -85,3 +85,63 @@ let group idx a =
 let groups t =
   Ipv4.Tbl.fold (fun _ g acc -> g :: acc) (index t).by_root []
   |> List.sort compare
+
+(* {2 Codec}
+
+   graph := members (ascending u32 set)
+          | parent  (ascending child: child u32, parent u32)
+          | rank    (ascending addr: addr u32, rank varint)
+          | conflicts (ascending root: root u32, ascending u32 set)
+
+   Tables are written as their bindings sorted by key, so the bytes
+   are a function of the union-find's content, not of its insertion
+   history. *)
+
+module Codec = Store.Codec
+module Addr_set = Codec.Int_set (Ipv4.Set) (Ipv4)
+
+let sorted_bindings tbl =
+  List.sort (fun (a, _) (b, _) -> Ipv4.compare a b)
+    (Ipv4.Tbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let put_addr w a = Codec.put_u32 w (Ipv4.to_int a)
+let put_set w s = Addr_set.put w Codec.put_u32 s
+
+let encode w t =
+  let table put_v tbl =
+    Codec.put_list w
+      (fun w (k, v) ->
+        put_addr w k;
+        put_v w v)
+      (sorted_bindings tbl)
+  in
+  put_set w t.members;
+  table put_addr t.parent;
+  table Codec.put_varint t.rank;
+  table put_set t.conflicts
+
+let addr r = Ipv4.of_int (Codec.u32 r)
+
+let decode r =
+  let members = Addr_set.get r ~min_bytes:4 Codec.u32 in
+  let table ~min_bytes get =
+    let n = Codec.count r ~min_bytes in
+    let tbl = Ipv4.Tbl.create n in
+    let last = ref (-1) in
+    for _ = 1 to n do
+      let k = Codec.u32 r in
+      if k <= !last then Codec.fail ();
+      last := k;
+      Ipv4.Tbl.add tbl (Ipv4.of_int k) (get r)
+    done;
+    tbl
+  in
+  let parent = table ~min_bytes:8 addr in
+  let rank = table ~min_bytes:5 Codec.varint in
+  (* Union by rank leaves every parent of higher rank than its child,
+     and path compression keeps it so; a table where that fails could
+     hold a cycle that [find] would never leave. *)
+  let rank_of a = Option.value ~default:0 (Ipv4.Tbl.find_opt rank a) in
+  Ipv4.Tbl.iter (fun a p -> if rank_of p <= rank_of a then Codec.fail ()) parent;
+  let conflicts = table ~min_bytes:5 (fun r -> Addr_set.get r ~min_bytes:4 Codec.u32) in
+  { parent; rank; conflicts; members }

@@ -40,3 +40,10 @@ val group : index -> Ipv4.t -> Ipv4.t list
 (** [groups t] is the list of alias sets (routers), each sorted, only
     for addresses ever mentioned. *)
 val groups : t -> Ipv4.t list list
+
+(** [encode w t] writes the union-find's members and its parent, rank
+    and conflict tables as bindings sorted by address. *)
+val encode : Store.Codec.writer -> t -> unit
+
+(** [decode r] reads what {!encode} wrote. *)
+val decode : Store.Codec.reader -> t

@@ -332,3 +332,52 @@ let alias_oracle eng cfg graph =
   let w = Engine.world eng in
   let vp = List.hd w.Gen.vps in
   oracle_of_prober (Probesim.Prober.local eng ~vp) cfg graph
+
+(* {2 Codec}
+
+   collection := traces ({!Trace.encode}) | aliases ({!Ag.encode})
+               | mates (count, then prev u32, hop u32, mate u32)
+               | other_icmp (count, then asn varint, addr u32)
+               | sched | stopset_hits varint | alias_pairs_tested varint *)
+
+module Codec = Store.Codec
+
+let put_addr w a = Codec.put_u32 w (Ipv4.to_int a)
+let addr r = Ipv4.of_int (Codec.u32 r)
+
+let encode w t =
+  Trace.encode w t.traces;
+  Ag.encode w t.aliases;
+  Codec.put_list w
+    (fun w (p, h, m) ->
+      put_addr w p;
+      put_addr w h;
+      put_addr w m)
+    t.mates;
+  Codec.put_list w
+    (fun w (asn, a) ->
+      Codec.put_varint w asn;
+      put_addr w a)
+    t.other_icmp;
+  Probesim.Scheduler.encode w t.sched;
+  Codec.put_varint w t.stopset_hits;
+  Codec.put_varint w t.alias_pairs_tested
+
+let decode r =
+  let traces = Trace.decode r in
+  let aliases = Ag.decode r in
+  let mates =
+    Codec.list r ~min_bytes:12 (fun r ->
+        let p = addr r in
+        let h = addr r in
+        (p, h, addr r))
+  in
+  let other_icmp =
+    Codec.list r ~min_bytes:5 (fun r ->
+        let asn = Codec.varint r in
+        (asn, addr r))
+  in
+  let sched = Probesim.Scheduler.decode r in
+  let stopset_hits = Codec.varint r in
+  let alias_pairs_tested = Codec.varint r in
+  { traces; aliases; mates; other_icmp; sched; stopset_hits; alias_pairs_tested }

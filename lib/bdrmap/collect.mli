@@ -39,3 +39,11 @@ val alias_oracle :
   Ipv4.t ->
   Ipv4.t ->
   [ `Aliases | `Not_aliases | `Unknown ]
+
+(** [encode w t] writes a collection: its traces as {!Trace.encode}'s
+    hop table and columns, then the alias union-find, the prefixscan
+    mates, the other-ICMP replies, the probe counts and counters. *)
+val encode : Store.Codec.writer -> t -> unit
+
+(** [decode r] reads what {!encode} wrote. *)
+val decode : Store.Codec.reader -> t

@@ -606,3 +606,92 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     end
   end;
   { routers; links = List.rev !links; nextas_used = !nextas_used }
+
+(* {2 Codec}
+
+   result := routers (count, then node id varint | owner | merged_from
+             (varint list))
+           | links (count, then near | far (0, or 1 and a node id) |
+             neighbor varint | tag byte)
+           | nextas_used varint
+   owner := 0 host | 1 unknown | 2, then asn varint and tag byte
+
+   Routers and links name graph nodes by id, so a decoded result shares
+   the decoded graph's node records. *)
+
+module Codec = Store.Codec
+
+let tags =
+  [| T1_multihomed; T2_firewall; T3_unrouted; T4_onenet; T5_third_party;
+     T5_relationship; T5_missing_customer; T5_hidden_peer; T6_count; T6_ipas;
+     T8_silent; T8_other_icmp |]
+
+let encode_tag w tag =
+  let rec go i = if tags.(i) = tag then i else go (i + 1) in
+  Codec.put_u8 w (go 0)
+
+let decode_tag r =
+  let i = Codec.u8 r in
+  if i >= Array.length tags then Codec.fail ();
+  tags.(i)
+
+let encode w res =
+  let put_id_opt w = function
+    | None -> Codec.put_u8 w 0
+    | Some id ->
+      Codec.put_u8 w 1;
+      Codec.put_varint w id
+  in
+  Codec.put_list w
+    (fun w ri ->
+      Codec.put_varint w ri.node.Rgraph.id;
+      (match ri.owner with
+      | Host_router -> Codec.put_u8 w 0
+      | Unknown -> Codec.put_u8 w 1
+      | Neighbor (asn, tag) ->
+        Codec.put_u8 w 2;
+        Codec.put_varint w asn;
+        encode_tag w tag);
+      Codec.put_list w Codec.put_varint ri.merged_from)
+    res.routers;
+  Codec.put_list w
+    (fun w l ->
+      put_id_opt w l.near_node;
+      put_id_opt w l.far_node;
+      Codec.put_varint w l.neighbor;
+      encode_tag w l.tag)
+    res.links;
+  Codec.put_varint w res.nextas_used
+
+let decode g r =
+  let n = Rgraph.node_count g in
+  let id r =
+    let id = Codec.varint r in
+    if id >= n then Codec.fail ();
+    id
+  in
+  let id_opt r = if Codec.bool r then Some (id r) else None in
+  let routers =
+    Codec.list r ~min_bytes:3 (fun r ->
+        let node = Rgraph.node g (id r) in
+        let owner =
+          match Codec.u8 r with
+          | 0 -> Host_router
+          | 1 -> Unknown
+          | 2 ->
+            let asn = Codec.varint r in
+            Neighbor (asn, decode_tag r)
+          | _ -> Codec.fail ()
+        in
+        let merged_from = Codec.list r ~min_bytes:1 id in
+        { node; owner; merged_from })
+  in
+  let links =
+    Codec.list r ~min_bytes:4 (fun r ->
+        let near_node = id_opt r in
+        let far_node = id_opt r in
+        let neighbor = Codec.varint r in
+        { near_node; far_node; neighbor; tag = decode_tag r })
+  in
+  let nextas_used = Codec.varint r in
+  { routers; links; nextas_used }

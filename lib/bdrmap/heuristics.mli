@@ -76,3 +76,16 @@ val infer :
   Rgraph.t ->
   Collect.t ->
   result
+
+(** [encode_tag w tag] writes [tag] as one byte. *)
+val encode_tag : Store.Codec.writer -> tag -> unit
+
+val decode_tag : Store.Codec.reader -> tag
+
+(** [encode w result] writes routers and links with graph nodes named
+    by id. *)
+val encode : Store.Codec.writer -> result -> unit
+
+(** [decode g r] reads what {!encode} wrote, sharing [g]'s node records;
+    a node id past [g]'s node count is rejected. *)
+val decode : Rgraph.t -> Store.Codec.reader -> result

@@ -3,12 +3,14 @@
     [owner]/[crossings]/[provenance] without re-running the pipeline.
 
     The artifact is a {!Store.Envelope} image with magic ["BDMF"] and
-    version {!codec_version}; its payload is the marshalled {!t} —
-    boxed metadata only, no packed arenas (the routing snapshot
-    travels separately through {!Routing.Bgp.Snapshot.to_bytes}). The
-    envelope is checked before unmarshalling, so a flipped byte, a
-    false length or trailing bytes are a typed {!decode_error}, never
-    a [Marshal] crash. *)
+    version {!codec_version}; its payload is an explicit
+    {!Store.Codec} encoding of {!t} — boxed metadata only, no packed
+    arenas (the routing snapshot travels separately through
+    {!Routing.Bgp.Snapshot.to_bytes}). The envelope is checked before
+    the payload is decoded, and the decoder checks every count, set
+    order, prefix and name index behind a valid digest, so a flipped
+    byte, a false length, trailing bytes or a crafted payload are a
+    typed {!decode_error}, never an exception. *)
 
 open Netcore
 

@@ -136,3 +136,125 @@ let by_hop_distance t =
     (nodes t)
 
 let all_addrs n = Ipv4.Set.elements (Ipv4.Set.union n.addrs n.extra_addrs)
+
+(* {2 Codec}
+
+   graph := n | ASN sets (count, then the distinct [dests] and
+            [last_toward] sets in first-seen order, ascending varints)
+          | per node in id order: addrs | extra_addrs (ascending u32
+            sets) | min_ttl varint | dests | last_toward (indices into
+            the ASN sets) | trace_count varint
+          | per node: successor ids (ascending varint set)
+
+   Routers near the VP carry the same target-AS sets, so each distinct
+   set is decoded once and shared. The address index and the
+   predecessor sets are derived on decode: every group member maps to
+   its node, and [pred] is [succ] transposed. *)
+
+module Codec = Store.Codec
+module Addr_set = Codec.Int_set (Ipv4.Set) (Ipv4)
+
+module Plain = struct
+  let of_int = Fun.id
+  let to_int = Fun.id
+end
+
+module Asn_set = Codec.Int_set (Asn.Set) (Plain)
+module Id_set = Codec.Int_set (ISet) (Plain)
+
+let encode w t =
+  let ids = Hashtbl.create 1024 and sets = ref [] in
+  let id_of s =
+    let key = Asn.Set.elements s in
+    match Hashtbl.find_opt ids key with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids key id;
+      sets := s :: !sets;
+      id
+  in
+  let refs = Array.map (fun n -> (id_of n.dests, id_of n.last_toward)) t.nodes in
+  Codec.put_varint w (Array.length t.nodes);
+  Codec.put_list w (fun w s -> Asn_set.put w Codec.put_varint s) (List.rev !sets);
+  Array.iteri
+    (fun i n ->
+      let dests, last = refs.(i) in
+      Addr_set.put w Codec.put_u32 n.addrs;
+      Addr_set.put w Codec.put_u32 n.extra_addrs;
+      Codec.put_varint w n.min_ttl;
+      Codec.put_varint w dests;
+      Codec.put_varint w last;
+      Codec.put_varint w n.trace_count)
+    t.nodes;
+  Array.iter (Id_set.put w Codec.put_varint) t.succ
+
+let no_node =
+  { id = -1; addrs = Ipv4.Set.empty; extra_addrs = Ipv4.Set.empty; min_ttl = 0;
+    dests = Asn.Set.empty; last_toward = Asn.Set.empty; trace_count = 0 }
+
+let decode r =
+  (* Six fields of at least one byte per node, then its successor
+     count. *)
+  let n = Codec.count r ~min_bytes:7 in
+  let asn_sets =
+    Codec.array (Codec.count r ~min_bytes:1) ~fill:Asn.Set.empty (fun _ ->
+        Asn_set.get r ~min_bytes:1 Codec.varint)
+  in
+  let asn_set r =
+    let i = Codec.varint r in
+    if i >= Array.length asn_sets then Codec.fail ();
+    asn_sets.(i)
+  in
+  let n_addrs = ref 0 in
+  let addr_set r =
+    let s = Addr_set.get r ~min_bytes:4 Codec.u32 in
+    n_addrs := !n_addrs + Ipv4.Set.cardinal s;
+    s
+  in
+  let nodes =
+    Codec.array n ~fill:no_node (fun id ->
+        let addrs = addr_set r in
+        let extra_addrs = addr_set r in
+        let min_ttl = Codec.varint r in
+        let dests = asn_set r in
+        let last_toward = asn_set r in
+        let trace_count = Codec.varint r in
+        { id; addrs; extra_addrs; min_ttl; dests; last_toward; trace_count })
+  in
+  let id r =
+    let id = Codec.varint r in
+    if id >= n then Codec.fail ();
+    id
+  in
+  let succ = Codec.array n ~fill:ISet.empty (fun _ -> Id_set.get r ~min_bytes:1 id) in
+  (* [succ] transposed through one flat array: predecessors counted,
+     then placed in ascending order, each node's run then a set. *)
+  let start = Array.make (n + 1) 0 in
+  Array.iter (ISet.iter (fun b -> start.(b + 1) <- start.(b + 1) + 1)) succ;
+  for b = 1 to n do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let flat = Array.make start.(n) 0 and fill = Array.sub start 0 n in
+  Array.iteri
+    (fun a s ->
+      ISet.iter
+        (fun b ->
+          flat.(fill.(b)) <- a;
+          fill.(b) <- fill.(b) + 1)
+        s)
+    succ;
+  let pred =
+    Codec.array n ~fill:ISet.empty (fun b ->
+        Id_set.of_sorted flat ~pos:start.(b) ~len:(start.(b + 1) - start.(b)))
+  in
+  (* Sized for every address; a table short of that count means two
+     nodes claimed one address. *)
+  let of_addr = Ipv4.Tbl.create !n_addrs in
+  Array.iter
+    (fun nd ->
+      Ipv4.Set.iter (fun a -> Ipv4.Tbl.replace of_addr a nd.id) nd.addrs;
+      Ipv4.Set.iter (fun a -> Ipv4.Tbl.replace of_addr a nd.id) nd.extra_addrs)
+    nodes;
+  if Ipv4.Tbl.length of_addr <> !n_addrs then Codec.fail ();
+  { nodes; of_addr; succ; pred }

@@ -39,3 +39,23 @@ val by_hop_distance : t -> node list
 
 (** [all_addrs n] is observed plus merged addresses. *)
 val all_addrs : node -> Ipv4.t list
+
+(** The codecs of the node sets, shared with the border-map file. *)
+module Addr_set : sig
+  val put : Store.Codec.writer -> (Store.Codec.writer -> int -> unit) -> Ipv4.Set.t -> unit
+  val get : Store.Codec.reader -> min_bytes:int -> (Store.Codec.reader -> int) -> Ipv4.Set.t
+end
+
+module Asn_set : sig
+  val put : Store.Codec.writer -> (Store.Codec.writer -> int -> unit) -> Asn.Set.t -> unit
+  val get : Store.Codec.reader -> min_bytes:int -> (Store.Codec.reader -> int) -> Asn.Set.t
+end
+
+(** [encode w t] writes every node's sets and counts in id order and
+    its successor ids. *)
+val encode : Store.Codec.writer -> t -> unit
+
+(** [decode r] reads what {!encode} wrote, deriving the address index
+    and the predecessor sets. Two nodes claiming one address, or a
+    successor id past the node count, are rejected. *)
+val decode : Store.Codec.reader -> t

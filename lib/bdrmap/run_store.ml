@@ -1,6 +1,8 @@
 module Gen = Topogen.Gen
+module Codec = Store.Codec
 
-let snapshot_version = 3
+(* v4: an explicit codec in place of a marshaled record. *)
+let snapshot_version = 4
 
 type snapshot = {
   collection : Collect.t;
@@ -31,12 +33,13 @@ let key ?(epoch = "") ~(world : Gen.world) ~pps ~(cfg : Config.t)
       vp.Gen.vp_name,
       cfg )
 
-(* Fetch and decode one entry, counting it under [counter ^ ".hits"]
-   or [".misses"]. The store validates the envelope and key; [decode]
-   may still reject the payload, and that too degrades to a miss. *)
+(* Fetch and decode one entry in place, counting it under
+   [counter ^ ".hits"] or [".misses"]. The store validates the envelope
+   and key; [decode] may still reject the payload, and that too
+   degrades to a miss. *)
 let fetch st ~key ~counter ~what decode =
-  let decoded payload =
-    Result.map (fun v -> (v, String.length payload)) (decode payload)
+  let decoded (image, pos, len) =
+    Result.map (fun v -> (v, len)) (decode image ~pos ~len)
   in
   match Result.bind (Store.read st ~key) decoded with
   | Ok (v, bytes) ->
@@ -52,25 +55,43 @@ let fetch st ~key ~counter ~what decode =
 
 (* [Marshal.from_string] can raise on an entry whose key namespace lied
    about the layout. *)
-let unmarshal payload =
-  match Marshal.from_string payload 0 with
+let unmarshal image ~pos ~len:_ =
+  match Marshal.from_string image pos with
   | v -> Ok v
   | exception _ -> Error Store.Corrupt
 
-let put st ~key ~counter payload =
-  let bytes = Store.write st ~key payload in
+let put st ~key ~counter encode =
+  let bytes = Store.write st ~key encode in
   Obs.Metrics.incr (counter ^ ".writes");
   Obs.Metrics.add "store.bytes_written" bytes
+
+(* snapshot := collection ({!Collect.encode}) | graph ({!Rgraph.encode})
+             | inference ({!Heuristics.encode}, nodes by graph id)
+             | probes varint | cache (hits, misses varints) *)
+let encode w s =
+  Collect.encode w s.collection;
+  Rgraph.encode w s.graph;
+  Heuristics.encode w s.inference;
+  Codec.put_varint w s.probes;
+  Probesim.Engine.encode_cache_stats w s.cache
+
+let decode r =
+  let collection = Collect.decode r in
+  let graph = Rgraph.decode r in
+  let inference = Heuristics.decode graph r in
+  let probes = Codec.varint r in
+  let cache = Probesim.Engine.decode_cache_stats r in
+  { collection; graph; inference; probes; cache }
 
 let load ?epoch st ~world ~pps ~cfg ~vp =
   let key = key ?epoch ~world ~pps ~cfg ~vp () in
   Obs.Span.with_span ~stage:"store" ~vp:vp.Gen.vp_name (fun () ->
-      (fetch st ~key ~counter:"store" ~what:"run" unmarshal : snapshot option))
+      fetch st ~key ~counter:"store" ~what:"run" (Codec.decode decode))
 
 let save ?epoch st ~world ~pps ~cfg ~vp (s : snapshot) =
   let key = key ?epoch ~world ~pps ~cfg ~vp () in
   Obs.Span.with_span ~stage:"store" ~vp:vp.Gen.vp_name (fun () ->
-      put st ~key ~counter:"store" (Marshal.to_string s []))
+      put st ~key ~counter:"store" (fun w -> encode w s))
 
 (* Frozen BGP snapshots persist as their own raw-byte codec
    ([Bgp.Snapshot.to_bytes]) rather than [Marshal]: the packed arenas
@@ -93,14 +114,16 @@ let load_bgp_snapshot ?epoch st ~world =
   let key = bgp_snapshot_key ?epoch ~world () in
   Obs.Span.with_span ~stage:"store" ~vp:"shared" (fun () ->
       fetch st ~key ~counter:"store.snapshot" ~what:"bgp-snapshot"
-        (fun payload ->
-          Routing.Bgp.Snapshot.of_bytes (Bytes.unsafe_of_string payload)))
+        (fun image ~pos ~len ->
+          (* The payload is itself a sealed snapshot image; one copy per
+             sweep hands it to the snapshot decoder whole. *)
+          Routing.Bgp.Snapshot.of_bytes (Bytes.unsafe_of_string (String.sub image pos len))))
 
 let save_bgp_snapshot ?epoch st ~world s =
   let key = bgp_snapshot_key ?epoch ~world () in
   Obs.Span.with_span ~stage:"store" ~vp:"shared" (fun () ->
-      put st ~key ~counter:"store.snapshot"
-        (Bytes.unsafe_to_string (Routing.Bgp.Snapshot.to_bytes s)))
+      put st ~key ~counter:"store.snapshot" (fun w ->
+          Codec.put_raw w (Bytes.unsafe_to_string (Routing.Bgp.Snapshot.to_bytes s))))
 
 let memo st ~key ?vp ~what f =
   match
@@ -111,5 +134,5 @@ let memo st ~key ?vp ~what f =
   | None ->
     let v = f () in
     Obs.Span.with_span ~stage:"store" ?vp (fun () ->
-        put st ~key ~counter:"store" (Marshal.to_string v []));
+        put st ~key ~counter:"store" (fun w -> Codec.put_raw w (Marshal.to_string v [])));
     v

@@ -12,15 +12,17 @@
     key: a warm read must be byte-identical to the cold compute at any
     [-j].
 
-    Values are [Marshal]ed OCaml data (everything in a snapshot is
-    plain data — no closures, no custom blocks). The store's magic,
-    version, embedded key and payload digest guard the bytes;
+    A run {!snapshot} is written with an explicit {!Store.Codec}
+    encoding ({!encode}) and decoded in place from the entry's image;
+    {!memo}'s values are [Marshal]ed. The store's magic, version,
+    embedded key and payload digest guard the bytes, and the decoder
+    checks every count, index and set order behind them;
     {!snapshot_version} participates in every key, so a layout change
     here invalidates old entries instead of misreading them. Any
     malformed entry is logged via {!Obs.Log}, counted as a miss, and
     falls back to recomputation. *)
 
-(** Bump when any marshaled layout below (or in the types it reaches)
+(** Bump when the snapshot encoding (or that of a section it reaches)
     changes; old entries then miss on key rather than decode wrongly. *)
 val snapshot_version : int
 
@@ -31,6 +33,15 @@ type snapshot = {
   probes : int;  (** engine probe counter at end of run *)
   cache : Probesim.Engine.cache_stats;
 }
+
+(** [encode w s] writes [s]: the collection ({!Collect.encode}), the
+    graph ({!Rgraph.encode}), the inference ({!Heuristics.encode}),
+    the probe count and the path-memo counters. *)
+val encode : Store.Codec.writer -> snapshot -> unit
+
+(** [decode r] reads what {!encode} wrote; the inference shares the
+    decoded graph's node records. *)
+val decode : Store.Codec.reader -> snapshot
 
 (** [?epoch] is the topology epoch's chained event-log digest
     ({!Topogen.Evolve.log_digest}); it participates in the key so each

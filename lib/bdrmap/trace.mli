@@ -22,3 +22,12 @@ val pairs : t -> (Ipv4.t * Ipv4.t * bool) list
 
 val last_hop : t -> Ipv4.t option
 val pp : Format.formatter -> t -> unit
+
+(** [encode w traces] writes [traces] as a table of the distinct
+    (ttl, address) hops, a table of the distinct hop-list suffixes
+    over it, and per-trace columns that name each hop list by id. *)
+val encode : Store.Codec.writer -> t list -> unit
+
+(** [decode r] reads what {!encode} wrote; traces share one hop tuple
+    per distinct hop and one cons cell per distinct suffix. *)
+val decode : Store.Codec.reader -> t list

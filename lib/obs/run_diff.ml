@@ -51,18 +51,19 @@ let stage_rows (st : Manifest.stage) =
       ("gc_major_words", float_of_int st.Manifest.st_major_words);
       ("gc_compactions", float_of_int st.Manifest.st_compactions) ]
 
-(* The query server's request counters and latency histogram count what
+(* The query server's request counters and latency histograms (one per
+   batch class) count what
    a timed load window admitted; every other registry metric is a pure
    function of the configuration. *)
 let metric_row ~name ~field value =
   if String.starts_with ~prefix:"stage." name then None
   else
+    let latency = String.starts_with ~prefix:"serve.request_seconds." name in
     let unit_, better =
       match (name, field) with
-      | ("serve.requests_total" | "serve.queries_total"), _
-      | "serve.request_seconds", "count" ->
-        ("count", Higher)
-      | "serve.request_seconds", _ -> ("s", Lower)
+      | ("serve.requests_total" | "serve.queries_total"), _ -> ("count", Higher)
+      | _, "count" when latency -> ("count", Higher)
+      | _ when latency -> ("s", Lower)
       | _, ("value" | "count") -> ("count", Exact)
       | _ -> ("sample", Exact)
     in

@@ -9,6 +9,15 @@ type hop = { ttl : int; reply : reply option }
 
 type cache_stats = { hits : int; misses : int }
 
+let encode_cache_stats w s =
+  Store.Codec.put_varint w s.hits;
+  Store.Codec.put_varint w s.misses
+
+let decode_cache_stats r =
+  let hits = Store.Codec.varint r in
+  let misses = Store.Codec.varint r in
+  { hits; misses }
+
 (* The probing surface compiled to table reads. A traceroute walks its
    forward path once: the path of the current (source, destination,
    flow) lives in [path] and every later TTL of the same trace reads it.

@@ -62,6 +62,9 @@ type cache_stats = {
     [n - 1] hits. *)
 val stats : t -> cache_stats
 
+val encode_cache_stats : Store.Codec.writer -> cache_stats -> unit
+val decode_cache_stats : Store.Codec.reader -> cache_stats
+
 (** The impairment config this engine runs under and the drop
     counters it has accumulated. *)
 val fault_config : t -> Fault.config

@@ -29,3 +29,18 @@ let pp ppf t =
   Format.fprintf ppf
     "probes: trace=%d alias=%d prefixscan=%d total=%d (%.1f h at %.0f pps)" t.trace
     t.alias t.pscan (total t) (duration_h t) t.pps
+
+module Codec = Store.Codec
+
+let encode w t =
+  Codec.put_float w t.pps;
+  Codec.put_varint w t.trace;
+  Codec.put_varint w t.alias;
+  Codec.put_varint w t.pscan
+
+let decode r =
+  let pps = Codec.float r in
+  let trace = Codec.varint r in
+  let alias = Codec.varint r in
+  let pscan = Codec.varint r in
+  { pps; trace; alias; pscan }

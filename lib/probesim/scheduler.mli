@@ -17,3 +17,8 @@ val duration_s : t -> float
 val duration_h : t -> float
 val pps : t -> float
 val pp : Format.formatter -> t -> unit
+
+(** [encode w t] writes the rate and the per-phase counts. *)
+val encode : Store.Codec.writer -> t -> unit
+
+val decode : Store.Codec.reader -> t

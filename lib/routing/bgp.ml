@@ -987,6 +987,7 @@ module Snapshot = struct
      payload ends where the trailer does. A violation is [Corrupt];
      decoding never raises. *)
   module Envelope = Store.Envelope
+  module Codec = Store.Codec
 
   type decode_error = Envelope.error =
     | Absent | Truncated | Bad_magic | Bad_version of int | Stale | Corrupt
@@ -1005,8 +1006,8 @@ module Snapshot = struct
   let prefix_word p = (Ipv4.to_int (Prefix.network p) lsl 8) lor Prefix.len p
 
   let trailer s =
-    let b = Buffer.create 4096 in
-    let put v = Buffer.add_int64_be b (Int64.of_int v) in
+    let w = Codec.writer 4096 in
+    let put = Codec.put_word w in
     let put_list f l =
       put (List.length l);
       List.iter f l
@@ -1023,15 +1024,15 @@ module Snapshot = struct
         put o;
         put_list (put_prefix (put_list put)) (Prefix.Map.bindings per))
       (Asn.Map.bindings s.s_selective);
-    Buffer.contents b
+    Codec.contents w
 
   let to_bytes s =
     let np = Array.length s.s_pfx in
     let n = Array.length s.s_asns in
     let nw = Bigarray.Array1.dim s.s_words in
     let na = Bigarray.Array1.dim s.s_arena in
-    let tail = trailer s in
-    let b = Envelope.create (counts_len + (8 * nw) + (8 * na) + String.length tail) in
+    let tail, tail_len = trailer s in
+    let b = Envelope.create (counts_len + (8 * nw) + (8 * na) + tail_len) in
     let pos = ref Envelope.header_len in
     let put_word v =
       Bytes.set_int64_be b !pos (Int64.of_int v);
@@ -1047,41 +1048,29 @@ module Snapshot = struct
     for i = 0 to na - 1 do
       put_word (Bigarray.Array1.get s.s_arena i)
     done;
-    Bytes.blit_string tail 0 b !pos (String.length tail);
+    Bytes.blit tail 0 b !pos tail_len;
     Envelope.seal fmt b;
     b
 
-  exception Bad
-
-  let rec ascending cmp = function
-    | a :: (b :: _ as rest) -> cmp a b < 0 && ascending cmp rest
-    | _ -> true
-
-  let decode s (pos, len) =
-    let stop = pos + len and cur = ref pos in
-    let word () =
-      if stop - !cur < 8 then raise Bad;
-      let v = Int64.to_int (String.get_int64_be s !cur) in
-      cur := !cur + 8;
-      v
-    in
+  let decode r =
+    let word () = Codec.word r in
     (* A count of items at least [min_words] long, bounded by the words
        left; items are read in order. *)
     let list ~min_words item =
-      let c = word () in
-      if c < 0 || c > (stop - !cur) / (8 * min_words) then raise Bad;
+      let c = Codec.bounded r (word ()) ~min_bytes:(8 * min_words) in
       List.init c (fun _ -> item ())
     in
-    let asns () =
-      let l = list ~min_words:1 word in
-      if ascending Asn.compare l then Asn.Set.of_list l else raise Bad
+    let ascending cmp l =
+      Codec.check (Codec.strictly_ascending cmp l);
+      l
     in
+    let asns () = Asn.Set.of_list (ascending Asn.compare (list ~min_words:1 word)) in
     let prefix () =
       let w = word () in
       let net = w lsr 8 and l = w land 0xFF in
-      if l > 32 || net > 0xFFFF_FFFF then raise Bad;
+      if l > 32 || net > 0xFFFF_FFFF then Codec.fail ();
       let p = Prefix.make (Ipv4.of_int net) l in
-      if Ipv4.to_int (Prefix.network p) <> net then raise Bad;
+      if Ipv4.to_int (Prefix.network p) <> net then Codec.fail ();
       p
     in
     let keyed cmp key value =
@@ -1090,61 +1079,59 @@ module Snapshot = struct
             let k = key () in
             (k, value ()))
       in
-      if ascending cmp (List.map fst l) then l else raise Bad
+      ignore (ascending cmp (List.map fst l) : _ list);
+      l
     in
-    try
-      let np = word () in
-      let n = word () in
-      let nr = word () in
-      let na = word () in
-      (* Bounded by the words left with no multiplication that could
-         wrap: [nr * n] is bounded by division first. *)
-      let room = (stop - !cur) / 8 in
-      if
-        np < 0 || n < 0 || nr < 0 || na < 0 || na > room || n > room - na
-        || np > room - na - n
-        || (n > 0 && nr > (room - na - n - np) / n)
-      then raise Bad;
-      let nw = nr * n in
-      let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
-      for i = 0 to nw - 1 do
-        let w = word () in
-        if w <> 0 && (w_count w < 1 || w_off w + w_count w > na) then raise Bad;
-        Bigarray.Array1.set s_words i w
-      done;
-      let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
-      for i = 0 to na - 1 do
-        let a = word () in
-        if a < 0 || a >= n then raise Bad;
-        Bigarray.Array1.set s_arena i a
-      done;
-      let s_asns = Array.init n (fun _ -> word ()) in
-      for i = 1 to n - 1 do
-        if Asn.compare s_asns.(i - 1) s_asns.(i) >= 0 then raise Bad
-      done;
-      let s_rows = Array.init np (fun _ -> word ()) in
-      let s_originated =
-        list ~min_words:2 (fun () ->
-            let p = prefix () in
-            (p, asns ()))
-      in
-      let s_selective =
-        Asn.Map.of_list
-          (keyed Asn.compare word (fun () ->
-               Prefix.Map.of_list (keyed Prefix.compare prefix (fun () -> list ~min_words:1 word))))
-      in
-      let s_pfx, s_origins = prefix_index s_originated in
-      if Array.length s_pfx <> np || !cur <> stop then raise Bad;
-      let rows, keys, _ = row_index s_asns s_origins in
-      if rows <> s_rows || Array.length keys <> nr then raise Bad;
-      Ok
-        { s_originated; s_selective; s_asns; s_pfx; s_origins; s_rows; s_words; s_arena;
-          s_lpm = lpm_of s_pfx }
-    with Bad -> Error Corrupt
+    let np = word () in
+    let n = word () in
+    let nr = word () in
+    let na = word () in
+    (* Bounded by the words left with no multiplication that could
+       wrap: [nr * n] is bounded by division first. *)
+    let room = Codec.left r / 8 in
+    if
+      np < 0 || n < 0 || nr < 0 || na < 0 || na > room || n > room - na
+      || np > room - na - n
+      || (n > 0 && nr > (room - na - n - np) / n)
+    then Codec.fail ();
+    let nw = nr * n in
+    let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
+    for i = 0 to nw - 1 do
+      let w = word () in
+      if w <> 0 && (w_count w < 1 || w_off w + w_count w > na) then Codec.fail ();
+      Bigarray.Array1.set s_words i w
+    done;
+    let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
+    for i = 0 to na - 1 do
+      let a = word () in
+      if a < 0 || a >= n then Codec.fail ();
+      Bigarray.Array1.set s_arena i a
+    done;
+    let s_asns = Array.init n (fun _ -> word ()) in
+    for i = 1 to n - 1 do
+      if Asn.compare s_asns.(i - 1) s_asns.(i) >= 0 then Codec.fail ()
+    done;
+    let s_rows = Array.init np (fun _ -> word ()) in
+    let s_originated =
+      list ~min_words:2 (fun () ->
+          let p = prefix () in
+          (p, asns ()))
+    in
+    let s_selective =
+      Asn.Map.of_list
+        (keyed Asn.compare word (fun () ->
+             Prefix.Map.of_list (keyed Prefix.compare prefix (fun () -> list ~min_words:1 word))))
+    in
+    let s_pfx, s_origins = prefix_index s_originated in
+    if Array.length s_pfx <> np then Codec.fail ();
+    let rows, keys, _ = row_index s_asns s_origins in
+    if rows <> s_rows || Array.length keys <> nr then Codec.fail ();
+    { s_originated; s_selective; s_asns; s_pfx; s_origins; s_rows; s_words; s_arena;
+      s_lpm = lpm_of s_pfx }
 
   (* [decode] keeps nothing of the string it reads, so the bytes need
      no copy. *)
   let of_bytes b =
     let s = Bytes.unsafe_to_string b in
-    Result.bind (Envelope.unseal fmt s) (decode s)
+    Result.bind (Envelope.unseal fmt s) (fun (pos, len) -> Codec.decode decode s ~pos ~len)
 end

@@ -259,6 +259,16 @@ let accept t =
         :: t.conns
     else (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* Frame latency is observed per batch class — the least of 1, 8, 64
+   and 512 at or above the frame's query count, or "large" — so one
+   histogram never blends batch-1 and batch-512 frames. *)
+let request_histogram queries =
+  if queries <= 1 then "serve.request_seconds.batch_1"
+  else if queries <= 8 then "serve.request_seconds.batch_8"
+  else if queries <= 64 then "serve.request_seconds.batch_64"
+  else if queries <= 512 then "serve.request_seconds.batch_512"
+  else "serve.request_seconds.batch_large"
+
 (* Drain every complete frame buffered on [c]. Returns false when the
    connection must be closed (write failure or oversized frame — after
    an oversized declaration the stream can never resynchronize). *)
@@ -286,9 +296,10 @@ let drain_frames t c =
         let q0 = t.ctx.stats.queries and e0 = t.ctx.stats.errors in
         handle t.ctx c.rbuf ~off:4 ~len:flen c.wb;
         if instrumented then begin
-          Obs.Metrics.observe "serve.request_seconds" (Obs.Clock.seconds_since t0);
+          let queries = t.ctx.stats.queries - q0 in
+          Obs.Metrics.observe (request_histogram queries) (Obs.Clock.seconds_since t0);
           Obs.Metrics.incr "serve.requests_total";
-          Obs.Metrics.add "serve.queries_total" (t.ctx.stats.queries - q0);
+          Obs.Metrics.add "serve.queries_total" queries;
           Obs.Metrics.add "serve.errors_total" (t.ctx.stats.errors - e0)
         end;
         if not (write_all c.fd c.wb.Protocol.buf c.wb.Protocol.len) then begin

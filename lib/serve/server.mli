@@ -10,10 +10,11 @@
       [Gc.minor_words]-delta test can pin that.
     - {b Per-frame instrumentation.} When {!Obs.Metrics} is enabled the
       loop records [serve.queries_total] / [serve.requests_total] /
-      [serve.errors_total] / [serve.connections_total] counters and a
-      [serve.request_seconds] log-bucket histogram — once per frame,
-      never per query, so instrumentation cannot re-introduce per-query
-      allocation.
+      [serve.errors_total] / [serve.connections_total] counters and
+      [serve.request_seconds.batch_<N>] log-bucket histograms, one per
+      batch class (a frame's query count rounded up to 1, 8, 64 or
+      512, else [large]) — once per frame, never per query, so
+      instrumentation cannot re-introduce per-query allocation.
     - {b Clean teardown.} {!stop} is signal-handler safe (one atomic
       store + a self-pipe write waking the select); however {!run}
       exits — including on an exception — every connection and the

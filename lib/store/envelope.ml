@@ -20,18 +20,12 @@ let header_len = 32
 
 let create n = Bytes.create (header_len + n)
 
-let seal fmt b =
-  let len = Bytes.length b - header_len in
+let seal ?len fmt b =
+  let len = Option.value len ~default:(Bytes.length b) - header_len in
   Bytes.blit_string fmt.magic 0 b 0 4;
   Bytes.set_int32_be b 4 (Int32.of_int fmt.version);
   Bytes.blit_string (Digest.subbytes b header_len len) 0 b 8 16;
   Bytes.set_int64_be b 24 (Int64.of_int len)
-
-let seal_string fmt payload =
-  let b = create (String.length payload) in
-  Bytes.blit_string payload 0 b header_len (String.length payload);
-  seal fmt b;
-  b
 
 (* Every field is checked before the next is trusted; the declared
    length must match the image exactly, so no count read from it ever

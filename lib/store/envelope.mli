@@ -17,7 +17,7 @@
       magic   version                             payload
       BDRS    Store.format_version                32-char hex key, then the entry bytes
       BDSN    Routing.Bgp.Snapshot.codec_version  packed routing arenas + metadata
-      BDMF    Bdrmap.Mapfile.codec_version        marshaled border map
+      BDMF    Bdrmap.Mapfile.codec_version        border map ({!Codec})
     v}
 
     {!unseal} validates magic, then version, then the exact length,
@@ -51,12 +51,10 @@ val header_len : int
     {!header_len}; fill the payload, then {!seal} it. *)
 val create : int -> bytes
 
-(** [seal fmt image] writes the header over [image]'s first
-    {!header_len} bytes, taking everything after them as the payload. *)
-val seal : format -> bytes -> unit
-
-(** [seal_string fmt payload] is a sealed image holding [payload]. *)
-val seal_string : format -> string -> bytes
+(** [seal ?len fmt image] writes the header over [image]'s first
+    {!header_len} bytes, taking the bytes after them up to [len] (the
+    image length, default all of [image]) as the payload. *)
+val seal : ?len:int -> format -> bytes -> unit
 
 (** [unseal fmt image] checks the header and returns the payload's
     bounds [(pos, len)] within [image], so a decoder can read it in

@@ -1,4 +1,5 @@
 module Envelope = Envelope
+module Codec = Codec
 
 type t = { dir : string }
 
@@ -29,7 +30,7 @@ let decode ~key s =
   Result.bind (Envelope.unseal fmt s) (fun (pos, len) ->
       if len < key_len then Error Corrupt
       else if String.sub s pos key_len <> key then Error Stale
-      else Ok (String.sub s (pos + key_len) (len - key_len)))
+      else Ok (s, pos + key_len, len - key_len))
 
 let read_entry file ~key = Result.bind (Envelope.read_file file) (decode ~key)
 
@@ -43,11 +44,18 @@ let read t ~key =
   if not (valid_key key) then invalid_arg "Store.read: malformed key";
   read_entry (path t key) ~key
 
-let write t ~key payload =
+(* The entry is encoded straight into its image: the header is sealed
+   over the writer's reserved prefix, and the file gets the bytes
+   written, not the writer's spare capacity. *)
+let write t ~key encode =
   if not (valid_key key) then invalid_arg "Store.write: malformed key";
-  let image = Envelope.seal_string fmt (key ^ payload) in
-  Envelope.publish (path t key) (fun oc -> output_bytes oc image);
-  Bytes.length image
+  let w = Codec.writer ~at:Envelope.header_len (key_len + 4096) in
+  Codec.put_raw w key;
+  encode w;
+  let image, len = Codec.contents w in
+  Envelope.seal ~len fmt image;
+  Envelope.publish (path t key) (fun oc -> output oc image 0 len);
+  len
 
 let mem t ~key = match read t ~key with Ok _ -> true | Error _ -> false
 

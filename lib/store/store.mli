@@ -25,6 +25,9 @@
 (** The shared on-disk header codec, error type and atomic writer. *)
 module Envelope = Envelope
 
+(** The bounded byte codec entry payloads are written and read with. *)
+module Codec = Codec
+
 type t
 
 (** Latest entry format version written by {!write}. *)
@@ -42,14 +45,17 @@ type miss = Envelope.error =
 
 val miss_label : miss -> string
 
-(** [read t ~key] returns the payload stored under [key], or a typed
-    miss.  Never raises on a malformed entry. *)
-val read : t -> key:string -> (string, miss) result
+(** [read t ~key] returns the entry's image and the bounds [(image,
+    pos, len)] of the payload stored under [key] within it, so the
+    caller decodes it in place ({!Codec.decode}), or a typed miss.
+    Never raises on a malformed entry. *)
+val read : t -> key:string -> (string * int * int, miss) result
 
-(** [write t ~key payload] atomically persists [payload] under [key]
-    ({!Envelope.publish}) and returns the entry size in bytes,
-    header included. *)
-val write : t -> key:string -> string -> int
+(** [write t ~key encode] runs [encode] to write the payload straight
+    into the entry's image, atomically persists it under [key]
+    ({!Envelope.publish}) and returns the entry size in bytes, header
+    included. *)
+val write : t -> key:string -> (Codec.writer -> unit) -> int
 
 (** [mem t ~key] is true iff [read] would succeed. *)
 val mem : t -> key:string -> bool

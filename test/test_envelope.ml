@@ -1,17 +1,24 @@
 (* The one on-disk envelope: its header layout, its atomic publisher,
    and a fuzz property over the three formats behind it (run-store
    entries, routing snapshots, border maps), with the snapshot's count
-   words and trailer also mutated under a re-sealed digest. Every
-   mutated image must decode to Ok or a typed Error, never raise, and
-   finish in bounded time. *)
+   words and trailer, and the run entry's and border map's payloads,
+   also mutated under a re-sealed digest. Every mutated image must
+   decode to Ok or a typed Error, never raise, and finish within a
+   bound on time and on the words it allocates. *)
 
 module E = Store.Envelope
 module S = Routing.Bgp.Snapshot
 
 let fmt = { E.magic = "TEST"; version = 7 }
 
+let sealed fmt payload =
+  let b = E.create (String.length payload) in
+  Bytes.blit_string payload 0 b E.header_len (String.length payload);
+  E.seal fmt b;
+  b
+
 let test_layout () =
-  let b = E.seal_string fmt "payload" in
+  let b = sealed fmt "payload" in
   let s = Bytes.to_string b in
   Alcotest.(check int) "header + payload" (32 + 7) (String.length s);
   Alcotest.(check string) "magic" "TEST" (String.sub s 0 4);
@@ -25,7 +32,11 @@ let test_layout () =
   Alcotest.(check bool) "other version" true
     (E.unseal { fmt with E.version = 8 } s = Error (E.Bad_version 7));
   Alcotest.(check bool) "empty payload" true
-    (E.unseal fmt (Bytes.to_string (E.seal_string fmt "")) = Ok (32, 0))
+    (E.unseal fmt (Bytes.to_string (sealed fmt "")) = Ok (32, 0));
+  (* Sealing a prefix of a longer buffer: the image is that prefix. *)
+  let spare = Bytes.cat (sealed fmt "payload") (Bytes.make 5 'x') in
+  E.seal ~len:(32 + 7) fmt spare;
+  Alcotest.(check bool) "sealed prefix" true (Bytes.sub spare 0 39 = b)
 
 let test_publish () =
   let path =
@@ -57,27 +68,46 @@ let test_publish () =
 
 type image = { name : string; bytes : string; decode : string -> (unit, E.error) result }
 
+module Gen = Topogen.Gen
+
 let store_dir =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "bdrmap-envelope-fuzz-%d" (Unix.getpid ()))
 
-let store_key = Digest.to_hex (Digest.string "fuzz-entry")
+let run_fmt = { E.magic = "BDRS"; version = Store.format_version }
+let map_fmt = { E.magic = "BDMF"; version = Bdrmap.Mapfile.codec_version }
 
+(* One VP's run of the serve fixture's world, stored as a run-store
+   entry. *)
 let images =
   lazy
-    (let _, snapshot, mapfile, _ = Lazy.force Test_serve.fixture in
+    (let w, snapshot, mapfile, _ = Lazy.force Test_serve.fixture in
+     let shared = Bdrmap.Pipeline.freeze_routing w in
+     let inputs = Bdrmap.Pipeline.inputs_of_world w (Routing.Bgp.of_snapshot snapshot) in
+     let vp = List.hd w.Gen.vps in
+     let r = List.hd (Bdrmap.Pipeline.execute_all ~shared w inputs ~vps:[ vp ]) in
+     let cfg = Bdrmap.Config.default ~vp_asns:inputs.Bdrmap.Pipeline.vp_asns in
      let st = Store.open_dir store_dir in
-     let entry = Filename.concat store_dir (store_key ^ ".run") in
-     ignore (Store.write st ~key:store_key (Marshal.to_string mapfile []) : int);
+     let load () = Bdrmap.Run_store.load st ~world:w ~pps:100.0 ~cfg ~vp in
+     Bdrmap.Run_store.save st ~world:w ~pps:100.0 ~cfg ~vp
+       { Bdrmap.Run_store.collection = r.Bdrmap.Pipeline.collection;
+         graph = r.graph;
+         inference = r.inference;
+         probes = r.probes;
+         cache = r.cache };
+     let entry =
+       Filename.concat store_dir
+         (Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg ~vp () ^ ".run")
+     in
      let unit_of r = Result.map ignore r in
-     [| { name = "store entry";
+     [| { name = "run entry";
           bytes = Result.get_ok (E.read_file entry);
           decode =
             (fun s ->
               let oc = open_out_bin entry in
               output_string oc s;
               close_out oc;
-              unit_of (Store.read st ~key:store_key)) };
+              Option.fold ~none:(Error E.Corrupt) ~some:(fun _ -> Ok ()) (load ())) };
         { name = "snapshot";
           bytes = Bytes.to_string (S.to_bytes snapshot);
           decode = (fun s -> unit_of (S.of_bytes (Bytes.of_string s))) };
@@ -141,7 +171,7 @@ let mutate seed =
   let img = pick () in
   let b = Bytes.of_string img.bytes in
   let n = Bytes.length b in
-  match Random.State.int rng 7 with
+  match Random.State.int rng 8 with
   | 0 ->
     for _ = 0 to Random.State.int rng 8 do
       let i = Random.State.int rng n in
@@ -192,6 +222,33 @@ let mutate seed =
     in
     E.seal snapshot_fmt b;
     (img, how, Bytes.to_string b)
+  | 6 ->
+    (* The run entry's or the border map's payload bit-flipped, cut
+       short, or given a run of high bytes (a huge varint count),
+       re-sealed likewise; the run entry's key is left intact. *)
+    let which = if Random.State.bool rng then 0 else 2 in
+    let img = imgs.(which) in
+    let fmt = if which = 0 then run_fmt else map_fmt in
+    let start = E.header_len + if which = 0 then 32 else 0 in
+    let b = Bytes.of_string img.bytes in
+    let n = Bytes.length b in
+    let at = start + Random.State.int rng (n - start) in
+    let how, b =
+      match Random.State.int rng 3 with
+      | 0 ->
+        for _ = 0 to Random.State.int rng 8 do
+          let i = start + Random.State.int rng (n - start) in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8)))
+        done;
+        ("payload bit flips", b)
+      | 1 -> ("payload truncation", Bytes.sub b 0 at)
+      | _ ->
+        Bytes.fill b at (min (n - at) (1 + Random.State.int rng 9)) '\xff';
+        ("payload high bytes", b)
+    in
+    E.seal fmt b;
+    (img, how, Bytes.to_string b)
   | _ ->
     (* The snapshot's trailer cut short, bit-flipped, or given a false
        inner count, re-sealed likewise. *)
@@ -219,6 +276,13 @@ let mutate seed =
 
 let time_bound_s = 2.0
 
+(* Words a decode may allocate per byte of its image, plus a constant:
+   the file read, and a decoded value no larger than the counts the
+   bytes left can bound. A valid run entry decodes in a few words per
+   byte. *)
+let words_per_byte = 64
+let words_const = 1 lsl 20
+
 (* A mutated row map sits behind a valid digest, so only the decoder's
    own layout check can reject it, and it must. *)
 let row_mutation how = how = "row past the count" || how = "inflated row count"
@@ -228,20 +292,29 @@ let prop_envelope_fuzz =
     QCheck.(make ~print:(Printf.sprintf "seed %d") Gen.(int_bound 1_000_000_000))
     (fun seed ->
       let img, how, s = mutate seed in
+      let a0 = Gc.allocated_bytes () in
       let t0 = Obs.Clock.now_ns () in
       match img.decode s with
       | exception e ->
         QCheck.Test.fail_reportf "%s, %s: raised %s" img.name how (Printexc.to_string e)
       | r ->
         let dt = Obs.Clock.seconds_since t0 in
+        let words = int_of_float ((Gc.allocated_bytes () -. a0) /. 8.) in
+        let word_bound = (words_per_byte * String.length s) + words_const in
         ((not (row_mutation how)) || r = Error E.Corrupt
         || QCheck.Test.fail_reportf "%s, %s: not Corrupt" img.name how)
         && (dt < time_bound_s
-           || QCheck.Test.fail_reportf "%s, %s: took %.3f s" img.name how dt))
+           || QCheck.Test.fail_reportf "%s, %s: took %.3f s" img.name how dt)
+        && (words <= word_bound
+           || QCheck.Test.fail_reportf "%s, %s: allocated %d words (bound %d)" img.name
+                how words word_bound))
 
 let test_fuzz () =
+  let level = Obs.Log.level () in
+  Obs.Log.set_level Obs.Log.Quiet;
   Fun.protect
     ~finally:(fun () ->
+      Obs.Log.set_level level;
       ignore (Store.gc ~all:true (Store.open_dir store_dir) : Store.gc_stats);
       try Unix.rmdir store_dir with Unix.Unix_error _ -> ())
     (fun () ->

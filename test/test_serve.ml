@@ -206,7 +206,26 @@ let test_mapfile_roundtrip () =
       (List.length mapfile.Bdrmap.Mapfile.origins)
       (List.length mf.Bdrmap.Mapfile.origins);
     Alcotest.(check bool) "host set survives" true
-      (Asn.Set.equal mapfile.Bdrmap.Mapfile.host_asns mf.Bdrmap.Mapfile.host_asns));
+      (Asn.Set.equal mapfile.Bdrmap.Mapfile.host_asns mf.Bdrmap.Mapfile.host_asns);
+    Alcotest.(check bool) "origins survive by value" true
+      (mapfile.Bdrmap.Mapfile.origins = mf.Bdrmap.Mapfile.origins);
+    Alcotest.(check bool) "links survive by content" true
+      (List.for_all2
+         (fun (a : Bdrmap.Aggregate.merged) (b : Bdrmap.Aggregate.merged) ->
+           Ipv4.Set.equal a.near_addrs b.near_addrs
+           && Ipv4.Set.equal a.far_addrs b.far_addrs
+           && a.neighbor = b.neighbor && a.tags = b.tags && a.seen_by = b.seen_by)
+         mapfile.Bdrmap.Mapfile.merged mf.Bdrmap.Mapfile.merged);
+    Alcotest.(check bool) "re-encodes to the same bytes" true
+      (Bdrmap.Mapfile.to_bytes mf = b));
+  (* A map whose digest is valid but whose origins do not ascend: only
+     the decoder can reject it, and it does, with a typed error. *)
+  let crafted =
+    Bdrmap.Mapfile.to_bytes
+      { mapfile with Bdrmap.Mapfile.origins = List.rev mapfile.Bdrmap.Mapfile.origins }
+  in
+  Alcotest.(check bool) "crafted map is Corrupt" true
+    (Bdrmap.Mapfile.of_bytes crafted = Error Bdrmap.Mapfile.Corrupt);
   (* A flipped payload byte is a typed Corrupt, not a Marshal crash. *)
   let flipped = Bytes.copy b in
   Bytes.set flipped (Bytes.length flipped - 1)
@@ -223,12 +242,12 @@ let test_mapfile_roundtrip () =
   Alcotest.(check bool) "wrong magic is typed" true
     (Bdrmap.Mapfile.of_bytes wrong = Error Bdrmap.Mapfile.Bad_magic)
 
-(* The envelope keeps the artifact's bytes: this digest of
-   [Mapfile.to_bytes] on the fixture was taken before the border map
-   moved onto [Store.Envelope]. *)
+(* The artifact's bytes are a pure function of the map: this digest of
+   [Mapfile.to_bytes] on the fixture was taken when the border map
+   moved onto its explicit codec (codec version 2). *)
 let test_mapfile_bytes_pinned () =
   let _, _, mapfile, _ = Lazy.force fixture in
-  Alcotest.(check string) "tiny-world map bytes" "c80f4cd200a672d86aec6d86dcbb3538"
+  Alcotest.(check string) "tiny-world map bytes" "d3c5ac4b84fe91e8a69289be69077cfc"
     (Digest.to_hex (Digest.bytes (Bdrmap.Mapfile.to_bytes mapfile)))
 
 (* Three shapes the border map's own header code once let through: a

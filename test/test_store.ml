@@ -24,6 +24,13 @@ let with_store f =
 
 let k s = Digest.to_hex (Digest.string s)
 
+(* Opaque string payloads: written raw, read back as the bytes within
+   the bounds [Store.read] hands back. *)
+let write st ~key payload = Store.write st ~key (fun w -> Store.Codec.put_raw w payload)
+
+let read st ~key =
+  Result.map (fun (image, pos, len) -> String.sub image pos len) (Store.read st ~key)
+
 let entry_path st key = Filename.concat (Store.dir st) (key ^ ".run")
 
 let read_bytes path =
@@ -42,11 +49,11 @@ let test_blob_roundtrip () =
   with_store (fun st ->
       let key = k "blob-1" in
       Alcotest.(check bool) "absent before write" true
-        (Store.read st ~key = Error Store.Absent);
+        (read st ~key = Error Store.Absent);
       let payload = "hello\x00world \xff bytes" in
-      let bytes = Store.write st ~key payload in
+      let bytes = write st ~key payload in
       Alcotest.(check int) "entry size = header + payload" (64 + String.length payload) bytes;
-      Alcotest.(check bool) "read back" true (Store.read st ~key = Ok payload);
+      Alcotest.(check bool) "read back" true (read st ~key = Ok payload);
       Alcotest.(check bool) "mem" true (Store.mem st ~key);
       (match Store.entries st with
       | [ (key', bytes', None) ] ->
@@ -54,14 +61,14 @@ let test_blob_roundtrip () =
         Alcotest.(check int) "listed size" bytes bytes'
       | es -> Alcotest.fail (Printf.sprintf "unexpected listing (%d)" (List.length es)));
       (* Overwrite is atomic replace, not append. *)
-      ignore (Store.write st ~key "v2");
-      Alcotest.(check bool) "overwritten" true (Store.read st ~key = Ok "v2");
+      ignore (write st ~key "v2");
+      Alcotest.(check bool) "overwritten" true (read st ~key = Ok "v2");
       Store.remove st ~key;
       Alcotest.(check bool) "absent after remove" true
-        (Store.read st ~key = Error Store.Absent);
+        (read st ~key = Error Store.Absent);
       Alcotest.(check bool) "malformed key rejected" true
         (try
-           ignore (Store.read st ~key:"../escape");
+           ignore (read st ~key:"../escape");
            false
          with Invalid_argument _ -> true))
 
@@ -71,10 +78,10 @@ let test_corrupt_entries () =
   with_store (fun st ->
       let key = k "victim" in
       let corrupt name munge expect =
-        ignore (Store.write st ~key "payload under test");
+        ignore (write st ~key "payload under test");
         let path = entry_path st key in
         write_bytes path (munge (read_bytes path));
-        Alcotest.(check bool) name true (Store.read st ~key = Error expect)
+        Alcotest.(check bool) name true (read st ~key = Error expect)
       in
       corrupt "truncated header" (fun s -> String.sub s 0 10) Store.Truncated;
       corrupt "truncated payload"
@@ -97,10 +104,10 @@ let test_corrupt_entries () =
         Store.Corrupt;
       (* An entry copied under another name: embedded key mismatch. *)
       let other = k "other" in
-      ignore (Store.write st ~key "payload under test");
+      ignore (write st ~key "payload under test");
       write_bytes (entry_path st other) (read_bytes (entry_path st key));
       Alcotest.(check bool) "stale (renamed) entry" true
-        (Store.read st ~key:other = Error Store.Stale);
+        (read st ~key:other = Error Store.Stale);
       (* gc: sweeps the invalid entry and orphaned temp files, keeps the
          valid one. *)
       write_bytes (Filename.concat (Store.dir st) (key ^ ".run.tmp-1-0-0")) "torn";
@@ -128,10 +135,10 @@ let test_format_1_entry_swept () =
       write_bytes (entry_path st key) (Buffer.contents b);
       Alcotest.(check int) "format version" 2 Store.format_version;
       Alcotest.(check bool) "format-1 entry misses" true
-        (Store.read st ~key = Error (Store.Bad_version 1));
+        (read st ~key = Error (Store.Bad_version 1));
       let stats = Store.gc st in
       Alcotest.(check int) "gc sweeps it" 1 stats.Store.gc_removed;
-      Alcotest.(check bool) "entry gone" true (Store.read st ~key = Error Store.Absent))
+      Alcotest.(check bool) "entry gone" true (read st ~key = Error Store.Absent))
 
 (* -- pipeline-level tests, on the tiny world -- *)
 
@@ -162,6 +169,18 @@ let with_counters f =
       Obs.Metrics.disable ())
     f
 
+(* The served border map built from a sweep's runs. *)
+let map_bytes w runs =
+  let bgp = Routing.Bgp.of_snapshot (Bdrmap.Pipeline.freeze_routing w).Bdrmap.Pipeline.snapshot in
+  let merged =
+    Bdrmap.Aggregate.merge_runs
+      (List.map2
+         (fun (vp : Gen.vp) (r : Bdrmap.Pipeline.run) ->
+           (vp.Gen.vp_name, r.Bdrmap.Pipeline.graph, r.Bdrmap.Pipeline.inference))
+         w.Gen.vps runs)
+  in
+  Bdrmap.Mapfile.to_bytes (Bdrmap.Mapfile.make ~host_asns:w.Gen.siblings ~bgp merged)
+
 let test_warm_byte_identity () =
   let w, inputs = Lazy.force tiny_env in
   let vps = w.Gen.vps in
@@ -170,25 +189,23 @@ let test_warm_byte_identity () =
   in
   with_store (fun st ->
       with_counters (fun () ->
-          let cold =
-            List.map fingerprint
-              (Bdrmap.Pipeline.execute_all ~store:st w inputs ~vps)
-          in
+          let cold_runs = Bdrmap.Pipeline.execute_all ~store:st w inputs ~vps in
+          let cold = List.map fingerprint cold_runs in
           let h, m, wr = counters () in
           Alcotest.(check int) "cold: no hits" 0 h;
           Alcotest.(check int) "cold: one miss per vp" (List.length vps) m;
           Alcotest.(check int) "cold: one write per vp" (List.length vps) wr;
           Alcotest.(check bool) "cold = no-store" true (cold = baseline);
           Obs.Metrics.reset ();
-          let warm =
-            List.map fingerprint
-              (Bdrmap.Pipeline.execute_all ~store:st w inputs ~vps)
-          in
+          let warm_runs = Bdrmap.Pipeline.execute_all ~store:st w inputs ~vps in
+          let warm = List.map fingerprint warm_runs in
           let h, m, wr = counters () in
           Alcotest.(check int) "warm: one hit per vp" (List.length vps) h;
           Alcotest.(check int) "warm: no misses" 0 m;
           Alcotest.(check int) "warm: no writes" 0 wr;
           Alcotest.(check bool) "warm = cold" true (warm = cold);
+          Alcotest.(check bool) "warm map bytes = cold map bytes" true
+            (map_bytes w warm_runs = map_bytes w cold_runs);
           (* Warm over a pool: hits from worker domains, same bytes. *)
           Obs.Metrics.reset ();
           let warm_pooled =
@@ -257,7 +274,7 @@ let test_corruption_falls_back_to_recompute () =
           in
           flip (entry_path st vp0_key);
           Alcotest.(check bool) "entry is corrupt" true
-            (Store.read st ~key:vp0_key = Error Store.Corrupt);
+            (read st ~key:vp0_key = Error Store.Corrupt);
           Obs.Metrics.reset ();
           let healed =
             List.map fingerprint
@@ -318,11 +335,11 @@ let test_key_sensitivity () =
     <> Bdrmap.Run_store.bgp_snapshot_key ~epoch:"deadbeef" ~world:w ())
 
 (* A run payload written under an older [snapshot_version] holds an
-   older layout (version 2's [cache_stats] had four fields). It must
-   miss by key instead of being handed to [Marshal] as today's shape.
-   The key formula is pinned first (today's version reproduces
-   [Run_store.key]), so the version-2 key below is what an older tree
-   wrote. *)
+   older layout: version 3's was a marshaled record, version 4's is the
+   explicit codec. It must miss by key instead of being handed to
+   today's decoder. The key formula is pinned first (today's version
+   reproduces [Run_store.key]), so the version-3 key below is what an
+   older tree wrote. *)
 let test_old_version_key_misses () =
   let w, inputs = Lazy.force tiny_env in
   let cfg = Bdrmap.Config.default ~vp_asns:inputs.Bdrmap.Pipeline.vp_asns in
@@ -336,18 +353,178 @@ let test_old_version_key_misses () =
             []))
   in
   let key = Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg ~vp () in
-  Alcotest.(check int) "snapshot version" 3 Bdrmap.Run_store.snapshot_version;
+  Alcotest.(check int) "snapshot version" 4 Bdrmap.Run_store.snapshot_version;
   Alcotest.(check string) "key formula" key (key_at Bdrmap.Run_store.snapshot_version);
-  let old = key_at 2 in
-  Alcotest.(check bool) "version-2 key differs" true (old <> key);
+  let old = key_at 3 in
+  Alcotest.(check bool) "version-3 key differs" true (old <> key);
   with_store (fun st ->
-      ignore
-        (Store.write st ~key:old
-           (Marshal.to_string (1, 2, 3, 4, "a version-2 run payload") [])
-          : int);
-      Alcotest.(check bool) "version-2 entry stored" true (Store.mem st ~key:old);
-      Alcotest.(check bool) "version-2 entry does not hit" true
+      ignore (write st ~key:old (Marshal.to_string (1, 2, 3, 4, "a version-3 run payload") []) : int);
+      Alcotest.(check bool) "version-3 entry stored" true (Store.mem st ~key:old);
+      Alcotest.(check bool) "version-3 entry does not hit" true
         (Bdrmap.Run_store.load st ~world:w ~pps:100.0 ~cfg ~vp = None))
+
+
+(* -- The run payload codec -- *)
+
+module C = Store.Codec
+module Ag = Aliasres.Alias_graph
+module Rg = Bdrmap.Rgraph
+module H = Bdrmap.Heuristics
+
+let encoded f x =
+  let w = C.writer 4096 in
+  f w x;
+  let b, len = C.contents w in
+  Bytes.sub_string b 0 len
+
+let decoded f s = C.decode f s ~pos:0 ~len:(String.length s)
+
+(* Two runs agree by content: sets by their elements, the alias
+   union-find by its tables' sorted bindings (what [Ag.encode] writes)
+   and its groups, the graph by every node, adjacency and address, and
+   the inference by value, its routers naming the graph's own node
+   records. *)
+let check_same_run name (a : Bdrmap.Run_store.snapshot) (b : Bdrmap.Run_store.snapshot) =
+  let chk what ok = if not ok then Alcotest.failf "%s: %s differs" name what in
+  let ca = a.collection and cb = b.collection in
+  chk "traces" (ca.traces = cb.traces);
+  chk "alias tables" (encoded Ag.encode ca.aliases = encoded Ag.encode cb.aliases);
+  chk "alias groups" (Ag.groups ca.aliases = Ag.groups cb.aliases);
+  chk "mates" (ca.mates = cb.mates);
+  chk "other icmp" (ca.other_icmp = cb.other_icmp);
+  let sched (c : Bdrmap.Collect.t) =
+    let module S = Probesim.Scheduler in
+    (S.pps c.sched, S.count c.sched S.Traceroute, S.count c.sched S.Alias,
+     S.count c.sched S.Prefixscan)
+  in
+  chk "probe counts" (sched ca = sched cb);
+  chk "collection counters"
+    ((ca.stopset_hits, ca.alias_pairs_tested) = (cb.stopset_hits, cb.alias_pairs_tested));
+  let ga = a.graph and gb = b.graph in
+  chk "node count" (Rg.node_count ga = Rg.node_count gb);
+  let ids l = List.map (fun (n : Rg.node) -> n.id) l in
+  List.iter2
+    (fun (x : Rg.node) (y : Rg.node) ->
+      chk "node"
+        (x.id = y.id && Netcore.Ipv4.Set.equal x.addrs y.addrs
+        && Netcore.Ipv4.Set.equal x.extra_addrs y.extra_addrs
+        && x.min_ttl = y.min_ttl && Netcore.Asn.Set.equal x.dests y.dests
+        && Netcore.Asn.Set.equal x.last_toward y.last_toward
+        && x.trace_count = y.trace_count);
+      chk "successors" (ids (Rg.succs ga x) = ids (Rg.succs gb y));
+      chk "predecessors" (ids (Rg.preds ga x) = ids (Rg.preds gb y));
+      List.iter
+        (fun addr ->
+          chk "address index"
+            (Option.map (fun (n : Rg.node) -> n.id) (Rg.node_of_addr gb addr) = Some x.id))
+        (Rg.all_addrs x))
+    (Rg.nodes ga) (Rg.nodes gb);
+  let ia = a.inference and ib = b.inference in
+  List.iter2
+    (fun (x : H.router_inference) (y : H.router_inference) ->
+      chk "router" (x.node.id = y.node.id && x.owner = y.owner && x.merged_from = y.merged_from);
+      chk "router node shared" (y.node == Rg.node gb y.node.id))
+    ia.routers ib.routers;
+  chk "router count" (List.length ia.routers = List.length ib.routers);
+  chk "links" (ia.links = ib.links);
+  chk "nextas" (ia.nextas_used = ib.nextas_used);
+  chk "probes" (a.probes = b.probes);
+  chk "cache" (a.cache = b.cache)
+
+let snapshot_of (r : Bdrmap.Pipeline.run) =
+  { Bdrmap.Run_store.collection = r.collection; graph = r.graph; inference = r.inference;
+    probes = r.probes; cache = r.cache }
+
+let test_codec_roundtrip () =
+  let worlds =
+    ("large_access@0.1", Topogen.Scenario.large_access ~scale:0.1 ())
+    :: List.map
+         (fun (sc : Topogen.Corpus.scenario) -> (sc.sc_name ^ "@0.1", sc.sc_params ~scale:0.1))
+         Topogen.Corpus.all
+  in
+  List.iter
+    (fun (name, params) ->
+      let w = Gen.generate params in
+      let _, _, _, inputs = Bdrmap.Pipeline.setup w in
+      let vps = match w.Gen.vps with a :: b :: _ -> [ a; b ] | l -> l in
+      List.iter
+        (fun (r : Bdrmap.Pipeline.run) ->
+          let s = snapshot_of r in
+          let bytes = encoded Bdrmap.Run_store.encode s in
+          match decoded Bdrmap.Run_store.decode bytes with
+          | Error e -> Alcotest.failf "%s: %s" name (Store.miss_label e)
+          | Ok s' ->
+            check_same_run name s s';
+            Alcotest.(check bool) (name ^ ": re-encodes to the same bytes") true
+              (encoded Bdrmap.Run_store.encode s' = bytes))
+        (Bdrmap.Pipeline.execute_all w inputs ~vps))
+    worlds
+
+(* Payloads behind a valid digest that only the decoder can reject:
+   each is [Corrupt], and none raises. *)
+let test_codec_crafted () =
+  let corrupt name f bytes =
+    Alcotest.(check bool) name true
+      (match decoded f bytes with Error Store.Corrupt -> true | _ -> false)
+  in
+  let craft put = encoded (fun w () -> put w) () in
+  corrupt "2^40 hop count" Bdrmap.Trace.decode (craft (fun w -> C.put_varint w (1 lsl 40)));
+  corrupt "2^40 trace count" Bdrmap.Trace.decode
+    (craft (fun w ->
+         C.put_varint w 0;
+         C.put_varint w 0;
+         C.put_varint w (1 lsl 40)));
+  corrupt "hop index past the table" Bdrmap.Trace.decode
+    (craft (fun w ->
+         C.put_varint w 1;
+         C.put_varint w 1;
+         C.put_u32 w 7;
+         C.put_varint w 1;
+         C.put_varint w 1;
+         C.put_varint w 0));
+  corrupt "descending address set" Rg.decode
+    (craft (fun w ->
+         C.put_varint w 1;
+         C.put_varint w 1;
+         C.put_varint w 0;
+         C.put_varint w 2;
+         C.put_u32 w 5;
+         C.put_u32 w 3;
+         List.iter (C.put_varint w) [ 0; 1; 0; 0; 1; 0 ]));
+  corrupt "successor past the node count" Rg.decode
+    (craft (fun w ->
+         C.put_varint w 1;
+         C.put_varint w 1;
+         C.put_varint w 0;
+         List.iter (C.put_varint w) [ 0; 0; 1; 0; 0; 1; 1; 1 ]));
+  corrupt "alias parent cycle" Ag.decode
+    (craft (fun w ->
+         C.put_varint w 0;
+         C.put_varint w 2;
+         List.iter (C.put_u32 w) [ 1; 2; 2; 1 ];
+         C.put_varint w 0;
+         C.put_varint w 0));
+  let w, inputs = Lazy.force tiny_env in
+  let r = List.hd (Bdrmap.Pipeline.execute_all w inputs ~vps:[ List.hd w.Gen.vps ]) in
+  let g = r.Bdrmap.Pipeline.graph in
+  corrupt "router node past the node count" (H.decode g)
+    (craft (fun w ->
+         C.put_varint w 1;
+         C.put_varint w (Rg.node_count g);
+         List.iter (C.put_varint w) [ 1; 0; 0; 0 ]));
+  (* Sets past the largest cached template (4096 ranks) are sorted
+     instead; both sides of that size decode to the set written. *)
+  List.iter
+    (fun n ->
+      let set = Netcore.Ipv4.Set.of_list (List.init n (fun i -> Netcore.Ipv4.of_int (7 * i))) in
+      let bytes = craft (fun w -> Rg.Addr_set.put w C.put_u32 set) in
+      Alcotest.(check bool) (Printf.sprintf "%d-address set round trip" n) true
+        (match decoded (fun r -> Rg.Addr_set.get r ~min_bytes:4 C.u32) bytes with
+        | Ok s -> Netcore.Ipv4.Set.equal s set
+        | Error _ -> false))
+    [ 2; 4096; 4097; 5000 ];
+  corrupt "trailing bytes" Bdrmap.Run_store.decode
+    (encoded Bdrmap.Run_store.encode (snapshot_of r) ^ "\000")
 
 let suite =
   [ Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
@@ -359,4 +536,6 @@ let suite =
       test_corruption_falls_back_to_recompute;
     Alcotest.test_case "crossing-links memo" `Slow test_crossing_links_memo;
     Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
-    Alcotest.test_case "old-version key misses" `Quick test_old_version_key_misses ]
+    Alcotest.test_case "old-version key misses" `Quick test_old_version_key_misses;
+    Alcotest.test_case "run codec round trip by content" `Slow test_codec_roundtrip;
+    Alcotest.test_case "run codec rejects crafted payloads" `Quick test_codec_crafted ]
