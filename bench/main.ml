@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure from the paper's
    evaluation (one section per artifact), times each experiment's
-   wall-clock, compares the multi-VP experiments at 1 vs N domains, and
-   times the pipeline stages with bechamel.
+   wall-clock, and compares the multi-VP experiments at 1 vs N domains.
 
    Scale with BDRMAP_BENCH_SCALE (default 1.0 = paper-sized scenarios;
    0.1-0.3 for a quick pass). Worker domains with BDRMAP_JOBS (default:
@@ -9,9 +8,6 @@
    typed row in a machine-readable BENCH.json (path override:
    BDRMAP_BENCH_OUT) so the perf trajectory can be tracked across
    changes. *)
-
-open Bechamel
-open Toolkit
 
 let scale =
   match Sys.getenv_opt "BDRMAP_BENCH_SCALE" with
@@ -499,151 +495,15 @@ let serve_bench () =
           Some (r.B.minor_words_per_query *. float_of_int batch)))
     [ (512, 0.5); (1, 0.1) ]
 
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks of the pipeline stages.                            *)
-
-module Gen = Topogen.Gen
-open Netcore
-
-let micro_env =
-  lazy
-    (let world = Gen.generate Topogen.Scenario.tiny in
-     let shared, fwd, engine, inputs = Bdrmap.Pipeline.setup world in
-     let bgp = shared.Bdrmap.Pipeline.snapshot in
-     let vp = List.hd world.vps in
-     let run = Bdrmap.Pipeline.execute engine inputs ~vp in
-     (world, bgp, fwd, engine, inputs, vp, run))
-
-let test_ptrie_lpm =
-  Test.make ~name:"ptrie-lpm"
-    (Staged.stage (fun () ->
-         let _, _, _, _, inputs, _, _ = Lazy.force micro_env in
-         ignore (Bgpdata.Rib.origin_asns inputs.rib (Ipv4.of_string_exn "1.40.0.77"))))
-
-let test_targets =
-  Test.make ~name:"target-blocks"
-    (Staged.stage (fun () ->
-         let _, _, _, _, inputs, _, _ = Lazy.force micro_env in
-         ignore (Bdrmap.Targets.blocks ~rib:inputs.rib ~vp_asns:inputs.vp_asns)))
-
-let test_bgp_route =
-  Test.make ~name:"bgp-route-lookup"
-    (Staged.stage (fun () ->
-         let _, bgp, _, _, _, _, _ = Lazy.force micro_env in
-         let prefixes = Routing.Bgp.prefixes bgp in
-         let p = List.nth prefixes (List.length prefixes / 2) in
-         ignore (Routing.Bgp.route bgp 64500 p)))
-
-(* A scratch freeze of the micro world's routing: the slot kernel over
-   every originated prefix plus packing into the arenas. Each run starts
-   from a fresh propagation input, so the kernel's adjacency build is
-   timed too. *)
-let test_bgp_freeze =
-  Test.make ~name:"bgp-freeze"
-    (Staged.stage (fun () ->
-         let world, _, _, _, _, _, _ = Lazy.force micro_env in
-         ignore
-           (Routing.Bgp.freeze ~counter:"routing.snapshot.scratch_builds"
-              (Routing.Bgp.create world.Gen.net world.Gen.rels_truth
-                 ~originated:(Gen.originated world) ~selective:world.Gen.selective))))
-
-let test_forwarding_path =
-  Test.make ~name:"forwarding-path"
-    (Staged.stage (fun () ->
-         let _, _, fwd, _, _, vp, _ = Lazy.force micro_env in
-         ignore
-           (Routing.Forwarding.path fwd ~src_rid:vp.Gen.vp_rid
-              ~dst:(Ipv4.of_string_exn "1.40.0.77") ())))
-
-let test_traceroute =
-  Test.make ~name:"engine-traceroute"
-    (Staged.stage (fun () ->
-         let _, _, _, engine, _, vp, _ = Lazy.force micro_env in
-         ignore (Probesim.Engine.traceroute engine ~vp ~dst:(Ipv4.of_string_exn "1.40.0.77") ())))
-
-let test_heuristics =
-  Test.make ~name:"heuristics-infer"
-    (Staged.stage (fun () ->
-         let _, _, _, _, inputs, _, run = Lazy.force micro_env in
-         ignore
-           (Bdrmap.Heuristics.infer run.Bdrmap.Pipeline.cfg run.Bdrmap.Pipeline.ip2as
-              ~rels:inputs.rels run.Bdrmap.Pipeline.graph run.Bdrmap.Pipeline.collection)))
-
-let test_rgraph_build =
-  Test.make ~name:"rgraph-build"
-    (Staged.stage (fun () ->
-         let _, _, _, _, _, _, run = Lazy.force micro_env in
-         ignore (Bdrmap.Rgraph.build run.Bdrmap.Pipeline.collection)))
-
-let test_rel_infer =
-  Test.make ~name:"rel-infer"
-    (Staged.stage (fun () ->
-         let _, _, _, _, inputs, _, _ = Lazy.force micro_env in
-         ignore (Bgpdata.Rel_infer.infer (Bgpdata.Rib.all_paths inputs.rib))))
-
-let test_ally =
-  Test.make ~name:"ally-trial"
-    (Staged.stage (fun () ->
-         let c = ref 0 in
-         let sampler _ =
-           incr c;
-           Some (!c land 0xFFFF)
-         in
-         ignore
-           (Aliasres.Ally.trial sampler (Ipv4.of_string_exn "10.0.0.1")
-              (Ipv4.of_string_exn "10.0.0.2") ~samples:4)))
-
-let test_aggregate_merge =
-  Test.make ~name:"aggregate-merge"
-    (Staged.stage (fun () ->
-         let _, _, _, _, _, vp, run = Lazy.force micro_env in
-         let vl =
-           Bdrmap.Aggregate.of_run vp.Gen.vp_name run.Bdrmap.Pipeline.graph
-             run.Bdrmap.Pipeline.inference
-         in
-         ignore (Bdrmap.Aggregate.merge [ vl; { vl with vp_name = "vp2" } ])))
-
-(* Metrics snapshot for BENCH.json, taken after the experiment sweeps
-   and before the micro-benchmarks — the micro loops would both inflate
-   the pipeline counters and pay the recording cost inside the timed
-   region. The stage.* counters land as stage rows only. *)
+(* Metrics snapshot for BENCH.json, taken once every section has run:
+   the counters and stage spans of the whole pass. The stage.* counters
+   land as stage rows only. *)
 let snapshot_obs () =
   let metrics = Obs.Metrics.collect () in
-  Obs.Metrics.disable ();
   List.iter
     (fun st -> List.iter add (R.stage_rows st))
     (Obs.Manifest.stages metrics);
   List.iter (fun (name, v) -> List.iter add (R.metric_rows name v)) metrics
-
-let micro () =
-  banner "Micro-benchmarks (bechamel)";
-  (* Force shared state before timing. *)
-  ignore (Lazy.force micro_env);
-  let tests =
-    [ test_ptrie_lpm; test_targets; test_bgp_route; test_bgp_freeze; test_forwarding_path;
-      test_traceroute; test_rgraph_build; test_heuristics; test_rel_infer;
-      test_ally; test_aggregate_merge ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-            emit "micro" name "ns_per_run" "ns" R.Lower est;
-            Printf.printf "%-24s %12.1f ns/run\n%!" name est
-          | _ -> Printf.printf "%-24s (no estimate)\n%!" name)
-        analyzed)
-    tests
 
 let write_bench_json path =
   let oc = open_out path in
@@ -657,6 +517,7 @@ let () =
      numbers (their merged totals are pool-size independent). *)
   Obs.Metrics.enable ();
   let finish () =
+    snapshot_obs ();
     let out = Option.value ~default:"BENCH.json" (Sys.getenv_opt "BDRMAP_BENCH_OUT") in
     write_bench_json out;
     banner "done"
@@ -674,8 +535,6 @@ let () =
     snapshot_comparison ();
     scale3_snapshot ();
     serve_bench ();
-    snapshot_obs ();
-    micro ();
     finish ()
   end
   else
@@ -690,6 +549,4 @@ let () =
         snapshot_comparison ();
         scale3_snapshot ();
         serve_bench ();
-        snapshot_obs ();
-        micro ();
         finish ())

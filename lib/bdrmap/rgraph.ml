@@ -1,5 +1,6 @@
 open Netcore
 module Ag = Aliasres.Alias_graph
+module Codec = Store.Codec
 
 type node = {
   id : int;
@@ -28,6 +29,10 @@ type builder_node = {
   mutable b_last : Asn.Set.t;
   mutable b_traces : int;
 }
+
+let no_node =
+  { id = -1; addrs = Ipv4.Set.empty; extra_addrs = Ipv4.Set.empty; min_ttl = 0;
+    dests = Asn.Set.empty; last_toward = Asn.Set.empty; trace_count = 0 }
 
 let build (c : Collect.t) =
   (* 1. Every observed address joins the node of its alias-group root. *)
@@ -110,7 +115,7 @@ let build (c : Collect.t) =
       wire node_seq)
     c.Collect.traces;
   let nodes =
-    Array.init !n (fun id ->
+    Codec.array !n ~fill:no_node (fun id ->
         let b = builder id in
         { id; addrs = b.b_addrs; extra_addrs = b.b_extra; min_ttl = b.b_ttl;
           dests = b.b_dests; last_toward = b.b_last; trace_count = b.b_traces })
@@ -151,7 +156,6 @@ let all_addrs n = Ipv4.Set.elements (Ipv4.Set.union n.addrs n.extra_addrs)
    predecessor sets are derived on decode: every group member maps to
    its node, and [pred] is [succ] transposed. *)
 
-module Codec = Store.Codec
 module Addr_set = Codec.Int_set (Ipv4.Set) (Ipv4)
 
 module Plain = struct
@@ -188,10 +192,6 @@ let encode w t =
       Codec.put_varint w n.trace_count)
     t.nodes;
   Array.iter (Id_set.put w Codec.put_varint) t.succ
-
-let no_node =
-  { id = -1; addrs = Ipv4.Set.empty; extra_addrs = Ipv4.Set.empty; min_ttl = 0;
-    dests = Asn.Set.empty; last_toward = Asn.Set.empty; trace_count = 0 }
 
 let decode r =
   (* Six fields of at least one byte per node, then its successor

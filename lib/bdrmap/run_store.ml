@@ -53,13 +53,6 @@ let fetch st ~key ~counter ~what decode =
     Obs.Metrics.incr (counter ^ ".misses");
     None
 
-(* [Marshal.from_string] can raise on an entry whose key namespace lied
-   about the layout. *)
-let unmarshal image ~pos ~len:_ =
-  match Marshal.from_string image pos with
-  | v -> Ok v
-  | exception _ -> Error Store.Corrupt
-
 let put st ~key ~counter encode =
   let bytes = Store.write st ~key encode in
   Obs.Metrics.incr (counter ^ ".writes");
@@ -94,11 +87,11 @@ let save ?epoch st ~world ~pps ~cfg ~vp (s : snapshot) =
       put st ~key ~counter:"store" (fun w -> encode w s))
 
 (* Frozen BGP snapshots persist as their own raw-byte codec
-   ([Bgp.Snapshot.to_bytes]) rather than [Marshal]: the packed arenas
-   dominate the size and round-trip as plain words, and the snapshot's
-   own header/digest then guards the payload a second time inside the
-   store entry. The codec version participates in the key, so a layout
-   change misses on key instead of decoding wrongly. *)
+   ([Bgp.Snapshot.to_bytes]): the packed arenas dominate the size and
+   round-trip as plain words, and the snapshot's own header/digest then
+   guards the payload a second time inside the store entry. The codec
+   version participates in the key, so a layout change misses on key
+   instead of decoding wrongly. *)
 let bgp_snapshot_key ?(epoch = "") ~(world : Gen.world) () =
   digest_key
     ( "bdrmap-bgp-snapshot",
@@ -125,14 +118,14 @@ let save_bgp_snapshot ?epoch st ~world s =
       put st ~key ~counter:"store.snapshot" (fun w ->
           Codec.put_raw w (Bytes.unsafe_to_string (Routing.Bgp.Snapshot.to_bytes s))))
 
-let memo st ~key ?vp ~what f =
+let memo st ~key ?vp ~what ~encode ~decode f =
   match
     Obs.Span.with_span ~stage:"store" ?vp (fun () ->
-        fetch st ~key ~counter:"store" ~what unmarshal)
+        fetch st ~key ~counter:"store" ~what (Codec.decode decode))
   with
   | Some v -> v
   | None ->
     let v = f () in
     Obs.Span.with_span ~stage:"store" ?vp (fun () ->
-        put st ~key ~counter:"store" (fun w -> Codec.put_raw w (Marshal.to_string v [])));
+        put st ~key ~counter:"store" (fun w -> encode w v));
     v

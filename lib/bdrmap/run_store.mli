@@ -14,9 +14,9 @@
 
     A run {!snapshot} is written with an explicit {!Store.Codec}
     encoding ({!encode}) and decoded in place from the entry's image;
-    {!memo}'s values are [Marshal]ed. The store's magic, version,
-    embedded key and payload digest guard the bytes, and the decoder
-    checks every count, index and set order behind them;
+    {!memo} takes its caller's codec the same way. The store's magic,
+    version, embedded key and payload digest guard the bytes, and the
+    decoder checks every count, index and set order behind them;
     {!snapshot_version} participates in every key, so a layout change
     here invalidates old entries instead of misreading them. Any
     malformed entry is logged via {!Obs.Log}, counted as a miss, and
@@ -90,9 +90,9 @@ val bgp_snapshot_key :
 (** [load_bgp_snapshot st ~world] returns the persisted packed routing
     snapshot for [world], or [None]. Snapshots are stored under a key
     covering the world parameters and the snapshot codec version, and
-    round-trip through {!Routing.Bgp.Snapshot.to_bytes} rather than
-    [Marshal] — the packed arenas are raw words, so future worker
-    {e processes} can load them without sharing the OCaml heap.
+    round-trip through {!Routing.Bgp.Snapshot.to_bytes} — the packed
+    arenas are raw words, so future worker {e processes} can load them
+    without sharing the OCaml heap.
     Counted under [store.snapshot.hits] / [store.snapshot.misses] /
     [store.snapshot.writes] (apart from the per-VP checkpoint
     counters, which stay one-entry-per-VP). *)
@@ -110,12 +110,21 @@ val save_bgp_snapshot :
   Routing.Bgp.snapshot ->
   unit
 
-(** [memo st ~key ?vp ~what f] returns the value cached under [key],
-    or computes [f ()], checkpoints it, and returns it. [what] names
-    the artifact in log lines; [key] must come from {!digest_key}. The
-    value must be plain marshalable data whose layout is covered by
-    [key]'s namespace string. *)
-val memo : Store.t -> key:string -> ?vp:string -> what:string -> (unit -> 'a) -> 'a
+(** [memo st ~key ?vp ~what ~encode ~decode f] returns the value
+    cached under [key], or computes [f ()], checkpoints it with
+    [encode], and returns it. [what] names the artifact in log lines;
+    [key] must come from {!digest_key}, with a namespace version that
+    changes whenever [encode]'s layout does. An entry [decode] rejects
+    is a miss, recomputed and rewritten. *)
+val memo :
+  Store.t ->
+  key:string ->
+  ?vp:string ->
+  what:string ->
+  encode:(Store.Codec.writer -> 'a -> unit) ->
+  decode:(Store.Codec.reader -> 'a) ->
+  (unit -> 'a) ->
+  'a
 
 (** [digest_key v] is the hex MD5 of [v]'s marshaled bytes: include a
     namespace string and a version in [v], plus everything the cached

@@ -63,14 +63,37 @@ let crossing_link env ~vp ~dst = crossing_link_via env env.fwd ~vp ~dst
 
 (* Per-VP cache key for a crossing-link sweep: the column is a pure
    function of the world (itself a pure function of [params]) and the
-   prefix list. Version lives in the namespace tuple; [Net.link] is
-   plain data, so the marshaled columns round-trip exactly. Note the
-   key does not depend on which experiment asks — fig14/15/16 share
-   identical sweeps, so the second and third experiment of even a cold
-   `experiments` invocation warm-start from the first one's entries. *)
+   prefix list. Version lives in the namespace tuple (2: the column
+   codec below). Note the key does not depend on which experiment
+   asks — fig14/15/16 share identical sweeps, so the second and third
+   experiment of even a cold `experiments` invocation warm-start from
+   the first one's entries. *)
 let crossing_key (w : Gen.world) prefixes (vp : Gen.vp) =
   Bdrmap.Run_store.digest_key
-    ("bdrmap-crossing", 1, w.Gen.params, prefixes, vp.Gen.vp_rid)
+    ("bdrmap-crossing", 2, w.Gen.params, prefixes, vp.Gen.vp_rid)
+
+module Codec = Store.Codec
+
+(* A column is a varint count, then one varint per prefix: 0 for no
+   crossing, else the link's id plus one. Ids resolve against the world
+   the key names, so decoded columns share its link records; an id past
+   its links, or naming a retired one, is corrupt. *)
+let encode_column w column =
+  Codec.put_list w
+    (fun w -> function
+      | None -> Codec.put_varint w 0
+      | Some (l : Net.link) -> Codec.put_varint w (l.Net.lid + 1))
+    column
+
+let decode_column (world : Gen.world) r =
+  Codec.list r ~min_bytes:1 (fun r ->
+      match Codec.varint r with
+      | 0 -> None
+      | i ->
+        Codec.check (i <= Net.link_count world.Gen.net);
+        let l = Net.link world.Gen.net (i - 1) in
+        Codec.check l.Net.live;
+        Some l)
 
 let crossing_links_by_vp ?pool ?store env prefixes =
   let w = env.world in
@@ -80,7 +103,8 @@ let crossing_links_by_vp ?pool ?store env prefixes =
     | Some st ->
       Bdrmap.Run_store.memo st
         ~key:(crossing_key w prefixes vp)
-        ~vp:vp.Gen.vp_name ~what:"crossing-links" f
+        ~vp:vp.Gen.vp_name ~what:"crossing-links" ~encode:encode_column
+        ~decode:(decode_column w) f
   in
   (* Every sweep attaches to the environment's snapshot and plan and
      walks its VPs' paths: in the calling domain without a pool, with

@@ -90,7 +90,9 @@ let index_ases net =
     p_loc.(rid) <- counts.(a);
     counts.(a) <- counts.(a) + 1
   done;
-  let p_members = Array.init (Asn.Tbl.length of_asn) (fun a -> Array.make counts.(a) 0) in
+  let p_members =
+    Store.Codec.array (Asn.Tbl.length of_asn) ~fill:[||] (fun a -> Array.make counts.(a) 0)
+  in
   for rid = 0 to n - 1 do
     p_members.(p_as.(rid)).(p_loc.(rid)) <- rid
   done;

@@ -2,9 +2,11 @@
    and a fuzz property over the three formats behind it (run-store
    entries, routing snapshots, border maps), with the snapshot's count
    words and trailer, and the run entry's and border map's payloads,
-   also mutated under a re-sealed digest. Every mutated image must
-   decode to Ok or a typed Error, never raise, and finish within a
-   bound on time and on the words it allocates. *)
+   also mutated under a re-sealed digest. The same property covers the
+   text decoders of outside input: the offload wire lines, JSON, and
+   trace lines. Every mutated image must decode to Ok or a typed
+   Error, never raise, and finish within a bound on time and on the
+   words it allocates. *)
 
 module E = Store.Envelope
 module S = Routing.Bgp.Snapshot
@@ -117,6 +119,77 @@ let images =
 
 let snapshot_fmt = { E.magic = "BDSN"; version = S.codec_version }
 
+(* Printer output of each text decoder; any [Error] counts as the
+   typed rejection. *)
+let texts =
+  lazy
+    (let module O = Probesim.Offload in
+     let module J = Obs.Json in
+     let text name decode bytes =
+       let decode s = Result.(map_error (fun _ -> E.Corrupt) (map ignore (decode s))) in
+       { name; bytes; decode }
+     in
+     let addr = Netcore.Ipv4.of_string_exn "10.1.2.3" in
+     let json =
+       J.Obj
+         [ ("schema", J.String "bdrmap-bench/11");
+           ("rows", J.List [ J.Obj [ ("v", J.Float 1.5e-7); ("n", J.Int (-42)) ]; J.Null ]);
+           ("ok", J.Bool true);
+           ("esc", J.String "q\"b\\s\n\001") ]
+     in
+     let trace =
+       Result.get_ok (Obs.Trace_reader.parse_line Test_trace_reader.span_line)
+     in
+     [| text "trace request" O.request_of_line
+          (O.request_to_line (O.Trace { flow = 3; dst = addr; ttl = 12 }));
+        text "ping request" O.request_of_line (O.request_to_line (O.Ping addr));
+        text "advance request" O.request_of_line (O.request_to_line (O.Advance 1.25));
+        text "reply" O.response_of_line
+          (O.response_to_line
+             (Some
+                { Probesim.Engine.src = addr; kind = Ttl_expired; ipid = 513; responder = 0 }));
+        text "no reply" O.response_of_line (O.response_to_line None);
+        text "json" J.parse (J.to_string json);
+        text "trace line" Obs.Trace_reader.parse_line (Obs.Trace_reader.render trace) |])
+
+(* A printed line cut, bit-flipped, spliced with another, or given a
+   run of one of its own substrings or of a token its grammar gives
+   meaning to. *)
+let mutate_text rng =
+  let imgs = Lazy.force texts in
+  let pick () = imgs.(Random.State.int rng (Array.length imgs)) in
+  let img = pick () in
+  let s = img.bytes in
+  let n = String.length s in
+  let cut = Random.State.int rng (n + 1) in
+  let before = String.sub s 0 cut and after = String.sub s cut (n - cut) in
+  match Random.State.int rng 5 with
+  | 0 -> (img, "text truncation", before)
+  | 1 ->
+    let b = Bytes.of_string s in
+    for _ = 0 to Random.State.int rng 4 do
+      let i = Random.State.int rng n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8)))
+    done;
+    (img, "text bit flips", Bytes.to_string b)
+  | 2 ->
+    let other = (pick ()).bytes in
+    let from = Random.State.int rng (String.length other + 1) in
+    (img, "text splice", before ^ String.sub other from (String.length other - from))
+  | 3 ->
+    let len = min (n - cut) (1 + Random.State.int rng 8) in
+    let sub = String.sub s cut len in
+    let run = String.concat "" (List.init (1 + Random.State.int rng 1000) (fun _ -> sub)) in
+    (img, "repeated substring", before ^ run ^ after)
+  | _ ->
+    let tokens =
+      [| "|"; "\""; "\\"; "\\u"; "["; "{"; "}"; ":"; ","; "-"; "1e999";
+         "99999999999999999999"; "0x"; "nan"; "\000"; "\255" |]
+    in
+    let tok = tokens.(Random.State.int rng (Array.length tokens)) in
+    let run = String.concat "" (List.init (1 + Random.State.int rng 64) (fun _ -> tok)) in
+    (img, "token run", before ^ run ^ after)
+
 (* Values a false length or count word takes: random, the 63-bit wrap
    points, all ones, and near misses of the true value. *)
 let false_word rng truth =
@@ -163,9 +236,8 @@ let trailer =
      assert (!off = String.length b);
      (start, rows, Array.of_list !counts))
 
-(* One seed picks a format and a mutation of its valid image. *)
-let mutate seed =
-  let rng = Random.State.make [| seed |] in
+(* A binary format and a mutation of its valid image. *)
+let mutate_binary rng =
   let imgs = Lazy.force images in
   let pick () = imgs.(Random.State.int rng (Array.length imgs)) in
   let img = pick () in
@@ -274,6 +346,12 @@ let mutate seed =
     E.seal snapshot_fmt b;
     (img, how, Bytes.to_string b)
 
+(* One seed picks a format and a mutation: a text line one time in
+   four. *)
+let mutate seed =
+  let rng = Random.State.make [| seed |] in
+  if Random.State.int rng 4 = 0 then mutate_text rng else mutate_binary rng
+
 let time_bound_s = 2.0
 
 (* Words a decode may allocate per byte of its image, plus a constant:
@@ -288,7 +366,7 @@ let words_const = 1 lsl 20
 let row_mutation how = how = "row past the count" || how = "inflated row count"
 
 let prop_envelope_fuzz =
-  QCheck.Test.make ~count:300 ~name:"envelope formats decode mutated images totally"
+  QCheck.Test.make ~count:400 ~name:"envelope and text formats decode mutated images totally"
     QCheck.(make ~print:(Printf.sprintf "seed %d") Gen.(int_bound 1_000_000_000))
     (fun seed ->
       let img, how, s = mutate seed in

@@ -309,6 +309,62 @@ let test_crossing_links_memo () =
             h;
           Alcotest.(check int) "warm: no misses" 0 m))
 
+(* The crossing column's codec on a corpus world: a warm sweep equals
+   the cold one and shares the world's link records. A truncated or
+   bit-flipped entry, and one whose digest holds but whose link id runs
+   past the world's links, each read as one miss and a recompute that
+   equals the cold sweep. *)
+let test_crossing_column_codec () =
+  let module X = Experiments.Exp_common in
+  let sc = List.hd Topogen.Corpus.all in
+  let env = X.make (sc.Topogen.Corpus.sc_params ~scale:0.1) in
+  let w = env.X.world in
+  let prefixes = X.external_prefixes env in
+  let nvps = List.length w.Gen.vps in
+  with_store (fun st ->
+      with_counters (fun () ->
+          let cold = X.crossing_links_by_vp ~store:st env prefixes in
+          Obs.Metrics.reset ();
+          let warm = X.crossing_links_by_vp ~store:st env prefixes in
+          let h, _, _ = counters () in
+          Alcotest.(check int) "warm: one hit per vp" nvps h;
+          Alcotest.(check bool) "warm = cold" true (warm = cold);
+          Alcotest.(check bool) "warm links are the world's" true
+            (List.for_all
+               (List.for_all (function
+                 | None -> true
+                 | Some (l : Topogen.Net.link) ->
+                   l == Topogen.Net.link w.Gen.net l.Topogen.Net.lid))
+               warm);
+          let key =
+            match Store.entries st with
+            | (key, _, _) :: _ -> key
+            | [] -> Alcotest.fail "no entry written"
+          in
+          let damaged name munge =
+            munge (entry_path st key);
+            Obs.Metrics.reset ();
+            let again = X.crossing_links_by_vp ~store:st env prefixes in
+            let h, m, wr = counters () in
+            Alcotest.(check bool) (name ^ ": recompute equals cold") true (again = cold);
+            Alcotest.(check int) (name ^ ": one miss") 1 m;
+            Alcotest.(check int) (name ^ ": other vps hit") (nvps - 1) h;
+            Alcotest.(check int) (name ^ ": entry rewritten") 1 wr
+          in
+          let edit f path = write_bytes path (f (read_bytes path)) in
+          damaged "truncated" (edit (fun s -> String.sub s 0 (String.length s - 2)));
+          damaged "bit flip"
+            (edit (fun s ->
+                 let b = Bytes.of_string s in
+                 let i = String.length s - 1 in
+                 Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+                 Bytes.to_string b));
+          damaged "link id past the world" (fun _ ->
+              ignore
+                (Store.write st ~key (fun wr ->
+                     Store.Codec.put_list wr Store.Codec.put_varint
+                       [ Topogen.Net.link_count w.Gen.net + 1 ])))))
+
 let test_key_sensitivity () =
   let w, inputs = Lazy.force tiny_env in
   let cfg = Bdrmap.Config.default ~vp_asns:inputs.Bdrmap.Pipeline.vp_asns in
@@ -535,6 +591,7 @@ let suite =
     Alcotest.test_case "corruption falls back to recompute" `Slow
       test_corruption_falls_back_to_recompute;
     Alcotest.test_case "crossing-links memo" `Slow test_crossing_links_memo;
+    Alcotest.test_case "crossing column codec" `Slow test_crossing_column_codec;
     Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
     Alcotest.test_case "old-version key misses" `Quick test_old_version_key_misses;
     Alcotest.test_case "run codec round trip by content" `Slow test_codec_roundtrip;
