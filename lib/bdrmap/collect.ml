@@ -35,6 +35,9 @@ let external_class ip2as addr =
   | Ip2as.External _ | Ip2as.Ixp _ -> true
   | Ip2as.Host | Ip2as.Unrouted | Ip2as.Reserved -> false
 
+let stop_entry ip2as t =
+  Option.map snd (List.find_opt (fun (_, a) -> external_class ip2as a) t.Trace.hops)
+
 (* Plain counters threaded through collection and flushed into the
    metrics registry once at the end of a run: the probing loops stay
    observability-free (an int incr, no branch on the obs state). *)
@@ -93,12 +96,7 @@ let trace_one (prober : Probesim.Prober.t) cfg ip2as stopset counts ~target_asn
   in
   let hops, closing, stopped = go 1 0 [] in
   let t = { Trace.dst; target_asn; hops; closing; stopped } in
-  (* Record the first external hop for the stop set. *)
-  (match
-     List.find_opt (fun (_, a) -> external_class ip2as a) t.Trace.hops
-   with
-  | Some (_, a) -> Stopset.add stopset target_asn a
-  | None -> ());
+  Option.iter (Stopset.add stopset target_asn) (stop_entry ip2as t);
   t
 
 (* The trace "sees the target": some external TTL-expired hop other than
@@ -325,13 +323,6 @@ let run eng cfg ip2as ~vp blocks =
   in
   flush_engine_stats eng before;
   r
-
-(* The oracle's probes are vantage-point independent (direct ping/udp),
-   so any VP works for the local binding. *)
-let alias_oracle eng cfg graph =
-  let w = Engine.world eng in
-  let vp = List.hd w.Gen.vps in
-  oracle_of_prober (Probesim.Prober.local eng ~vp) cfg graph
 
 (* {2 Codec}
 

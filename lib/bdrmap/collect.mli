@@ -22,23 +22,16 @@ type t = {
 
 val run : Engine.t -> Config.t -> Ip2as.t -> vp:Gen.vp -> Targets.block list -> t
 
+(** [stop_entry ip2as t] is the address [t] adds to its target AS's
+    doubletree stop set: its first external hop, if any. *)
+val stop_entry : Ip2as.t -> Trace.t -> Ipv4.t option
+
 (** [run_with prober cfg ip2as blocks] drives collection through an
     abstract prober — the local engine binding or the §5.8 offload
     channel ({!Probesim.Offload.remote}). [vp_name] labels the
     observability spans of this run, nothing else. *)
 val run_with :
   ?vp_name:string -> Probesim.Prober.t -> Config.t -> Ip2as.t -> Targets.block list -> t
-
-(** [alias_oracle engine cfg] is the combined Mercator + repeated-Ally
-    oracle used for candidate pairs and prefixscan, recording every
-    verdict into the supplied graph. *)
-val alias_oracle :
-  Engine.t ->
-  Config.t ->
-  Aliasres.Alias_graph.t ->
-  Ipv4.t ->
-  Ipv4.t ->
-  [ `Aliases | `Not_aliases | `Unknown ]
 
 (** [encode w t] writes a collection: its traces as {!Trace.encode}'s
     hop table and columns, then the alias union-find, the prefixscan

@@ -121,17 +121,20 @@ module Channel = struct
     mutable to_device : int;
     mutable to_controller : int;
     mutable msgs : int;
+    mutable peak : int;
   }
 
-  let create () = { to_device = 0; to_controller = 0; msgs = 0 }
+  let create () = { to_device = 0; to_controller = 0; msgs = 0; peak = 0 }
   let bytes_to_device t = t.to_device
   let bytes_to_controller t = t.to_controller
   let messages t = t.msgs
+  let max_round_bytes t = t.peak
 
   let note t req resp =
     t.to_device <- t.to_device + String.length req + 1;
     t.to_controller <- t.to_controller + String.length resp + 1;
-    t.msgs <- t.msgs + 1
+    t.msgs <- t.msgs + 1;
+    t.peak <- max t.peak (String.length req + String.length resp + 2)
 end
 
 let serve engine ~vp request_line =

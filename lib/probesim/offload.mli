@@ -42,6 +42,10 @@ module Channel : sig
 
   val bytes_to_controller : t -> int
   val messages : t -> int
+
+  (** The largest request plus response, newlines included, of one
+      round: all the synchronous channel ever holds on the device. *)
+  val max_round_bytes : t -> int
 end
 
 (** [serve channel engine ~vp request_line] is the device side: parse,

@@ -118,17 +118,30 @@ let test_runtime () =
     rows
 
 let test_resource () =
-  let t =
+  let run scale =
     match Experiments.Exp_resource.run ~scale () with
     | Ok t -> t
     | Error e -> Alcotest.fail (Experiments.Exp_resource.error_to_string e)
   in
+  let t = run scale in
   Alcotest.(check bool) "standalone exceeds whitebox" true
     (not t.standalone_fits_whitebox);
   Alcotest.(check bool) "split prober fits whitebox" true t.split_fits_whitebox;
   Alcotest.(check bool) "controller holds the state" true
-    (t.split.Probesim.Remote.controller_bytes
-    > 10 * t.split.Probesim.Remote.device_bytes)
+    (t.standalone_bytes > 10 * t.device_bytes);
+  (* A per-item size holds steady across scales only if no fixed-size
+     part of a structure leaks into it. *)
+  let rib_per_prefix (t : Experiments.Exp_resource.t) =
+    let s =
+      List.find (fun (s : Experiments.Exp_resource.share) -> s.name = "rib") t.shares
+    in
+    float_of_int s.bytes /. float_of_int s.items
+  in
+  let a = rib_per_prefix (run 0.1) and b = rib_per_prefix t in
+  Alcotest.(check bool)
+    (Printf.sprintf "RIB bytes per prefix steady (%.1f at 0.1, %.1f at %.2f)" a b scale)
+    true
+    (Float.abs (a -. b) < 0.1 *. Float.min a b)
 
 let test_ablation () =
   let t = Experiments.Exp_ablation.run ~scale () in

@@ -73,10 +73,18 @@ let test_offloaded_collection_equivalent () =
     (c, g, Bdrmap.Heuristics.infer cfg ip2as ~rels:inputs.Bdrmap.Pipeline.rels g c)
   in
   let engine1, inputs1 = mk () in
-  let _, _, local = collect (Probesim.Prober.local engine1 ~vp) inputs1 in
+  let c1, _, local = collect (Probesim.Prober.local engine1 ~vp) inputs1 in
   let engine2, inputs2 = mk () in
   let channel = Offload.Channel.create () in
   let c2, _, remote = collect (Offload.remote channel engine2 ~vp) inputs2 in
+  let encoded c =
+    let w = Store.Codec.writer 4096 in
+    Bdrmap.Collect.encode w c;
+    let b, n = Store.Codec.contents w in
+    Bytes.sub_string b 0 n
+  in
+  Alcotest.(check bool) "same collection bytes" true
+    (String.equal (encoded c1) (encoded c2));
   let key (l : Bdrmap.Heuristics.border_link) =
     (l.neighbor, Bdrmap.Heuristics.tag_label l.tag)
   in
