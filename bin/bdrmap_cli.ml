@@ -402,8 +402,24 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
             (Bdrmap.Output.links_to_lines r.graph r.inference)
       end)
 
-(* infer: re-run inference over a previously saved collection. *)
+(* infer: re-run inference over a previously saved collection. An
+   unreadable or malformed collection exits 1 before any run state or
+   manifest exists, as the obs subcommands do. *)
 let infer (scenario_name, scenario) scale seed collection_file obs =
+  let c =
+    match
+      Result.bind
+        (try Ok (In_channel.with_open_text collection_file In_channel.input_all)
+         with Sys_error e -> Error e)
+        (fun text ->
+          Result.map_error (( ^ ) (collection_file ^ ": "))
+            (Bdrmap.Output.collection_of_lines (String.split_on_char '\n' text)))
+    with
+    | Ok c -> c
+    | Error e ->
+      prerr_endline ("infer: " ^ e);
+      exit 1
+  in
   let config =
     config_string ~command:"infer" ~scenario:scenario_name ~scale ~seed ~jobs:1
       [ ("collection", collection_file) ]
@@ -411,29 +427,16 @@ let infer (scenario_name, scenario) scale seed collection_file obs =
   with_obs obs ~command:"infer" ~scale ~jobs:1 ?seed ~config (fun () ->
       let params = params_of scenario scale seed in
       let _world, _, inputs = setup_env params in
-      let ic = open_in collection_file in
-      let lines = ref [] in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            while true do
-              lines := input_line ic :: !lines
-            done
-          with End_of_file -> ());
-      match Bdrmap.Output.collection_of_lines (List.rev !lines) with
-      | Error e -> prerr_endline e
-      | Ok c ->
-        let cfg = Bdrmap.Config.default ~vp_asns:inputs.vp_asns in
-        let ip2as =
-          Bdrmap.Ip2as.create ~rib:inputs.rib ~ixp:inputs.ixp
-            ~delegations:inputs.delegations ~vp_asns:inputs.vp_asns
-        in
-        let g = Bdrmap.Rgraph.build c in
-        let inf = Bdrmap.Heuristics.infer cfg ip2as ~rels:inputs.rels g c in
-        List.iter print_endline (Bdrmap.Output.links_to_lines g inf);
-        Printf.printf "# %d links from %d traces\n" (List.length inf.links)
-          (List.length c.traces))
+      let cfg = Bdrmap.Config.default ~vp_asns:inputs.vp_asns in
+      let ip2as =
+        Bdrmap.Ip2as.create ~rib:inputs.rib ~ixp:inputs.ixp
+          ~delegations:inputs.delegations ~vp_asns:inputs.vp_asns
+      in
+      let g = Bdrmap.Rgraph.build c in
+      let inf = Bdrmap.Heuristics.infer cfg ip2as ~rels:inputs.rels g c in
+      List.iter print_endline (Bdrmap.Output.links_to_lines g inf);
+      Printf.printf "# %d links from %d traces\n" (List.length inf.links)
+        (List.length c.traces))
 
 (* experiments: regenerate the paper's tables and figures. Names are
    validated at parse time against this list (keep it in sync with
@@ -768,7 +771,7 @@ let infer_cmd =
   let collection_arg =
     Arg.(
       required
-      & opt (some file) None
+      & opt (some string) None
       & info [ "collection" ] ~docv:"FILE" ~doc:"Saved collection file.")
   in
   Cmd.v

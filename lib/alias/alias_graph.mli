@@ -1,49 +1,66 @@
-(** Accumulates alias evidence and produces routers by transitive
-    closure, honouring the paper's guard (§5.3 "Build router-level
-    graph"): two addresses are only merged when no measurement suggested
-    the pair is not aliases — a negative result blocks the union even if
-    positive evidence arrived first or arrives later. *)
+(** Alias groups (§5.3 "Build router-level graph"). While probing runs,
+    {!Uf} accumulates evidence and produces routers by transitive
+    closure, honouring the paper's guard: two addresses are only merged
+    when no measurement suggested the pair is not aliases — a negative
+    result blocks the union even if positive evidence arrived first or
+    arrives later. When collection ends, {!freeze} turns the groups into
+    the run's address table, the only address index a run keeps. *)
 
 open Netcore
 
+(** The union-find used while probing, with per-group vetoes. *)
+module Uf : sig
+  type t
+
+  val create : unit -> t
+
+  (** [add_alias t a b] records positive evidence. The union is applied
+      unless a negative constraint exists between the two groups. *)
+  val add_alias : t -> Ipv4.t -> Ipv4.t -> unit
+
+  (** [add_not_alias t a b] records negative evidence; it retroactively
+      never splits groups, so drivers must record negatives before the
+      positives they should veto (bdrmap's repeated-Ally discipline). *)
+  val add_not_alias : t -> Ipv4.t -> Ipv4.t -> unit
+
+  (** [same_router t a b] is true when the addresses are currently merged. *)
+  val same_router : t -> Ipv4.t -> Ipv4.t -> bool
+
+  (** [vetoed t a b] is true when a negative constraint connects the two
+      groups. *)
+  val vetoed : t -> Ipv4.t -> Ipv4.t -> bool
+end
+
+(** A frozen address table: addresses in ascending order, each with its
+    alias-group id and whether a trace hop observed it. Group ids count
+    groups in order of their least address. *)
 type t
 
-val create : unit -> t
+(** [freeze uf ~observed ~named] is the table of [uf]'s addresses, the
+    [observed] ones (trace hops) and the [named] ones (mates), grouped
+    as [uf] groups them. *)
+val freeze : Uf.t -> observed:Ipv4.t list -> named:Ipv4.t list -> t
 
-(** [add_alias t a b] records positive evidence. The union is applied
-    unless a negative constraint exists between the two groups. *)
-val add_alias : t -> Ipv4.t -> Ipv4.t -> unit
+(** [group_count t] is the number of groups; ids run from 0. *)
+val group_count : t -> int
 
-(** [add_not_alias t a b] records negative evidence; it retroactively
-    never splits groups, so drivers must record negatives before the
-    positives they should veto (bdrmap's repeated-Ally discipline). *)
-val add_not_alias : t -> Ipv4.t -> Ipv4.t -> unit
+(** [group_of t a] is [a]'s group id, or [-1] when [t] lacks [a]. *)
+val group_of : t -> Ipv4.t -> int
 
-(** [same_router t a b] is true when the addresses are currently merged. *)
+(** [iter t f] calls [f a g observed] on every address [a] of [t] in
+    ascending order, with its group id and observed bit. *)
+val iter : t -> (Ipv4.t -> int -> bool -> unit) -> unit
+
+(** [same_router t a b] is true when [a] and [b] are one address or one
+    group of [t]. *)
 val same_router : t -> Ipv4.t -> Ipv4.t -> bool
 
-(** [vetoed t a b] is true when a negative constraint connects the two
-    groups. *)
-val vetoed : t -> Ipv4.t -> Ipv4.t -> bool
-
-(** A snapshot of the current alias sets, bucketed once: each lookup
-    is a union-find [find] plus one table probe. Evidence added after
-    [index] is not reflected. *)
-type index
-
-val index : t -> index
-
-(** [group idx a] is the sorted alias set containing [a] (a singleton
-    when [a] was never mentioned). *)
-val group : index -> Ipv4.t -> Ipv4.t list
-
-(** [groups t] is the list of alias sets (routers), each sorted, only
-    for addresses ever mentioned. *)
+(** [groups t] is every group of [t] (routers, singletons included),
+    each sorted, in ascending order. *)
 val groups : t -> Ipv4.t list list
 
-(** [encode w t] writes the union-find's members and its parent, rank
-    and conflict tables as bindings sorted by address. *)
 val encode : Store.Codec.writer -> t -> unit
 
-(** [decode r] reads what {!encode} wrote. *)
+(** [decode r] reads what {!encode} wrote. Addresses that do not ascend
+    strictly, or group ids not numbered by least address, are rejected. *)
 val decode : Store.Codec.reader -> t

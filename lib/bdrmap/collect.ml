@@ -30,6 +30,11 @@ module Stopset = struct
     Hashtbl.replace t asn (Ipv4.Set.add addr cur)
 end
 
+let freeze uf traces mates =
+  Ag.freeze uf
+    ~observed:(List.concat_map Trace.hop_addrs traces)
+    ~named:(List.map (fun (_, _, m) -> m) mates)
+
 let external_class ip2as addr =
   match Ip2as.classify ip2as addr with
   | Ip2as.External _ | Ip2as.Ixp _ -> true
@@ -135,10 +140,10 @@ let gather_traces prober cfg ip2as counts blocks =
     (Targets.by_asn blocks);
   (List.rev !traces, !hits)
 
-let oracle_of_prober (prober : Probesim.Prober.t) cfg graph a b =
+let oracle_of_prober (prober : Probesim.Prober.t) cfg uf a b =
   if Ipv4.equal a b then `Aliases
-  else if Ag.same_router graph a b then `Aliases
-  else if Ag.vetoed graph a b then `Not_aliases
+  else if Ag.Uf.same_router uf a b then `Aliases
+  else if Ag.Uf.vetoed uf a b then `Not_aliases
   else begin
     let udp addr =
       Option.map (fun r -> r.Engine.src) (prober.Probesim.Prober.udp_probe ~dst:addr)
@@ -146,10 +151,10 @@ let oracle_of_prober (prober : Probesim.Prober.t) cfg graph a b =
     let merc = Aliasres.Mercator.test udp a b in
     match merc with
     | Aliasres.Mercator.Aliases ->
-      Ag.add_alias graph a b;
+      Ag.Uf.add_alias uf a b;
       `Aliases
     | Aliasres.Mercator.Not_aliases ->
-      Ag.add_not_alias graph a b;
+      Ag.Uf.add_not_alias uf a b;
       `Not_aliases
     | Aliasres.Mercator.Unresponsive -> (
       let sampler addr =
@@ -165,10 +170,10 @@ let oracle_of_prober (prober : Probesim.Prober.t) cfg graph a b =
             ~samples:cfg.Config.ally_samples
       with
       | Aliasres.Ally.Aliases ->
-        Ag.add_alias graph a b;
+        Ag.Uf.add_alias uf a b;
         `Aliases
       | Aliasres.Ally.Not_aliases ->
-        Ag.add_not_alias graph a b;
+        Ag.Uf.add_not_alias uf a b;
         `Not_aliases
       | Aliasres.Ally.Unresponsive -> `Unknown)
   end
@@ -228,10 +233,10 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
         gather_traces prober cfg ip2as counts blocks)
   in
   Probesim.Scheduler.note sched Probesim.Scheduler.Traceroute (count () - p0);
-  let graph = Ag.create () in
-  let oracle = oracle_of_prober prober cfg graph in
+  let uf = Ag.Uf.create () in
+  let oracle = oracle_of_prober prober cfg uf in
   let mates = ref [] in
-  let pairs =
+  let pairs, mates, aliases =
     Obs.Span.with_span ~stage:"alias" ?vp:vp_name ~sim (fun () ->
         (* Prefixscan over consecutive hop pairs. *)
         let p1 = count () in
@@ -247,7 +252,7 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
                     match Aliasres.Prefixscan.scan oracle ~prev ~hop with
                     | Some r ->
                       if not (Ipv4.equal r.Aliasres.Prefixscan.mate prev) then
-                        Ag.add_alias graph r.Aliasres.Prefixscan.mate prev;
+                        Ag.Uf.add_alias uf r.Aliasres.Prefixscan.mate prev;
                       mates := (prev, hop, r.Aliasres.Prefixscan.mate) :: !mates
                     | None -> ()
                   end)
@@ -259,7 +264,8 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
         let pairs = candidate_pairs cfg traces in
         List.iter (fun (a, b) -> ignore (oracle a b)) pairs;
         Probesim.Scheduler.note sched Probesim.Scheduler.Alias (count () - p2);
-        pairs)
+        let mates = List.rev !mates in
+        (pairs, mates, freeze uf traces mates))
   in
   (* Closing replies whose source maps outside the host: §5.4.8 input. *)
   let other_icmp =
@@ -274,7 +280,7 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
     Obs.Metrics.add "collect.traces" (List.length traces);
     Obs.Metrics.add "collect.stopset_hits" stopset_hits;
     Obs.Metrics.add "collect.alias_pairs" (List.length pairs);
-    Obs.Metrics.add "collect.mates" (List.length !mates);
+    Obs.Metrics.add "collect.mates" (List.length mates);
     Obs.Metrics.add "collect.replies" counts.replies;
     Obs.Metrics.add "collect.retries" counts.retries;
     Obs.Metrics.add "collect.probes.traceroute"
@@ -284,7 +290,7 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
     Obs.Metrics.add "collect.probes.alias"
       (Probesim.Scheduler.count sched Probesim.Scheduler.Alias)
   end;
-  { traces; aliases = graph; mates = List.rev !mates; other_icmp; sched;
+  { traces; aliases; mates; other_icmp; sched;
     stopset_hits; alias_pairs_tested = List.length pairs }
 
 (* Flush the engine's cache counters and the fault layer's gate counters
@@ -326,7 +332,7 @@ let run eng cfg ip2as ~vp blocks =
 
 (* {2 Codec}
 
-   collection := traces ({!Trace.encode}) | aliases ({!Ag.encode})
+   collection := traces ({!Trace.encode}) | address table ({!Ag.encode})
                | mates (count, then prev u32, hop u32, mate u32)
                | other_icmp (count, then asn varint, addr u32)
                | sched | stopset_hits varint | alias_pairs_tested varint *)

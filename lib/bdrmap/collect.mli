@@ -9,7 +9,7 @@ module Gen = Topogen.Gen
 
 type t = {
   traces : Trace.t list;
-  aliases : Aliasres.Alias_graph.t;
+  aliases : Aliasres.Alias_graph.t;  (* frozen when collection ends *)
   (* (prev, hop, mate): prefixscan confirmed [hop] is an inbound
      interface whose subnet mate [mate] is an alias of [prev]. *)
   mates : (Ipv4.t * Ipv4.t * Ipv4.t) list;
@@ -21,6 +21,14 @@ type t = {
 }
 
 val run : Engine.t -> Config.t -> Ip2as.t -> vp:Gen.vp -> Targets.block list -> t
+
+(** [freeze uf traces mates] is a collection's address table: [uf]'s
+    groups over its hop (observed) and mate addresses. *)
+val freeze :
+  Aliasres.Alias_graph.Uf.t ->
+  Trace.t list ->
+  (Ipv4.t * Ipv4.t * Ipv4.t) list ->
+  Aliasres.Alias_graph.t
 
 (** [stop_entry ip2as t] is the address [t] adds to its target AS's
     doubletree stop set: its first external hop, if any. *)
@@ -34,7 +42,7 @@ val run_with :
   ?vp_name:string -> Probesim.Prober.t -> Config.t -> Ip2as.t -> Targets.block list -> t
 
 (** [encode w t] writes a collection: its traces as {!Trace.encode}'s
-    hop table and columns, then the alias union-find, the prefixscan
+    hop table and columns, then the address table, the prefixscan
     mates, the other-ICMP replies, the probe counts and counters. *)
 val encode : Store.Codec.writer -> t -> unit
 

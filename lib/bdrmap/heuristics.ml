@@ -15,6 +15,11 @@ type tag =
   | T8_silent
   | T8_other_icmp
 
+let all_tags =
+  [| T1_multihomed; T2_firewall; T3_unrouted; T4_onenet; T5_third_party;
+     T5_relationship; T5_missing_customer; T5_hidden_peer; T6_count; T6_ipas;
+     T8_silent; T8_other_icmp |]
+
 let tag_label = function
   | T1_multihomed -> "1. Multihomed to VP"
   | T2_firewall -> "2. Firewall"
@@ -612,7 +617,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
    result := routers (count, then node id varint | owner | merged_from
              (varint list))
            | links (count, then near | far (0, or 1 and a node id) |
-             neighbor varint | tag byte)
+             neighbor varint | tag byte, its index in [all_tags])
            | nextas_used varint
    owner := 0 host | 1 unknown | 2, then asn varint and tag byte
 
@@ -621,19 +626,14 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
 
 module Codec = Store.Codec
 
-let tags =
-  [| T1_multihomed; T2_firewall; T3_unrouted; T4_onenet; T5_third_party;
-     T5_relationship; T5_missing_customer; T5_hidden_peer; T6_count; T6_ipas;
-     T8_silent; T8_other_icmp |]
-
 let encode_tag w tag =
-  let rec go i = if tags.(i) = tag then i else go (i + 1) in
+  let rec go i = if all_tags.(i) = tag then i else go (i + 1) in
   Codec.put_u8 w (go 0)
 
 let decode_tag r =
   let i = Codec.u8 r in
-  if i >= Array.length tags then Codec.fail ();
-  tags.(i)
+  if i >= Array.length all_tags then Codec.fail ();
+  all_tags.(i)
 
 let encode w res =
   let put_id_opt w = function

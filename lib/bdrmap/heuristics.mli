@@ -33,6 +33,10 @@ type tag =
   | T8_silent
   | T8_other_icmp
 
+(** [all_tags] is every tag once, in Table 1 order; a tag's index here
+    is its byte in the run-store codec. *)
+val all_tags : tag array
+
 val tag_label : tag -> string
 
 (** [tag_slug tag] is the stable machine-readable name used in metric

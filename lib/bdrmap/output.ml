@@ -14,20 +14,7 @@ let tag_slug = function
   | Heuristics.T8_silent -> "silent"
   | Heuristics.T8_other_icmp -> "othericmp"
 
-let tag_of_slug = function
-  | "multihomed" -> Some Heuristics.T1_multihomed
-  | "firewall" -> Some Heuristics.T2_firewall
-  | "unrouted" -> Some Heuristics.T3_unrouted
-  | "onenet" -> Some Heuristics.T4_onenet
-  | "thirdparty" -> Some Heuristics.T5_third_party
-  | "relationship" -> Some Heuristics.T5_relationship
-  | "missingcust" -> Some Heuristics.T5_missing_customer
-  | "hiddenpeer" -> Some Heuristics.T5_hidden_peer
-  | "count" -> Some Heuristics.T6_count
-  | "ipas" -> Some Heuristics.T6_ipas
-  | "silent" -> Some Heuristics.T8_silent
-  | "othericmp" -> Some Heuristics.T8_other_icmp
-  | _ -> None
+let tag_of_slug s = Array.find_opt (fun tag -> tag_slug tag = s) Heuristics.all_tags
 
 let closing_str = function
   | Trace.Nothing -> "-"
@@ -74,7 +61,8 @@ let trace_of_fields dst asn stopped hops closing =
 let collection_to_lines (c : Collect.t) =
   let traces = List.map trace_to_line c.Collect.traces in
   let pairs =
-    (* Reconstructible evidence: group membership plus vetoes. *)
+    (* Group membership, one line per member past the least: hop and
+       mate singletons come back from the trace and mate lines. *)
     List.concat_map
       (fun group ->
         match group with
@@ -102,16 +90,17 @@ let collection_to_lines (c : Collect.t) =
 
 let collection_of_lines lines =
   let traces = ref [] in
-  let aliases = Aliasres.Alias_graph.create () in
+  let uf = Aliasres.Alias_graph.Uf.create () in
   let mates = ref [] in
   let icmp = ref [] in
   let err line = Error (Printf.sprintf "bad collection line %S" line) in
   let rec go = function
     | [] ->
+      let traces = List.rev !traces and mates = List.rev !mates in
       Ok
-        { Collect.traces = List.rev !traces;
-          aliases;
-          mates = List.rev !mates;
+        { Collect.traces;
+          aliases = Collect.freeze uf traces mates;
+          mates;
           other_icmp = List.rev !icmp;
           sched = Probesim.Scheduler.create ~pps:100.0;
           stopset_hits = 0;
@@ -130,13 +119,7 @@ let collection_of_lines lines =
         | [ "alias"; a; b ] -> (
           match (Ipv4.of_string a, Ipv4.of_string b) with
           | Some a, Some b ->
-            Aliasres.Alias_graph.add_alias aliases a b;
-            go rest
-          | _ -> err line)
-        | [ "notalias"; a; b ] -> (
-          match (Ipv4.of_string a, Ipv4.of_string b) with
-          | Some a, Some b ->
-            Aliasres.Alias_graph.add_not_alias aliases a b;
+            Aliasres.Alias_graph.Uf.add_alias uf a b;
             go rest
           | _ -> err line)
         | [ "mate"; p; h; m ] -> (

@@ -6,7 +6,7 @@
     Collection format, one record per line:
     {v trace|<dst>|<target asn>|<stopped:0/1>|<ttl>:<addr>,...|<closing> v}
     where closing is [-], [echo:<addr>] or [unreach:<addr>];
-    {v alias|<a>|<b> v} / {v notalias|<a>|<b> v} — alias verdicts;
+    {v alias|<a>|<b> v} — [b] is in [a]'s alias group;
     {v mate|<prev>|<hop>|<mate> v} — prefixscan confirmations;
     {v icmp|<asn>|<addr> v} — closing replies for §5.4.8.
 
@@ -19,9 +19,9 @@ val tag_of_slug : string -> Heuristics.tag option
 
 val collection_to_lines : Collect.t -> string list
 
-(** [collection_of_lines lines] rebuilds a collection; scheduler counters
-    and probe statistics are not carried by the format and reset to
-    zero. *)
+(** [collection_of_lines lines] rebuilds a collection, its address
+    table frozen from the parsed lines; scheduler counters and probe
+    statistics are not carried by the format and reset to zero. *)
 val collection_of_lines : string list -> (Collect.t, string) result
 
 type link_record = {

@@ -3,12 +3,6 @@ module B = Bgpdata
 
 type cls = Cust | Peer | Prov | Trace
 
-let cls_label = function
-  | Cust -> "cust"
-  | Peer -> "peer"
-  | Prov -> "prov"
-  | Trace -> "trace"
-
 let all_classes = [ Cust; Peer; Prov; Trace ]
 
 type t = {
@@ -18,12 +12,6 @@ type t = {
   heuristic_share : (Heuristics.tag * (cls * float) list) list;
   neighbor_routers : (cls * int) list;
 }
-
-let all_tags =
-  [ Heuristics.T1_multihomed; Heuristics.T2_firewall; Heuristics.T3_unrouted;
-    Heuristics.T4_onenet; Heuristics.T5_third_party; Heuristics.T5_relationship;
-    Heuristics.T5_missing_customer; Heuristics.T5_hidden_peer; Heuristics.T6_count;
-    Heuristics.T6_ipas; Heuristics.T8_silent; Heuristics.T8_other_icmp ]
 
 let class_of_neighbor ~rels ~vp_asns asn =
   let rel =
@@ -131,7 +119,7 @@ let table1 ~rels ~vp_asns (r : Heuristics.result) =
               ( c,
                 if total = 0 then 0.0 else 100.0 *. float_of_int k /. float_of_int total ))
             all_classes ))
-      all_tags
+      (Array.to_list Heuristics.all_tags)
   in
   { observed_in_bgp; observed_in_bdrmap; coverage_pct; heuristic_share; neighbor_routers }
 

@@ -6,8 +6,6 @@ open Netcore
 
 type cls = Cust | Peer | Prov | Trace
 
-val cls_label : cls -> string
-
 type t = {
   observed_in_bgp : (cls * int) list;  (** neighbors per class in public BGP *)
   observed_in_bdrmap : (cls * int) list;  (** of those, seen by bdrmap *)

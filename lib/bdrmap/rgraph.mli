@@ -17,6 +17,9 @@ type node = {
 
 type t
 
+(** [build c] makes one node per alias group of [c]'s address table
+    that holds an observed or a mate address; its [addrs] and
+    [extra_addrs] are the group's members, split by the observed bit. *)
 val build : Collect.t -> t
 
 val nodes : t -> node list
@@ -26,7 +29,8 @@ val node_count : t -> int
 
 val node : t -> int -> node
 
-(** [node_of_addr t a] is the node whose group contains [a]. *)
+(** [node_of_addr t a] is the node whose alias group contains [a]: one
+    lookup in the collection's address table. *)
 val node_of_addr : t -> Ipv4.t -> node option
 
 (** [succs t n] / [preds t n] are graph neighbors in path order. *)
@@ -51,11 +55,13 @@ module Asn_set : sig
   val get : Store.Codec.reader -> min_bytes:int -> (Store.Codec.reader -> int) -> Asn.Set.t
 end
 
-(** [encode w t] writes every node's sets and counts in id order and
-    its successor ids. *)
+(** [encode w t] writes every node's hop distance, target-AS sets and
+    trace count in id order, and its successor ids; no addresses. *)
 val encode : Store.Codec.writer -> t -> unit
 
-(** [decode r] reads what {!encode} wrote, deriving the address index
-    and the predecessor sets. Two nodes claiming one address, or a
-    successor id past the node count, are rejected. *)
-val decode : Store.Codec.reader -> t
+(** [decode c r] reads what {!encode} wrote for the graph of [c]: the
+    nodes and their addresses come from [c]'s address table, as in
+    {!build}, and the predecessor sets from the successors. A node
+    count unlike the table's, or a successor id past it, is
+    rejected. *)
+val decode : Collect.t -> Store.Codec.reader -> t

@@ -1,8 +1,10 @@
 module Gen = Topogen.Gen
 module Codec = Store.Codec
 
-(* v4: an explicit codec in place of a marshaled record. *)
-let snapshot_version = 4
+(* v4: an explicit codec in place of a marshaled record. v5: the
+   collection's address table in place of the alias union-find; the
+   graph section holds no addresses. *)
+let snapshot_version = 5
 
 type snapshot = {
   collection : Collect.t;
@@ -70,7 +72,7 @@ let encode w s =
 
 let decode r =
   let collection = Collect.decode r in
-  let graph = Rgraph.decode r in
+  let graph = Rgraph.decode collection r in
   let inference = Heuristics.decode graph r in
   let probes = Codec.varint r in
   let cache = Probesim.Engine.decode_cache_stats r in

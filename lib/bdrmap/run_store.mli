@@ -39,8 +39,9 @@ type snapshot = {
     the probe count and the path-memo counters. *)
 val encode : Store.Codec.writer -> snapshot -> unit
 
-(** [decode r] reads what {!encode} wrote; the inference shares the
-    decoded graph's node records. *)
+(** [decode r] reads what {!encode} wrote; the graph takes its nodes
+    from the decoded collection's address table, and the inference
+    shares the decoded graph's node records. *)
 val decode : Store.Codec.reader -> snapshot
 
 (** [?epoch] is the topology epoch's chained event-log digest

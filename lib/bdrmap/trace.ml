@@ -20,20 +20,6 @@ let pairs t =
   in
   go t.hops
 
-let last_hop t =
-  match List.rev t.hops with
-  | [] -> None
-  | (_, a) :: _ -> Some a
-
-let pp ppf t =
-  Format.fprintf ppf "%s>" (Ipv4.to_string t.dst);
-  List.iter (fun (ttl, a) -> Format.fprintf ppf " %d:%s" ttl (Ipv4.to_string a)) t.hops;
-  (match t.closing with
-  | Echo a -> Format.fprintf ppf " echo:%s" (Ipv4.to_string a)
-  | Unreach a -> Format.fprintf ppf " unreach:%s" (Ipv4.to_string a)
-  | Nothing -> ());
-  if t.stopped then Format.fprintf ppf " [stop]"
-
 (* {2 Codec}
 
    traces := hop table | list table | n | dst column (u32s)

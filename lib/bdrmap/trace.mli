@@ -20,9 +20,6 @@ val hop_addrs : t -> Ipv4.t list
     whether unresponsive hops sat between them. *)
 val pairs : t -> (Ipv4.t * Ipv4.t * bool) list
 
-val last_hop : t -> Ipv4.t option
-val pp : Format.formatter -> t -> unit
-
 (** [encode w traces] writes [traces] as a table of the distinct
     (ttl, address) hops, a table of the distinct hop-list suffixes
     over it, and per-trace columns that name each hop list by id. *)

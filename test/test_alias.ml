@@ -148,36 +148,52 @@ let test_prefixscan_direct_mate () =
   | Some r -> Alcotest.(check string) "mate is prev" "10.0.0.8" (Ipv4.to_string r.Prefixscan.mate)
   | None -> Alcotest.fail "expected direct mate"
 
+let freeze g = Ag.freeze g ~observed:[] ~named:[]
+
 let test_graph_closure () =
-  let g = Ag.create () in
-  Ag.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
-  Ag.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
-  Alcotest.(check bool) "transitive" true (Ag.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
-  Alcotest.(check (list string)) "one group of three"
-    [ "10.0.0.1"; "10.0.0.2"; "10.0.0.3" ]
-    (List.map Ipv4.to_string (Ag.group (Ag.index g) (ip "10.0.0.1")))
+  let g = Ag.Uf.create () in
+  Ag.Uf.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
+  Ag.Uf.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
+  Alcotest.(check bool) "transitive" true (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
+  Alcotest.(check (list (list string))) "one group of three"
+    [ [ "10.0.0.1"; "10.0.0.2"; "10.0.0.3" ] ]
+    (List.map (List.map Ipv4.to_string) (Ag.groups (freeze g)))
 
 let test_graph_negative_veto () =
-  let g = Ag.create () in
-  Ag.add_not_alias g (ip "10.0.0.1") (ip "10.0.0.3");
-  Ag.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
+  let g = Ag.Uf.create () in
+  Ag.Uf.add_not_alias g (ip "10.0.0.1") (ip "10.0.0.3");
+  Ag.Uf.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
   (* Positive evidence 2~3 would transitively merge 1 and 3 which is
      vetoed; the union must be refused. *)
-  Ag.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
+  Ag.Uf.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
   Alcotest.(check bool) "veto blocks merge" false
-    (Ag.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
+    (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
   Alcotest.(check bool) "first merge survived" true
-    (Ag.same_router g (ip "10.0.0.1") (ip "10.0.0.2"))
+    (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.2"));
+  Alcotest.(check bool) "the frozen table keeps both" true
+    (let t = freeze g in
+     Ag.same_router t (ip "10.0.0.1") (ip "10.0.0.2")
+     && not (Ag.same_router t (ip "10.0.0.1") (ip "10.0.0.3")))
 
 let test_graph_groups () =
-  let g = Ag.create () in
-  Ag.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
-  Ag.add_alias g (ip "10.0.1.1") (ip "10.0.1.2");
-  Ag.add_not_alias g (ip "10.0.2.1") (ip "10.0.0.1");
-  let groups = Ag.groups g in
+  let g = Ag.Uf.create () in
+  Ag.Uf.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
+  Ag.Uf.add_alias g (ip "10.0.1.1") (ip "10.0.1.2");
+  Ag.Uf.add_not_alias g (ip "10.0.2.1") (ip "10.0.0.1");
+  let groups = Ag.groups (freeze g) in
   Alcotest.(check int) "three groups" 3 (List.length groups);
   Alcotest.(check bool) "sizes" true
-    (List.sort compare (List.map List.length groups) = [ 1; 2; 2 ])
+    (List.sort compare (List.map List.length groups) = [ 1; 2; 2 ]);
+  (* A hop or mate address the evidence never named is a singleton. *)
+  let t = Ag.freeze g ~observed:[ ip "10.0.0.2"; ip "10.0.3.1" ] ~named:[ ip "10.0.3.9" ] in
+  Alcotest.(check int) "five groups" 5 (List.length (Ag.groups t));
+  let bits = ref [] in
+  Ag.iter t (fun a _ observed -> bits := (Ipv4.to_string a, observed) :: !bits);
+  Alcotest.(check (list (pair string bool))) "ascending, with observed bits"
+    [ ("10.0.0.1", false); ("10.0.0.2", true); ("10.0.1.1", false); ("10.0.1.2", false);
+      ("10.0.2.1", false); ("10.0.3.1", true); ("10.0.3.9", false) ]
+    (List.rev !bits);
+  Alcotest.(check int) "an absent address" (-1) (Ag.group_of t (ip "10.0.4.1"))
 
 let suite =
   [ Alcotest.test_case "monotonic test" `Quick test_monotonic;

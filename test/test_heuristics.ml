@@ -46,12 +46,13 @@ let trace ?(closing = Bdrmap.Trace.Nothing) ~target dst hops =
 
 let collection ?(aliases = []) ?(not_aliases = []) ?(mates = []) ?(other_icmp = [])
     traces =
-  let g = Aliasres.Alias_graph.create () in
-  List.iter (fun (a, b) -> Aliasres.Alias_graph.add_not_alias g (ip a) (ip b)) not_aliases;
-  List.iter (fun (a, b) -> Aliasres.Alias_graph.add_alias g (ip a) (ip b)) aliases;
+  let g = Aliasres.Alias_graph.Uf.create () in
+  List.iter (fun (a, b) -> Aliasres.Alias_graph.Uf.add_not_alias g (ip a) (ip b)) not_aliases;
+  List.iter (fun (a, b) -> Aliasres.Alias_graph.Uf.add_alias g (ip a) (ip b)) aliases;
+  let mates = List.map (fun (p, h, m) -> (ip p, ip h, ip m)) mates in
   { Bdrmap.Collect.traces;
-    aliases = g;
-    mates = List.map (fun (p, h, m) -> (ip p, ip h, ip m)) mates;
+    aliases = Bdrmap.Collect.freeze g traces mates;
+    mates;
     other_icmp = List.map (fun (asn, a) -> (asn, ip a)) other_icmp;
     sched = Probesim.Scheduler.create ~pps:100.0;
     stopset_hits = 0;

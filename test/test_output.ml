@@ -72,12 +72,8 @@ let test_tag_slug_roundtrip () =
         (Bdrmap.Output.tag_slug tag)
         true
         (Bdrmap.Output.tag_of_slug (Bdrmap.Output.tag_slug tag) = Some tag))
-    [ Bdrmap.Heuristics.T1_multihomed; Bdrmap.Heuristics.T2_firewall;
-      Bdrmap.Heuristics.T3_unrouted; Bdrmap.Heuristics.T4_onenet;
-      Bdrmap.Heuristics.T5_third_party; Bdrmap.Heuristics.T5_relationship;
-      Bdrmap.Heuristics.T5_missing_customer; Bdrmap.Heuristics.T5_hidden_peer;
-      Bdrmap.Heuristics.T6_count; Bdrmap.Heuristics.T6_ipas;
-      Bdrmap.Heuristics.T8_silent; Bdrmap.Heuristics.T8_other_icmp ];
+    (Array.to_list Bdrmap.Heuristics.all_tags);
+  Alcotest.(check int) "twelve tags" 12 (Array.length Bdrmap.Heuristics.all_tags);
   Alcotest.(check bool) "unknown slug" true (Bdrmap.Output.tag_of_slug "nope" = None)
 
 let test_parse_errors () =
@@ -85,6 +81,9 @@ let test_parse_errors () =
     (Result.is_error (Bdrmap.Output.collection_of_lines [ "trace|x|y" ]));
   Alcotest.(check bool) "bad link line" true
     (Result.is_error (Bdrmap.Output.links_of_lines [ "link|1.2.3.4" ]));
+  (* No writer emits vetoes, and a frozen collection holds none. *)
+  Alcotest.(check bool) "notalias line" true
+    (Result.is_error (Bdrmap.Output.collection_of_lines [ "notalias|1.2.3.4|1.2.3.5" ]));
   Alcotest.(check bool) "comments ok" true
     (Result.is_ok (Bdrmap.Output.collection_of_lines [ "# empty"; "" ]))
 

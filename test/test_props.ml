@@ -26,11 +26,11 @@ let arb_ops =
     QCheck.Gen.(list_size (int_range 1 60) op_gen)
 
 let apply ops =
-  let g = Ag.create () in
+  let g = Ag.Uf.create () in
   List.iter
     (function
-      | Alias (a, b) -> Ag.add_alias g (addr_of_int a) (addr_of_int b)
-      | Not_alias (a, b) -> Ag.add_not_alias g (addr_of_int a) (addr_of_int b))
+      | Alias (a, b) -> Ag.Uf.add_alias g (addr_of_int a) (addr_of_int b)
+      | Not_alias (a, b) -> Ag.Uf.add_not_alias g (addr_of_int a) (addr_of_int b))
     ops;
   g
 
@@ -40,31 +40,31 @@ let prop_vetoes_never_merged =
      existing groups retroactively). *)
   QCheck.Test.make ~name:"effective vetoes keep groups apart" ~count:300 arb_ops
     (fun ops ->
-      let g = Ag.create () in
+      let g = Ag.Uf.create () in
       let effective = ref [] in
       List.iter
         (function
-          | Alias (a, b) -> Ag.add_alias g (addr_of_int a) (addr_of_int b)
+          | Alias (a, b) -> Ag.Uf.add_alias g (addr_of_int a) (addr_of_int b)
           | Not_alias (a, b) ->
-            if not (Ag.same_router g (addr_of_int a) (addr_of_int b)) then
+            if not (Ag.Uf.same_router g (addr_of_int a) (addr_of_int b)) then
               effective := (a, b) :: !effective;
-            Ag.add_not_alias g (addr_of_int a) (addr_of_int b))
+            Ag.Uf.add_not_alias g (addr_of_int a) (addr_of_int b))
         ops;
       List.for_all
-        (fun (a, b) -> not (Ag.same_router g (addr_of_int a) (addr_of_int b)))
+        (fun (a, b) -> not (Ag.Uf.same_router g (addr_of_int a) (addr_of_int b)))
         !effective)
 
 let prop_groups_partition =
   QCheck.Test.make ~name:"groups form a partition" ~count:300 arb_ops (fun ops ->
       let g = apply ops in
-      let groups = Ag.groups g in
+      let groups = Ag.groups (Ag.freeze g ~observed:[] ~named:[]) in
       let all = List.concat groups in
       let uniq = List.sort_uniq Ipv4.compare all in
       List.length all = List.length uniq
       && List.for_all
            (fun grp ->
              List.for_all
-               (fun a -> List.for_all (fun b -> Ag.same_router g a b) grp)
+               (fun a -> List.for_all (fun b -> Ag.Uf.same_router g a b) grp)
                grp)
            groups)
 
@@ -80,34 +80,47 @@ let seeded_ops seed =
          | 1 -> [ Not_alias (a, b) ]
          | _ -> [ Not_alias (a, b); Alias (b, a) ]))
 
-let prop_index_matches_reference =
-  QCheck.Test.make ~name:"alias index and groups = naive reference scan" ~count:300
+(* The freeze against the reference scan over the union-find, on
+   seeded evidence plus seeded hop (observed) and mate (named)
+   addresses, some of them never in the evidence. *)
+let prop_freeze_matches_reference =
+  QCheck.Test.make ~name:"alias freeze = naive reference partition" ~count:300
     QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
     (fun seed ->
       let ops = seeded_ops seed in
       let g = apply ops in
+      let st = Random.State.make [| seed; 1 |] in
+      let draw () =
+        List.init (Random.State.int st 12) (fun _ -> addr_of_int (Random.State.int st 24))
+      in
+      let observed = draw () and named = draw () in
+      let t = Ag.freeze g ~observed ~named in
       let mentioned =
         List.sort_uniq Ipv4.compare
-          (List.concat_map
-             (function
-               | Alias (a, b) | Not_alias (a, b) -> [ addr_of_int a; addr_of_int b ])
-             ops)
+          (observed @ named
+          @ List.concat_map
+              (function
+                | Alias (a, b) | Not_alias (a, b) -> [ addr_of_int a; addr_of_int b ])
+              ops)
       in
-      let idx = Ag.index g in
-      let show l = String.concat "," (List.map Ipv4.to_string l) in
-      let never = addr_of_int 16 in
-      List.iter
-        (fun a ->
-          let got = Ag.group idx a and want = Alias_ref.group_of g ~mentioned a in
-          if got <> want then
-            QCheck.Test.fail_reportf "group %s: index [%s], reference [%s]"
-              (Ipv4.to_string a) (show got) (show want))
-        (never :: mentioned);
-      if Ag.group idx never <> [ never ] then
-        QCheck.Test.fail_reportf "unmentioned %s is not a singleton"
-          (Ipv4.to_string never);
-      Ag.groups g = Alias_ref.partition g ~mentioned
-      || QCheck.Test.fail_report "groups differ from the reference partition")
+      let never = addr_of_int 24 in
+      if Ag.groups t <> Alias_ref.partition (Ag.Uf.same_router g) ~mentioned then
+        QCheck.Test.fail_report "frozen groups differ from the reference partition";
+      let table = ref [] in
+      Ag.iter t (fun a _ bit -> table := (a, bit) :: !table);
+      if List.rev !table <> List.map (fun a -> (a, List.mem a observed)) mentioned then
+        QCheck.Test.fail_report "table addresses or observed bits differ";
+      if Ag.group_of t never >= 0 || Ag.same_router t never (List.hd mentioned) then
+        QCheck.Test.fail_reportf "unmentioned %s is in the table" (Ipv4.to_string never);
+      let image =
+        let w = Store.Codec.writer 64 in
+        Ag.encode w t;
+        let b, len = Store.Codec.contents w in
+        Bytes.sub_string b 0 len
+      in
+      match Store.Codec.decode Ag.decode image ~pos:0 ~len:(String.length image) with
+      | Ok t' -> Ag.groups t' = Ag.groups t && List.length (Ag.groups t) = Ag.group_count t
+      | Error _ -> QCheck.Test.fail_report "the table does not decode")
 
 let prop_same_router_symmetric =
   QCheck.Test.make ~name:"same_router is symmetric" ~count:300 arb_ops (fun ops ->
@@ -116,8 +129,10 @@ let prop_same_router_symmetric =
         (fun a ->
           List.for_all
             (fun b ->
-              Ag.same_router g (addr_of_int a) (addr_of_int b)
-              = Ag.same_router g (addr_of_int b) (addr_of_int a))
+              let frozen = Ag.freeze g ~observed:[] ~named:[] in
+              let same = Ag.Uf.same_router g (addr_of_int a) (addr_of_int b) in
+              same = Ag.Uf.same_router g (addr_of_int b) (addr_of_int a)
+              && same = Ag.same_router frozen (addr_of_int b) (addr_of_int a))
             [ 0; 3; 7; 11 ])
         [ 1; 5; 9; 14 ])
 
@@ -207,7 +222,7 @@ let prop_rib_lpm =
 let suite =
   [ Qc.to_alcotest prop_vetoes_never_merged;
     Qc.to_alcotest prop_groups_partition;
-    Qc.to_alcotest prop_index_matches_reference;
+    Qc.to_alcotest prop_freeze_matches_reference;
     Qc.to_alcotest prop_same_router_symmetric;
     Qc.to_alcotest prop_as_rel_roundtrip;
     Qc.to_alcotest prop_trace_pairs;

@@ -23,7 +23,7 @@ let check_invariants run () =
     set_of (List.concat_map Bdrmap.Trace.hop_addrs c.Bdrmap.Collect.traces)
   in
   let mates = set_of (List.map (fun (_, _, m) -> m) c.Bdrmap.Collect.mates) in
-  (* [groups] only supplies the universe of mentioned addresses; group
+  (* [groups] only supplies the universe of table addresses; group
      membership is decided by the reference's own same_router scan. *)
   let mentioned = List.concat (Ag.groups c.Bdrmap.Collect.aliases) in
   let nodes = Bdrmap.Rgraph.nodes g in
@@ -38,7 +38,7 @@ let check_invariants run () =
         if not (Ipv4.Set.disjoint n.extra_addrs observed) then
           Alcotest.failf "node %d: extra_addrs holds an observed address" n.id;
         let reference =
-          Alias_ref.group_of c.Bdrmap.Collect.aliases ~mentioned
+          Alias_ref.group_of (Ag.same_router c.Bdrmap.Collect.aliases) ~mentioned
             (Ipv4.Set.min_elt all)
         in
         Alcotest.(check (list string))

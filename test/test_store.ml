@@ -391,8 +391,8 @@ let test_key_sensitivity () =
     <> Bdrmap.Run_store.bgp_snapshot_key ~epoch:"deadbeef" ~world:w ())
 
 (* A run payload written under an older [snapshot_version] holds an
-   older layout: version 3's was a marshaled record, version 4's is the
-   explicit codec. It must miss by key instead of being handed to
+   older layout: version 3's was a marshaled record, version 4's held
+   the alias union-find. It must miss by key instead of being handed to
    today's decoder. The key formula is pinned first (today's version
    reproduces [Run_store.key]), so the version-3 key below is what an
    older tree wrote. *)
@@ -409,7 +409,7 @@ let test_old_version_key_misses () =
             []))
   in
   let key = Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg ~vp () in
-  Alcotest.(check int) "snapshot version" 4 Bdrmap.Run_store.snapshot_version;
+  Alcotest.(check int) "snapshot version" 5 Bdrmap.Run_store.snapshot_version;
   Alcotest.(check string) "key formula" key (key_at Bdrmap.Run_store.snapshot_version);
   let old = key_at 3 in
   Alcotest.(check bool) "version-3 key differs" true (old <> key);
@@ -435,9 +435,8 @@ let encoded f x =
 
 let decoded f s = C.decode f s ~pos:0 ~len:(String.length s)
 
-(* Two runs agree by content: sets by their elements, the alias
-   union-find by its tables' sorted bindings (what [Ag.encode] writes)
-   and its groups, the graph by every node, adjacency and address, and
+(* Two runs agree by content: sets by their elements, the address
+   table by its bytes (what [Ag.encode] writes) and its groups, the graph by every node, adjacency and address, and
    the inference by value, its routers naming the graph's own node
    records. *)
 let check_same_run name (a : Bdrmap.Run_store.snapshot) (b : Bdrmap.Run_store.snapshot) =
@@ -538,28 +537,36 @@ let test_codec_crafted () =
          C.put_varint w 1;
          C.put_varint w 1;
          C.put_varint w 0));
-  corrupt "descending address set" Rg.decode
-    (craft (fun w ->
-         C.put_varint w 1;
-         C.put_varint w 1;
-         C.put_varint w 0;
-         C.put_varint w 2;
-         C.put_u32 w 5;
-         C.put_u32 w 3;
-         List.iter (C.put_varint w) [ 0; 1; 0; 0; 1; 0 ]));
-  corrupt "successor past the node count" Rg.decode
-    (craft (fun w ->
-         C.put_varint w 1;
-         C.put_varint w 1;
-         C.put_varint w 0;
-         List.iter (C.put_varint w) [ 0; 0; 1; 0; 0; 1; 1; 1 ]));
-  corrupt "alias parent cycle" Ag.decode
-    (craft (fun w ->
-         C.put_varint w 0;
-         C.put_varint w 2;
-         List.iter (C.put_u32 w) [ 1; 2; 2; 1 ];
-         C.put_varint w 0;
-         C.put_varint w 0));
+  corrupt "repeated table address" Ag.decode
+    (craft (fun w -> List.iter (C.put_varint w) [ 2; 5; 1; 0; 2 ]));
+  corrupt "table address past 32 bits" Ag.decode
+    (craft (fun w -> List.iter (C.put_varint w) [ 1; (1 lsl 32) + 1; 0 ]));
+  corrupt "first group id not 0" Ag.decode
+    (craft (fun w -> List.iter (C.put_varint w) [ 1; 5; 2 ]));
+  corrupt "group id skips one" Ag.decode
+    (craft (fun w -> List.iter (C.put_varint w) [ 2; 5; 0; 1; 4 ]));
+  (* A collection whose table has one observed address: one node. *)
+  let one_hop =
+    let t =
+      { Bdrmap.Trace.dst = Netcore.Ipv4.of_int 9; target_asn = 1;
+        hops = [ (1, Netcore.Ipv4.of_int 7) ]; closing = Bdrmap.Trace.Nothing;
+        stopped = false }
+    in
+    { Bdrmap.Collect.traces = [ t ]; aliases = Bdrmap.Collect.freeze (Ag.Uf.create ()) [ t ] [];
+      mates = []; other_icmp = []; sched = Probesim.Scheduler.create ~pps:100.0;
+      stopset_hits = 0; alias_pairs_tested = 0 }
+  in
+  (* A node count, one ASN set (empty), one node's fields, then the
+     successor sets [succ]. *)
+  let graph count succ =
+    craft (fun w -> List.iter (C.put_varint w) ([ count; 1; 0; 1; 0; 0; 1 ] @ succ))
+  in
+  Alcotest.(check bool) "one-node graph decodes" true
+    (match decoded (Rg.decode one_hop) (graph 1 [ 0 ]) with
+    | Ok g -> Rg.node_count g = 1
+    | Error _ -> false);
+  corrupt "node count unlike the table's" (Rg.decode one_hop) (graph 0 [ 0 ]);
+  corrupt "successor past the node count" (Rg.decode one_hop) (graph 1 [ 1; 1 ]);
   let w, inputs = Lazy.force tiny_env in
   let r = List.hd (Bdrmap.Pipeline.execute_all w inputs ~vps:[ List.hd w.Gen.vps ]) in
   let g = r.Bdrmap.Pipeline.graph in
