@@ -130,6 +130,25 @@ let out_arg =
     value & opt (some string) None
     & info [ "out" ] ~docv:"DIR" ~doc:"Directory for output artifacts.")
 
+(* [prepare_out ~command out] creates --out's directory before any work
+   starts, so a path that cannot hold the artifacts exits 1 at once
+   instead of after the whole pipeline ran. *)
+let prepare_out ~command = function
+  | None -> ()
+  | Some dir -> (
+    let fail msg =
+      prerr_endline (Printf.sprintf "%s: --out %s: %s" command dir msg);
+      exit 1
+    in
+    match
+      Store.ensure_dir dir;
+      Sys.is_directory dir
+    with
+    | true -> ()
+    | false -> fail "not a directory"
+    | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+    | exception Sys_error e -> fail e)
+
 (* Observability flags, shared by every command. All of their output
    goes to stderr or to files: stdout carries only the inference
    results, byte-identical whatever is enabled here. *)
@@ -271,6 +290,7 @@ let setup_env ?store params =
 
 (* generate: emit the public input artifacts of §5.2. *)
 let generate (scenario_name, scenario) scale seed out obs =
+  prepare_out ~command:"generate" out;
   let config =
     config_string ~command:"generate" ~scenario:scenario_name ~scale ~seed ~jobs:1 []
   in
@@ -345,6 +365,7 @@ let run_all_vps ~shared world inputs store pool =
 
 (* run: the full pipeline, with validation and Table-1 reporting. *)
 let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir obs =
+  prepare_out ~command:"run" out;
   let config =
     config_string ~command:"run" ~scenario:scenario_name ~scale ~seed ~jobs
       [ ("vp", string_of_int vp_idx); ("all_vps", string_of_bool all_vps) ]

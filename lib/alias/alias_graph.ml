@@ -78,25 +78,74 @@ let search addrs a =
   done;
   if !lo < Array.length addrs && addrs.(!lo) = a then !lo else -1
 
+(* [sort_keys keys] is [keys] in ascending order, for keys below 2^33:
+   a least-significant-digit radix sort, 11 bits a pass. *)
+let sort_keys keys =
+  let n = Array.length keys in
+  let src = ref keys and dst = ref (Array.make n 0) in
+  let count = Array.make 2049 0 in
+  for pass = 0 to 2 do
+    let shift = 11 * pass and a = !src and out = !dst in
+    Array.fill count 0 2049 0;
+    for i = 0 to n - 1 do
+      let d = ((a.(i) lsr shift) land 2047) + 1 in
+      count.(d) <- count.(d) + 1
+    done;
+    for d = 1 to 2048 do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for i = 0 to n - 1 do
+      let d = (a.(i) lsr shift) land 2047 in
+      out.(count.(d)) <- a.(i);
+      count.(d) <- count.(d) + 1
+    done;
+    src := out;
+    dst := a
+  done;
+  !src
+
 let freeze (uf : Uf.t) ~observed ~named =
-  (* Hops repeat across traces; a set adds a repeat without allocating. *)
-  let set = List.fold_left (fun s a -> Ipv4.Set.add a s) Ipv4.Set.empty in
-  let seen = set observed in
-  let all = Ipv4.Set.union seen (Ipv4.Set.union (set named) uf.Uf.members) in
-  let addrs = Array.of_seq (Seq.map Ipv4.to_int (Ipv4.Set.to_seq all)) in
+  (* One tagged key per mention: the address shifted left once, its low
+     bit set for a trace hop. Hops repeat across traces; one sort puts
+     an address's keys next to each other, and one pass keeps the
+     address once with the OR of their observed bits. *)
+  let keys =
+    Array.make
+      (List.length observed + List.length named + Ipv4.Set.cardinal uf.Uf.members)
+      0
+  in
+  let k = ref 0 in
+  let put key =
+    keys.(!k) <- key;
+    incr k
+  in
+  List.iter (fun a -> put ((Ipv4.to_int a lsl 1) lor 1)) observed;
+  List.iter (fun a -> put (Ipv4.to_int a lsl 1)) named;
+  Ipv4.Set.iter (fun a -> put (Ipv4.to_int a lsl 1)) uf.Uf.members;
+  let keys = sort_keys keys in
+  (* In place: each write lands at or behind the key being read. *)
+  let n = ref 0 in
+  Array.iter
+    (fun key ->
+      if !n > 0 && keys.(!n - 1) lsr 1 = key lsr 1 then
+        keys.(!n - 1) <- keys.(!n - 1) lor key
+      else begin
+        keys.(!n) <- key;
+        incr n
+      end)
+    keys;
+  let addrs = Array.init !n (fun i -> keys.(i) lsr 1) in
   (* Every root is in the table (a member, or an address alone), so
      its slot holds its group's id, set at the group's least address. *)
-  let slot = Array.make (Array.length addrs) (-1) and groups = ref 0 in
+  let slot = Array.make !n (-1) and groups = ref 0 in
   let ids =
-    Array.map
-      (fun a ->
-        let r = search addrs (Ipv4.to_int (Uf.find uf (Ipv4.of_int a))) in
+    Array.init !n (fun i ->
+        let r = search addrs (Ipv4.to_int (Uf.find uf (Ipv4.of_int addrs.(i)))) in
         if slot.(r) < 0 then begin
           slot.(r) <- !groups;
           incr groups
         end;
-        (slot.(r) lsl 1) lor Bool.to_int (Ipv4.Set.mem (Ipv4.of_int a) seen))
-      addrs
+        (slot.(r) lsl 1) lor (keys.(i) land 1))
   in
   { addrs; ids; groups = !groups }
 

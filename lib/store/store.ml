@@ -10,9 +10,12 @@ let fmt = { Envelope.magic = "BDRS"; version = format_version }
 let key_len = 32
 let entry_ext = ".run"
 
+let ensure_dir dir =
+  try Unix.mkdir dir 0o755
+  with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
+
 let open_dir dir =
-  (try Unix.mkdir dir 0o755
-   with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ());
+  ensure_dir dir;
   { dir }
 
 let dir t = t.dir

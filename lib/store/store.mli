@@ -33,6 +33,11 @@ type t
 (** Latest entry format version written by {!write}. *)
 val format_version : int
 
+(** [ensure_dir dir] creates [dir] unless something already exists at
+    that path (a directory or not); other failures raise
+    [Unix.Unix_error]. *)
+val ensure_dir : string -> unit
+
 (** [open_dir dir] opens (creating if needed) a store rooted at [dir]. *)
 val open_dir : string -> t
 
