@@ -8,11 +8,22 @@
 
 open Netcore
 
-(** The union-find used while probing, with per-group vetoes. *)
+(** The run's address registry while probing: each address gets a dense
+    id when it is first seen (a trace hop, a prefixscan mate, alias
+    evidence), and a union-find with per-group vetoes runs over the
+    ids. *)
 module Uf : sig
   type t
 
   val create : unit -> t
+
+  (** [intern t ~observed a] is [a]'s id, registering [a] on first
+      sight; [observed] (a trace hop replied from [a]) sticks once
+      set. *)
+  val intern : t -> observed:bool -> Ipv4.t -> int
+
+  (** [addr t i] is the address of id [i]. *)
+  val addr : t -> int -> Ipv4.t
 
   (** [add_alias t a b] records positive evidence. The union is applied
       unless a negative constraint exists between the two groups. *)
@@ -32,28 +43,26 @@ module Uf : sig
 end
 
 (** A frozen address table: addresses in ascending order, each with its
-    alias-group id and whether a trace hop observed it. Group ids count
-    groups in order of their least address. *)
+    alias-group id and whether a trace hop observed it. A table id is
+    an address's position; group ids count groups in order of their
+    least address. *)
 type t
 
-(** [freeze uf ~observed ~named] is the table of [uf]'s addresses, the
-    [observed] ones (trace hops) and the [named] ones (mates), grouped
-    as [uf] groups them. *)
-val freeze : Uf.t -> observed:Ipv4.t list -> named:Ipv4.t list -> t
+(** [freeze uf] is the table of [uf]'s addresses, grouped as [uf]
+    groups them, and the table id of each of [uf]'s ids. *)
+val freeze : Uf.t -> t * int array
+
+(** Table ids run from 0 to [length t - 1]: [addr t i] is id [i]'s
+    address, [group t i] its group id, and [observed t i] whether a
+    trace hop observed it. *)
+val length : t -> int
+
+val addr : t -> int -> Ipv4.t
+val group : t -> int -> int
+val observed : t -> int -> bool
 
 (** [group_count t] is the number of groups; ids run from 0. *)
 val group_count : t -> int
-
-(** [group_of t a] is [a]'s group id, or [-1] when [t] lacks [a]. *)
-val group_of : t -> Ipv4.t -> int
-
-(** [iter t f] calls [f a g observed] on every address [a] of [t] in
-    ascending order, with its group id and observed bit. *)
-val iter : t -> (Ipv4.t -> int -> bool -> unit) -> unit
-
-(** [same_router t a b] is true when [a] and [b] are one address or one
-    group of [t]. *)
-val same_router : t -> Ipv4.t -> Ipv4.t -> bool
 
 (** [groups t] is every group of [t] (routers, singletons included),
     each sorted, in ascending order. *)

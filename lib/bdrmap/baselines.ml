@@ -18,13 +18,17 @@ let dedup links =
       end)
     links
 
-let naive_ipas ip2as traces =
+(* The baselines work on raw addresses: [addr c] names [c]'s hop ids. *)
+let addr (c : Collect.t) = Aliasres.Alias_graph.addr c.Collect.aliases
+
+let naive_ipas ip2as c =
   (* A border wherever a host-mapped hop precedes an externally-mapped
      hop; the external hop's longest-match origin names the neighbor. *)
   List.concat_map
     (fun t ->
       List.filter_map
-        (fun (a, b, _) ->
+        (fun (i, j, _) ->
+          let a = addr c i and b = addr c j in
           if Ip2as.is_host ip2as a then
             match Ip2as.classify ip2as b with
             | Ip2as.External origins ->
@@ -34,10 +38,10 @@ let naive_ipas ip2as traces =
             | Ip2as.Host | Ip2as.Ixp _ | Ip2as.Unrouted | Ip2as.Reserved -> None
           else None)
         (Trace.pairs t))
-    traces
+    c.Collect.traces
   |> dedup
 
-let mapit ip2as traces =
+let mapit ip2as col =
   (* Evidence on both sides: the far interface must be followed by
      another interface mapping to the same external AS (the adjacent
      addresses MAP-IT's inference needs). Path-end borders are
@@ -45,7 +49,7 @@ let mapit ip2as traces =
   List.concat_map
     (fun t ->
       let rec scan = function
-        | (_, a) :: ((_, b) :: (_, c) :: _ as rest) ->
+        | a :: (b :: c :: _ as rest) ->
           let here =
             if Ip2as.is_host ip2as a then
               match (Ip2as.classify ip2as b, Ip2as.classify ip2as c) with
@@ -59,6 +63,6 @@ let mapit ip2as traces =
           here @ scan rest
         | _ -> []
       in
-      scan t.Trace.hops)
-    traces
+      scan (List.map (fun (_, i) -> addr col i) t.Trace.hops))
+    col.Collect.traces
   |> dedup

@@ -22,13 +22,13 @@ type link = {
   neighbor : Asn.t;
 }
 
-(** [naive_ipas ip2as traces] declares a border at every host-to-external
-    transition of the longest-prefix-match origin. *)
-val naive_ipas : Ip2as.t -> Trace.t list -> link list
+(** [naive_ipas ip2as c] declares a border at every host-to-external
+    transition of the longest-prefix-match origin along [c]'s traces. *)
+val naive_ipas : Ip2as.t -> Collect.t -> link list
 
-(** [mapit ip2as traces] infers borders only where the far side shows
-    two adjacent interfaces in the neighbor's address space. *)
-val mapit : Ip2as.t -> Trace.t list -> link list
+(** [mapit ip2as c] infers borders only where the far side shows two
+    adjacent interfaces in the neighbor's address space. *)
+val mapit : Ip2as.t -> Collect.t -> link list
 
 (** [dedup links] collapses duplicate (near, far, neighbor) triples. *)
 val dedup : link list -> link list

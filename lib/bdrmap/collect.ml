@@ -6,7 +6,7 @@ module Ag = Aliasres.Alias_graph
 type t = {
   traces : Trace.t list;
   aliases : Ag.t;
-  mates : (Ipv4.t * Ipv4.t * Ipv4.t) list;
+  mates : (int * int * int) list;
   other_icmp : (Asn.t * Ipv4.t) list;
   sched : Probesim.Scheduler.t;
   stopset_hits : int;
@@ -30,18 +30,41 @@ module Stopset = struct
     Hashtbl.replace t asn (Ipv4.Set.add addr cur)
 end
 
-let freeze uf traces mates =
-  Ag.freeze uf
-    ~observed:(List.concat_map Trace.hop_addrs traces)
-    ~named:(List.map (fun (_, _, m) -> m) mates)
+(* The fields that are functions of the traces: the closing replies
+   (§5.4.8 input) and the stop-set hits. *)
+let make traces aliases mates sched alias_pairs_tested =
+  let rec closings = function
+    | [] -> []
+    | t :: rest -> (
+      match t.Trace.closing with
+      | Trace.Echo a | Trace.Unreach a -> (t.Trace.target_asn, a) :: closings rest
+      | Trace.Nothing -> closings rest)
+  in
+  { traces; aliases; mates; other_icmp = closings traces; sched;
+    stopset_hits = List.fold_left (fun n t -> n + Bool.to_int t.Trace.stopped) 0 traces;
+    alias_pairs_tested }
+
+let finish uf traces mates ~sched ~alias_pairs_tested =
+  let aliases, pos = Ag.freeze uf in
+  let traces =
+    List.map
+      (fun t -> { t with Trace.hops = List.map (fun (ttl, i) -> (ttl, pos.(i))) t.Trace.hops })
+      traces
+  in
+  let mates = List.map (fun (p, h, m) -> (pos.(p), pos.(h), pos.(m))) mates in
+  make traces aliases mates sched alias_pairs_tested
 
 let external_class ip2as addr =
   match Ip2as.classify ip2as addr with
   | Ip2as.External _ | Ip2as.Ixp _ -> true
   | Ip2as.Host | Ip2as.Unrouted | Ip2as.Reserved -> false
 
-let stop_entry ip2as t =
-  Option.map snd (List.find_opt (fun (_, a) -> external_class ip2as a) t.Trace.hops)
+let stop_entry ip2as addr t =
+  List.find_map
+    (fun (_, i) ->
+      let a = addr i in
+      if external_class ip2as a then Some a else None)
+    t.Trace.hops
 
 (* Plain counters threaded through collection and flushed into the
    metrics registry once at the end of a run: the probing loops stay
@@ -50,7 +73,7 @@ type counts = { mutable replies : int; mutable retries : int }
 
 (* One traceroute with per-hop stop-set checks. The fixed flow id is the
    Paris traceroute discipline (2). *)
-let trace_one (prober : Probesim.Prober.t) cfg ip2as stopset counts ~target_asn
+let trace_one (prober : Probesim.Prober.t) cfg ip2as uf stopset counts ~target_asn
     ~dst =
   (* Retry-with-backoff over silent hops: on an impaired network a
      missing reply is often a lost probe or a drained token bucket, not
@@ -91,7 +114,7 @@ let trace_one (prober : Probesim.Prober.t) cfg ip2as stopset counts ~target_asn
         | Engine.Echo_reply -> (List.rev hops, Trace.Echo r.Engine.src, false)
         | Engine.Dest_unreach -> (List.rev hops, Trace.Unreach r.Engine.src, false)
         | Engine.Ttl_expired ->
-          let hops = (ttl, r.Engine.src) :: hops in
+          let hops = (ttl, Ag.Uf.intern uf ~observed:true r.Engine.src) :: hops in
           if
             cfg.Config.use_stop_sets
             && external_class ip2as r.Engine.src
@@ -101,19 +124,20 @@ let trace_one (prober : Probesim.Prober.t) cfg ip2as stopset counts ~target_asn
   in
   let hops, closing, stopped = go 1 0 [] in
   let t = { Trace.dst; target_asn; hops; closing; stopped } in
-  Option.iter (Stopset.add stopset target_asn) (stop_entry ip2as t);
+  Option.iter (Stopset.add stopset target_asn) (stop_entry ip2as (Ag.Uf.addr uf) t);
   t
 
 (* The trace "sees the target": some external TTL-expired hop other than
    the probed address itself (§5.3's retry rule). *)
-let informative ip2as t =
+let informative ip2as uf t =
   List.exists
-    (fun (_, a) -> external_class ip2as a && not (Ipv4.equal a t.Trace.dst))
+    (fun (_, i) ->
+      let a = Ag.Uf.addr uf i in
+      external_class ip2as a && not (Ipv4.equal a t.Trace.dst))
     t.Trace.hops
 
-let gather_traces prober cfg ip2as counts blocks =
+let gather_traces prober cfg ip2as uf counts blocks =
   let stopset = Stopset.create () in
-  let hits = ref 0 in
   let traces = ref [] in
   List.iter
     (fun (asn, bs) ->
@@ -125,11 +149,10 @@ let gather_traces prober cfg ip2as counts blocks =
             | dst :: rest ->
               Stdlib.incr attempts;
               let t =
-                trace_one prober cfg ip2as stopset counts ~target_asn:asn ~dst
+                trace_one prober cfg ip2as uf stopset counts ~target_asn:asn ~dst
               in
-              if t.Trace.stopped then incr hits;
               traces := t :: !traces;
-              if not (informative ip2as t || t.Trace.stopped) then try_candidates rest
+              if not (informative ip2as uf t || t.Trace.stopped) then try_candidates rest
           in
           try_candidates (Targets.candidates ~per_block:cfg.Config.addrs_per_block b);
           (* Per-block probe budget: how many of the (at most
@@ -138,7 +161,7 @@ let gather_traces prober cfg ip2as counts blocks =
           Obs.Metrics.observe "collect.block_attempts" (float_of_int !attempts))
         bs)
     (Targets.by_asn blocks);
-  (List.rev !traces, !hits)
+  List.rev !traces
 
 let oracle_of_prober (prober : Probesim.Prober.t) cfg uf a b =
   if Ipv4.equal a b then `Aliases
@@ -181,7 +204,7 @@ let oracle_of_prober (prober : Probesim.Prober.t) cfg uf a b =
 (* Candidate alias pairs: addresses sharing a predecessor or successor in
    the collected traces possibly answer from one router (virtual routers,
    per-destination source selection, parallel links). *)
-let candidate_pairs cfg traces =
+let candidate_pairs cfg uf traces =
   let seen = Hashtbl.create 4096 in
   let pairs = ref [] in
   let count = ref 0 in
@@ -210,7 +233,8 @@ let candidate_pairs cfg traces =
   List.iter
     (fun t ->
       List.iter
-        (fun (a, b, _) ->
+        (fun (i, j, _) ->
+          let a = Ag.Uf.addr uf i and b = Ag.Uf.addr uf j in
           note_adj succs succ_seen a b;
           note_adj preds pred_seen b a)
         (Trace.pairs t))
@@ -228,15 +252,15 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
   let sim () = float_of_int (count ()) /. prober.Probesim.Prober.pps in
   let counts = { replies = 0; retries = 0 } in
   let p0 = count () in
-  let traces, stopset_hits =
+  let uf = Ag.Uf.create () in
+  let traces =
     Obs.Span.with_span ~stage:"collect" ?vp:vp_name ~sim (fun () ->
-        gather_traces prober cfg ip2as counts blocks)
+        gather_traces prober cfg ip2as uf counts blocks)
   in
   Probesim.Scheduler.note sched Probesim.Scheduler.Traceroute (count () - p0);
-  let uf = Ag.Uf.create () in
   let oracle = oracle_of_prober prober cfg uf in
   let mates = ref [] in
-  let pairs, mates, aliases =
+  let c =
     Obs.Span.with_span ~stage:"alias" ?vp:vp_name ~sim (fun () ->
         (* Prefixscan over consecutive hop pairs. *)
         let p1 = count () in
@@ -244,16 +268,16 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
         List.iter
           (fun t ->
             List.iter
-              (fun (prev, hop, gap) ->
+              (fun (p, h, gap) ->
                 if not gap then
-                  let key = (prev, hop) in
+                  let key = (p, h) in
                   if not (Hashtbl.mem scanned key) then begin
                     Hashtbl.add scanned key ();
-                    match Aliasres.Prefixscan.scan oracle ~prev ~hop with
-                    | Some r ->
-                      if not (Ipv4.equal r.Aliasres.Prefixscan.mate prev) then
-                        Ag.Uf.add_alias uf r.Aliasres.Prefixscan.mate prev;
-                      mates := (prev, hop, r.Aliasres.Prefixscan.mate) :: !mates
+                    let prev = Ag.Uf.addr uf p in
+                    match Aliasres.Prefixscan.scan oracle ~prev ~hop:(Ag.Uf.addr uf h) with
+                    | Some { Aliasres.Prefixscan.mate; _ } ->
+                      if not (Ipv4.equal mate prev) then Ag.Uf.add_alias uf mate prev;
+                      mates := (p, h, Ag.Uf.intern uf ~observed:false mate) :: !mates
                     | None -> ()
                   end)
               (Trace.pairs t))
@@ -261,26 +285,16 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
         Probesim.Scheduler.note sched Probesim.Scheduler.Prefixscan (count () - p1);
         (* Candidate alias pairs. *)
         let p2 = count () in
-        let pairs = candidate_pairs cfg traces in
+        let pairs = candidate_pairs cfg uf traces in
         List.iter (fun (a, b) -> ignore (oracle a b)) pairs;
         Probesim.Scheduler.note sched Probesim.Scheduler.Alias (count () - p2);
-        let mates = List.rev !mates in
-        (pairs, mates, freeze uf traces mates))
-  in
-  (* Closing replies whose source maps outside the host: §5.4.8 input. *)
-  let other_icmp =
-    List.filter_map
-      (fun t ->
-        match t.Trace.closing with
-        | Trace.Echo a | Trace.Unreach a -> Some (t.Trace.target_asn, a)
-        | Trace.Nothing -> None)
-      traces
+        finish uf traces (List.rev !mates) ~sched ~alias_pairs_tested:(List.length pairs))
   in
   if Obs.Metrics.enabled () then begin
-    Obs.Metrics.add "collect.traces" (List.length traces);
-    Obs.Metrics.add "collect.stopset_hits" stopset_hits;
-    Obs.Metrics.add "collect.alias_pairs" (List.length pairs);
-    Obs.Metrics.add "collect.mates" (List.length mates);
+    Obs.Metrics.add "collect.traces" (List.length c.traces);
+    Obs.Metrics.add "collect.stopset_hits" c.stopset_hits;
+    Obs.Metrics.add "collect.alias_pairs" c.alias_pairs_tested;
+    Obs.Metrics.add "collect.mates" (List.length c.mates);
     Obs.Metrics.add "collect.replies" counts.replies;
     Obs.Metrics.add "collect.retries" counts.retries;
     Obs.Metrics.add "collect.probes.traceroute"
@@ -290,8 +304,7 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
     Obs.Metrics.add "collect.probes.alias"
       (Probesim.Scheduler.count sched Probesim.Scheduler.Alias)
   end;
-  { traces; aliases; mates; other_icmp; sched;
-    stopset_hits; alias_pairs_tested = List.length pairs }
+  c
 
 (* Flush the engine's cache counters and the fault layer's gate counters
    into the registry as deltas over this run, so a shared engine (the
@@ -332,49 +345,41 @@ let run eng cfg ip2as ~vp blocks =
 
 (* {2 Codec}
 
-   collection := traces ({!Trace.encode}) | address table ({!Ag.encode})
-               | mates (count, then prev u32, hop u32, mate u32)
-               | other_icmp (count, then asn varint, addr u32)
-               | sched | stopset_hits varint | alias_pairs_tested varint *)
+   collection := address table ({!Ag.encode})
+               | traces ({!Trace.encode}, hops by table id)
+               | mates (count, then prev, hop, mate table ids, varints)
+               | sched | alias_pairs_tested varint
+
+   The closing replies and the stop-set hits are not written: {!make}
+   derives them from the traces. *)
 
 module Codec = Store.Codec
 
-let put_addr w a = Codec.put_u32 w (Ipv4.to_int a)
-let addr r = Ipv4.of_int (Codec.u32 r)
-
 let encode w t =
-  Trace.encode w t.traces;
   Ag.encode w t.aliases;
+  Trace.encode w t.traces;
   Codec.put_list w
     (fun w (p, h, m) ->
-      put_addr w p;
-      put_addr w h;
-      put_addr w m)
+      Codec.put_varint w p;
+      Codec.put_varint w h;
+      Codec.put_varint w m)
     t.mates;
-  Codec.put_list w
-    (fun w (asn, a) ->
-      Codec.put_varint w asn;
-      put_addr w a)
-    t.other_icmp;
   Probesim.Scheduler.encode w t.sched;
-  Codec.put_varint w t.stopset_hits;
   Codec.put_varint w t.alias_pairs_tested
 
 let decode r =
-  let traces = Trace.decode r in
   let aliases = Ag.decode r in
-  let mates =
-    Codec.list r ~min_bytes:12 (fun r ->
-        let p = addr r in
-        let h = addr r in
-        (p, h, addr r))
+  let traces = Trace.decode aliases r in
+  let id r =
+    let i = Codec.varint r in
+    if i >= Ag.length aliases then Codec.fail ();
+    i
   in
-  let other_icmp =
-    Codec.list r ~min_bytes:5 (fun r ->
-        let asn = Codec.varint r in
-        (asn, addr r))
+  let mates =
+    Codec.list r ~min_bytes:3 (fun r ->
+        let p = id r in
+        let h = id r in
+        (p, h, id r))
   in
   let sched = Probesim.Scheduler.decode r in
-  let stopset_hits = Codec.varint r in
-  let alias_pairs_tested = Codec.varint r in
-  { traces; aliases; mates; other_icmp; sched; stopset_hits; alias_pairs_tested }
+  make traces aliases mates sched (Codec.varint r)

@@ -443,17 +443,19 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     ordered;
   (* §5.4.7: collapse single-interface host routers that face one
      neighbor router over an inferred point-to-point link. *)
-  let mate_hops =
-    List.fold_left
-      (fun acc (_, hop, _) -> Ipv4.Set.add hop acc)
-      Ipv4.Set.empty c.Collect.mates
-  in
+  let p2p_confirmed = Array.make n_nodes false in
+  List.iter
+    (fun (_, hop, _) ->
+      if Aliasres.Alias_graph.observed c.Collect.aliases hop then
+        Option.iter
+          (fun (f : Rgraph.node) -> p2p_confirmed.(f.Rgraph.id) <- true)
+          (Rgraph.node_of_id g hop))
+    c.Collect.mates;
   List.iter
     (fun (f : Rgraph.node) ->
       match owners.(f.Rgraph.id) with
       | Neighbor _ ->
-        let p2p_confirmed = Ipv4.Set.exists (fun a -> Ipv4.Set.mem a mate_hops) f.Rgraph.addrs in
-        if p2p_confirmed then begin
+        if p2p_confirmed.(f.Rgraph.id) then begin
           let host_preds =
             List.filter
               (fun (p : Rgraph.node) ->
@@ -511,9 +513,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
       vp_asns Asn.Set.empty
     |> Asn.Set.filter (fun a -> not (Asn.Set.mem a vp_asns))
   in
-  let node_seq_of_trace t =
-    List.filter_map (fun a -> Rgraph.node_of_addr g a) (Trace.hop_addrs t)
-  in
+  let node_seq_of_trace t = List.filter_map (fun (_, i) -> Rgraph.node_of_id g i) t.Trace.hops in
   Asn.Set.iter
     (fun b ->
       if not (Asn.Set.mem b inferred_neighbors) then begin

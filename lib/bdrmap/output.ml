@@ -29,37 +29,38 @@ let closing_of_str s =
     | [ "unreach"; a ] -> Option.map (fun a -> Trace.Unreach a) (Ipv4.of_string a)
     | _ -> None
 
-let trace_to_line (t : Trace.t) =
-  let hops =
-    String.concat ","
-      (List.map (fun (ttl, a) -> Printf.sprintf "%d:%s" ttl (Ipv4.to_string a)) t.Trace.hops)
-  in
-  Printf.sprintf "trace|%s|%d|%d|%s|%s" (Ipv4.to_string t.Trace.dst) t.Trace.target_asn
-    (if t.Trace.stopped then 1 else 0)
-    hops (closing_str t.Trace.closing)
-
-let trace_of_fields dst asn stopped hops closing =
+(* Hops register their addresses in [uf] as observed; TTLs lie in
+   1..255 and ascend along the trace. *)
+let trace_of_fields uf dst asn stopped hops closing =
   match (Ipv4.of_string dst, int_of_string_opt asn, closing_of_str closing) with
   | Some dst, Some target_asn, Some closing -> (
-    let parse_hop h =
-      match String.split_on_char ':' h with
-      | [ ttl; a ] -> (
-        match (int_of_string_opt ttl, Ipv4.of_string a) with
-        | Some ttl, Some a -> Some (ttl, a)
+    let rec parse last acc = function
+      | [] -> Some (List.rev acc)
+      | h :: rest -> (
+        match String.split_on_char ':' h with
+        | [ ttl; a ] -> (
+          match (int_of_string_opt ttl, Ipv4.of_string a) with
+          | Some ttl, Some a when ttl > last && ttl <= 255 ->
+            parse ttl ((ttl, Aliasres.Alias_graph.Uf.intern uf ~observed:true a) :: acc) rest
+          | _ -> None)
         | _ -> None)
-      | _ -> None
     in
-    let hop_fields = if hops = "" then [] else String.split_on_char ',' hops in
-    let parsed = List.map parse_hop hop_fields in
-    if List.exists Option.is_none parsed then None
-    else
-      Some
-        { Trace.dst; target_asn; hops = List.filter_map Fun.id parsed;
-          closing; stopped = stopped = "1" })
+    match parse 0 [] (if hops = "" then [] else String.split_on_char ',' hops) with
+    | Some hops -> Some { Trace.dst; target_asn; hops; closing; stopped = stopped = "1" }
+    | None -> None)
   | _ -> None
 
 let collection_to_lines (c : Collect.t) =
-  let traces = List.map trace_to_line c.Collect.traces in
+  let addr i = Ipv4.to_string (Aliasres.Alias_graph.addr c.Collect.aliases i) in
+  let traces =
+    List.map
+      (fun (t : Trace.t) ->
+        Printf.sprintf "trace|%s|%d|%d|%s|%s" (Ipv4.to_string t.dst) t.target_asn
+          (Bool.to_int t.stopped)
+          (String.concat "," (List.map (fun (ttl, i) -> Printf.sprintf "%d:%s" ttl (addr i)) t.hops))
+          (closing_str t.closing))
+      c.Collect.traces
+  in
   let pairs =
     (* Group membership, one line per member past the least: hop and
        mate singletons come back from the trace and mate lines. *)
@@ -76,42 +77,28 @@ let collection_to_lines (c : Collect.t) =
   in
   let mates =
     List.map
-      (fun (p, h, m) ->
-        Printf.sprintf "mate|%s|%s|%s" (Ipv4.to_string p) (Ipv4.to_string h)
-          (Ipv4.to_string m))
+      (fun (p, h, m) -> Printf.sprintf "mate|%s|%s|%s" (addr p) (addr h) (addr m))
       c.Collect.mates
   in
-  let icmp =
-    List.map
-      (fun (asn, a) -> Printf.sprintf "icmp|%d|%s" asn (Ipv4.to_string a))
-      c.Collect.other_icmp
-  in
-  traces @ pairs @ mates @ icmp
+  traces @ pairs @ mates
 
 let collection_of_lines lines =
   let traces = ref [] in
   let uf = Aliasres.Alias_graph.Uf.create () in
   let mates = ref [] in
-  let icmp = ref [] in
   let err line = Error (Printf.sprintf "bad collection line %S" line) in
   let rec go = function
     | [] ->
-      let traces = List.rev !traces and mates = List.rev !mates in
       Ok
-        { Collect.traces;
-          aliases = Collect.freeze uf traces mates;
-          mates;
-          other_icmp = List.rev !icmp;
-          sched = Probesim.Scheduler.create ~pps:100.0;
-          stopset_hits = 0;
-          alias_pairs_tested = 0 }
+        (Collect.finish uf (List.rev !traces) (List.rev !mates)
+           ~sched:(Probesim.Scheduler.create ~pps:100.0) ~alias_pairs_tested:0)
     | line :: rest -> (
       let line = String.trim line in
       if line = "" || line.[0] = '#' then go rest
       else
         match String.split_on_char '|' line with
         | [ "trace"; dst; asn; stopped; hops; closing ] -> (
-          match trace_of_fields dst asn stopped hops closing with
+          match trace_of_fields uf dst asn stopped hops closing with
           | Some t ->
             traces := t :: !traces;
             go rest
@@ -125,13 +112,8 @@ let collection_of_lines lines =
         | [ "mate"; p; h; m ] -> (
           match (Ipv4.of_string p, Ipv4.of_string h, Ipv4.of_string m) with
           | Some p, Some h, Some m ->
-            mates := (p, h, m) :: !mates;
-            go rest
-          | _ -> err line)
-        | [ "icmp"; asn; a ] -> (
-          match (int_of_string_opt asn, Ipv4.of_string a) with
-          | Some asn, Some a ->
-            icmp := (asn, a) :: !icmp;
+            let id = Aliasres.Alias_graph.Uf.intern uf ~observed:false in
+            mates := (id p, id h, id m) :: !mates;
             go rest
           | _ -> err line)
         | _ -> err line)

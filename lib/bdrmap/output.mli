@@ -5,10 +5,14 @@
 
     Collection format, one record per line:
     {v trace|<dst>|<target asn>|<stopped:0/1>|<ttl>:<addr>,...|<closing> v}
-    where closing is [-], [echo:<addr>] or [unreach:<addr>];
+    where closing is [-], [echo:<addr>] or [unreach:<addr>] (the
+    closing replies §5.4.8 reads), and hop TTLs lie in 1..255 and
+    ascend strictly along the trace;
     {v alias|<a>|<b> v} — [b] is in [a]'s alias group;
-    {v mate|<prev>|<hop>|<mate> v} — prefixscan confirmations;
-    {v icmp|<asn>|<addr> v} — closing replies for §5.4.8.
+    {v mate|<prev>|<hop>|<mate> v} — prefixscan confirmations.
+    Addresses are written out: the text names no address-table id.
+    An [icmp] line, which older writers emitted for each closing
+    reply, is rejected, as is a TTL outside that range or order.
 
     Link format:
     {v link|<near addrs>|<far addrs>|<neighbor asn>|<tag slug> v}
@@ -20,8 +24,10 @@ val tag_of_slug : string -> Heuristics.tag option
 val collection_to_lines : Collect.t -> string list
 
 (** [collection_of_lines lines] rebuilds a collection, its address
-    table frozen from the parsed lines; scheduler counters and probe
-    statistics are not carried by the format and reset to zero. *)
+    table frozen from the parsed lines and its stop-set hits and
+    closing replies derived from the traces; scheduler counters and
+    probe statistics are not carried by the format and reset to
+    zero. *)
 val collection_of_lines : string list -> (Collect.t, string) result
 
 type link_record = {

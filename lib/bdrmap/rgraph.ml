@@ -63,16 +63,17 @@ let identify (c : Collect.t) =
       incr n
     end
   in
-  Ag.iter aliases (fun _ g observed -> if observed then claim g);
+  for i = 0 to Ag.length aliases - 1 do
+    if Ag.observed aliases i then claim (Ag.group aliases i)
+  done;
   (* A mate is almost always an alias of its observed [prev]; only the
-     groups still unclaimed are sorted by mate address. *)
+     groups still unclaimed are sorted by mate (table ids ascend with
+     addresses). *)
   List.filter_map
-    (fun (_, _, m) ->
-      let g = Ag.group_of aliases m in
-      if g >= 0 && of_group.(g) < 0 then Some (m, g) else None)
+    (fun (_, _, m) -> if of_group.(Ag.group aliases m) < 0 then Some m else None)
     c.Collect.mates
-  |> List.sort compare
-  |> List.iter (fun (_, g) -> claim g);
+  |> List.sort Int.compare
+  |> List.iter (fun m -> claim (Ag.group aliases m));
   (of_group, !n)
 
 (* Nodes in id order. A node's [addrs] and [extra_addrs] are its
@@ -82,9 +83,11 @@ let identify (c : Collect.t) =
 let make_nodes aliases of_group n fields =
   let members =
     buckets (2 * n) ~fill:Ipv4.Set.empty Addr_set.of_sorted (fun f ->
-        Ag.iter aliases (fun a g observed ->
-            let id = of_group.(g) in
-            if id >= 0 then f ((2 * id) + Bool.to_int (not observed)) (Ipv4.to_int a)))
+        for i = 0 to Ag.length aliases - 1 do
+          let id = of_group.(Ag.group aliases i) in
+          if id >= 0 then
+            f ((2 * id) + Bool.to_int (not (Ag.observed aliases i))) (Ipv4.to_int (Ag.addr aliases i))
+        done)
   in
   Codec.array n ~fill:no_node (fun id ->
       let min_ttl, dests, last_toward, trace_count = fields id in
@@ -98,10 +101,6 @@ let make aliases of_group nodes succ =
         Array.iteri (fun a s -> ISet.iter (fun b -> f b a) s) succ)
   in
   { nodes; aliases; of_group; succ; pred }
-
-let node_id aliases of_group a =
-  let g = Ag.group_of aliases a in
-  if g < 0 then -1 else of_group.(g)
 
 let build (c : Collect.t) =
   let aliases = c.Collect.aliases in
@@ -117,8 +116,8 @@ let build (c : Collect.t) =
         (* Collapse consecutive hops mapping to one node (aliases). *)
         let rec go acc = function
           | [] -> List.rev acc
-          | (ttl, a) :: rest -> (
-            let id = node_id aliases of_group a in
+          | (ttl, i) :: rest -> (
+            let id = of_group.(Ag.group aliases i) in
             match acc with
             | (pid, _) :: _ when pid = id -> go acc rest
             | _ -> go ((id, ttl) :: acc) rest)
@@ -151,8 +150,8 @@ let nodes t = Array.to_list t.nodes
 let node_count t = Array.length t.nodes
 let node t id = t.nodes.(id)
 
-let node_of_addr t a =
-  let id = node_id t.aliases t.of_group a in
+let node_of_id t i =
+  let id = t.of_group.(Ag.group t.aliases i) in
   if id < 0 then None else Some t.nodes.(id)
 
 let succs t n = List.map (fun id -> t.nodes.(id)) (ISet.elements t.succ.(n.id))

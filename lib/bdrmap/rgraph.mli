@@ -29,9 +29,9 @@ val node_count : t -> int
 
 val node : t -> int -> node
 
-(** [node_of_addr t a] is the node whose alias group contains [a]: one
-    lookup in the collection's address table. *)
-val node_of_addr : t -> Ipv4.t -> node option
+(** [node_of_id t i] is the node whose alias group contains table id
+    [i] of the collection's address table. *)
+val node_of_id : t -> int -> node option
 
 (** [succs t n] / [preds t n] are graph neighbors in path order. *)
 val succs : t -> node -> node list

@@ -3,8 +3,10 @@ module Codec = Store.Codec
 
 (* v4: an explicit codec in place of a marshaled record. v5: the
    collection's address table in place of the alias union-find; the
-   graph section holds no addresses. *)
-let snapshot_version = 5
+   graph section holds no addresses. v6: the address table first, trace
+   hops and mates by table id, and no closing-reply or stop-set-hit
+   fields (both derive from the traces). *)
+let snapshot_version = 6
 
 type snapshot = {
   collection : Collect.t;

@@ -5,12 +5,10 @@ type closing = Echo of Ipv4.t | Unreach of Ipv4.t | Nothing
 type t = {
   dst : Ipv4.t;
   target_asn : Asn.t;
-  hops : (int * Ipv4.t) list;
+  hops : (int * int) list;
   closing : closing;
   stopped : bool;
 }
-
-let hop_addrs t = List.map snd t.hops
 
 let pairs t =
   let rec go = function
@@ -25,17 +23,19 @@ let pairs t =
    traces := hop table | list table | n | dst column (u32s)
            | asn column (varints) | closing column | stopped column
              (bytes) | list column (varints)
-   hop table := m, then m distinct (ttl varint, addr u32) pairs in
-                first-seen order
-   list table := k, then for list ids 1..k: hop index | tail list id
-                 (varints, the tail below the list's own id; id 0 is
-                 the empty list)
+   hop table := m, then m distinct (ttl, address-table id) varint
+                pairs in first-seen order
+   list table := k, then for list ids 1..k: hop index | the list's own
+                 id less one less its tail's id (varints; the tail is
+                 below the list, id 0 is the empty list)
 
    Doubletree's traces from one VP share their near hops, and traces
    into one block share whole paths, so hop lists are hash-consed: the
    list table holds each distinct suffix once, and a trace names its
-   hop list by id. The decoder builds one tuple per distinct hop and
-   one cons cell per distinct suffix. A closing cell is a tag byte
+   hop list by id. A new suffix's tail is most often the suffix made
+   just before it, so the step back to it fits one byte. The decoder
+   builds one tuple per distinct hop and one cons cell per distinct
+   suffix. A closing cell is a tag byte
    (0 none, 1 echo, 2 unreachable) followed by the address unless it
    is none. The variable-width columns before the last carry their byte
    length ({!Store.Codec.put_sized}), so the decoder reads every column
@@ -75,17 +75,17 @@ let encode w traces =
     | [] -> 0
     | (ttl, a) :: rest ->
       let tail = id_of rest in
-      let h, fresh = hop_id ((ttl lsl 32) lor Ipv4.to_int a) in
+      let h, fresh = hop_id ((ttl lsl 32) lor a) in
       if fresh then begin
         incr m;
         Codec.put_varint hops ttl;
-        Codec.put_u32 hops (Ipv4.to_int a)
+        Codec.put_varint hops a
       end;
       let l, fresh = list_id ((h lsl 31) lor tail) in
       if fresh then begin
         incr k;
         Codec.put_varint lists h;
-        Codec.put_varint lists tail
+        Codec.put_varint lists (l - 1 - tail)
       end;
       l
   in
@@ -116,22 +116,25 @@ let encode w traces =
   List.iter (Codec.put_varint w) ids
 
 let addr r = Ipv4.of_int (Codec.u32 r)
-let no_hop = (0, Ipv4.zero)
 
-let decode r =
-  let m = Codec.count r ~min_bytes:5 in
-  let table =
-    Codec.array m ~fill:no_hop (fun _ ->
+(* A hop names an observed address of [table]. *)
+let decode table r =
+  let m = Codec.count r ~min_bytes:2 in
+  let hops =
+    Codec.array m ~fill:(0, 0) (fun _ ->
         let ttl = Codec.varint r in
-        (ttl, addr r))
+        let a = Codec.varint r in
+        Codec.check
+          (a < Aliasres.Alias_graph.length table && Aliasres.Alias_graph.observed table a);
+        (ttl, a))
   in
   let k = Codec.count r ~min_bytes:2 in
   let lists = Array.make (k + 1) [] in
   for l = 1 to k do
     let h = Codec.varint r in
-    let tail = Codec.varint r in
-    if h >= m || tail >= l then Codec.fail ();
-    lists.(l) <- table.(h) :: lists.(tail)
+    let tail = l - 1 - Codec.varint r in
+    if h >= m || tail < 0 then Codec.fail ();
+    lists.(l) <- hops.(h) :: lists.(tail)
   done;
   (* Four columns of at least one byte and one of four per trace. *)
   let n = Codec.count r ~min_bytes:8 in

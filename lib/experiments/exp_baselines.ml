@@ -40,7 +40,6 @@ let run ?(scale = 1.0) () =
   let env = Exp_common.make params in
   let vp = List.hd env.Exp_common.world.Gen.vps in
   let r = Exp_common.run_vp env vp in
-  let traces = r.Bdrmap.Pipeline.collection.Bdrmap.Collect.traces in
   let ip2as = r.Bdrmap.Pipeline.ip2as in
   (* bdrmap's own links, scored with the same addr-level judge via the
      far node's first address. *)
@@ -82,8 +81,8 @@ let run ?(scale = 1.0) () =
       correct_pct = s.Bdrmap.Validate.pct_correct }
   in
   ignore bdrmap_links;
-  let naive = Bdrmap.Baselines.naive_ipas ip2as traces in
-  let mapit = Bdrmap.Baselines.mapit ip2as traces in
+  let naive = Bdrmap.Baselines.naive_ipas ip2as r.Bdrmap.Pipeline.collection in
+  let mapit = Bdrmap.Baselines.mapit ip2as r.Bdrmap.Pipeline.collection in
   { scenario = "R&E network";
     rows =
       [ bdrmap_row;

@@ -85,7 +85,9 @@ let run ?(scale = 1.0) ?pool ?store () =
   in
   (* Collection drops its stop set when it returns; rebuild it. *)
   let stop (t : Bdrmap.Trace.t) =
-    Option.map (fun a -> (t.target_asn, [ a ])) (Bdrmap.Collect.stop_entry ip2as t)
+    Option.map
+      (fun a -> (t.target_asn, [ a ]))
+      (Bdrmap.Collect.stop_entry ip2as (Aliasres.Alias_graph.addr c.aliases) t)
   in
   let stops = List.sort_uniq compare (List.filter_map stop c.traces) in
   (* The IP-AS table, relationship graph and target list scale with the

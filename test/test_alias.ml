@@ -148,7 +148,7 @@ let test_prefixscan_direct_mate () =
   | Some r -> Alcotest.(check string) "mate is prev" "10.0.0.8" (Ipv4.to_string r.Prefixscan.mate)
   | None -> Alcotest.fail "expected direct mate"
 
-let freeze g = Ag.freeze g ~observed:[] ~named:[]
+let freeze g = fst (Ag.freeze g)
 
 let test_graph_closure () =
   let g = Ag.Uf.create () in
@@ -172,8 +172,8 @@ let test_graph_negative_veto () =
     (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.2"));
   Alcotest.(check bool) "the frozen table keeps both" true
     (let t = freeze g in
-     Ag.same_router t (ip "10.0.0.1") (ip "10.0.0.2")
-     && not (Ag.same_router t (ip "10.0.0.1") (ip "10.0.0.3")))
+     Alias_ref.table_same t (ip "10.0.0.1") (ip "10.0.0.2")
+     && not (Alias_ref.table_same t (ip "10.0.0.1") (ip "10.0.0.3")))
 
 let test_graph_groups () =
   let g = Ag.Uf.create () in
@@ -185,15 +185,18 @@ let test_graph_groups () =
   Alcotest.(check bool) "sizes" true
     (List.sort compare (List.map List.length groups) = [ 1; 2; 2 ]);
   (* A hop or mate address the evidence never named is a singleton. *)
-  let t = Ag.freeze g ~observed:[ ip "10.0.0.2"; ip "10.0.3.1" ] ~named:[ ip "10.0.3.9" ] in
+  let hops = List.map (Ag.Uf.intern g ~observed:true) [ ip "10.0.3.1"; ip "10.0.0.2" ] in
+  let mate = Ag.Uf.intern g ~observed:false (ip "10.0.3.9") in
+  let t, pos = Ag.freeze g in
   Alcotest.(check int) "five groups" 5 (List.length (Ag.groups t));
-  let bits = ref [] in
-  Ag.iter t (fun a _ observed -> bits := (Ipv4.to_string a, observed) :: !bits);
+  Alcotest.(check (list string)) "registry ids name their table ids"
+    [ "10.0.3.1"; "10.0.0.2"; "10.0.3.9" ]
+    (List.map (fun i -> Ipv4.to_string (Ag.addr t pos.(i))) (hops @ [ mate ]));
   Alcotest.(check (list (pair string bool))) "ascending, with observed bits"
     [ ("10.0.0.1", false); ("10.0.0.2", true); ("10.0.1.1", false); ("10.0.1.2", false);
       ("10.0.2.1", false); ("10.0.3.1", true); ("10.0.3.9", false) ]
-    (List.rev !bits);
-  Alcotest.(check int) "an absent address" (-1) (Ag.group_of t (ip "10.0.4.1"))
+    (List.init (Ag.length t) (fun i -> (Ipv4.to_string (Ag.addr t i), Ag.observed t i)));
+  Alcotest.(check bool) "an absent address" true (Alias_ref.table_id t (ip "10.0.4.1") = None)
 
 let suite =
   [ Alcotest.test_case "monotonic test" `Quick test_monotonic;

@@ -16,17 +16,17 @@ let ip2as =
   let ixp = Result.get_ok (B.Ixp.of_lines []) in
   Bdrmap.Ip2as.create ~rib ~ixp ~delegations:dels ~vp_asns:(Asn.Set.singleton 64500)
 
+(* Traces toward AS 65001 in the collection text format. *)
 let trace dst hops =
-  { Bdrmap.Trace.dst = ip dst;
-    target_asn = 65001;
-    hops = List.mapi (fun i a -> (i + 1, ip a)) hops;
-    closing = Bdrmap.Trace.Nothing;
-    stopped = false }
+  Printf.sprintf "trace|%s|65001|0|%s|-" dst
+    (String.concat "," (List.mapi (fun i a -> Printf.sprintf "%d:%s" (i + 1) a) hops))
+
+let collection lines = Result.get_ok (Bdrmap.Output.collection_of_lines lines)
 
 let test_naive_fires_on_transition () =
   let links =
     Bdrmap.Baselines.naive_ipas ip2as
-      [ trace "82.0.5.1" [ "81.0.0.1"; "81.0.0.5"; "82.0.0.9" ] ]
+      (collection [ trace "82.0.5.1" [ "81.0.0.1"; "81.0.0.5"; "82.0.0.9" ] ])
   in
   Alcotest.(check int) "one link" 1 (List.length links);
   let l = List.hd links in
@@ -34,16 +34,18 @@ let test_naive_fires_on_transition () =
   Alcotest.(check int) "neighbor" 65001 l.neighbor
 
 let test_mapit_needs_two_far_hops () =
-  let one_far = [ trace "82.0.5.1" [ "81.0.0.1"; "81.0.0.5"; "82.0.0.9" ] ] in
+  let one_far = collection [ trace "82.0.5.1" [ "81.0.0.1"; "81.0.0.5"; "82.0.0.9" ] ] in
   Alcotest.(check int) "path-end border invisible" 0
     (List.length (Bdrmap.Baselines.mapit ip2as one_far));
-  let two_far = [ trace "82.0.5.1" [ "81.0.0.1"; "81.0.0.5"; "82.0.0.9"; "82.0.1.9" ] ] in
+  let two_far =
+    collection [ trace "82.0.5.1" [ "81.0.0.1"; "81.0.0.5"; "82.0.0.9"; "82.0.1.9" ] ]
+  in
   Alcotest.(check int) "two far hops suffice" 1
     (List.length (Bdrmap.Baselines.mapit ip2as two_far))
 
 let test_dedup () =
   let t = trace "82.0.5.1" [ "81.0.0.1"; "82.0.0.9" ] in
-  let links = Bdrmap.Baselines.naive_ipas ip2as [ t; t; t ] in
+  let links = Bdrmap.Baselines.naive_ipas ip2as (collection [ t; t; t ]) in
   Alcotest.(check int) "duplicates collapsed" 1 (List.length links)
 
 let test_world_comparison () =

@@ -24,6 +24,7 @@ let test_collection_roundtrip () =
     Alcotest.(check int) "icmp preserved"
       (List.length r.collection.other_icmp)
       (List.length c.other_icmp);
+    Alcotest.(check int) "stop-set hits preserved" r.collection.stopset_hits c.stopset_hits;
     List.iter2
       (fun (t1 : Bdrmap.Trace.t) (t2 : Bdrmap.Trace.t) ->
         Alcotest.(check string) "dst" (Ipv4.to_string t1.dst) (Ipv4.to_string t2.dst);
@@ -84,8 +85,27 @@ let test_parse_errors () =
   (* No writer emits vetoes, and a frozen collection holds none. *)
   Alcotest.(check bool) "notalias line" true
     (Result.is_error (Bdrmap.Output.collection_of_lines [ "notalias|1.2.3.4|1.2.3.5" ]));
+  (* Trace lines carry the closing replies. *)
+  Alcotest.(check bool) "icmp line" true
+    (Result.is_error (Bdrmap.Output.collection_of_lines [ "icmp|100|1.8.0.4" ]));
   Alcotest.(check bool) "comments ok" true
     (Result.is_ok (Bdrmap.Output.collection_of_lines [ "# empty"; "" ]))
+
+(* Hop TTLs lie in 1..255 and ascend strictly along a trace. *)
+let test_trace_ttls () =
+  let line hops = Printf.sprintf "trace|1.8.0.1|100|0|%s|-" hops in
+  let parses hops = Result.is_ok (Bdrmap.Output.collection_of_lines [ line hops ]) in
+  Alcotest.(check bool) "ascending, with a gap" true (parses "1:1.8.0.2,3:1.8.0.3,255:1.8.0.4");
+  List.iter
+    (fun (name, hops) -> Alcotest.(check bool) name false (parses hops))
+    [ ("negative ttl", "-5:1.8.0.2,0:1.8.0.3,7:1.8.0.4");
+      ("ttl 0", "0:1.8.0.2");
+      ("ttl 256", "256:1.8.0.2");
+      ("ttl 2^62", "4611686018427387904:1.8.0.2");
+      ("ttl max_int", Printf.sprintf "%d:1.8.0.2" max_int);
+      ("repeated ttl", "2:1.8.0.2,2:1.8.0.3");
+      ("descending ttl", "3:1.8.0.2,2:1.8.0.3");
+      ("ttl not a number", "x:1.8.0.2") ]
 
 let suite =
   [ Alcotest.test_case "collection roundtrip" `Quick test_collection_roundtrip;
@@ -93,4 +113,5 @@ let suite =
       test_inference_stable_after_roundtrip;
     Alcotest.test_case "links roundtrip" `Quick test_links_roundtrip;
     Alcotest.test_case "tag slug roundtrip" `Quick test_tag_slug_roundtrip;
-    Alcotest.test_case "parse errors" `Quick test_parse_errors ]
+    Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "trace ttls" `Quick test_trace_ttls ]

@@ -57,7 +57,7 @@ let prop_vetoes_never_merged =
 let prop_groups_partition =
   QCheck.Test.make ~name:"groups form a partition" ~count:300 arb_ops (fun ops ->
       let g = apply ops in
-      let groups = Ag.groups (Ag.freeze g ~observed:[] ~named:[]) in
+      let groups = Ag.groups (fst (Ag.freeze g)) in
       let all = List.concat groups in
       let uniq = List.sort_uniq Ipv4.compare all in
       List.length all = List.length uniq
@@ -80,9 +80,22 @@ let seeded_ops seed =
          | 1 -> [ Not_alias (a, b) ]
          | _ -> [ Not_alias (a, b); Alias (b, a) ]))
 
+(* [hop_names c] is the address each trace hop of [c] names, in order;
+   [mate_names c] the same for the mates. *)
+let hop_names (c : Bdrmap.Collect.t) =
+  List.concat_map
+    (fun (t : Bdrmap.Trace.t) -> List.map (fun (_, i) -> Ag.addr c.aliases i) t.hops)
+    c.traces
+
+let mate_names (c : Bdrmap.Collect.t) =
+  List.map (fun (_, _, m) -> Ag.addr c.aliases m) c.mates
+
 (* The freeze against the reference scan over the union-find, on
    seeded evidence plus seeded hop (observed) and mate (named)
-   addresses, some of them never in the evidence. *)
+   addresses, some of them never in the evidence. The hops form one
+   trace and the named addresses mates, so the collection's ids are
+   checked to name what was registered: fresh, after the text format
+   and after the store codec. *)
 let prop_freeze_matches_reference =
   QCheck.Test.make ~name:"alias freeze = naive reference partition" ~count:300
     QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
@@ -94,7 +107,23 @@ let prop_freeze_matches_reference =
         List.init (Random.State.int st 12) (fun _ -> addr_of_int (Random.State.int st 24))
       in
       let observed = draw () and named = draw () in
-      let t = Ag.freeze g ~observed ~named in
+      let trace =
+        { Bdrmap.Trace.dst = addr_of_int 999; target_asn = 1;
+          hops = List.mapi (fun i a -> (i + 1, Ag.Uf.intern g ~observed:true a)) observed;
+          closing = Bdrmap.Trace.Nothing; stopped = false }
+      in
+      let mates =
+        List.map
+          (fun a ->
+            let m = Ag.Uf.intern g ~observed:false a in
+            (m, m, m))
+          named
+      in
+      let c =
+        Bdrmap.Collect.finish g [ trace ] mates
+          ~sched:(Probesim.Scheduler.create ~pps:100.0) ~alias_pairs_tested:0
+      in
+      let t = c.aliases in
       let mentioned =
         List.sort_uniq Ipv4.compare
           (observed @ named
@@ -106,19 +135,30 @@ let prop_freeze_matches_reference =
       let never = addr_of_int 24 in
       if Ag.groups t <> Alias_ref.partition (Ag.Uf.same_router g) ~mentioned then
         QCheck.Test.fail_report "frozen groups differ from the reference partition";
-      let table = ref [] in
-      Ag.iter t (fun a _ bit -> table := (a, bit) :: !table);
-      if List.rev !table <> List.map (fun a -> (a, List.mem a observed)) mentioned then
+      let table = List.init (Ag.length t) (fun i -> (Ag.addr t i, Ag.observed t i)) in
+      if table <> List.map (fun a -> (a, List.mem a observed)) mentioned then
         QCheck.Test.fail_report "table addresses or observed bits differ";
-      if Ag.group_of t never >= 0 || Ag.same_router t never (List.hd mentioned) then
+      if Alias_ref.table_id t never <> None then
         QCheck.Test.fail_reportf "unmentioned %s is in the table" (Ipv4.to_string never);
-      let image =
+      let image encode x =
         let w = Store.Codec.writer 64 in
-        Ag.encode w t;
+        encode w x;
         let b, len = Store.Codec.contents w in
         Bytes.sub_string b 0 len
       in
-      match Store.Codec.decode Ag.decode image ~pos:0 ~len:(String.length image) with
+      let decode f s = Store.Codec.decode f s ~pos:0 ~len:(String.length s) in
+      let names what (c : Bdrmap.Collect.t) =
+        if hop_names c <> observed || mate_names c <> named then
+          QCheck.Test.fail_reportf "%s: an id names another address" what
+      in
+      names "fresh" c;
+      (match Bdrmap.Output.collection_of_lines (Bdrmap.Output.collection_to_lines c) with
+      | Ok c' -> names "text round trip" c'
+      | Error e -> QCheck.Test.fail_report e);
+      (match decode Bdrmap.Collect.decode (image Bdrmap.Collect.encode c) with
+      | Ok c' -> names "store round trip" c'
+      | Error _ -> QCheck.Test.fail_report "the collection does not decode");
+      match decode Ag.decode (image Ag.encode t) with
       | Ok t' -> Ag.groups t' = Ag.groups t && List.length (Ag.groups t) = Ag.group_count t
       | Error _ -> QCheck.Test.fail_report "the table does not decode")
 
@@ -129,10 +169,10 @@ let prop_same_router_symmetric =
         (fun a ->
           List.for_all
             (fun b ->
-              let frozen = Ag.freeze g ~observed:[] ~named:[] in
+              let frozen = fst (Ag.freeze g) in
               let same = Ag.Uf.same_router g (addr_of_int a) (addr_of_int b) in
               same = Ag.Uf.same_router g (addr_of_int b) (addr_of_int a)
-              && same = Ag.same_router frozen (addr_of_int b) (addr_of_int a))
+              && same = Alias_ref.table_same frozen (addr_of_int b) (addr_of_int a))
             [ 0; 3; 7; 11 ])
         [ 1; 5; 9; 14 ])
 
@@ -180,15 +220,13 @@ let prop_trace_pairs =
       let t =
         { Bdrmap.Trace.dst = addr_of_int 999;
           target_asn = 1;
-          hops = List.mapi (fun i ttl -> (ttl, addr_of_int i)) ttls;
+          hops = List.mapi (fun i ttl -> (ttl, i)) ttls;
           closing = Bdrmap.Trace.Nothing;
           stopped = false }
       in
       let pairs = Bdrmap.Trace.pairs t in
       List.length pairs = max 0 (List.length ttls - 1)
-      && List.for_all
-           (fun (a, b, _) -> not (Ipv4.equal a b))
-           (List.filter (fun (a, b, _) -> not (Ipv4.equal a b)) pairs))
+      && List.for_all (fun (a, b, _) -> a <> b) (List.filter (fun (a, b, _) -> a <> b) pairs))
 
 (* Rib LPM agrees with a linear scan over its own prefixes. *)
 let prop_rib_lpm =

@@ -19,13 +19,19 @@ let set_of l = List.fold_left (fun s a -> Ipv4.Set.add a s) Ipv4.Set.empty l
 let check_invariants run () =
   let run = Lazy.force run in
   let g = run.Bdrmap.Pipeline.graph and c = run.Bdrmap.Pipeline.collection in
+  let addr = Ag.addr c.Bdrmap.Collect.aliases in
   let observed =
-    set_of (List.concat_map Bdrmap.Trace.hop_addrs c.Bdrmap.Collect.traces)
+    set_of
+      (List.concat_map
+         (fun (t : Bdrmap.Trace.t) -> List.map (fun (_, i) -> addr i) t.hops)
+         c.Bdrmap.Collect.traces)
   in
-  let mates = set_of (List.map (fun (_, _, m) -> m) c.Bdrmap.Collect.mates) in
+  let mates = set_of (List.map (fun (_, _, m) -> addr m) c.Bdrmap.Collect.mates) in
   (* [groups] only supplies the universe of table addresses; group
      membership is decided by the reference's own same_router scan. *)
-  let mentioned = List.concat (Ag.groups c.Bdrmap.Collect.aliases) in
+  let aliases = c.Bdrmap.Collect.aliases in
+  let mentioned = List.concat (Ag.groups aliases) in
+  let same = Alias_ref.table_same aliases in
   let nodes = Bdrmap.Rgraph.nodes g in
   let covered =
     List.fold_left
@@ -38,8 +44,7 @@ let check_invariants run () =
         if not (Ipv4.Set.disjoint n.extra_addrs observed) then
           Alcotest.failf "node %d: extra_addrs holds an observed address" n.id;
         let reference =
-          Alias_ref.group_of (Ag.same_router c.Bdrmap.Collect.aliases) ~mentioned
-            (Ipv4.Set.min_elt all)
+          Alias_ref.group_of same ~mentioned (Ipv4.Set.min_elt all)
         in
         Alcotest.(check (list string))
           (Printf.sprintf "node %d is its reference alias group" n.id)
@@ -47,11 +52,9 @@ let check_invariants run () =
           (List.map Ipv4.to_string (Ipv4.Set.elements all));
         Ipv4.Set.iter
           (fun a ->
-            match Bdrmap.Rgraph.node_of_addr g a with
-            | Some m when m.Bdrmap.Rgraph.id = n.id -> ()
-            | _ ->
-              Alcotest.failf "node_of_addr %s is not node %d" (Ipv4.to_string a)
-                n.id)
+            match Option.map (Bdrmap.Rgraph.node_of_id g) (Alias_ref.table_id aliases a) with
+            | Some (Some m) when m.Bdrmap.Rgraph.id = n.id -> ()
+            | _ -> Alcotest.failf "the table id of %s is not node %d" (Ipv4.to_string a) n.id)
           all;
         Ipv4.Set.union acc all)
       Ipv4.Set.empty nodes
@@ -59,15 +62,12 @@ let check_invariants run () =
   Alcotest.(check bool) "nodes cover every observed and mate address" true
     (Ipv4.Set.subset (Ipv4.Set.union observed mates) covered);
   Alcotest.(check bool) "graph is not empty" true (nodes <> []);
-  (* Alias members outside every node, and an address nothing mentions,
-     have no node. *)
-  List.iter
-    (fun a ->
-      if (not (Ipv4.Set.mem a covered)) && Bdrmap.Rgraph.node_of_addr g a <> None
-      then
-        Alcotest.failf "node_of_addr %s: address is in no node"
-          (Ipv4.to_string a))
-    (Ipv4.of_string_exn "0.0.0.1" :: mentioned)
+  (* Alias members outside every node have no node. *)
+  for i = 0 to Ag.length aliases - 1 do
+    let a = Ag.addr aliases i in
+    if (not (Ipv4.Set.mem a covered)) && Bdrmap.Rgraph.node_of_id g i <> None then
+      Alcotest.failf "node_of_id %d: %s is in no node" i (Ipv4.to_string a)
+  done
 
 let suite =
   [ Alcotest.test_case "tiny: nodes are reference alias groups" `Quick

@@ -409,7 +409,7 @@ let test_old_version_key_misses () =
             []))
   in
   let key = Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg ~vp () in
-  Alcotest.(check int) "snapshot version" 5 Bdrmap.Run_store.snapshot_version;
+  Alcotest.(check int) "snapshot version" 6 Bdrmap.Run_store.snapshot_version;
   Alcotest.(check string) "key formula" key (key_at Bdrmap.Run_store.snapshot_version);
   let old = key_at 3 in
   Alcotest.(check bool) "version-3 key differs" true (old <> key);
@@ -436,7 +436,8 @@ let encoded f x =
 let decoded f s = C.decode f s ~pos:0 ~len:(String.length s)
 
 (* Two runs agree by content: sets by their elements, the address
-   table by its bytes (what [Ag.encode] writes) and its groups, the graph by every node, adjacency and address, and
+   table by its bytes (what [Ag.encode] writes) and its groups, the
+   graph by every node, adjacency and table id, and
    the inference by value, its routers naming the graph's own node
    records. *)
 let check_same_run name (a : Bdrmap.Run_store.snapshot) (b : Bdrmap.Run_store.snapshot) =
@@ -467,13 +468,12 @@ let check_same_run name (a : Bdrmap.Run_store.snapshot) (b : Bdrmap.Run_store.sn
         && Netcore.Asn.Set.equal x.last_toward y.last_toward
         && x.trace_count = y.trace_count);
       chk "successors" (ids (Rg.succs ga x) = ids (Rg.succs gb y));
-      chk "predecessors" (ids (Rg.preds ga x) = ids (Rg.preds gb y));
-      List.iter
-        (fun addr ->
-          chk "address index"
-            (Option.map (fun (n : Rg.node) -> n.id) (Rg.node_of_addr gb addr) = Some x.id))
-        (Rg.all_addrs x))
+      chk "predecessors" (ids (Rg.preds ga x) = ids (Rg.preds gb y)))
     (Rg.nodes ga) (Rg.nodes gb);
+  for i = 0 to Ag.length ca.aliases - 1 do
+    let id g = Option.map (fun (n : Rg.node) -> n.id) (Rg.node_of_id g i) in
+    chk "node by table id" (id ga = id gb)
+  done;
   let ia = a.inference and ib = b.inference in
   List.iter2
     (fun (x : H.router_inference) (y : H.router_inference) ->
@@ -523,20 +523,56 @@ let test_codec_crafted () =
       (match decoded f bytes with Error Store.Corrupt -> true | _ -> false)
   in
   let craft put = encoded (fun w () -> put w) () in
-  corrupt "2^40 hop count" Bdrmap.Trace.decode (craft (fun w -> C.put_varint w (1 lsl 40)));
-  corrupt "2^40 trace count" Bdrmap.Trace.decode
-    (craft (fun w ->
-         C.put_varint w 0;
-         C.put_varint w 0;
-         C.put_varint w (1 lsl 40)));
-  corrupt "hop index past the table" Bdrmap.Trace.decode
-    (craft (fun w ->
-         C.put_varint w 1;
-         C.put_varint w 1;
-         C.put_u32 w 7;
-         C.put_varint w 1;
-         C.put_varint w 1;
-         C.put_varint w 0));
+  let varints l = craft (fun w -> List.iter (C.put_varint w) l) in
+  (* A collection whose table has one observed address: one node. *)
+  let one_hop =
+    let uf = Ag.Uf.create () in
+    let t =
+      { Bdrmap.Trace.dst = Netcore.Ipv4.of_int 9; target_asn = 1;
+        hops = [ (1, Ag.Uf.intern uf ~observed:true (Netcore.Ipv4.of_int 7)) ];
+        closing = Bdrmap.Trace.Nothing; stopped = false }
+    in
+    Bdrmap.Collect.finish uf [ t ] [] ~sched:(Probesim.Scheduler.create ~pps:100.0)
+      ~alias_pairs_tested:0
+  in
+  let traces = Bdrmap.Trace.decode one_hop.aliases in
+  corrupt "2^40 hop count" traces (varints [ 1 lsl 40 ]);
+  corrupt "2^40 trace count" traces (varints [ 0; 0; 1 lsl 40 ]);
+  (* Hop tables of (ttl, table id) pairs; list tables of (hop, tail). *)
+  corrupt "hop index past the table" traces (varints [ 1; 1; 0; 1; 1; 0 ]);
+  (* One trace over [hops], (ttl, table id) pairs in path order: a
+     section only the named ids can make unreadable. *)
+  let section hops =
+    let m = List.length hops in
+    craft (fun w ->
+        C.put_varint w m;
+        List.iter (fun (ttl, id) -> List.iter (C.put_varint w) [ ttl; id ]) hops;
+        C.put_varint w m;
+        for l = 1 to m do
+          List.iter (C.put_varint w) [ m - l; 0 ]
+        done;
+        C.put_varint w 1;
+        C.put_u32 w 9;
+        C.put_sized w (fun w -> C.put_varint w 1);
+        C.put_sized w (fun w -> C.put_u8 w 0);
+        C.put_bool w false;
+        C.put_varint w m)
+  in
+  (* A collection: an address table of one address, observed or not,
+     or none, then [section]. *)
+  let collection table hops =
+    varints table ^ section hops ^ varints [ 0 ]
+    ^ encoded Probesim.Scheduler.encode (Probesim.Scheduler.create ~pps:100.0)
+    ^ varints [ 0 ]
+  in
+  Alcotest.(check bool) "a one-hop section decodes" true
+    (Result.is_ok (decoded traces (section [ (1, 0) ]))
+    && Result.is_ok (decoded Bdrmap.Collect.decode (collection [ 1; 8; 1 ] [ (1, 0) ])));
+  corrupt "hop id past the address table" traces (section [ (1, 1) ]);
+  corrupt "trace section over an empty table" Bdrmap.Collect.decode (collection [ 0 ] [ (1, 0) ]);
+  corrupt "hop naming an unobserved address" Bdrmap.Collect.decode
+    (collection [ 1; 8; 0 ] [ (1, 0) ]);
+  corrupt "tail list past the list's own id" traces (varints [ 1; 1; 0; 1; 0; 1 ]);
   corrupt "repeated table address" Ag.decode
     (craft (fun w -> List.iter (C.put_varint w) [ 2; 5; 1; 0; 2 ]));
   corrupt "table address past 32 bits" Ag.decode
@@ -545,17 +581,6 @@ let test_codec_crafted () =
     (craft (fun w -> List.iter (C.put_varint w) [ 1; 5; 2 ]));
   corrupt "group id skips one" Ag.decode
     (craft (fun w -> List.iter (C.put_varint w) [ 2; 5; 0; 1; 4 ]));
-  (* A collection whose table has one observed address: one node. *)
-  let one_hop =
-    let t =
-      { Bdrmap.Trace.dst = Netcore.Ipv4.of_int 9; target_asn = 1;
-        hops = [ (1, Netcore.Ipv4.of_int 7) ]; closing = Bdrmap.Trace.Nothing;
-        stopped = false }
-    in
-    { Bdrmap.Collect.traces = [ t ]; aliases = Bdrmap.Collect.freeze (Ag.Uf.create ()) [ t ] [];
-      mates = []; other_icmp = []; sched = Probesim.Scheduler.create ~pps:100.0;
-      stopset_hits = 0; alias_pairs_tested = 0 }
-  in
   (* A node count, one ASN set (empty), one node's fields, then the
      successor sets [succ]. *)
   let graph count succ =
