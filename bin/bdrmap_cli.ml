@@ -110,9 +110,28 @@ let store_term =
   let mk dir no_store = if no_store then None else dir in
   Term.(const mk $ store_dir_arg $ no_store_arg)
 
-let open_store dir =
+(* [prepare_dir ~command ~flag dir] makes [dir] (unless [~create] is
+   false) and checks that it is a directory, before any work starts: a
+   path that cannot hold the artifacts or the store exits 1 at once
+   instead of after the whole pipeline ran. *)
+let prepare_dir ?(create = true) ~command ~flag dir =
+  let fail msg =
+    prerr_endline (Printf.sprintf "%s: %s %s: %s" command flag dir msg);
+    exit 1
+  in
+  match
+    if create then Store.ensure_dir dir;
+    Sys.file_exists dir && Sys.is_directory dir
+  with
+  | true -> ()
+  | false -> fail (if Sys.file_exists dir then "not a directory" else "no such directory")
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  | exception Sys_error e -> fail e
+
+let open_store ~command dir =
   Option.map
     (fun d ->
+      prepare_dir ~command ~flag:"--store" d;
       Obs.Log.info "run store at %s" d;
       Store.open_dir d)
     dir
@@ -129,25 +148,6 @@ let out_arg =
   Arg.(
     value & opt (some string) None
     & info [ "out" ] ~docv:"DIR" ~doc:"Directory for output artifacts.")
-
-(* [prepare_out ~command out] creates --out's directory before any work
-   starts, so a path that cannot hold the artifacts exits 1 at once
-   instead of after the whole pipeline ran. *)
-let prepare_out ~command = function
-  | None -> ()
-  | Some dir -> (
-    let fail msg =
-      prerr_endline (Printf.sprintf "%s: --out %s: %s" command dir msg);
-      exit 1
-    in
-    match
-      Store.ensure_dir dir;
-      Sys.is_directory dir
-    with
-    | true -> ()
-    | false -> fail "not a directory"
-    | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
-    | exception Sys_error e -> fail e)
 
 (* Observability flags, shared by every command. All of their output
    goes to stderr or to files: stdout carries only the inference
@@ -210,7 +210,6 @@ let print_metrics_summary () =
     (fun (name, v) ->
       match v with
       | Obs.Metrics.Counter n -> Printf.eprintf "  %-36s %d\n" name n
-      | Obs.Metrics.Gauge g -> Printf.eprintf "  %-36s %g\n" name g
       | Obs.Metrics.Histogram h ->
         Printf.eprintf "  %-36s count=%d sum=%g\n" name h.Obs.Metrics.h_count
           h.Obs.Metrics.h_sum)
@@ -290,7 +289,7 @@ let setup_env ?store params =
 
 (* generate: emit the public input artifacts of §5.2. *)
 let generate (scenario_name, scenario) scale seed out obs =
-  prepare_out ~command:"generate" out;
+  Option.iter (prepare_dir ~command:"generate" ~flag:"--out") out;
   let config =
     config_string ~command:"generate" ~scenario:scenario_name ~scale ~seed ~jobs:1 []
   in
@@ -365,7 +364,7 @@ let run_all_vps ~shared world inputs store pool =
 
 (* run: the full pipeline, with validation and Table-1 reporting. *)
 let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir obs =
-  prepare_out ~command:"run" out;
+  Option.iter (prepare_dir ~command:"run" ~flag:"--out") out;
   let config =
     config_string ~command:"run" ~scenario:scenario_name ~scale ~seed ~jobs
       [ ("vp", string_of_int vp_idx); ("all_vps", string_of_bool all_vps) ]
@@ -376,7 +375,7 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
   with_obs obs ~command:"run" ~scale ~jobs ?seed ~config ?out_dir:out ~extra
     (fun () ->
       let params = params_of scenario scale seed in
-      let store = open_store store_dir in
+      let store = open_store ~command:"run" store_dir in
       let world, shared, inputs = setup_env ?store params in
       if all_vps then
         with_jobs jobs (fun pool ->
@@ -423,23 +422,32 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
             (Bdrmap.Output.links_to_lines r.graph r.inference)
       end)
 
+(* [input_error ~command path msg] reports a file the command cannot
+   use as "<command>: <path>: <msg>" and exits 1, before any work
+   starts. [read_input] is the whole file, or that exit when the path
+   cannot be read (missing, a directory, no permission). *)
+let input_error ~command path msg =
+  prerr_endline (Printf.sprintf "%s: %s: %s" command path msg);
+  exit 1
+
+let read_input ~command path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e ->
+    let prefix = path ^ ": " in
+    input_error ~command path
+      (if String.starts_with ~prefix e then
+         String.sub e (String.length prefix) (String.length e - String.length prefix)
+       else e)
+
 (* infer: re-run inference over a previously saved collection. An
    unreadable or malformed collection exits 1 before any run state or
    manifest exists, as the obs subcommands do. *)
 let infer (scenario_name, scenario) scale seed collection_file obs =
   let c =
-    match
-      Result.bind
-        (try Ok (In_channel.with_open_text collection_file In_channel.input_all)
-         with Sys_error e -> Error e)
-        (fun text ->
-          Result.map_error (( ^ ) (collection_file ^ ": "))
-            (Bdrmap.Output.collection_of_lines (String.split_on_char '\n' text)))
-    with
+    let text = read_input ~command:"infer" collection_file in
+    match Bdrmap.Output.collection_of_lines (String.split_on_char '\n' text) with
     | Ok c -> c
-    | Error e ->
-      prerr_endline ("infer: " ^ e);
-      exit 1
+    | Error e -> input_error ~command:"infer" collection_file e
   in
   let config =
     config_string ~command:"infer" ~scenario:scenario_name ~scale ~seed ~jobs:1
@@ -488,7 +496,7 @@ let experiments scale names jobs store_dir obs =
     :: (match store_dir with Some d -> [ ("store", d) ] | None -> [])
   in
   with_obs obs ~command:"experiments" ~scale ~jobs ~config ~extra (fun () ->
-      let store = open_store store_dir in
+      let store = open_store ~command:"experiments" store_dir in
       with_jobs jobs (fun pool ->
           let all =
             [ ("table1", fun () -> Exp_print.table1 scale);
@@ -594,8 +602,8 @@ let serve (scenario_name, scenario) scale seed jobs store_dir socket map_in save
   in
   with_obs obs ~command:"serve" ~scale ~jobs ?seed ~config (fun () ->
       let params = params_of scenario scale seed in
+      let store = open_store ~command:"serve" store_dir in
       let world = Gen.generate params in
-      let store = open_store store_dir in
       let snapshot, qmap =
         with_jobs jobs (fun pool -> build_qmap world store pool map_in save_map)
       in
@@ -710,8 +718,8 @@ let serve_bench (scenario_name, scenario) scale seed jobs store_dir batch second
   in
   with_obs obs ~command:"serve-bench" ~scale ~jobs ?seed ~config (fun () ->
       let params = params_of scenario scale seed in
+      let store = open_store ~command:"serve-bench" store_dir in
       let world = Gen.generate params in
-      let store = open_store store_dir in
       let _, qmap =
         with_jobs jobs (fun pool -> build_qmap world store pool None None)
       in
@@ -828,6 +836,7 @@ let store_dir_req =
         ~doc:"Run store directory.")
 
 let store_ls dir =
+  prepare_dir ~create:false ~command:"store ls" ~flag:"--store" dir;
   let st = Store.open_dir dir in
   let es = Store.entries st in
   List.iter
@@ -841,6 +850,7 @@ let store_ls dir =
 
 let store_gc all dir obs =
   let config = Printf.sprintf "command=store-gc\ndir=%s\nall=%b" dir all in
+  prepare_dir ~create:false ~command:"store gc" ~flag:"--store" dir;
   with_obs obs ~command:"store gc" ~scale:1.0 ~jobs:1 ~config (fun () ->
       let st = Store.open_dir dir in
       let stats = Store.gc ~all st in
@@ -878,10 +888,9 @@ let store_cmd =
    positionals rather than obs_term. *)
 
 let obs_report canonical path =
-  match Obs.Trace_reader.of_file path with
-  | Error e ->
-    Printf.eprintf "obs report: %s: %s\n" path (Obs.Trace_reader.error_to_string e);
-    exit 1
+  let text = read_input ~command:"obs report" path in
+  match Obs.Trace_reader.of_lines (String.split_on_char '\n' text) with
+  | Error e -> input_error ~command:"obs report" path (Obs.Trace_reader.error_to_string e)
   | Ok t ->
     List.iter print_endline
       (Obs.Trace_reader.report_lines ~volatile:(not canonical)
@@ -889,11 +898,9 @@ let obs_report canonical path =
 
 let obs_diff wall_ratio rel a b =
   let load path =
-    match Obs.Run_diff.of_file path with
+    match Obs.Run_diff.of_string (read_input ~command:"obs diff" path) with
     | Ok run -> run
-    | Error msg ->
-      Printf.eprintf "obs diff: %s: %s\n" path (Obs.Run_diff.error_to_string msg);
-      exit 1
+    | Error e -> input_error ~command:"obs diff" path (Obs.Run_diff.error_to_string e)
   in
   let ra = load a and rb = load b in
   if ra.Obs.Run_diff.kind <> rb.Obs.Run_diff.kind then begin
@@ -919,17 +926,15 @@ let obs_diff wall_ratio rel a b =
       (List.length ra.Obs.Run_diff.rows)
 
 let obs_export path =
-  match Obs.Openmetrics.of_file path with
+  match Obs.Openmetrics.of_string (read_input ~command:"obs export" path) with
   | Ok text -> print_string text
-  | Error msg ->
-    Printf.eprintf "obs export: %s: %s\n" path msg;
-    exit 1
+  | Error e -> input_error ~command:"obs export" path e
 
 let obs_cmd =
   let trace_pos =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"TRACE" ~doc:"JSONL trace written by --trace.")
   in
   let canonical =
@@ -953,13 +958,13 @@ let obs_cmd =
     let file_a =
       Arg.(
         required
-        & pos 0 (some file) None
+        & pos 0 (some string) None
         & info [] ~docv:"BASELINE" ~doc:"Baseline manifest.json or BENCH.json.")
     in
     let file_b =
       Arg.(
         required
-        & pos 1 (some file) None
+        & pos 1 (some string) None
         & info [] ~docv:"CANDIDATE" ~doc:"Candidate manifest.json or BENCH.json.")
     in
     let wall_ratio =
@@ -992,7 +997,7 @@ let obs_cmd =
     let manifest_pos =
       Arg.(
         required
-        & pos 0 (some file) None
+        & pos 0 (some string) None
         & info [] ~docv:"MANIFEST" ~doc:"manifest.json written by a run.")
     in
     Cmd.v

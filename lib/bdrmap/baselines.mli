@@ -29,6 +29,3 @@ val naive_ipas : Ip2as.t -> Collect.t -> link list
 (** [mapit ip2as c] infers borders only where the far side shows two
     adjacent interfaces in the neighbor's address space. *)
 val mapit : Ip2as.t -> Collect.t -> link list
-
-(** [dedup links] collapses duplicate (near, far, neighbor) triples. *)
-val dedup : link list -> link list

@@ -39,10 +39,6 @@ val all_tags : tag array
 
 val tag_label : tag -> string
 
-(** [tag_slug tag] is the stable machine-readable name used in metric
-    names ([heuristics.fire.<slug>]) and trace provenance records. *)
-val tag_slug : tag -> string
-
 type owner =
   | Host_router  (** operated by the hosting network *)
   | Neighbor of Asn.t * tag

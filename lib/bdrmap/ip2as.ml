@@ -61,8 +61,6 @@ let classify t a =
     Ipv4.Tbl.add t.memo a c;
     c
 
-let origins t a = B.Rib.origin_asns t.rib a
-
 let is_host t a =
   match classify t a with
   | Host -> true

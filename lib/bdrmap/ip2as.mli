@@ -33,9 +33,6 @@ val fresh : t -> t
 
 val classify : t -> Ipv4.t -> cls
 
-(** [origins t a] is the BGP origin set ([Asn.Set.empty] if unrouted). *)
-val origins : t -> Ipv4.t -> Asn.Set.t
-
 (** [is_host t a] is true when [classify] yields [Host]. *)
 val is_host : t -> Ipv4.t -> bool
 

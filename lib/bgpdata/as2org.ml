@@ -22,9 +22,6 @@ let same_org t a b =
   | Some x, Some y -> String.equal x y
   | _ -> false
 
-let orgs t = SMap.bindings t.by_org
-let cardinal t = Asn.Map.cardinal t.by_asn
-
 let to_lines t =
   Asn.Map.fold (fun asn org acc -> Printf.sprintf "%d|%s" asn org :: acc) t.by_asn []
   |> List.sort compare

@@ -16,8 +16,6 @@ val org_of : t -> Asn.t -> string option
 val siblings : t -> Asn.t -> Asn.Set.t
 
 val same_org : t -> Asn.t -> Asn.t -> bool
-val orgs : t -> (string * Asn.Set.t) list
-val cardinal : t -> int
 
 val to_lines : t -> string list
 val of_lines : string list -> (t, string) result

@@ -7,10 +7,6 @@ let origin p =
   | [] -> None
   | last :: _ -> Some last
 
-let head = function
-  | [] -> None
-  | a :: _ -> Some a
-
 let rec compact = function
   | a :: b :: rest when Asn.equal a b -> compact (b :: rest)
   | a :: rest -> a :: compact rest
@@ -42,5 +38,3 @@ let of_string s =
     go [] parts
 
 let to_string p = String.concat " " (List.map string_of_int p)
-let pp ppf p = Format.pp_print_string ppf (to_string p)
-let length = List.length

@@ -4,7 +4,6 @@
 type t = Netcore.Asn.t list
 
 val origin : t -> Netcore.Asn.t option
-val head : t -> Netcore.Asn.t option
 
 (** [compact p] removes consecutive duplicate ASNs (prepending). *)
 val compact : t -> t
@@ -17,5 +16,3 @@ val has_loop : t -> bool
 
 val of_string : string -> t option
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val length : t -> int

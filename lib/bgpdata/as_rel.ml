@@ -75,7 +75,6 @@ let customer_cone t a =
 let is_provider_of t ~provider ~customer = Asn.Set.mem customer (get t provider).cust
 let is_peer t a b = Asn.Set.mem b (get t a).peer
 let known t a b = rel t ~of_:a ~with_:b <> None
-let degree t a = Asn.Set.cardinal (neighbors t a)
 let asns t = Asn.Map.fold (fun a _ acc -> Asn.Set.add a acc) t Asn.Set.empty
 
 let edge_count t =

@@ -42,7 +42,6 @@ val customer_cone : t -> Asn.t -> Asn.Set.t
 val is_provider_of : t -> provider:Asn.t -> customer:Asn.t -> bool
 val is_peer : t -> Asn.t -> Asn.t -> bool
 val known : t -> Asn.t -> Asn.t -> bool
-val degree : t -> Asn.t -> int
 val asns : t -> Asn.Set.t
 val edge_count : t -> int
 

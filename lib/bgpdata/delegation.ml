@@ -18,7 +18,6 @@ type t = { recs : record list; mutable index : record array option }
 let empty = { recs = []; index = None }
 let add t r = { recs = r :: t.recs; index = None }
 let records t = List.rev t.recs
-let cardinal t = List.length t.recs
 
 let index t =
   match t.index with

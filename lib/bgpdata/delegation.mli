@@ -22,7 +22,6 @@ type t
 val empty : t
 val add : t -> record -> t
 val records : t -> record list
-val cardinal : t -> int
 
 (** [find t addr] is the delegation record covering [addr], if any. *)
 val find : t -> Ipv4.t -> record option
@@ -40,5 +39,3 @@ val same_org : t -> Ipv4.t -> Ipv4.t -> bool
 
 val to_lines : t -> string list
 val of_lines : string list -> (t, string) result
-val parse_line : string -> (record, string) result
-val line_of_record : record -> string

@@ -86,9 +86,6 @@ let prefixes_originated_by t asns =
     t.trie []
   |> List.sort Prefix.compare
 
-let all_origins t =
-  Ptrie.fold (fun _ e acc -> Asn.Set.union e.origins acc) t.trie Asn.Set.empty
-
 let more_specifics t p =
   Ptrie.subtree p t.trie
   |> List.filter_map (fun (q, _) -> if Prefix.equal p q then None else Some q)

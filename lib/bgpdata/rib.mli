@@ -46,13 +46,9 @@ val origin_asns : t -> Ipv4.t -> Asn.Set.t
     intersects [asns]. *)
 val prefixes_originated_by : t -> Asn.Set.t -> Prefix.t list
 
-(** [all_origins t] is every AS that originates at least one prefix. *)
-val all_origins : t -> Asn.Set.t
-
 (** [more_specifics t p] is the routed prefixes strictly more specific
     than [p]. *)
 val more_specifics : t -> Prefix.t -> Prefix.t list
 
 val to_lines : t -> string list
 val of_lines : string list -> (t, string) result
-val parse_line : string -> (Prefix.t * As_path.t, string) result

@@ -15,9 +15,6 @@ type row = {
   probes : int;
 }
 
-(** [pass r] is whether both accuracies meet their floors. *)
-val pass : row -> bool
-
 (** [run ?scale ()] runs every corpus scenario at [scale]
     (default 0.15), in registry order. *)
 val run : ?scale:float -> unit -> row list

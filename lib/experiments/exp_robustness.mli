@@ -17,8 +17,5 @@ type row = {
   faults : Probesim.Fault.stats;
 }
 
-val default_levels : float list
-(** [0.0; 0.25; 0.5; 0.75; 1.0] *)
-
 val run : ?scale:float -> ?levels:float list -> unit -> row list
 val print : Format.formatter -> row list -> unit

@@ -1,6 +1,5 @@
 type t = int
 
-let pp ppf a = Format.fprintf ppf "AS%d" a
 let to_string a = Printf.sprintf "AS%d" a
 
 let of_string s =

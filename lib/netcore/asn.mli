@@ -2,7 +2,6 @@
 
 type t = int
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val of_string : string -> t option
 val compare : t -> t -> int

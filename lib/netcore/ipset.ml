@@ -4,10 +4,6 @@ type t = (int * int) list
 
 let empty = []
 
-let is_empty = function
-  | [] -> true
-  | _ -> false
-
 let rec insert lo hi = function
   | [] -> [ (lo, hi) ]
   | (a, b) :: rest ->
@@ -35,47 +31,4 @@ let remove_range lo hi t =
       t
 
 let remove_prefix p t = remove_range (Prefix.first p) (Prefix.last p) t
-let mem addr t = List.exists (fun (a, b) -> a <= Ipv4.to_int addr && Ipv4.to_int addr <= b) t
 let ranges t = List.map (fun (a, b) -> (Ipv4.of_int a, Ipv4.of_int b)) t
-let cardinal t = List.fold_left (fun n (a, b) -> n + (b - a + 1)) 0 t
-
-(* Greedy CIDR decomposition: repeatedly emit the largest aligned block
-   starting at the range's low end. *)
-let prefixes_of_range lo hi =
-  let rec go lo acc =
-    if lo > hi then List.rev acc
-    else
-      let max_align =
-        if lo = 0 then 32
-        else
-          let rec tz n acc = if n land 1 = 1 then acc else tz (n lsr 1) (acc + 1) in
-          tz lo 0
-      in
-      let rec fit bits =
-        (* Largest block of size 2^bits that is aligned and fits in range. *)
-        if bits > 0 && (bits > max_align || lo + (1 lsl bits) - 1 > hi) then fit (bits - 1)
-        else bits
-      in
-      let bits = fit 32 in
-      let p = Prefix.make (Ipv4.of_int lo) (32 - bits) in
-      go (lo + (1 lsl bits)) (p :: acc)
-  in
-  go lo []
-
-let to_prefixes t = List.concat_map (fun (a, b) -> prefixes_of_range a b) t
-let union a b = List.fold_left (fun t (lo, hi) -> insert lo hi t) a b
-
-let diff a b =
-  List.fold_left (fun t (lo, hi) -> remove_range (Ipv4.of_int lo) (Ipv4.of_int hi) t) a b
-
-let inter a b = diff a (diff a b)
-let equal (a : t) (b : t) = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (a, b) ->
-         if a = b then Ipv4.pp ppf (Ipv4.of_int a)
-         else Format.fprintf ppf "%a-%a" Ipv4.pp (Ipv4.of_int a) Ipv4.pp (Ipv4.of_int b)))
-    t

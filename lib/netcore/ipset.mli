@@ -1,36 +1,17 @@
 (** Sets of IPv4 addresses represented as sorted disjoint intervals.
     Used to compute the address blocks an AS routes: the covering prefix
-    minus its more-specific subnets, decomposed back into maximal CIDR
-    blocks (§5.3 "Generate list of address blocks to probe"). *)
+    minus its more-specific subnets (§5.3 "Generate list of address
+    blocks to probe"). *)
 
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 (** [add_range lo hi t] adds the inclusive range [lo, hi]. *)
 val add_range : Ipv4.t -> Ipv4.t -> t -> t
 
 val add_prefix : Prefix.t -> t -> t
-
-(** [remove_range lo hi t] removes the inclusive range [lo, hi]. *)
-val remove_range : Ipv4.t -> Ipv4.t -> t -> t
-
 val remove_prefix : Prefix.t -> t -> t
-val mem : Ipv4.t -> t -> bool
 
 (** [ranges t] is the sorted list of disjoint inclusive ranges. *)
 val ranges : t -> (Ipv4.t * Ipv4.t) list
-
-(** [cardinal t] is the number of addresses in the set. *)
-val cardinal : t -> int
-
-(** [to_prefixes t] decomposes the set into the minimal list of CIDR
-    blocks covering exactly the set, sorted by address. *)
-val to_prefixes : t -> Prefix.t list
-
-val union : t -> t -> t
-val inter : t -> t -> t
-val diff : t -> t -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

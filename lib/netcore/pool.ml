@@ -117,7 +117,6 @@ let map_init t ~init f items =
   end
 
 let map t f items = map_init t ~init:(fun () -> ()) (fun () x -> f x) items
-let run t thunks = map t (fun th -> th ()) thunks
 
 let shutdown t =
   Mutex.lock t.m;

@@ -35,10 +35,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     memo) that are reused across the items that land on that worker. *)
 val map_init : t -> init:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a list -> 'b list
 
-(** [run pool thunks] evaluates the thunks on the pool; results in
-    submission order. *)
-val run : t -> (unit -> 'a) list -> 'a list
-
 (** Shut the workers down and join them. Idempotent; using the pool
     afterwards raises [Invalid_argument]. *)
 val shutdown : t -> unit

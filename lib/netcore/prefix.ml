@@ -27,7 +27,6 @@ let of_string_exn s =
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string_exn: %S" s)
 
 let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.network) p.len
-let pp ppf p = Format.pp_print_string ppf (to_string p)
 
 let compare a b =
   match Ipv4.compare a.network b.network with
@@ -52,8 +51,6 @@ let split p =
       len = p.len + 1 }
   in
   (lo, hi)
-
-let host_prefix addr = { network = addr; len = 32 }
 
 let of_first_last first last =
   let f = Ipv4.to_int first and l = Ipv4.to_int last in

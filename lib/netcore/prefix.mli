@@ -14,7 +14,6 @@ val of_string : string -> t option
 
 val of_string_exn : string -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
@@ -35,9 +34,6 @@ val size : t -> int
 (** [split p] halves [p] into its two /len+1 children.
     Raises [Invalid_argument] on a /32. *)
 val split : t -> t * t
-
-(** [host_prefix addr] is [addr/32]. *)
-val host_prefix : Ipv4.t -> t
 
 (** [of_first_last first last] is the prefix with exactly that range, if the
     range is aligned; [None] otherwise. *)

@@ -6,10 +6,6 @@ type 'a t = Empty | Node of { value : 'a option; zero : 'a t; one : 'a t }
 
 let empty = Empty
 
-let is_empty = function
-  | Empty -> true
-  | Node _ -> false
-
 let node value zero one =
   match (value, zero, one) with
   | None, Empty, Empty -> Empty
@@ -27,7 +23,6 @@ let rec update_at addr len depth f t =
 
 let update p f t = update_at (Prefix.network p) (Prefix.len p) 0 f t
 let add p v t = update p (fun _ -> Some v) t
-let remove p t = update p (fun _ -> None) t
 
 let find_exact p t =
   let addr = Prefix.network p and len = Prefix.len p in
@@ -39,24 +34,19 @@ let find_exact p t =
   in
   go 0 t
 
-let matches addr t =
-  let rec go depth acc = function
-    | Empty -> acc
-    | Node { value; zero; one } ->
-      let acc =
-        match value with
-        | Some v -> (Prefix.make addr depth, v) :: acc
-        | None -> acc
-      in
-      if depth = 32 then acc
-      else go (depth + 1) acc (if Ipv4.bit addr depth then one else zero)
-  in
-  go 0 [] t
-
 let lpm addr t =
-  match matches addr t with
-  | [] -> None
-  | best :: _ -> Some best
+  let rec go depth best = function
+    | Empty -> best
+    | Node { value; zero; one } ->
+      let best =
+        match value with
+        | Some v -> Some (depth, v)
+        | None -> best
+      in
+      if depth = 32 then best
+      else go (depth + 1) best (if Ipv4.bit addr depth then one else zero)
+  in
+  Option.map (fun (depth, v) -> (Prefix.make addr depth, v)) (go 0 None t)
 
 let rec fold_node prefix_addr depth f t acc =
   match t with
@@ -72,7 +62,6 @@ let rec fold_node prefix_addr depth f t acc =
     else fold_node (prefix_addr lor (1 lsl (31 - depth))) (depth + 1) f one acc
 
 let fold f t acc = fold_node 0 0 f t acc
-let iter f t = fold (fun p v () -> f p v) t ()
 let cardinal t = fold (fun _ _ n -> n + 1) t 0
 let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l

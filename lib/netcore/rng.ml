@@ -23,17 +23,12 @@ let[@inline] next t =
   Bytes.set_int64_le t 0 s;
   mix s
 
-let bits64 t = next t
 let split t = of_state (mix (next t))
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod n
-
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
 
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in

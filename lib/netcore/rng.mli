@@ -12,9 +12,6 @@ val split : t -> t
 (** [int t n] is uniform in [0, n). Raises on [n <= 0]. *)
 val int : t -> int -> int
 
-(** [int_in t lo hi] is uniform in [lo, hi] inclusive. *)
-val int_in : t -> int -> int -> int
-
 (** [float t] is uniform in [0, 1). *)
 val float : t -> float
 
@@ -33,9 +30,6 @@ val shuffle : t -> 'a list -> 'a list
 (** [sample t n l] is [n] distinct elements of [l] (all of [l] when
     [n >= length l]), in shuffled order. *)
 val sample : t -> int -> 'a list -> 'a list
-
-(** [bits64 t] is the next raw 64-bit output. *)
-val bits64 : t -> int64
 
 (** [weighted t l] picks from [(weight, value)] pairs proportionally to
     weight. Raises on empty list or non-positive total weight. *)

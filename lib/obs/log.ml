@@ -30,7 +30,5 @@ let logf lvl tag fmt =
         Mutex.unlock m)
       fmt
 
-let err fmt = logf Error "error" fmt
 let warn fmt = logf Warn "warn" fmt
 let info fmt = logf Info "info" fmt
-let debug fmt = logf Debug "debug" fmt

@@ -13,7 +13,5 @@ val set_level : level -> unit
 val set_verbosity : int -> unit
 
 val level : unit -> level
-val err : ('a, Format.formatter, unit) format -> 'a
 val warn : ('a, Format.formatter, unit) format -> 'a
 val info : ('a, Format.formatter, unit) format -> 'a
-val debug : ('a, Format.formatter, unit) format -> 'a

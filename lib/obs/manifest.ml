@@ -59,7 +59,6 @@ let stages metrics =
 
 let render_value = function
   | Metrics.Counter n -> string_of_int n
-  | Metrics.Gauge g -> Printf.sprintf "%g" g
   | Metrics.Histogram h ->
     (* Percentiles are derived, not recorded: Summary reads them out of
        the same fixed log buckets, so a histogram in the manifest carries

@@ -29,7 +29,7 @@ let bucket_of v =
     else i
 
 type hist = { buckets : int array; mutable sum : float; mutable count : int }
-type cell = C of int ref | G of float ref | H of hist
+type cell = C of int ref | H of hist
 type shard = (string, cell) Hashtbl.t
 
 let enabled_flag = Atomic.make false
@@ -64,15 +64,6 @@ let add name n =
 
 let incr name = add name 1
 
-let gauge_max name v =
-  if Atomic.get enabled_flag then begin
-    let s = my_shard () in
-    match Hashtbl.find_opt s name with
-    | Some (G r) -> if v > !r then r := v
-    | Some _ -> kind_error name
-    | None -> Hashtbl.add s name (G (ref v))
-  end
-
 let observe name v =
   if Atomic.get enabled_flag then begin
     let s = my_shard () in
@@ -92,7 +83,7 @@ let observe name v =
   end
 
 type histogram = { h_sum : float; h_count : int; h_buckets : (float * int) list }
-type value = Counter of int | Gauge of float | Histogram of histogram
+type value = Counter of int | Histogram of histogram
 
 (* Merge accumulator mirroring [cell]; shards are folded in registration
    order, but every combining operation is commutative and associative,
@@ -108,12 +99,10 @@ let collect () =
         (fun name cell ->
           match (Hashtbl.find_opt acc name, cell) with
           | None, C r -> Hashtbl.add acc name (C (ref !r))
-          | None, G r -> Hashtbl.add acc name (G (ref !r))
           | None, H h ->
             Hashtbl.add acc name
               (H { buckets = Array.copy h.buckets; sum = h.sum; count = h.count })
           | Some (C a), C r -> a := !a + !r
-          | Some (G a), G r -> if !r > !a then a := !r
           | Some (H a), H h ->
             Array.iteri (fun i n -> a.buckets.(i) <- a.buckets.(i) + n) h.buckets;
             a.sum <- a.sum +. h.sum;
@@ -126,7 +115,6 @@ let collect () =
       let v =
         match cell with
         | C r -> Counter !r
-        | G r -> Gauge !r
         | H h ->
           let bs = ref [] in
           for i = n_buckets - 1 downto 0 do

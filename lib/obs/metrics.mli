@@ -1,11 +1,11 @@
-(** Domain-safe metrics registry: counters, gauges and histograms with
+(** Domain-safe metrics registry: counters and histograms with
     fixed log-scale buckets.
 
     Each domain writes to a private shard (allocated lazily through
     domain-local storage), so {!Netcore.Pool} workers never contend on —
     or race over — a shared table. {!collect} merges all shards with
     commutative, associative operations only (counters and histogram
-    buckets sum; gauges keep the maximum), so the merged totals are
+    buckets sum), so the merged totals are
     independent of how work items were distributed across domains:
     [-j 1] and [-j N] runs of a deterministic workload report identical
     totals.
@@ -30,11 +30,6 @@ val add : string -> int -> unit
 (** [incr name] is [add name 1]. *)
 val incr : string -> unit
 
-(** [gauge_max name v] records [v] into gauge [name], keeping the
-    maximum observed value. Max (not last-write) is what makes the
-    merged value independent of which domain saw which work item. *)
-val gauge_max : string -> float -> unit
-
 (** [observe name v] records [v] into histogram [name]. Buckets are
     fixed at four per decade from 1e-9 to 1e6 (plus underflow and
     overflow), so every shard buckets identically and merging is a
@@ -50,7 +45,7 @@ type histogram = {
       (** non-empty buckets only, as (inclusive lower bound, count) *)
 }
 
-type value = Counter of int | Gauge of float | Histogram of histogram
+type value = Counter of int | Histogram of histogram
 
 (** [collect ()] merges every shard and returns the metrics sorted by
     name. Raises [Invalid_argument] if one name was recorded with two

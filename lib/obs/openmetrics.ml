@@ -130,14 +130,3 @@ let of_string s =
   match Json.parse s with
   | Error e -> Error (Json.error_to_string e)
   | Ok json -> of_manifest json
-
-let of_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match of_string (really_input_string ic (in_channel_length ic)) with
-        | Ok r -> Ok r
-        | Error e -> Error (path ^ ": " ^ e))

@@ -8,10 +8,5 @@
     conventional inclusive upper edges). The output ends with the
     OpenMetrics [# EOF] terminator. *)
 
-(** Metric-name sanitization: anything outside [[a-zA-Z0-9_]] becomes
-    [_]. *)
-val sanitize : string -> string
-
 val of_manifest : Json.t -> (string, string) result
 val of_string : string -> (string, string) result
-val of_file : string -> (string, string) result

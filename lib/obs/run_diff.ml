@@ -73,7 +73,6 @@ let metric_rows name v =
   let cols =
     match v with
     | Metrics.Counter n -> [ ("value", float_of_int n) ]
-    | Metrics.Gauge g -> [ ("value", g) ]
     | Metrics.Histogram h -> (
       let base =
         [ ("count", float_of_int h.Metrics.h_count); ("sum", h.Metrics.h_sum) ]
@@ -221,12 +220,9 @@ let of_string s =
   | Ok json -> of_json json
 
 let of_file path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> of_string text
   | exception Sys_error msg -> Error (Io msg)
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 (* ------------------------------------------------------------------ *)
 (* The diff.                                                          *)

@@ -47,7 +47,7 @@ val row_name : row -> string
 val stage_rows : Manifest.stage -> row list
 
 (** [metric_rows name v] is every column of a collected registry metric
-    as [metric.<name>.<column>] rows: [value] for a counter or gauge;
+    as [metric.<name>.<column>] rows: [value] for a counter;
     [count], [sum], each supported percentile and [max] for a
     histogram. The query server's request counters and latency
     histogram depend on a timed load window and are [Lower]/[Higher];
@@ -67,7 +67,7 @@ val kind_label : kind -> string
 type run = { kind : kind; schema : string; rows : row list }
 
 type error =
-  | Io of string  (** the file could not be read *)
+  | Io of string  (** the file could not be read, or is a directory *)
   | Malformed of string  (** not JSON, or a row lacks or mistypes a field *)
   | No_schema
   | Unsupported_schema of string
@@ -75,13 +75,10 @@ type error =
           older [bdrmap-bench/10] file *)
 
 val error_to_string : error -> string
-val of_json : Json.t -> (run, error) result
 val of_string : string -> (run, error) result
 val of_file : string -> (run, error) result
 
 type verdict = Regression | Improvement | Changed | Missing
-
-val verdict_label : verdict -> string
 
 type finding = { f_name : string; f_a : float; f_b : float; f_verdict : verdict }
 

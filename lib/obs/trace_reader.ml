@@ -4,7 +4,6 @@ type err =
   | Garbage of string
   | Not_object
   | Missing_kind
-  | Unreadable of string
 
 type error = { line : int; err : err }
 
@@ -12,7 +11,6 @@ let err_label = function
   | Garbage reason -> "garbage: " ^ reason
   | Not_object -> "not a JSON object"
   | Missing_kind -> "record has no \"type\" field"
-  | Unreadable reason -> "unreadable: " ^ reason
 
 let error_to_string e = Printf.sprintf "trace line %d: %s" e.line (err_label e.err)
 
@@ -60,21 +58,6 @@ let of_lines lines =
         else Error { line = n; err = e })
   in
   go [] numbered
-
-let of_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error { line = 0; err = Unreadable msg }
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        of_lines (List.rev !lines))
 
 let render r = Json.to_string (Json.Obj (("type", Json.String r.kind) :: r.fields))
 

@@ -21,7 +21,6 @@ type err =
   | Garbage of string  (** line is not JSON *)
   | Not_object  (** line is JSON, but not an object *)
   | Missing_kind  (** object has no string ["type"] field *)
-  | Unreadable of string  (** the file itself could not be read *)
 
 type error = { line : int; err : err }
 
@@ -33,16 +32,10 @@ type t = {
   truncated : bool;  (** a malformed final line was dropped *)
 }
 
-(** [volatile_field name] is true for [wall_ns] and [gc_*] fields —
-    everything that may differ between two runs of the same seed. *)
-val volatile_field : string -> bool
-
 val parse_line : string -> (record, err) result
 
 (** Blank lines and [#] comment lines are skipped. *)
 val of_lines : string list -> (t, error) result
-
-val of_file : string -> (t, error) result
 
 (** [render r] re-renders a record byte-identically to what {!Span}
     emitted (field order preserved). *)
@@ -65,8 +58,6 @@ type span = {
   gc_compactions : int;  (** GC fields are 0 for pre-schema traces *)
   wall_ns : int;
 }
-
-val span_of : record -> span option
 
 (** {1 Per-stage call tree} *)
 

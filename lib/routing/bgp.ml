@@ -854,11 +854,9 @@ module Snapshot = struct
   let word s ~pslot ~aslot =
     if pslot < 0 || aslot < 0 then 0 else word_at s ~pslot ~aslot
 
-  let word_class w = cls_of_code w
   let word_dist w = w_dist w
   let word_nexthop_count w = w_count w
   let nexthop_slot s w k = Bigarray.Array1.get s.s_arena (w_off w + k)
-  let parent_slot s w = Bigarray.Array1.get s.s_arena (w_off w)
   let route_at = route_at
 
   let lookup_pslot s addr =

@@ -100,13 +100,6 @@ val is_origin : t -> Asn.t -> Prefix.t -> bool
     returns the matched prefix with the best route. *)
 val lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * route option) option
 
-(** [lookup_slot t asn addr] is {!lookup} plus the matched prefix's
-    interned snapshot slot. Callers that loop over lookups — the
-    forwarding plan, the crossing-link sweeps — thread the slot to
-    {!Snapshot.route_at}-style accessors instead of re-binary-searching
-    the prefix per query. *)
-val lookup_slot : t -> Asn.t -> Ipv4.t -> (Prefix.t * int * route option) option
-
 (** [as_path t asn p] is the AS path [asn] would report toward [p]
     (leftmost = [asn], rightmost = origin), or [None] if unreachable.
     It walks the packed words: each hop reads one route word and the
@@ -226,16 +219,13 @@ module Snapshot : sig
       route" (also when either slot is [-1]). *)
   val word : t -> pslot:int -> aslot:int -> int
 
-  val word_class : int -> route_class
   val word_dist : int -> int
   val word_nexthop_count : int -> int
 
   (** [nexthop_slot s w k] is the [k]-th next-hop ASN slot of a
       non-zero word [w] ([0 <= k < word_nexthop_count w]), ascending;
-      [parent_slot s w = nexthop_slot s w 0] is the canonical parent. *)
+      [k = 0] is the canonical parent. *)
   val nexthop_slot : t -> int -> int -> int
-
-  val parent_slot : t -> int -> int
 
   (** [route_at s ~pslot ~aslot] decodes the word into a boxed
       {!route} (allocates; hot loops should stay on words). *)

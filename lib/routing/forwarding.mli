@@ -82,14 +82,6 @@ type hop =
   | Forward of Net.link  (** next hop across this link *)
   | Unreachable
 
-(** [next_hop ?flow t ~rid ~dst] is one forwarding decision: the
-    one-step case of the walk behind {!path} and {!trace}. Equal-cost
-    internal paths are resolved by hashing [flow] (a five-tuple
-    stand-in); flow 0 always takes the canonical path (the least
-    (distance, link id) neighbour), which models Paris traceroute's
-    fixed flow identifier. *)
-val next_hop : ?flow:int -> t -> rid:int -> dst:Ipv4.t -> hop
-
 (** [egress_link t ~rid ~dst] is the interdomain link this AS would use
     to leave toward [dst], from the perspective of router [rid]
     (hot-potato), if the route exits the AS. *)

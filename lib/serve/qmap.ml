@@ -73,7 +73,6 @@ let build ~snapshot (mf : Bdrmap.Mapfile.t) =
     border_count = Lpm.length border }
 
 let host_asn t = t.host_asn
-let host_asns t = t.host_asns
 let border_count t = t.border_count
 
 let owner t a =

@@ -27,8 +27,6 @@ val build : snapshot:Routing.Bgp.snapshot -> Bdrmap.Mapfile.t -> t
     reported for near-side border addresses. *)
 val host_asn : t -> Asn.t
 
-val host_asns : t -> Asn.Set.t
-
 (** Number of distinct /32 border addresses indexed. *)
 val border_count : t -> int
 

@@ -22,8 +22,6 @@ let ctx_create ?(exposition = fun () -> "# EOF\n") ?(minor_words = default_minor
     qmap =
   { qmap; stats = stats_create (); exposition; minor_words }
 
-let ctx_stats ctx = ctx.stats
-
 (* Error codes carried in status-1 responses. *)
 let err_bad_opcode = 1
 let err_malformed = 2
@@ -187,7 +185,6 @@ let create ?exposition ?minor_words ?reload ~path qmap =
     reload;
     conns = [] }
 
-let socket_path t = t.path
 let stats t = t.ctx.stats
 
 (* Signal-handler safe: one atomic store plus a single-byte pipe write

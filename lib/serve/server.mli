@@ -37,8 +37,6 @@ type ctx
 val ctx_create :
   ?exposition:(unit -> string) -> ?minor_words:(unit -> int) -> Qmap.t -> ctx
 
-val ctx_stats : ctx -> stats
-
 (** [handle ctx req ~off ~len wb] decodes the request payload at
     [req.(off..off+len-1)] and writes the complete response frame
     (length prefix included) into [wb]. Malformed bodies and unknown
@@ -67,7 +65,6 @@ val create :
   Qmap.t ->
   t
 
-val socket_path : t -> string
 val stats : t -> stats
 
 (** [run t] serves until {!stop}; always tears down (closes every fd,

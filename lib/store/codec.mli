@@ -87,10 +87,6 @@ val sub : reader -> int -> reader
 (** [finish r] rejects the input unless [r] has no bytes left. *)
 val finish : reader -> unit
 
-(** [scratch r n] is an int array of at least [n] cells owned by [r],
-    reused across calls: room for a decoder's temporary indices. *)
-val scratch : reader -> int -> int array
-
 (** [bounded r c ~min_bytes] is [c] if [0 <= c] and [c] items of at
     least [min_bytes] bytes each fit in the bytes left. *)
 val bounded : reader -> int -> min_bytes:int -> int

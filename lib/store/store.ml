@@ -60,11 +60,6 @@ let write t ~key encode =
   Envelope.publish (path t key) (fun oc -> output oc image 0 len);
   len
 
-let mem t ~key = match read t ~key with Ok _ -> true | Error _ -> false
-
-let remove t ~key =
-  try Sys.remove (path t key) with Sys_error _ -> ()
-
 let entries t =
   let names =
     match Sys.readdir t.dir with

@@ -62,12 +62,6 @@ val read : t -> key:string -> (string * int * int, miss) result
     included. *)
 val write : t -> key:string -> (Codec.writer -> unit) -> int
 
-(** [mem t ~key] is true iff [read] would succeed. *)
-val mem : t -> key:string -> bool
-
-(** [remove t ~key] deletes the entry if present. *)
-val remove : t -> key:string -> unit
-
 (** [entries t] lists every entry file as [(key, bytes, status)] where
     [status] is [None] for a valid entry and [Some miss] otherwise,
     sorted by key.  Temp files are not listed. *)

@@ -42,7 +42,6 @@ let alloc_block t len =
 type pool = { block : Prefix.t; mutable cursor : int }
 
 let pool_of block = { block; cursor = Ipv4.to_int (Prefix.first block) }
-let pool_block p = p.block
 
 let alloc_subnet pool len =
   if len < 24 || len > 32 then invalid_arg "Addressing.alloc_subnet: bad len";

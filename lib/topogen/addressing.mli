@@ -27,8 +27,6 @@ type pool
 (** [pool_of t block] builds a pool carving from [block]. *)
 val pool_of : Prefix.t -> pool
 
-val pool_block : pool -> Prefix.t
-
 (** [alloc_subnet pool len] carves a /len (30 or 31 for interconnects);
     raises [Invalid_argument] when the pool is exhausted. *)
 val alloc_subnet : pool -> int -> Prefix.t

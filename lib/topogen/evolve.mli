@@ -49,10 +49,6 @@ type timed = { ev_time : float; ev : event }
 
 val kind_of : event -> kind
 
-(** One-line rendering, stable across runs — feeds {!log_digest} and
-    the longitudinal experiment's manifest. *)
-val describe : timed -> string
-
 (** [log_digest prev events] chains the event log into a hex digest for
     store keying. [log_digest prev [] = prev], so an unevolved world
     keys exactly as before (the zero-churn no-op guarantee). *)

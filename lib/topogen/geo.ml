@@ -34,6 +34,4 @@ let distance_km a b =
   in
   6371.0 *. 2.0 *. atan2 (sqrt h) (sqrt (1.0 -. h))
 
-let pp_city ppf c = Format.pp_print_string ppf c.name
 let equal_city a b = String.equal a.name b.name
-let compare_city a b = String.compare a.name b.name

@@ -14,6 +14,4 @@ val city_named : string -> city option
 (** [distance_km a b] is the haversine distance. *)
 val distance_km : city -> city -> float
 
-val pp_city : Format.formatter -> city -> unit
 val equal_city : city -> city -> bool
-val compare_city : city -> city -> int

@@ -90,7 +90,6 @@ type t
 val create : unit -> t
 val add_as : t -> as_node -> unit
 val as_node : t -> Asn.t -> as_node
-val find_as : t -> Asn.t -> as_node option
 val ases : t -> as_node list
 val asns : t -> Asn.Set.t
 

@@ -34,7 +34,7 @@ let test_roundtrip () =
   match As2org.of_lines (As2org.to_lines t) with
   | Error e -> Alcotest.fail e
   | Ok t' ->
-    Alcotest.(check int) "cardinal" (As2org.cardinal t) (As2org.cardinal t');
+    Alcotest.(check (list string)) "lines preserved" (As2org.to_lines t) (As2org.to_lines t');
     Alcotest.(check bool) "siblings preserved" true (As2org.same_org t' 3356 3549)
 
 let test_parse_errors () =

@@ -3,55 +3,37 @@ open Netcore
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
 
-let prefixes_str t = List.map Prefix.to_string (Ipset.to_prefixes t)
+let ranges_str t =
+  List.map (fun (a, b) -> (Ipv4.to_string a, Ipv4.to_string b)) (Ipset.ranges t)
 
 let test_paper_example () =
   (* From §5.3: X originates 128.66.0.0/16, Y originates 128.66.2.0/24;
      X's blocks are 128.66.0.0-128.66.1.255 and 128.66.3.0-128.66.255.255. *)
   let t = Ipset.add_prefix (pfx "128.66.0.0/16") Ipset.empty in
   let t = Ipset.remove_prefix (pfx "128.66.2.0/24") t in
-  let rs =
-    List.map (fun (a, b) -> (Ipv4.to_string a, Ipv4.to_string b)) (Ipset.ranges t)
-  in
   Alcotest.(check (list (pair string string)))
     "ranges match paper"
     [ ("128.66.0.0", "128.66.1.255"); ("128.66.3.0", "128.66.255.255") ]
-    rs;
-  Alcotest.(check (list string))
-    "prefix decomposition"
-    [ "128.66.0.0/23"; "128.66.3.0/24"; "128.66.4.0/22"; "128.66.8.0/21"; "128.66.16.0/20";
-      "128.66.32.0/19"; "128.66.64.0/18"; "128.66.128.0/17" ]
-    (prefixes_str t)
+    (ranges_str t)
 
 let test_merge_adjacent () =
   let t = Ipset.empty in
   let t = Ipset.add_prefix (pfx "10.0.0.0/25") t in
   let t = Ipset.add_prefix (pfx "10.0.0.128/25") t in
-  Alcotest.(check (list string)) "adjacent halves merge" [ "10.0.0.0/24" ] (prefixes_str t)
+  Alcotest.(check (list (pair string string)))
+    "adjacent halves merge" [ ("10.0.0.0", "10.0.0.255") ] (ranges_str t)
 
 let test_overlap_add () =
   let t = Ipset.add_range (ip "10.0.0.0") (ip "10.0.0.200") Ipset.empty in
   let t = Ipset.add_range (ip "10.0.0.100") (ip "10.0.1.0") t in
-  Alcotest.(check int) "single merged range" 1 (List.length (Ipset.ranges t));
-  Alcotest.(check int) "cardinal" 257 (Ipset.cardinal t)
-
-let test_mem () =
-  let t = Ipset.add_prefix (pfx "192.0.2.0/24") Ipset.empty in
-  Alcotest.(check bool) "in" true (Ipset.mem (ip "192.0.2.77") t);
-  Alcotest.(check bool) "out" false (Ipset.mem (ip "192.0.3.0") t)
+  Alcotest.(check (list (pair string string)))
+    "single merged range" [ ("10.0.0.0", "10.0.1.0") ] (ranges_str t)
 
 let test_remove_middle () =
   let t = Ipset.add_prefix (pfx "10.0.0.0/24") Ipset.empty in
-  let t = Ipset.remove_range (ip "10.0.0.64") (ip "10.0.0.127") t in
-  Alcotest.(check (list string)) "hole" [ "10.0.0.0/26"; "10.0.0.128/25" ] (prefixes_str t);
-  Alcotest.(check int) "cardinal after hole" 192 (Ipset.cardinal t)
-
-let test_setops () =
-  let a = Ipset.add_prefix (pfx "10.0.0.0/24") Ipset.empty in
-  let b = Ipset.add_prefix (pfx "10.0.0.128/25") Ipset.empty in
-  Alcotest.(check bool) "inter" true (Ipset.equal (Ipset.inter a b) b);
-  Alcotest.(check (list string)) "diff" [ "10.0.0.0/25" ] (prefixes_str (Ipset.diff a b));
-  Alcotest.(check bool) "union" true (Ipset.equal (Ipset.union a b) a)
+  let t = Ipset.remove_prefix (pfx "10.0.0.64/26") t in
+  Alcotest.(check (list (pair string string)))
+    "hole" [ ("10.0.0.0", "10.0.0.63"); ("10.0.0.128", "10.0.0.255") ] (ranges_str t)
 
 let range_gen =
   QCheck.Gen.(
@@ -72,21 +54,6 @@ let build ranges =
     (fun t (a, b) -> Ipset.add_range (Ipv4.of_int a) (Ipv4.of_int b) t)
     Ipset.empty ranges
 
-let prop_prefixes_cover_exactly =
-  QCheck.Test.make ~name:"to_prefixes covers exactly the set" ~count:100 arb_ranges
-    (fun ranges ->
-      let t = build ranges in
-      let rebuilt =
-        List.fold_left (fun acc p -> Ipset.add_prefix p acc) Ipset.empty (Ipset.to_prefixes t)
-      in
-      Ipset.equal t rebuilt)
-
-let prop_prefix_cardinal =
-  QCheck.Test.make ~name:"prefix sizes sum to cardinal" ~count:100 arb_ranges (fun ranges ->
-      let t = build ranges in
-      let total = List.fold_left (fun n p -> n + Prefix.size p) 0 (Ipset.to_prefixes t) in
-      total = Ipset.cardinal t)
-
 let prop_disjoint_sorted =
   QCheck.Test.make ~name:"ranges stay sorted and disjoint" ~count:100 arb_ranges
     (fun ranges ->
@@ -101,9 +68,5 @@ let suite =
   [ Alcotest.test_case "paper block example" `Quick test_paper_example;
     Alcotest.test_case "adjacent merge" `Quick test_merge_adjacent;
     Alcotest.test_case "overlapping add" `Quick test_overlap_add;
-    Alcotest.test_case "membership" `Quick test_mem;
     Alcotest.test_case "remove middle" `Quick test_remove_middle;
-    Alcotest.test_case "set operations" `Quick test_setops;
-    Qc.to_alcotest prop_prefixes_cover_exactly;
-    Qc.to_alcotest prop_prefix_cardinal;
     Qc.to_alcotest prop_disjoint_sorted ]

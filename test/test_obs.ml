@@ -17,15 +17,10 @@ let test_metrics_basics () =
   with_metrics (fun () ->
       Obs.Metrics.add "a" 3;
       Obs.Metrics.incr "a";
-      Obs.Metrics.gauge_max "g" 2.5;
-      Obs.Metrics.gauge_max "g" 1.0;
       Obs.Metrics.observe "h" 5.0;
       Obs.Metrics.observe "h" 50.0;
       let ms = Obs.Metrics.collect () in
       Alcotest.(check int) "counter total" 4 (Obs.Metrics.find_counter ms "a");
-      (match List.assoc "g" ms with
-      | Obs.Metrics.Gauge g -> Alcotest.(check (float 1e-9)) "gauge keeps max" 2.5 g
-      | _ -> Alcotest.fail "expected a gauge");
       match List.assoc "h" ms with
       | Obs.Metrics.Histogram h ->
         Alcotest.(check int) "hist count" 2 h.Obs.Metrics.h_count;
@@ -87,7 +82,6 @@ let test_disabled_noop () =
   Obs.Metrics.reset ();
   Obs.Metrics.add "x" 5;
   Obs.Metrics.incr "x";
-  Obs.Metrics.gauge_max "y" 1.0;
   Obs.Metrics.observe "z" 1.0;
   Alcotest.(check int) "nothing recorded while disabled" 0
     (List.length (Obs.Metrics.collect ()))
@@ -100,7 +94,6 @@ let shard_workload pool =
       let work i =
         Obs.Metrics.incr "w.count";
         Obs.Metrics.add "w.sum" i;
-        Obs.Metrics.gauge_max "w.max" (float_of_int i);
         Obs.Metrics.observe "w.hist" (float_of_int (1 + (i mod 7)));
         i
       in

@@ -28,12 +28,6 @@ let test_empty_and_single () =
       Alcotest.(check (list int)) "empty batch" [] (Pool.map pool succ []);
       Alcotest.(check (list int)) "one item" [ 42 ] (Pool.map pool succ [ 41 ]))
 
-let test_run_thunks () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let got = Pool.run pool (List.init 7 (fun i () -> i * 10)) in
-      Alcotest.(check (list int)) "thunk results ordered"
-        [ 0; 10; 20; 30; 40; 50; 60 ] got)
-
 let test_exception_propagation () =
   List.iter
     (fun domains ->
@@ -133,7 +127,6 @@ let test_execute_all_determinism () =
 let suite =
   [ Alcotest.test_case "map ordering" `Quick test_map_ordering;
     Alcotest.test_case "empty and single" `Quick test_empty_and_single;
-    Alcotest.test_case "run thunks" `Quick test_run_thunks;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "reuse across batches" `Quick test_reuse_across_batches;
     Alcotest.test_case "map_init worker state" `Quick test_map_init_worker_state;

@@ -32,16 +32,9 @@ let test_exact () =
   Alcotest.(check (option string)) "exact miss on different len" None
     (Ptrie.find_exact (pfx "128.66.2.0/23") t)
 
-let test_matches_order () =
-  let t = sample_trie () in
-  let ms = List.map (fun (p, _) -> Prefix.to_string p) (Ptrie.matches (ip "128.66.2.200") t) in
-  Alcotest.(check (list string)) "most specific first"
-    [ "128.66.2.128/25"; "128.66.2.0/24"; "128.66.0.0/16"; "0.0.0.0/0" ]
-    ms
-
 let test_remove () =
   let t = sample_trie () in
-  let t = Ptrie.remove (pfx "128.66.2.0/24") t in
+  let t = Ptrie.update (pfx "128.66.2.0/24") (fun _ -> None) t in
   Alcotest.(check (option string)) "falls back to covering" (Some "X")
     (Option.map snd (Ptrie.lpm (ip "128.66.2.5") t));
   Alcotest.(check (option string)) "more specific unaffected" (Some "Z")
@@ -104,7 +97,6 @@ let suite =
   [ Alcotest.test_case "longest prefix match" `Quick test_lpm;
     Alcotest.test_case "lpm without default" `Quick test_lpm_no_default;
     Alcotest.test_case "exact lookup" `Quick test_exact;
-    Alcotest.test_case "matches ordering" `Quick test_matches_order;
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "replace" `Quick test_replace;
     Alcotest.test_case "subtree" `Quick test_subtree;

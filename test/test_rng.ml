@@ -24,8 +24,6 @@ let test_bounds () =
   for _ = 1 to 1000 do
     let v = Rng.int t 7 in
     Alcotest.(check bool) "int in bounds" true (v >= 0 && v < 7);
-    let w = Rng.int_in t 10 12 in
-    Alcotest.(check bool) "int_in bounds" true (w >= 10 && w <= 12);
     let f = Rng.float t in
     Alcotest.(check bool) "float in [0,1)" true (f >= 0.0 && f < 1.0)
   done

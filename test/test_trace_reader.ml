@@ -137,12 +137,6 @@ let test_of_lines_tolerance () =
   | Ok _ -> Alcotest.fail "interior garbage must be a hard error"
   | Error e -> Alcotest.(check int) "error names the line" 2 e.Obs.Trace_reader.line
 
-let test_of_file_missing () =
-  match Obs.Trace_reader.of_file "/nonexistent/bdrmap-trace.jsonl" with
-  | Ok _ -> Alcotest.fail "read a nonexistent file"
-  | Error { err = Obs.Trace_reader.Unreadable _; _ } -> ()
-  | Error e -> Alcotest.fail ("wrong error: " ^ Obs.Trace_reader.error_to_string e)
-
 (* A live round trip: spans emitted through the memory sink parse back
    loss-free (render is byte-identical), and the summary sees every
    span with GC deltas attributed. *)
@@ -573,7 +567,6 @@ let suite =
     Alcotest.test_case "json int range" `Quick test_json_int_range;
     Alcotest.test_case "parse_line" `Quick test_parse_line;
     Alcotest.test_case "of_lines tolerance" `Quick test_of_lines_tolerance;
-    Alcotest.test_case "of_file missing" `Quick test_of_file_missing;
     Alcotest.test_case "live roundtrip" `Quick test_live_roundtrip;
     Qc.to_alcotest prop_span_tree_roundtrip;
     Alcotest.test_case "summary quantiles" `Quick test_summary_quantiles;
