@@ -190,10 +190,10 @@ let obs_term =
     Arg.(
       value & flag_all
       & info [ "v"; "verbose" ]
-          ~doc:"Increase log verbosity on stderr (repeat for debug).")
+          ~doc:"Log progress on stderr.")
   in
   let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Log errors only.")
+    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress warnings on stderr.")
   in
   let mk trace metrics manifest verbose quiet =
     { trace;

@@ -24,22 +24,19 @@ let addr (c : Collect.t) = Aliasres.Alias_graph.addr c.Collect.aliases
 let naive_ipas ip2as c =
   (* A border wherever a host-mapped hop precedes an externally-mapped
      hop; the external hop's longest-match origin names the neighbor. *)
-  List.concat_map
-    (fun t ->
-      List.filter_map
-        (fun (i, j, _) ->
-          let a = addr c i and b = addr c j in
-          if Ip2as.is_host ip2as a then
-            match Ip2as.classify ip2as b with
-            | Ip2as.External origins ->
-              Some
-                { near_addr = a; far_addr = Some b;
-                  neighbor = Asn.Set.min_elt origins }
-            | Ip2as.Host | Ip2as.Ixp _ | Ip2as.Unrouted | Ip2as.Reserved -> None
-          else None)
-        (Trace.pairs t))
-    c.Collect.traces
-  |> dedup
+  let links = ref [] in
+  List.iter
+    (Trace.iter_pairs (fun i j _ ->
+         let a = addr c i and b = addr c j in
+         if Ip2as.is_host ip2as a then
+           match Ip2as.classify ip2as b with
+           | Ip2as.External origins ->
+             links :=
+               { near_addr = a; far_addr = Some b; neighbor = Asn.Set.min_elt origins }
+               :: !links
+           | Ip2as.Host | Ip2as.Ixp _ | Ip2as.Unrouted | Ip2as.Reserved -> ()))
+    c.Collect.traces;
+  dedup (List.rev !links)
 
 let mapit ip2as col =
   (* Evidence on both sides: the far interface must be followed by
@@ -63,6 +60,6 @@ let mapit ip2as col =
           here @ scan rest
         | _ -> []
       in
-      scan (List.map (fun (_, i) -> addr col i) t.Trace.hops))
+      scan (List.map (fun h -> addr col (Trace.id h)) (Array.to_list t.Trace.hops)))
     col.Collect.traces
   |> dedup

@@ -46,11 +46,11 @@ let make traces aliases mates sched alias_pairs_tested =
 
 let finish uf traces mates ~sched ~alias_pairs_tested =
   let aliases, pos = Ag.freeze uf in
-  let traces =
-    List.map
-      (fun t -> { t with Trace.hops = List.map (fun (ttl, i) -> (ttl, pos.(i))) t.Trace.hops })
-      traces
-  in
+  List.iter
+    (fun t ->
+      let hops = t.Trace.hops in
+      Array.iteri (fun k h -> hops.(k) <- Trace.hop ~ttl:(Trace.ttl h) pos.(Trace.id h)) hops)
+    traces;
   let mates = List.map (fun (p, h, m) -> (pos.(p), pos.(h), pos.(m))) mates in
   make traces aliases mates sched alias_pairs_tested
 
@@ -60,9 +60,9 @@ let external_class ip2as addr =
   | Ip2as.Host | Ip2as.Unrouted | Ip2as.Reserved -> false
 
 let stop_entry ip2as addr t =
-  List.find_map
-    (fun (_, i) ->
-      let a = addr i in
+  Array.find_map
+    (fun h ->
+      let a = addr (Trace.id h) in
       if external_class ip2as a then Some a else None)
     t.Trace.hops
 
@@ -72,8 +72,9 @@ let stop_entry ip2as addr t =
 type counts = { mutable replies : int; mutable retries : int }
 
 (* One traceroute with per-hop stop-set checks. The fixed flow id is the
-   Paris traceroute discipline (2). *)
-let trace_one (prober : Probesim.Prober.t) cfg ip2as uf stopset counts ~target_asn
+   Paris traceroute discipline (2). Hops gather in [buf], one slot per
+   TTL, and are copied out once. *)
+let trace_one (prober : Probesim.Prober.t) cfg ip2as uf stopset counts buf ~target_asn
     ~dst =
   (* Retry-with-backoff over silent hops: on an impaired network a
      missing reply is often a lost probe or a drained token bucket, not
@@ -102,42 +103,43 @@ let trace_one (prober : Probesim.Prober.t) cfg ip2as uf stopset counts ~target_a
       in
       if cfg.Config.probe_retries <= 0 then None else retry 1
   in
-  let rec go ttl gaps hops =
-    if ttl > cfg.Config.max_ttl || gaps >= cfg.Config.gap_limit then
-      (List.rev hops, Trace.Nothing, false)
+  let rec go ttl gaps n =
+    if ttl > Array.length buf || gaps >= cfg.Config.gap_limit then (n, Trace.Nothing, false)
     else
       match probe ~ttl with
-      | None -> go (ttl + 1) (gaps + 1) hops
+      | None -> go (ttl + 1) (gaps + 1) n
       | Some r -> (
         counts.replies <- counts.replies + 1;
         match r.Engine.kind with
-        | Engine.Echo_reply -> (List.rev hops, Trace.Echo r.Engine.src, false)
-        | Engine.Dest_unreach -> (List.rev hops, Trace.Unreach r.Engine.src, false)
+        | Engine.Echo_reply -> (n, Trace.Echo r.Engine.src, false)
+        | Engine.Dest_unreach -> (n, Trace.Unreach r.Engine.src, false)
         | Engine.Ttl_expired ->
-          let hops = (ttl, Ag.Uf.intern uf ~observed:true r.Engine.src) :: hops in
+          buf.(n) <- Trace.hop ~ttl (Ag.Uf.intern uf ~observed:true r.Engine.src);
           if
             cfg.Config.use_stop_sets
             && external_class ip2as r.Engine.src
             && Stopset.mem stopset target_asn r.Engine.src
-          then (List.rev hops, Trace.Nothing, true)
-          else go (ttl + 1) 0 hops)
+          then (n + 1, Trace.Nothing, true)
+          else go (ttl + 1) 0 (n + 1))
   in
-  let hops, closing, stopped = go 1 0 [] in
-  let t = { Trace.dst; target_asn; hops; closing; stopped } in
+  let n, closing, stopped = go 1 0 0 in
+  let t = { Trace.dst; target_asn; hops = Array.sub buf 0 n; closing; stopped } in
   Option.iter (Stopset.add stopset target_asn) (stop_entry ip2as (Ag.Uf.addr uf) t);
   t
 
 (* The trace "sees the target": some external TTL-expired hop other than
    the probed address itself (§5.3's retry rule). *)
 let informative ip2as uf t =
-  List.exists
-    (fun (_, i) ->
-      let a = Ag.Uf.addr uf i in
+  Array.exists
+    (fun h ->
+      let a = Ag.Uf.addr uf (Trace.id h) in
       external_class ip2as a && not (Ipv4.equal a t.Trace.dst))
     t.Trace.hops
 
 let gather_traces prober cfg ip2as uf counts blocks =
   let stopset = Stopset.create () in
+  (* An IP TTL is one byte. *)
+  let buf = Array.make (min cfg.Config.max_ttl 0xFF) 0 in
   let traces = ref [] in
   List.iter
     (fun (asn, bs) ->
@@ -149,7 +151,7 @@ let gather_traces prober cfg ip2as uf counts blocks =
             | dst :: rest ->
               Stdlib.incr attempts;
               let t =
-                trace_one prober cfg ip2as uf stopset counts ~target_asn:asn ~dst
+                trace_one prober cfg ip2as uf stopset counts buf ~target_asn:asn ~dst
               in
               traces := t :: !traces;
               if not (informative ip2as uf t || t.Trace.stopped) then try_candidates rest
@@ -231,13 +233,10 @@ let candidate_pairs cfg uf traces =
     end
   in
   List.iter
-    (fun t ->
-      List.iter
-        (fun (i, j, _) ->
-          let a = Ag.Uf.addr uf i and b = Ag.Uf.addr uf j in
-          note_adj succs succ_seen a b;
-          note_adj preds pred_seen b a)
-        (Trace.pairs t))
+    (Trace.iter_pairs (fun i j _ ->
+         let a = Ag.Uf.addr uf i and b = Ag.Uf.addr uf j in
+         note_adj succs succ_seen a b;
+         note_adj preds pred_seen b a))
     traces;
   let all_pairs l = List.iteri (fun i a -> List.iteri (fun j b -> if j > i then note a b) l) l in
   Hashtbl.iter (fun _ l -> all_pairs l) succs;
@@ -266,21 +265,18 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
         let p1 = count () in
         let scanned = Hashtbl.create 4096 in
         List.iter
-          (fun t ->
-            List.iter
-              (fun (p, h, gap) ->
-                if not gap then
-                  let key = (p, h) in
-                  if not (Hashtbl.mem scanned key) then begin
-                    Hashtbl.add scanned key ();
-                    let prev = Ag.Uf.addr uf p in
-                    match Aliasres.Prefixscan.scan oracle ~prev ~hop:(Ag.Uf.addr uf h) with
-                    | Some { Aliasres.Prefixscan.mate; _ } ->
-                      if not (Ipv4.equal mate prev) then Ag.Uf.add_alias uf mate prev;
-                      mates := (p, h, Ag.Uf.intern uf ~observed:false mate) :: !mates
-                    | None -> ()
-                  end)
-              (Trace.pairs t))
+          (Trace.iter_pairs (fun p h gap ->
+               if not gap then
+                 let key = (p, h) in
+                 if not (Hashtbl.mem scanned key) then begin
+                   Hashtbl.add scanned key ();
+                   let prev = Ag.Uf.addr uf p in
+                   match Aliasres.Prefixscan.scan oracle ~prev ~hop:(Ag.Uf.addr uf h) with
+                   | Some { Aliasres.Prefixscan.mate; _ } ->
+                     if not (Ipv4.equal mate prev) then Ag.Uf.add_alias uf mate prev;
+                     mates := (p, h, Ag.Uf.intern uf ~observed:false mate) :: !mates
+                   | None -> ()
+                 end))
           traces;
         Probesim.Scheduler.note sched Probesim.Scheduler.Prefixscan (count () - p1);
         (* Candidate alias pairs. *)

@@ -27,8 +27,9 @@ val run : Engine.t -> Config.t -> Ip2as.t -> vp:Gen.vp -> Targets.block list -> 
 
 (** [finish uf traces mates ~sched ~alias_pairs_tested] ends a
     collection whose trace hops and mates name [uf]'s ids: it freezes
-    [uf] into the address table, renames those ids to table ids, and
-    derives [other_icmp] and [stopset_hits] from the traces. *)
+    [uf] into the address table, renames those ids to table ids (the
+    hop arrays in place), and derives [other_icmp] and [stopset_hits]
+    from the traces. *)
 val finish :
   Aliasres.Alias_graph.Uf.t ->
   Trace.t list ->

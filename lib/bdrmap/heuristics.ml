@@ -513,7 +513,6 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
       vp_asns Asn.Set.empty
     |> Asn.Set.filter (fun a -> not (Asn.Set.mem a vp_asns))
   in
-  let node_seq_of_trace t = List.filter_map (fun (_, i) -> Rgraph.node_of_id g i) t.Trace.hops in
   Asn.Set.iter
     (fun b ->
       if not (Asn.Set.mem b inferred_neighbors) then begin
@@ -521,17 +520,18 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
           List.filter (fun t -> Asn.equal t.Trace.target_asn b) c.Collect.traces
         in
         if traces_to_b <> [] then begin
+          (* Per trace, its last host router and the nodes after it. *)
           let last_host_and_tail =
             List.map
               (fun t ->
-                let seq = node_seq_of_trace t in
-                let rec split last after = function
-                  | [] -> (last, after)
-                  | (m : Rgraph.node) :: rest ->
-                    if owners.(m.Rgraph.id) = Host_router then split (Some m.Rgraph.id) [] rest
-                    else split last (m :: after) rest
-                in
-                split None [] seq)
+                Array.fold_left
+                  (fun ((last, after) as acc) h ->
+                    match Rgraph.node_of_id g (Trace.id h) with
+                    | None -> acc
+                    | Some m ->
+                      if owners.(m.Rgraph.id) = Host_router then (Some m.Rgraph.id, [])
+                      else (last, m :: after))
+                  (None, []) t.Trace.hops)
               traces_to_b
           in
           let lasts = List.filter_map fst last_host_and_tail in

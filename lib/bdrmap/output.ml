@@ -35,13 +35,13 @@ let trace_of_fields uf dst asn stopped hops closing =
   match (Ipv4.of_string dst, int_of_string_opt asn, closing_of_str closing) with
   | Some dst, Some target_asn, Some closing -> (
     let rec parse last acc = function
-      | [] -> Some (List.rev acc)
+      | [] -> Some (Array.of_list (List.rev acc))
       | h :: rest -> (
         match String.split_on_char ':' h with
         | [ ttl; a ] -> (
           match (int_of_string_opt ttl, Ipv4.of_string a) with
           | Some ttl, Some a when ttl > last && ttl <= 255 ->
-            parse ttl ((ttl, Aliasres.Alias_graph.Uf.intern uf ~observed:true a) :: acc) rest
+            parse ttl (Trace.hop ~ttl (Aliasres.Alias_graph.Uf.intern uf ~observed:true a) :: acc) rest
           | _ -> None)
         | _ -> None)
     in
@@ -57,7 +57,11 @@ let collection_to_lines (c : Collect.t) =
       (fun (t : Trace.t) ->
         Printf.sprintf "trace|%s|%d|%d|%s|%s" (Ipv4.to_string t.dst) t.target_asn
           (Bool.to_int t.stopped)
-          (String.concat "," (List.map (fun (ttl, i) -> Printf.sprintf "%d:%s" ttl (addr i)) t.hops))
+          (String.concat ","
+             (Array.to_list
+                (Array.map
+                   (fun h -> Printf.sprintf "%d:%s" (Trace.ttl h) (addr (Trace.id h)))
+                   t.hops)))
           (closing_str t.closing))
       c.Collect.traces
   in

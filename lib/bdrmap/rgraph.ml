@@ -12,8 +12,6 @@ type node = {
   trace_count : int;
 }
 
-module ISet = Set.Make (Int)
-
 module Plain = struct
   let of_int = Fun.id
   let to_int = Fun.id
@@ -21,34 +19,57 @@ end
 
 module Addr_set = Codec.Int_set (Ipv4.Set) (Ipv4)
 module Asn_set = Codec.Int_set (Asn.Set) (Plain)
-module Id_set = Codec.Int_set (ISet) (Plain)
+
+(* Compressed sparse rows: bucket [b] is [flat.(start.(b))] up to
+   [flat.(start.(b + 1))]. The adjacency buckets are nodes, each
+   holding its neighbors' ids in ascending order. *)
+type csr = { start : int array; flat : int array }
 
 type t = {
   nodes : node array;
   aliases : Ag.t;
   of_group : int array;
-  succ : ISet.t array;
-  pred : ISet.t array;
+  succ : csr;
+  pred : csr;
 }
 
 let no_node =
   { id = -1; addrs = Ipv4.Set.empty; extra_addrs = Ipv4.Set.empty; min_ttl = 0;
     dests = Asn.Set.empty; last_toward = Asn.Set.empty; trace_count = 0 }
 
-(* [buckets n ~fill of_sorted iter] groups the (bucket, int) pairs that
-   [iter] yields into [n] sets, one counting pass and one placing pass
-   over a flat array; each bucket's ints must come in ascending order. *)
-let buckets n ~fill of_sorted iter =
-  let start = Array.make (n + 1) 0 in
-  iter (fun b _ -> start.(b + 1) <- start.(b + 1) + 1);
-  for b = 1 to n do
+(* [csr n iter] groups the (bucket, int) pairs that [iter] yields into
+   [n] buckets, each in the order [iter] yields it: one counting pass
+   and one placing pass over a flat array. Counts go one slot late, so
+   that while placing, [start.(b + 1)] is bucket [b]'s next free slot;
+   once placed, it is bucket [b + 1]'s first. *)
+let csr n iter =
+  let start = Array.make (n + 2) 0 in
+  iter (fun b _ -> start.(b + 2) <- start.(b + 2) + 1);
+  for b = 2 to n + 1 do
     start.(b) <- start.(b) + start.(b - 1)
   done;
-  let flat = Array.make start.(n) 0 and next = Array.sub start 0 n in
+  let flat = Array.make start.(n + 1) 0 in
   iter (fun b v ->
-      flat.(next.(b)) <- v;
-      next.(b) <- next.(b) + 1);
-  Codec.array n ~fill (fun b -> of_sorted flat ~pos:start.(b) ~len:(start.(b + 1) - start.(b)))
+      flat.(start.(b + 1)) <- v;
+      start.(b + 1) <- start.(b + 1) + 1);
+  { start; flat }
+
+(* [transpose n g] reverses every edge of [g]. The old buckets are
+   walked in ascending order, so each new bucket ascends, and a
+   repeated edge reaches its new bucket twice in a row and is kept
+   once. *)
+let transpose n g =
+  csr n (fun f ->
+      let last = Array.make n (-1) in
+      for b = 0 to n - 1 do
+        for k = g.start.(b) to g.start.(b + 1) - 1 do
+          let a = g.flat.(k) in
+          if last.(a) <> b then begin
+            last.(a) <- b;
+            f a b
+          end
+        done
+      done)
 
 (* Node identity from the address table, shared by [build] and
    [decode]: one node per alias group that holds an observed or a mate
@@ -82,69 +103,70 @@ let identify (c : Collect.t) =
    [fields id] gives the rest. *)
 let make_nodes aliases of_group n fields =
   let members =
-    buckets (2 * n) ~fill:Ipv4.Set.empty Addr_set.of_sorted (fun f ->
+    csr (2 * n) (fun f ->
         for i = 0 to Ag.length aliases - 1 do
           let id = of_group.(Ag.group aliases i) in
           if id >= 0 then
             f ((2 * id) + Bool.to_int (not (Ag.observed aliases i))) (Ipv4.to_int (Ag.addr aliases i))
         done)
   in
+  let set b =
+    Addr_set.of_sorted members.flat ~pos:members.start.(b)
+      ~len:(members.start.(b + 1) - members.start.(b))
+  in
   Codec.array n ~fill:no_node (fun id ->
       let min_ttl, dests, last_toward, trace_count = fields id in
-      { id; addrs = members.(2 * id); extra_addrs = members.((2 * id) + 1); min_ttl; dests;
-        last_toward; trace_count })
+      { id; addrs = set (2 * id); extra_addrs = set ((2 * id) + 1); min_ttl; dests; last_toward;
+        trace_count })
 
 (* [pred] is [succ] transposed. *)
 let make aliases of_group nodes succ =
-  let pred =
-    buckets (Array.length nodes) ~fill:ISet.empty Id_set.of_sorted (fun f ->
-        Array.iteri (fun a s -> ISet.iter (fun b -> f b a) s) succ)
-  in
-  { nodes; aliases; of_group; succ; pred }
+  { nodes; aliases; of_group; succ; pred = transpose (Array.length nodes) succ }
 
 let build (c : Collect.t) =
   let aliases = c.Collect.aliases in
   let of_group, n = identify c in
-  (* Walk traces: hop distance, destinations, adjacency. *)
+  (* [visit f t] calls [f prev id ttl] on each hop of [t] whose node
+     [id] differs from the node before it, [prev] (-1 at the start):
+     consecutive hops of one router are one visit. It returns the last
+     node visited, or -1. *)
+  let visit f t =
+    let prev = ref (-1) in
+    Array.iter
+      (fun h ->
+        let id = of_group.(Ag.group aliases (Trace.id h)) in
+        if id <> !prev then begin
+          f !prev id (Trace.ttl h);
+          prev := id
+        end)
+      t.Trace.hops;
+    !prev
+  in
   let min_ttl = Array.make n max_int and traces = Array.make n 0 in
   let dests = Array.make n Asn.Set.empty and last = Array.make n Asn.Set.empty in
-  let succ = Array.make n ISet.empty in
   List.iter
     (fun t ->
-      let hops = t.Trace.hops in
-      let node_seq =
-        (* Collapse consecutive hops mapping to one node (aliases). *)
-        let rec go acc = function
-          | [] -> List.rev acc
-          | (ttl, i) :: rest -> (
-            let id = of_group.(Ag.group aliases i) in
-            match acc with
-            | (pid, _) :: _ when pid = id -> go acc rest
-            | _ -> go ((id, ttl) :: acc) rest)
-        in
-        go [] hops
+      let asn = t.Trace.target_asn in
+      let id =
+        visit
+          (fun _ id ttl ->
+            min_ttl.(id) <- min min_ttl.(id) ttl;
+            dests.(id) <- Asn.Set.add asn dests.(id);
+            traces.(id) <- traces.(id) + 1)
+          t
       in
-      List.iter
-        (fun (id, ttl) ->
-          min_ttl.(id) <- min min_ttl.(id) ttl;
-          dests.(id) <- Asn.Set.add t.Trace.target_asn dests.(id);
-          traces.(id) <- traces.(id) + 1)
-        node_seq;
-      (match List.rev node_seq with
-      | (id, _) :: _ -> last.(id) <- Asn.Set.add t.Trace.target_asn last.(id)
-      | [] -> ());
-      let rec wire = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
-          succ.(a) <- ISet.add b succ.(a);
-          wire rest
-        | _ -> ()
-      in
-      wire node_seq)
+      if id >= 0 then last.(id) <- Asn.Set.add asn last.(id))
     c.Collect.traces;
   let nodes =
     make_nodes aliases of_group n (fun id -> (min_ttl.(id), dests.(id), last.(id), traces.(id)))
   in
-  make aliases of_group nodes succ
+  (* Edges grouped by their head, which a transpose sorts and dedupes
+     into [succ]. *)
+  let into =
+    csr n (fun f ->
+        List.iter (fun t -> ignore (visit (fun a b _ -> if a >= 0 then f b a) t)) c.Collect.traces)
+  in
+  make aliases of_group nodes (transpose n into)
 
 let nodes t = Array.to_list t.nodes
 let node_count t = Array.length t.nodes
@@ -154,8 +176,12 @@ let node_of_id t i =
   let id = t.of_group.(Ag.group t.aliases i) in
   if id < 0 then None else Some t.nodes.(id)
 
-let succs t n = List.map (fun id -> t.nodes.(id)) (ISet.elements t.succ.(n.id))
-let preds t n = List.map (fun id -> t.nodes.(id)) (ISet.elements t.pred.(n.id))
+let neighbors t adj n =
+  let s = adj.start.(n.id) in
+  List.init (adj.start.(n.id + 1) - s) (fun k -> t.nodes.(adj.flat.(s + k)))
+
+let succs t n = neighbors t t.succ n
+let preds t n = neighbors t t.pred n
 
 let by_hop_distance t =
   List.sort
@@ -203,7 +229,13 @@ let encode w t =
       Codec.put_varint w last;
       Codec.put_varint w n.trace_count)
     t.nodes;
-  Array.iter (Id_set.put w Codec.put_varint) t.succ
+  for a = 0 to Array.length t.nodes - 1 do
+    let s = t.succ.start.(a) and e = t.succ.start.(a + 1) in
+    Codec.put_varint w (e - s);
+    for k = s to e - 1 do
+      Codec.put_varint w t.succ.flat.(k)
+    done
+  done
 
 let decode (c : Collect.t) r =
   let aliases = c.Collect.aliases in
@@ -227,10 +259,14 @@ let decode (c : Collect.t) r =
         let last_toward = asn_set r in
         (min_ttl, dests, last_toward, Codec.varint r))
   in
-  let id r =
-    let id = Codec.varint r in
-    if id >= n then Codec.fail ();
-    id
+  (* A node's successor ids ascend strictly. *)
+  let succ_ids _ =
+    let last = ref (-1) in
+    Codec.array (Codec.count r ~min_bytes:1) ~fill:0 (fun _ ->
+        let id = Codec.varint r in
+        if id >= n || id <= !last then Codec.fail ();
+        last := id;
+        id)
   in
-  let succ = Codec.array n ~fill:ISet.empty (fun _ -> Id_set.get r ~min_bytes:1 id) in
-  make aliases of_group nodes succ
+  let succ = Codec.array n ~fill:[||] succ_ids in
+  make aliases of_group nodes (csr n (fun f -> Array.iteri (fun a s -> Array.iter (f a) s) succ))

@@ -5,18 +5,21 @@ type closing = Echo of Ipv4.t | Unreach of Ipv4.t | Nothing
 type t = {
   dst : Ipv4.t;
   target_asn : Asn.t;
-  hops : (int * int) list;
+  hops : int array;
   closing : closing;
   stopped : bool;
 }
 
-let pairs t =
-  let rec go = function
-    | (ttl1, a1) :: ((ttl2, a2) :: _ as rest) ->
-      (a1, a2, ttl2 > ttl1 + 1) :: go rest
-    | _ -> []
-  in
-  go t.hops
+let hop ~ttl id = (id lsl 8) lor ttl
+let ttl h = h land 0xFF
+let id h = h lsr 8
+
+let iter_pairs f t =
+  let hops = t.hops in
+  for k = 1 to Array.length hops - 1 do
+    let p = hops.(k - 1) and h = hops.(k) in
+    f (id p) (id h) (ttl h > ttl p + 1)
+  done
 
 (* {2 Codec}
 
@@ -34,8 +37,9 @@ let pairs t =
    list table holds each distinct suffix once, and a trace names its
    hop list by id. A new suffix's tail is most often the suffix made
    just before it, so the step back to it fits one byte. The decoder
-   builds one tuple per distinct hop and one cons cell per distinct
-   suffix. A closing cell is a tag byte
+   packs each distinct hop once and expands the suffix chain of each
+   distinct path, which runs in path order, into one array that the
+   traces over it share. A closing cell is a tag byte
    (0 none, 1 echo, 2 unreachable) followed by the address unless it
    is none. The variable-width columns before the last carry their byte
    length ({!Store.Codec.put_sized}), so the decoder reads every column
@@ -71,23 +75,26 @@ let encode w traces =
   let hop_id = interner 0 and list_id = interner 1 in
   let hops = Codec.writer 4096 and lists = Codec.writer 4096 in
   let m = ref 0 and k = ref 0 in
-  let rec id_of = function
-    | [] -> 0
-    | (ttl, a) :: rest ->
-      let tail = id_of rest in
-      let h, fresh = hop_id ((ttl lsl 32) lor a) in
+  (* A list names its tail, so suffixes are interned from the last hop
+     back. *)
+  let id_of path =
+    let tail = ref 0 in
+    for i = Array.length path - 1 downto 0 do
+      let h, fresh = hop_id path.(i) in
       if fresh then begin
         incr m;
-        Codec.put_varint hops ttl;
-        Codec.put_varint hops a
+        Codec.put_varint hops (ttl path.(i));
+        Codec.put_varint hops (id path.(i))
       end;
-      let l, fresh = list_id ((h lsl 31) lor tail) in
+      let l, fresh = list_id ((h lsl 31) lor !tail) in
       if fresh then begin
         incr k;
         Codec.put_varint lists h;
-        Codec.put_varint lists (l - 1 - tail)
+        Codec.put_varint lists (l - 1 - !tail)
       end;
-      l
+      tail := l
+    done;
+    !tail
   in
   let ids = List.map (fun t -> id_of t.hops) traces in
   let put_table n t =
@@ -117,25 +124,43 @@ let encode w traces =
 
 let addr r = Ipv4.of_int (Codec.u32 r)
 
-(* A hop names an observed address of [table]. *)
+(* A hop has a TTL that packs and names an observed address of
+   [table]. List [l] is hop [hops.(chain.(l) land 0x7FFFFFFF)] then
+   list [chain.(l) lsr 31], whose id is below its own, down to list 0,
+   the empty one. *)
 let decode table r =
   let m = Codec.count r ~min_bytes:2 in
   let hops =
-    Codec.array m ~fill:(0, 0) (fun _ ->
+    Codec.array m ~fill:0 (fun _ ->
         let ttl = Codec.varint r in
         let a = Codec.varint r in
         Codec.check
-          (a < Aliasres.Alias_graph.length table && Aliasres.Alias_graph.observed table a);
-        (ttl, a))
+          (ttl >= 1 && ttl <= 0xFF && a < Aliasres.Alias_graph.length table
+          && Aliasres.Alias_graph.observed table a);
+        hop ~ttl a)
   in
   let k = Codec.count r ~min_bytes:2 in
-  let lists = Array.make (k + 1) [] in
+  if m > 0x7FFFFFFF || k > 0x7FFFFFFF then Codec.fail ();
+  let chain = Array.make (k + 1) 0 in
   for l = 1 to k do
     let h = Codec.varint r in
-    let tail = l - 1 - Codec.varint r in
-    if h >= m || tail < 0 then Codec.fail ();
-    lists.(l) <- hops.(h) :: lists.(tail)
+    let t = l - 1 - Codec.varint r in
+    if h >= m || t < 0 then Codec.fail ();
+    chain.(l) <- (t lsl 31) lor h
   done;
+  let paths = Array.make (k + 1) [||] in
+  let path l =
+    if l > 0 && Array.length paths.(l) = 0 then begin
+      let rec length l n = if l = 0 then n else length (chain.(l) lsr 31) (n + 1) in
+      let a = Array.make (length l 0) 0 and c = ref l in
+      for i = 0 to Array.length a - 1 do
+        a.(i) <- hops.(chain.(!c) land 0x7FFFFFFF);
+        c := chain.(!c) lsr 31
+      done;
+      paths.(l) <- a
+    end;
+    paths.(l)
+  in
   (* Four columns of at least one byte and one of four per trace. *)
   let n = Codec.count r ~min_bytes:8 in
   let dsts = Codec.sub r (4 * n) in
@@ -156,7 +181,7 @@ let decode table r =
         let stopped = Codec.bool stops in
         let l = Codec.varint r in
         if l > k then Codec.fail ();
-        { dst; target_asn; hops = lists.(l); closing; stopped })
+        { dst; target_asn; hops = path l; closing; stopped })
   in
   List.iter Codec.finish [ dsts; asns; closings; stops ];
   traces

@@ -1,29 +1,12 @@
 open Netcore
-module SMap = Map.Make (String)
+type t = string Asn.Map.t
 
-type t = { by_asn : string Asn.Map.t; by_org : Asn.Set.t SMap.t }
-
-let empty = { by_asn = Asn.Map.empty; by_org = SMap.empty }
-
-let add t asn org =
-  let by_asn = Asn.Map.add asn org t.by_asn in
-  let cur = Option.value ~default:Asn.Set.empty (SMap.find_opt org t.by_org) in
-  { by_asn; by_org = SMap.add org (Asn.Set.add asn cur) t.by_org }
-
-let org_of t asn = Asn.Map.find_opt asn t.by_asn
-
-let siblings t asn =
-  match org_of t asn with
-  | None -> Asn.Set.singleton asn
-  | Some org -> Option.value ~default:(Asn.Set.singleton asn) (SMap.find_opt org t.by_org)
-
-let same_org t a b =
-  match (org_of t a, org_of t b) with
-  | Some x, Some y -> String.equal x y
-  | _ -> false
+let empty = Asn.Map.empty
+let add t asn org = Asn.Map.add asn org t
+let org_of t asn = Asn.Map.find_opt asn t
 
 let to_lines t =
-  Asn.Map.fold (fun asn org acc -> Printf.sprintf "%d|%s" asn org :: acc) t.by_asn []
+  Asn.Map.fold (fun asn org acc -> Printf.sprintf "%d|%s" asn org :: acc) t []
   |> List.sort compare
 
 let of_lines lines =

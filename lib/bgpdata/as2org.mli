@@ -11,11 +11,5 @@ val empty : t
 val add : t -> Asn.t -> string -> t
 val org_of : t -> Asn.t -> string option
 
-(** [siblings t a] is every AS sharing [a]'s organization, including [a]
-    itself; just [{a}] when [a] is unknown. *)
-val siblings : t -> Asn.t -> Asn.Set.t
-
-val same_org : t -> Asn.t -> Asn.t -> bool
-
 val to_lines : t -> string list
 val of_lines : string list -> (t, string) result

@@ -58,20 +58,6 @@ let neighbors t a =
   let s = get t a in
   Asn.Set.union s.prov (Asn.Set.union s.cust s.peer)
 
-let customer_cone t a =
-  let rec go visited frontier =
-    if Asn.Set.is_empty frontier then visited
-    else
-      let next =
-        Asn.Set.fold
-          (fun x acc -> Asn.Set.union (get t x).cust acc)
-          frontier Asn.Set.empty
-      in
-      let fresh = Asn.Set.diff next visited in
-      go (Asn.Set.union visited fresh) fresh
-  in
-  go (Asn.Set.singleton a) (Asn.Set.singleton a)
-
 let is_provider_of t ~provider ~customer = Asn.Set.mem customer (get t provider).cust
 let is_peer t a b = Asn.Set.mem b (get t a).peer
 let known t a b = rel t ~of_:a ~with_:b <> None

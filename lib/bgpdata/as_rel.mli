@@ -34,11 +34,6 @@ val peers : t -> Asn.t -> Asn.Set.t
 (** [neighbors t a] is every AS with any relationship to [a]. *)
 val neighbors : t -> Asn.t -> Asn.Set.t
 
-(** [customer_cone t a] is [a] plus every AS reachable by descending
-    provider-to-customer edges — the customer cone of [25], the set of
-    networks [a] can reach through customer links alone. *)
-val customer_cone : t -> Asn.t -> Asn.Set.t
-
 val is_provider_of : t -> provider:Asn.t -> customer:Asn.t -> bool
 val is_peer : t -> Asn.t -> Asn.t -> bool
 val known : t -> Asn.t -> Asn.t -> bool

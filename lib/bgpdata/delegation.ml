@@ -47,19 +47,6 @@ let find t addr =
 
 let opaque_id_of t addr = Option.map (fun r -> r.opaque_id) (find t addr)
 
-let blocks_of t id =
-  List.fold_left
-    (fun acc r ->
-      if String.equal r.opaque_id id then
-        Ipset.add_range r.start (Ipv4.add r.start (r.count - 1)) acc
-      else acc)
-    Ipset.empty t.recs
-
-let same_org t a b =
-  match (opaque_id_of t a, opaque_id_of t b) with
-  | Some x, Some y -> String.equal x y
-  | _ -> false
-
 let line_of_record r =
   Printf.sprintf "%s|%s|ipv4|%s|%d|%s|%s|%s" r.registry r.cc (Ipv4.to_string r.start)
     r.count r.date r.status r.opaque_id

@@ -29,13 +29,5 @@ val find : t -> Ipv4.t -> record option
 (** [opaque_id_of t addr] is the organization id covering [addr]. *)
 val opaque_id_of : t -> Ipv4.t -> string option
 
-(** [blocks_of t id] is every address block delegated to organization
-    [id], as an interval set. *)
-val blocks_of : t -> string -> Ipset.t
-
-(** [same_org t a b] is true when both addresses fall in blocks delegated
-    to the same opaque id. *)
-val same_org : t -> Ipv4.t -> Ipv4.t -> bool
-
 val to_lines : t -> string list
 val of_lines : string list -> (t, string) result

@@ -22,9 +22,6 @@ let members t =
   Ipv4.Map.fold (fun a (asn, name) acc -> (a, asn, name) :: acc) t.membership []
   |> List.rev
 
-let ixp_names t =
-  Ptrie.fold (fun _ name acc -> name :: acc) t.lans [] |> List.sort_uniq compare
-
 let to_lines t =
   let lan_lines =
     List.map

@@ -23,7 +23,6 @@ val member_of : t -> Ipv4.t -> Asn.t option
 
 val prefixes : t -> (Prefix.t * string) list
 val members : t -> (Ipv4.t * Asn.t * string) list
-val ixp_names : t -> string list
 
 val to_lines : t -> string list
 val of_lines : string list -> (t, string) result

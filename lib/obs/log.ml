@@ -1,21 +1,19 @@
-type level = Quiet | Error | Warn | Info | Debug
+type level = Quiet | Warn | Info
 
-let rank = function Quiet -> 0 | Error -> 1 | Warn -> 2 | Info -> 3 | Debug -> 4
+let rank = function Quiet -> 0 | Warn -> 1 | Info -> 2
 
 let current = Atomic.make (rank Warn)
 
 let set_level l = Atomic.set current (rank l)
 
 let set_verbosity n =
-  set_level (if n < 0 then Quiet else if n = 0 then Warn else if n = 1 then Info else Debug)
+  set_level (if n < 0 then Quiet else if n = 0 then Warn else Info)
 
 let level () =
   match Atomic.get current with
   | 0 -> Quiet
-  | 1 -> Error
-  | 2 -> Warn
-  | 3 -> Info
-  | _ -> Debug
+  | 1 -> Warn
+  | _ -> Info
 
 (* stderr writes from pool workers are serialized per message. *)
 let m = Mutex.create ()

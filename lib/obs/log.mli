@@ -4,12 +4,12 @@
     messages is skipped via [ifprintf], so a disabled level costs one
     comparison per call. *)
 
-type level = Quiet | Error | Warn | Info | Debug
+type level = Quiet | Warn | Info
 
 val set_level : level -> unit
 
 (** [set_verbosity n] maps a CLI count to a level: negative = [Quiet],
-    0 = [Warn] (the default), 1 = [Info], 2+ = [Debug]. *)
+    0 = [Warn] (the default), 1 or more = [Info]. *)
 val set_verbosity : int -> unit
 
 val level : unit -> level

@@ -1,4 +1,3 @@
-open Netcore
 open Bgpdata
 
 let sample () =
@@ -15,27 +14,12 @@ let test_org_of () =
   Alcotest.(check (option string)) "known" (Some "att") (As2org.org_of t 7018);
   Alcotest.(check (option string)) "unknown" None (As2org.org_of t 1)
 
-let test_siblings () =
-  let t = sample () in
-  Alcotest.(check (list int)) "siblings include self" [ 3356; 3549 ]
-    (Asn.Set.elements (As2org.siblings t 3356));
-  Alcotest.(check (list int)) "lone as" [ 15169 ] (Asn.Set.elements (As2org.siblings t 15169));
-  Alcotest.(check (list int)) "unknown as maps to itself" [ 42 ]
-    (Asn.Set.elements (As2org.siblings t 42))
-
-let test_same_org () =
-  let t = sample () in
-  Alcotest.(check bool) "siblings" true (As2org.same_org t 7018 7132);
-  Alcotest.(check bool) "not siblings" false (As2org.same_org t 7018 3356);
-  Alcotest.(check bool) "unknown" false (As2org.same_org t 7018 42)
-
 let test_roundtrip () =
   let t = sample () in
   match As2org.of_lines (As2org.to_lines t) with
   | Error e -> Alcotest.fail e
   | Ok t' ->
-    Alcotest.(check (list string)) "lines preserved" (As2org.to_lines t) (As2org.to_lines t');
-    Alcotest.(check bool) "siblings preserved" true (As2org.same_org t' 3356 3549)
+    Alcotest.(check (list string)) "lines preserved" (As2org.to_lines t) (As2org.to_lines t')
 
 let test_parse_errors () =
   Alcotest.(check bool) "bad asn" true (Result.is_error (As2org.of_lines [ "x|org" ]));
@@ -43,7 +27,5 @@ let test_parse_errors () =
 
 let suite =
   [ Alcotest.test_case "org lookup" `Quick test_org_of;
-    Alcotest.test_case "siblings" `Quick test_siblings;
-    Alcotest.test_case "same org" `Quick test_same_org;
     Alcotest.test_case "text roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors ]

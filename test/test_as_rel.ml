@@ -68,18 +68,6 @@ let test_parse_format () =
     Alcotest.(check bool) "bad kind rejected" true
       (Result.is_error (As_rel.of_lines [ "1|2|7" ]))
 
-let test_customer_cone () =
-  let t = sample () in
-  Alcotest.(check (list int)) "3356 cone" [ 3356; 64500; 64501 ]
-    (Asn.Set.elements (As_rel.customer_cone t 3356));
-  Alcotest.(check (list int)) "leaf cone is itself" [ 64501 ]
-    (Asn.Set.elements (As_rel.customer_cone t 64501));
-  (* Cycles must terminate. *)
-  let cyc = As_rel.add_c2p As_rel.empty ~provider:1 ~customer:2 in
-  let cyc = As_rel.add_c2p cyc ~provider:2 ~customer:1 in
-  Alcotest.(check (list int)) "cycle cone" [ 1; 2 ]
-    (Asn.Set.elements (As_rel.customer_cone cyc 1))
-
 let test_edge_count () =
   Alcotest.(check int) "edges" 5 (As_rel.edge_count (sample ()))
 
@@ -89,5 +77,4 @@ let suite =
     Alcotest.test_case "predicates" `Quick test_predicates;
     Alcotest.test_case "text roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "parse format" `Quick test_parse_format;
-    Alcotest.test_case "customer cone" `Quick test_customer_cone;
     Alcotest.test_case "edge count" `Quick test_edge_count ]

@@ -44,9 +44,9 @@ let test_hops_are_ttl_expired_sources () =
   (* Every recorded hop address exists in the world (no synthesis). *)
   List.iter
     (fun t ->
-      List.iter
-        (fun (_, i) ->
-          let a = Aliasres.Alias_graph.addr c.Bdrmap.Collect.aliases i in
+      Array.iter
+        (fun h ->
+          let a = Aliasres.Alias_graph.addr c.Bdrmap.Collect.aliases (Bdrmap.Trace.id h) in
           Alcotest.(check bool)
             (Printf.sprintf "%s is a real interface" (Ipv4.to_string a))
             true

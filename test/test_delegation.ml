@@ -38,24 +38,6 @@ let test_non_power_of_two () =
       (Delegation.opaque_id_of t (ip "10.0.2.255"));
     Alcotest.(check (option string)) "outside" None (Delegation.opaque_id_of t (ip "10.0.3.0"))
 
-let test_same_org () =
-  let t = sample () in
-  Alcotest.(check bool) "same org across blocks" true
-    (Delegation.same_org t (ip "192.0.2.7") (ip "198.51.100.9"));
-  Alcotest.(check bool) "different orgs" false
-    (Delegation.same_org t (ip "192.0.2.7") (ip "203.0.113.9"));
-  Alcotest.(check bool) "unknown addr" false
-    (Delegation.same_org t (ip "192.0.2.7") (ip "8.8.8.8"))
-
-let test_blocks_of () =
-  let t = sample () in
-  Alcotest.(check (list (pair string string)))
-    "org-a blocks"
-    [ ("192.0.2.0", "192.0.2.255"); ("198.51.100.0", "198.51.100.255") ]
-    (List.map
-       (fun (a, b) -> (Ipv4.to_string a, Ipv4.to_string b))
-       (Ipset.ranges (Delegation.blocks_of t "org-a")))
-
 let test_roundtrip () =
   let t = sample () in
   match Delegation.of_lines (Delegation.to_lines t) with
@@ -75,7 +57,5 @@ let test_parse_errors () =
 let suite =
   [ Alcotest.test_case "find" `Quick test_find;
     Alcotest.test_case "non power of two size" `Quick test_non_power_of_two;
-    Alcotest.test_case "same org" `Quick test_same_org;
-    Alcotest.test_case "blocks of org" `Quick test_blocks_of;
     Alcotest.test_case "text roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors ]

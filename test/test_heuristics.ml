@@ -43,7 +43,9 @@ module Uf = Aliasres.Alias_graph.Uf
 let trace ?(closing = Bdrmap.Trace.Nothing) ~target dst hops uf =
   { Bdrmap.Trace.dst = ip dst;
     target_asn = target;
-    hops = List.mapi (fun i a -> (i + 1, Uf.intern uf ~observed:true (ip a))) hops;
+    hops =
+      Array.of_list
+        (List.mapi (fun i a -> Bdrmap.Trace.hop ~ttl:(i + 1) (Uf.intern uf ~observed:true (ip a))) hops);
     closing;
     stopped = false }
 

@@ -37,9 +37,6 @@ let test_roundtrip () =
     Alcotest.(check (option int)) "member preserved" (Some 1299)
       (Ixp.member_of t' (ip "80.249.209.1"))
 
-let test_names () =
-  Alcotest.(check (list string)) "names" [ "ams-ix"; "equinix-ash" ] (Ixp.ixp_names (sample ()))
-
 let test_parse_errors () =
   Alcotest.(check bool) "bad kind" true (Result.is_error (Ixp.of_lines [ "lan|10.0.0.0/24|x" ]));
   Alcotest.(check bool) "bad member" true
@@ -49,5 +46,4 @@ let suite =
   [ Alcotest.test_case "lan lookup" `Quick test_lookup;
     Alcotest.test_case "membership" `Quick test_membership;
     Alcotest.test_case "text roundtrip" `Quick test_roundtrip;
-    Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "parse errors" `Quick test_parse_errors ]

@@ -29,7 +29,7 @@ let test_collection_roundtrip () =
       (fun (t1 : Bdrmap.Trace.t) (t2 : Bdrmap.Trace.t) ->
         Alcotest.(check string) "dst" (Ipv4.to_string t1.dst) (Ipv4.to_string t2.dst);
         Alcotest.(check int) "target" t1.target_asn t2.target_asn;
-        Alcotest.(check int) "hops" (List.length t1.hops) (List.length t2.hops);
+        Alcotest.(check int) "hops" (Array.length t1.hops) (Array.length t2.hops);
         Alcotest.(check bool) "stopped" t1.stopped t2.stopped)
       r.collection.traces c.traces
 

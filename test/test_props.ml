@@ -84,7 +84,8 @@ let seeded_ops seed =
    [mate_names c] the same for the mates. *)
 let hop_names (c : Bdrmap.Collect.t) =
   List.concat_map
-    (fun (t : Bdrmap.Trace.t) -> List.map (fun (_, i) -> Ag.addr c.aliases i) t.hops)
+    (fun (t : Bdrmap.Trace.t) ->
+      List.map (fun h -> Ag.addr c.aliases (Bdrmap.Trace.id h)) (Array.to_list t.hops))
     c.traces
 
 let mate_names (c : Bdrmap.Collect.t) =
@@ -109,7 +110,11 @@ let prop_freeze_matches_reference =
       let observed = draw () and named = draw () in
       let trace =
         { Bdrmap.Trace.dst = addr_of_int 999; target_asn = 1;
-          hops = List.mapi (fun i a -> (i + 1, Ag.Uf.intern g ~observed:true a)) observed;
+          hops =
+            Array.of_list
+              (List.mapi
+                 (fun i a -> Bdrmap.Trace.hop ~ttl:(i + 1) (Ag.Uf.intern g ~observed:true a))
+                 observed);
           closing = Bdrmap.Trace.Nothing; stopped = false }
       in
       let mates =
@@ -208,8 +213,8 @@ let prop_as_rel_roundtrip =
               (Bgpdata.As_rel.asns t))
           (Bgpdata.As_rel.asns t))
 
-(* Trace.pairs against a list-based reference: hop i pairs with hop
-   i + 1, in trace order, flagged when their TTLs are not adjacent. *)
+(* Trace.iter_pairs against a list-based reference: hop i pairs with
+   hop i + 1, in trace order, flagged when their TTLs are not adjacent. *)
 let ref_pairs hops =
   let a = Array.of_list hops in
   List.init
@@ -232,11 +237,35 @@ let prop_trace_pairs =
       let t =
         { Bdrmap.Trace.dst = addr_of_int 999;
           target_asn = 1;
-          hops;
+          hops = Array.of_list (List.map (fun (ttl, id) -> Bdrmap.Trace.hop ~ttl id) hops);
           closing = Bdrmap.Trace.Nothing;
           stopped = false }
       in
-      Bdrmap.Trace.pairs t = ref_pairs hops)
+      let pairs = ref [] in
+      Bdrmap.Trace.iter_pairs (fun a b gap -> pairs := (a, b, gap) :: !pairs) t;
+      List.rev !pairs = ref_pairs hops)
+
+(* Walking a 30-hop trace's pairs costs what an empty loop does. *)
+let test_iter_pairs_allocates_nothing () =
+  let t =
+    { Bdrmap.Trace.dst = addr_of_int 999;
+      target_asn = 1;
+      hops = Array.init 30 (fun i -> Bdrmap.Trace.hop ~ttl:(1 + i + (i / 7)) (3 * i));
+      closing = Bdrmap.Trace.Nothing;
+      stopped = false }
+  in
+  let sum = ref 0 in
+  let f a b gap = sum := !sum + a + b + Bool.to_int gap in
+  let words walk =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      walk ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0)) "minor words for 10k walks" (words ignore)
+    (words (fun () -> Bdrmap.Trace.iter_pairs f t));
+  Alcotest.(check bool) "pairs were walked" true (!sum > 0)
 
 (* Rib LPM agrees with a linear scan over its own prefixes. *)
 let prop_rib_lpm =
@@ -274,4 +303,6 @@ let suite =
     Qc.to_alcotest prop_same_router_symmetric;
     Qc.to_alcotest prop_as_rel_roundtrip;
     Qc.to_alcotest prop_trace_pairs;
+    Alcotest.test_case "trace iter_pairs allocates nothing" `Quick
+      test_iter_pairs_allocates_nothing;
     Qc.to_alcotest prop_rib_lpm ]

@@ -23,7 +23,8 @@ let check_invariants run () =
   let observed =
     set_of
       (List.concat_map
-         (fun (t : Bdrmap.Trace.t) -> List.map (fun (_, i) -> addr i) t.hops)
+         (fun (t : Bdrmap.Trace.t) ->
+           List.map (fun h -> addr (Bdrmap.Trace.id h)) (Array.to_list t.hops))
          c.Bdrmap.Collect.traces)
   in
   let mates = set_of (List.map (fun (_, _, m) -> addr m) c.Bdrmap.Collect.mates) in
@@ -69,8 +70,67 @@ let check_invariants run () =
       Alcotest.failf "node_of_id %d: %s is in no node" i (Ipv4.to_string a)
   done
 
+let same_node (x : Bdrmap.Rgraph.node) (y : Bdrmap.Rgraph.node) =
+  x.id = y.id && Ipv4.Set.equal x.addrs y.addrs && Ipv4.Set.equal x.extra_addrs y.extra_addrs
+  && x.min_ttl = y.min_ttl && Asn.Set.equal x.dests y.dests
+  && Asn.Set.equal x.last_toward y.last_toward && x.trace_count = y.trace_count
+
+let ids l = List.map (fun (n : Bdrmap.Rgraph.node) -> n.id) l
+
+(* The first difference between [g] and [h], if any. *)
+let graph_diff g h =
+  let module Rg = Bdrmap.Rgraph in
+  if Rg.node_count g <> Rg.node_count h then Some "node count"
+  else
+    List.find_map
+      (fun (x : Rg.node) ->
+        let y = Rg.node h x.id in
+        if not (same_node x y) then Some (Printf.sprintf "node %d" x.id)
+        else if ids (Rg.succs g x) <> ids (Rg.succs h y) then
+          Some (Printf.sprintf "successors of %d" x.id)
+        else if ids (Rg.preds g x) <> ids (Rg.preds h y) then
+          Some (Printf.sprintf "predecessors of %d" x.id)
+        else None)
+      (Rg.nodes g)
+
+(* [Rgraph.build] against [Rgraph_ref] on one VP of a corpus world at
+   scale 0.1, the world and the VP drawn from the seed, and the graph
+   that the store codec decodes against the built one. *)
+let prop_build_matches_reference =
+  QCheck.Test.make ~name:"graph build = list-and-set reference, and decodes to itself" ~count:20
+    QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let scs = Topogen.Corpus.all in
+      let sc = List.nth scs (seed mod List.length scs) in
+      let w = Gen.generate { (sc.Topogen.Corpus.sc_params ~scale:0.1) with Gen.seed } in
+      let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+      let vps = w.Gen.vps in
+      let vp = List.nth vps (seed / 7 mod List.length vps) in
+      let c = (Bdrmap.Pipeline.execute engine inputs ~vp).Bdrmap.Pipeline.collection in
+      let g = Bdrmap.Rgraph.build c and r = Rgraph_ref.build c in
+      let fail what = QCheck.Test.fail_reportf "%s at seed %d: %s" sc.sc_name seed what in
+      if Bdrmap.Rgraph.node_count g <> Array.length r.nodes then fail "node count vs reference";
+      Array.iteri
+        (fun id (x : Bdrmap.Rgraph.node) ->
+          let y = Bdrmap.Rgraph.node g id in
+          let set s = Rgraph_ref.ISet.elements s in
+          if not (same_node x y) then fail (Printf.sprintf "node %d vs reference" id);
+          if ids (Bdrmap.Rgraph.succs g y) <> set r.succ.(id) then
+            fail (Printf.sprintf "successors of %d vs reference" id);
+          if ids (Bdrmap.Rgraph.preds g y) <> set r.pred.(id) then
+            fail (Printf.sprintf "predecessors of %d vs reference" id))
+        r.nodes;
+      let out = Store.Codec.writer 4096 in
+      Bdrmap.Rgraph.encode out g;
+      let b, len = Store.Codec.contents out in
+      (match Store.Codec.decode (Bdrmap.Rgraph.decode c) (Bytes.sub_string b 0 len) ~pos:0 ~len with
+      | Error _ -> fail "decode"
+      | Ok d -> Option.iter (fun what -> fail ("decoded " ^ what)) (graph_diff g d));
+      true)
+
 let suite =
   [ Alcotest.test_case "tiny: nodes are reference alias groups" `Quick
       (check_invariants tiny);
     Alcotest.test_case "small_access: nodes are reference alias groups" `Quick
-      (check_invariants small_access) ]
+      (check_invariants small_access);
+    Qc.to_alcotest prop_build_matches_reference ]

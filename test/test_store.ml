@@ -512,6 +512,16 @@ let test_codec_roundtrip () =
         (Bdrmap.Pipeline.execute_all w inputs ~vps))
     worlds
 
+(* The run-entry bytes of every VP of the tiny world, pinned by MD5: a
+   change to the layout of any section shows here. *)
+let test_codec_pinned () =
+  let w, inputs = Lazy.force tiny_env in
+  let digest r = Digest.to_hex (Digest.string (encoded Bdrmap.Run_store.encode (snapshot_of r))) in
+  Alcotest.(check (list string)) "run-entry MD5 per VP"
+    [ "e6a48cea2e0e6de2f5df7a61a5cf45bf"; "33fe37e4dbc271b32e3969f4da5eeb18";
+      "8ebec0764c7ef4a3b22d3cd6349df022" ]
+    (List.map digest (Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps))
+
 (* Payloads behind a valid digest that only the decoder can reject:
    each is [Corrupt], and none raises. *)
 let test_codec_crafted () =
@@ -526,7 +536,7 @@ let test_codec_crafted () =
     let uf = Ag.Uf.create () in
     let t =
       { Bdrmap.Trace.dst = Netcore.Ipv4.of_int 9; target_asn = 1;
-        hops = [ (1, Ag.Uf.intern uf ~observed:true (Netcore.Ipv4.of_int 7)) ];
+        hops = [| Bdrmap.Trace.hop ~ttl:1 (Ag.Uf.intern uf ~observed:true (Netcore.Ipv4.of_int 7)) |];
         closing = Bdrmap.Trace.Nothing; stopped = false }
     in
     Bdrmap.Collect.finish uf [ t ] [] ~sched:(Probesim.Scheduler.create ~pps:100.0)
@@ -566,6 +576,11 @@ let test_codec_crafted () =
     (Result.is_ok (decoded traces (section [ (1, 0) ]))
     && Result.is_ok (decoded Bdrmap.Collect.decode (collection [ 1; 8; 1 ] [ (1, 0) ])));
   corrupt "hop id past the address table" traces (section [ (1, 1) ]);
+  (* A hop packs its TTL into 8 bits. *)
+  Alcotest.(check bool) "a TTL-255 hop decodes" true
+    (Result.is_ok (decoded traces (section [ (255, 0) ])));
+  corrupt "hop TTL 0" traces (section [ (0, 0) ]);
+  corrupt "hop TTL 256" traces (section [ (256, 0) ]);
   corrupt "trace section over an empty table" Bdrmap.Collect.decode (collection [ 0 ] [ (1, 0) ]);
   corrupt "hop naming an unobserved address" Bdrmap.Collect.decode
     (collection [ 1; 8; 0 ] [ (1, 0) ]);
@@ -624,4 +639,5 @@ let suite =
     Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
     Alcotest.test_case "old-version key misses" `Quick test_old_version_key_misses;
     Alcotest.test_case "run codec round trip by content" `Slow test_codec_roundtrip;
-    Alcotest.test_case "run codec rejects crafted payloads" `Quick test_codec_crafted ]
+    Alcotest.test_case "run codec rejects crafted payloads" `Quick test_codec_crafted;
+    Alcotest.test_case "run codec bytes pinned" `Quick test_codec_pinned ]
