@@ -7,17 +7,17 @@ module Uf = struct
      only) keeps, per root, the set of roots it conflicts with. Unions
      are refused when the two roots conflict. [keys.(i)] is id [i]'s
      address shifted left once, its low bit set once a trace hop
-     observed it. *)
+     observed it; [conflicts.(r)] is root [r]'s conflict set. *)
   type t = {
     index : int Ipv4.Tbl.t;
     mutable keys : int array;
     mutable parent : int array;
-    conflicts : (int, ISet.t) Hashtbl.t;
+    mutable conflicts : ISet.t array;
   }
 
   let create () =
     { index = Ipv4.Tbl.create 1024; keys = Array.make 256 0; parent = Array.make 256 0;
-      conflicts = Hashtbl.create 64 }
+      conflicts = Array.make 256 ISet.empty }
 
   let size t = Ipv4.Tbl.length t.index
 
@@ -29,15 +29,17 @@ module Uf = struct
     | None ->
       let i = size t in
       if i = Array.length t.keys then begin
-        let grow a = Array.append a (Array.make i 0) in
-        t.keys <- grow t.keys;
-        t.parent <- grow t.parent
+        let grow a fill = Array.append a (Array.make i fill) in
+        t.keys <- grow t.keys 0;
+        t.parent <- grow t.parent 0;
+        t.conflicts <- grow t.conflicts ISet.empty
       end;
       Ipv4.Tbl.add t.index a i;
       t.keys.(i) <- (Ipv4.to_int a lsl 1) lor Bool.to_int observed;
       t.parent.(i) <- i;
       i
 
+  let lookup t a = Option.value ~default:(-1) (Ipv4.Tbl.find_opt t.index a)
   let addr t i = Ipv4.of_int (t.keys.(i) lsr 1)
 
   let rec find t i =
@@ -49,46 +51,27 @@ module Uf = struct
       root
     end
 
-  (* [root t a] is [a]'s root, or -1 for an address never registered:
-     a router of its own. *)
-  let root t a =
-    match Ipv4.Tbl.find_opt t.index a with
-    | Some i -> find t i
-    | None -> -1
+  (* An id of -1 is an address never registered: a router of its own,
+     with no vetoes. *)
+  let same t i j = i >= 0 && j >= 0 && (i = j || find t i = find t j)
+  let vetoed t i j = i >= 0 && j >= 0 && ISet.mem (find t j) t.conflicts.(find t i)
 
-  let conflicts_of t root = Option.value ~default:ISet.empty (Hashtbl.find_opt t.conflicts root)
-
-  let vetoed t a b =
-    let ra = root t a and rb = root t b in
-    ra >= 0 && rb >= 0 && ISet.mem rb (conflicts_of t ra)
-
-  let same_router t a b =
-    Ipv4.equal a b
-    ||
-    let ra = root t a in
-    ra >= 0 && ra = root t b
-
-  let roots t a b = (find t (intern t ~observed:false a), find t (intern t ~observed:false b))
-
-  let add_not_alias t a b =
-    let ra, rb = roots t a b in
+  let separate t i j =
+    let ra = find t i and rb = find t j in
     if ra <> rb then begin
-      Hashtbl.replace t.conflicts ra (ISet.add rb (conflicts_of t ra));
-      Hashtbl.replace t.conflicts rb (ISet.add ra (conflicts_of t rb))
+      t.conflicts.(ra) <- ISet.add rb t.conflicts.(ra);
+      t.conflicts.(rb) <- ISet.add ra t.conflicts.(rb)
     end
 
-  let add_alias t a b =
-    let root, child = roots t a b in
-    if root <> child && not (ISet.mem child (conflicts_of t root)) then begin
+  let union t i j =
+    let root = find t i and child = find t j in
+    if root <> child && not (ISet.mem child t.conflicts.(root)) then begin
       t.parent.(child) <- root;
       (* Merge conflict sets and retarget references to the old root. *)
-      let cc = conflicts_of t child in
-      let merged = ISet.union (conflicts_of t root) cc in
-      if not (ISet.is_empty merged) then Hashtbl.replace t.conflicts root merged;
+      let cc = t.conflicts.(child) in
+      t.conflicts.(root) <- ISet.union t.conflicts.(root) cc;
       ISet.iter
-        (fun other ->
-          Hashtbl.replace t.conflicts other
-            (ISet.add root (ISet.remove child (conflicts_of t other))))
+        (fun other -> t.conflicts.(other) <- ISet.add root (ISet.remove child t.conflicts.(other)))
         cc
     end
 end

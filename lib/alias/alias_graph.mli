@@ -22,24 +22,35 @@ module Uf : sig
       set. *)
   val intern : t -> observed:bool -> Ipv4.t -> int
 
+  (** [size t] is the number of registered addresses; ids run from 0. *)
+  val size : t -> int
+
+  (** [lookup t a] is [a]'s id, or -1 when [a] was never registered. It
+      registers nothing. *)
+  val lookup : t -> Ipv4.t -> int
+
   (** [addr t i] is the address of id [i]. *)
   val addr : t -> int -> Ipv4.t
 
-  (** [add_alias t a b] records positive evidence. The union is applied
-      unless a negative constraint exists between the two groups. *)
-  val add_alias : t -> Ipv4.t -> Ipv4.t -> unit
+  (** [same t i j] is true when ids [i] and [j] are currently merged.
+      An id of -1 (an address never registered) is merged with
+      nothing. *)
+  val same : t -> int -> int -> bool
 
-  (** [add_not_alias t a b] records negative evidence; it retroactively
-      never splits groups, so drivers must record negatives before the
-      positives they should veto (bdrmap's repeated-Ally discipline). *)
-  val add_not_alias : t -> Ipv4.t -> Ipv4.t -> unit
+  (** [vetoed t i j] is true when a negative constraint connects the
+      groups of ids [i] and [j]; never for an id of -1. *)
+  val vetoed : t -> int -> int -> bool
 
-  (** [same_router t a b] is true when the addresses are currently merged. *)
-  val same_router : t -> Ipv4.t -> Ipv4.t -> bool
+  (** [union t i j] records positive evidence between two ids. The
+      union is applied unless a negative constraint exists between the
+      two groups. *)
+  val union : t -> int -> int -> unit
 
-  (** [vetoed t a b] is true when a negative constraint connects the two
-      groups. *)
-  val vetoed : t -> Ipv4.t -> Ipv4.t -> bool
+  (** [separate t i j] records negative evidence between two ids; it
+      retroactively never splits groups, so drivers must record
+      negatives before the positives they should veto (bdrmap's
+      repeated-Ally discipline). *)
+  val separate : t -> int -> int -> unit
 end
 
 (** A frozen address table: addresses in ascending order, each with its

@@ -3,39 +3,46 @@ open Netcore
 type verdict = Aliases | Not_aliases | Unresponsive
 type sampler = Ipv4.t -> int option
 
-(* Strictly increasing mod 2^16: every step advances by less than half
-   the ID space, and the whole window wraps at most once. *)
-let monotonic = function
-  | [] | [ _ ] -> true
-  | first :: _ as ids ->
-    let rec go prev advance = function
-      | [] -> true
-      | id :: rest ->
-        let d = (id - prev) land 0xFFFF in
-        if d = 0 || d >= 32768 then false
-        else if advance + d >= 65536 then false
-        else go id (advance + d) rest
-    in
-    go first 0 (List.tl ids)
-
-let trial sampler a b ~samples =
-  let rec collect i acc =
-    if i >= samples then Some (List.rev acc)
-    else
-      match (sampler a, sampler b) with
-      | Some ia, Some ib -> collect (i + 1) ((ib, `B) :: (ia, `A) :: acc)
-      | _ -> None
+(* [rising ids ~first ~step] is true when the samples at [first],
+   [first + step], ... increase strictly mod 2^16: every step advances
+   by less than half the ID space, and the whole window wraps at most
+   once. *)
+let rising ids ~first ~step =
+  let n = Array.length ids in
+  let rec go k prev advance =
+    k >= n
+    ||
+    let id = ids.(k) in
+    let d = (id - prev) land 0xFFFF in
+    d <> 0 && d < 32768 && advance + d < 65536 && go (k + step) id (advance + d)
   in
-  match collect 0 [] with
-  | None -> Unresponsive
-  | Some seq ->
-    let ids = List.map fst seq in
-    let own tag = List.filter_map (fun (id, t) -> if t = tag then Some id else None) seq in
+  first >= n || go (first + step) ids.(first) 0
+
+let monotonic ids = rising (Array.of_list ids) ~first:0 ~step:1
+
+(* Round [i] samples [a] into slot [2i], then [b] into slot [2i + 1];
+   both are probed even when [a] is silent, and the first silent round
+   ends the trial. *)
+let trial sampler a b ~samples =
+  let ids = Array.make (2 * samples) 0 in
+  let rec collect i =
+    i >= samples
+    ||
+    let sa = sampler a in
+    let sb = sampler b in
+    match (sa, sb) with
+    | Some ia, Some ib ->
+      ids.(2 * i) <- ia;
+      ids.((2 * i) + 1) <- ib;
+      collect (i + 1)
+    | _ -> false
+  in
+  if not (collect 0) then Unresponsive
     (* An address whose own samples are not monotonic (random or constant
        IDs) cannot support a velocity inference at all. *)
-    if not (monotonic (own `A) && monotonic (own `B)) then Unresponsive
-    else if monotonic ids then Aliases
-    else Not_aliases
+  else if not (rising ids ~first:0 ~step:2 && rising ids ~first:1 ~step:2) then Unresponsive
+  else if rising ids ~first:0 ~step:1 then Aliases
+  else Not_aliases
 
 let test sampler ~wait a b ~trials ~samples =
   let rec go i best =

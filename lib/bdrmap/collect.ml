@@ -13,22 +13,9 @@ type t = {
   alias_pairs_tested : int;
 }
 
-(* Per-target-AS stop set (doubletree): the first external address each
-   trace observed; later traces toward the same AS stop at these. *)
-module Stopset = struct
-  type t = (Asn.t, Ipv4.Set.t) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let mem t asn addr =
-    match Hashtbl.find_opt t asn with
-    | Some s -> Ipv4.Set.mem addr s
-    | None -> false
-
-  let add t asn addr =
-    let cur = Option.value ~default:Ipv4.Set.empty (Hashtbl.find_opt t asn) in
-    Hashtbl.replace t asn (Ipv4.Set.add addr cur)
-end
+(* Two registry ids, or an ASN and a registry id, as one {!Pair_tbl}
+   key: registry ids stay below 2^30, ASNs below 2^32. *)
+let pair i j = (i lsl 30) lor j
 
 (* The fields that are functions of the traces: the closing replies
    (§5.4.8 input) and the stop-set hits. *)
@@ -59,12 +46,35 @@ let external_class ip2as addr =
   | Ip2as.External _ | Ip2as.Ixp _ -> true
   | Ip2as.Host | Ip2as.Unrouted | Ip2as.Reserved -> false
 
-let stop_entry ip2as addr t =
+(* [first_hop p t] is the id of [t]'s first hop whose id satisfies [p]. *)
+let first_hop p t =
   Array.find_map
     (fun h ->
-      let a = addr (Trace.id h) in
-      if external_class ip2as a then Some a else None)
+      let i = Trace.id h in
+      if p i then Some i else None)
     t.Trace.hops
+
+let stop_entry ip2as addr t =
+  Option.map addr (first_hop (fun i -> external_class ip2as (addr i)) t)
+
+(* The external class of each registry id, asked of [ip2as] once per
+   run: [cls] holds 0 for an id not asked yet, 1 for external, 2 for
+   not. *)
+type classes = { ip2as : Ip2as.t; uf : Ag.Uf.t; mutable cls : Bytes.t }
+
+let is_external c i =
+  if i >= Bytes.length c.cls then begin
+    let grown = Bytes.make (2 * (i + 1)) '\000' in
+    Bytes.blit c.cls 0 grown 0 (Bytes.length c.cls);
+    c.cls <- grown
+  end;
+  match Bytes.get c.cls i with
+  | '\001' -> true
+  | '\002' -> false
+  | _ ->
+    let e = external_class c.ip2as (Ag.Uf.addr c.uf i) in
+    Bytes.set c.cls i (if e then '\001' else '\002');
+    e
 
 (* Plain counters threaded through collection and flushed into the
    metrics registry once at the end of a run: the probing loops stay
@@ -74,8 +84,7 @@ type counts = { mutable replies : int; mutable retries : int }
 (* One traceroute with per-hop stop-set checks. The fixed flow id is the
    Paris traceroute discipline (2). Hops gather in [buf], one slot per
    TTL, and are copied out once. *)
-let trace_one (prober : Probesim.Prober.t) cfg ip2as uf stopset counts buf ~target_asn
-    ~dst =
+let trace_one (prober : Probesim.Prober.t) cfg c stopset counts buf ~target_asn ~dst =
   (* Retry-with-backoff over silent hops: on an impaired network a
      missing reply is often a lost probe or a drained token bucket, not
      a genuinely silent router, so each attempt waits [k * backoff]
@@ -114,30 +123,36 @@ let trace_one (prober : Probesim.Prober.t) cfg ip2as uf stopset counts buf ~targ
         | Engine.Echo_reply -> (n, Trace.Echo r.Engine.src, false)
         | Engine.Dest_unreach -> (n, Trace.Unreach r.Engine.src, false)
         | Engine.Ttl_expired ->
-          buf.(n) <- Trace.hop ~ttl (Ag.Uf.intern uf ~observed:true r.Engine.src);
+          let i = Ag.Uf.intern c.uf ~observed:true r.Engine.src in
+          buf.(n) <- Trace.hop ~ttl i;
           if
             cfg.Config.use_stop_sets
-            && external_class ip2as r.Engine.src
-            && Stopset.mem stopset target_asn r.Engine.src
+            && is_external c i
+            && Pair_tbl.mem stopset (pair target_asn i)
           then (n + 1, Trace.Nothing, true)
           else go (ttl + 1) 0 (n + 1))
   in
   let n, closing, stopped = go 1 0 0 in
   let t = { Trace.dst; target_asn; hops = Array.sub buf 0 n; closing; stopped } in
-  Option.iter (Stopset.add stopset target_asn) (stop_entry ip2as (Ag.Uf.addr uf) t);
+  Option.iter
+    (fun i -> Pair_tbl.replace stopset (pair target_asn i) ())
+    (first_hop (is_external c) t);
   t
 
 (* The trace "sees the target": some external TTL-expired hop other than
    the probed address itself (§5.3's retry rule). *)
-let informative ip2as uf t =
+let informative c t =
   Array.exists
     (fun h ->
-      let a = Ag.Uf.addr uf (Trace.id h) in
-      external_class ip2as a && not (Ipv4.equal a t.Trace.dst))
+      let i = Trace.id h in
+      is_external c i && not (Ipv4.equal (Ag.Uf.addr c.uf i) t.Trace.dst))
     t.Trace.hops
 
-let gather_traces prober cfg ip2as uf counts blocks =
-  let stopset = Stopset.create () in
+let gather_traces prober cfg c counts blocks =
+  (* Doubletree's per-target-AS stop set: the first external hop each
+     trace observed, by (target ASN, registry id); later traces toward
+     the same AS stop at these. *)
+  let stopset = Pair_tbl.create 64 in
   (* An IP TTL is one byte. *)
   let buf = Array.make (min cfg.Config.max_ttl 0xFF) 0 in
   let traces = ref [] in
@@ -150,11 +165,9 @@ let gather_traces prober cfg ip2as uf counts blocks =
             | [] -> ()
             | dst :: rest ->
               Stdlib.incr attempts;
-              let t =
-                trace_one prober cfg ip2as uf stopset counts buf ~target_asn:asn ~dst
-              in
+              let t = trace_one prober cfg c stopset counts buf ~target_asn:asn ~dst in
               traces := t :: !traces;
-              if not (informative ip2as uf t || t.Trace.stopped) then try_candidates rest
+              if not (informative c t || t.Trace.stopped) then try_candidates rest
           in
           try_candidates (Targets.candidates ~per_block:cfg.Config.addrs_per_block b);
           (* Per-block probe budget: how many of the (at most
@@ -165,82 +178,97 @@ let gather_traces prober cfg ip2as uf counts blocks =
     (Targets.by_asn blocks);
   List.rev !traces
 
-let oracle_of_prober (prober : Probesim.Prober.t) cfg uf a b =
-  if Ipv4.equal a b then `Aliases
-  else if Ag.Uf.same_router uf a b then `Aliases
-  else if Ag.Uf.vetoed uf a b then `Not_aliases
-  else begin
-    let udp addr =
-      Option.map (fun r -> r.Engine.src) (prober.Probesim.Prober.udp_probe ~dst:addr)
-    in
-    let merc = Aliasres.Mercator.test udp a b in
-    match merc with
-    | Aliasres.Mercator.Aliases ->
-      Ag.Uf.add_alias uf a b;
-      `Aliases
-    | Aliasres.Mercator.Not_aliases ->
-      Ag.Uf.add_not_alias uf a b;
-      `Not_aliases
-    | Aliasres.Mercator.Unresponsive -> (
-      let sampler addr =
-        Option.map (fun r -> r.Engine.ipid) (prober.Probesim.Prober.ping ~dst:addr)
-      in
-      let wait () = prober.Probesim.Prober.advance cfg.Config.ally_interval_s in
-      match
-        if cfg.Config.ally_proximity then
-          Aliasres.Ally.trial_proximity sampler a b ~samples:cfg.Config.ally_samples
-            ~fudge:1000
-        else
-          Aliasres.Ally.test sampler ~wait a b ~trials:cfg.Config.ally_trials
-            ~samples:cfg.Config.ally_samples
-      with
-      | Aliasres.Ally.Aliases ->
-        Ag.Uf.add_alias uf a b;
+(* The alias oracle over registry ids: [oracle a ia b ib] answers for
+   addresses [a] and [b], with ids [ia] and [ib], or -1 for an address
+   never registered (a prefixscan mate nothing has named yet). Known
+   evidence answers first; otherwise Mercator, then Ally probe the pair
+   and their verdict is recorded, registering both addresses. *)
+let oracle_of_prober (prober : Probesim.Prober.t) cfg uf =
+  let udp dst =
+    match prober.Probesim.Prober.udp_probe ~dst with
+    | Some r -> Some r.Engine.src
+    | None -> None
+  in
+  let sampler dst =
+    match prober.Probesim.Prober.ping ~dst with
+    | Some r -> Some r.Engine.ipid
+    | None -> None
+  in
+  let wait () = prober.Probesim.Prober.advance cfg.Config.ally_interval_s in
+  fun a ia b ib ->
+    if Ag.Uf.same uf ia ib then `Aliases
+    else if Ag.Uf.vetoed uf ia ib then `Not_aliases
+    else begin
+      let id a ia = if ia >= 0 then ia else Ag.Uf.intern uf ~observed:false a in
+      let aliases () =
+        Ag.Uf.union uf (id a ia) (id b ib);
         `Aliases
-      | Aliasres.Ally.Not_aliases ->
-        Ag.Uf.add_not_alias uf a b;
+      and not_aliases () =
+        Ag.Uf.separate uf (id a ia) (id b ib);
         `Not_aliases
-      | Aliasres.Ally.Unresponsive -> `Unknown)
-  end
+      in
+      match Aliasres.Mercator.test udp a b with
+      | Aliasres.Mercator.Aliases -> aliases ()
+      | Aliasres.Mercator.Not_aliases -> not_aliases ()
+      | Aliasres.Mercator.Unresponsive -> (
+        match
+          if cfg.Config.ally_proximity then
+            Aliasres.Ally.trial_proximity sampler a b ~samples:cfg.Config.ally_samples
+              ~fudge:1000
+          else
+            Aliasres.Ally.test sampler ~wait a b ~trials:cfg.Config.ally_trials
+              ~samples:cfg.Config.ally_samples
+        with
+        | Aliasres.Ally.Aliases -> aliases ()
+        | Aliasres.Ally.Not_aliases -> not_aliases ()
+        | Aliasres.Ally.Unresponsive -> `Unknown)
+    end
 
 (* Candidate alias pairs: addresses sharing a predecessor or successor in
    the collected traces possibly answer from one router (virtual routers,
-   per-destination source selection, parallel links). *)
+   per-destination source selection, parallel links). Each id's
+   neighbours are kept newest first; the ids that have any are visited
+   in the iteration order of an address-keyed [Hashtbl] made with 4096
+   buckets and added to once per id, the order in which the pairs are
+   probed. A pair is named lower address first. *)
 let candidate_pairs cfg uf traces =
-  let seen = Hashtbl.create 4096 in
-  let pairs = ref [] in
-  let count = ref 0 in
-  let note a b =
-    if (not (Ipv4.equal a b)) && !count < cfg.Config.max_alias_candidates then begin
-      let key = if Ipv4.compare a b <= 0 then (a, b) else (b, a) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
+  let n = Ag.Uf.size uf in
+  let succs = Array.make n [] and preds = Array.make n [] in
+  let succ_order = Hashtbl.create 4096 and pred_order = Hashtbl.create 4096 in
+  let edges = Pair_tbl.create 4096 in
+  List.iter
+    (Trace.iter_pairs (fun i j _ ->
+         let e = pair i j in
+         if not (Pair_tbl.mem edges e) then begin
+           Pair_tbl.add edges e ();
+           if succs.(i) = [] then Hashtbl.add succ_order (Ag.Uf.addr uf i) i;
+           succs.(i) <- j :: succs.(i);
+           if preds.(j) = [] then Hashtbl.add pred_order (Ag.Uf.addr uf j) j;
+           preds.(j) <- i :: preds.(j)
+         end))
+    traces;
+  let seen = Pair_tbl.create 4096 in
+  let pairs = ref [] and count = ref 0 in
+  let note i j =
+    if i <> j && !count < cfg.Config.max_alias_candidates then begin
+      let key = if i < j then pair i j else pair j i in
+      if not (Pair_tbl.mem seen key) then begin
+        Pair_tbl.add seen key ();
         incr count;
-        pairs := key :: !pairs
+        pairs :=
+          (if Ipv4.compare (Ag.Uf.addr uf i) (Ag.Uf.addr uf j) <= 0 then (i, j) else (j, i))
+          :: !pairs
       end
     end
   in
-  let preds = Hashtbl.create 4096 and succs = Hashtbl.create 4096 in
-  (* Membership goes through an (addr, addr) edge table: the per-address
-     lists stay in first-seen order (the pair-generation order below
-     depends on it) but the dedup is O(1) instead of a scan of the list,
-     which grows long around heavily shared hops. *)
-  let succ_seen = Hashtbl.create 4096 and pred_seen = Hashtbl.create 4096 in
-  let note_adj tbl edge_seen k v =
-    if not (Hashtbl.mem edge_seen (k, v)) then begin
-      Hashtbl.add edge_seen (k, v) ();
-      Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    end
+  let rec all_pairs = function
+    | [] -> ()
+    | i :: rest ->
+      List.iter (note i) rest;
+      all_pairs rest
   in
-  List.iter
-    (Trace.iter_pairs (fun i j _ ->
-         let a = Ag.Uf.addr uf i and b = Ag.Uf.addr uf j in
-         note_adj succs succ_seen a b;
-         note_adj preds pred_seen b a))
-    traces;
-  let all_pairs l = List.iteri (fun i a -> List.iteri (fun j b -> if j > i then note a b) l) l in
-  Hashtbl.iter (fun _ l -> all_pairs l) succs;
-  Hashtbl.iter (fun _ l -> all_pairs l) preds;
+  Hashtbl.iter (fun _ i -> all_pairs succs.(i)) succ_order;
+  Hashtbl.iter (fun _ j -> all_pairs preds.(j)) pred_order;
   List.rev !pairs
 
 let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
@@ -254,26 +282,27 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
   let uf = Ag.Uf.create () in
   let traces =
     Obs.Span.with_span ~stage:"collect" ?vp:vp_name ~sim (fun () ->
-        gather_traces prober cfg ip2as uf counts blocks)
+        gather_traces prober cfg { ip2as; uf; cls = Bytes.create 0 } counts blocks)
   in
   Probesim.Scheduler.note sched Probesim.Scheduler.Traceroute (count () - p0);
   let oracle = oracle_of_prober prober cfg uf in
   let mates = ref [] in
   let c =
     Obs.Span.with_span ~stage:"alias" ?vp:vp_name ~sim (fun () ->
-        (* Prefixscan over consecutive hop pairs. *)
+        (* Prefixscan over distinct consecutive hop pairs. An [`Aliases]
+           answer has already merged the mate into [prev]'s router. *)
         let p1 = count () in
-        let scanned = Hashtbl.create 4096 in
+        let scanned = Pair_tbl.create 4096 in
         List.iter
           (Trace.iter_pairs (fun p h gap ->
                if not gap then
-                 let key = (p, h) in
-                 if not (Hashtbl.mem scanned key) then begin
-                   Hashtbl.add scanned key ();
+                 let key = pair p h in
+                 if not (Pair_tbl.mem scanned key) then begin
+                   Pair_tbl.add scanned key ();
                    let prev = Ag.Uf.addr uf p in
-                   match Aliasres.Prefixscan.scan oracle ~prev ~hop:(Ag.Uf.addr uf h) with
+                   let mate_oracle mate _ = oracle mate (Ag.Uf.lookup uf mate) prev p in
+                   match Aliasres.Prefixscan.scan mate_oracle ~prev ~hop:(Ag.Uf.addr uf h) with
                    | Some { Aliasres.Prefixscan.mate; _ } ->
-                     if not (Ipv4.equal mate prev) then Ag.Uf.add_alias uf mate prev;
                      mates := (p, h, Ag.Uf.intern uf ~observed:false mate) :: !mates
                    | None -> ()
                  end))
@@ -282,7 +311,7 @@ let run_with ?vp_name (prober : Probesim.Prober.t) cfg ip2as blocks =
         (* Candidate alias pairs. *)
         let p2 = count () in
         let pairs = candidate_pairs cfg uf traces in
-        List.iter (fun (a, b) -> ignore (oracle a b)) pairs;
+        List.iter (fun (i, j) -> ignore (oracle (Ag.Uf.addr uf i) i (Ag.Uf.addr uf j) j)) pairs;
         Probesim.Scheduler.note sched Probesim.Scheduler.Alias (count () - p2);
         finish uf traces (List.rev !mates) ~sched ~alias_pairs_tested:(List.length pairs))
   in

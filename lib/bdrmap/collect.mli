@@ -43,6 +43,13 @@ val finish :
     ids named by [addr]. *)
 val stop_entry : Ip2as.t -> (int -> Ipv4.t) -> Trace.t -> Ipv4.t option
 
+(** [candidate_pairs cfg uf traces] is the alias pairs collection tests,
+    in test order: registry ids that share a predecessor or a successor
+    in [traces] (hops naming [uf]'s ids), each pair once, lower address
+    first, at most [cfg.max_alias_candidates] of them. *)
+val candidate_pairs :
+  Config.t -> Aliasres.Alias_graph.Uf.t -> Trace.t list -> (int * int) list
+
 (** [run_with prober cfg ip2as blocks] drives collection through an
     abstract prober — the local engine binding or the §5.8 offload
     channel ({!Probesim.Offload.remote}). [vp_name] labels the

@@ -95,11 +95,6 @@ let classify_node ip2as (n : Rgraph.node) =
   else if !ixp then Nixp
   else Nunrouted
 
-let single_ext ip2as n =
-  match classify_node ip2as n with
-  | Next asns when Asn.Set.cardinal asns = 1 -> Some (Asn.Set.min_elt asns)
-  | Next _ | Nhost | Nixp | Nunrouted -> None
-
 let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
   let enabled tag = not (List.mem tag disabled) in
   let gate tag decision =
@@ -115,7 +110,21 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
   let rep = Array.init n_nodes Fun.id in
   let nextas_used = ref 0 in
   let vp_asns = cfg.Config.vp_asns in
-  let cls n = classify_node ip2as n in
+  (* Each node is classified once, when first asked. *)
+  let classes = Array.make n_nodes None in
+  let cls (n : Rgraph.node) =
+    match classes.(n.Rgraph.id) with
+    | Some c -> c
+    | None ->
+      let c = classify_node ip2as n in
+      classes.(n.Rgraph.id) <- Some c;
+      c
+  in
+  let single_ext n =
+    match cls n with
+    | Next asns when Asn.Set.cardinal asns = 1 -> Some (Asn.Set.min_elt asns)
+    | Next _ | Nhost | Nixp | Nunrouted -> None
+  in
   let is_vp_asn a = Asn.Set.mem a vp_asns in
   (* nextas (§5.4 closing paragraph): the most common provider among the
      destination ASes probed through the router, defined only when the
@@ -203,12 +212,12 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     else
       List.find_map
         (fun m ->
-          match single_ext ip2as m with
+          match single_ext m with
           | None -> None
           | Some a ->
             List.find_map
               (fun m2 ->
-                if m2.Rgraph.id <> n.Rgraph.id && single_ext ip2as m2 = Some a then
+                if m2.Rgraph.id <> n.Rgraph.id && single_ext m2 = Some a then
                   Some (Neighbor (a, T4_onenet))
                 else None)
               (Rgraph.succs g m))
@@ -217,7 +226,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
   (* Third-party pattern (§5.4.5 steps 5.1/5.2): an address from A on a
      router only seen toward B, with A a provider of B. *)
   let third_party_target (m : Rgraph.node) =
-    match single_ext ip2as m with
+    match single_ext m with
     | None -> None
     | Some a ->
       if Asn.Set.cardinal m.Rgraph.dests = 1 then
@@ -332,7 +341,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     let adj_ext =
       List.fold_left
         (fun acc m ->
-          match single_ext ip2as m with
+          match single_ext m with
           | Some a -> Asn.Set.add a acc
           | None -> acc)
         Asn.Set.empty (succs @ preds)
@@ -348,7 +357,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
           let guard_ok =
             List.for_all
               (fun m ->
-                match single_ext ip2as m with
+                match single_ext m with
                 | None -> true
                 | Some candidate ->
                   let cust_of_vp =

@@ -110,7 +110,8 @@ let collection_of_lines lines =
         | [ "alias"; a; b ] -> (
           match (Ipv4.of_string a, Ipv4.of_string b) with
           | Some a, Some b ->
-            Aliasres.Alias_graph.Uf.add_alias uf a b;
+            let id = Aliasres.Alias_graph.Uf.intern uf ~observed:false in
+            Aliasres.Alias_graph.Uf.union uf (id a) (id b);
             go rest
           | _ -> err line)
         | [ "mate"; p; h; m ] -> (

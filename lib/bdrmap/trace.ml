@@ -47,28 +47,16 @@ let iter_pairs f t =
 
 module Codec = Store.Codec
 
-(* Keys pack two small ints; the product's high half, folded onto its
-   low bits, spreads both over the bucket index. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash k =
-    let h = k * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 32)
-end)
-
 (* [interner base] numbers keys from [base] in first-seen order; it
    returns a key's id and whether the key is new. *)
 let interner base =
-  let ids = Itbl.create 1024 in
+  let ids = Pair_tbl.create 1024 in
   fun key ->
-    match Itbl.find_opt ids key with
+    match Pair_tbl.find_opt ids key with
     | Some id -> (id, false)
     | None ->
-      let id = base + Itbl.length ids in
-      Itbl.add ids key id;
+      let id = base + Pair_tbl.length ids in
+      Pair_tbl.add ids key id;
       (id, true)
 
 let encode w traces =

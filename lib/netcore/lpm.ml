@@ -113,18 +113,6 @@ let lookup t addr =
   let i = lookup_idx t addr in
   if i < 0 then None else Some (t.pfx.(i), t.values.(i))
 
-let find_exact t p =
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      match Prefix.compare p t.pfx.(mid) with
-      | 0 -> Some t.values.(mid)
-      | c when c < 0 -> go lo mid
-      | _ -> go (mid + 1) hi
-  in
-  go 0 (Array.length t.pfx)
-
 let fold f t acc =
   let acc = ref acc in
   for i = 0 to Array.length t.pfx - 1 do

@@ -37,9 +37,6 @@ val prefix_at : 'a t -> int -> Prefix.t
 
 val value_at : 'a t -> int -> 'a
 
-(** [find_exact t p] is the value bound to exactly [p], if any. *)
-val find_exact : 'a t -> Prefix.t -> 'a option
-
 (** Number of (deduplicated) prefixes built into the table. *)
 val length : 'a t -> int
 

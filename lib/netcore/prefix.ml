@@ -38,7 +38,6 @@ let equal a b = compare a b = 0
 let mem addr p =
   Ipv4.to_int addr land mask_of_len p.len = Ipv4.to_int p.network
 
-let subsumes ~p ~q = q.len >= p.len && mem q.network p
 let first p = p.network
 let last p = Ipv4.of_int (Ipv4.to_int p.network lor (lnot (mask_of_len p.len) land 0xFFFF_FFFF))
 let size p = 1 lsl (32 - p.len)
@@ -51,18 +50,6 @@ let split p =
       len = p.len + 1 }
   in
   (lo, hi)
-
-let of_first_last first last =
-  let f = Ipv4.to_int first and l = Ipv4.to_int last in
-  if l < f then None
-  else
-    let n = l - f + 1 in
-    (* Must be a power of two and aligned on its own size. *)
-    if n land (n - 1) <> 0 then None
-    else
-      let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
-      let bits = log2 n 0 in
-      if f land (n - 1) <> 0 then None else Some (make first (32 - bits))
 
 let subnet_mate addr len =
   let a = Ipv4.to_int addr in

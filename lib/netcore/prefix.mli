@@ -20,9 +20,6 @@ val equal : t -> t -> bool
 (** [mem addr p] is true when [addr] falls inside [p]. *)
 val mem : Ipv4.t -> t -> bool
 
-(** [subsumes p q] is true when [q] is equal to or more specific than [p]. *)
-val subsumes : p:t -> q:t -> bool
-
 (** [first p] is the network address, [last p] the broadcast address. *)
 val first : t -> Ipv4.t
 
@@ -34,10 +31,6 @@ val size : t -> int
 (** [split p] halves [p] into its two /len+1 children.
     Raises [Invalid_argument] on a /32. *)
 val split : t -> t * t
-
-(** [of_first_last first last] is the prefix with exactly that range, if the
-    range is aligned; [None] otherwise. *)
-val of_first_last : Ipv4.t -> Ipv4.t -> t option
 
 (** [subnet_mate addr len] is the other address of [addr]'s /31 (len = 31)
     or the other usable address of its /30 (len = 30). For /30 the network

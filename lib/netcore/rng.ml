@@ -23,8 +23,6 @@ let[@inline] next t =
   Bytes.set_int64_le t 0 s;
   mix s
 
-let split t = of_state (mix (next t))
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in

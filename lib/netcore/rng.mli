@@ -6,9 +6,6 @@ type t
 
 val create : int -> t
 
-(** [split t] derives an independent stream; the parent advances. *)
-val split : t -> t
-
 (** [int t n] is uniform in [0, n). Raises on [n <= 0]. *)
 val int : t -> int -> int
 

@@ -152,24 +152,24 @@ let freeze g = fst (Ag.freeze g)
 
 let test_graph_closure () =
   let g = Ag.Uf.create () in
-  Ag.Uf.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
-  Ag.Uf.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
-  Alcotest.(check bool) "transitive" true (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
+  Alias_ref.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
+  Alias_ref.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
+  Alcotest.(check bool) "transitive" true (Alias_ref.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
   Alcotest.(check (list (list string))) "one group of three"
     [ [ "10.0.0.1"; "10.0.0.2"; "10.0.0.3" ] ]
     (List.map (List.map Ipv4.to_string) (Ag.groups (freeze g)))
 
 let test_graph_negative_veto () =
   let g = Ag.Uf.create () in
-  Ag.Uf.add_not_alias g (ip "10.0.0.1") (ip "10.0.0.3");
-  Ag.Uf.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
+  Alias_ref.add_not_alias g (ip "10.0.0.1") (ip "10.0.0.3");
+  Alias_ref.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
   (* Positive evidence 2~3 would transitively merge 1 and 3 which is
      vetoed; the union must be refused. *)
-  Ag.Uf.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
+  Alias_ref.add_alias g (ip "10.0.0.2") (ip "10.0.0.3");
   Alcotest.(check bool) "veto blocks merge" false
-    (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
+    (Alias_ref.same_router g (ip "10.0.0.1") (ip "10.0.0.3"));
   Alcotest.(check bool) "first merge survived" true
-    (Ag.Uf.same_router g (ip "10.0.0.1") (ip "10.0.0.2"));
+    (Alias_ref.same_router g (ip "10.0.0.1") (ip "10.0.0.2"));
   Alcotest.(check bool) "the frozen table keeps both" true
     (let t = freeze g in
      Alias_ref.table_same t (ip "10.0.0.1") (ip "10.0.0.2")
@@ -177,9 +177,9 @@ let test_graph_negative_veto () =
 
 let test_graph_groups () =
   let g = Ag.Uf.create () in
-  Ag.Uf.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
-  Ag.Uf.add_alias g (ip "10.0.1.1") (ip "10.0.1.2");
-  Ag.Uf.add_not_alias g (ip "10.0.2.1") (ip "10.0.0.1");
+  Alias_ref.add_alias g (ip "10.0.0.1") (ip "10.0.0.2");
+  Alias_ref.add_alias g (ip "10.0.1.1") (ip "10.0.1.2");
+  Alias_ref.add_not_alias g (ip "10.0.2.1") (ip "10.0.0.1");
   let groups = Ag.groups (freeze g) in
   Alcotest.(check int) "three groups" 3 (List.length groups);
   Alcotest.(check bool) "sizes" true
@@ -198,6 +198,56 @@ let test_graph_groups () =
     (List.init (Ag.length t) (fun i -> (Ipv4.to_string (Ag.addr t i), Ag.observed t i)));
   Alcotest.(check bool) "an absent address" true (Alias_ref.table_id t (ip "10.0.4.1") = None)
 
+(* [Ally.trial] and [Ally.test] against the list-based reference in
+   [Alias_ref], on sampler streams drawn from the seed: one shared
+   counter, two counters, or random IDs, each with an optional silent
+   reply at a drawn call. Both must reach the same verdict through the
+   same calls: each sample names its address, each wait is logged in
+   between. *)
+let prop_ally_matches_reference =
+  QCheck.Test.make ~name:"ally trial and test = list reference, call for call" ~count:500
+    QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let r = Rng.create seed in
+      let mode = Rng.int r 3 and samples = Rng.int r 6 and trials = 1 + Rng.int r 4 in
+      let silent_at = if Rng.int r 2 = 0 then Rng.int r ((2 * samples * trials) + 1) else -1 in
+      let step = 1 + Rng.int r 3000 and start = Rng.int r 65536 and draws = Rng.int r 1_000_000 in
+      let a = ip "10.0.0.1" and b = ip "10.0.0.2" in
+      (* A fresh stream per run: both runs see the same replies only if
+         they make the same calls. *)
+      let run f =
+        let log = ref [] and calls = ref 0 and shared = ref start in
+        let own = [| start; (start + 20000) land 0xFFFF |] and rng = Rng.create draws in
+        let sampler x =
+          log := Ipv4.to_string x :: !log;
+          incr calls;
+          if !calls - 1 = silent_at then None
+          else
+            match mode with
+            | 0 ->
+              shared := (!shared + step) land 0xFFFF;
+              Some !shared
+            | 1 ->
+              let k = if Ipv4.equal x a then 0 else 1 in
+              own.(k) <- (own.(k) + step) land 0xFFFF;
+              Some own.(k)
+            | _ -> Some (Rng.int rng 65536)
+        in
+        let wait () = log := "wait" :: !log in
+        let v = f sampler ~wait in
+        (v, List.rev !log)
+      in
+      let same what x y =
+        if x <> y then QCheck.Test.fail_reportf "%s differs from the reference at seed %d" what seed
+      in
+      same "trial"
+        (run (fun s ~wait:_ -> Ally.trial s a b ~samples))
+        (run (fun s ~wait:_ -> Alias_ref.ally_trial s a b ~samples));
+      same "test"
+        (run (fun s ~wait -> Ally.test s ~wait a b ~trials ~samples))
+        (run (fun s ~wait -> Alias_ref.ally_test s ~wait a b ~trials ~samples));
+      true)
+
 let suite =
   [ Alcotest.test_case "monotonic test" `Quick test_monotonic;
     Alcotest.test_case "ally same router" `Quick test_ally_same_router;
@@ -212,4 +262,5 @@ let suite =
     Alcotest.test_case "prefixscan direct mate" `Quick test_prefixscan_direct_mate;
     Alcotest.test_case "alias graph closure" `Quick test_graph_closure;
     Alcotest.test_case "alias graph negative veto" `Quick test_graph_negative_veto;
-    Alcotest.test_case "alias graph groups" `Quick test_graph_groups ]
+    Alcotest.test_case "alias graph groups" `Quick test_graph_groups;
+    Qc.to_alcotest prop_ally_matches_reference ]

@@ -103,6 +103,51 @@ let test_scheduler_accounting () =
     (Probesim.Scheduler.count s Probesim.Scheduler.Alias > 0);
   Alcotest.(check bool) "duration positive" true (Probesim.Scheduler.duration_s s > 0.0)
 
+(* [Collect.candidate_pairs] against the address-keyed build in
+   [Alias_ref], in order, on one VP of a corpus world at scale 0.1 (the
+   world and the VP drawn from the seed). The run's traces are re-read
+   into a fresh registry in collection order, which numbers their hops
+   as the run did; the build runs uncapped and under a cap, drawn from
+   the seed, below the uncapped pair count. *)
+let prop_candidates_match_reference =
+  QCheck.Test.make ~name:"candidate pairs = address-keyed reference, in order" ~count:20
+    QCheck.(make ~print:Print.int ~shrink:Shrink.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let scs = Topogen.Corpus.all in
+      let sc = List.nth scs (seed mod List.length scs) in
+      let w = Gen.generate { (sc.Topogen.Corpus.sc_params ~scale:0.1) with Gen.seed } in
+      let _shared, _fwd, engine, inputs = Bdrmap.Pipeline.setup w in
+      let vp = List.nth w.Gen.vps (seed / 7 mod List.length w.Gen.vps) in
+      let c = (Bdrmap.Pipeline.execute engine inputs ~vp).Bdrmap.Pipeline.collection in
+      let module Uf = Aliasres.Alias_graph.Uf in
+      let uf = Uf.create () in
+      let traces =
+        List.map
+          (fun (t : Bdrmap.Trace.t) ->
+            let rename h =
+              Bdrmap.Trace.hop ~ttl:(Bdrmap.Trace.ttl h)
+                (Uf.intern uf ~observed:true
+                   (Aliasres.Alias_graph.addr c.aliases (Bdrmap.Trace.id h)))
+            in
+            { t with hops = Array.map rename t.hops })
+          c.traces
+      in
+      let cfg = Bdrmap.Config.default ~vp_asns:inputs.vp_asns in
+      let fail what = QCheck.Test.fail_reportf "%s at seed %d: %s" sc.sc_name seed what in
+      let check cfg =
+        let got =
+          List.map (fun (i, j) -> (Uf.addr uf i, Uf.addr uf j))
+            (Bdrmap.Collect.candidate_pairs cfg uf traces)
+        in
+        if got <> Alias_ref.candidate_pairs cfg uf traces then
+          fail (Printf.sprintf "pairs under a cap of %d" cfg.max_alias_candidates);
+        got
+      in
+      let n = List.length (check cfg) in
+      if n <> c.alias_pairs_tested then fail "pair count vs the run's";
+      ignore (check { cfg with max_alias_candidates = 1 + (seed mod max 1 n) });
+      true)
+
 let suite =
   [ Alcotest.test_case "traces collected" `Quick test_traces_collected;
     Alcotest.test_case "stop sets fire" `Quick test_stop_sets_fire;
@@ -111,4 +156,5 @@ let suite =
     Alcotest.test_case "mates alias prev" `Quick test_mates_are_aliases_of_prev;
     Alcotest.test_case "mates confirmed in truth" `Quick test_mates_confirmed_in_truth;
     Alcotest.test_case "alias groups sound" `Quick test_alias_groups_sound;
-    Alcotest.test_case "scheduler accounting" `Quick test_scheduler_accounting ]
+    Alcotest.test_case "scheduler accounting" `Quick test_scheduler_accounting;
+    Qc.to_alcotest prop_candidates_match_reference ]

@@ -51,8 +51,8 @@ let trace ?(closing = Bdrmap.Trace.Nothing) ~target dst hops uf =
 
 let collection ?(aliases = []) ?(not_aliases = []) ?(mates = []) traces =
   let g = Uf.create () in
-  List.iter (fun (a, b) -> Uf.add_not_alias g (ip a) (ip b)) not_aliases;
-  List.iter (fun (a, b) -> Uf.add_alias g (ip a) (ip b)) aliases;
+  List.iter (fun (a, b) -> Alias_ref.add_not_alias g (ip a) (ip b)) not_aliases;
+  List.iter (fun (a, b) -> Alias_ref.add_alias g (ip a) (ip b)) aliases;
   let traces = List.map (fun t -> t g) traces in
   let id a = Uf.intern g ~observed:false (ip a) in
   Bdrmap.Collect.finish g traces

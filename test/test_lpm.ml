@@ -64,16 +64,6 @@ let prop_vs_ptrie =
       let trie = List.fold_left (fun t (p, v) -> Ptrie.add p v t) Ptrie.empty bindings in
       List.for_all (fun a -> Lpm.lookup t a = Ptrie.lpm a trie) (probe_addrs ps))
 
-let prop_find_exact =
-  QCheck.Test.make ~name:"Lpm.find_exact = Ptrie.find_exact" ~count:300 arb_prefixes
-    (fun ps ->
-      let bindings = bindings_of ps in
-      let t = Lpm.build bindings in
-      let trie = List.fold_left (fun t (p, v) -> Ptrie.add p v t) Ptrie.empty bindings in
-      List.for_all (fun p -> Lpm.find_exact t p = Ptrie.find_exact p trie) ps
-      (* and a prefix that was never inserted misses *)
-      && Lpm.find_exact t (Prefix.of_string_exn "203.0.113.0/24") = None)
-
 let test_empty () =
   let t = Lpm.build [] in
   Alcotest.(check int) "length" 0 (Lpm.length t);
@@ -151,5 +141,4 @@ let suite =
       test_lookup_idx_zero_alloc;
     Qc.to_alcotest prop_vs_naive;
     Qc.to_alcotest prop_vs_ptrie;
-    Qc.to_alcotest prop_find_exact;
     Qc.to_alcotest prop_lookup_idx ]

@@ -27,14 +27,6 @@ let test_mem () =
   Alcotest.(check bool) "above out" false (Prefix.mem (ip "128.67.0.0") p);
   Alcotest.(check bool) "default matches all" true (Prefix.mem (ip "8.8.8.8") (pfx "0.0.0.0/0"))
 
-let test_subsumes () =
-  Alcotest.(check bool) "/16 subsumes /24" true
-    (Prefix.subsumes ~p:(pfx "128.66.0.0/16") ~q:(pfx "128.66.2.0/24"));
-  Alcotest.(check bool) "/24 not subsumes /16" false
-    (Prefix.subsumes ~p:(pfx "128.66.2.0/24") ~q:(pfx "128.66.0.0/16"));
-  Alcotest.(check bool) "self subsumes" true
-    (Prefix.subsumes ~p:(pfx "128.66.0.0/16") ~q:(pfx "128.66.0.0/16"))
-
 let test_bounds () =
   let p = pfx "192.0.2.64/26" in
   Alcotest.(check string) "first" "192.0.2.64" (Ipv4.to_string (Prefix.first p));
@@ -48,16 +40,6 @@ let test_split () =
   Alcotest.check_raises "split /32 raises" (Invalid_argument "Prefix.split: /32") (fun () ->
       ignore (Prefix.split (pfx "10.0.0.1/32")))
 
-let test_of_first_last () =
-  let some = Option.map Prefix.to_string in
-  Alcotest.(check (option string)) "aligned /24" (Some "192.0.2.0/24")
-    (some (Prefix.of_first_last (ip "192.0.2.0") (ip "192.0.2.255")));
-  Alcotest.(check (option string)) "single addr" (Some "192.0.2.7/32")
-    (some (Prefix.of_first_last (ip "192.0.2.7") (ip "192.0.2.7")));
-  Alcotest.(check (option string)) "unaligned start" None
-    (some (Prefix.of_first_last (ip "192.0.2.1") (ip "192.0.3.0")));
-  Alcotest.(check (option string)) "non power of two" None
-    (some (Prefix.of_first_last (ip "192.0.2.0") (ip "192.0.2.191")))
 
 let test_subnet_mate () =
   let mate a len = Option.map Ipv4.to_string (Prefix.subnet_mate (ip a) len) in
@@ -106,10 +88,8 @@ let suite =
   [ Alcotest.test_case "parse" `Quick test_parse;
     Alcotest.test_case "canonicalization" `Quick test_canonical;
     Alcotest.test_case "membership" `Quick test_mem;
-    Alcotest.test_case "subsumption" `Quick test_subsumes;
     Alcotest.test_case "bounds and size" `Quick test_bounds;
     Alcotest.test_case "split" `Quick test_split;
-    Alcotest.test_case "of_first_last" `Quick test_of_first_last;
     Alcotest.test_case "subnet mate" `Quick test_subnet_mate;
     Qc.to_alcotest prop_roundtrip;
     Qc.to_alcotest prop_mem_bounds;

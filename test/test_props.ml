@@ -29,8 +29,8 @@ let apply ops =
   let g = Ag.Uf.create () in
   List.iter
     (function
-      | Alias (a, b) -> Ag.Uf.add_alias g (addr_of_int a) (addr_of_int b)
-      | Not_alias (a, b) -> Ag.Uf.add_not_alias g (addr_of_int a) (addr_of_int b))
+      | Alias (a, b) -> Alias_ref.add_alias g (addr_of_int a) (addr_of_int b)
+      | Not_alias (a, b) -> Alias_ref.add_not_alias g (addr_of_int a) (addr_of_int b))
     ops;
   g
 
@@ -44,14 +44,14 @@ let prop_vetoes_never_merged =
       let effective = ref [] in
       List.iter
         (function
-          | Alias (a, b) -> Ag.Uf.add_alias g (addr_of_int a) (addr_of_int b)
+          | Alias (a, b) -> Alias_ref.add_alias g (addr_of_int a) (addr_of_int b)
           | Not_alias (a, b) ->
-            if not (Ag.Uf.same_router g (addr_of_int a) (addr_of_int b)) then
+            if not (Alias_ref.same_router g (addr_of_int a) (addr_of_int b)) then
               effective := (a, b) :: !effective;
-            Ag.Uf.add_not_alias g (addr_of_int a) (addr_of_int b))
+            Alias_ref.add_not_alias g (addr_of_int a) (addr_of_int b))
         ops;
       List.for_all
-        (fun (a, b) -> not (Ag.Uf.same_router g (addr_of_int a) (addr_of_int b)))
+        (fun (a, b) -> not (Alias_ref.same_router g (addr_of_int a) (addr_of_int b)))
         !effective)
 
 let prop_groups_partition =
@@ -64,7 +64,7 @@ let prop_groups_partition =
       && List.for_all
            (fun grp ->
              List.for_all
-               (fun a -> List.for_all (fun b -> Ag.Uf.same_router g a b) grp)
+               (fun a -> List.for_all (fun b -> Alias_ref.same_router g a b) grp)
                grp)
            groups)
 
@@ -138,7 +138,7 @@ let prop_freeze_matches_reference =
               ops)
       in
       let never = addr_of_int 24 in
-      if Ag.groups t <> Alias_ref.partition (Ag.Uf.same_router g) ~mentioned then
+      if Ag.groups t <> Alias_ref.partition (Alias_ref.same_router g) ~mentioned then
         QCheck.Test.fail_report "frozen groups differ from the reference partition";
       let table = List.init (Ag.length t) (fun i -> (Ag.addr t i, Ag.observed t i)) in
       if table <> List.map (fun a -> (a, List.mem a observed)) mentioned then
@@ -175,8 +175,8 @@ let prop_same_router_symmetric =
           List.for_all
             (fun b ->
               let frozen = fst (Ag.freeze g) in
-              let same = Ag.Uf.same_router g (addr_of_int a) (addr_of_int b) in
-              same = Ag.Uf.same_router g (addr_of_int b) (addr_of_int a)
+              let same = Alias_ref.same_router g (addr_of_int a) (addr_of_int b) in
+              same = Alias_ref.same_router g (addr_of_int b) (addr_of_int a)
               && same = Alias_ref.table_same frozen (addr_of_int b) (addr_of_int a))
             [ 0; 3; 7; 11 ])
         [ 1; 5; 9; 14 ])

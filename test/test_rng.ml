@@ -12,13 +12,6 @@ let test_seed_sensitivity () =
   let ys = List.init 20 (fun _ -> Rng.int b 1000000) in
   Alcotest.(check bool) "different seeds diverge" true (xs <> ys)
 
-let test_split_independent () =
-  let parent = Rng.create 7 in
-  let child = Rng.split parent in
-  let xs = List.init 20 (fun _ -> Rng.int parent 1000) in
-  let ys = List.init 20 (fun _ -> Rng.int child 1000) in
-  Alcotest.(check bool) "split streams differ" true (xs <> ys)
-
 let test_bounds () =
   let t = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -76,8 +69,7 @@ let test_bool_p () =
   done;
   Alcotest.(check bool) "p=0.25" true (!hits > 2200 && !hits < 2800)
 
-(* The first 64 draws of [int], [float] and [split] (each split child's
-   first [int]) for three seeds, pinned as digests of their printed
+(* The first 64 draws of [int] and [float] for three seeds, pinned as digests of their printed
    values plus the first three in the clear. Every simulated world is a
    function of these streams. *)
 let pinned =
@@ -86,19 +78,16 @@ let pinned =
       "float",
       "d8d2169f371f1664a05b5b059565cb0f",
       "0x1.c4415072f63b9p-1;0x1.b9e279aa86e58p-2;0x1.b1174620025p-6" );
-    (0, "split", "ffcdc7a75a55c23cf2e0e63e9af3a440", "508477819;393746326;556329607");
     (42, "int", "b1afeb5b9bac301a0d5f56bbc9006e10", "540076570;828047797;118319285");
     ( 42,
       "float",
       "b5b081d5b95ec0293faae3d1055c52f7",
       "0x1.31367e26140c7p-1;0x1.486da5f92b86cp-3;0x1.54c85f31d00d8p-3" );
-    (42, "split", "dd1ca7020d5615071725b384620b12a1", "328210195;638062903;668741067");
     (20161114, "int", "bbe272b27cad4349ea73bf52a9dc2328", "974276392;11097503;546305503");
     ( 20161114,
       "float",
       "a9c33050ad2ed493f4067461ad915862",
-      "0x1.03b990ca99d8p-4;0x1.25cb0db6ce10ap-2;0x1.c59b8c6c12c01p-1" );
-    (20161114, "split", "f480367589cb31ceac074ef89497984f", "150287017;146970483;496178196") ]
+      "0x1.03b990ca99d8p-4;0x1.25cb0db6ce10ap-2;0x1.c59b8c6c12c01p-1" ) ]
 
 let test_pinned_streams () =
   List.iter
@@ -108,8 +97,7 @@ let test_pinned_streams () =
         List.init 64 (fun _ ->
             match kind with
             | "int" -> string_of_int (Rng.int r 1_000_000_000)
-            | "float" -> Printf.sprintf "%h" (Rng.float r)
-            | _ -> string_of_int (Rng.int (Rng.split r) 1_000_000_000))
+            | _ -> Printf.sprintf "%h" (Rng.float r))
       in
       let what = Printf.sprintf "seed %d %s" seed kind in
       Alcotest.(check string) (what ^ ", first three") first3
@@ -134,7 +122,6 @@ let test_int_allocates_nothing () =
 let suite =
   [ Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-    Alcotest.test_case "split independence" `Quick test_split_independent;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "uniformity" `Quick test_uniformity;
     Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;

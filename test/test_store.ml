@@ -522,6 +522,27 @@ let test_codec_pinned () =
       "8ebec0764c7ef4a3b22d3cd6349df022" ]
     (List.map digest (Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps))
 
+(* The run-entry bytes of every VP of the benchmark world (large_access,
+   scale 0.3, seed 22, 100 pps), pinned by MD5 like the tiny world's:
+   a change to collection bookkeeping that sends one probe more or
+   writes one byte differently fails here. *)
+let test_benchmark_pinned () =
+  let w = Gen.generate (Topogen.Scenario.large_access ~scale:0.3 ~seed:22 ()) in
+  let _, _, _, inputs = Bdrmap.Pipeline.setup w in
+  let digest r = Digest.to_hex (Digest.string (encoded Bdrmap.Run_store.encode (snapshot_of r))) in
+  Alcotest.(check (list string)) "run-entry MD5 per VP"
+    [ "a7443e14d4454e57315cbdc7b7905e0b"; "bcc0eeddaa3ae63b930d9631e255ca0e";
+      "508ffaf6270ebeaf6f79de674979283c"; "83a9c067882d3ffe954cfd2dc68a4ef6";
+      "db8434821342dd60e4126d40bcfdd3ff"; "36d3e6790dfdfbbb0bffa08ad99bf411";
+      "33c79934492af971db8c6df1e3877b32"; "4435cd7f9ece86a48e79305886fae608";
+      "57301799e2dd4067ba6dbffae75aa09c"; "2ed6a01c5f3b1ac1a0e6adb07dd7bc37";
+      "d7beb027c386090711aaefd1d36b1009"; "bbf0c8f213e06c552db8f21f3b0d2df1";
+      "818606657e07ef9d2216dce0e63fbc04"; "95a3def52b24980d7311ae9d6a04bc38";
+      "5ef2b6b42343af19fe217c2a8af51497"; "ed73a95ec26d1d2a8c97195cee63cd48";
+      "7df4084e4144eb1543c77bd05f898be5"; "7b80eca981780197e05242c9adf8827c";
+      "6c0927d48baca984b5d75cd77c8df748" ]
+    (List.map digest (Bdrmap.Pipeline.execute_all w inputs ~vps:w.Gen.vps))
+
 (* Payloads behind a valid digest that only the decoder can reject:
    each is [Corrupt], and none raises. *)
 let test_codec_crafted () =
@@ -640,4 +661,5 @@ let suite =
     Alcotest.test_case "old-version key misses" `Quick test_old_version_key_misses;
     Alcotest.test_case "run codec round trip by content" `Slow test_codec_roundtrip;
     Alcotest.test_case "run codec rejects crafted payloads" `Quick test_codec_crafted;
-    Alcotest.test_case "run codec bytes pinned" `Quick test_codec_pinned ]
+    Alcotest.test_case "run codec bytes pinned" `Quick test_codec_pinned;
+    Alcotest.test_case "benchmark world run entries pinned" `Quick test_benchmark_pinned ]
