@@ -32,7 +32,7 @@ let () =
         let first_addr = function
           | None -> None
           | Some id -> (
-            match Bdrmap.Rgraph.all_addrs (Bdrmap.Rgraph.node run.graph id) with
+            match Bdrmap.Rgraph.all_addrs run.graph id with
             | a :: _ -> Some a
             | [] -> None)
         in

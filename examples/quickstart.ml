@@ -37,7 +37,7 @@ let () =
         | None -> "(unobserved)"
         | Some id ->
           String.concat ","
-            (List.map Ipv4.to_string (Bdrmap.Rgraph.all_addrs (Bdrmap.Rgraph.node run.graph id)))
+            (List.map Ipv4.to_string (Bdrmap.Rgraph.all_addrs run.graph id))
       in
       Printf.printf "  %-22s -> %-28s neighbor %-8s via %s\n"
         (addrs_of l.near_node) (addrs_of l.far_node)

@@ -12,11 +12,10 @@ type merged = {
 
 let of_run vp_name graph result = { vp_name; links = Output.link_records graph result }
 
-let same_link (m : merged) (r : Output.link_record) =
-  Asn.equal m.neighbor r.Output.neighbor
-  &&
-  let far = Ipv4.Set.of_list r.Output.far_addrs in
-  let near = Ipv4.Set.of_list r.Output.near_addrs in
+(* [same_link m ~near ~far] holds when a record of [m]'s neighbor with
+   these near and far address sets is [m]'s link; [merge] only asks
+   about entries of the record's neighbor. *)
+let same_link (m : merged) ~near ~far =
   if Ipv4.Set.is_empty far && Ipv4.Set.is_empty m.far_addrs then
     (* Silent on both sides: match on the near router. *)
     not (Ipv4.Set.disjoint near m.near_addrs)
@@ -29,7 +28,8 @@ let same_link (m : merged) (r : Output.link_record) =
    scanned (newest first, matching the former whole-list scan order)
    instead of every merged link so far.  [items] maps a first-seen index
    to the current state of that merged link, which keeps the output
-   order identical to the append-only list it replaces. *)
+   order identical to the append-only list it replaces. Each record's
+   address sets are built once. *)
 let merge runs =
   let items : (int, merged) Hashtbl.t = Hashtbl.create 256 in
   let by_neighbor : (Asn.t, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -38,20 +38,20 @@ let merge runs =
     (fun run ->
       List.iter
         (fun (r : Output.link_record) ->
+          let near = Ipv4.Set.of_list r.Output.near_addrs in
+          let far = Ipv4.Set.of_list r.Output.far_addrs in
           let candidates =
             Option.value ~default:[] (Hashtbl.find_opt by_neighbor r.Output.neighbor)
           in
           match
-            List.find_opt (fun i -> same_link (Hashtbl.find items i) r) candidates
+            List.find_opt (fun i -> same_link (Hashtbl.find items i) ~near ~far) candidates
           with
           | Some i ->
             let m = Hashtbl.find items i in
             Hashtbl.replace items i
               { m with
-                near_addrs =
-                  Ipv4.Set.union m.near_addrs (Ipv4.Set.of_list r.Output.near_addrs);
-                far_addrs =
-                  Ipv4.Set.union m.far_addrs (Ipv4.Set.of_list r.Output.far_addrs);
+                near_addrs = Ipv4.Set.union m.near_addrs near;
+                far_addrs = Ipv4.Set.union m.far_addrs far;
                 tags =
                   (if List.mem r.Output.tag m.tags then m.tags
                    else m.tags @ [ r.Output.tag ]);
@@ -60,8 +60,8 @@ let merge runs =
                    else m.seen_by @ [ run.vp_name ]) }
           | None ->
             Hashtbl.replace items !n
-              { near_addrs = Ipv4.Set.of_list r.Output.near_addrs;
-                far_addrs = Ipv4.Set.of_list r.Output.far_addrs;
+              { near_addrs = near;
+                far_addrs = far;
                 neighbor = r.Output.neighbor;
                 tags = [ r.Output.tag ];
                 seen_by = [ run.vp_name ] };

@@ -13,6 +13,27 @@ type t = {
   alias_pairs_tested : int;
 }
 
+(* Probing limits and alias-resolution timing. *)
+
+(* TTLs probed per trace; an IP TTL is one byte, so at most 255. *)
+let max_ttl = 32
+
+(* Consecutive silent hops ending a trace. *)
+let gap_limit = 5
+
+(* Candidate targets per block (paper: 5). *)
+let addrs_per_block = 5
+
+(* Interleaved sample pairs per Ally trial. *)
+let ally_samples = 4
+
+(* Spacing between Ally trials (paper: 300 s). *)
+let ally_interval_s = 300.0
+
+(* Extra clock advance before retry [k] ([k * backoff] seconds),
+   letting token buckets refill between attempts. *)
+let retry_backoff_s = 0.3
+
 (* Two registry ids, or an ASN and a registry id, as one {!Pair_tbl}
    key: registry ids stay below 2^30, ASNs below 2^32. *)
 let pair i j = (i lsl 30) lor j
@@ -102,9 +123,7 @@ let trace_one (prober : Probesim.Prober.t) cfg c stopset counts buf ~target_asn 
         else begin
           decr budget;
           counts.retries <- counts.retries + 1;
-          if cfg.Config.retry_backoff_s > 0.0 then
-            prober.Probesim.Prober.advance
-              (cfg.Config.retry_backoff_s *. float_of_int k);
+          prober.Probesim.Prober.advance (retry_backoff_s *. float_of_int k);
           match prober.Probesim.Prober.trace_probe ~flow:0 ~dst ~ttl with
           | Some r -> Some r
           | None -> retry (k + 1)
@@ -113,7 +132,7 @@ let trace_one (prober : Probesim.Prober.t) cfg c stopset counts buf ~target_asn 
       if cfg.Config.probe_retries <= 0 then None else retry 1
   in
   let rec go ttl gaps n =
-    if ttl > Array.length buf || gaps >= cfg.Config.gap_limit then (n, Trace.Nothing, false)
+    if ttl > Array.length buf || gaps >= gap_limit then (n, Trace.Nothing, false)
     else
       match probe ~ttl with
       | None -> go (ttl + 1) (gaps + 1) n
@@ -153,8 +172,7 @@ let gather_traces prober cfg c counts blocks =
      trace observed, by (target ASN, registry id); later traces toward
      the same AS stop at these. *)
   let stopset = Pair_tbl.create 64 in
-  (* An IP TTL is one byte. *)
-  let buf = Array.make (min cfg.Config.max_ttl 0xFF) 0 in
+  let buf = Array.make max_ttl 0 in
   let traces = ref [] in
   List.iter
     (fun (asn, bs) ->
@@ -169,7 +187,7 @@ let gather_traces prober cfg c counts blocks =
               traces := t :: !traces;
               if not (informative c t || t.Trace.stopped) then try_candidates rest
           in
-          try_candidates (Targets.candidates ~per_block:cfg.Config.addrs_per_block b);
+          try_candidates (Targets.candidates ~per_block:addrs_per_block b);
           (* Per-block probe budget: how many of the (at most
              [addrs_per_block]) candidate addresses this block consumed
              before a trace saw the target. *)
@@ -194,7 +212,7 @@ let oracle_of_prober (prober : Probesim.Prober.t) cfg uf =
     | Some r -> Some r.Engine.ipid
     | None -> None
   in
-  let wait () = prober.Probesim.Prober.advance cfg.Config.ally_interval_s in
+  let wait () = prober.Probesim.Prober.advance ally_interval_s in
   fun a ia b ib ->
     if Ag.Uf.same uf ia ib then `Aliases
     else if Ag.Uf.vetoed uf ia ib then `Not_aliases
@@ -213,11 +231,11 @@ let oracle_of_prober (prober : Probesim.Prober.t) cfg uf =
       | Aliasres.Mercator.Unresponsive -> (
         match
           if cfg.Config.ally_proximity then
-            Aliasres.Ally.trial_proximity sampler a b ~samples:cfg.Config.ally_samples
+            Aliasres.Ally.trial_proximity sampler a b ~samples:ally_samples
               ~fudge:1000
           else
             Aliasres.Ally.test sampler ~wait a b ~trials:cfg.Config.ally_trials
-              ~samples:cfg.Config.ally_samples
+              ~samples:ally_samples
         with
         | Aliasres.Ally.Aliases -> aliases ()
         | Aliasres.Ally.Not_aliases -> not_aliases ()

@@ -2,25 +2,18 @@ open Netcore
 
 type t = {
   vp_asns : Asn.Set.t;
-  max_ttl : int;
-  gap_limit : int;
-  addrs_per_block : int;
   ally_trials : int;
-  ally_samples : int;
-  ally_interval_s : float;
   ally_proximity : bool;
   use_stop_sets : bool;
   max_alias_candidates : int;
   probe_retries : int;
-  retry_backoff_s : float;
   retry_budget : int;
 }
 
 let default ~vp_asns =
-  { vp_asns; max_ttl = 32; gap_limit = 5; addrs_per_block = 5; ally_trials = 5;
-    ally_samples = 4; ally_interval_s = 300.0; ally_proximity = false;
-    use_stop_sets = true; max_alias_candidates = 50_000;
+  { vp_asns; ally_trials = 5; ally_proximity = false; use_stop_sets = true;
+    max_alias_candidates = 50_000;
     (* Retries are off by default: on the ideal simulator an unresponsive
        hop is deterministically silent, and re-probing it would only
        shift the clock. Impaired runs turn them on. *)
-    probe_retries = 0; retry_backoff_s = 0.3; retry_budget = 32 }
+    probe_retries = 0; retry_budget = 32 }

@@ -6,12 +6,7 @@ open Netcore
 
 type t = {
   vp_asns : Asn.Set.t;  (** the hosting org's ASes *)
-  max_ttl : int;
-  gap_limit : int;  (** consecutive silent hops ending a trace *)
-  addrs_per_block : int;  (** candidate targets per block (paper: 5) *)
   ally_trials : int;  (** repeated Ally measurements (paper: 5) *)
-  ally_samples : int;  (** interleaved sample pairs per trial *)
-  ally_interval_s : float;  (** spacing between trials (paper: 300 s) *)
   ally_proximity : bool;
       (** use the original proximity comparison instead of MIDAR-style
           monotonicity (ablation baseline; the paper uses monotonicity) *)
@@ -22,9 +17,6 @@ type t = {
           gap — recovers transiently lost or rate-limited replies
           (default 0: the hop is retried never, matching the pre-fault
           pipeline probe-for-probe) *)
-  retry_backoff_s : float;
-      (** extra clock advance before retry [k] ([k * backoff] seconds),
-          letting token buckets refill between attempts *)
   retry_budget : int;
       (** total retries allowed per traced target, so one pathological
           path cannot consume an unbounded probe budget *)

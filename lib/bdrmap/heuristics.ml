@@ -53,12 +53,6 @@ let tag_slug = function
 
 type owner = Host_router | Neighbor of Asn.t * tag | Unknown
 
-type router_inference = {
-  node : Rgraph.node;
-  owner : owner;
-  merged_from : int list;
-}
-
 type border_link = {
   near_node : int option;
   far_node : int option;
@@ -67,12 +61,13 @@ type border_link = {
 }
 
 type result = {
-  routers : router_inference list;
+  owners : owner array;
+  merged_from : int list array;
   links : border_link list;
   nextas_used : int;
 }
 
-let owner_of result id = (List.nth result.routers id).owner
+let owner_of result id = result.owners.(id)
 
 (* Node-level address classification. Host space outranks external
    evidence: once alias resolution ties a host-space interface to a
@@ -80,16 +75,16 @@ let owner_of result id = (List.nth result.routers id).owner
    revealed a foreign address (the fig-13 virtual-router case). *)
 type ncls = Nhost | Next of Asn.Set.t | Nixp | Nunrouted
 
-let classify_node ip2as (n : Rgraph.node) =
+let classify_node ip2as g (n : Rgraph.node) =
   let ext = ref Asn.Set.empty and host = ref false and ixp = ref false in
-  Ipv4.Set.iter
+  List.iter
     (fun a ->
       match Ip2as.classify ip2as a with
       | Ip2as.External origins -> ext := Asn.Set.union origins !ext
       | Ip2as.Host -> host := true
       | Ip2as.Ixp _ -> ixp := true
       | Ip2as.Unrouted | Ip2as.Reserved -> ())
-    n.Rgraph.addrs;
+    (Rgraph.observed_addrs g n.Rgraph.id);
   if !host then Nhost
   else if not (Asn.Set.is_empty !ext) then Next !ext
   else if !ixp then Nixp
@@ -103,8 +98,13 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     | d -> d
   in
   let n_nodes = Rgraph.node_count g in
+  (* Each node's neighbor lists, built once. *)
+  let succ_lists = Array.init n_nodes (fun id -> Rgraph.succs g (Rgraph.node g id)) in
+  let pred_lists = Array.init n_nodes (fun id -> Rgraph.preds g (Rgraph.node g id)) in
+  let succs (n : Rgraph.node) = succ_lists.(n.Rgraph.id) in
+  let preds (n : Rgraph.node) = pred_lists.(n.Rgraph.id) in
   let owners = Array.make n_nodes Unknown in
-  let merged = Array.make n_nodes [] in
+  let merged_from = Array.make n_nodes [] in
   (* [rep.(id)] is the node [id] was merged into, or [id] itself. Each
      node is merged at most once, so one slot suffices. *)
   let rep = Array.init n_nodes Fun.id in
@@ -116,7 +116,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     match classes.(n.Rgraph.id) with
     | Some c -> c
     | None ->
-      let c = classify_node ip2as n in
+      let c = classify_node ip2as g n in
       classes.(n.Rgraph.id) <- Some c;
       c
   in
@@ -152,7 +152,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
             | Next asns -> Asn.Set.union asns acc
             | Nhost -> acc
             | Nixp | Nunrouted -> go (depth + 1) acc s)
-          acc (Rgraph.succs g m)
+          acc (succs m)
       end
     in
     go 0 Asn.Set.empty n
@@ -186,7 +186,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
   (* §5.4.2: a host-addressed router closing every path toward an AS is
      that AS's firewalled border. *)
   let step2 (n : Rgraph.node) =
-    if Rgraph.succs g n <> [] then None
+    if succs n <> [] then None
     else if Asn.Set.cardinal n.Rgraph.last_toward = 1 then
       Some (Neighbor (Asn.Set.min_elt n.Rgraph.last_toward, T2_firewall))
     else
@@ -205,7 +205,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
         match cls m with
         | Next asns -> Asn.Set.union asns acc
         | Nhost | Nixp | Nunrouted -> acc)
-      Asn.Set.empty (Rgraph.succs g n)
+      Asn.Set.empty (succs n)
   in
   let step4_host (n : Rgraph.node) =
     if Asn.Set.cardinal (adj_ext_of n) <> 1 then None
@@ -220,8 +220,8 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
                 if m2.Rgraph.id <> n.Rgraph.id && single_ext m2 = Some a then
                   Some (Neighbor (a, T4_onenet))
                 else None)
-              (Rgraph.succs g m))
-        (Rgraph.succs g n)
+              (succs m))
+        (succs n)
   in
   (* Third-party pattern (§5.4.5 steps 5.1/5.2): an address from A on a
      router only seen toward B, with A a provider of B. *)
@@ -237,7 +237,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
       else None
   in
   let step5 (n : Rgraph.node) =
-    let succs = Rgraph.succs g n in
+    let succs = succs n in
     (* 5.1: the (single) successor reveals the third-party pattern;
        aggregation routers with several successors stay with the host. *)
     let third_party_chain =
@@ -289,7 +289,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     let counts = Asn.Tbl.create 8 in
     List.iter
       (fun m ->
-        Ipv4.Set.iter
+        List.iter
           (fun a ->
             match Ip2as.classify ip2as a with
             | Ip2as.External origins ->
@@ -297,8 +297,8 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
               Asn.Tbl.replace counts asn
                 (1 + Option.value ~default:0 (Asn.Tbl.find_opt counts asn))
             | _ -> ())
-          m.Rgraph.addrs)
-      (Rgraph.succs g n);
+          (Rgraph.observed_addrs g m.Rgraph.id))
+      (succs n);
     let ranked =
       Asn.Tbl.fold (fun a k acc -> (a, k) :: acc) counts []
       |> List.sort (fun (a1, k1) (a2, k2) ->
@@ -324,7 +324,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
   (* §5.4.1: routers of the hosting network, and the multihomed-neighbor
      exception (step 1.1). *)
   let step1 (n : Rgraph.node) =
-    let succs = Rgraph.succs g n and preds = Rgraph.preds g n in
+    let succs = succs n and preds = preds n in
     (* IXP-LAN successors anchor the near side like host-space ones: the
        LAN hop is the member's router, so this router sits on our side
        of the exchange. *)
@@ -391,7 +391,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
             match gate T2_firewall (step2 n) with
             | Some o -> Some o
             | None -> (
-              let succs = Rgraph.succs g n in
+              let succs = succs n in
               let all_unrouted =
                 succs <> []
                 && List.for_all
@@ -427,7 +427,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
                         match cls m with
                         | Next asns' -> Asn.Set.mem a asns'
                         | _ -> false)
-                      (Rgraph.succs g n) ->
+                      (succs n) ->
             Some (Neighbor (a, T4_onenet))
           | _ -> (
             match
@@ -451,7 +451,13 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
       | None -> ())
     ordered;
   (* §5.4.7: collapse single-interface host routers that face one
-     neighbor router over an inferred point-to-point link. *)
+     neighbor router over an inferred point-to-point link: one member,
+     an observed one. *)
+  let single_interface (p : Rgraph.node) =
+    match (Rgraph.observed_addrs g p.Rgraph.id, Rgraph.all_addrs g p.Rgraph.id) with
+    | [ _ ], [ _ ] -> true
+    | _ -> false
+  in
   let p2p_confirmed = Array.make n_nodes false in
   List.iter
     (fun (_, hop, _) ->
@@ -470,16 +476,15 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
               (fun (p : Rgraph.node) ->
                 owners.(p.Rgraph.id) = Host_router
                 && rep.(p.Rgraph.id) = p.Rgraph.id
-                && Ipv4.Set.cardinal p.Rgraph.addrs = 1
-                && Ipv4.Set.is_empty p.Rgraph.extra_addrs)
-              (Rgraph.preds g f)
+                && single_interface p)
+              (preds f)
           in
           match host_preds with
           | r :: ((_ :: _) as others) ->
             List.iter
               (fun (o : Rgraph.node) ->
                 rep.(o.Rgraph.id) <- r.Rgraph.id;
-                merged.(r.Rgraph.id) <- o.Rgraph.id :: merged.(r.Rgraph.id))
+                merged_from.(r.Rgraph.id) <- o.Rgraph.id :: merged_from.(r.Rgraph.id))
               others
           | _ -> ()
         end
@@ -499,10 +504,9 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
     (fun id o ->
       match o with
       | Neighbor (b, tag) ->
-        let f = Rgraph.node g id in
         let host_preds =
           List.filter (fun (p : Rgraph.node) -> owners.(p.Rgraph.id) = Host_router)
-            (Rgraph.preds g f)
+            pred_lists.(id)
         in
         (* Routers with no host-owned predecessor belong to borders of
            distant networks, outside this VP's inference scope (§1). *)
@@ -559,10 +563,6 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
         end
       end)
     bgp_neighbors;
-  let routers =
-    List.init n_nodes (fun id ->
-        { node = Rgraph.node g id; owner = owners.(id); merged_from = merged.(id) })
-  in
   (* Observability: per-heuristic fire counts and per-router provenance.
      Purely passive — reads the finished decision array; with metrics
      off and no sink the whole block is one branch. *)
@@ -586,10 +586,8 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
         | Some (owner, slug, asn) ->
           bump slug;
           if obs_t then begin
-            let n = Rgraph.node g id in
             let addrs =
-              String.concat ","
-                (List.map Ipv4.to_string (Ipv4.Set.elements n.Rgraph.addrs))
+              String.concat "," (List.map Ipv4.to_string (Rgraph.observed_addrs g id))
             in
             Obs.Span.event ~kind:"router"
               (( "id", Obs.Span.I id )
@@ -599,7 +597,7 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
                   | Some a -> [ ("asn", Obs.Span.I a) ]
                   | None -> [])
               @ [ ("addrs", Obs.Span.S addrs);
-                  ("merged_from", Obs.Span.I (List.length merged.(id))) ])
+                  ("merged_from", Obs.Span.I (List.length merged_from.(id))) ])
           end)
       owners;
     let sorted =
@@ -619,19 +617,20 @@ let infer ?(disabled = []) cfg ip2as ~rels g (c : Collect.t) =
       Obs.Metrics.add "heuristics.nextas_used" !nextas_used
     end
   end;
-  { routers; links = List.rev !links; nextas_used = !nextas_used }
+  { owners; merged_from; links = List.rev !links; nextas_used = !nextas_used }
 
 (* {2 Codec}
 
-   result := routers (count, then node id varint | owner | merged_from
-             (varint list))
+   result := routers (count, then per node in id order: its id varint
+             | owner | merged_from (varint list))
            | links (count, then near | far (0, or 1 and a node id) |
              neighbor varint | tag byte, its index in [all_tags])
            | nextas_used varint
    owner := 0 host | 1 unknown | 2, then asn varint and tag byte
 
-   Routers and links name graph nodes by id, so a decoded result shares
-   the decoded graph's node records. *)
+   Routers and links name graph nodes by id. The router section holds
+   one entry per graph node, so its count and ids are checked against
+   the graph, not trusted. *)
 
 module Codec = Store.Codec
 
@@ -651,18 +650,19 @@ let encode w res =
       Codec.put_u8 w 1;
       Codec.put_varint w id
   in
-  Codec.put_list w
-    (fun w ri ->
-      Codec.put_varint w ri.node.Rgraph.id;
-      (match ri.owner with
+  Codec.put_varint w (Array.length res.owners);
+  Array.iteri
+    (fun id owner ->
+      Codec.put_varint w id;
+      (match owner with
       | Host_router -> Codec.put_u8 w 0
       | Unknown -> Codec.put_u8 w 1
       | Neighbor (asn, tag) ->
         Codec.put_u8 w 2;
         Codec.put_varint w asn;
         encode_tag w tag);
-      Codec.put_list w Codec.put_varint ri.merged_from)
-    res.routers;
+      Codec.put_list w Codec.put_varint res.merged_from.(id))
+    res.owners;
   Codec.put_list w
     (fun w l ->
       put_id_opt w l.near_node;
@@ -680,9 +680,11 @@ let decode g r =
     id
   in
   let id_opt r = if Codec.bool r then Some (id r) else None in
-  let routers =
-    Codec.list r ~min_bytes:3 (fun r ->
-        let node = Rgraph.node g (id r) in
+  if Codec.count r ~min_bytes:3 <> n then Codec.fail ();
+  let merged_from = Array.make n [] in
+  let owners =
+    Codec.array n ~fill:Unknown (fun i ->
+        if Codec.varint r <> i then Codec.fail ();
         let owner =
           match Codec.u8 r with
           | 0 -> Host_router
@@ -692,8 +694,8 @@ let decode g r =
             Neighbor (asn, decode_tag r)
           | _ -> Codec.fail ()
         in
-        let merged_from = Codec.list r ~min_bytes:1 id in
-        { node; owner; merged_from })
+        merged_from.(i) <- Codec.list r ~min_bytes:1 id;
+        owner)
   in
   let links =
     Codec.list r ~min_bytes:4 (fun r ->
@@ -703,4 +705,4 @@ let decode g r =
         { near_node; far_node; neighbor; tag = decode_tag r })
   in
   let nextas_used = Codec.varint r in
-  { routers; links; nextas_used }
+  { owners; merged_from; links; nextas_used }

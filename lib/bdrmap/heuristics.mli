@@ -44,12 +44,6 @@ type owner =
   | Neighbor of Asn.t * tag
   | Unknown
 
-type router_inference = {
-  node : Rgraph.node;
-  owner : owner;
-  merged_from : int list;  (** node ids collapsed by step 7 *)
-}
-
 type border_link = {
   near_node : int option;  (** node id of the VP-side router, if observed *)
   far_node : int option;  (** node id of the neighbor router; None for §5.4.8 *)
@@ -57,13 +51,17 @@ type border_link = {
   tag : tag;
 }
 
+(** A router is a graph node, named by its id: [owners.(id)] is node
+    [id]'s inferred owner and [merged_from.(id)] the node ids step 7
+    collapsed into it. Both arrays have one slot per graph node. *)
 type result = {
-  routers : router_inference list;  (** indexed by node id *)
+  owners : owner array;
+  merged_from : int list array;
   links : border_link list;
   nextas_used : int;  (** how often the nextas fallback decided *)
 }
 
-(** [owner_of result node_id] is the inferred owner. *)
+(** [owner_of result id] is [result.owners.(id)]. *)
 val owner_of : result -> int -> owner
 
 (** [infer ?disabled cfg ip2as ~rels graph collection] runs the ordered
@@ -82,10 +80,12 @@ val encode_tag : Store.Codec.writer -> tag -> unit
 
 val decode_tag : Store.Codec.reader -> tag
 
-(** [encode w result] writes routers and links with graph nodes named
-    by id. *)
+(** [encode w result] writes each node's owner and [merged_from] in id
+    order, and the links, with graph nodes named by id. *)
 val encode : Store.Codec.writer -> result -> unit
 
-(** [decode g r] reads what {!encode} wrote, sharing [g]'s node records;
-    a node id past [g]'s node count is rejected. *)
+(** [decode g r] reads what {!encode} wrote for graph [g]. A router
+    section whose count is not [g]'s node count, whose ids do not run
+    0..n-1 in order, or a node id past the count elsewhere is
+    rejected. *)
 val decode : Rgraph.t -> Store.Codec.reader -> result

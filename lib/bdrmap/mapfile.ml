@@ -34,7 +34,7 @@ let fmt = { Envelope.magic = "BDMF"; version = codec_version }
           sets) | neighbor varint | tags (count, then tag bytes)
           | seen_by (count, then indices into names)) *)
 module Codec = Store.Codec
-module Addr_set = Rgraph.Addr_set
+module Addr_set = Codec.Int_set (Ipv4.Set) (Ipv4)
 module Asn_set = Rgraph.Asn_set
 
 let put_addr w a = Codec.put_u32 w (Ipv4.to_int a)

@@ -139,7 +139,7 @@ type link_record = {
 let link_records g (r : Heuristics.result) =
   let addrs_of = function
     | None -> []
-    | Some id -> Rgraph.all_addrs (Rgraph.node g id)
+    | Some id -> Rgraph.all_addrs g id
   in
   List.map
     (fun (l : Heuristics.border_link) ->

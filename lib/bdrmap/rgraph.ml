@@ -4,8 +4,6 @@ module Codec = Store.Codec
 
 type node = {
   id : int;
-  addrs : Ipv4.Set.t;
-  extra_addrs : Ipv4.Set.t;
   min_ttl : int;
   dests : Asn.Set.t;
   last_toward : Asn.Set.t;
@@ -17,25 +15,24 @@ module Plain = struct
   let to_int = Fun.id
 end
 
-module Addr_set = Codec.Int_set (Ipv4.Set) (Ipv4)
 module Asn_set = Codec.Int_set (Asn.Set) (Plain)
 
 (* Compressed sparse rows: bucket [b] is [flat.(start.(b))] up to
-   [flat.(start.(b + 1))]. The adjacency buckets are nodes, each
-   holding its neighbors' ids in ascending order. *)
+   [flat.(start.(b + 1))]. The buckets are nodes: each holds its
+   alias group's table ids, or its neighbors' ids, in ascending order. *)
 type csr = { start : int array; flat : int array }
 
 type t = {
   nodes : node array;
   aliases : Ag.t;
   of_group : int array;
+  members : csr;
   succ : csr;
   pred : csr;
 }
 
 let no_node =
-  { id = -1; addrs = Ipv4.Set.empty; extra_addrs = Ipv4.Set.empty; min_ttl = 0;
-    dests = Asn.Set.empty; last_toward = Asn.Set.empty; trace_count = 0 }
+  { id = -1; min_ttl = 0; dests = Asn.Set.empty; last_toward = Asn.Set.empty; trace_count = 0 }
 
 (* [csr n iter] groups the (bucket, int) pairs that [iter] yields into
    [n] buckets, each in the order [iter] yields it: one counting pass
@@ -97,31 +94,25 @@ let identify (c : Collect.t) =
   |> List.iter (fun m -> claim (Ag.group aliases m));
   (of_group, !n)
 
-(* Nodes in id order. A node's [addrs] and [extra_addrs] are its
-   group's table addresses, split by the observed bit into buckets
-   [2 id] and [2 id + 1] (the table ascends, so each bucket does);
-   [fields id] gives the rest. *)
-let make_nodes aliases of_group n fields =
-  let members =
-    csr (2 * n) (fun f ->
-        for i = 0 to Ag.length aliases - 1 do
-          let id = of_group.(Ag.group aliases i) in
-          if id >= 0 then
-            f ((2 * id) + Bool.to_int (not (Ag.observed aliases i))) (Ipv4.to_int (Ag.addr aliases i))
-        done)
-  in
-  let set b =
-    Addr_set.of_sorted members.flat ~pos:members.start.(b)
-      ~len:(members.start.(b + 1) - members.start.(b))
-  in
+(* Nodes in id order; [fields id] gives a node's fields. *)
+let make_nodes n fields =
   Codec.array n ~fill:no_node (fun id ->
       let min_ttl, dests, last_toward, trace_count = fields id in
-      { id; addrs = set (2 * id); extra_addrs = set ((2 * id) + 1); min_ttl; dests; last_toward;
-        trace_count })
+      { id; min_ttl; dests; last_toward; trace_count })
 
-(* [pred] is [succ] transposed. *)
+(* A node's members are its alias group's table ids, bucketed in one
+   walk of the table, so each bucket ascends; [pred] is [succ]
+   transposed. *)
 let make aliases of_group nodes succ =
-  { nodes; aliases; of_group; succ; pred = transpose (Array.length nodes) succ }
+  let n = Array.length nodes in
+  let members =
+    csr n (fun f ->
+        for i = 0 to Ag.length aliases - 1 do
+          let id = of_group.(Ag.group aliases i) in
+          if id >= 0 then f id i
+        done)
+  in
+  { nodes; aliases; of_group; members; succ; pred = transpose n succ }
 
 let build (c : Collect.t) =
   let aliases = c.Collect.aliases in
@@ -157,9 +148,7 @@ let build (c : Collect.t) =
       in
       if id >= 0 then last.(id) <- Asn.Set.add asn last.(id))
     c.Collect.traces;
-  let nodes =
-    make_nodes aliases of_group n (fun id -> (min_ttl.(id), dests.(id), last.(id), traces.(id)))
-  in
+  let nodes = make_nodes n (fun id -> (min_ttl.(id), dests.(id), last.(id), traces.(id))) in
   (* Edges grouped by their head, which a transpose sorts and dedupes
      into [succ]. *)
   let into =
@@ -191,7 +180,18 @@ let by_hop_distance t =
       | c -> c)
     (nodes t)
 
-let all_addrs n = Ipv4.Set.elements (Ipv4.Set.union n.addrs n.extra_addrs)
+(* Node [id]'s member addresses that [keep] selects by table id, in
+   ascending order. *)
+let addrs t id keep =
+  let m = t.members and acc = ref [] in
+  for k = m.start.(id + 1) - 1 downto m.start.(id) do
+    let i = m.flat.(k) in
+    if keep i then acc := Ag.addr t.aliases i :: !acc
+  done;
+  !acc
+
+let observed_addrs t id = addrs t id (Ag.observed t.aliases)
+let all_addrs t id = addrs t id (fun _ -> true)
 
 (* {2 Codec}
 
@@ -253,7 +253,7 @@ let decode (c : Collect.t) r =
     asn_sets.(i)
   in
   let nodes =
-    make_nodes aliases of_group n (fun _ ->
+    make_nodes n (fun _ ->
         let min_ttl = Codec.varint r in
         let dests = asn_set r in
         let last_toward = asn_set r in

@@ -1,14 +1,17 @@
 (** The router-level graph assembled from traces and alias resolution
     (§5.3 "Build router-level graph"): nodes are alias groups, edges are
     consecutive responsive hops. Ownership heuristics walk this graph in
-    order of observed hop distance from the VP. *)
+    order of observed hop distance from the VP.
+
+    A node names its interfaces by id in the collection's address
+    table: the graph keeps each node's alias-group members as ascending
+    table ids (so ascending addresses), and {!observed_addrs} and
+    {!all_addrs} read the addresses back through the table. *)
 
 open Netcore
 
 type node = {
   id : int;
-  addrs : Ipv4.Set.t;  (** addresses observed in TTL-expired replies *)
-  extra_addrs : Ipv4.Set.t;  (** alias-group members never seen in traces *)
   min_ttl : int;  (** closest observed hop distance *)
   dests : Asn.Set.t;  (** target ASes probed through this router *)
   last_toward : Asn.Set.t;  (** target ASes for which it closed the path *)
@@ -18,8 +21,8 @@ type node = {
 type t
 
 (** [build c] makes one node per alias group of [c]'s address table
-    that holds an observed or a mate address; its [addrs] and
-    [extra_addrs] are the group's members, split by the observed bit. *)
+    that holds an observed or a mate address; the group's table ids are
+    the node's members. *)
 val build : Collect.t -> t
 
 val nodes : t -> node list
@@ -41,15 +44,16 @@ val preds : t -> node -> node list
 (** [by_hop_distance t] is every node sorted by [min_ttl]. *)
 val by_hop_distance : t -> node list
 
-(** [all_addrs n] is observed plus merged addresses. *)
-val all_addrs : node -> Ipv4.t list
+(** [observed_addrs t id] is node [id]'s members observed in
+    TTL-expired replies, in ascending order. *)
+val observed_addrs : t -> int -> Ipv4.t list
 
-(** The codecs of the node sets, shared with the border-map file. *)
-module Addr_set : sig
-  val put : Store.Codec.writer -> (Store.Codec.writer -> int -> unit) -> Ipv4.Set.t -> unit
-  val get : Store.Codec.reader -> min_bytes:int -> (Store.Codec.reader -> int) -> Ipv4.Set.t
-end
+(** [all_addrs t id] is every member of node [id], observed or only
+    named by alias resolution or prefixscan, in ascending order. *)
+val all_addrs : t -> int -> Ipv4.t list
 
+(** The codec of the nodes' target-AS sets, shared with the border-map
+    file. *)
 module Asn_set : sig
   val put : Store.Codec.writer -> (Store.Codec.writer -> int -> unit) -> Asn.Set.t -> unit
   val get : Store.Codec.reader -> min_bytes:int -> (Store.Codec.reader -> int) -> Asn.Set.t
@@ -61,7 +65,7 @@ val encode : Store.Codec.writer -> t -> unit
 
 (** [decode c r] reads what {!encode} wrote for the graph of [c]: the
     nodes and their addresses come from [c]'s address table, as in
-    {!build}, and the predecessor sets from the successors. A node
+    {!build}, and the predecessors from the successors. A node
     count unlike the table's, or a successor id past it, is
     rejected. *)
 val decode : Collect.t -> Store.Codec.reader -> t

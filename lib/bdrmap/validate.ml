@@ -29,17 +29,17 @@ let org_of (w : Gen.world) asn =
 
 let host_org (w : Gen.world) = org_of w w.Gen.host_asn
 
-(* The true owners of the routers holding a node's observed addresses. *)
-let true_owners (w : Gen.world) (n : Rgraph.node) =
-  Ipv4.Set.fold
-    (fun a acc ->
-      match Net.owner_of_addr w.Gen.net a with
-      | Some r -> Asn.Set.add r.Net.owner acc
-      | None -> acc)
-    n.Rgraph.addrs Asn.Set.empty
+(* The true routers holding node [id]'s observed addresses. *)
+let true_routers (w : Gen.world) g id =
+  List.filter_map (Net.owner_of_addr w.Gen.net) (Rgraph.observed_addrs g id)
 
-let judge_far (w : Gen.world) (n : Rgraph.node) inferred =
-  let owners = true_owners w n in
+let true_owners w g id =
+  List.fold_left
+    (fun acc (r : Net.router) -> Asn.Set.add r.Net.owner acc)
+    Asn.Set.empty (true_routers w g id)
+
+let judge_far (w : Gen.world) g id inferred =
+  let owners = true_owners w g id in
   if Asn.Set.is_empty owners then Unverifiable
   else
     let orgs =
@@ -53,19 +53,12 @@ let judge_far (w : Gen.world) (n : Rgraph.node) inferred =
 
 (* A §5.4.8 link: the neighbor must truly attach to the (true) router
    behind the inferred near node. *)
-let judge_silent (w : Gen.world) (near : Rgraph.node) neighbor =
-  let near_true = true_owners w near in
-  if Asn.Set.is_empty near_true then Unverifiable
+let judge_silent (w : Gen.world) g near neighbor =
+  let near_routers = true_routers w g near in
+  if near_routers = [] then Unverifiable
   else
     let inferred_org = org_of w neighbor in
-    let near_rids =
-      Ipv4.Set.fold
-        (fun a acc ->
-          match Net.owner_of_addr w.Gen.net a with
-          | Some r -> r.Net.rid :: acc
-          | None -> acc)
-        near.Rgraph.addrs []
-    in
+    let near_rids = List.map (fun (r : Net.router) -> r.Net.rid) near_routers in
     let attached =
       List.exists
         (fun rid ->
@@ -99,10 +92,10 @@ let links (w : Gen.world) g (r : Heuristics.result) =
     (fun (l : Heuristics.border_link) ->
       let verdict =
         match l.Heuristics.far_node with
-        | Some fid -> judge_far w (Rgraph.node g fid) l.Heuristics.neighbor
+        | Some fid -> judge_far w g fid l.Heuristics.neighbor
         | None -> (
           match l.Heuristics.near_node with
-          | Some nid -> judge_silent w (Rgraph.node g nid) l.Heuristics.neighbor
+          | Some nid -> judge_silent w g nid l.Heuristics.neighbor
           | None -> Unverifiable)
       in
       { link = l; verdict })
@@ -132,57 +125,38 @@ let summarize evals =
       (if verifiable = 0 then 0.0
        else 100.0 *. float_of_int (correct_strict + sibling) /. float_of_int verifiable) }
 
-let router_accuracy (w : Gen.world) g (r : Heuristics.result) =
-  let evals =
-    List.filter_map
-      (fun (ri : Heuristics.router_inference) ->
-        match ri.Heuristics.owner with
-        | Heuristics.Neighbor (asn, tag) ->
-          Some
-            { link =
-                { Heuristics.near_node = None; far_node = Some ri.Heuristics.node.Rgraph.id;
-                  neighbor = asn; tag };
-              verdict = judge_far w ri.Heuristics.node asn }
-        | Heuristics.Host_router | Heuristics.Unknown -> None)
-      r.Heuristics.routers
-  in
-  ignore g;
-  summarize evals
+(* [neighbor_routers r judge] summarizes the verdicts [judge id asn]
+   on the routers inferred to be neighbor [asn]'s, each as a link to
+   its far node; a [None] verdict leaves the router out. *)
+let neighbor_routers (r : Heuristics.result) judge =
+  let evals = ref [] in
+  for id = Array.length r.Heuristics.owners - 1 downto 0 do
+    match r.Heuristics.owners.(id) with
+    | Heuristics.Neighbor (asn, tag) ->
+      Option.iter
+        (fun verdict ->
+          let link = { Heuristics.near_node = None; far_node = Some id; neighbor = asn; tag } in
+          evals := { link; verdict } :: !evals)
+        (judge id asn)
+    | Heuristics.Host_router | Heuristics.Unknown -> ()
+  done;
+  summarize !evals
 
-let ixp_members (w : Gen.world) g (r : Heuristics.result) =
-  ignore g;
+let router_accuracy (w : Gen.world) g r =
+  neighbor_routers r (fun id asn -> Some (judge_far w g id asn))
+
+let ixp_members (w : Gen.world) g r =
   let registry = w.Gen.ixp_registry in
-  let evals =
-    List.filter_map
-      (fun (ri : Heuristics.router_inference) ->
-        match ri.Heuristics.owner with
-        | Heuristics.Neighbor (asn, tag) -> (
-          let lan_addr =
-            List.find_opt
-              (fun a -> B.Ixp.is_ixp_addr registry a)
-              (Rgraph.all_addrs ri.Heuristics.node)
-          in
-          match lan_addr with
-          | None -> None
-          | Some a ->
-            let verdict =
-              match B.Ixp.member_of registry a with
-              | None -> Unverifiable
-              | Some m ->
-                if String.equal (org_of w m) (org_of w asn) then
-                  if Asn.equal m asn then Correct else Correct_sibling
-                else Wrong_as m
-            in
-            Some
-              { link =
-                  { Heuristics.near_node = None;
-                    far_node = Some ri.Heuristics.node.Rgraph.id;
-                    neighbor = asn; tag };
-                verdict })
-        | Heuristics.Host_router | Heuristics.Unknown -> None)
-      r.Heuristics.routers
-  in
-  summarize evals
+  neighbor_routers r (fun id asn ->
+      Option.map
+        (fun a ->
+          match B.Ixp.member_of registry a with
+          | None -> Unverifiable
+          | Some m ->
+            if String.equal (org_of w m) (org_of w asn) then
+              if Asn.equal m asn then Correct else Correct_sibling
+            else Wrong_as m)
+        (List.find_opt (B.Ixp.is_ixp_addr registry) (Rgraph.all_addrs g id)))
 
 let pp_summary ppf s =
   Format.fprintf ppf

@@ -48,7 +48,7 @@ let run ?(scale = 1.0) () =
       (fun (l : Bdrmap.Heuristics.border_link) ->
         let addr_of = function
           | Some id -> (
-            match Bdrmap.Rgraph.all_addrs (Bdrmap.Rgraph.node r.Bdrmap.Pipeline.graph id) with
+            match Bdrmap.Rgraph.all_addrs r.Bdrmap.Pipeline.graph id with
             | a :: _ -> Some a
             | [] -> None)
           | None -> None

@@ -199,6 +199,8 @@ struct
     put_varint w (S.cardinal s);
     S.iter (fun x -> put_elt w (E.to_int x)) s
 
+  (* The set of the [len] ints of [a] from [pos], which ascend
+     strictly. *)
   let of_sorted a ~pos ~len =
     if len = 0 then S.empty
     else if len = 1 then S.singleton (E.of_int a.(pos))

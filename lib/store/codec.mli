@@ -119,10 +119,6 @@ module Int_set
     end) : sig
   val put : writer -> (writer -> int -> unit) -> S.t -> unit
 
-  (** [of_sorted a ~pos ~len] is the set of the [len] ints of [a] from
-      [pos], which must ascend strictly. *)
-  val of_sorted : int array -> pos:int -> len:int -> S.t
-
   (** [get r ~min_bytes get_elt] reads a set whose elements take at
       least [min_bytes] each; elements that do not ascend strictly are
       rejected. *)

@@ -1,14 +1,22 @@
 (* The router graph as a plain list- and set-based build: each trace
    becomes a list of (node, ttl) visits with consecutive hops of one
    router collapsed, and each node keeps one int set of successors and
-   one of predecessors. [Test_rgraph] checks [Rgraph.build], which
-   packs the adjacency into compressed rows, against it. *)
+   one of predecessors, and its alias group's addresses as two address
+   sets, split by the observed bit. [Test_rgraph] checks
+   [Rgraph.build], which packs the adjacency and the members into
+   compressed rows of ids, against it. *)
 
 open Netcore
 module Ag = Aliasres.Alias_graph
 module ISet = Set.Make (Int)
 
-type t = { nodes : Bdrmap.Rgraph.node array; succ : ISet.t array; pred : ISet.t array }
+type t = {
+  nodes : Bdrmap.Rgraph.node array;
+  addrs : Ipv4.Set.t array;  (** members observed in traces *)
+  extra : Ipv4.Set.t array;  (** members never observed *)
+  succ : ISet.t array;
+  pred : ISet.t array;
+}
 
 (* One node per alias group holding an observed or a mate address:
    groups with an observed member first, by their least observed table
@@ -80,7 +88,7 @@ let build (c : Bdrmap.Collect.t) =
   done;
   let nodes =
     Array.init n (fun id ->
-        { Bdrmap.Rgraph.id; addrs = addrs.(id); extra_addrs = extra.(id); min_ttl = min_ttl.(id);
-          dests = dests.(id); last_toward = last.(id); trace_count = traces.(id) })
+        { Bdrmap.Rgraph.id; min_ttl = min_ttl.(id); dests = dests.(id); last_toward = last.(id);
+          trace_count = traces.(id) })
   in
-  { nodes; succ; pred }
+  { nodes; addrs; extra; succ; pred }

@@ -142,11 +142,9 @@ let test_byte_identity_obs_on_off () =
   (* Per-heuristic fire counts must sum to the number of owned routers:
      every decided router is attributed to exactly one heuristic. *)
   let owned =
-    List.length
-      (List.filter
-         (fun (ri : Bdrmap.Heuristics.router_inference) ->
-           ri.Bdrmap.Heuristics.owner <> Bdrmap.Heuristics.Unknown)
-         r.Bdrmap.Pipeline.inference.Bdrmap.Heuristics.routers)
+    Array.fold_left
+      (fun k o -> if o <> Bdrmap.Heuristics.Unknown then k + 1 else k)
+      0 r.Bdrmap.Pipeline.inference.Bdrmap.Heuristics.owners
   in
   let contains sub s =
     let n = String.length sub and m = String.length s in
@@ -163,11 +161,9 @@ let test_fire_counts_sum () =
   with_metrics (fun () ->
       let _, r = tiny_lines () in
       let owned =
-        List.length
-          (List.filter
-             (fun (ri : Bdrmap.Heuristics.router_inference) ->
-               ri.Bdrmap.Heuristics.owner <> Bdrmap.Heuristics.Unknown)
-             r.Bdrmap.Pipeline.inference.Bdrmap.Heuristics.routers)
+        Array.fold_left
+          (fun k o -> if o <> Bdrmap.Heuristics.Unknown then k + 1 else k)
+          0 r.Bdrmap.Pipeline.inference.Bdrmap.Heuristics.owners
       in
       let prefix = "heuristics.fire." in
       let fired =

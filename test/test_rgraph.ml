@@ -37,13 +37,14 @@ let check_invariants run () =
   let covered =
     List.fold_left
       (fun acc (n : Bdrmap.Rgraph.node) ->
-        let all = Ipv4.Set.union n.addrs n.extra_addrs in
+        let addrs = set_of (Bdrmap.Rgraph.observed_addrs g n.id) in
+        let all = set_of (Bdrmap.Rgraph.all_addrs g n.id) in
         if not (Ipv4.Set.disjoint acc all) then
           Alcotest.failf "node %d shares an address with another node" n.id;
-        if not (Ipv4.Set.subset n.addrs observed) then
-          Alcotest.failf "node %d: addrs holds an unobserved address" n.id;
-        if not (Ipv4.Set.disjoint n.extra_addrs observed) then
-          Alcotest.failf "node %d: extra_addrs holds an observed address" n.id;
+        if not (Ipv4.Set.subset addrs observed) then
+          Alcotest.failf "node %d: observed_addrs holds an unobserved address" n.id;
+        if not (Ipv4.Set.disjoint (Ipv4.Set.diff all addrs) observed) then
+          Alcotest.failf "node %d: all_addrs holds an observed address outside observed_addrs" n.id;
         let reference =
           Alias_ref.group_of same ~mentioned (Ipv4.Set.min_elt all)
         in
@@ -71,8 +72,7 @@ let check_invariants run () =
   done
 
 let same_node (x : Bdrmap.Rgraph.node) (y : Bdrmap.Rgraph.node) =
-  x.id = y.id && Ipv4.Set.equal x.addrs y.addrs && Ipv4.Set.equal x.extra_addrs y.extra_addrs
-  && x.min_ttl = y.min_ttl && Asn.Set.equal x.dests y.dests
+  x.id = y.id && x.min_ttl = y.min_ttl && Asn.Set.equal x.dests y.dests
   && Asn.Set.equal x.last_toward y.last_toward && x.trace_count = y.trace_count
 
 let ids l = List.map (fun (n : Bdrmap.Rgraph.node) -> n.id) l
@@ -86,6 +86,9 @@ let graph_diff g h =
       (fun (x : Rg.node) ->
         let y = Rg.node h x.id in
         if not (same_node x y) then Some (Printf.sprintf "node %d" x.id)
+        else if Rg.all_addrs g x.id <> Rg.all_addrs h y.id
+                || Rg.observed_addrs g x.id <> Rg.observed_addrs h y.id
+        then Some (Printf.sprintf "addresses of %d" x.id)
         else if ids (Rg.succs g x) <> ids (Rg.succs h y) then
           Some (Printf.sprintf "successors of %d" x.id)
         else if ids (Rg.preds g x) <> ids (Rg.preds h y) then
@@ -115,6 +118,11 @@ let prop_build_matches_reference =
           let y = Bdrmap.Rgraph.node g id in
           let set s = Rgraph_ref.ISet.elements s in
           if not (same_node x y) then fail (Printf.sprintf "node %d vs reference" id);
+          if Bdrmap.Rgraph.observed_addrs g id <> Ipv4.Set.elements r.addrs.(id) then
+            fail (Printf.sprintf "observed addresses of %d vs reference" id);
+          if Bdrmap.Rgraph.all_addrs g id
+             <> Ipv4.Set.elements (Ipv4.Set.union r.addrs.(id) r.extra.(id))
+          then fail (Printf.sprintf "all addresses of %d vs reference" id);
           if ids (Bdrmap.Rgraph.succs g y) <> set r.succ.(id) then
             fail (Printf.sprintf "successors of %d vs reference" id);
           if ids (Bdrmap.Rgraph.preds g y) <> set r.pred.(id) then

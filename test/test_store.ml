@@ -371,7 +371,7 @@ let test_key_sensitivity () =
     (Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg ~vp:vp0 ());
   Alcotest.(check bool) "pps changes the key" true
     (key <> Bdrmap.Run_store.key ~world:w ~pps:50.0 ~cfg ~vp:vp0 ());
-  let cfg' = { cfg with Bdrmap.Config.gap_limit = cfg.Bdrmap.Config.gap_limit + 1 } in
+  let cfg' = { cfg with Bdrmap.Config.ally_trials = cfg.Bdrmap.Config.ally_trials + 1 } in
   Alcotest.(check bool) "config changes the key" true
     (key <> Bdrmap.Run_store.key ~world:w ~pps:100.0 ~cfg:cfg' ~vp:vp0 ());
   Alcotest.(check bool) "epoch changes the key" true
@@ -459,11 +459,12 @@ let check_same_run name (a : Bdrmap.Run_store.snapshot) (b : Bdrmap.Run_store.sn
   List.iter2
     (fun (x : Rg.node) (y : Rg.node) ->
       chk "node"
-        (x.id = y.id && Netcore.Ipv4.Set.equal x.addrs y.addrs
-        && Netcore.Ipv4.Set.equal x.extra_addrs y.extra_addrs
-        && x.min_ttl = y.min_ttl && Netcore.Asn.Set.equal x.dests y.dests
+        (x.id = y.id && x.min_ttl = y.min_ttl && Netcore.Asn.Set.equal x.dests y.dests
         && Netcore.Asn.Set.equal x.last_toward y.last_toward
         && x.trace_count = y.trace_count);
+      chk "node addresses"
+        (Rg.observed_addrs ga x.id = Rg.observed_addrs gb y.id
+        && Rg.all_addrs ga x.id = Rg.all_addrs gb y.id);
       chk "successors" (ids (Rg.succs ga x) = ids (Rg.succs gb y));
       chk "predecessors" (ids (Rg.preds ga x) = ids (Rg.preds gb y)))
     (Rg.nodes ga) (Rg.nodes gb);
@@ -472,12 +473,8 @@ let check_same_run name (a : Bdrmap.Run_store.snapshot) (b : Bdrmap.Run_store.sn
     chk "node by table id" (id ga = id gb)
   done;
   let ia = a.inference and ib = b.inference in
-  List.iter2
-    (fun (x : H.router_inference) (y : H.router_inference) ->
-      chk "router" (x.node.id = y.node.id && x.owner = y.owner && x.merged_from = y.merged_from);
-      chk "router node shared" (y.node == Rg.node gb y.node.id))
-    ia.routers ib.routers;
-  chk "router count" (List.length ia.routers = List.length ib.routers);
+  chk "owners" (ia.owners = ib.owners);
+  chk "merged_from" (ia.merged_from = ib.merged_from);
   chk "links" (ia.links = ib.links);
   chk "nextas" (ia.nextas_used = ib.nextas_used);
   chk "probes" (a.probes = b.probes);
@@ -628,19 +625,37 @@ let test_codec_crafted () =
   let w, inputs = Lazy.force tiny_env in
   let r = List.hd (Bdrmap.Pipeline.execute_all w inputs ~vps:[ List.hd w.Gen.vps ]) in
   let g = r.Bdrmap.Pipeline.graph in
-  corrupt "router node past the node count" (H.decode g)
-    (craft (fun w ->
-         C.put_varint w 1;
-         C.put_varint w (Rg.node_count g);
-         List.iter (C.put_varint w) [ 1; 0; 0; 0 ]));
+  (* A router section of [count] (by default, as many as [ids]) and
+     [ids], each an unknown owner that merged nothing, then no links and
+     a nextas count of 0. *)
+  let routers ?count ids =
+    craft (fun w ->
+        C.put_varint w (Option.value count ~default:(List.length ids));
+        List.iter (fun id -> List.iter (C.put_varint w) [ id; 1; 0 ]) ids;
+        List.iter (C.put_varint w) [ 0; 0 ])
+  in
+  let n = Rg.node_count g in
+  let in_order = List.init n Fun.id in
+  let with_id k v = List.mapi (fun i id -> if i = k then v else id) in_order in
+  Alcotest.(check bool) "router section of ids 0..n-1 decodes" true
+    (match decoded (H.decode g) (routers in_order) with
+    | Ok r -> Array.for_all (( = ) H.Unknown) r.H.owners && Array.length r.H.owners = n
+    | Error _ -> false);
+  corrupt "router count below the node count" (H.decode g) (routers ~count:(n - 1) in_order);
+  corrupt "router count past the node count" (H.decode g) (routers ~count:(n + 1) in_order);
+  corrupt "router section one node short" (H.decode g) (routers (List.tl in_order));
+  corrupt "router node past the node count" (H.decode g) (routers (with_id 0 n));
+  corrupt "router ids out of order" (H.decode g) (routers (List.rev in_order));
+  corrupt "router id repeated" (H.decode g) (routers (with_id 1 0));
   (* Sets past the largest cached template (4096 ranks) are sorted
      instead; both sides of that size decode to the set written. *)
+  let module Addr_set = C.Int_set (Netcore.Ipv4.Set) (Netcore.Ipv4) in
   List.iter
     (fun n ->
       let set = Netcore.Ipv4.Set.of_list (List.init n (fun i -> Netcore.Ipv4.of_int (7 * i))) in
-      let bytes = craft (fun w -> Rg.Addr_set.put w C.put_u32 set) in
+      let bytes = craft (fun w -> Addr_set.put w C.put_u32 set) in
       Alcotest.(check bool) (Printf.sprintf "%d-address set round trip" n) true
-        (match decoded (fun r -> Rg.Addr_set.get r ~min_bytes:4 C.u32) bytes with
+        (match decoded (fun r -> Addr_set.get r ~min_bytes:4 C.u32) bytes with
         | Ok s -> Netcore.Ipv4.Set.equal s set
         | Error _ -> false))
     [ 2; 4096; 4097; 5000 ];

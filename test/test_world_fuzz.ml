@@ -71,10 +71,9 @@ let run_lines (r : Bdrmap.Pipeline.run) =
     r.Bdrmap.Pipeline.inference
 
 let owned_count (r : Bdrmap.Pipeline.run) =
-  List.length
-    (List.filter
-       (fun (ri : H.router_inference) -> ri.H.owner <> H.Unknown)
-       r.Bdrmap.Pipeline.inference.H.routers)
+  Array.fold_left
+    (fun k o -> if o <> H.Unknown then k + 1 else k)
+    0 r.Bdrmap.Pipeline.inference.H.owners
 
 (* The consistency invariants every generated world must satisfy after
    a full serial sweep:
